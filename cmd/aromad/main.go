@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	aromad [-addr host:port] [-shards N] [-supervise N]
+//	aromad [-addr host:port] [-supervise N]
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: in-flight requests
 // get a grace period, every hosted world's command loop stops.
@@ -34,9 +34,17 @@ import (
 	_ "aroma/pkg/aroma/scenarios" // populate the scenario registry
 )
 
+// Server timeouts. ReadHeaderTimeout bounds how long a client may take
+// to send request headers, so a stalled connection cannot hold a
+// goroutine forever; IdleTimeout closes keep-alive connections that
+// carry no request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
-	shards := flag.Int("shards", 0, "default shard workers for hosted worlds (<2 = sequential; per-world requests override; digests are identical either way)")
 	supervise := flag.Int("supervise", 0, "self-healing restart budget per world: resurrect a failed world from its most recent snapshot up to N times (0 = failures are terminal)")
 	chaos := flag.Bool("chaos", false, "register the chaosbomb drill scenario (panics out of a kernel event at t=10s) for exercising panic isolation and supervised recovery")
 	flag.Parse()
@@ -48,8 +56,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := daemon.New(daemon.WithDefaultShards(*shards), daemon.WithSupervisor(*supervise))
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	srv := daemon.New(daemon.WithSupervisor(*supervise))
+	// WriteTimeout stays unset: it would cut off the long-lived SSE
+	// event streams and long run requests mid-response.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -37,7 +37,6 @@ func main() {
 	minutes := flag.Int("minutes", 0, "simulated minutes to run (0 = the scenario's default)")
 	verbose := flag.Bool("verbose", false, "print the full trace / extra detail")
 	faults := flag.String("faults", "", "fault plan to arm (semicolon-separated specs, e.g. 'jam:at=5s,for=10s,loss=40;crash:at=20s,dev=2,for=30s'; empty or 'none' = no faults)")
-	shards := flag.Int("shards", 0, "shard workers for the space-parallel execution mode (<2 = sequential; digests are identical either way)")
 	metricsOut := flag.String("metrics", "", "enable telemetry and write the run's instrument snapshot (values + sim-time series) to this JSON file")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	all := flag.Bool("all", false, "run every registered scenario and print a comparison table")
@@ -67,7 +66,6 @@ func main() {
 		Horizon: sim.Time(*minutes) * sim.Minute,
 		Verbose: *verbose,
 		Out:     os.Stdout,
-		Shards:  *shards,
 		Faults:  *faults,
 		Metrics: *metricsOut != "",
 	}
@@ -132,7 +130,6 @@ func runAll(ctx context.Context, cfg scenario.Config) {
 		Seeds:   []int64{cfg.Seed},
 		Horizon: cfg.Horizon,
 		Verbose: cfg.Verbose,
-		Shards:  cfg.Shards,
 	}
 	if cfg.Faults != "" {
 		design.Faults = []string{cfg.Faults}

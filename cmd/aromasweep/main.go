@@ -64,7 +64,6 @@ func main() {
 	seeds := flag.String("seeds", "", "explicit comma-separated seed list (overrides -reps/-seed; 0 = the scenario's classic seed)")
 	minutes := flag.Int("minutes", 0, "simulated minutes per run (0 = the scenario's default)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = all cores)")
-	shards := flag.Int("shards", 0, "shard workers per run for the space-parallel execution mode (<2 = sequential; digests and cell statistics are identical either way — pair with -workers 1 to avoid oversubscription)")
 	out := flag.String("out", "", "directory for artifacts: runs.jsonl, cells.csv, report.txt (and metrics.jsonl with -metrics)")
 	telemetry := flag.Bool("metrics", false, "enable per-run telemetry; snapshots are written to metrics.jsonl next to runs.jsonl")
 	failFast := flag.Bool("failfast", false, "stop the sweep at the first failed run")
@@ -103,7 +102,6 @@ func main() {
 		BaseSeed:    *seed,
 		Horizon:     sim.Time(*minutes) * sim.Minute,
 		Verbose:     *verbose,
-		Shards:      *shards,
 		Telemetry:   *telemetry,
 		Faults:      faults,
 		RetryFailed: *retryFailed,

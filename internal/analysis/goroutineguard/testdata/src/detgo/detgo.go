@@ -1,7 +1,7 @@
 // Package detgo stands in for a deterministic package: every go
 // statement is flagged, whatever it captures — except inside an
-// audited spawn site, which is allowed even here (the shard-runner
-// pattern: a worker pool living inside a deterministic package).
+// audited spawn site, which is allowed even here (a worker pool living
+// inside a deterministic package).
 package detgo
 
 func compute(xs []int, out chan<- int) {
@@ -14,7 +14,7 @@ func compute(xs []int, out chan<- int) {
 	}()
 }
 
-// runner mirrors the radio medium's shard worker pool.
+// runner is a worker pool whose workers block until started or quit.
 type runner struct {
 	start []chan struct{}
 	quit  chan struct{}

@@ -72,17 +72,13 @@ var (
 	// daemon host's command loop (the world's single thread under a
 	// concurrent HTTP surface), the daemon's /metrics scraper (renders
 	// each world's registry concurrently, touching every world only
-	// through its command loop), the sweep engine's worker pool (each
-	// worker owns run-isolated worlds that share nothing), and the
-	// radio medium's shard-runner pool (workers evaluate region-local
-	// physics between barriers; every receipt commits on the kernel
-	// goroutine in radio-ID order, so digests stay bit-identical).
+	// through its command loop), and the sweep engine's worker pool
+	// (each worker owns run-isolated worlds that share nothing).
 	// Entries are "<import path>.<func>" with methods written as
 	// "<import path>.(*T).m".
 	GoroutineAllowedFuncs = []string{
 		"aroma/internal/daemon.newHost",
 		"aroma/internal/daemon.(*Server).scrapeWorlds",
-		"aroma/internal/radio.(*shardRunner).startWorkers",
 		"aroma/pkg/aroma/sweep.(*Sweep).Run",
 	}
 )

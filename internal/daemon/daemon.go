@@ -61,11 +61,6 @@ type Server struct {
 	nextS  int
 	closed bool
 
-	// defaultShards, when > 1, runs every hosted world in the sharded
-	// execution mode with that many workers unless the create request
-	// sets its own count. Digests are identical either way.
-	defaultShards int
-
 	// superviseBudget, when > 0, enables the self-healing supervisor:
 	// a world whose command loop catches a panic is restored from its
 	// most recent snapshot and swapped back in under the same ID, up to
@@ -86,13 +81,6 @@ type Server struct {
 
 // Option configures a Server.
 type Option func(*Server)
-
-// WithDefaultShards sets the shard worker count applied to every world
-// the daemon builds, restores, or forks when the request does not
-// choose its own (the aromad -shards flag). Values < 2 mean sequential.
-func WithDefaultShards(n int) Option {
-	return func(s *Server) { s.defaultShards = n }
-}
 
 // WithSupervisor enables the self-healing supervisor (the aromad
 // -supervise flag): when a world's command loop catches a panic, the
@@ -249,16 +237,12 @@ func (s *Server) resurrect(h *host) {
 		prov.Restarts = h.restarts + 1
 		b.World.SetProvenance(prov)
 	}
-	if s.defaultShards > 1 {
-		b.World.SetShards(s.defaultShards)
-	}
 	b.World.EnableTelemetry(0)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.worlds[h.id] != h {
-		b.World.Close() // deleted (or daemon shut down) while restoring
-		return
+		return // deleted (or daemon shut down) while restoring
 	}
 	nh := newHost(h.id, h.scen, b, nil, s.failHook())
 	nh.lastSnap = h.lastSnap
@@ -287,24 +271,21 @@ func (s *Server) info(h *host) (client.WorldInfo, error) {
 	var wi client.WorldInfo
 	err := h.do(func() {
 		world := h.built.World
-		ks := world.Kernel().ExportState()
+		k := world.Kernel()
 		prov, _ := world.Provenance()
-		shards, fallback := world.Shards()
 		wi = client.WorldInfo{
-			ID:            h.id,
-			Scenario:      h.scen,
-			Seed:          world.Seed(),
-			Now:           world.Now(),
-			Horizon:       h.built.Horizon,
-			Steps:         ks.Steps,
-			Pending:       len(ks.Pending),
-			Forks:         len(prov.Forks),
-			Faults:        prov.Faults,
-			Restarts:      prov.Restarts,
-			Shards:        shards,
-			ShardFallback: fallback,
-			Digest:        world.Digest(),
-			State:         "ok",
+			ID:       h.id,
+			Scenario: h.scen,
+			Seed:     world.Seed(),
+			Now:      world.Now(),
+			Horizon:  h.built.Horizon,
+			Steps:    k.Steps(),
+			Pending:  k.Pending(),
+			Forks:    len(prov.Forks),
+			Faults:   prov.Faults,
+			Restarts: prov.Restarts,
+			Digest:   world.Digest(),
+			State:    "ok",
 		}
 	})
 	if errors.Is(err, errWorldFailed) {
@@ -426,17 +407,12 @@ func (s *Server) handleCreateWorld(w http.ResponseWriter, r *http.Request) {
 	// so nothing else can reach it. Narration is captured in a buffer
 	// the scenario's closures keep writing to (the /output endpoint).
 	out := &bytes.Buffer{}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.defaultShards
-	}
 	b, err := scenario.Build(req.Scenario, scenario.Config{
 		Seed:    req.Seed,
 		Horizon: req.Horizon,
 		Verbose: req.Verbose,
 		Params:  req.Params,
 		Out:     out,
-		Shards:  shards,
 		Faults:  req.Faults,
 	})
 	if err != nil {
@@ -718,11 +694,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	// Snapshots never carry execution strategy; the daemon's default
-	// sharding applies to restored worlds just like fresh builds.
-	if s.defaultShards > 1 {
-		b.World.SetShards(s.defaultShards)
-	}
 	s.finishCreate(w, req.ID, sn.info.Scenario, b, nil)
 }
 
@@ -739,9 +710,6 @@ func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
-	}
-	if s.defaultShards > 1 {
-		b.World.SetShards(s.defaultShards)
 	}
 	s.finishCreate(w, req.ID, sn.info.Scenario, b, nil)
 }
@@ -845,14 +813,25 @@ func parseSeverity(s string) (trace.Severity, error) {
 	return 0, fmt.Errorf("unknown severity %q (debug, info, issue, violation)", s)
 }
 
+// maxBodyBytes caps every JSON request body.
+const maxBodyBytes = 1 << 20
+
 // readJSON decodes the request body into v; an empty body is allowed
-// (v keeps its zero value). It writes a 400 and returns false on a
-// malformed body.
+// (v keeps its zero value). It returns false after writing a 413 for a
+// body over maxBodyBytes, or a 400 for a malformed one.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {
 			return true
+		}
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, client.ErrorBody{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+				Code:  client.CodeBodyTooLarge,
+			})
+			return false
 		}
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false

@@ -2,7 +2,10 @@ package daemon_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -379,5 +382,42 @@ func TestAPIErrors(t *testing.T) {
 	}
 	if err := c.DeleteWorld(ctx, "missing"); err == nil {
 		t.Error("delete of missing world succeeded")
+	}
+}
+
+// A request body over the 1 MiB cap is refused with 413 and the typed
+// body_too_large error, not a generic 400, and hosts no world. The body
+// is valid JSON padded past the cap, so only its size is at fault.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv := daemon.New()
+	ts := httptest.NewServer(srv)
+	defer func() {
+		srv.Close()
+		ts.Close()
+	}()
+	body := `{"scenario":"quickstart","params":{"pad":"` + strings.Repeat("x", 1<<20) + `"}}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/worlds", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var eb client.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("error body: %v", err)
+	}
+	if eb.Code != client.CodeBodyTooLarge || eb.Error == "" {
+		t.Errorf("error body = %+v, want code %q with a message", eb, client.CodeBodyTooLarge)
+	}
+	c := client.New(ts.URL)
+	c.SetHTTPClient(ts.Client())
+	worlds, err := c.Worlds(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(worlds) != 0 {
+		t.Errorf("oversized create hosted %d worlds", len(worlds))
 	}
 }

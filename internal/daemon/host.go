@@ -98,16 +98,13 @@ func newHost(id, scen string, b *scenario.Built, out *bytes.Buffer, onFail func(
 	return h
 }
 
-// loop is the world's single thread. On shutdown it closes the world
-// (releasing the sharded execution mode's worker pool, if any) before
-// exiting — the loop owns the world, so this cannot race a command.
+// loop is the world's single thread.
 func (h *host) loop() {
 	for {
 		select {
 		case fn := <-h.cmds:
 			fn()
 		case <-h.quit:
-			h.closeWorld()
 			return
 		}
 	}
@@ -153,14 +150,6 @@ func (h *host) isFailed() bool {
 	default:
 		return false
 	}
-}
-
-// closeWorld releases the world's resources. A failed world may be
-// arbitrarily corrupt, so its Close must not be allowed to take the
-// loop (and the daemon) down with a second panic.
-func (h *host) closeWorld() {
-	defer func() { recover() }()
-	h.built.World.Close()
 }
 
 // do runs fn on the world's loop and waits for it to finish. It fails

@@ -12,23 +12,14 @@ import (
 
 // The /metrics exposition carries the server's host-plane instruments
 // plus every hosted world's registry under a world label, with the
-// known kernel, radio, and shard-fallback instrument names — the same
-// names the CI smoke test greps for.
+// known kernel, radio, and MAC instrument names — the same names the
+// CI smoke test greps for.
 func TestMetricsExposition(t *testing.T) {
 	c := newDaemon(t)
 	ctx := context.Background()
 
-	// A shard request without a radio cutoff must surface its fallback
-	// reason in the world info, not silently run sequential.
-	wi, err := c.CreateWorld(ctx, client.CreateWorldRequest{ID: "m1", Scenario: "lab", Shards: 4})
-	if err != nil {
+	if _, err := c.CreateWorld(ctx, client.CreateWorldRequest{ID: "m1", Scenario: "lab"}); err != nil {
 		t.Fatal(err)
-	}
-	if wi.Shards != 1 {
-		t.Errorf("lab with shards=4: Shards = %d, want 1 (no cutoff)", wi.Shards)
-	}
-	if wi.ShardFallback == "" {
-		t.Error("lab with shards=4: ShardFallback empty, want a reason")
 	}
 
 	if _, err := c.RunFor(ctx, "m1", 10*sim.Second); err != nil {
@@ -43,7 +34,7 @@ func TestMetricsExposition(t *testing.T) {
 		`aroma_kernel_steps_total{world="m1"}`,
 		`aroma_kernel_events_scheduled_total{world="m1"}`,
 		`aroma_radio_frames_sent_total{world="m1"}`,
-		`aroma_radio_shard_fallback_total{reason="small_fanout",world="m1"}`,
+		`aroma_radio_gain_cache_hits_total{world="m1"}`,
 		`aroma_mac_frames_sent_total{world="m1"}`,
 		`aroma_trace_events_total{severity="debug",world="m1"}`,
 		"aroma_host_sse_dropped_total",

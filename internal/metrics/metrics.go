@@ -64,7 +64,7 @@ func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
 // variant of Welford's update, so partial summaries combined in any
 // grouping agree (to float tolerance) with one summary observing every
 // value. Use it to combine statistics whose raw streams are gone —
-// per-shard partials, or the cell aggregates of two sweep reports.
+// per-worker partials, or the cell aggregates of two sweep reports.
 // (The sweep engine itself aggregates by observing rows in fixed task
 // order, which keeps cell statistics bit-identical across worker
 // counts; Merge's float error depends on grouping.)

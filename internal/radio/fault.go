@@ -4,11 +4,9 @@ import "errors"
 
 // Fault-plane surface: the medium-side mechanisms the deterministic
 // fault injector (internal/fault, wired by pkg/aroma) drives. All of it
-// is ordinary single-threaded kernel-event state — fault windows open
-// and close inside scheduled events, never concurrently with a shard
-// phase — and all of it flows through the one linkGain path, so the
-// sequential and sharded execution modes stay bit-identical under
-// faults.
+// is ordinary kernel-event state — fault windows open and close inside
+// scheduled events — and all of it flows through the one linkGain path,
+// so RSSI, SINR and carrier sense see a fault window coherently.
 
 // PartitionLossDB is the extra path loss applied to links crossing the
 // partition fence while a partition window is open. It is large but
@@ -39,7 +37,6 @@ func (m *Medium) SetDown(r *Radio, delta int) {
 		} else {
 			m.downRadios--
 		}
-		m.physGen++
 	}
 }
 
@@ -93,7 +90,7 @@ func (m *Medium) faultLossDB(src, rx *Radio) float64 {
 }
 
 // invalidateLinkGains marks every cached pairwise gain stale by bumping
-// every radio's linkGen, plus physGen for the sharded mid-commit watch.
+// every radio's linkGen.
 // O(radios), paid only when a jam or partition window opens or closes;
 // candidate sets are untouched (they are cell-conservative supersets —
 // membership never depends on fault loss, only the exact gains do).
@@ -101,5 +98,4 @@ func (m *Medium) invalidateLinkGains() {
 	for _, r := range m.ordered {
 		r.linkGen++
 	}
-	m.physGen++
 }

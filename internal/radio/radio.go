@@ -78,7 +78,6 @@ import (
 	"aroma/internal/env"
 	"aroma/internal/geo"
 	"aroma/internal/sim"
-	"aroma/internal/telemetry"
 )
 
 // Channel numbering follows 802.11b North America: 1..11, 5 MHz apart,
@@ -184,13 +183,10 @@ type ledgerCell struct {
 }
 
 // ledger is a dense radio-ID-indexed interference accumulator, pooled
-// per Medium — or, in sharded mode, per region (home names the owning
-// region's pool, offset by one; 0 is the medium-wide pool) — so the
-// PHY hot path performs no per-transmission map or slice allocation in
-// steady state.
+// per Medium so the PHY hot path performs no per-transmission map or
+// slice allocation in steady state.
 type ledger struct {
 	epoch uint64
-	home  int32
 	cells []ledgerCell
 }
 
@@ -286,19 +282,8 @@ type Radio struct {
 	// radio's signal in both dBm and linear milliwatts, so the
 	// per-pair delivery, interference, and energy loops do zero
 	// math.Pow/math.Log10 for unmoved pairs. Entries are revalidated
-	// against both ends' linkGen and this radio's TxPowerDBm. In
-	// sharded mode the row is region-owned state: the radio belongs to
-	// exactly one region, and during a parallel phase only the worker
-	// owning a receiver's region writes that receiver's entry.
+	// against both ends' linkGen and this radio's TxPowerDBm.
 	gainTo []pairGain
-
-	// region is the index of the arena region owning this radio's
-	// position under the sharded execution mode (shard.go); 0 and
-	// meaningless when the medium runs sequentially. hearRange/hearPower
-	// memoize the hearing radius for border reclassification on moves.
-	region    int32
-	hearPower float64
-	hearRange float64
 
 	// down is the fault-window depth (fault.go): while positive the
 	// radio can neither transmit nor receive. A depth, not a bool, so
@@ -333,18 +318,7 @@ func (r *Radio) SetPos(p geo.Point) {
 	}
 	r.Pos = p
 	r.linkGen++ // all cached link gains to and from this radio are stale
-	m := r.medium
-	if m == nil {
-		return
-	}
-	m.physGen++
-	if !m.attached(r) {
-		return
-	}
-	if m.shard != nil && m.shard.rm != nil {
-		m.shardMove(r)
-	}
-	if m.cutoffEnabled() {
+	if m := r.medium; m != nil && m.cutoffEnabled() && m.attached(r) {
 		m.grid.Move(r.ID, p)
 		if m.globalInval {
 			m.topoGen++
@@ -360,9 +334,6 @@ func (r *Radio) SetChannel(ch int) {
 	ch = clampChannel(ch)
 	if ch == r.Channel {
 		return
-	}
-	if m := r.medium; m != nil {
-		m.physGen++
 	}
 	if m := r.medium; m != nil && m.attached(r) {
 		m.channelRemove(r)
@@ -493,13 +464,6 @@ type Medium struct {
 	// the band leaves it untouched.
 	chanGen [MaxChannel + 1]uint64
 
-	// physGen counts every PHY-relevant mutation routed through the
-	// medium's mutator methods: moves, retunes, attaches, detaches. The
-	// sharded commit loop (shard.go) compares it across receipt
-	// callbacks to detect a callback that perturbed the world mid-commit
-	// and fall back to inline sequential recomputation.
-	physGen uint64
-
 	// Fault-plane state (fault.go): jamDB is the open jam windows' total
 	// extra path loss; partitions is the open partition-window depth with
 	// fenceX the fence abscissa; downRadios counts attached radios
@@ -508,31 +472,6 @@ type Medium struct {
 	partitions int
 	fenceX     float64
 	downRadios int
-
-	// shard is the sharded-execution configuration, nil when the medium
-	// runs sequentially (the default). pendingShards carries the
-	// WithShards option value until construction completes.
-	shard         *shardState
-	pendingShards int
-
-	// shardFallbackReason records why the last SetShards call fell back
-	// to sequential execution ("" when sharding engaged or was never
-	// requested); the runtime Fallback* counters below count per-event
-	// fallbacks of an engaged sharded medium.
-	shardFallbackReason string
-
-	// parallelPhase is true while shard workers are evaluating. The
-	// observability-only gain-cache counters below are skipped during a
-	// parallel phase (incrementing them from workers would race);
-	// cache *behavior* is identical either way.
-	parallelPhase bool
-
-	// evalTimer/commitTimer are optional host-plane wall-clock
-	// accumulators for the sharded evaluate dispatches and sequential
-	// commit loops (BindHostTimers). Host-plane: never exported,
-	// digested, or sampled into sim series.
-	evalTimer   *telemetry.HostTimer
-	commitTimer *telemetry.HostTimer
 
 	// Stats. Sent/Delivered/Lost are part of ExportState (canonical
 	// frame accounting); everything below them is observability-only —
@@ -549,19 +488,9 @@ type Medium struct {
 	Collisions  uint64
 	CaptureWins uint64
 
-	// GainHits/GainMisses count pairwise link-gain cache lookups on the
-	// sequential paths. Lookups made by shard workers during a parallel
-	// phase are not counted (see parallelPhase), so the hit rate
-	// describes the sequential/coordinator share of traffic.
+	// GainHits/GainMisses count pairwise link-gain cache lookups.
 	GainHits   uint64
 	GainMisses uint64
-
-	// Per-event sharded-execution fallbacks: an engaged sharded medium
-	// that ran a particular fan-out sequentially, by reason.
-	FallbackSmallFanout uint64 // fan-out below shardMinFanout
-	FallbackShadow      uint64 // shadow fading forces sequential gains
-	FallbackLayout      uint64 // layout rebuild collapsed to < 2 regions
-	FallbackMidCommit   uint64 // commit callback perturbed the world mid-fan-out
 }
 
 // NewMedium creates an empty medium over the given environment.
@@ -576,9 +505,6 @@ func NewMedium(k *sim.Kernel, e *env.Environment, opts ...MediumOption) *Medium 
 		opt(m)
 	}
 	m.grid = geo.NewGrid(m.gridCell)
-	if m.pendingShards > 1 {
-		m.SetShards(m.pendingShards)
-	}
 	return m
 }
 
@@ -622,10 +548,6 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 	m.grid.Insert(r.ID, pos) // bumps the destination cell's generation
 	m.topoGen++
 	m.chanGen[r.Channel]++
-	m.physGen++
-	if m.shard != nil && m.shard.rm != nil {
-		m.shardClassify(r)
-	}
 	return r
 }
 
@@ -663,10 +585,6 @@ func (m *Medium) Detach(r *Radio) {
 	r.cand, r.candCover = nil, nil
 	m.topoGen++
 	m.chanGen[r.Channel]++
-	m.physGen++
-	if m.shard != nil && m.shard.rm != nil {
-		m.shardRemove(r)
-	}
 }
 
 // Radios returns the number of attached radios.
@@ -880,14 +798,10 @@ func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
 	}
 	g := &src.gainTo[rx.ID]
 	if g.srcGen == src.linkGen && g.rxGen == rx.linkGen && g.srcPower == src.TxPowerDBm {
-		if !m.parallelPhase {
-			m.GainHits++
-		}
+		m.GainHits++
 		return g.mw, g.rssi
 	}
-	if !m.parallelPhase {
-		m.GainMisses++
-	}
+	m.GainMisses++
 	rssi = m.env.ReceivedPowerDBm(src.TxPowerDBm, src.Pos, rx.Pos)
 	// Open fault windows (jam, partition) add loss here, in the one gain
 	// path every consumer shares; window toggles bump every linkGen, so
@@ -925,46 +839,6 @@ func (m *Medium) acquireLedger() *ledger {
 	}
 	l.epoch = m.ledgerEpoch
 	return l
-}
-
-// acquireLedgerFor is acquireLedger routed through the source radio's
-// region pool when the medium is sharded, so a region's transmissions
-// recycle region-local ledgers. Sharded ledgers are additionally
-// pre-sized to the full radio count: parallel interference phases must
-// never grow the shared cell slice.
-func (m *Medium) acquireLedgerFor(src *Radio) *ledger {
-	sh := m.shard
-	if sh == nil || sh.rm == nil {
-		return m.acquireLedger()
-	}
-	reg := sh.regions[src.region]
-	m.ledgerEpoch++
-	var l *ledger
-	if n := len(reg.ledgerFree); n > 0 {
-		l = reg.ledgerFree[n-1]
-		reg.ledgerFree = reg.ledgerFree[:n-1]
-	} else {
-		l = &ledger{}
-	}
-	l.epoch = m.ledgerEpoch
-	l.home = int32(src.region) + 1
-	m.presizeLedger(l)
-	return l
-}
-
-// releaseLedger returns a finished transmission's ledger to its home
-// pool: the owning region's when sharded (and the region still
-// exists — a repartition may have shrunk the region set mid-flight),
-// the medium-wide pool otherwise.
-func (m *Medium) releaseLedger(l *ledger) {
-	if h := int(l.home) - 1; h >= 0 {
-		if sh := m.shard; sh != nil && h < len(sh.regions) {
-			sh.regions[h].ledgerFree = append(sh.regions[h].ledgerFree, l)
-			return
-		}
-		l.home = 0
-	}
-	m.ledgerFree = append(m.ledgerFree, l)
 }
 
 // energyAtMW returns the total in-band energy a radio currently senses
@@ -1053,29 +927,18 @@ func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmis
 		End:     now + sim.Time(airSeconds*float64(sim.Second)),
 		payload: payload,
 		range2:  squared(m.hearingRange(r)),
-		led:     m.acquireLedgerFor(r),
+		led:     m.acquireLedger(),
 	}
 	// Record mutual interference with all currently active transmissions,
 	// oldest first.
 	hearers := m.candidatesFor(r)
-	if len(m.active) > 0 && len(hearers) >= shardMinFanout && m.shardReady() {
-		m.transmitSharded(tx, hearers)
-	} else {
-		if m.shard != nil && len(m.active) > 0 {
-			m.noteShardFallback(len(hearers))
-		}
-		for _, other := range m.active {
-			m.recordInterference(tx, other, m.candidatesFor(other.Src))
-			m.recordInterference(other, tx, hearers)
-		}
+	for _, other := range m.active {
+		m.recordInterference(tx, other, m.candidatesFor(other.Src))
+		m.recordInterference(other, tx, hearers)
 	}
 	m.active = append(m.active, tx) // Seq is monotonic: stays sorted
 	m.Sent++
-	lane := 0
-	if sh := m.shard; sh != nil && sh.rm != nil {
-		lane = int(r.region) + 1 // region-local kernel lane for the txEnd event
-	}
-	m.kernel.ScheduleFnLane(lane, tx.End-now, "radio.txEnd", finishTransmission, tx)
+	m.kernel.ScheduleFn(tx.End-now, "radio.txEnd", finishTransmission, tx)
 	return tx, nil
 }
 
@@ -1140,79 +1003,39 @@ func (m *Medium) finish(tx *Transmission) {
 		m.rxScratch = inRange[:0]
 		receivers = inRange
 	}
-	if len(receivers) >= shardMinFanout && m.shardReady() {
-		m.finishSharded(tx, receivers, noiseMW)
-	} else {
-		if m.shard != nil {
-			m.noteShardFallback(len(receivers))
+	for _, rx := range receivers {
+		if rx.OnReceive == nil || rx.down > 0 || !m.attached(rx) {
+			continue
 		}
-		for _, rx := range receivers {
-			if rx.OnReceive == nil || rx.down > 0 || !m.attached(rx) {
-				continue
-			}
-			ov := ChannelOverlap(tx.Src.Channel, rx.Channel)
-			if ov == 0 {
-				continue
-			}
-			mw, rssi := m.linkGain(tx.Src, rx)
-			sigMW := mw * ov
-			intMW := tx.led.at(rx.ID)
-			sinr := 10 * math.Log10(sigMW/(noiseMW+intMW))
-			ok := sinr >= tx.Rate.MinSINRdB
-			m.countOutcome(ok, intMW > 0)
-			rx.OnReceive(Receipt{Tx: tx, RSSIdBm: rssi, SINRdB: sinr, OK: ok})
+		ov := ChannelOverlap(tx.Src.Channel, rx.Channel)
+		if ov == 0 {
+			continue
 		}
+		mw, rssi := m.linkGain(tx.Src, rx)
+		sigMW := mw * ov
+		intMW := tx.led.at(rx.ID)
+		sinr := 10 * math.Log10(sigMW/(noiseMW+intMW))
+		ok := sinr >= tx.Rate.MinSINRdB
+		// Delivered/Lost are canonical frame accounting; an outcome
+		// with nonzero interference is also a capture win or a
+		// collision (observability only).
+		if ok {
+			m.Delivered++
+			if intMW > 0 {
+				m.CaptureWins++
+			}
+		} else {
+			m.Lost++
+			if intMW > 0 {
+				m.Collisions++
+			}
+		}
+		rx.OnReceive(Receipt{Tx: tx, RSSIdBm: rssi, SINRdB: sinr, OK: ok})
 	}
 	// The ledger is no longer needed: recordInterference only targets
 	// active transmissions, and delivery above has consumed every cell.
-	m.releaseLedger(tx.led)
+	m.ledgerFree = append(m.ledgerFree, tx.led)
 	tx.led = nil
-}
-
-// countOutcome updates the delivery stats for one receipt: the
-// canonical Delivered/Lost pair plus the observability-only
-// collision/capture classification (interfered reports whether the
-// receiver saw nonzero co-channel interference for the frame).
-func (m *Medium) countOutcome(ok, interfered bool) {
-	if ok {
-		m.Delivered++
-		if interfered {
-			m.CaptureWins++
-		}
-	} else {
-		m.Lost++
-		if interfered {
-			m.Collisions++
-		}
-	}
-}
-
-// noteShardFallback classifies why an engaged sharded medium ran one
-// fan-out sequentially. Callers have already decided to fall back; the
-// reason mirrors the short-circuit order of the engage condition.
-func (m *Medium) noteShardFallback(fanout int) {
-	switch {
-	case fanout < shardMinFanout:
-		m.FallbackSmallFanout++
-	case m.env.ShadowSigmaDB != 0:
-		m.FallbackShadow++
-	default:
-		m.FallbackLayout++
-	}
-}
-
-// ShardFallback returns why the last SetShards call fell back to
-// sequential execution, or "" when sharding engaged (or was never
-// requested).
-func (m *Medium) ShardFallback() string { return m.shardFallbackReason }
-
-// BindHostTimers attaches host-plane wall-clock accumulators for the
-// sharded execution mode: eval observes each parallel evaluate
-// dispatch, commit each sequential receipt-commit loop. Either may be
-// nil. Host-plane contract: the timers never feed ExportState, any
-// digest, or sim-time series.
-func (m *Medium) BindHostTimers(eval, commit *telemetry.HostTimer) {
-	m.evalTimer, m.commitTimer = eval, commit
 }
 
 // ActiveTransmissions returns the number of frames currently in the air.

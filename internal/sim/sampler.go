@@ -95,26 +95,10 @@ func (k *Kernel) advanceSamplers(limit Time) {
 // ExportState, never digested.
 func (k *Kernel) Cancels() uint64 { return k.cancels }
 
-// LaneDepth returns the number of heap-parked slots in lane i,
-// including lazily cancelled entries awaiting reclamation. Out-of-range
-// lanes report 0.
-func (k *Kernel) LaneDepth(i int) int {
-	if i < 0 || i >= len(k.lanes) {
-		return 0
-	}
-	return len(k.lanes[i].heap)
-}
-
-// PoolStats returns the total pooled event slots across lanes and how
-// many of them are on free lists — the kernel's steady-state memory
-// footprint and headroom.
-func (k *Kernel) PoolStats() (slots, free int) {
-	for i := range k.lanes {
-		slots += len(k.lanes[i].pool)
-		free += len(k.lanes[i].free)
-	}
-	return slots, free
-}
+// PoolStats returns the pooled event slots and how many of them are on
+// the free list — the kernel's steady-state memory footprint and
+// headroom.
+func (k *Kernel) PoolStats() (slots, free int) { return len(k.pool), len(k.free) }
 
 // Seq returns the number of events scheduled since the kernel was
 // created (the kernel-wide sequence counter).

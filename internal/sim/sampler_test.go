@@ -141,12 +141,8 @@ func TestAddSamplerRejectsNonPositivePeriod(t *testing.T) {
 
 func TestKernelObservabilityAccessors(t *testing.T) {
 	k := New(1)
-	k.ConfigureLanes(2)
-	k.ScheduleFnLane(1, 5, "a", func(any) {}, nil)
+	k.ScheduleFn(5, "a", func(any) {}, nil)
 	e := k.Schedule(7, "b", func() {})
-	if k.LaneDepth(0) != 1 || k.LaneDepth(1) != 1 || k.LaneDepth(9) != 0 {
-		t.Fatalf("lane depths = %d/%d/%d", k.LaneDepth(0), k.LaneDepth(1), k.LaneDepth(9))
-	}
 	if slots, free := k.PoolStats(); slots != 2 || free != 0 {
 		t.Fatalf("pool stats = %d/%d, want 2/0", slots, free)
 	}
@@ -161,5 +157,46 @@ func TestKernelObservabilityAccessors(t *testing.T) {
 	k.Run()
 	if slots, free := k.PoolStats(); slots != 2 || free != 2 {
 		t.Fatalf("post-run pool stats = %d/%d, want 2/2", slots, free)
+	}
+}
+
+// TestPendingMatchesExportAfterCancelChurn pins the cheap pending count
+// against the canonical export: after a run that cancels most of what
+// it schedules, with a sampler observing throughout, Pending must equal
+// the number of events ExportState lists. Lazily cancelled slots still
+// parked in the heap must count in neither.
+func TestPendingMatchesExportAfterCancelChurn(t *testing.T) {
+	k := New(3)
+	samples := 0
+	k.AddSampler(7*Millisecond, func(Time) { samples++ })
+	var handles []Event
+	var churn func()
+	churn = func() {
+		rng := k.Rand()
+		for i := 0; i < 4; i++ {
+			handles = append(handles, k.Schedule(Time(1+rng.Intn(50))*Millisecond, "churn", func() {}))
+		}
+		// Cancel three of every four handles minted so far, stale ones
+		// included: a stale cancel must be a no-op.
+		for i := 0; i < len(handles); i += 4 {
+			for j := i; j < i+3 && j < len(handles); j++ {
+				k.Cancel(handles[j])
+			}
+		}
+		if k.Now() < 500*Millisecond {
+			k.Schedule(3*Millisecond, "churn", churn)
+		}
+	}
+	k.Schedule(0, "churn", churn)
+	k.RunUntil(400 * Millisecond)
+	if k.Cancels() == 0 || samples == 0 {
+		t.Fatalf("workload too quiet: cancels=%d samples=%d", k.Cancels(), samples)
+	}
+	if got, want := k.Pending(), len(k.ExportState().Pending); got != want {
+		t.Fatalf("Pending() = %d, ExportState lists %d", got, want)
+	}
+	k.Run()
+	if got, want := k.Pending(), len(k.ExportState().Pending); got != 0 || want != 0 {
+		t.Fatalf("drained kernel: Pending() = %d, ExportState lists %d", got, want)
 	}
 }

@@ -22,20 +22,6 @@
 // plain function plus one argument and allocates nothing when the
 // argument is a pointer.
 //
-// # Lanes
-//
-// The event store can be split into independent lanes — one pooled slot
-// array, free list, and 4-ary heap each — so spatially partitioned
-// worlds can keep each region's events in region-local memory
-// (ConfigureLanes, ScheduleFnLane). The virtual clock stays shared: a
-// single coordinator always executes the globally earliest (at, seq)
-// event across every lane, so the execution order — and therefore every
-// digest — is identical to a single-lane kernel regardless of how
-// events are distributed over lanes. Sequence numbers are minted from
-// one kernel-wide counter for the same reason. A kernel starts with one
-// lane, and single-lane kernels keep a dedicated fast path with no
-// cross-lane scan.
-//
 // The zero value of Kernel is not usable; create one with New.
 package sim
 
@@ -77,8 +63,8 @@ const (
 	recCancelled // cancelled but still parked in the heap (lazy removal)
 )
 
-// record is one pooled event slot. Slots are recycled through their
-// lane's free list; gen increments every time a slot is released, so
+// record is one pooled event slot. Slots are recycled through the
+// kernel's free list; gen increments every time a slot is released, so
 // handles minted for an earlier tenancy no longer match.
 type record struct {
 	at    Time
@@ -91,17 +77,6 @@ type record struct {
 	state uint8
 }
 
-// eventLane is one region-local event store: pooled slot storage, its
-// recycling free list, and a 4-ary min-heap of slot indices ordered by
-// (at, seq). Lane 0 is the default store; spatially sharded worlds give
-// each region its own lane so a region's timer churn stays in memory
-// that region's worker owns.
-type eventLane struct {
-	pool []record // slot storage; grows, never shrinks
-	free []int32  // recycled slot indices
-	heap []int32  // 4-ary min-heap of slot indices, ordered by (at, seq)
-}
-
 // Event is a handle to a scheduled callback. It is a small value (copy
 // freely; the zero value is inert) identifying one tenancy of a pooled
 // kernel slot. After the event fires or is cancelled, the slot is
@@ -110,14 +85,9 @@ type eventLane struct {
 // reused for an unrelated event.
 type Event struct {
 	k    *Kernel
-	lane int32
 	slot int32
 	gen  uint32
 }
-
-// rec returns the pool record the handle points at; callers must have
-// checked e.k != nil.
-func (e Event) rec() *record { return &e.k.lanes[e.lane].pool[e.slot] }
 
 // Pending reports whether the event is still scheduled to fire: it was
 // scheduled, and has not yet fired or been cancelled.
@@ -125,7 +95,7 @@ func (e Event) Pending() bool {
 	if e.k == nil {
 		return false
 	}
-	r := e.rec()
+	r := &e.k.pool[e.slot]
 	return r.gen == e.gen && r.state == recPending
 }
 
@@ -135,7 +105,7 @@ func (e Event) At() Time {
 	if !e.Pending() {
 		return 0
 	}
-	return e.rec().at
+	return e.k.pool[e.slot].at
 }
 
 // Label returns the diagnostic label given at scheduling time, or ""
@@ -144,7 +114,7 @@ func (e Event) Label() string {
 	if !e.Pending() {
 		return ""
 	}
-	return e.rec().label
+	return e.k.pool[e.slot].label
 }
 
 // Kernel is a deterministic discrete-event simulator.
@@ -154,11 +124,13 @@ func (e Event) Label() string {
 // Kernel per goroutine (experiments that want parallelism run independent
 // kernels with different seeds).
 type Kernel struct {
-	now   Time
-	lanes []eventLane // lane 0 always exists
-	live  int         // scheduled and not yet fired/cancelled, across lanes
+	now  Time
+	pool []record // slot storage; grows, never shrinks
+	free []int32  // recycled slot indices
+	heap []int32  // 4-ary min-heap of slot indices, ordered by (at, seq)
+	live int      // scheduled and not yet fired/cancelled
 
-	seq     uint64 // kernel-wide: the deterministic FIFO tiebreak spans lanes
+	seq     uint64
 	rng     *rand.Rand
 	src     *countingSource
 	seed    int64
@@ -179,10 +151,9 @@ type Kernel struct {
 func New(seed int64) *Kernel {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	return &Kernel{
-		lanes: make([]eventLane, 1),
-		rng:   rand.New(src),
-		src:   src,
-		seed:  seed,
+		rng:  rand.New(src),
+		src:  src,
+		seed: seed,
 	}
 }
 
@@ -203,53 +174,38 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // cancelled events not yet lazily removed from the heap).
 func (k *Kernel) Pending() int { return k.live }
 
-// Lanes returns the number of event lanes (at least 1).
-func (k *Kernel) Lanes() int { return len(k.lanes) }
-
-// ConfigureLanes grows the kernel to at least n event lanes. Lanes are
-// never removed: handles carry lane indices, and shrinking would strand
-// pending events. Growing is cheap (empty stores) and changes no
-// observable behavior — execution order and ExportState are lane-layout
-// independent by construction. n below the current count is a no-op.
-func (k *Kernel) ConfigureLanes(n int) {
-	for len(k.lanes) < n {
-		k.lanes = append(k.lanes, eventLane{})
-	}
-}
-
 // ErrPastEvent is returned by ScheduleAt when the requested time is before
 // the current virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
-// alloc takes a slot from the lane's free list (or grows its pool),
-// stamps it with the next kernel-wide sequence number, and pushes it
-// onto the lane's heap.
-func (k *Kernel) alloc(ln *eventLane, at Time, label string) int32 {
+// alloc takes a slot from the free list (or grows the pool), stamps it
+// with the next sequence number, and pushes it onto the heap.
+func (k *Kernel) alloc(at Time, label string) int32 {
 	var slot int32
-	if n := len(ln.free); n > 0 {
-		slot = ln.free[n-1]
-		ln.free = ln.free[:n-1]
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
 	} else {
-		ln.pool = append(ln.pool, record{})
-		slot = int32(len(ln.pool) - 1)
+		k.pool = append(k.pool, record{})
+		slot = int32(len(k.pool) - 1)
 	}
 	k.seq++
-	r := &ln.pool[slot]
+	r := &k.pool[slot]
 	r.at, r.seq, r.label, r.state = at, k.seq, label, recPending
 	k.live++
-	heapPush(ln, slot)
+	k.heapPush(slot)
 	return slot
 }
 
 // release recycles a slot: its generation bumps so outstanding handles
 // go stale, and callback references are dropped so the pool does not
 // pin dead closures or arguments.
-func (k *Kernel) release(ln *eventLane, slot int32) {
-	r := &ln.pool[slot]
+func (k *Kernel) release(slot int32) {
+	r := &k.pool[slot]
 	r.fn, r.fnArg, r.arg, r.label = nil, nil, nil, ""
 	r.state = recFree
 	r.gen++
-	ln.free = append(ln.free, slot)
+	k.free = append(k.free, slot)
 }
 
 // Schedule queues fn to run after delay d (relative to Now). A negative
@@ -262,37 +218,23 @@ func (k *Kernel) Schedule(d Time, label string, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
-	ln := &k.lanes[0]
-	slot := k.alloc(ln, k.now+d, label)
-	ln.pool[slot].fn = fn
-	return Event{k: k, slot: slot, gen: ln.pool[slot].gen}
+	slot := k.alloc(k.now+d, label)
+	k.pool[slot].fn = fn
+	return Event{k: k, slot: slot, gen: k.pool[slot].gen}
 }
 
-// ScheduleFn queues fn(arg) to run after delay d on lane 0. It is the
+// ScheduleFn queues fn(arg) to run after delay d. It is the
 // allocation-free fast path: fn is a plain function value (not a
 // closure) and arg is typically a pointer to the state the callback
 // needs, so nothing escapes to the heap. Semantics match Schedule.
 func (k *Kernel) ScheduleFn(d Time, label string, fn func(any), arg any) Event {
-	return k.ScheduleFnLane(0, d, label, fn, arg)
-}
-
-// ScheduleFnLane is ScheduleFn targeting a specific event lane. Firing
-// order is unaffected — the coordinator always runs the globally
-// earliest event — so the lane is purely a memory-locality hint: sharded
-// worlds schedule a region's events on that region's lane. An
-// out-of-range lane falls back to lane 0 (conservative, never an error).
-func (k *Kernel) ScheduleFnLane(lane int, d Time, label string, fn func(any), arg any) Event {
 	if d < 0 {
 		d = 0
 	}
-	if lane < 0 || lane >= len(k.lanes) {
-		lane = 0
-	}
-	ln := &k.lanes[lane]
-	slot := k.alloc(ln, k.now+d, label)
-	r := &ln.pool[slot]
+	slot := k.alloc(k.now+d, label)
+	r := &k.pool[slot]
 	r.fnArg, r.arg = fn, arg
-	return Event{k: k, lane: int32(lane), slot: slot, gen: r.gen}
+	return Event{k: k, slot: slot, gen: r.gen}
 }
 
 // ScheduleAt queues fn to run at absolute virtual time at.
@@ -300,10 +242,9 @@ func (k *Kernel) ScheduleAt(at Time, label string, fn func()) (Event, error) {
 	if at < k.now {
 		return Event{}, fmt.Errorf("%w: at=%v now=%v (%s)", ErrPastEvent, at, k.now, label)
 	}
-	ln := &k.lanes[0]
-	slot := k.alloc(ln, at, label)
-	ln.pool[slot].fn = fn
-	return Event{k: k, slot: slot, gen: ln.pool[slot].gen}, nil
+	slot := k.alloc(at, label)
+	k.pool[slot].fn = fn
+	return Event{k: k, slot: slot, gen: k.pool[slot].gen}, nil
 }
 
 // Cancel deschedules a pending event. Cancelling the zero Event, an
@@ -311,13 +252,13 @@ func (k *Kernel) ScheduleAt(at Time, label string, fn func()) (Event, error) {
 // whose pool slot has been recycled is a no-op. Cancel reports whether
 // the event was actually descheduled by this call.
 //
-// Cancellation is lazy: the slot stays parked in its lane's heap and is
+// Cancellation is lazy: the slot stays parked in the heap and is
 // reclaimed when it surfaces at the top, so Cancel is O(1).
 func (k *Kernel) Cancel(e Event) bool {
 	if e.k != k || k == nil {
 		return false
 	}
-	r := e.rec()
+	r := &k.pool[e.slot]
 	if r.gen != e.gen || r.state != recPending {
 		return false
 	}
@@ -336,60 +277,35 @@ func (k *Kernel) Stop() { k.stopped = true }
 // later than limit. A zero limit removes the horizon.
 func (k *Kernel) SetHorizon(limit Time) { k.maxTime = limit }
 
-// peekLane returns the lane whose heap head is the globally earliest
-// pending event, reclaiming cancelled heads along the way, or nil when
-// every lane is drained. Ordering is by (at, seq) — identical to a
-// single merged heap, which is what keeps multi-lane execution
-// bit-identical to the single-lane kernel.
-func (k *Kernel) peekLane() *eventLane {
-	var best *eventLane
-	var bestAt Time
-	var bestSeq uint64
-	for li := range k.lanes {
-		ln := &k.lanes[li]
-		for len(ln.heap) > 0 {
-			slot := ln.heap[0]
-			r := &ln.pool[slot]
-			if r.state == recCancelled {
-				heapPopRoot(ln)
-				k.release(ln, slot)
-				continue
-			}
-			if best == nil || r.at < bestAt || (r.at == bestAt && r.seq < bestSeq) {
-				best, bestAt, bestSeq = ln, r.at, r.seq
-			}
-			break
+// peek returns the slot of the earliest pending event, reclaiming
+// cancelled heads along the way, or false when the queue is drained.
+func (k *Kernel) peek() (int32, bool) {
+	for len(k.heap) > 0 {
+		slot := k.heap[0]
+		if k.pool[slot].state != recCancelled {
+			return slot, true
 		}
+		k.heapPopRoot()
+		k.release(slot)
 	}
-	return best
+	return 0, false
 }
 
-// NextAt returns the firing time of the earliest pending event, or
-// false when the queue is empty. Cancelled events surfacing at lane
-// heads are reclaimed on the way.
-func (k *Kernel) NextAt() (Time, bool) {
-	ln := k.peekLane()
-	if ln == nil {
-		return 0, false
-	}
-	return ln.pool[ln.heap[0]].at, true
-}
-
-// fire pops and executes the event at ln's heap head, advancing the
+// fire pops and executes the event at the heap head, advancing the
 // clock to its timestamp. Samplers due strictly before the event's
 // timestamp observe first, so the clock never jumps over a sample
 // instant; a sampler due exactly at the timestamp waits until every
 // event at that instant has run (samples reflect the full <= t prefix).
-func (k *Kernel) fire(ln *eventLane, slot int32) {
-	if k.sampleNext != 0 && k.sampleNext < ln.pool[slot].at {
-		k.advanceSamplers(ln.pool[slot].at - 1)
+func (k *Kernel) fire(slot int32) {
+	if k.sampleNext != 0 && k.sampleNext < k.pool[slot].at {
+		k.advanceSamplers(k.pool[slot].at - 1)
 	}
-	r := &ln.pool[slot]
-	heapPopRoot(ln)
+	r := &k.pool[slot]
+	k.heapPopRoot()
 	k.now = r.at
 	fn, fnArg, arg := r.fn, r.fnArg, r.arg
 	k.live--
-	k.release(ln, slot) // before the callback: it may schedule into this slot
+	k.release(slot) // before the callback: it may schedule into this slot
 	k.steps++
 	if fnArg != nil {
 		fnArg(arg)
@@ -401,34 +317,11 @@ func (k *Kernel) fire(ln *eventLane, slot int32) {
 // Step executes the single earliest pending event and advances the clock to
 // its timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	if len(k.lanes) == 1 {
-		// Single-lane fast path: no cross-lane scan on the per-event
-		// hot path of unsharded worlds.
-		ln := &k.lanes[0]
-		for len(ln.heap) > 0 {
-			slot := ln.heap[0]
-			r := &ln.pool[slot]
-			if r.state == recCancelled {
-				heapPopRoot(ln)
-				k.release(ln, slot)
-				continue
-			}
-			if k.maxTime != 0 && r.at > k.maxTime {
-				return false
-			}
-			k.fire(ln, slot)
-			return true
-		}
+	slot, ok := k.peek()
+	if !ok || (k.maxTime != 0 && k.pool[slot].at > k.maxTime) {
 		return false
 	}
-	ln := k.peekLane()
-	if ln == nil {
-		return false
-	}
-	if k.maxTime != 0 && ln.pool[ln.heap[0]].at > k.maxTime {
-		return false
-	}
-	k.fire(ln, ln.heap[0])
+	k.fire(slot)
 	return true
 }
 
@@ -449,11 +342,11 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 	start := k.steps
 	k.stopped = false
 	for !k.stopped {
-		ln := k.peekLane()
-		if ln == nil {
+		slot, ok := k.peek()
+		if !ok {
 			break
 		}
-		at := ln.pool[ln.heap[0]].at
+		at := k.pool[slot].at
 		if at > deadline {
 			break
 		}
@@ -462,7 +355,7 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 			// stop here. The clock still advances to the deadline below.
 			break
 		}
-		k.fire(ln, ln.heap[0])
+		k.fire(slot)
 	}
 	// Samplers due in (last event, deadline] observe before the final
 	// clock bump so a window's samples exist even when the queue
@@ -479,12 +372,11 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 // RunFor runs the simulation for d virtual time from the current instant.
 func (k *Kernel) RunFor(d Time) uint64 { return k.RunUntil(k.now + d) }
 
-// heapLess orders slots by (at, seq); seq is unique kernel-wide, so the
-// order is total and every correct heap pops the exact same sequence —
-// which is what keeps runs bit-reproducible across queue
-// implementations and lane layouts.
-func heapLess(ln *eventLane, a, b int32) bool {
-	ra, rb := &ln.pool[a], &ln.pool[b]
+// heapLess orders slots by (at, seq); seq is unique, so the order is
+// total and every correct heap pops the exact same sequence — which is
+// what keeps runs bit-reproducible across queue implementations.
+func (k *Kernel) heapLess(a, b int32) bool {
+	ra, rb := &k.pool[a], &k.pool[b]
 	if ra.at != rb.at {
 		return ra.at < rb.at
 	}
@@ -497,29 +389,29 @@ func heapLess(ln *eventLane, a, b int32) bool {
 // modern cores because the four-child minimum scan stays in one cache
 // line of the index slice. Lazy cancellation means slots never leave
 // the heap from the middle, so no position tracking is needed.
-func heapPush(ln *eventLane, slot int32) {
-	ln.heap = append(ln.heap, slot)
-	siftUp(ln, len(ln.heap)-1)
+func (k *Kernel) heapPush(slot int32) {
+	k.heap = append(k.heap, slot)
+	k.siftUp(len(k.heap) - 1)
 }
 
-// heapPopRoot removes the minimum slot from the lane's heap (the caller
-// has already read ln.heap[0]).
-func heapPopRoot(ln *eventLane) {
-	n := len(ln.heap) - 1
-	last := ln.heap[n]
-	ln.heap = ln.heap[:n]
+// heapPopRoot removes the minimum slot from the heap (the caller has
+// already read k.heap[0]).
+func (k *Kernel) heapPopRoot() {
+	n := len(k.heap) - 1
+	last := k.heap[n]
+	k.heap = k.heap[:n]
 	if n > 0 {
-		ln.heap[0] = last
-		siftDown(ln, 0)
+		k.heap[0] = last
+		k.siftDown(0)
 	}
 }
 
-func siftUp(ln *eventLane, i int) {
-	h := ln.heap
+func (k *Kernel) siftUp(i int) {
+	h := k.heap
 	moved := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !heapLess(ln, moved, h[parent]) {
+		if !k.heapLess(moved, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
@@ -528,8 +420,8 @@ func siftUp(ln *eventLane, i int) {
 	h[i] = moved
 }
 
-func siftDown(ln *eventLane, i int) {
-	h := ln.heap
+func (k *Kernel) siftDown(i int) {
+	h := k.heap
 	n := len(h)
 	moved := h[i]
 	for {
@@ -543,11 +435,11 @@ func siftDown(ln *eventLane, i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if heapLess(ln, h[c], h[best]) {
+			if k.heapLess(h[c], h[best]) {
 				best = c
 			}
 		}
-		if !heapLess(ln, h[best], moved) {
+		if !k.heapLess(h[best], moved) {
 			break
 		}
 		h[i] = h[best]

@@ -83,12 +83,9 @@ type State struct {
 }
 
 // ExportState captures the kernel's current state in canonical form.
-// Cancelled events still parked in a heap (lazy removal) are skipped:
+// Cancelled events still parked in the heap (lazy removal) are skipped:
 // they are already dead and a replayed kernel may have reclaimed them
-// at different points. Lane layout is invisible here too — pending
-// events from every lane merge into one (at, seq)-sorted list — so a
-// sharded kernel and a sequential kernel that evolved through the same
-// event sequence export byte-identical States.
+// at different points.
 func (k *Kernel) ExportState() State {
 	st := State{
 		Now:   k.now,
@@ -97,15 +94,12 @@ func (k *Kernel) ExportState() State {
 		Seed:  k.seed,
 		Draws: k.src.draws,
 	}
-	for li := range k.lanes {
-		ln := &k.lanes[li]
-		for _, slot := range ln.heap {
-			r := &ln.pool[slot]
-			if r.state != recPending {
-				continue
-			}
-			st.Pending = append(st.Pending, PendingEvent{At: r.at, Seq: r.seq, Label: r.label})
+	for _, slot := range k.heap {
+		r := &k.pool[slot]
+		if r.state != recPending {
+			continue
 		}
+		st.Pending = append(st.Pending, PendingEvent{At: r.at, Seq: r.seq, Label: r.label})
 	}
 	sort.Slice(st.Pending, func(i, j int) bool {
 		a, b := &st.Pending[i], &st.Pending[j]

@@ -15,9 +15,8 @@ type InstrumentSnapshot struct {
 	Kind   string            `json:"kind"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  float64           `json:"value"`
-	// Count carries the observation count for histograms and host
-	// timers (Value is then the histogram N / the timer's total
-	// seconds).
+	// Count carries the observation count for histograms (Value is
+	// then the histogram N).
 	Count  int64   `json:"count,omitempty"`
 	Series []Point `json:"series,omitempty"`
 }
@@ -59,11 +58,8 @@ func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 				is.Labels[l.Key] = l.Value
 			}
 		}
-		switch in.kind {
-		case kindHistogram:
+		if in.kind == kindHistogram {
 			is.Count = int64(in.hist.N())
-		case kindHostTimer:
-			is.Count = in.ht.Ops()
 		}
 		if in.kind.sampled() {
 			is.Series = in.series.pts
@@ -176,10 +172,6 @@ func (r *Registry) WritePrometheus(w io.Writer, common ...Label) error {
 			lines = append(lines, promLine{pn, "counter", renderLabels(in.labels, common), formatValue(r.scalar(in))})
 		case kindGauge, kindGaugeFunc:
 			lines = append(lines, promLine{pn, "gauge", renderLabels(in.labels, common), formatValue(r.scalar(in))})
-		case kindHostTimer:
-			lines = append(lines,
-				promLine{pn + "_seconds_total", "counter", renderLabels(in.labels, common), fmt.Sprintf("%g", in.ht.Seconds())},
-				promLine{pn + "_ops_total", "counter", renderLabels(in.labels, common), formatValue(float64(in.ht.Ops()))})
 		case kindHistogram:
 			h := in.hist
 			n := h.NumBuckets()

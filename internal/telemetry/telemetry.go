@@ -14,10 +14,10 @@
 //     deterministic sim-time series by a kernel-driven sampler. Two runs
 //     of the same seed produce bit-identical sim-plane values and
 //     series.
-//   - Host-plane instruments (HostCounter, HostTimer) describe the
-//     machine running the simulation — wall-clock evaluate/commit
-//     durations, SSE drops. They are atomics, safe from any goroutine,
-//     and are never sampled into sim-time series.
+//   - Host-plane instruments (HostCounter) describe the machine running
+//     the simulation — SSE drops, world failures. They are atomics,
+//     safe from any goroutine, and are never sampled into sim-time
+//     series.
 //
 // Neither plane is part of ExportState, Digest, or checkpoint
 // Provenance: enabling telemetry cannot perturb a digest, and restoring
@@ -41,14 +41,13 @@
 // applied to the leaf: monotonically increasing counts end in "_total"
 // (enforced at registration), gauges are bare nouns. The Prometheus
 // exporter maps "kernel.steps_total" to "aroma_kernel_steps_total";
-// labels distinguish instruments sharing a name (per-lane depth,
-// per-reason fallbacks).
+// labels distinguish instruments sharing a name (per-severity trace
+// counts, per-kind fault injections).
 package telemetry
 
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"aroma/internal/metrics"
 )
@@ -77,7 +76,6 @@ const (
 	kindCounterFunc
 	kindGaugeFunc
 	kindHostCounter
-	kindHostTimer
 )
 
 func (k kind) String() string {
@@ -90,8 +88,6 @@ func (k kind) String() string {
 		return "histogram"
 	case kindHostCounter:
 		return "host_counter"
-	case kindHostTimer:
-		return "host_timer"
 	}
 	return "unknown"
 }
@@ -152,7 +148,6 @@ type instrument struct {
 	cfn    func() uint64      // kindCounterFunc
 	gfn    func() float64     // kindGaugeFunc
 	hc     *HostCounter
-	ht     *HostTimer
 	series series
 }
 
@@ -170,8 +165,6 @@ func (in *instrument) value() float64 {
 		return in.gfn()
 	case kindHostCounter:
 		return float64(in.hc.Load())
-	case kindHostTimer:
-		return in.ht.Seconds()
 	}
 	return 0
 }
@@ -215,10 +208,6 @@ func (r *Registry) register(in *instrument) *instrument {
 	case kindCounter, kindCounterFunc, kindHostCounter:
 		if !hasSuffix(in.name, "_total") {
 			panic("telemetry: counter " + in.name + " must end in _total")
-		}
-	case kindHostTimer:
-		if hasSuffix(in.name, "_total") {
-			panic("telemetry: timer " + in.name + " must not end in _total (it expands to _seconds_total/_ops_total)")
 		}
 	}
 	id := identity(in.name, in.labels)
@@ -282,15 +271,6 @@ func (r *Registry) HostCounter(name string, labels ...Label) *HostCounter {
 	hc := &HostCounter{}
 	r.register(&instrument{name: name, labels: labels, kind: kindHostCounter, hc: hc})
 	return hc
-}
-
-// HostTimer registers a host-plane wall-clock duration accumulator. It
-// exports as two Prometheus counters, <name>_seconds_total and
-// <name>_ops_total. The name must not end in "_total".
-func (r *Registry) HostTimer(name string, labels ...Label) *HostTimer {
-	ht := &HostTimer{}
-	r.register(&instrument{name: name, labels: labels, kind: kindHostTimer, ht: ht})
-	return ht
 }
 
 // Sample records the current value of every sampled sim-plane
@@ -415,35 +395,4 @@ func (c *HostCounter) Load() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// HostTimer accumulates wall-clock durations: total time and
-// observation count, both atomic.
-type HostTimer struct {
-	ops   atomic.Int64
-	nanos atomic.Int64
-}
-
-// Observe records one duration.
-func (t *HostTimer) Observe(d time.Duration) {
-	if t != nil {
-		t.ops.Add(1)
-		t.nanos.Add(int64(d))
-	}
-}
-
-// Ops returns the number of observations.
-func (t *HostTimer) Ops() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.ops.Load()
-}
-
-// Seconds returns the accumulated duration in seconds.
-func (t *HostTimer) Seconds() float64 {
-	if t == nil {
-		return 0
-	}
-	return float64(t.nanos.Load()) / 1e9
 }

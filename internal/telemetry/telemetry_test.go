@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
@@ -48,10 +47,8 @@ func TestZeroValueHandlesAreInert(t *testing.T) {
 		t.Fatalf("zero handles mutated state: %d %g", c.Value(), g.Value())
 	}
 	var hc *HostCounter
-	var ht *HostTimer
 	hc.Inc()
-	ht.Observe(time.Second)
-	if hc.Load() != 0 || ht.Ops() != 0 || ht.Seconds() != 0 {
+	if hc.Load() != 0 {
 		t.Fatalf("nil host instruments mutated state")
 	}
 }
@@ -62,7 +59,6 @@ func TestCounterNamingEnforced(t *testing.T) {
 		func() { r.Counter("kernel.steps") },                               // counter without _total
 		func() { r.CounterFunc("radio.sent", func() uint64 { return 0 }) }, // ditto
 		func() { r.HostCounter("host.drops") },                             // ditto
-		func() { r.HostTimer("host.eval_total") },                          // timer with _total
 		func() { r.Counter("") },                                           // empty name
 	} {
 		func() {
@@ -174,8 +170,8 @@ func TestSeriesDecimationIsDeterministicAndBounded(t *testing.T) {
 
 func TestSnapshotJSONAndOrdering(t *testing.T) {
 	r := New()
-	r.Gauge("b.depth", L("lane", "1"))
-	r.Gauge("b.depth", L("lane", "0"))
+	r.Gauge("b.depth", L("queue", "1"))
+	r.Gauge("b.depth", L("queue", "0"))
 	r.Counter("a.n_total")
 	snap := r.Snapshot(42)
 	if snap.At != 42 {
@@ -183,7 +179,7 @@ func TestSnapshotJSONAndOrdering(t *testing.T) {
 	}
 	names := make([]string, 0, 3)
 	for _, in := range snap.Instruments {
-		names = append(names, in.Name+"/"+in.Labels["lane"])
+		names = append(names, in.Name+"/"+in.Labels["queue"])
 	}
 	want := []string{"a.n_total/", "b.depth/0", "b.depth/1"}
 	for i := range want {
@@ -202,14 +198,12 @@ func TestWritePrometheus(t *testing.T) {
 	c.Add(7)
 	g := r.Gauge("radio.active")
 	g.Set(2.5)
-	r.Counter("radio.shard_fallback_total", L("reason", "small_fanout"))
+	r.Counter("fault.injected_total", L("kind", "jam"))
 	h := r.Histogram("mac.backoff_slots", 0, 8, 4)
 	h.Observe(1)
 	h.Observe(9) // over
 	hc := r.HostCounter("host.sse_dropped_total")
 	hc.Add(3)
-	ht := r.HostTimer("host.shard_eval")
-	ht.Observe(1500 * time.Millisecond)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b, L("world", "w1")); err != nil {
@@ -220,12 +214,10 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE aroma_kernel_steps_total counter",
 		`aroma_kernel_steps_total{world="w1"} 7`,
 		`aroma_radio_active{world="w1"} 2.5`,
-		`aroma_radio_shard_fallback_total{reason="small_fanout",world="w1"} 0`,
+		`aroma_fault_injected_total{kind="jam",world="w1"} 0`,
 		`aroma_mac_backoff_slots_bucket{le="+Inf",world="w1"} 2`,
 		`aroma_mac_backoff_slots_count{world="w1"} 2`,
 		`aroma_host_sse_dropped_total{world="w1"} 3`,
-		`aroma_host_shard_eval_seconds_total{world="w1"} 1.5`,
-		`aroma_host_shard_eval_ops_total{world="w1"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

@@ -8,15 +8,10 @@ import (
 	"aroma/internal/sim"
 )
 
-// benchWorldSharded measures the full per-event PHY fan-out through the
-// facade — dense bursts of overlapping frames across the 11-channel
-// band — under sequential and space-parallel execution. The two arms
-// run the identical workload and produce bit-identical digests (the
-// determinism suite proves it); this benchmark records what the
-// parallelism costs or buys in wall time. On a single-core machine the
-// sharded arm measures pure coordination overhead; the speedup claim
-// needs real cores (see README "Space-parallel worlds").
-func benchWorldSharded(b *testing.B, n, shards int) {
+// benchWorldDense measures the full per-event PHY fan-out through the
+// facade: dense bursts of overlapping frames across the 11-channel
+// band, n radios on a 1 km arena.
+func benchWorldDense(b *testing.B, n int) {
 	b.Helper()
 	const side = 1000.0
 	w := NewWorld(
@@ -25,12 +20,6 @@ func benchWorldSharded(b *testing.B, n, shards int) {
 		WithRadioGridCell(50),
 		WithTraceMin(Issue),
 	)
-	defer w.Close()
-	if shards > 1 {
-		if got := w.SetShards(shards); got != shards {
-			b.Fatalf("SetShards(%d) = %d: the bench arena must shard", shards, got)
-		}
-	}
 	m := w.Medium()
 	channels := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	cols := 32
@@ -55,7 +44,7 @@ func benchWorldSharded(b *testing.B, n, shards int) {
 	}
 	// Steady-state warmup: candidate caches, gain rows, ledger and event
 	// pools all grow here, so the measured allocs/op is the per-event
-	// hot path, which must stay allocation-free in both arms. Every
+	// hot path, which must stay allocation-free. Every
 	// radio transmits at least once — gain rows fill lazily per source,
 	// and a source first seen inside the timed loop would smear its
 	// cache-growth allocations across allocs/op, making the benchgate
@@ -79,17 +68,9 @@ func benchWorldSharded(b *testing.B, n, shards int) {
 	}
 }
 
-// The seq/shards pairs run the same workload; benchgate gates both arms
-// (BENCH_PR8.json baseline), so neither sequential performance nor the
-// sharded mode's coordination overhead may silently regress, and the
+// benchgate gates both sizes against the BENCH_PR8.json baseline; the
 // allocs/op gate pins the zero-allocation per-event hot path.
 
-func BenchmarkWorldShardedDense500(b *testing.B) {
-	b.Run("seq", func(b *testing.B) { benchWorldSharded(b, 500, 1) })
-	b.Run("shards=4", func(b *testing.B) { benchWorldSharded(b, 500, 4) })
-}
+func BenchmarkWorldDense500(b *testing.B) { benchWorldDense(b, 500) }
 
-func BenchmarkWorldShardedDense1000(b *testing.B) {
-	b.Run("seq", func(b *testing.B) { benchWorldSharded(b, 1000, 1) })
-	b.Run("shards=4", func(b *testing.B) { benchWorldSharded(b, 1000, 4) })
-}
+func BenchmarkWorldDense1000(b *testing.B) { benchWorldDense(b, 1000) }

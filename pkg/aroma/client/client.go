@@ -52,15 +52,8 @@ type WorldInfo struct {
 	Failure string `json:"failure,omitempty"`
 	// Restarts counts supervisor resurrections of this world from its
 	// own snapshots (0 for a world that never failed).
-	Restarts int `json:"restarts,omitempty"`
-	// Shards is the world's effective shard worker count (1 =
-	// sequential execution; digests are identical either way).
-	Shards int `json:"shards"`
-	// ShardFallback is the human-readable reason the world runs
-	// sequentially despite a shard request ("" when sharding engaged or
-	// was never requested) — e.g. "no receive cutoff".
-	ShardFallback string `json:"shard_fallback,omitempty"`
-	Digest        string `json:"digest"`
+	Restarts int    `json:"restarts,omitempty"`
+	Digest   string `json:"digest"`
 }
 
 // CreateWorldRequest builds a new world from a registered scenario.
@@ -69,14 +62,11 @@ type CreateWorldRequest struct {
 	ID string `json:"id,omitempty"`
 	// Scenario is a world-registered scenario name.
 	Scenario string `json:"scenario"`
-	// Seed, Horizon, Verbose, Params, Shards form the scenario.Config.
-	// Shards 0 means the daemon's default (its -shards flag); values < 2
-	// run sequentially. Sharding never changes digests.
+	// Seed, Horizon, Verbose, Params form the scenario.Config.
 	Seed    int64             `json:"seed,omitempty"`
 	Horizon sim.Time          `json:"horizon,omitempty"`
 	Verbose bool              `json:"verbose,omitempty"`
 	Params  map[string]string `json:"params,omitempty"`
-	Shards  int               `json:"shards,omitempty"`
 	// Faults arms a deterministic fault plan on the world
 	// (internal/fault grammar). Faults are part of the workload recipe:
 	// they enter the world's provenance and its digests.
@@ -147,10 +137,17 @@ type Event struct {
 	Message  string   `json:"message"`
 }
 
-// ErrorBody is the daemon's JSON error envelope.
+// ErrorBody is the daemon's JSON error envelope. Code, when set, is a
+// stable machine-readable error kind (one of the Code* constants);
+// Error is the human-readable message.
 type ErrorBody struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
 }
+
+// CodeBodyTooLarge marks a request whose body exceeded the daemon's
+// size cap (HTTP 413).
+const CodeBodyTooLarge = "body_too_large"
 
 // DefaultTimeout bounds each non-streaming request of a fresh client.
 // Without it, a hung daemon (or a run-to-horizon that takes minutes on

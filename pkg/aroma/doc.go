@@ -57,10 +57,9 @@
 // Not covered: runs with different seeds, different Go versions'
 // floating-point library behaviour across architectures, and wall-clock
 // properties (a run's real duration). Concurrency is not part of the
-// model: a World and its kernel are single-threaded by design. The
-// space-parallel execution mode below does not weaken this — workers
-// only evaluate pure physics, and every state mutation still happens on
-// the kernel goroutine in the sequential order.
+// model: a World and its kernel are single-threaded by design.
+// Parallelism lives above the model: independent worlds run on their own
+// goroutines (sweep workers, daemon world loops).
 //
 // # Mobile worlds
 //
@@ -85,38 +84,6 @@
 // window touches the old or new channel. WithGlobalRadioInvalidation
 // restores the coarse wipe-the-world behaviour as a benchmark and
 // cross-check reference.
-//
-// # Space-parallel worlds
-//
-// WithShards(n) (or World.SetShards, scenario.Config.Shards,
-// sweep.Design.Shards, the -shards CLI flags) switches the radio medium
-// into a conservative sharded execution mode. The arena is partitioned
-// into rectangular regions whose tiles are at least the worst-case
-// hearing range implied by the receive cutoff, so a transmission in one
-// region can reach receivers only in its own and adjacent regions —
-// the rx cutoff bounds cross-region influence, which is what makes
-// parallel evaluation safe without rollback. When a frame ends, a
-// worker pool evaluates per-receiver path loss, SNR, interference, and
-// capture region-by-region; the receipts are then committed on the
-// kernel goroutine in the exact sequential order (ascending radio ID,
-// then transmission Seq), with all RNG draws and trace records at
-// commit time. Digests are therefore bit-identical to the sequential
-// kernel for every scenario and seed — the sharded determinism suite
-// in pkg/aroma/scenarios enforces it scenario-wide and pins that a
-// scrambled commit order is detected.
-//
-// Worlds that cannot shard fall back to sequential execution with
-// identical results, never an error: no receive cutoff (unbounded
-// hearing range admits no safe tile), arenas smaller than two tiles,
-// shadow fading (per-receipt RNG is order-sensitive), or a mid-run
-// attach of a louder radio that collapses the region layout.
-// World.Shards reports the engaged worker count plus the fallback
-// reason when sequential execution won; World.Close releases
-// the worker pool (idempotent, and a finalizer backstops it).
-//
-// The mode pays off when per-transmission fan-out is large and real
-// cores exist; on a single core it measures coordination overhead,
-// which the gated BenchmarkWorldShardedDense pair keeps honest.
 //
 // # Sim-as-a-service
 //
@@ -202,9 +169,9 @@
 // aroma_discovery_*, aroma_lease_*, aroma_trace_*) are updated on the
 // kernel goroutine and read model counters the simulation already
 // keeps; names are dot-separated with counters ending _total, and
-// dimensions (shard-fallback reason, trace severity) are labels.
-// Host-plane instruments (aroma_host_*) measure wall-clock reality —
-// shard-pool timings, SSE drops — behind atomics, and are never
+// dimensions (trace severity, fault kind) are labels. Host-plane
+// instruments (aroma_host_*) count host-side events — SSE drops, world
+// failures and restarts — behind atomics, and are never
 // sampled on sim time. Telemetry is a pure observer: it draws no
 // randomness, schedules no events, writes no trace records, and is
 // excluded from ExportState, Digest, and checkpoint provenance, so a
@@ -230,7 +197,7 @@
 //     values. Escape hatch: //aroma:noexport <why>.
 //   - goroutineguard — no goroutine captures kernel/world/medium state
 //     outside the audited spawn sites (daemon command loop, sweep
-//     worker pool, shard-runner pool); deterministic packages admit no
+//     worker pool); deterministic packages admit no
 //     other go statements, and the daemon supervisor's detached
 //     resurrection hook is an annotated, audited exception. Escape
 //     hatch: //aroma:goroutine <why>.

@@ -127,22 +127,6 @@ func WithGlobalRadioInvalidation() Option {
 	}
 }
 
-// WithShards enables the conservative sharded ("space-parallel")
-// execution mode: n worker goroutines evaluate the per-event delivery
-// and interference fan-out in parallel across arena regions, while
-// receipts commit sequentially in ascending radio-ID order — so
-// World.Digest() is bit-identical to the sequential kernel. Requires a
-// receive cutoff (WithRadioCutoff), which bounds cross-region
-// influence and sizes the region tiles; n < 2, a missing cutoff, or an
-// arena too small for two regions fall back to sequential execution
-// (documented, never an error). Default off. See the package doc
-// section "Space-parallel worlds".
-func WithShards(n int) Option {
-	return func(o *worldOptions) {
-		o.mediumOpts = append(o.mediumOpts, radio.WithShards(n))
-	}
-}
-
 // WithTelemetry enables the world's instrument registry and sim-time
 // sampler at construction (see World.EnableTelemetry). period <= 0
 // selects DefaultTelemetryPeriod. Telemetry is a pure observer:

@@ -53,7 +53,6 @@ func RegisterWorld(name, description string, build BuildFunc) {
 		if err != nil {
 			return nil, err
 		}
-		defer b.World.Close()
 		b.World.RunUntil(b.Horizon)
 		return b.Result(), nil
 	})
@@ -135,12 +134,8 @@ func Build(name string, cfg Config) (b *Built, err error) {
 		// strategy.
 		Faults: b.World.FaultPlan(),
 	})
-	// Execution strategy and observability, applied after the recipe is
-	// stamped: neither sharding nor telemetry changes digests, so
-	// neither is part of the provenance.
-	if cfg.Shards > 1 {
-		b.World.SetShards(cfg.Shards)
-	}
+	// Observability, applied after the recipe is stamped: telemetry
+	// does not change digests, so it is not part of the provenance.
 	if cfg.Metrics {
 		b.World.EnableTelemetry(0)
 	}

@@ -48,24 +48,16 @@ type Config struct {
 	// constants when a name is absent. The map is shared read-only
 	// across the replications of a cell; scenarios must not mutate it.
 	Params map[string]string
-	// Shards, when > 1, runs world-registered scenarios in the
-	// conservative sharded execution mode (aroma.WithShards) with that
-	// many workers. Sharding is an execution strategy, not part of the
-	// workload: digests are bit-identical either way, so Shards is
-	// deliberately absent from the world's Provenance. Values < 2 — and
-	// worlds the mode cannot shard (no radio cutoff, arena too small) —
-	// run sequentially; never an error.
-	Shards int
 	// Metrics, when true, enables the world's telemetry registry and
 	// sim-time sampler (aroma.WithTelemetry semantics) for
-	// world-registered scenarios. Like Shards, telemetry is pure
-	// observation, not part of the workload: digests are bit-identical
+	// world-registered scenarios. Telemetry is pure observation, not
+	// part of the workload: digests are bit-identical
 	// with it on or off, and it is absent from the world's Provenance.
 	Metrics bool
 	// Faults, when non-empty, arms a deterministic fault plan on
 	// world-registered scenarios (internal/fault grammar, e.g.
-	// "crash:at=10s,for=5s;jam:at=15s,for=10s,loss=30"). Unlike Shards
-	// and Metrics, faults change what happens in the world — injections
+	// "crash:at=10s,for=5s;jam:at=15s,for=10s,loss=30"). Unlike
+	// Metrics, faults change what happens in the world — injections
 	// are kernel events and their trace records enter the digest — so
 	// the plan IS part of the workload: Build stamps it into the world's
 	// Provenance and checkpoint replay re-arms it. Same seed + same plan

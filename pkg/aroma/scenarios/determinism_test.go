@@ -1,7 +1,10 @@
 package scenarios
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"aroma/pkg/aroma"
@@ -155,5 +158,45 @@ func TestMobileDenseIndexedMatchesFullScan(t *testing.T) {
 			t.Errorf("seed %d: step counts diverge: indexed=%d full=%d",
 				seed, indexed.Steps, full.Steps)
 		}
+	}
+}
+
+// goldenDigests pins the digestOf fingerprint of every registered world
+// scenario at seeds 1 and 7, hashed to 16 hex digits (the first 8 bytes
+// of its SHA-256). The table is the bit-identical proof for refactors
+// that must not change behaviour: a change to event order, RNG draws,
+// physics or reports moves at least one entry. Regenerate it only for a
+// deliberate model change, from the "got" values the test prints.
+var goldenDigests = map[string]map[int64]string{
+	"densitysweep":   {1: "44a7a6525fa1c6d2", 7: "eb9131618edf6861"},
+	"faultstorm":     {1: "0d22cca69117bf8d", 7: "49d75140482e8ebe"},
+	"lab":            {1: "8db25771a6a05a1f", 7: "271f4b7e85b83054"},
+	"mobiledense":    {1: "fa92d0bcfe48d094", 7: "98d2c11944a927e7"},
+	"noisyoffice":    {1: "a1181cfbd82c4288", 7: "595561ed4ef0c69d"},
+	"quickstart":     {1: "914eac0982e18162", 7: "90ec9f4527228633"},
+	"smartprojector": {1: "43f0491db11b2ca5", 7: "69224ea210cf572a"},
+	"smartspace":     {1: "c6a8b5eee2768866", 7: "55cf671217b7952a"},
+	"walkabout":      {1: "f2fcccb4cb7cb642", 7: "814f751522ef802e"},
+}
+
+func TestGoldenDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are amd64 values: other architectures may fuse floating-point operations differently")
+	}
+	names := scenario.BuildableNames()
+	if len(names) != len(goldenDigests) {
+		t.Errorf("golden table covers %d scenarios, registry has %d: %v", len(goldenDigests), len(names), names)
+	}
+	for _, name := range names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			for _, seed := range []int64{1, 7} {
+				sum := sha256.Sum256([]byte(digestOf(t, name, seed)))
+				got := hex.EncodeToString(sum[:8])
+				if want := goldenDigests[name][seed]; got != want {
+					t.Errorf("seed %d: golden digest %q, got %q", seed, want, got)
+				}
+			}
+		})
 	}
 }

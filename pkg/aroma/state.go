@@ -39,8 +39,8 @@ type Provenance struct {
 	Verbose bool              `json:"verbose,omitempty"`
 	Params  map[string]string `json:"params,omitempty"`
 	// Faults is the armed fault plan in canonical string form ("" when
-	// the world runs clean). Unlike execution strategy (shards,
-	// telemetry), faults change what happens in the world, so they are
+	// the world runs clean). Unlike telemetry, which only observes,
+	// faults change what happens in the world, so they are
 	// part of the recipe: replaying a faulted world re-arms the plan.
 	Faults string `json:"faults,omitempty"`
 	// Forks is the ordered reseed lineage (empty for an unforked world).
@@ -101,15 +101,15 @@ type UserState struct {
 // WorldStates; the checkpoint layer uses byte-equality of the JSON
 // encoding as its restore-correctness proof.
 type WorldState struct {
-	Name     string            `json:"name"`
-	Kernel   sim.State         `json:"kernel"`
-	Env      env.State         `json:"env"`
-	Medium   radio.State       `json:"medium"`
-	MAC      mac.State         `json:"mac"`
-	Net      netsim.State      `json:"net"`
-	Lookups  []discovery.State `json:"lookups,omitempty"`
-	Devices  []DeviceState     `json:"devices,omitempty"`
-	Users    []UserState       `json:"users,omitempty"`
+	Name    string            `json:"name"`
+	Kernel  sim.State         `json:"kernel"`
+	Env     env.State         `json:"env"`
+	Medium  radio.State       `json:"medium"`
+	MAC     mac.State         `json:"mac"`
+	Net     netsim.State      `json:"net"`
+	Lookups []discovery.State `json:"lookups,omitempty"`
+	Devices []DeviceState     `json:"devices,omitempty"`
+	Users   []UserState       `json:"users,omitempty"`
 	// Faults is the armed fault injector's snapshot (plan, RNG draw
 	// count, per-kind injection counters); nil — and omitted — for a
 	// fault-free world, keeping its canonical JSON byte-identical to

@@ -95,21 +95,12 @@ type Design struct {
 	Horizon sim.Time
 	Verbose bool
 
-	// Shards passes through to every run's scenario.Config: when > 1,
-	// each replication's world runs in the conservative sharded
-	// execution mode with that many workers. Digests — and therefore
-	// every cell statistic — are identical either way; sharding only
-	// changes where the CPU time of a single replication is spent, so
-	// combine it with WithWorkers(1) rather than oversubscribing cores
-	// on both levels.
-	Shards int
-
 	// Telemetry, when true, enables each replication's instrument
 	// registry and sim-time sampler (scenario.Config.Metrics). Each
 	// successful run's snapshot rides on its Row and is written as the
-	// metrics.jsonl artifact next to runs.jsonl. Like Shards, telemetry
-	// is pure observation: digests and cell statistics are identical
-	// with it on or off.
+	// metrics.jsonl artifact next to runs.jsonl. Telemetry is pure
+	// observation: digests and cell statistics are identical with it on
+	// or off.
 	Telemetry bool
 
 	// Faults, when non-empty, is a fault-plan pseudo-axis: each value is

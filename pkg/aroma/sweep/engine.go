@@ -160,7 +160,6 @@ func (s *Sweep) runOne(ti int) Row {
 		Verbose: s.design.Verbose,
 		Out:     &buf,
 		Params:  cell.Params,
-		Shards:  s.design.Shards,
 		Metrics: s.design.Telemetry,
 		Faults:  cell.Faults,
 	}
@@ -239,13 +238,9 @@ func (s *Sweep) runForked(cfg scenario.Config) (*scenario.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		b.World.SetShards(cfg.Shards)
-	}
 	if cfg.Metrics {
 		b.World.EnableTelemetry(0)
 	}
-	defer b.World.Close()
 	horizon := b.Horizon
 	if cfg.Horizon != 0 {
 		horizon = cfg.Horizon

@@ -1,8 +1,6 @@
 package aroma
 
 import (
-	"fmt"
-
 	"aroma/internal/sim"
 	"aroma/internal/telemetry"
 	"aroma/internal/trace"
@@ -21,8 +19,7 @@ const DefaultTelemetryPeriod = 100 * sim.Millisecond
 // Telemetry is a pure observer: the sampler runs outside the event
 // queue and the instruments read counters the model already keeps, so
 // digests, ExportState, and provenance are bit-identical with telemetry
-// enabled or disabled. Host-plane instruments (wall-clock shard timers)
-// live in the same registry but are never sampled into sim-time series.
+// enabled or disabled.
 func (w *World) EnableTelemetry(period sim.Time) *telemetry.Registry {
 	if w.tel != nil {
 		return w.tel
@@ -56,7 +53,6 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 	reg.CounterFunc("kernel.events_scheduled_total", k.Seq)
 	reg.CounterFunc("kernel.events_cancelled_total", k.Cancels)
 	reg.GaugeFunc("kernel.pending", func() float64 { return float64(k.Pending()) })
-	reg.GaugeFunc("kernel.lanes", func() float64 { return float64(k.Lanes()) })
 	reg.GaugeFunc("kernel.pool_slots", func() float64 {
 		slots, _ := k.PoolStats()
 		return float64(slots)
@@ -65,18 +61,8 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 		_, free := k.PoolStats()
 		return float64(free)
 	})
-	// Per-lane depth for the lanes configured at enable time; lanes
-	// added by a later ConfigureLanes are not retro-instrumented.
-	for i := 0; i < k.Lanes(); i++ {
-		lane := i
-		reg.GaugeFunc("kernel.lane_depth", func() float64 {
-			return float64(k.LaneDepth(lane))
-		}, telemetry.L("lane", fmt.Sprintf("%d", lane)))
-	}
 
-	// Radio medium: traffic, outcome classification, cache and shard
-	// effectiveness. The fallback-reason counters are registered
-	// unconditionally so scrapes always expose the full name set.
+	// Radio medium: traffic, outcome classification, cache effectiveness.
 	m := w.medium
 	reg.CounterFunc("radio.frames_sent_total", func() uint64 { return m.Sent })
 	reg.CounterFunc("radio.frames_delivered_total", func() uint64 { return m.Delivered })
@@ -89,20 +75,6 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 		return float64(m.ActiveTransmissions())
 	})
 	reg.GaugeFunc("radio.radios", func() float64 { return float64(m.Radios()) })
-	reg.GaugeFunc("radio.shard_workers", func() float64 { return float64(m.Shards()) })
-	for _, f := range []struct {
-		reason string
-		field  *uint64
-	}{
-		{"small_fanout", &m.FallbackSmallFanout},
-		{"shadow", &m.FallbackShadow},
-		{"layout", &m.FallbackLayout},
-		{"mid_commit", &m.FallbackMidCommit},
-	} {
-		field := f.field
-		reg.CounterFunc("radio.shard_fallback_total", func() uint64 { return *field },
-			telemetry.L("reason", f.reason))
-	}
 
 	// MAC: contention and reliability aggregates.
 	mc := w.mac
@@ -219,14 +191,6 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 	}
 	w.bus.bindCounters(sevCounters)
 	reg.CounterFunc("trace.deliveries_total", func() uint64 { return w.bus.Deliveries })
-
-	// Host plane: wall-clock duration of the sharded medium's parallel
-	// evaluate phases and sequential commit loops. Excluded from
-	// sim-time series, digests, and state export by construction.
-	m.BindHostTimers(
-		reg.HostTimer("host.shard_eval"),
-		reg.HostTimer("host.shard_commit"),
-	)
 }
 
 // registerFaultInstruments wires the fault plane's instruments:

@@ -162,29 +162,10 @@ func (w *World) Ticker(period sim.Time, label string, fn func()) (stop func()) {
 	return w.kernel.Ticker(period, label, fn)
 }
 
-// SetShards reconfigures the sharded execution mode after
-// construction (see WithShards), returning the effective worker
-// count: n when sharding engaged, 1 for the documented sequential
-// fallbacks. Digests are unaffected either way.
-func (w *World) SetShards(n int) int { return w.medium.SetShards(n) }
-
-// Shards returns the effective shard worker count (1 = sequential) and,
-// when the last shard configuration fell back to sequential execution,
-// the human-readable reason ("" when sharding engaged or was never
-// requested). Surfacing the reason keeps silent fallbacks — an arena
-// too small for two regions, a missing receive cutoff — visible to
-// operators instead of just a mysteriously sequential world.
-func (w *World) Shards() (int, string) {
-	return w.medium.Shards(), w.medium.ShardFallback()
-}
-
-// Close releases the world's host resources — today, the sharded
-// execution mode's worker pool. The world remains usable afterwards
-// (it reverts to sequential execution, with identical digests), so
-// Close is safe to call eagerly when a run finishes. Idempotent. A
-// world dropped without Close is cleaned up by a finalizer; Close just
-// makes the release prompt and deterministic.
-func (w *World) Close() { w.medium.StopShards() }
+// Close is a no-op kept for callers written against earlier releases,
+// whose worlds could hold host resources. A World holds nothing beyond
+// memory, so dropping it is enough.
+func (w *World) Close() {}
 
 // Events returns the world's typed event bus.
 func (w *World) Events() *Bus { return w.bus }

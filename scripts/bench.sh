@@ -2,7 +2,7 @@
 # bench.sh — record the repo's performance trajectory.
 #
 # Runs the hot-path benchmarks (kernel event queue, dense/mobile radio
-# medium, world-level sequential-vs-sharded execution) at a
+# medium, world-level dense PHY fan-out) at a
 # statistically useful count, plus every root figure/claim benchmark
 # once, and folds the output into a JSON record via cmd/benchgate. The
 # checked-in BENCH_PR8.json was produced by this script; CI re-runs the
@@ -38,8 +38,8 @@ echo "== checkpoint snapshot/restore, dense-500 (count=$count, benchtime=$bencht
 go test -run '^$' -bench 'BenchmarkCheckpoint' -benchmem \
     -count "$count" -benchtime "$benchtime" ./pkg/aroma/checkpoint/ | tee -a "$tmp"
 
-echo "== world fan-out, sequential vs sharded (count=$count, benchtime=$benchtime)"
-go test -run '^$' -bench 'BenchmarkWorldSharded' -benchmem \
+echo "== world fan-out, dense-500/1000 (count=$count, benchtime=$benchtime)"
+go test -run '^$' -bench 'BenchmarkWorldDense' -benchmem \
     -count "$count" -benchtime "$benchtime" ./pkg/aroma/ | tee -a "$tmp"
 
 echo "== telemetry hot path (count=$count, benchtime=$benchtime)"
@@ -52,4 +52,4 @@ if [[ "${SKIP_ROOT:-0}" != 1 ]]; then
 fi
 
 go run ./cmd/benchgate -emit "$out" -in "$tmp" \
-    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkCheckpoint*, BenchmarkWorldSharded*, BenchmarkTelemetry*"
+    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*"
