@@ -390,7 +390,11 @@ func (nd *Node) reassemble(p packet) ([]byte, bool) {
 		return nil, false
 	}
 	delete(nd.reassembly, key)
-	var full []byte
+	n := 0
+	for _, f := range st.frags {
+		n += len(f)
+	}
+	full := make([]byte, 0, n)
 	for _, f := range st.frags {
 		full = append(full, f...)
 	}

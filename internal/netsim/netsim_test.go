@@ -227,3 +227,36 @@ func TestNodeAccessors(t *testing.T) {
 		t.Fatal("network accessors wrong")
 	}
 }
+
+// A fragmented message is copied into its payload once: besides the
+// reassembly bookkeeping there is exactly one allocation, however many
+// fragments the message had.
+func TestReassemblyAllocatesPayloadOnce(t *testing.T) {
+	_, _, nodes := testNet(1, 1)
+	nd := nodes[0]
+	const frags = 10
+	payload := make([]byte, frags*DefaultMTU)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	reassembleAll := func() []byte {
+		var full []byte
+		for i := 0; i < frags; i++ {
+			p := packet{
+				Kind: kindDatagram, Src: 9, MsgID: 1, FragIdx: i, FragCnt: frags,
+				Data: payload[i*DefaultMTU : (i+1)*DefaultMTU],
+			}
+			if data, ok := nd.reassemble(p); ok {
+				full = data
+			}
+		}
+		return full
+	}
+	if got := reassembleAll(); !bytes.Equal(got, payload) {
+		t.Fatal("reassembled payload differs from the original")
+	}
+	const bookkeeping = 2 // the reassembly state and its fragment table
+	if allocs := testing.AllocsPerRun(20, func() { reassembleAll() }); allocs != bookkeeping+1 {
+		t.Fatalf("%d-fragment reassembly made %v allocations, want %d bookkeeping + 1 payload", frags, allocs, bookkeeping)
+	}
+}

@@ -24,44 +24,28 @@ func benchFB(b *testing.B, noisy bool) *Framebuffer {
 	return fb
 }
 
-func BenchmarkEncodeFullFrameRaw(b *testing.B) {
-	fb := benchFB(b, true)
+// benchServe times the server's reply to a full-frame request: every
+// tile encoded into the scratch buffer plus the exact-size reply copy.
+func benchServe(b *testing.B, noisy bool, enc Encoding) {
+	s := &Server{fb: benchFB(b, noisy), enc: enc}
+	req := []byte{reqFull}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.MarkAllDirty()
-		u := MakeUpdate(fb, uint32(i), EncRaw)
-		if len(u.Tiles) == 0 {
+		if len(s.serve(0, req)) == updateHeaderLen {
 			b.Fatal("no tiles")
 		}
 	}
 }
 
-func BenchmarkEncodeFullFrameRLEFlat(b *testing.B) {
-	fb := benchFB(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fb.MarkAllDirty()
-		MakeUpdate(fb, uint32(i), EncRLE)
-	}
-}
+func BenchmarkEncodeFullFrameRaw(b *testing.B)      { benchServe(b, true, EncRaw) }
+func BenchmarkEncodeFullFrameRLEFlat(b *testing.B)  { benchServe(b, false, EncRLE) }
+func BenchmarkEncodeFullFrameRLENoisy(b *testing.B) { benchServe(b, true, EncRLE) }
 
-func BenchmarkEncodeFullFrameRLENoisy(b *testing.B) {
-	fb := benchFB(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fb.MarkAllDirty()
-		MakeUpdate(fb, uint32(i), EncRLE)
-	}
-}
-
-func BenchmarkUpdateMarshalUnmarshalApply(b *testing.B) {
+func BenchmarkUpdateUnmarshalApply(b *testing.B) {
 	src := benchFB(b, true)
 	src.MarkAllDirty()
-	u := MakeUpdate(src, 1, EncRLE)
-	wire := u.Marshal()
+	wire, _ := appendUpdate(nil, src, 1, EncRLE)
 	dst := benchFB(b, false)
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
@@ -74,6 +58,17 @@ func BenchmarkUpdateMarshalUnmarshalApply(b *testing.B) {
 		if err := Apply(dst, v); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFramebufferFill alternates two colours over a 200×150
+// rectangle that straddles tile edges, so every row changes.
+func BenchmarkFramebufferFill(b *testing.B) {
+	fb := benchFB(b, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fb.Fill(37, 21, 200, 150, uint8(i&1))
 	}
 }
 

@@ -23,6 +23,11 @@ type Server struct {
 	enc    Encoding
 	serial uint32
 
+	// scratch holds the update being encoded. It is never handed out:
+	// after a Call timeout, fragments of an earlier reply can still sit
+	// in the MAC queue, so each reply is an exact-size copy.
+	scratch []byte
+
 	// Stats
 	UpdatesServed uint64
 	BytesServed   uint64
@@ -43,17 +48,19 @@ func (s *Server) Framebuffer() *Framebuffer { return s.fb }
 
 func (s *Server) serve(src netsim.Addr, req []byte) []byte {
 	if len(req) != 1 {
-		return (&Update{}).Marshal()
+		return make([]byte, updateHeaderLen) // an empty update, serial 0
 	}
 	if req[0] == reqFull {
 		s.fb.MarkAllDirty()
 	}
 	s.serial++
-	u := MakeUpdate(s.fb, s.serial, s.enc)
-	data := u.Marshal()
+	var tiles int
+	s.scratch, tiles = appendUpdate(s.scratch[:0], s.fb, s.serial, s.enc)
+	data := make([]byte, len(s.scratch))
+	copy(data, s.scratch)
 	s.UpdatesServed++
 	s.BytesServed += uint64(len(data))
-	s.TilesServed += uint64(len(u.Tiles))
+	s.TilesServed += uint64(tiles)
 	return data
 }
 
@@ -173,6 +180,7 @@ type Animator struct {
 	x, y   int
 	dx, dy int
 	color  uint8
+	row    []uint8 // scratch row for textured draws
 	Steps  uint64
 
 	// Textured draws a per-pixel pattern instead of a solid square,
@@ -228,13 +236,24 @@ func (a *Animator) Step() {
 		a.color = 1
 	}
 	if a.Textured {
-		for yy := a.y; yy < a.y+a.side; yy++ {
-			for xx := a.x; xx < a.x+a.side; xx++ {
-				a.fb.Set(xx, yy, a.color^uint8(xx*7+yy*13))
-			}
-		}
+		a.drawTextured()
 	} else {
 		a.fb.Fill(a.x, a.y, a.side, a.side, a.color)
 	}
 	a.Steps++
+}
+
+// drawTextured paints the square at its current position with the
+// textured pattern, building each row in the animator's scratch row.
+func (a *Animator) drawTextured() {
+	if len(a.row) < a.side {
+		a.row = make([]uint8, a.side)
+	}
+	row := a.row[:a.side]
+	for yy := a.y; yy < a.y+a.side; yy++ {
+		for i := range row {
+			row[i] = a.color ^ uint8((a.x+i)*7+yy*13)
+		}
+		a.fb.writeRow(a.x, yy, row)
+	}
 }

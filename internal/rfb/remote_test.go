@@ -1,6 +1,7 @@
 package rfb
 
 import (
+	"bytes"
 	"testing"
 
 	"aroma/internal/env"
@@ -138,6 +139,26 @@ func TestServerIgnoresMalformedRequest(t *testing.T) {
 		if u, err := UnmarshalUpdate(resp); err != nil || len(u.Tiles) != 0 {
 			t.Errorf("malformed request should yield empty update: %v %v", u, err)
 		}
+		if !bytes.Equal(resp, make([]byte, 8)) {
+			t.Errorf("malformed request reply = %x, want 8 zero bytes", resp)
+		}
 	})
 	k.RunUntil(2 * sim.Second)
+}
+
+// A reply must survive the next one: after a Call timeout its fragments
+// can still be queued in the MAC while the server encodes again.
+func TestServeRepliesDoNotShareBuffers(t *testing.T) {
+	_, srv, _ := remoteRig(t, 6, 64, 48, EncRLE)
+	srv.Framebuffer().Fill(0, 0, 64, 48, 4)
+	first := srv.serve(0, []byte{reqFull})
+	kept := bytes.Clone(first)
+	srv.Framebuffer().Fill(0, 0, 64, 48, 9)
+	second := srv.serve(0, []byte{reqFull})
+	if !bytes.Equal(first, kept) {
+		t.Fatal("encoding a second reply changed the first")
+	}
+	if len(first) != cap(first) || len(second) != cap(second) {
+		t.Fatalf("replies are not exact-size: len/cap %d/%d and %d/%d", len(first), cap(first), len(second), cap(second))
+	}
 }

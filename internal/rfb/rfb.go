@@ -15,13 +15,19 @@
 package rfb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // TileSize is the side length of the square dirty-tracking tiles.
 const TileSize = 16
+
+// maxDim is the largest framebuffer side the wire format can address:
+// tile rectangles travel as uint16 fields.
+const maxDim = math.MaxUint16
 
 // Framebuffer is a W×H 8-bit pixel surface with per-tile dirty tracking.
 type Framebuffer struct {
@@ -32,10 +38,14 @@ type Framebuffer struct {
 }
 
 // NewFramebuffer allocates a zeroed framebuffer. Dimensions must be
-// positive; they are not required to be tile-aligned.
+// positive and at most 65535 (the wire's uint16 limit); they are not
+// required to be tile-aligned.
 func NewFramebuffer(w, h int) (*Framebuffer, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("rfb: invalid dimensions %dx%d", w, h)
+	}
+	if w > maxDim || h > maxDim {
+		return nil, fmt.Errorf("rfb: dimensions %dx%d exceed the wire limit %d", w, h, maxDim)
 	}
 	tx := (w + TileSize - 1) / TileSize
 	ty := (h + TileSize - 1) / TileSize
@@ -69,12 +79,60 @@ func (f *Framebuffer) Set(x, y int, v uint8) {
 	f.dirty[(y/TileSize)*f.tilesX+(x/TileSize)] = true
 }
 
-// Fill sets every pixel in the rectangle [x, x+w) × [y, y+h).
+// Fill sets every pixel in the rectangle [x, x+w) × [y, y+h); the part
+// outside the framebuffer is ignored. A tile is marked dirty only if one
+// of its pixels changed.
 func (f *Framebuffer) Fill(x, y, w, h int, v uint8) {
-	for yy := y; yy < y+h; yy++ {
-		for xx := x; xx < x+w; xx++ {
-			f.Set(xx, yy, v)
+	x0, x1 := max(x, 0), min(x+w, f.W)
+	y0, y1 := max(y, 0), min(y+h, f.H)
+	if x0 >= x1 || y0 >= y1 {
+		return
+	}
+	for yy := y0; yy < y1; yy++ {
+		row := f.pix[yy*f.W : (yy+1)*f.W]
+		dirty := f.dirty[(yy/TileSize)*f.tilesX:]
+		for sx := x0; sx < x1; {
+			ex := min(sx-sx%TileSize+TileSize, x1)
+			if fillSegment(row[sx:ex], v) {
+				dirty[sx/TileSize] = true
+			}
+			sx = ex
 		}
+	}
+}
+
+// fillSegment sets every byte of seg to v and reports whether any
+// byte changed.
+func fillSegment(seg []uint8, v uint8) bool {
+	for i, p := range seg {
+		if p != v {
+			for j := i; j < len(seg); j++ {
+				seg[j] = v
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// writeRow copies src into row y starting at column x, one tile-wide
+// segment at a time; the part outside the framebuffer is ignored. A
+// tile is marked dirty only if one of its pixels changed.
+func (f *Framebuffer) writeRow(x, y int, src []uint8) {
+	if y < 0 || y >= f.H {
+		return
+	}
+	x0, x1 := max(x, 0), min(x+len(src), f.W)
+	row := f.pix[y*f.W : (y+1)*f.W]
+	dirty := f.dirty[(y/TileSize)*f.tilesX:]
+	for sx := x0; sx < x1; {
+		ex := min(sx-sx%TileSize+TileSize, x1)
+		seg, in := row[sx:ex], src[sx-x:ex-x]
+		if !bytes.Equal(seg, in) {
+			copy(seg, in)
+			dirty[sx/TileSize] = true
+		}
+		sx = ex
 	}
 }
 
@@ -86,28 +144,6 @@ func (f *Framebuffer) MarkAllDirty() {
 	}
 }
 
-// DirtyTiles returns the bounding rectangles of all dirty tiles, in
-// row-major order. Tiles at the right/bottom edge are clipped.
-func (f *Framebuffer) DirtyTiles() []Rect {
-	var out []Rect
-	for ty := 0; ty < f.tilesY; ty++ {
-		for tx := 0; tx < f.tilesX; tx++ {
-			if !f.dirty[ty*f.tilesX+tx] {
-				continue
-			}
-			r := Rect{X: tx * TileSize, Y: ty * TileSize, W: TileSize, H: TileSize}
-			if r.X+r.W > f.W {
-				r.W = f.W - r.X
-			}
-			if r.Y+r.H > f.H {
-				r.H = f.H - r.Y
-			}
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // DirtyCount returns the number of dirty tiles.
 func (f *Framebuffer) DirtyCount() int {
 	n := 0
@@ -117,20 +153,6 @@ func (f *Framebuffer) DirtyCount() int {
 		}
 	}
 	return n
-}
-
-// ClearDirty resets all dirty flags (after an update has been taken).
-func (f *Framebuffer) ClearDirty() {
-	for i := range f.dirty {
-		f.dirty[i] = false
-	}
-}
-
-// Snapshot returns a copy of the raw pixels (for test comparison).
-func (f *Framebuffer) Snapshot() []uint8 {
-	out := make([]uint8, len(f.pix))
-	copy(out, f.pix)
-	return out
 }
 
 // Equal reports whether two framebuffers have identical pixel content.
@@ -174,62 +196,18 @@ func (e Encoding) String() string {
 	}
 }
 
-// encodeTileRaw extracts the rectangle's pixels row-major.
-func encodeTileRaw(f *Framebuffer, r Rect) []byte {
-	out := make([]byte, 0, r.W*r.H)
-	for y := r.Y; y < r.Y+r.H; y++ {
-		out = append(out, f.pix[y*f.W+r.X:y*f.W+r.X+r.W]...)
-	}
-	return out
-}
-
-// encodeTileRLE run-length encodes the rectangle row-major.
-func encodeTileRLE(f *Framebuffer, r Rect) []byte {
-	raw := encodeTileRaw(f, r)
-	out := make([]byte, 0, len(raw)/2)
-	i := 0
-	for i < len(raw) {
-		v := raw[i]
-		n := 1
-		for i+n < len(raw) && raw[i+n] == v && n < 255 {
-			n++
-		}
-		out = append(out, byte(n), v)
-		i += n
-	}
-	return out
-}
-
-// EncodeTile encodes the rectangle with the requested encoding. For
-// EncRLE, if run-length expansion would exceed the raw size the tile
-// falls back to raw (the returned encoding says which was used), exactly
-// as real RFB encoders do.
-func EncodeTile(f *Framebuffer, r Rect, enc Encoding) (Encoding, []byte) {
-	switch enc {
-	case EncRLE:
-		rle := encodeTileRLE(f, r)
-		if len(rle) < r.W*r.H {
-			return EncRLE, rle
-		}
-		return EncRaw, encodeTileRaw(f, r)
-	default:
-		return EncRaw, encodeTileRaw(f, r)
-	}
-}
-
-// DecodeTile writes an encoded tile into the framebuffer at r.
+// DecodeTile writes an encoded tile into the framebuffer at r. Pixels
+// outside the framebuffer are consumed but not written. On a malformed
+// RLE payload the runs before the fault have already been written.
 func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 	switch enc {
 	case EncRaw:
 		if len(data) != r.W*r.H {
 			return fmt.Errorf("rfb: raw tile size %d != %d", len(data), r.W*r.H)
 		}
-		i := 0
 		for y := r.Y; y < r.Y+r.H; y++ {
-			for x := r.X; x < r.X+r.W; x++ {
-				f.Set(x, y, data[i])
-				i++
-			}
+			f.writeRow(r.X, y, data[:r.W])
+			data = data[r.W:]
 		}
 		return nil
 	case EncRLE:
@@ -244,12 +222,19 @@ func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 				return errors.New("rfb: zero-length RLE run")
 			}
 			total += n
-			for j := 0; j < n; j++ {
+			for n > 0 {
 				if y >= r.Y+r.H {
 					return errors.New("rfb: RLE overflow")
 				}
-				f.Set(x, y, v)
-				x++
+				// A run continues across row ends; a rectangle with no
+				// width never wraps, so its runs stay on the first row.
+				span := n
+				if r.W > 0 {
+					span = min(n, r.X+r.W-x)
+				}
+				f.Fill(x, y, span, 1, v)
+				x += span
+				n -= span
 				if x == r.X+r.W {
 					x = r.X
 					y++
@@ -279,35 +264,79 @@ type Update struct {
 	Tiles  []TileUpdate
 }
 
-// WireSize returns the encoded byte size of the update.
-func (u *Update) WireSize() int {
-	n := 8 // serial + tile count
-	for _, t := range u.Tiles {
-		n += 13 + len(t.Data) // x,y,w,h (2 each) + enc + len(4)
+// Wire layout: an update header (serial, tile count; uint32 each)
+// followed by each tile's header (x, y, w, h as uint16, encoding byte,
+// body length as uint32) and body.
+const (
+	updateHeaderLen = 8
+	tileHeaderLen   = 13
+)
+
+// appendUpdate appends the wire form of an update carrying every dirty
+// tile of f, in row-major tile order, and clears the dirty flags. It
+// returns the extended buffer and the number of tiles written. With
+// EncRLE each tile is run-length encoded straight into dst and rewritten
+// raw in place once the RLE body would reach the raw size, as real RFB
+// encoders do.
+func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]byte, int) {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, serial)
+	dst = binary.BigEndian.AppendUint32(dst, 0) // tile count, patched below
+	tiles := 0
+	for i, d := range f.dirty {
+		if !d {
+			continue
+		}
+		f.dirty[i] = false
+		tiles++
+		x, y := (i%f.tilesX)*TileSize, (i/f.tilesX)*TileSize
+		w, h := min(TileSize, f.W-x), min(TileSize, f.H-y)
+		hdr := len(dst)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(x))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(y))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(w))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(h))
+		dst = append(dst, byte(EncRaw), 0, 0, 0, 0)
+		body := len(dst)
+		ok := false
+		if enc == EncRLE {
+			dst, ok = appendRLE(dst, f, x, y, w, h)
+		}
+		if ok {
+			dst[hdr+8] = byte(EncRLE)
+		} else {
+			dst = dst[:body]
+			for yy := y; yy < y+h; yy++ {
+				dst = append(dst, f.pix[yy*f.W+x:yy*f.W+x+w]...)
+			}
+		}
+		binary.BigEndian.PutUint32(dst[hdr+9:], uint32(len(dst)-body))
 	}
-	return n
+	binary.BigEndian.PutUint32(dst[start+4:], uint32(tiles))
+	return dst, tiles
 }
 
-// Marshal encodes the update for the wire.
-func (u *Update) Marshal() []byte {
-	out := make([]byte, 0, u.WireSize())
-	var b4 [4]byte
-	binary.BigEndian.PutUint32(b4[:], u.Serial)
-	out = append(out, b4[:]...)
-	binary.BigEndian.PutUint32(b4[:], uint32(len(u.Tiles)))
-	out = append(out, b4[:]...)
-	var b2 [2]byte
-	for _, t := range u.Tiles {
-		for _, v := range []int{t.Rect.X, t.Rect.Y, t.Rect.W, t.Rect.H} {
-			binary.BigEndian.PutUint16(b2[:], uint16(v))
-			out = append(out, b2[:]...)
+// appendRLE appends the (count, value) runs of the w×h tile at (x, y),
+// read row-major with runs continuing across row ends. It gives up and
+// reports false as soon as the body reaches w*h bytes, where raw is no
+// larger.
+func appendRLE(dst []byte, f *Framebuffer, x, y, w, h int) ([]byte, bool) {
+	limit := len(dst) + w*h
+	v, n := f.pix[y*f.W+x], 0
+	for yy := y; yy < y+h; yy++ {
+		for _, p := range f.pix[yy*f.W+x : yy*f.W+x+w] {
+			if p != v || n == 255 {
+				dst = append(dst, byte(n), v)
+				if len(dst) >= limit {
+					return dst, false
+				}
+				v, n = p, 0
+			}
+			n++
 		}
-		out = append(out, byte(t.Enc))
-		binary.BigEndian.PutUint32(b4[:], uint32(len(t.Data)))
-		out = append(out, b4[:]...)
-		out = append(out, t.Data...)
 	}
-	return out
+	dst = append(dst, byte(n), v)
+	return dst, len(dst) < limit
 }
 
 // UnmarshalUpdate parses a wire-format update.
@@ -320,9 +349,14 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 	if count > 1<<20 {
 		return nil, fmt.Errorf("rfb: unreasonable tile count %d", count)
 	}
-	off := 8
+	// Every tile takes at least a header, so the body bounds the presize
+	// however many tiles the header claims.
+	if n := min(int(count), (len(data)-updateHeaderLen)/tileHeaderLen); n > 0 {
+		u.Tiles = make([]TileUpdate, 0, n)
+	}
+	off := updateHeaderLen
 	for i := uint32(0); i < count; i++ {
-		if off+13 > len(data) {
+		if off+tileHeaderLen > len(data) {
 			return nil, errors.New("rfb: short tile header")
 		}
 		var t TileUpdate
@@ -332,7 +366,7 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 		t.Rect.H = int(binary.BigEndian.Uint16(data[off+6:]))
 		t.Enc = Encoding(data[off+8])
 		n := int(binary.BigEndian.Uint32(data[off+9:]))
-		off += 13
+		off += tileHeaderLen
 		if off+n > len(data) {
 			return nil, errors.New("rfb: short tile data")
 		}
@@ -344,18 +378,6 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 		return nil, fmt.Errorf("rfb: %d trailing bytes", len(data)-off)
 	}
 	return u, nil
-}
-
-// MakeUpdate collects the framebuffer's dirty tiles into an Update with
-// the given encoding preference and clears the dirty set.
-func MakeUpdate(f *Framebuffer, serial uint32, enc Encoding) *Update {
-	u := &Update{Serial: serial}
-	for _, r := range f.DirtyTiles() {
-		usedEnc, data := EncodeTile(f, r, enc)
-		u.Tiles = append(u.Tiles, TileUpdate{Rect: r, Enc: usedEnc, Data: data})
-	}
-	f.ClearDirty()
-	return u
 }
 
 // Apply writes every tile of an update into the framebuffer.

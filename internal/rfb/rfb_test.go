@@ -2,7 +2,10 @@ package rfb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,12 +19,50 @@ func mustFB(t *testing.T, w, h int) *Framebuffer {
 	return fb
 }
 
+// encodeUpdate runs the production encoder over fb's dirty tiles and
+// parses the wire bytes it produced.
+func encodeUpdate(t testing.TB, fb *Framebuffer, serial uint32, enc Encoding) (*Update, []byte) {
+	t.Helper()
+	wire, tiles := appendUpdate(nil, fb, serial, enc)
+	u, err := UnmarshalUpdate(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(u.Tiles) != tiles {
+		t.Fatalf("encoder reported %d tiles, wire carries %d", tiles, len(u.Tiles))
+	}
+	return u, wire
+}
+
+// tileRects lists the rectangles of an update's tiles in wire order.
+func tileRects(u *Update) []Rect {
+	var out []Rect
+	for _, tu := range u.Tiles {
+		out = append(out, tu.Rect)
+	}
+	return out
+}
+
 func TestNewFramebufferValidation(t *testing.T) {
 	if _, err := NewFramebuffer(0, 10); err == nil {
 		t.Fatal("zero width accepted")
 	}
 	if _, err := NewFramebuffer(10, -1); err == nil {
 		t.Fatal("negative height accepted")
+	}
+	// Rect fields travel as uint16: a wider or taller framebuffer would
+	// silently truncate tile coordinates on the wire.
+	if _, err := NewFramebuffer(1<<16, 1); err == nil {
+		t.Fatal("width beyond the wire limit accepted")
+	}
+	if _, err := NewFramebuffer(1, 1<<16); err == nil {
+		t.Fatal("height beyond the wire limit accepted")
+	}
+	if _, err := NewFramebuffer(65535, 1); err != nil {
+		t.Fatalf("width at the wire limit rejected: %v", err)
+	}
+	if _, err := NewFramebuffer(1, 65535); err != nil {
+		t.Fatalf("height at the wire limit rejected: %v", err)
 	}
 }
 
@@ -48,16 +89,16 @@ func TestDirtyTracking(t *testing.T) {
 	if fb.DirtyCount() != 2 {
 		t.Fatalf("dirty = %d, want 2", fb.DirtyCount())
 	}
-	tiles := fb.DirtyTiles()
+	u, _ := encodeUpdate(t, fb, 1, EncRaw)
+	tiles := tileRects(u)
 	if len(tiles) != 2 {
 		t.Fatalf("tiles = %v", tiles)
 	}
 	if tiles[0] != (Rect{0, 0, 16, 16}) || tiles[1] != (Rect{48, 48, 16, 16}) {
 		t.Fatalf("tile rects = %v", tiles)
 	}
-	fb.ClearDirty()
 	if fb.DirtyCount() != 0 {
-		t.Fatal("ClearDirty failed")
+		t.Fatal("taking an update did not clear the dirty set")
 	}
 	// Writing the same value is not a visual change.
 	fb.Set(0, 0, 1)
@@ -69,7 +110,8 @@ func TestDirtyTracking(t *testing.T) {
 func TestDirtyTilesClippedAtEdges(t *testing.T) {
 	fb := mustFB(t, 20, 20) // 2x2 tiles, second row/col clipped to 4
 	fb.Set(19, 19, 5)
-	tiles := fb.DirtyTiles()
+	u, _ := encodeUpdate(t, fb, 1, EncRaw)
+	tiles := tileRects(u)
 	if len(tiles) != 1 {
 		t.Fatalf("tiles = %v", tiles)
 	}
@@ -92,12 +134,17 @@ func TestRawRoundTrip(t *testing.T) {
 		src.Set(i%32, (i*7)%32, uint8(i))
 	}
 	dst := mustFB(t, 32, 32)
-	for _, r := range []Rect{{0, 0, 16, 16}, {16, 0, 16, 16}, {0, 16, 16, 16}, {16, 16, 16, 16}} {
-		enc, data := EncodeTile(src, r, EncRaw)
-		if enc != EncRaw {
+	src.MarkAllDirty()
+	u, _ := encodeUpdate(t, src, 1, EncRaw)
+	want := []Rect{{0, 0, 16, 16}, {16, 0, 16, 16}, {0, 16, 16, 16}, {16, 16, 16, 16}}
+	if got := tileRects(u); !slices.Equal(got, want) {
+		t.Fatalf("tile rects = %v, want %v", got, want)
+	}
+	for _, tu := range u.Tiles {
+		if tu.Enc != EncRaw {
 			t.Fatal("raw request changed encoding")
 		}
-		if err := DecodeTile(dst, r, enc, data); err != nil {
+		if err := DecodeTile(dst, tu.Rect, tu.Enc, tu.Data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,16 +158,19 @@ func TestRLERoundTrip(t *testing.T) {
 	src.Fill(0, 0, 32, 32, 7)
 	src.Fill(4, 4, 8, 8, 2)
 	dst := mustFB(t, 32, 32)
-	r := Rect{0, 0, 32, 32}
-	enc, data := EncodeTile(src, r, EncRLE)
-	if enc != EncRLE {
-		t.Fatal("compressible tile fell back to raw")
+	u, _ := encodeUpdate(t, src, 1, EncRLE)
+	body := 0
+	for _, tu := range u.Tiles {
+		if tu.Enc != EncRLE {
+			t.Fatal("compressible tile fell back to raw")
+		}
+		body += len(tu.Data)
+		if err := DecodeTile(dst, tu.Rect, tu.Enc, tu.Data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(data) >= 32*32 {
-		t.Fatalf("RLE did not compress: %d bytes", len(data))
-	}
-	if err := DecodeTile(dst, r, enc, data); err != nil {
-		t.Fatal(err)
+	if body >= 32*32 {
+		t.Fatalf("RLE did not compress: %d bytes", body)
 	}
 	if !src.Equal(dst) {
 		t.Fatal("RLE round trip corrupted")
@@ -135,9 +185,12 @@ func TestRLEFallbackOnNoise(t *testing.T) {
 			src.Set(x, y, uint8(rng.Intn(250)))
 		}
 	}
-	enc, data := EncodeTile(src, Rect{0, 0, 16, 16}, EncRLE)
-	if enc != EncRaw {
-		t.Fatalf("noisy tile should fall back to raw, got %v (%d bytes)", enc, len(data))
+	u, _ := encodeUpdate(t, src, 1, EncRLE)
+	if len(u.Tiles) != 1 || u.Tiles[0].Rect != (Rect{0, 0, 16, 16}) {
+		t.Fatalf("tiles = %v", tileRects(u))
+	}
+	if tu := u.Tiles[0]; tu.Enc != EncRaw {
+		t.Fatalf("noisy tile should fall back to raw, got %v (%d bytes)", tu.Enc, len(tu.Data))
 	}
 }
 
@@ -165,19 +218,18 @@ func TestUpdateMarshalRoundTrip(t *testing.T) {
 	fb := mustFB(t, 48, 48)
 	fb.Fill(0, 0, 48, 48, 3)
 	fb.Fill(10, 10, 20, 20, 8)
-	u := MakeUpdate(fb, 42, EncRLE)
+	data, tiles := appendUpdate(nil, fb, 42, EncRLE)
 	if fb.DirtyCount() != 0 {
-		t.Fatal("MakeUpdate did not clear dirty")
-	}
-	data := u.Marshal()
-	if len(data) != u.WireSize() {
-		t.Fatalf("wire size %d != marshal len %d", u.WireSize(), len(data))
+		t.Fatal("appendUpdate did not clear dirty")
 	}
 	v, err := UnmarshalUpdate(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Serial != 42 || len(v.Tiles) != len(u.Tiles) {
+	if len(data) != refWireSize(v) {
+		t.Fatalf("wire size %d != encoded len %d", refWireSize(v), len(data))
+	}
+	if v.Serial != 42 || len(v.Tiles) != tiles {
 		t.Fatalf("round trip lost data: %+v", v)
 	}
 	dst := mustFB(t, 48, 48)
@@ -195,7 +247,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	fb := mustFB(t, 32, 32)
 	fb.MarkAllDirty()
-	data := MakeUpdate(fb, 1, EncRaw).Marshal()
+	data, _ := appendUpdate(nil, fb, 1, EncRaw)
 	if _, err := UnmarshalUpdate(data[:len(data)-3]); err == nil {
 		t.Fatal("truncated accepted")
 	}
@@ -204,20 +256,40 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// A header that claims far more tiles than the body can hold fails on
+// the body, without allocating for the claimed count.
+func TestUnmarshalHugeCountFailsFast(t *testing.T) {
+	data := make([]byte, updateHeaderLen+tileHeaderLen)
+	binary.BigEndian.PutUint32(data[4:], 1<<20)
+	if _, err := UnmarshalUpdate(data); err == nil {
+		t.Fatal("short body with a huge tile count accepted")
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, _ = UnmarshalUpdate(data) // fails as above; only the allocation matters
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 1024 {
+		t.Fatalf("failed parse allocated %d bytes per call", perCall)
+	}
+}
+
 func TestIncrementalOnlySendsChanges(t *testing.T) {
 	fb := mustFB(t, 160, 160) // 100 tiles
 	fb.MarkAllDirty()
-	full := MakeUpdate(fb, 1, EncRaw)
+	full, fullWire := encodeUpdate(t, fb, 1, EncRaw)
 	if len(full.Tiles) != 100 {
 		t.Fatalf("full = %d tiles", len(full.Tiles))
 	}
 	fb.Set(5, 5, 9) // one tile's worth of change
-	inc := MakeUpdate(fb, 2, EncRaw)
+	inc, incWire := encodeUpdate(t, fb, 2, EncRaw)
 	if len(inc.Tiles) != 1 {
 		t.Fatalf("incremental = %d tiles, want 1", len(inc.Tiles))
 	}
-	if inc.WireSize() >= full.WireSize()/50 {
-		t.Fatalf("incremental too large: %d vs full %d", inc.WireSize(), full.WireSize())
+	if len(incWire) >= len(fullWire)/50 {
+		t.Fatalf("incremental too large: %d vs full %d", len(incWire), len(fullWire))
 	}
 }
 
@@ -227,7 +299,7 @@ func TestAnimatorDirtiesBoundedArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb.ClearDirty()
+	encodeUpdate(t, fb, 1, EncRaw) // start from a clean dirty set
 	a.Step()
 	// Square side ~ sqrt(0.05*320*240) = 62 → at most ~ (62/16+2)^2 tiles
 	// dirty for erase+draw, far less than the full 300.
@@ -278,9 +350,13 @@ func TestPropertyEncodingRoundTrip(t *testing.T) {
 		if useRLE {
 			want = EncRLE
 		}
-		enc, data := EncodeTile(src, Rect{0, 0, 16, 16}, want)
+		src.MarkAllDirty()
+		u, _ := encodeUpdate(t, src, 1, want)
+		if len(u.Tiles) != 1 || u.Tiles[0].Rect != (Rect{0, 0, 16, 16}) {
+			return false
+		}
 		dst := mustFBQuick(16, 16)
-		if err := DecodeTile(dst, Rect{0, 0, 16, 16}, enc, data); err != nil {
+		if err := DecodeTile(dst, Rect{0, 0, 16, 16}, u.Tiles[0].Enc, u.Tiles[0].Data); err != nil {
 			return false
 		}
 		return src.Equal(dst)
@@ -290,7 +366,7 @@ func TestPropertyEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Marshal/Unmarshal round-trips updates built from random fills.
+// Property: encode/Unmarshal round-trips updates built from random fills.
 func TestPropertyUpdateRoundTrip(t *testing.T) {
 	f := func(ops []uint16) bool {
 		fb := mustFBQuick(64, 64)
@@ -299,8 +375,8 @@ func TestPropertyUpdateRoundTrip(t *testing.T) {
 			y := int((op / 64) % 64)
 			fb.Set(x, y, uint8(op))
 		}
-		u := MakeUpdate(fb, 7, EncRLE)
-		v, err := UnmarshalUpdate(u.Marshal())
+		wire, _ := appendUpdate(nil, fb, 7, EncRLE)
+		v, err := UnmarshalUpdate(wire)
 		if err != nil {
 			return false
 		}

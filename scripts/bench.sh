@@ -2,7 +2,7 @@
 # bench.sh — record the repo's performance trajectory.
 #
 # Runs the hot-path benchmarks (kernel event queue, dense/mobile radio
-# medium, world-level dense PHY fan-out) at a
+# medium, world-level dense PHY fan-out, RFB tile streaming) at a
 # statistically useful count, plus every root figure/claim benchmark
 # once, and folds the output into a JSON record via cmd/benchgate. The
 # checked-in BENCH_PR8.json was produced by this script; CI re-runs the
@@ -46,10 +46,14 @@ echo "== telemetry hot path (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench 'BenchmarkTelemetry' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/telemetry/ | tee -a "$tmp"
 
+echo "== rfb streaming: encode, apply, fill, animate (count=$count, benchtime=$benchtime)"
+go test -run '^$' -bench '.' -benchmem \
+    -count "$count" -benchtime "$benchtime" ./internal/rfb/ | tee -a "$tmp"
+
 if [[ "${SKIP_ROOT:-0}" != 1 ]]; then
     echo "== root figure/claim benchmarks (one shot each)"
     go test -run '^$' -bench '.' -benchmem -benchtime 1x . | tee -a "$tmp"
 fi
 
 go run ./cmd/benchgate -emit "$out" -in "$tmp" \
-    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*"
+    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*, internal/rfb (all)"
