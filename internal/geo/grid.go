@@ -9,7 +9,7 @@ import (
 // find the entities near a transmitter without scanning the whole world.
 //
 // Entries are identified by integer IDs. All iteration is deterministic:
-// VisitCircle walks cells in row-major order and the IDs within a cell in
+// VisitCover walks cells in row-major order and the IDs within a cell in
 // ascending order, so two identical runs observe entries identically.
 // Grid is purely computational and safe to rebuild at any time.
 //
@@ -195,33 +195,6 @@ func (g *Grid) Remove(id int) {
 	g.removeCell(g.keyFor(p), id)
 }
 
-// VisitCircle invokes visit for every entry within radius of center
-// (boundary inclusive), in deterministic order: cells row-major by grid
-// coordinate, IDs ascending within a cell.
-//
-// The cost is min(bounding-box cells, occupied cells): when the radius
-// spans far more cells than are occupied (a huge hearing range over a
-// sparse world), the occupied cells are scanned directly instead of
-// walking empty ones.
-func (g *Grid) VisitCircle(center Point, radius float64, visit func(id int, p Point)) {
-	if radius < 0 {
-		return
-	}
-	r2 := radius * radius
-	if math.IsInf(radius, 1) {
-		g.VisitAll(visit)
-		return
-	}
-	lo := g.keyFor(Point{center.X - radius, center.Y - radius})
-	hi := g.keyFor(Point{center.X + radius, center.Y + radius})
-	g.visitBox(lo, hi, func(id int, p Point) {
-		dx, dy := p.X-center.X, p.Y-center.Y
-		if dx*dx+dy*dy <= r2 {
-			visit(id, p)
-		}
-	})
-}
-
 // visitBox invokes visit for every entry in the inclusive cell box
 // [lo, hi], in deterministic order: cells row-major by grid coordinate,
 // IDs ascending within a cell. The cost is min(box cells, occupied
@@ -388,20 +361,7 @@ func (g *Grid) Release(c *Cover) {
 // VisitCover invokes visit for every entry in the cover's cells — no
 // radius filter; callers needing the exact circle check distances
 // themselves. Order is deterministic: cells row-major, IDs ascending
-// within a cell. Like VisitCircle, the walk costs min(box cells,
-// occupied cells).
+// within a cell. The walk costs min(box cells, occupied cells).
 func (g *Grid) VisitCover(c *Cover, visit func(id int, p Point)) {
 	g.visitBox(c.lo, c.hi, visit)
-}
-
-// VisitAll invokes visit for every entry in ascending ID order.
-func (g *Grid) VisitAll(visit func(id int, p Point)) {
-	ids := make([]int, 0, len(g.pos))
-	for id := range g.pos {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		visit(id, g.pos[id])
-	}
 }

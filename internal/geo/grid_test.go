@@ -7,9 +7,19 @@ import (
 	"testing"
 )
 
+// collectCircle runs a circular query the way the radio medium does:
+// register a cover, walk its cells, keep the entries within r of c
+// (boundary inclusive), release the cover.
 func collectCircle(g *Grid, c Point, r float64) []int {
+	cover := g.CoverFor(c, r)
+	defer g.Release(cover)
 	var out []int
-	g.VisitCircle(c, r, func(id int, _ Point) { out = append(out, id) })
+	g.VisitCover(cover, func(id int, p Point) {
+		dx, dy := p.X-c.X, p.Y-c.Y
+		if dx*dx+dy*dy <= r*r {
+			out = append(out, id)
+		}
+	})
 	return out
 }
 
@@ -128,26 +138,34 @@ func TestGridMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGridHugeRadiusVisitsEverything(t *testing.T) {
+func TestVisitCoverSparseBoxKeepsRowMajorOrder(t *testing.T) {
+	// A cover spanning far more cells than are occupied takes the
+	// sparse path, which must visit in the dense walk's order: cells
+	// row-major, IDs ascending within a cell.
 	g := NewGrid(10)
 	for id := 1; id <= 20; id++ {
-		g.Insert(id, Pt(float64(id)*100, float64(id)*100))
+		g.Insert(id, Pt(float64(21-id)*10, float64(id%3)*10))
 	}
-	// A radius spanning vastly more cells than are occupied must take the
-	// sparse path and still find every entry, in deterministic order.
-	a := collectCircle(g, Pt(0, 0), 1e6)
-	b := collectCircle(g, Pt(0, 0), 1e6)
-	if len(a) != 20 {
-		t.Fatalf("huge-radius query found %d entries, want 20", len(a))
+	g.Insert(21, Pt(11, 21)) // shares a cell with id 20
+	cover := g.CoverFor(Pt(100, 10), 300)
+	defer g.Release(cover)
+	if cover.Cells() <= len(g.cells) {
+		t.Fatalf("cover spans %d cells for %d occupied: not the sparse path", cover.Cells(), len(g.cells))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sparse-path visit order differs: %v vs %v", a, b)
+	var got []Point
+	var ids []int
+	g.VisitCover(cover, func(id int, p Point) {
+		got = append(got, p)
+		ids = append(ids, id)
+	})
+	if len(got) != 21 {
+		t.Fatalf("sparse cover visit found %d entries, want 21", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := g.keyFor(got[i-1]), g.keyFor(got[i])
+		if a.Y > b.Y || (a.Y == b.Y && a.X > b.X) || (a == b && ids[i-1] > ids[i]) {
+			t.Fatalf("visit %d out of row-major order: %v then %v (ids %d, %d)", i, got[i-1], got[i], ids[i-1], ids[i])
 		}
-	}
-	inf := collectCircle(g, Pt(0, 0), math.Inf(1))
-	if len(inf) != 20 {
-		t.Fatalf("infinite-radius query found %d entries, want 20", len(inf))
 	}
 }
 
@@ -325,8 +343,21 @@ func TestCoverForRejectsUnboundedRadius(t *testing.T) {
 func TestVisitCoverIsSupersetOfCircle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := NewGrid(20)
+	pos := make(map[int]Point)
 	for id := 1; id <= 300; id++ {
-		g.Insert(id, Pt(rng.Float64()*400-200, rng.Float64()*400-200))
+		p := Pt(rng.Float64()*400-200, rng.Float64()*400-200)
+		g.Insert(id, p)
+		pos[id] = p
+	}
+	// circle lists, by brute force, the entries within radius of c.
+	circle := func(c Point, radius float64) []int {
+		var out []int
+		for id, p := range pos {
+			if p.Dist(c) <= radius {
+				out = append(out, id)
+			}
+		}
+		return out
 	}
 	for trial := 0; trial < 25; trial++ {
 		center := Pt(rng.Float64()*400-200, rng.Float64()*400-200)
@@ -334,7 +365,7 @@ func TestVisitCoverIsSupersetOfCircle(t *testing.T) {
 		cover := g.CoverFor(center, radius)
 		inCover := make(map[int]bool)
 		g.VisitCover(cover, func(id int, _ Point) { inCover[id] = true })
-		for _, id := range collectCircle(g, center, radius) {
+		for _, id := range circle(center, radius) {
 			if !inCover[id] {
 				t.Fatalf("trial %d: circle entry %d missing from cover visit", trial, id)
 			}
@@ -343,7 +374,7 @@ func TestVisitCoverIsSupersetOfCircle(t *testing.T) {
 		// anchor cell (the one-cell margin contract).
 		shifted := Pt(center.X+19.9*(rng.Float64()-0.5), center.Y+19.9*(rng.Float64()-0.5))
 		if g.keyFor(shifted) == cover.anchor {
-			for _, id := range collectCircle(g, shifted, radius) {
+			for _, id := range circle(shifted, radius) {
 				if !inCover[id] {
 					t.Fatalf("trial %d: margin violated for shifted center", trial)
 				}

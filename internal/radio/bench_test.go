@@ -12,9 +12,10 @@ import (
 
 // benchDense measures the PHY hot path at scale: n radios spread across
 // the 11-channel band on a large floor, with bursts of short overlapping
-// frames. The same workload runs in indexed mode (per-channel partition +
-// spatial cutoff) and naive full-scan mode, so the two benchmark families
-// are directly comparable.
+// frames. The same workload runs with the spatial cutoff (Indexed) and
+// without it (NoCutoff: the exact medium, every radio on an overlapping
+// channel considered for every frame), so the two families are directly
+// comparable.
 func benchDense(b *testing.B, n int, channels []int, opts ...MediumOption) {
 	b.Helper()
 	k := sim.New(1)
@@ -71,31 +72,23 @@ var (
 )
 
 func BenchmarkMediumDense500Indexed(b *testing.B)  { benchDense(b, 500, allChannels, denseIndexed...) }
-func BenchmarkMediumDense500FullScan(b *testing.B) { benchDense(b, 500, allChannels, WithFullScan()) }
+func BenchmarkMediumDense500NoCutoff(b *testing.B) { benchDense(b, 500, allChannels) }
 
-func BenchmarkMediumDense1000Indexed(b *testing.B) { benchDense(b, 1000, allChannels, denseIndexed...) }
-func BenchmarkMediumDense1000FullScan(b *testing.B) {
-	benchDense(b, 1000, allChannels, WithFullScan())
-}
+func BenchmarkMediumDense1000Indexed(b *testing.B)  { benchDense(b, 1000, allChannels, denseIndexed...) }
+func BenchmarkMediumDense1000NoCutoff(b *testing.B) { benchDense(b, 1000, allChannels) }
 
-// The ChannelOnly pair isolates the per-channel partition with the cutoff
-// disabled (bit-exact physics) on an orthogonal channel plan.
+// ChannelOnly isolates the per-channel partition with the cutoff
+// disabled (exact physics) on an orthogonal channel plan.
 func BenchmarkMediumDense500ChannelOnly(b *testing.B) { benchDense(b, 500, orthogonal) }
-func BenchmarkMediumDense500ChannelOnlyFullScan(b *testing.B) {
-	benchDense(b, 500, orthogonal, WithFullScan())
-}
 
 // benchDenseMobile measures the PHY hot path while the whole world
 // moves: every radio takes one 0.28 m step per burst, interleaved with
 // the transmissions the way mobility ticks interleave with traffic in a
 // live scenario. Steps mostly stay inside one default-size grid cell (a few
-// percent cross a boundary each burst), which is exactly the shape the
-// global-generation wipe degenerates on: each move batch invalidates
-// every candidate cache, so nearly every candidatesFor — delivery,
-// interference ledger, energy sums — pays a rebuild. The Cell/Global
-// pairs run identical workloads (identical physics and receipts) and
-// differ only in invalidation granularity; WithGlobalInvalidation is
-// the wipe-the-world reference arm.
+// percent cross a boundary each burst), so cell-granular invalidation
+// keeps nearly every candidatesFor — delivery, interference ledger,
+// energy sums — on a cached set; a per-move cache wipe would rebuild
+// them all.
 func benchDenseMobile(b *testing.B, n int, opts ...MediumOption) {
 	b.Helper()
 	k := sim.New(1)
@@ -156,20 +149,10 @@ func benchDenseMobile(b *testing.B, n int, opts ...MediumOption) {
 	}
 }
 
-var denseMobileGlobal = []MediumOption{
-	WithRxCutoffDBm(-100), WithGlobalInvalidation(),
-}
-
 func BenchmarkMediumDenseMobile500Cell(b *testing.B) {
 	benchDenseMobile(b, 500, WithRxCutoffDBm(-100))
-}
-func BenchmarkMediumDenseMobile500Global(b *testing.B) {
-	benchDenseMobile(b, 500, denseMobileGlobal...)
 }
 
 func BenchmarkMediumDenseMobile1000Cell(b *testing.B) {
 	benchDenseMobile(b, 1000, WithRxCutoffDBm(-100))
-}
-func BenchmarkMediumDenseMobile1000Global(b *testing.B) {
-	benchDenseMobile(b, 1000, denseMobileGlobal...)
 }

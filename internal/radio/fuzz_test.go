@@ -1,0 +1,129 @@
+package radio
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"aroma/internal/env"
+	"aroma/internal/geo"
+	"aroma/internal/sim"
+)
+
+// fuzzTape doles out the fuzzer's bytes; once they run out it yields
+// zeros.
+type fuzzTape []byte
+
+func (in *fuzzTape) next() byte {
+	if len(*in) == 0 {
+		return 0
+	}
+	b := (*in)[0]
+	*in = (*in)[1:]
+	return b
+}
+
+// pos returns a point in [-64, 191] m on each axis, so cells with
+// negative coordinates are exercised too.
+func (in *fuzzTape) pos() geo.Point {
+	return geo.Pt(float64(int(in.next())-64), float64(int(in.next())-64))
+}
+
+func (in *fuzzTape) channel() int { return MinChannel + int(in.next())%MaxChannel }
+
+// power returns a transmit power in [-20, 10] dBm: hearing ranges of
+// about 1 m at the -60 dBm cutoff up to about 215 m at -100 dBm.
+func (in *fuzzTape) power() float64 { return -20 + float64(in.next()%31) }
+
+// FuzzMediumMatchesOracle builds a medium from a byte tape — 2 to 24
+// radios at bounded positions, the cutoff disabled or at -60 to -100 dBm,
+// a 5 to 60 m grid cell — and plays an operation tape on it as kernel
+// events: moves within a cell and across cells, retunes, transmit-power
+// changes, attaches, detaches (also while the radio's frame is in
+// flight) and overlapping transmissions, at most 128 operations. The
+// indexed hearers must match the brute-force oracle after every kernel
+// step. At the end every radio is detached and the kernel run idle,
+// after which no grid cover may remain registered.
+func FuzzMediumMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzTape(data)
+		n := 2 + int(in.next())%23
+		cutoff := math.Inf(-1)
+		if c := in.next(); c%2 == 1 {
+			cutoff = -60 - float64(c/2%41)
+		}
+		cell := 5 + float64(in.next()%56)
+
+		k := sim.New(1)
+		e := env.New(k, geo.NewFloorPlan(geo.RectAt(-64, -64, 256, 256)))
+		m := NewMedium(k, e, WithRxCutoffDBm(cutoff), WithGridCellM(cell))
+		var radios []*Radio
+		attach := func(p geo.Point, ch int, dbm float64) {
+			r := m.NewRadio(fmt.Sprintf("r%d", len(radios)), p, ch, dbm)
+			r.OnReceive = func(Receipt) {}
+			radios = append(radios, r)
+		}
+		for i := 0; i < n; i++ {
+			attach(in.pos(), in.channel(), in.power())
+		}
+		transmit := func(r *Radio, bits int, rate Rate) {
+			if _, err := m.Transmit(r, bits, rate, nil); err != nil && m.attached(r) {
+				t.Fatalf("transmit from attached radio %d: %v", r.ID, err)
+			}
+		}
+
+		// The oracle is quadratic in the radio count and runs after every
+		// step, so the operation tape is capped to keep each input fast.
+		const maxOps = 128
+		var at sim.Time
+		for ops := 0; len(in) > 0 && ops < maxOps; ops++ {
+			// The radio is picked when the operation runs, so radios
+			// attached by earlier operations can be picked too.
+			op, sel := in.next()%8, int(in.next())
+			at += sim.Time(in.next()%8) * 100 * sim.Microsecond
+			var fn func(r *Radio)
+			switch op {
+			case 0: // move within the radio's current cell
+				fx, fy := float64(in.next())/256, float64(in.next())/256
+				fn = func(r *Radio) {
+					ox := math.Floor(r.Pos.X/cell) * cell
+					oy := math.Floor(r.Pos.Y/cell) * cell
+					r.SetPos(geo.Pt(ox+fx*cell, oy+fy*cell))
+				}
+			case 1: // move anywhere, usually across cells
+				p := in.pos()
+				fn = func(r *Radio) { r.SetPos(p) }
+			case 2:
+				ch := in.channel()
+				fn = func(r *Radio) { r.SetChannel(ch) }
+			case 3:
+				dbm := in.power()
+				fn = func(r *Radio) { r.TxPowerDBm = dbm }
+			case 4:
+				p, ch, dbm := in.pos(), in.channel(), in.power()
+				fn = func(*Radio) { attach(p, ch, dbm) }
+			case 5:
+				fn = m.Detach
+			case 6, 7: // transmit; 7 detaches with the frame in flight
+				bits, rate := 200+20*int(in.next()), Rates[int(in.next())%len(Rates)]
+				detach := op == 7
+				fn = func(r *Radio) {
+					transmit(r, bits, rate)
+					if detach {
+						m.Detach(r)
+					}
+				}
+			}
+			k.Schedule(at, "fuzz.op", func() { fn(radios[sel%len(radios)]) })
+		}
+		runChecked(t, k, m, 0)
+
+		for _, r := range radios {
+			m.Detach(r)
+		}
+		runChecked(t, k, m, 0)
+		if w := m.grid.Watchers(); w != 0 {
+			t.Fatalf("%d cover registrations left after every radio detached", w)
+		}
+	})
+}

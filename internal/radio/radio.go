@@ -48,12 +48,13 @@
 // whole world. The cached set is a cell-conservative superset of the
 // hearing circle; delivery, interference, and energy accounting apply
 // the exact range check at use time, so the physics is identical to a
-// full rebuild per move (WithGlobalInvalidation, the benchmark
-// reference) while mobility stays cheap.
+// rebuild per move while mobility stays cheap.
 //
-// WithFullScan restores the naive scan of every attached radio (still in
-// deterministic ID order) as a reference mode for benchmarks and physics
-// cross-checks.
+// The tests hold the index to that: a brute-force oracle (ref_test.go)
+// scans every attached radio in ID order and keeps those on an
+// overlapping channel inside the exact hearing range; after every
+// kernel step of the cross-checks and the fuzz target, each radio's
+// cached candidates, cut to that same range, must equal it.
 //
 // # Allocation discipline
 //
@@ -256,16 +257,13 @@ type Radio struct {
 
 	// cand caches the radios that could hear this one (candidatesFor).
 	// The cached slice is immutable: rebuilds allocate a fresh slice, so
-	// in-flight iterations over an old snapshot stay safe. Validity is
-	// mode-dependent (candValid): full-scan and global-invalidation modes
-	// compare candGen against the medium's coarse topology generation;
-	// the indexed modes compare the channel-window generation sum
+	// in-flight iterations over an old snapshot stay safe. Validity
+	// (candValid) compares the channel-window generation sum
 	// (candChanSum, for candChannel's overlap window) and — with the
-	// spatial cutoff — check candCover, whose dirty flag the grid sets
+	// spatial cutoff — checks candCover, whose dirty flag the grid sets
 	// when a covered cell's membership changes. candPower guards the
-	// hearing range in all modes.
+	// hearing range.
 	cand        []*Radio
-	candGen     uint64
 	candPower   float64
 	candChannel int
 	candChanSum uint64
@@ -320,9 +318,6 @@ func (r *Radio) SetPos(p geo.Point) {
 	r.linkGen++ // all cached link gains to and from this radio are stale
 	if m := r.medium; m != nil && m.cutoffEnabled() && m.attached(r) {
 		m.grid.Move(r.ID, p)
-		if m.globalInval {
-			m.topoGen++
-		}
 	}
 }
 
@@ -340,12 +335,8 @@ func (r *Radio) SetChannel(ch int) {
 		old := r.Channel
 		r.Channel = ch
 		m.channelInsert(r)
-		if m.globalInval {
-			m.topoGen++
-		} else {
-			m.chanGen[old]++
-			m.chanGen[ch]++
-		}
+		m.chanGen[old]++
+		m.chanGen[ch]++
 		return
 	}
 	r.Channel = ch
@@ -389,25 +380,6 @@ func WithGridCellM(meters float64) MediumOption {
 	}
 }
 
-// WithFullScan disables the per-channel partition and the spatial cutoff:
-// every attached radio is scanned for every transmission, in ascending ID
-// order. This is the naive reference mode used by benchmarks and physics
-// cross-checks; it is still fully deterministic.
-func WithFullScan() MediumOption {
-	return func(m *Medium) { m.fullScan = true }
-}
-
-// WithGlobalInvalidation makes every topology change — including every
-// cutoff-enabled move and every retune — bump one medium-wide generation
-// that wipes all candidate caches, instead of the default cell- and
-// channel-granular invalidation. Physics and digests are identical to
-// the default; only rebuild frequency differs. This is the reference
-// arm for the BenchmarkMediumDenseMobile* comparison and for
-// cross-checking the granular invalidation, not a mode to run worlds in.
-func WithGlobalInvalidation() MediumOption {
-	return func(m *Medium) { m.globalInval = true }
-}
-
 // Medium is the shared 2.4 GHz band.
 type Medium struct {
 	kernel *sim.Kernel
@@ -446,16 +418,8 @@ type Medium struct {
 	nextID int
 	seq    uint64
 
-	cutoffDBm   float64 // receive cutoff; -Inf disables the spatial skip
-	gridCell    float64
-	fullScan    bool
-	globalInval bool
-
-	// topoGen counts membership changes (attach, detach) — the only
-	// events that invalidate full-scan candidate caches. In
-	// WithGlobalInvalidation mode it additionally counts every move and
-	// retune, restoring the coarse wipe-the-world behaviour.
-	topoGen uint64
+	cutoffDBm float64 // receive cutoff; -Inf disables the spatial skip
+	gridCell  float64
 
 	// chanGen counts, per channel, the attaches, detaches, and retunes
 	// touching that channel. A candidate cache built for channel c is
@@ -514,11 +478,8 @@ func (m *Medium) Kernel() *sim.Kernel { return m.kernel }
 // Env returns the propagation environment.
 func (m *Medium) Env() *env.Environment { return m.env }
 
-// RxCutoffDBm returns the configured receive cutoff (-Inf when disabled).
-func (m *Medium) RxCutoffDBm() float64 { return m.cutoffDBm }
-
 func (m *Medium) cutoffEnabled() bool {
-	return !m.fullScan && !math.IsInf(m.cutoffDBm, -1)
+	return !math.IsInf(m.cutoffDBm, -1)
 }
 
 func (m *Medium) attached(r *Radio) bool {
@@ -546,7 +507,6 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 	m.ordered = append(m.ordered, r) // IDs are monotonic: stays sorted
 	m.channelInsert(r)
 	m.grid.Insert(r.ID, pos) // bumps the destination cell's generation
-	m.topoGen++
 	m.chanGen[r.Channel]++
 	return r
 }
@@ -583,7 +543,6 @@ func (m *Medium) Detach(r *Radio) {
 	m.grid.Remove(r.ID) // bumps the vacated cell's generation
 	m.grid.Release(r.candCover)
 	r.cand, r.candCover = nil, nil
-	m.topoGen++
 	m.chanGen[r.Channel]++
 }
 
@@ -645,11 +604,8 @@ func (m *Medium) candidatesFor(src *Radio) []*Radio {
 }
 
 // candValid reports whether src's cached candidate set still describes
-// the medium, per the active indexing mode.
+// the medium.
 func (m *Medium) candValid(src *Radio) bool {
-	if m.fullScan || m.globalInval {
-		return src.candGen == m.topoGen
-	}
 	if src.Channel != src.candChannel {
 		return false
 	}
@@ -665,16 +621,6 @@ func (m *Medium) candValid(src *Radio) bool {
 
 func (m *Medium) buildCandidates(src *Radio) []*Radio {
 	dst := make([]*Radio, 0, 16)
-	if m.fullScan {
-		for _, r := range m.ordered {
-			if r != src {
-				dst = append(dst, r)
-			}
-		}
-		src.candGen = m.topoGen
-		return dst
-	}
-	src.candGen = m.topoGen
 	src.candChannel = src.Channel
 	lo, hi := overlapWindow(src.Channel)
 	src.candChanSum = m.chanGenSum(lo, hi)
@@ -687,28 +633,22 @@ func (m *Medium) buildCandidates(src *Radio) []*Radio {
 			}
 			dst = append(dst, r)
 		}
-		if m.globalInval {
-			// Reference mode: exact circle at build time, rebuilt on
-			// every move — the pre-cell-granular behaviour.
-			m.grid.VisitCircle(src.Pos, rangeM, collect)
+		cover := src.candCover
+		if m.grid.Anchored(cover, src.Pos, rangeM) {
+			// Same cell box: reuse the registration, just re-walk.
+			m.grid.Refresh(cover)
 		} else {
-			cover := src.candCover
-			if m.grid.Anchored(cover, src.Pos, rangeM) {
-				// Same cell box: reuse the registration, just re-walk.
-				m.grid.Refresh(cover)
-			} else {
-				m.grid.Release(cover)
-				cover = m.grid.CoverFor(src.Pos, rangeM)
-				src.candCover = cover
-			}
-			m.grid.VisitCover(cover, collect)
-			if !m.attached(src) {
-				// A detached radio can rebuild once more while its last
-				// transmission is in flight; don't leave a registered
-				// cover behind that nothing would ever release.
-				m.grid.Release(cover)
-				src.candCover = nil
-			}
+			m.grid.Release(cover)
+			cover = m.grid.CoverFor(src.Pos, rangeM)
+			src.candCover = cover
+		}
+		m.grid.VisitCover(cover, collect)
+		if !m.attached(src) {
+			// A detached radio can rebuild once more while its last
+			// transmission is in flight; don't leave a registered
+			// cover behind that nothing would ever release.
+			m.grid.Release(cover)
+			src.candCover = nil
 		}
 		// The grid visits cell-major; restore the global ID order.
 		sort.Sort(byIDOrder(dst))

@@ -382,24 +382,29 @@ func TestSetChannelKeepsPartitionCurrent(t *testing.T) {
 }
 
 func TestIndexedMatchesFullScanPhysics(t *testing.T) {
-	// With the cutoff disabled, the channel-partitioned medium must
-	// produce exactly the receipts the naive full scan does.
+	// With the cutoff disabled, the channel-partitioned medium must hear
+	// exactly what a scan of every attached radio does: the candidate
+	// sets match the oracle after every kernel step, every frame is
+	// received by exactly the oracle's hearers, and checking perturbs no
+	// receipt.
 	type outcome struct {
 		id   int
 		sinr float64
 		ok   bool
 	}
-	run := func(opts ...MediumOption) []outcome {
+	run := func(checked bool) ([]outcome, map[uint64][]int, *Medium, []*Radio) {
 		k := sim.New(3)
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 300, 300)))
-		m := NewMedium(k, e, opts...)
+		m := NewMedium(k, e)
 		var radios []*Radio
 		var out []outcome
+		heard := make(map[uint64][]int)
 		for i := 0; i < 40; i++ {
 			ch := 1 + (i*3)%11
 			r := m.NewRadio("r", geo.Pt(float64(i%8)*35, float64(i/8)*35), ch, 15)
 			r.OnReceive = func(rc Receipt) {
 				out = append(out, outcome{r.ID, rc.SINRdB, rc.OK})
+				heard[rc.Tx.Seq] = append(heard[rc.Tx.Seq], r.ID)
 			}
 			radios = append(radios, r)
 		}
@@ -411,17 +416,36 @@ func TestIndexedMatchesFullScanPhysics(t *testing.T) {
 				}
 			})
 		}
-		k.Run()
-		return out
+		if checked {
+			runChecked(t, k, m, 0)
+		} else {
+			k.Run()
+		}
+		return out, heard, m, radios
 	}
-	indexed := run()
-	naive := run(WithFullScan())
-	if len(indexed) != len(naive) {
-		t.Fatalf("receipt counts differ: indexed %d vs full-scan %d", len(indexed), len(naive))
+	checked, heard, m, radios := run(true)
+	plain, _, _, _ := run(false)
+	if len(heard) != 6 {
+		t.Fatalf("%d frames heard, want 6", len(heard))
 	}
-	for i := range indexed {
-		if indexed[i] != naive[i] {
-			t.Fatalf("receipt %d differs: indexed %+v vs full-scan %+v", i, indexed[i], naive[i])
+	// The world is static, so the oracle at the end is the oracle at
+	// every delivery.
+	for i := 0; i < 6; i++ {
+		seq, src := uint64(i+1), radios[i*7]
+		var want []int
+		for _, r := range refHearers(m, src) {
+			want = append(want, r.ID)
+		}
+		if fmt.Sprint(heard[seq]) != fmt.Sprint(want) {
+			t.Fatalf("frame %d from radio %d heard by %v, reference %v", seq, src.ID, heard[seq], want)
+		}
+	}
+	if len(checked) != len(plain) {
+		t.Fatalf("receipt counts differ: checked %d vs unchecked %d", len(checked), len(plain))
+	}
+	for i := range checked {
+		if checked[i] != plain[i] {
+			t.Fatalf("receipt %d differs: checked %+v vs unchecked %+v", i, checked[i], plain[i])
 		}
 	}
 }
@@ -495,15 +519,6 @@ func TestSetPosUnchangedPositionIsFree(t *testing.T) {
 	if !sameBacking(c1, m.candidatesFor(a)) {
 		t.Fatal("SetPos with unchanged position invalidated the candidate cache")
 	}
-	// Same guard in global-invalidation mode.
-	mg := NewMedium(k, e, WithRxCutoffDBm(-95), WithGlobalInvalidation())
-	ag := mg.NewRadio("a", geo.Pt(10, 10), 6, 15)
-	mg.NewRadio("b", geo.Pt(20, 10), 6, 15)
-	g1 := mg.candidatesFor(ag)
-	ag.SetPos(ag.Pos)
-	if !sameBacking(g1, mg.candidatesFor(ag)) {
-		t.Fatal("global mode: SetPos with unchanged position wiped caches")
-	}
 }
 
 func TestCellGranularInvalidation(t *testing.T) {
@@ -513,9 +528,9 @@ func TestCellGranularInvalidation(t *testing.T) {
 	// the cover box tight around b so the cases below are unambiguous.
 	m := NewMedium(k, e, WithRxCutoffDBm(-60), WithGridCellM(10))
 	b := m.NewRadio("b", geo.Pt(5, 5), 6, 15)
-	near := m.NewRadio("near", geo.Pt(15, 5), 6, 15)  // in range
-	edge := m.NewRadio("edge", geo.Pt(25, 5), 6, 15)  // in b's box, out of range
-	far := m.NewRadio("far", geo.Pt(95, 95), 6, 15)   // far outside b's box
+	near := m.NewRadio("near", geo.Pt(15, 5), 6, 15) // in range
+	edge := m.NewRadio("edge", geo.Pt(25, 5), 6, 15) // in b's box, out of range
+	far := m.NewRadio("far", geo.Pt(95, 95), 6, 15)  // far outside b's box
 	_ = near
 
 	c1 := m.candidatesFor(b)
@@ -620,15 +635,16 @@ func TestSetChannelInvalidatesOnlyOverlapWindow(t *testing.T) {
 	}
 }
 
-// TestMobileInvalidationModesAgree drives an identical mobile workload —
-// moves within and across cells, retunes, a mid-run attach and detach,
-// overlapping transmissions — under cell-granular and global-wipe
-// invalidation and requires bit-identical receipt streams.
+// TestMobileInvalidationModesAgree drives a mobile workload — moves
+// within and across cells, retunes, a mid-run attach and detach,
+// overlapping transmissions — and requires the cell-granular caches to
+// match the brute-force oracle after every kernel step, with a receipt
+// stream bit-identical to an unchecked run.
 func TestMobileInvalidationModesAgree(t *testing.T) {
-	run := func(opts ...MediumOption) []string {
+	run := func(checked bool) []string {
 		k := sim.New(3)
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 400, 400)))
-		m := NewMedium(k, e, opts...)
+		m := NewMedium(k, e, WithRxCutoffDBm(-95), WithGridCellM(25))
 		var log []string
 		var radios []*Radio
 		rng := k.Rand()
@@ -679,20 +695,23 @@ func TestMobileInvalidationModesAgree(t *testing.T) {
 			}
 		})
 		k.Schedule(3*sim.Millisecond, "detach", func() { m.Detach(radios[5]) })
-		k.RunUntil(8 * sim.Millisecond)
+		if checked {
+			runChecked(t, k, m, 8*sim.Millisecond)
+		} else {
+			k.RunUntil(8 * sim.Millisecond)
+		}
 		return log
 	}
-	granular := run(WithRxCutoffDBm(-95), WithGridCellM(25))
-	global := run(WithRxCutoffDBm(-95), WithGridCellM(25), WithGlobalInvalidation())
-	if len(granular) != len(global) {
-		t.Fatalf("receipt counts differ: granular %d vs global %d", len(granular), len(global))
+	checked, plain := run(true), run(false)
+	if len(checked) != len(plain) {
+		t.Fatalf("receipt counts differ: checked %d vs unchecked %d", len(checked), len(plain))
 	}
-	for i := range granular {
-		if granular[i] != global[i] {
-			t.Fatalf("receipt %d differs:\ngranular: %s\nglobal:   %s", i, granular[i], global[i])
+	for i := range checked {
+		if checked[i] != plain[i] {
+			t.Fatalf("receipt %d differs:\nchecked:   %s\nunchecked: %s", i, checked[i], plain[i])
 		}
 	}
-	if len(granular) == 0 {
+	if len(checked) == 0 {
 		t.Fatal("workload produced no receipts")
 	}
 }
@@ -735,30 +754,23 @@ func TestDetachInFlightLeaksNoCoverRegistrations(t *testing.T) {
 func TestMidDeliveryMoveDoesNotChangeMembership(t *testing.T) {
 	// An OnReceive callback that synchronously moves a third radio
 	// across the hearing-range boundary must not change who receives
-	// this delivery round — in either invalidation mode. The range
-	// decision is frozen when delivery starts.
-	run := func(opts ...MediumOption) (cGot int) {
-		k := sim.New(1)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
-		m := NewMedium(k, e, opts...)
-		// 15 dBm at -60 dBm cutoff: range ~14.7 m.
-		a := m.NewRadio("a", geo.Pt(5, 5), 6, 15)
-		b := m.NewRadio("b", geo.Pt(10, 5), 6, 15)  // in range, lower ID than c
-		c := m.NewRadio("c", geo.Pt(25, 5), 6, 15)  // in a's cover box, out of range
-		b.OnReceive = func(Receipt) { c.SetPos(geo.Pt(12, 5)) } // yank c into range
-		c.OnReceive = func(Receipt) { cGot++ }
-		if _, err := m.Transmit(a, 2000, Rates[0], nil); err != nil {
-			t.Fatal(err)
-		}
-		k.Run()
-		return cGot
+	// this delivery round: the range decision is frozen when delivery
+	// starts.
+	k := sim.New(1)
+	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+	m := NewMedium(k, e, WithRxCutoffDBm(-60), WithGridCellM(10))
+	// 15 dBm at -60 dBm cutoff: range ~14.7 m.
+	a := m.NewRadio("a", geo.Pt(5, 5), 6, 15)
+	b := m.NewRadio("b", geo.Pt(10, 5), 6, 15)              // in range, lower ID than c
+	c := m.NewRadio("c", geo.Pt(25, 5), 6, 15)              // in a's cover box, out of range
+	b.OnReceive = func(Receipt) { c.SetPos(geo.Pt(12, 5)) } // yank c into range
+	cGot := 0
+	c.OnReceive = func(Receipt) { cGot++ }
+	if _, err := m.Transmit(a, 2000, Rates[0], nil); err != nil {
+		t.Fatal(err)
 	}
-	granular := run(WithRxCutoffDBm(-60), WithGridCellM(10))
-	global := run(WithRxCutoffDBm(-60), WithGridCellM(10), WithGlobalInvalidation())
-	if granular != global {
-		t.Fatalf("mid-delivery move changed membership between modes: granular=%d global=%d", granular, global)
-	}
-	if granular != 0 {
-		t.Fatalf("radio out of range at delivery start received %d receipts", granular)
+	k.Run()
+	if cGot != 0 {
+		t.Fatalf("radio out of range at delivery start received %d receipts", cGot)
 	}
 }

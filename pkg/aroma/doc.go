@@ -78,12 +78,12 @@
 // touches; a move that stays inside one cell invalidates nothing, and a
 // cell-boundary crossing invalidates only the caches covering the
 // source or destination cell (delivery applies the exact range check at
-// use time, so results are identical to rebuilding on every move — the
-// determinism suite cross-checks the modes digest-for-digest). Channel
-// retunes invalidate only caches whose 5-channel spectral overlap
-// window touches the old or new channel. WithGlobalRadioInvalidation
-// restores the coarse wipe-the-world behaviour as a benchmark and
-// cross-check reference.
+// use time, so results are identical to rebuilding on every move).
+// Channel retunes invalidate only caches whose 5-channel spectral
+// overlap window touches the old or new channel. The tests hold the
+// caches to a brute-force oracle that scans every attached radio, and
+// match the indexed mobiledense digest against the exact medium's
+// (WithRadioCutoff(math.Inf(-1)), the cutoff disabled).
 //
 // # Sim-as-a-service
 //

@@ -90,8 +90,8 @@ func WithRadioDefaults(channel int, txPowerDBm float64) Option {
 // cutoff by 10*log10(k) when k simultaneous interferers are expected and
 // marginal decode outcomes matter (-110 dBm covers k=10). Dense worlds
 // (hundreds of radios) become dramatically cheaper to simulate. Without
-// this option every radio is considered for every transmission (exact
-// physics).
+// this option, or with math.Inf(-1), every radio on an overlapping
+// channel is considered for every transmission (exact physics).
 func WithRadioCutoff(dBm float64) Option {
 	return func(o *worldOptions) {
 		o.mediumOpts = append(o.mediumOpts, radio.WithRxCutoffDBm(dBm))
@@ -103,27 +103,6 @@ func WithRadioCutoff(dBm float64) Option {
 func WithRadioGridCell(meters float64) Option {
 	return func(o *worldOptions) {
 		o.mediumOpts = append(o.mediumOpts, radio.WithGridCellM(meters))
-	}
-}
-
-// WithFullScanMedium makes the medium scan every attached radio for every
-// transmission (the naive reference mode) — still deterministic, but
-// O(radios) per frame. Used for physics cross-checks and benchmarks.
-func WithFullScanMedium() Option {
-	return func(o *worldOptions) {
-		o.mediumOpts = append(o.mediumOpts, radio.WithFullScan())
-	}
-}
-
-// WithGlobalRadioInvalidation makes every radio move and retune wipe all
-// candidate caches through one medium-wide generation, instead of the
-// default cell- and channel-granular invalidation. Physics and digests
-// are identical; only cache-rebuild frequency differs, so this exists as
-// the reference arm for mobile-world benchmarks and invalidation
-// cross-checks, not as a mode to run production worlds in.
-func WithGlobalRadioInvalidation() Option {
-	return func(o *worldOptions) {
-		o.mediumOpts = append(o.mediumOpts, radio.WithGlobalInvalidation())
 	}
 }
 

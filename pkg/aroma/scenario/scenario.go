@@ -13,6 +13,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -97,15 +98,17 @@ func (c Config) ParamIntOr(name string, def int) int {
 }
 
 // ParamFloatOr returns the named parameter as a float64, or def when
-// unset. A set-but-malformed value panics, as with ParamIntOr.
+// unset. A set-but-malformed value panics, as with ParamIntOr; so does
+// NaN or ±Inf, which strconv parses but no world dimension, speed or
+// power can take.
 func (c Config) ParamFloatOr(name string, def float64) float64 {
 	v, ok := c.Params[name]
 	if !ok {
 		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: param %s=%q is not a float", name, v))
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		panic(fmt.Sprintf("scenario: param %s=%q is not a finite float", name, v))
 	}
 	return f
 }

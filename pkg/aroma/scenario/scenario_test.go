@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aroma/internal/sim"
+	"aroma/pkg/aroma"
 )
 
 // Registry state is package-global; tests use distinct names to stay
@@ -165,6 +166,22 @@ func TestMalformedParamSurfacesAsRunError(t *testing.T) {
 	_, err := Run("test-badparam", Config{Params: map[string]string{"radios": "many"}})
 	if err == nil || !strings.Contains(err.Error(), "not an int") {
 		t.Errorf("malformed param not surfaced: %v", err)
+	}
+}
+
+func TestNonFiniteFloatParamFailsBuild(t *testing.T) {
+	RegisterWorld("test-floatparam", "", func(cfg Config) (*Built, error) {
+		cfg.ParamFloatOr("side", 500)
+		return &Built{World: aroma.NewWorld()}, nil
+	})
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e400", "wide"} {
+		_, err := Build("test-floatparam", Config{Params: map[string]string{"side": v}})
+		if err == nil || !strings.Contains(err.Error(), "not a finite float") {
+			t.Errorf("side=%s: build error = %v, want a not-a-finite-float error", v, err)
+		}
+	}
+	if _, err := Build("test-floatparam", Config{Params: map[string]string{"side": "-1.5e3"}}); err != nil {
+		t.Errorf("finite side rejected: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -88,39 +89,11 @@ func TestTelemetryDoesNotPerturbDigests(t *testing.T) {
 	}
 }
 
-// TestMobileDenseInvalidationModesDigestMatch runs the mobile-dense
-// workload (movers active, cutoff+grid enabled) under the default
-// cell-granular invalidation and the global-wipe reference
-// (WithGlobalRadioInvalidation) and requires bit-identical World
-// digests: invalidation granularity must be a pure performance change.
-// If the conservative cell-cover candidate supersets or the use-time
-// range checks ever diverge from a rebuild-per-move, this fails.
-func TestMobileDenseInvalidationModesDigestMatch(t *testing.T) {
-	for _, seed := range []int64{7, 42} {
-		cfg := scenario.Config{Seed: seed}
-		granular, err := mobileDense(cfg)
-		if err != nil {
-			t.Fatalf("seed %d cell-granular: %v", seed, err)
-		}
-		global, err := mobileDense(cfg, aroma.WithGlobalRadioInvalidation())
-		if err != nil {
-			t.Fatalf("seed %d global-wipe: %v", seed, err)
-		}
-		if granular.Digest != global.Digest {
-			t.Errorf("seed %d: cell-granular digest %s != global-wipe digest %s",
-				seed, granular.Digest, global.Digest)
-		}
-		if granular.Steps != global.Steps {
-			t.Errorf("seed %d: step counts diverge: granular=%d global=%d",
-				seed, granular.Steps, global.Steps)
-		}
-	}
-}
-
 // TestMobileDenseIndexedMatchesFullScan cross-checks the whole indexed
 // medium — grid covers, cell-granular revalidation, channel-window
 // filtering, use-time range checks, receipt ordering — against the
-// naive full-scan medium on the mobile-dense workload, requiring
+// exact medium (cutoff disabled: every radio on an overlapping channel
+// hears every frame) on the mobile-dense workload, requiring
 // bit-identical digests.
 //
 // The cutoff here is lowered until the conservative hearing range
@@ -130,8 +103,8 @@ func TestMobileDenseInvalidationModesDigestMatch(t *testing.T) {
 // per-contribution error, and a skipped just-out-of-range interferer
 // shifts SINR by up to 3 dB while SNR-adaptive rate selection leaves
 // decode margins inside [0, 3) dB — the pruning configuration is
-// instead cross-checked against the global-wipe reference above, which
-// shares its physics exactly.
+// instead checked against the brute-force hearer oracle in
+// internal/radio, after every slice of a mobile-dense run.
 func TestMobileDenseIndexedMatchesFullScan(t *testing.T) {
 	// 0 dBm transmitters at a -130 dBm cutoff hear out to 1 km —
 	// beyond the 707 m arena diagonal. The coarser grid cell keeps the
@@ -146,17 +119,18 @@ func TestMobileDenseIndexedMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d indexed: %v", seed, err)
 		}
-		full, err := mobileDense(cfg, aroma.WithFullScanMedium())
+		// -Inf is the medium's "cutoff disabled" value.
+		exact, err := mobileDense(cfg, aroma.WithRadioCutoff(math.Inf(-1)))
 		if err != nil {
-			t.Fatalf("seed %d full-scan: %v", seed, err)
+			t.Fatalf("seed %d exact: %v", seed, err)
 		}
-		if indexed.Digest != full.Digest {
-			t.Errorf("seed %d: indexed digest %s != full-scan digest %s",
-				seed, indexed.Digest, full.Digest)
+		if indexed.Digest != exact.Digest {
+			t.Errorf("seed %d: indexed digest %s != exact digest %s",
+				seed, indexed.Digest, exact.Digest)
 		}
-		if indexed.Steps != full.Steps {
-			t.Errorf("seed %d: step counts diverge: indexed=%d full=%d",
-				seed, indexed.Steps, full.Steps)
+		if indexed.Steps != exact.Steps {
+			t.Errorf("seed %d: step counts diverge: indexed=%d exact=%d",
+				seed, indexed.Steps, exact.Steps)
 		}
 	}
 }

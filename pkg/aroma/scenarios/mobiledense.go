@@ -1,17 +1,16 @@
 // Mobiledense: the ROADMAP's "dense + mobile" workload — hundreds of
 // random-waypoint radios beaconing across the whole 802.11b band while
-// every one of them is in constant motion. This is the workload class
-// the global-topoGen cache wipe degenerated on: with position samples
-// every 200 ms, any per-move wipe rebuilds every candidate cache a few
-// thousand times per simulated second. Cell-granular invalidation makes
-// the common case (a move inside one grid cell) free, so the scenario
-// doubles as the regression workload for the mobile PHY hot path.
+// every one of them is in constant motion. With position samples every
+// 200 ms, a per-move wipe of the candidate caches would rebuild every
+// one of them a few thousand times per simulated second. Cell-granular
+// invalidation makes the common case (a move inside one grid cell)
+// free, so the scenario doubles as the regression workload for the
+// mobile PHY hot path.
 //
-// The determinism suite runs it twice per seed (bit-identical digests),
-// and the invalidation cross-check runs it under cell-granular, global,
-// and full-scan media, asserting all three digest-match: granular
-// invalidation and the spatial cutoff are pure optimizations here, not
-// physics changes.
+// The determinism suite runs it twice per seed (bit-identical digests)
+// and against the exact medium with the cutoff disabled (digest match
+// while the index prunes nothing); internal/radio runs it with the
+// brute-force hearer oracle checked every 50 ms of a 30 s run.
 
 package scenarios
 
@@ -32,9 +31,8 @@ func init() {
 }
 
 // mobileDense builds and drives the mobile-dense world to its horizon.
-// The extra options let the invalidation cross-check in the determinism
-// suite run the identical workload over alternative medium
-// configurations (WithGlobalRadioInvalidation, WithFullScanMedium).
+// The extra options let the determinism suite run the identical
+// workload over other medium configurations (cutoff, grid cell).
 func mobileDense(cfg scenario.Config, extra ...aroma.Option) (*scenario.Result, error) {
 	b, err := buildMobileDense(cfg, extra...)
 	if err != nil {
