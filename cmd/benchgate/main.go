@@ -10,14 +10,18 @@
 //
 //	benchgate -baseline BENCH.json -current NEW.json \
 //	          [-max-ns-regress-pct 15] [-max-allocs-regress 8] \
-//	          [-max-allocs-regress-pct 5] [-require Name1,Name2]
+//	          [-max-allocs-regress-pct 5] [-require Name1,Name2] \
+//	          [-max-ratio 'A/B<=x' ...]
 //	    Compare a fresh record against a checked-in baseline. The gate
 //	    fails (exit 1) when a benchmark present in both regresses by
 //	    more than the allowed ns/op percentage, or by more allocs/op
 //	    than max(absolute floor, percentage) allows. allocs/op is
 //	    machine-independent, so its gate is meaningful across runners;
 //	    ns/op comparisons assume a comparable machine (see README
-//	    "Performance").
+//	    "Performance"). Each -max-ratio also fails the gate when
+//	    benchmark A's ns/op exceeds x times benchmark B's, both from
+//	    the current record: a bound within one run, which holds on any
+//	    machine that slows both sides alike.
 //
 // The gate intentionally compares only the intersection of the two
 // records, so a baseline may carry slow trajectory-only benchmarks that
@@ -31,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -64,6 +69,8 @@ func main() {
 	maxAllocs := flag.Float64("max-allocs-regress", 8, "absolute allocs/op jitter floor: regressions at or below this many allocations never fail")
 	maxAllocsPct := flag.Float64("max-allocs-regress-pct", 5, "fail when allocs/op regresses by more than this percentage (above the absolute floor)")
 	require := flag.String("require", "", "comma-separated benchmark names that must be present in -current")
+	var ratios ratioGates
+	flag.Var(&ratios, "max-ratio", "'A/B<=x': fail when benchmark A's ns/op exceeds x times benchmark B's in -current (repeatable)")
 	flag.Parse()
 
 	switch {
@@ -73,7 +80,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *baseline != "" && *current != "":
-		ok, err := runGate(*baseline, *current, gateLimits{nsPct: *maxNsPct, allocsAbs: *maxAllocs, allocsPct: *maxAllocsPct}, *require)
+		ok, err := runGate(*baseline, *current, gateLimits{nsPct: *maxNsPct, allocsAbs: *maxAllocs, allocsPct: *maxAllocsPct}, *require, ratios)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(1)
@@ -236,7 +243,66 @@ func (g gateLimits) allocsAllowed(base float64) float64 {
 	return g.allocsAbs
 }
 
-func runGate(basePath, curPath string, limits gateLimits, require string) (bool, error) {
+// ratioGate is one -max-ratio bound: num's ns/op at most max times
+// den's, both from the current record.
+type ratioGate struct {
+	num, den string
+	max      float64
+}
+
+// ratioGates collects repeated -max-ratio flags.
+type ratioGates []ratioGate
+
+func (g *ratioGates) String() string {
+	parts := make([]string, len(*g))
+	for i, r := range *g {
+		parts[i] = fmt.Sprintf("%s/%s<=%g", r.num, r.den, r.max)
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set parses one 'A/B<=x' bound; x must be a positive finite number.
+func (g *ratioGates) Set(v string) error {
+	names, bound, ok := strings.Cut(v, "<=")
+	if !ok {
+		return fmt.Errorf("max-ratio %q: want A/B<=x", v)
+	}
+	num, den, ok := strings.Cut(strings.TrimSpace(names), "/")
+	num, den = strings.TrimSpace(num), strings.TrimSpace(den)
+	if !ok || num == "" || den == "" || strings.Contains(den, "/") {
+		return fmt.Errorf("max-ratio %q: want two benchmark names, A/B", v)
+	}
+	x, err := strconv.ParseFloat(strings.TrimSpace(bound), 64)
+	if err != nil || !(x > 0) || math.IsInf(x, 1) {
+		return fmt.Errorf("max-ratio %q: bound must be a positive number", v)
+	}
+	*g = append(*g, ratioGate{num: num, den: den, max: x})
+	return nil
+}
+
+// checkRatios reports each ratio gate against the current results and
+// whether all of them hold. A gate whose benchmarks are missing fails.
+func checkRatios(curBy map[string]Result, gates []ratioGate) bool {
+	ok := true
+	for _, g := range gates {
+		n, d := curBy[g.num], curBy[g.den]
+		if n.Name == "" || d.Name == "" {
+			fmt.Printf("FAIL %s/%s ratio gate: benchmark missing from current run\n", g.num, g.den)
+			ok = false
+			continue
+		}
+		ratio := n.NsPerOp / d.NsPerOp
+		status := "ok  "
+		if ratio > g.max {
+			status = "FAIL"
+			ok = false
+		}
+		fmt.Printf("%s %s/%s ns/op ratio %.3f (limit %g)\n", status, g.num, g.den, ratio, g.max)
+	}
+	return ok
+}
+
+func runGate(basePath, curPath string, limits gateLimits, require string, ratios []ratioGate) (bool, error) {
 	base, err := load(basePath)
 	if err != nil {
 		return false, err
@@ -292,6 +358,9 @@ func runGate(basePath, curPath string, limits gateLimits, require string) (bool,
 	}
 	if compared == 0 {
 		return false, fmt.Errorf("no benchmarks in common between %s and %s", basePath, curPath)
+	}
+	if !checkRatios(curBy, ratios) {
+		ok = false
 	}
 	verdict := "within limits"
 	if !ok {

@@ -1,4 +1,8 @@
 package radio
 
-// CheckHearers exposes the oracle check to the external world tests.
-var CheckHearers = checkHearers
+// CheckHearers and CheckBusy expose the oracle checks to the external
+// world tests.
+var (
+	CheckHearers = checkHearers
+	CheckBusy    = checkBusy
+)

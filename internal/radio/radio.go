@@ -90,8 +90,8 @@ const (
 
 // SensingDelay is the time after a transmission starts before other
 // stations' carrier sense can detect it (propagation plus energy-detect
-// integration). Transmissions younger than this are invisible to
-// EnergyAtDBm/Busy, which creates the CSMA vulnerable window: stations
+// integration). Transmissions younger than this are invisible to carrier
+// sense (Busy), which creates the CSMA vulnerable window: stations
 // that decide to transmit within the same window collide, exactly as in
 // real 802.11 DCF.
 const SensingDelay = 15 * sim.Microsecond
@@ -129,6 +129,9 @@ func PickRate(sinrDB float64) Rate {
 // strictly closer than this.
 const maxOverlapDistance = 5
 
+// channelOverlap is ChannelOverlap indexed by channel distance.
+var channelOverlap = [maxOverlapDistance]float64{1.0, 0.7272, 0.2714, 0.0375, 0.0054}
+
 // ChannelOverlap returns the fraction of transmit power from a sender on
 // channel a that lands in a receiver's filter on channel b. Values follow
 // the measured 802.11b spectral-mask overlap ladder.
@@ -137,20 +140,10 @@ func ChannelOverlap(a, b int) float64 {
 	if d < 0 {
 		d = -d
 	}
-	switch d {
-	case 0:
-		return 1.0
-	case 1:
-		return 0.7272
-	case 2:
-		return 0.2714
-	case 3:
-		return 0.0375
-	case 4:
-		return 0.0054
-	default:
-		return 0
+	if d < maxOverlapDistance {
+		return channelOverlap[d]
 	}
+	return 0
 }
 
 // Transmission is one frame in flight on the medium.
@@ -246,6 +239,12 @@ type Radio struct {
 	// medium reports busy to this radio when total in-band energy at its
 	// position exceeds it.
 	CSThresholdDBm float64
+
+	// csLo and csHi cache Busy's milliwatt band around the carrier-sense
+	// threshold csKey. An unusable threshold gets the band (0, +Inf),
+	// which sends every decision to the dBm predicate; csHi is never 0
+	// once filled, so 0 marks an empty cache.
+	csKey, csLo, csHi float64
 
 	// OnReceive, if non-nil, is invoked for every transmission that ends
 	// while this radio is attached and not the sender, whether or not it
@@ -810,17 +809,43 @@ func (m *Medium) energyAtMW(r *Radio) float64 {
 	return total
 }
 
-// EnergyAtDBm returns the total in-band energy a radio currently
-// senses, in dBm (see energyAtMW).
-func (m *Medium) EnergyAtDBm(r *Radio) float64 {
-	return env.MilliwattsToDBm(m.energyAtMW(r))
-}
+// csBand is the relative half-width of the milliwatt band around the
+// carrier-sense threshold inside which Busy decides in dBm.
+const csBand = 1e-9
 
-// Busy reports whether the radio's carrier sense sees the medium busy.
-// The comparison stays in the dB domain so the decision is bit-for-bit
-// the one the unoptimized model made.
-func (m *Medium) Busy(r *Radio) bool {
-	return m.EnergyAtDBm(r) > r.CSThresholdDBm
+// Busy reports whether the radio's carrier sense sees the medium busy:
+// whether the sensed energy e, in dBm, exceeds CSThresholdDBm. The MAC
+// asks once per backoff slot, so Busy compares e in milliwatts against
+// the threshold t = DBmToMilliwatts(CSThresholdDBm) instead of taking a
+// logarithm, and the decision is still exactly MilliwattsToDBm(e) >
+// CSThresholdDBm. For any normal t, its relative error (one division
+// and one Pow) is below 1e-12, about 4e-12 dB; 10·Log10(e) is off by a
+// few ulps of a value under 3100 in magnitude, below 1e-11 dB. Both are
+// two orders of magnitude inside the band t·(1±1e-9), which is ±4.3e-9
+// dB wide, so an e above the band is busy in dBm too and a positive e
+// below it is idle in dBm too. Inside the band, for e <= 0 (which
+// MilliwattsToDBm maps to -1000 dBm), and for thresholds whose t is not
+// a finite normal float (±Inf, NaN, far below -3000 dBm), Busy
+// evaluates the dBm predicate itself. The band is cached per radio and
+// rebuilt when the threshold changes.
+func (m *Medium) Busy(r *Radio) bool { return r.senses(m.energyAtMW(r)) }
+
+// senses reports whether sensed energy e, in milliwatts, is above the
+// radio's carrier-sense threshold (see Busy).
+func (r *Radio) senses(e float64) bool {
+	if r.csHi == 0 || r.csKey != r.CSThresholdDBm {
+		r.csKey, r.csLo, r.csHi = r.CSThresholdDBm, 0, math.Inf(1)
+		if t := env.DBmToMilliwatts(r.CSThresholdDBm); t >= 0x1p-1022 && t <= math.MaxFloat64 {
+			r.csLo, r.csHi = t*(1-csBand), t*(1+csBand)
+		}
+	}
+	switch {
+	case e > r.csHi:
+		return true
+	case e > 0 && e < r.csLo:
+		return false
+	}
+	return env.MilliwattsToDBm(e) > r.CSThresholdDBm
 }
 
 // SNRAtDBm returns the signal-to-noise ratio (no interference) a receiver

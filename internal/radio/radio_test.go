@@ -3,6 +3,7 @@ package radio
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"aroma/internal/env"
@@ -772,5 +773,49 @@ func TestMidDeliveryMoveDoesNotChangeMembership(t *testing.T) {
 	k.Run()
 	if cGot != 0 {
 		t.Fatalf("radio out of range at delivery start received %d receipts", cGot)
+	}
+}
+
+// TestBusyMatchesDBmPredicate holds carrier sense in milliwatts to the
+// dBm predicate it replaces, on one radio whose threshold changes
+// between calls: -82 dBm, random and whole thresholds in [-200, 50]
+// dBm, ±Inf, NaN and -3300 dBm (whose milliwatt value underflows to
+// zero). Energies are 0, negative, NaN and extremes, t·(1±k·2⁻⁵²)
+// around the threshold t in milliwatts, and the floats just inside and
+// just outside the band t·(1±1e-9) where Busy switches between the two
+// comparisons.
+func TestBusyMatchesDBmPredicate(t *testing.T) {
+	thresholds := []float64{-82, math.Inf(1), math.Inf(-1), math.NaN(), -3300, -82}
+	for d := -200; d <= 50; d++ {
+		thresholds = append(thresholds, float64(d))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		thresholds = append(thresholds, -200+250*rng.Float64())
+	}
+	r := &Radio{}
+	for _, th := range thresholds {
+		r.CSThresholdDBm = th
+		r.senses(0) // fill the band cache for this threshold
+		mw := env.DBmToMilliwatts(th)
+		energies := []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1),
+			math.SmallestNonzeroFloat64, 1e-300, 1, 1e300, mw}
+		for k := 1; k <= 8; k++ {
+			energies = append(energies, mw*(1+float64(k)*0x1p-52), mw*(1-float64(k)*0x1p-52))
+		}
+		for _, edge := range []float64{r.csLo, r.csHi, mw * (1 - csBand), mw * (1 + csBand)} {
+			energies = append(energies, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+		}
+		for _, e := range energies {
+			if got, want := r.senses(e), refBusy(e, th); got != want {
+				t.Fatalf("threshold %v dBm, energy %v mW: Busy %v, dBm predicate %v", th, e, got, want)
+			}
+		}
+	}
+	// The fast band is in use for the default threshold.
+	r.CSThresholdDBm = -82
+	r.senses(0)
+	if mw := env.DBmToMilliwatts(-82); !(0 < r.csLo && r.csLo < mw && mw < r.csHi && !math.IsInf(r.csHi, 1)) {
+		t.Fatalf("band for -82 dBm is (%v, %v), want a finite band around %v", r.csLo, r.csHi, mw)
 	}
 }

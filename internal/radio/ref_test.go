@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"aroma/internal/env"
 	"aroma/internal/sim"
 )
 
@@ -57,17 +58,46 @@ func checkHearers(m *Medium) error {
 	return nil
 }
 
+// refBusy is carrier sense decided in the dB domain, as the medium did
+// before Busy compared milliwatts: sensed energy e, converted to dBm,
+// above the threshold.
+func refBusy(e, thresholdDBm float64) bool {
+	return env.MilliwattsToDBm(e) > thresholdDBm
+}
+
+// checkBusy compares Busy with refBusy for every attached radio at the
+// current instant.
+func checkBusy(m *Medium) error {
+	for _, r := range m.byID {
+		if r == nil {
+			continue
+		}
+		e := m.energyAtMW(r)
+		if got, want := m.Busy(r), refBusy(e, r.CSThresholdDBm); got != want {
+			return fmt.Errorf("radio %d: Busy %v, dBm predicate %v (energy %g mW, threshold %g dBm)",
+				r.ID, got, want, e, r.CSThresholdDBm)
+		}
+	}
+	return nil
+}
+
 // runChecked fires k's events one at a time up to horizon (0 runs until
-// the queue is idle), asserting checkHearers before the first event and
-// after every one.
+// the queue is idle), asserting checkHearers and checkBusy before the
+// first event and after every one.
 func runChecked(t testing.TB, k *sim.Kernel, m *Medium, horizon sim.Time) {
 	t.Helper()
-	if err := checkHearers(m); err != nil {
+	check := func() error {
+		if err := checkHearers(m); err != nil {
+			return err
+		}
+		return checkBusy(m)
+	}
+	if err := check(); err != nil {
 		t.Fatalf("at %d: %v", k.Now(), err)
 	}
 	k.SetHorizon(horizon)
 	for k.Step() {
-		if err := checkHearers(m); err != nil {
+		if err := check(); err != nil {
 			t.Fatalf("at %d, step %d: %v", k.Now(), k.Steps(), err)
 		}
 	}

@@ -12,8 +12,9 @@ import (
 // TestMobileDenseMatchesOracle runs a whole mobiledense world — 80
 // random-waypoint radios at 5 m/s on a 300 m floor for 30 s, with the
 // scenario's -100 dBm cutoff and 50 m cells — in 50 ms slices and
-// requires the medium's indexed hearers to match the brute-force oracle
-// after every slice. Checking must be a pure observer: the final digest
+// requires, after every slice, the medium's indexed hearers to match
+// the brute-force oracle and every radio's carrier sense to match the
+// dBm predicate. Checking must be a pure observer: the final digest
 // equals that of an unchecked run.
 func TestMobileDenseMatchesOracle(t *testing.T) {
 	cfg := scenario.Config{
@@ -35,6 +36,9 @@ func TestMobileDenseMatchesOracle(t *testing.T) {
 		at = min(at+50*sim.Millisecond, checked.Horizon)
 		checked.World.RunUntil(at)
 		if err := radio.CheckHearers(m); err != nil {
+			t.Fatalf("at %s: %v", at, err)
+		}
+		if err := radio.CheckBusy(m); err != nil {
 			t.Fatalf("at %s: %v", at, err)
 		}
 	}

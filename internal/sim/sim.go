@@ -10,12 +10,20 @@
 //
 // The event queue is the innermost loop of every simulation, so it is
 // allocation-free in steady state: events live in a pooled slot array
-// recycled through a free list, the priority queue is an inlined 4-ary
-// min-heap of slot indices (no container/heap interface calls, no `any`
-// boxing), and cancellation is lazy — a cancelled event is marked and
-// skipped when it reaches the top of the heap rather than paying a
-// heap-removal on the spot. Event handles are values carrying a
-// generation counter, so a stale handle to a recycled slot is inert.
+// recycled through a free list, and the queue holds int32 slot indices
+// only. It is an inlined 4-ary min-heap (no container/heap interface
+// calls, no `any` boxing) plus up to eight delay FIFOs beside it. An
+// event scheduled with a delay that recurs back to back — a MAC slot,
+// DIFS or SIFS timer — is appended to that delay's FIFO, which is
+// sorted by construction because the clock never runs backwards;
+// everything else goes on the heap. The next event is the
+// earliest of the heap root and the FIFO heads, so the pop order is the
+// same total (at, seq) order the heap alone produces, and a FIFO that
+// drains is reused for the next recurring delay. Cancellation is lazy —
+// a cancelled event is marked and skipped when it reaches the front of
+// the queue rather than paying a removal on the spot. Event handles are
+// values carrying a generation counter, so a stale handle to a recycled
+// slot is inert.
 //
 // Schedule still allocates one closure per call at the caller; hot paths
 // that fire millions of timers should use ScheduleFn, which takes a
@@ -60,7 +68,7 @@ func (t Time) String() string { return time.Duration(t).String() }
 const (
 	recFree uint8 = iota
 	recPending
-	recCancelled // cancelled but still parked in the heap (lazy removal)
+	recCancelled // cancelled but still parked in the queue (lazy removal)
 )
 
 // record is one pooled event slot. Slots are recycled through the
@@ -127,8 +135,14 @@ type Kernel struct {
 	now  Time
 	pool []record // slot storage; grows, never shrinks
 	free []int32  // recycled slot indices
-	heap []int32  // 4-ary min-heap of slot indices, ordered by (at, seq)
 	live int      // scheduled and not yet fired/cancelled
+
+	// The event queue (queue.go): a heap plus delay FIFOs.
+	heap      []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
+	fifos     [numFIFOs]delayFIFO
+	fifoLive  uint8 // bit i set: fifos[i] is non-empty
+	lastDelay Time  // delay of the previous push
+	next      int8  // where the last peek found its slot: a FIFO index, or -1 for the heap
 
 	seq     uint64
 	rng     *rand.Rand
@@ -171,7 +185,7 @@ func (k *Kernel) Steps() uint64 { return k.steps }
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Pending returns the number of events currently scheduled (excluding
-// cancelled events not yet lazily removed from the heap).
+// cancelled events not yet lazily removed from the queue).
 func (k *Kernel) Pending() int { return k.live }
 
 // ErrPastEvent is returned by ScheduleAt when the requested time is before
@@ -179,7 +193,7 @@ func (k *Kernel) Pending() int { return k.live }
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // alloc takes a slot from the free list (or grows the pool), stamps it
-// with the next sequence number, and pushes it onto the heap.
+// with the next sequence number, and queues it to fire at at >= Now.
 func (k *Kernel) alloc(at Time, label string) int32 {
 	var slot int32
 	if n := len(k.free); n > 0 {
@@ -193,7 +207,7 @@ func (k *Kernel) alloc(at Time, label string) int32 {
 	r := &k.pool[slot]
 	r.at, r.seq, r.label, r.state = at, k.seq, label, recPending
 	k.live++
-	k.heapPush(slot)
+	k.push(slot, at-k.now)
 	return slot
 }
 
@@ -252,8 +266,8 @@ func (k *Kernel) ScheduleAt(at Time, label string, fn func()) (Event, error) {
 // whose pool slot has been recycled is a no-op. Cancel reports whether
 // the event was actually descheduled by this call.
 //
-// Cancellation is lazy: the slot stays parked in the heap and is
-// reclaimed when it surfaces at the top, so Cancel is O(1).
+// Cancellation is lazy: the slot stays parked in the queue and is
+// reclaimed when it surfaces at the front, so Cancel is O(1).
 func (k *Kernel) Cancel(e Event) bool {
 	if e.k != k || k == nil {
 		return false
@@ -277,21 +291,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // later than limit. A zero limit removes the horizon.
 func (k *Kernel) SetHorizon(limit Time) { k.maxTime = limit }
 
-// peek returns the slot of the earliest pending event, reclaiming
-// cancelled heads along the way, or false when the queue is drained.
-func (k *Kernel) peek() (int32, bool) {
-	for len(k.heap) > 0 {
-		slot := k.heap[0]
-		if k.pool[slot].state != recCancelled {
-			return slot, true
-		}
-		k.heapPopRoot()
-		k.release(slot)
-	}
-	return 0, false
-}
-
-// fire pops and executes the event at the heap head, advancing the
+// fire pops and executes the event peek just returned, advancing the
 // clock to its timestamp. Samplers due strictly before the event's
 // timestamp observe first, so the clock never jumps over a sample
 // instant; a sampler due exactly at the timestamp waits until every
@@ -301,7 +301,7 @@ func (k *Kernel) fire(slot int32) {
 		k.advanceSamplers(k.pool[slot].at - 1)
 	}
 	r := &k.pool[slot]
-	k.heapPopRoot()
+	k.popNext()
 	k.now = r.at
 	fn, fnArg, arg := r.fn, r.fnArg, r.arg
 	k.live--
@@ -371,82 +371,6 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 
 // RunFor runs the simulation for d virtual time from the current instant.
 func (k *Kernel) RunFor(d Time) uint64 { return k.RunUntil(k.now + d) }
-
-// heapLess orders slots by (at, seq); seq is unique, so the order is
-// total and every correct heap pops the exact same sequence — which is
-// what keeps runs bit-reproducible across queue implementations.
-func (k *Kernel) heapLess(a, b int32) bool {
-	ra, rb := &k.pool[a], &k.pool[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
-	}
-	return ra.seq < rb.seq
-}
-
-// heapPush appends slot and sifts it up. 4-ary layout: the children of
-// node i are 4i+1..4i+4, its parent (i-1)/4. The wider node trades a
-// slightly costlier sift-down for half the tree height, which wins on
-// modern cores because the four-child minimum scan stays in one cache
-// line of the index slice. Lazy cancellation means slots never leave
-// the heap from the middle, so no position tracking is needed.
-func (k *Kernel) heapPush(slot int32) {
-	k.heap = append(k.heap, slot)
-	k.siftUp(len(k.heap) - 1)
-}
-
-// heapPopRoot removes the minimum slot from the heap (the caller has
-// already read k.heap[0]).
-func (k *Kernel) heapPopRoot() {
-	n := len(k.heap) - 1
-	last := k.heap[n]
-	k.heap = k.heap[:n]
-	if n > 0 {
-		k.heap[0] = last
-		k.siftDown(0)
-	}
-}
-
-func (k *Kernel) siftUp(i int) {
-	h := k.heap
-	moved := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.heapLess(moved, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = moved
-}
-
-func (k *Kernel) siftDown(i int) {
-	h := k.heap
-	n := len(h)
-	moved := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if k.heapLess(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !k.heapLess(h[best], moved) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = moved
-}
 
 // ticker carries the state of one repeating timer so the per-tick
 // reschedule goes through the allocation-free ScheduleFn path.

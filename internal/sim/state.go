@@ -71,8 +71,8 @@ type PendingEvent struct {
 // position, and the pending event queue in canonical (at, seq) order.
 // Two kernels that evolved through the same event sequence export
 // byte-identical States regardless of slot-pool layout, free-list
-// order, or heap shape — those are implementation artifacts and are
-// deliberately excluded.
+// order, or which events sit on the heap and which in delay FIFOs —
+// those are implementation artifacts and are deliberately excluded.
 type State struct {
 	Now     Time           `json:"now"`
 	Steps   uint64         `json:"steps"`
@@ -83,7 +83,7 @@ type State struct {
 }
 
 // ExportState captures the kernel's current state in canonical form.
-// Cancelled events still parked in the heap (lazy removal) are skipped:
+// Cancelled events still parked in the queue (lazy removal) are skipped:
 // they are already dead and a replayed kernel may have reclaimed them
 // at different points.
 func (k *Kernel) ExportState() State {
@@ -94,13 +94,11 @@ func (k *Kernel) ExportState() State {
 		Seed:  k.seed,
 		Draws: k.src.draws,
 	}
-	for _, slot := range k.heap {
-		r := &k.pool[slot]
-		if r.state != recPending {
-			continue
+	k.queued(func(slot int32) {
+		if r := &k.pool[slot]; r.state == recPending {
+			st.Pending = append(st.Pending, PendingEvent{At: r.at, Seq: r.seq, Label: r.label})
 		}
-		st.Pending = append(st.Pending, PendingEvent{At: r.at, Seq: r.seq, Label: r.label})
-	}
+	})
 	sort.Slice(st.Pending, func(i, j int) bool {
 		a, b := &st.Pending[i], &st.Pending[j]
 		if a.At != b.At {
