@@ -191,9 +191,10 @@ func (s *Server) addWorld(id, scen string, b *scenario.Built, out *bytes.Buffer)
 		return nil, fmt.Errorf("world %q already exists", id)
 	}
 	// Every hosted world carries telemetry so /metrics always has data
-	// to scrape; enabling is idempotent and digest-neutral. The world is
-	// not hosted yet, so touching it here cannot race its command loop.
-	b.World.EnableTelemetry(0)
+	// to scrape, its series reserved up to the horizon; enabling is
+	// idempotent and digest-neutral. The world is not hosted yet, so
+	// touching it here cannot race its command loop.
+	b.EnableTelemetry()
 	h := newHost(id, scen, b, out, s.failHook())
 	s.worlds[id] = h
 	return h, nil
@@ -237,7 +238,7 @@ func (s *Server) resurrect(h *host) {
 		prov.Restarts = h.restarts + 1
 		b.World.SetProvenance(prov)
 	}
-	b.World.EnableTelemetry(0)
+	b.EnableTelemetry()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"aroma/internal/sim"
@@ -76,4 +77,102 @@ func TestMetricsExposition(t *testing.T) {
 	if _, err := c.WorldMetrics(ctx, "missing"); err == nil {
 		t.Error("metrics of missing world succeeded")
 	}
+}
+
+// TestWorldMetricsWhileDecimating GETs a world's metrics JSON while
+// runs carry its series across their first decimation (sample 2049,
+// past 204.8 s at the 100 ms period). The handler encodes each snapshot
+// off the world loop, so under -race this proves a snapshot's series
+// are never rewritten by the decimation that follows it. Every fetched
+// series must also be ascending and end at the snapshot instant.
+func TestWorldMetricsWhileDecimating(t *testing.T) {
+	c := newDaemon(t)
+	ctx := context.Background()
+	if _, err := c.CreateWorld(ctx, client.CreateWorldRequest{ID: "dec", Scenario: "lab"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunFor(ctx, "dec", 200*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var fetched int
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			snap, err := c.WorldMetrics(ctx, "dec")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fetched++
+			for _, in := range snap.Instruments {
+				s := in.Series
+				if len(s) == 0 || s[len(s)-1].T != snap.At {
+					t.Errorf("%s: series does not end at the snapshot instant %d", in.Name, snap.At)
+					return
+				}
+				for i := 1; i < len(s); i++ {
+					if s[i].T <= s[i-1].T {
+						t.Errorf("%s: series not ascending at %d", in.Name, i)
+						return
+					}
+				}
+			}
+		}
+	}()
+	for i := 0; i < 10; i++ {
+		if _, err := c.RunFor(ctx, "dec", sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if fetched == 0 {
+		t.Fatal("no snapshot fetched while running")
+	}
+}
+
+// TestConcurrentMetricsScrapes scrapes /metrics from several clients at
+// once while a world runs: the server's own registry is rendered from
+// concurrent handlers, so under -race this checks its cached exposition
+// is guarded, and every scrape must be complete.
+func TestConcurrentMetricsScrapes(t *testing.T) {
+	c := newDaemon(t)
+	ctx := context.Background()
+	if _, err := c.CreateWorld(ctx, client.CreateWorldRequest{ID: "s1", Scenario: "lab"}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				text, err := c.MetricsText(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, want := range []string{"aroma_host_worlds 1", `aroma_kernel_steps_total{world="s1"}`} {
+					if !strings.Contains(text, want) {
+						t.Errorf("scrape missing %q", want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.RunFor(ctx, "s1", sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }

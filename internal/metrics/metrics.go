@@ -184,13 +184,14 @@ func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
 	return &Histogram{lo: lo, hi: hi, buckets: make([]int, nbuckets)}
 }
 
-// Observe adds one observation.
+// Observe adds one observation. NaN counts as over the range: it is
+// below no bucket bound.
 func (h *Histogram) Observe(x float64) {
 	h.n++
 	switch {
 	case x < h.lo:
 		h.under++
-	case x >= h.hi:
+	case !(x < h.hi):
 		h.over++
 	default:
 		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))

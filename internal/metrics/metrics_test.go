@@ -96,6 +96,16 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+func TestHistogramNaNCountsAsOver(t *testing.T) {
+	h := NewHistogram(0, 10, 5)
+	h.Observe(math.NaN())
+	h.Observe(math.Inf(1))
+	h.Observe(math.Inf(-1))
+	if u, o := h.OutOfRange(); u != 1 || o != 2 || h.N() != 3 {
+		t.Fatalf("under/over/N = %d/%d/%d, want 1/2/3", u, o, h.N())
+	}
+}
+
 func TestHistogramPanicsOnBadParams(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // BenchmarkTelemetryHotPath pins the zero-allocation contract on the
 // sim-plane update path: a counter increment, a gauge store, and a
@@ -41,9 +44,43 @@ func BenchmarkTelemetryDisabledHotPath(b *testing.B) {
 }
 
 // BenchmarkTelemetrySample measures one sampler tick over a registry of
-// representative size (32 instruments). Steady state appends to
-// pre-grown series slices; the occasional slice growth is amortized.
+// representative size (32 instruments), reserved for the run's horizon
+// (b.N samples) as Built.EnableTelemetry reserves a world: no series
+// ever regrows and decimation compacts in place, so a tick allocates
+// nothing. TestHotPathZeroAllocs gates the same loop at exactly 0.
 func BenchmarkTelemetrySample(b *testing.B) {
+	r := sampleRegistry()
+	r.Reserve(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Sample(int64(i))
+	}
+}
+
+// BenchmarkTelemetryPrometheus measures one steady-state scrape of a
+// world-sized registry (48 labelled instruments of every kind) under a
+// world label: the cached skeleton is reused, values are formatted into
+// the reused buffer, and the scrape allocates nothing.
+// TestHotPathZeroAllocs gates it at exactly 0.
+func BenchmarkTelemetryPrometheus(b *testing.B) {
+	r, c := promRegistry()
+	world := L("world", "w1")
+	if err := r.WritePrometheus(io.Discard, world); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+		if err := r.WritePrometheus(io.Discard, world); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sampleRegistry is 16 counters and 16 gauges, each with a label.
+func sampleRegistry() *Registry {
 	r := New()
 	for i := 0; i < 16; i++ {
 		r.Counter("bench.c_total", L("i", string(rune('a'+i))))
@@ -51,9 +88,37 @@ func BenchmarkTelemetrySample(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		r.Gauge("bench.g", L("i", string(rune('a'+i))))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Sample(int64(i))
+	return r
+}
+
+// promRegistry is a world-sized registry: 48 instruments across every
+// kind, most of them labelled, with non-integral values and histogram
+// buckets in play. It returns one counter for callers to move.
+func promRegistry() (*Registry, Counter) {
+	r := New()
+	var c Counter
+	for i := 0; i < 16; i++ {
+		c = r.Counter("radio.frames_total", L("kind", string(rune('a'+i))))
+		c.Add(uint64(i) * 1000)
 	}
+	for i := 0; i < 12; i++ {
+		r.Gauge("mac.queue_depth", L("queue", string(rune('a'+i)))).Set(float64(i) + 0.25)
+	}
+	for i := 0; i < 8; i++ {
+		v := uint64(i) << 40
+		r.CounterFunc("kernel.steps_total", func() uint64 { return v }, L("shard", string(rune('a'+i))))
+	}
+	for i := 0; i < 6; i++ {
+		v := float64(i) / 3
+		r.GaugeFunc("lease.load", func() float64 { return v }, L("pool", string(rune('a'+i))))
+	}
+	for i := 0; i < 4; i++ {
+		h := r.Histogram("radio.snr_db", 0, 40, 8, L("band", string(rune('a'+i))))
+		for x := -5.0; x < 45; x += 2.5 {
+			h.Observe(x)
+		}
+	}
+	r.HostCounter("host.sse_dropped_total").Add(7)
+	r.HostCounter("host.world_failures_total")
+	return r, c
 }

@@ -1,9 +1,10 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -43,7 +44,9 @@ func (s *Snapshot) Value(name string) (float64, bool) {
 }
 
 // Snapshot exports every instrument. Sim-plane values must be read on
-// the kernel goroutine; see the Registry threading contract.
+// the kernel goroutine; see the Registry threading contract. The
+// returned series share the registry's arrays without copying, and
+// later samples never change them.
 func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 	s := &Snapshot{At: atNanos, Instruments: make([]InstrumentSnapshot, 0, len(r.insts))}
 	for _, in := range r.insts {
@@ -61,8 +64,13 @@ func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 		if in.kind == kindHistogram {
 			is.Count = int64(in.hist.N())
 		}
-		if in.kind.sampled() {
-			is.Series = in.series.pts
+		if n := len(in.series.pts); n > 0 {
+			// Zero-copy. The series appends past n, which the snapshot
+			// never reads, and once shared decimates into a fresh
+			// array; the capped slice stops the snapshot holder's own
+			// appends from writing into the live array.
+			is.Series = in.series.pts[:n:n]
+			in.series.shared = true
 		}
 		s.Instruments = append(s.Instruments, is)
 	}
@@ -121,15 +129,8 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// promLine is one rendered sample plus the grouping metadata needed for
-// # TYPE comments.
-type promLine struct {
-	metric string // prometheus metric name
-	typ    string // counter | gauge | histogram
-	labels string // rendered {..} including braces, "" when no labels
-	value  string
-}
-
+// renderLabels renders the merged, key-sorted label set as {k="v",...},
+// or "" when there are no labels. Values are escaped and then quoted.
 func renderLabels(labels []Label, common []Label, extra ...Label) string {
 	merged := make([]Label, 0, len(labels)+len(common)+len(extra))
 	merged = append(merged, common...)
@@ -139,53 +140,84 @@ func renderLabels(labels []Label, common []Label, extra ...Label) string {
 		return ""
 	}
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
-	var b strings.Builder
-	b.WriteByte('{')
+	b := []byte{'{'}
 	for i, l := range merged {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, `%s=%q`, l.Key, escapeLabel(l.Value))
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, escapeLabel(l.Value))
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
-func formatValue(v float64) string {
+// appendValue appends a sample value: integral values as integers,
+// everything else (fractions, ±Inf, NaN, magnitudes past int64) in the
+// shortest form that round-trips.
+func appendValue(b []byte, v float64) []byte {
 	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// WritePrometheus renders every instrument in the Prometheus text
-// exposition format, with common labels (typically world="id") merged
-// into every sample. Sim-plane values must be read on the kernel
-// goroutine; the daemon routes scrapes through each world's command
-// loop.
-func (r *Registry) WritePrometheus(w io.Writer, common ...Label) error {
-	lines := make([]promLine, 0, len(r.insts)+8)
-	for _, in := range r.insts {
+// promSkeleton is the static part of a registry's exposition for one
+// common-label set: every line's text up to its value, in output order,
+// and where each value comes from. Only values change between scrapes
+// of the same instruments, so a scrape formats values into buf and
+// nothing else.
+type promSkeleton struct {
+	n       int     // instrument count the skeleton was built for
+	common  []Label // common labels it was built for
+	text    []byte  // all lines' static parts, back to back
+	samples []promSample
+	buf     []byte // the rendered exposition, reused across scrapes
+}
+
+// promSample is one exposition line. Its static text ends at text[end];
+// its value is in's scalar (a histogram's N, for the +Inf bucket and
+// _count), or for a finite histogram bucket the cumulative count up to
+// that bucket.
+type promSample struct {
+	end    int
+	in     *instrument
+	bucket int // finite histogram bucket index, else -1
+}
+
+// promLine is one line of the skeleton before sorting.
+type promLine struct {
+	metric string // prometheus metric name
+	typ    string // counter | gauge
+	labels string // rendered {..} including braces, "" when no labels
+	in     *instrument
+	bucket int // finite histogram bucket index, else -1
+}
+
+func (p *promSkeleton) build(insts []*instrument, common []Label) {
+	lines := make([]promLine, 0, len(insts)+8)
+	for _, in := range insts {
 		pn := promName(in.name)
 		switch in.kind {
 		case kindCounter, kindCounterFunc, kindHostCounter:
-			lines = append(lines, promLine{pn, "counter", renderLabels(in.labels, common), formatValue(r.scalar(in))})
+			lines = append(lines, promLine{pn, "counter", renderLabels(in.labels, common), in, -1})
 		case kindGauge, kindGaugeFunc:
-			lines = append(lines, promLine{pn, "gauge", renderLabels(in.labels, common), formatValue(r.scalar(in))})
+			lines = append(lines, promLine{pn, "gauge", renderLabels(in.labels, common), in, -1})
 		case kindHistogram:
-			h := in.hist
-			n := h.NumBuckets()
+			// Histogram series (_bucket/_count) share one conceptual
+			// family but render as separate metric names typed as
+			// counters: a cumulative pair is valid for any Prometheus
+			// server, while a true "histogram" TYPE would require the
+			// un-suffixed family name.
+			n := in.hist.NumBuckets()
 			width := (in.hi - in.lo) / float64(n)
-			under, _ := h.OutOfRange()
-			cum := under // observations below lo are <= every bound
 			for i := 0; i < n; i++ {
-				cum += h.Bucket(i)
-				le := L("le", formatValue(in.lo+float64(i+1)*width))
-				lines = append(lines, promLine{pn + "_bucket", "histogram", renderLabels(in.labels, common, le), formatValue(float64(cum))})
+				le := L("le", string(appendValue(nil, in.lo+float64(i+1)*width)))
+				lines = append(lines, promLine{pn + "_bucket", "counter", renderLabels(in.labels, common, le), in, i})
 			}
 			lines = append(lines,
-				promLine{pn + "_bucket", "histogram", renderLabels(in.labels, common, L("le", "+Inf")), formatValue(float64(h.N()))},
-				promLine{pn + "_count", "histogram", renderLabels(in.labels, common), formatValue(float64(h.N()))})
+				promLine{pn + "_bucket", "counter", renderLabels(in.labels, common, L("le", "+Inf")), in, -1},
+				promLine{pn + "_count", "counter", renderLabels(in.labels, common), in, -1})
 		}
 	}
 	// Stable output: sort by metric name then labels, and emit one
@@ -196,34 +228,71 @@ func (r *Registry) WritePrometheus(w io.Writer, common ...Label) error {
 		}
 		return lines[i].labels < lines[j].labels
 	})
-	var b strings.Builder
+	text, samples := p.text[:0], p.samples[:0]
 	prev := ""
 	for _, ln := range lines {
 		if ln.metric != prev {
-			// Histogram series (_bucket/_count) share one conceptual
-			// family but render as separate metric names; typing each
-			// as its own group keeps the writer trivial and every
-			// scraper accepts it.
-			fmt.Fprintf(&b, "# TYPE %s %s\n", ln.metric, typeFor(ln))
+			text = append(text, "# TYPE "...)
+			text = append(text, ln.metric...)
+			text = append(text, ' ')
+			text = append(text, ln.typ...)
+			text = append(text, '\n')
 			prev = ln.metric
 		}
-		b.WriteString(ln.metric)
-		b.WriteString(ln.labels)
-		b.WriteByte(' ')
-		b.WriteString(ln.value)
-		b.WriteByte('\n')
+		text = append(text, ln.metric...)
+		text = append(text, ln.labels...)
+		text = append(text, ' ')
+		samples = append(samples, promSample{end: len(text), in: ln.in, bucket: ln.bucket})
 	}
-	_, err := io.WriteString(w, b.String())
+	p.text, p.samples = text, samples
+	p.n = len(insts)
+	p.common = append(p.common[:0], common...)
+}
+
+// WritePrometheus renders every instrument in the Prometheus text
+// exposition format, with common labels (typically world="id") merged
+// into every sample. Sim-plane values must be read on the kernel
+// goroutine; the daemon routes scrapes through each world's command
+// loop. The skeleton is rebuilt only when instruments were registered
+// or the common labels changed since the last scrape; otherwise a
+// scrape allocates nothing and issues one Write, made without holding
+// the registry's lock.
+func (r *Registry) WritePrometheus(w io.Writer, common ...Label) error {
+	r.promMu.Lock()
+	b := r.render(common)
+	r.promMu.Unlock()
+	_, err := w.Write(b)
+	// Hand the buffer back for the next scrape; a scrape that ran in
+	// the meantime rendered into a buffer of its own.
+	r.promMu.Lock()
+	r.prom.buf = b
+	r.promMu.Unlock()
 	return err
 }
 
-// typeFor maps histogram sub-series to scrapable primitive types; a
-// cumulative _bucket/_count pair emitted as counters is valid for any
-// Prometheus server, while a true "histogram" TYPE would require the
-// un-suffixed family name.
-func typeFor(ln promLine) string {
-	if ln.typ == "histogram" {
-		return "counter"
+// render formats the exposition into the skeleton's buffer and takes
+// the buffer out of the skeleton until WritePrometheus hands it back.
+// The caller holds promMu.
+func (r *Registry) render(common []Label) []byte {
+	p := &r.prom
+	if p.n != len(r.insts) || !slices.Equal(p.common, common) {
+		p.build(r.insts, common)
 	}
-	return ln.typ
+	b, start := p.buf[:0], 0
+	p.buf = nil
+	for _, sm := range p.samples {
+		b = append(b, p.text[start:sm.end]...)
+		start = sm.end
+		if sm.bucket >= 0 {
+			cum, _ := sm.in.hist.OutOfRange() // observations below lo are <= every bound
+			for i := 0; i <= sm.bucket; i++ {
+				cum += sm.in.hist.Bucket(i)
+			}
+			b = appendValue(b, float64(cum))
+		} else {
+			b = appendValue(b, r.scalar(sm.in))
+		}
+		b = append(b, '\n')
+	}
+	return b
 }

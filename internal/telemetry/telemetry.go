@@ -35,6 +35,19 @@
 // lazily through CounterFunc/GaugeFunc at sample/export time instead of
 // being double-counted on the hot path.
 //
+// # Memory
+//
+// A registry allocates what it keeps, once. Reserve gives every sampled
+// series a single point array sized to the samples the run will take
+// before its horizon (at most maxPoints), so sampling never regrows a
+// series and decimation compacts within the same array. A Snapshot
+// shares those arrays instead of copying them, and stays immutable once
+// taken: the next decimation of a shared series compacts into a fresh
+// array. WritePrometheus caches the static part of its output — line
+// order, # TYPE headers, names and rendered labels — per common-label
+// set, so a steady-state scrape only formats values into a reused
+// buffer.
+//
 // # Naming scheme
 //
 // Names are dotted, lowercase, with the Prometheus unit conventions
@@ -47,6 +60,7 @@ package telemetry
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"aroma/internal/metrics"
@@ -111,14 +125,14 @@ type Point struct {
 // series is a bounded, deterministically decimated point list.
 type series struct {
 	pts    []Point
-	stride uint64 // record every stride-th sample; doubles on decimation
+	stride uint64 // record every stride-th sample; 1 at registration, doubles on decimation
 	phase  uint64 // samples seen modulo nothing; compared against stride
+	shared bool   // pts is aliased by a Snapshot: decimate into a fresh array
 }
 
+// add records one sample. Sample calls it for every instrument on every
+// tick, so it is kept small enough for the compiler to inline.
 func (s *series) add(t int64, v float64) {
-	if s.stride == 0 {
-		s.stride = 1
-	}
 	s.phase++
 	if s.phase%s.stride != 0 {
 		return
@@ -126,8 +140,13 @@ func (s *series) add(t int64, v float64) {
 	if len(s.pts) >= maxPoints {
 		// Keep odd positions: with the stride doubling below, the
 		// retained points are exactly the samples a fresh series with
-		// the doubled stride would have kept.
+		// the doubled stride would have kept. A Snapshot's array must
+		// never change under it, so a shared series compacts into a
+		// fresh one.
 		kept := s.pts[:0]
+		if s.shared {
+			kept, s.shared = make([]Point, 0, maxPoints), false
+		}
 		for i := 1; i < len(s.pts); i += 2 {
 			kept = append(kept, s.pts[i])
 		}
@@ -172,16 +191,22 @@ func (in *instrument) value() float64 {
 // Registry is a per-world instrument registry.
 //
 // Registration happens at world construction, on one goroutine, before
-// the world runs. Sim-plane updates, Sample, and the exporters must run
-// on the kernel goroutine (the daemon routes scrapes through each
-// world's command loop); host-plane instruments are safe from any
-// goroutine. The registry itself takes no locks — the threading
-// contract above is the synchronization.
+// the world runs. Sim-plane updates, Sample, Reserve, and the exporters
+// must run on the kernel goroutine (the daemon routes scrapes through
+// each world's command loop); host-plane instruments are safe from any
+// goroutine. The threading contract above is the synchronization,
+// except for WritePrometheus's cached skeleton and buffer: a registry
+// holding only host-plane instruments may be scraped from concurrent
+// goroutines, so a mutex guards them.
 type Registry struct {
 	counters []uint64
 	gauges   []float64
 	insts    []*instrument
 	names    map[string]bool // identity keys, duplicate registration guard
+	reserve  int             // point capacity of every sampled series (Reserve)
+
+	promMu sync.Mutex
+	prom   promSkeleton // guarded by promMu
 }
 
 // New creates an empty registry.
@@ -215,8 +240,33 @@ func (r *Registry) register(in *instrument) *instrument {
 		panic("telemetry: duplicate instrument " + id)
 	}
 	r.names[id] = true
+	in.series.stride = 1
+	if in.kind.sampled() && r.reserve > 0 {
+		in.series.pts = make([]Point, 0, r.reserve)
+	}
 	r.insts = append(r.insts, in)
 	return in
+}
+
+// Reserve sizes every sampled series for n more points (capped at
+// maxPoints, the most a series ever holds), and gives instruments
+// registered later the same capacity. Called once with the number of
+// samples a run will take before its horizon, it makes sampling
+// allocation-free: a series then never regrows, and decimation compacts
+// in place. A run past the reserved count just appends, as an
+// unreserved registry does. Reserve never shrinks a series.
+func (r *Registry) Reserve(n int) {
+	r.reserve = min(n, maxPoints)
+	for _, in := range r.insts {
+		s := &in.series
+		c := min(len(s.pts)+n, maxPoints)
+		if !in.kind.sampled() || c <= cap(s.pts) {
+			continue
+		}
+		pts := make([]Point, len(s.pts), c)
+		copy(pts, s.pts)
+		s.pts, s.shared = pts, false
+	}
 }
 
 // hasSuffix avoids importing strings into the hot-path file's mental

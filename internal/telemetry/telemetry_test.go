@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -258,6 +260,117 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsImmutable pins that a snapshot's series never change
+// after it is taken, even when the live series decimates: decimation
+// of a series a snapshot shares compacts into a fresh array. Reserved
+// and unreserved registries must both hold.
+func TestSnapshotIsImmutable(t *testing.T) {
+	for _, reserve := range []int{0, maxPoints} {
+		r := New()
+		r.Reserve(reserve)
+		c := r.Counter("k.n_total")
+		step := func(i int) {
+			c.Inc()
+			r.Sample(int64(i))
+		}
+		for i := 1; i <= maxPoints; i++ {
+			step(i)
+		}
+		snap := r.Snapshot(maxPoints)
+		got := snap.Instruments[0].Series
+		if len(got) != maxPoints || got[0] != (Point{1, 1}) {
+			t.Fatalf("reserve %d: snapshot series len %d, first %v", reserve, len(got), got[0])
+		}
+		step(maxPoints + 1) // decimates the live series
+		step(maxPoints + 2)
+		if got[0] != (Point{1, 1}) || got[maxPoints-1] != (Point{maxPoints, maxPoints}) {
+			t.Fatalf("reserve %d: snapshot rewritten by later samples: first %v, last %v",
+				reserve, got[0], got[maxPoints-1])
+		}
+		live := r.Snapshot(maxPoints + 2).Instruments[0].Series
+		if live[0] != (Point{2, 2}) || live[len(live)-1] != (Point{maxPoints + 2, maxPoints + 2}) {
+			t.Fatalf("reserve %d: live series after decimation: first %v, last %v",
+				reserve, live[0], live[len(live)-1])
+		}
+	}
+}
+
+// TestReserveSizesSeriesOnce pins the reservation contract: every
+// sampled series, including ones registered after Reserve, gets one
+// array of min(n, maxPoints) points that sampling never replaces —
+// decimation compacts within it.
+func TestReserveSizesSeriesOnce(t *testing.T) {
+	r := New()
+	r.Counter("k.a_total")
+	r.HostCounter("host.x_total")
+	r.Reserve(10)
+	r.Gauge("k.late")
+	for _, in := range r.insts {
+		want := 10
+		if !in.kind.sampled() {
+			want = 0
+		}
+		if got := cap(in.series.pts); got != want {
+			t.Fatalf("%s: cap %d, want %d", in.name, got, want)
+		}
+	}
+	r.Reserve(3 * maxPoints)
+	arrays := make([]*Point, len(r.insts))
+	for i, in := range r.insts {
+		if in.kind.sampled() {
+			if cap(in.series.pts) != maxPoints {
+				t.Fatalf("%s: cap %d after a large reservation, want %d", in.name, cap(in.series.pts), maxPoints)
+			}
+			arrays[i] = &in.series.pts[:1][0]
+		}
+	}
+	for i := 1; i <= 3*maxPoints; i++ {
+		r.Sample(int64(i))
+	}
+	for i, in := range r.insts {
+		if in.kind.sampled() && &in.series.pts[:1][0] != arrays[i] {
+			t.Fatalf("%s: series array replaced while sampling a reserved run", in.name)
+		}
+	}
+}
+
+// TestWritePrometheusConcurrentScrapes scrapes one host-plane registry
+// from several goroutines while its counters move, as the daemon's
+// /metrics handlers do; under -race it proves the skeleton and buffer
+// are guarded.
+func TestWritePrometheusConcurrentScrapes(t *testing.T) {
+	r := New()
+	hc := r.HostCounter("host.requests_total", L("route", "run"))
+	r.HostCounter("host.failures_total")
+	want := strings.Count(scrapeString(t, r), "\n")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				hc.Inc()
+				if got := strings.Count(scrapeString(t, r), "\n"); got != want {
+					t.Errorf("scrape has %d lines, want %d", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := scrapeString(t, r); !strings.Contains(got, `aroma_host_requests_total{route="run"} 800`) {
+		t.Fatalf("final scrape:\n%s", got)
+	}
+}
+
+func scrapeString(t *testing.T, r *Registry) string {
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Error(err)
+	}
+	return b.String()
+}
+
 // TestHotPathZeroAllocs is the hard zero-allocation gate on the
 // sim-plane update path — exact, unlike the benchgate allocs jitter
 // floor. Handle updates (live and zero-value) must be allocation-free
@@ -281,5 +394,28 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("hot-path allocs/op = %v, want 0", n)
+	}
+
+	// A sampler tick over a reserved registry, across decimations.
+	sr := sampleRegistry()
+	sr.Reserve(maxPoints)
+	at := int64(0)
+	if n := testing.AllocsPerRun(3*maxPoints, func() {
+		at++
+		sr.Sample(at)
+	}); n != 0 {
+		t.Fatalf("reserved Sample allocs/op = %v, want 0", n)
+	}
+
+	// A steady-state scrape: values move, the skeleton is reused.
+	pr, pc := promRegistry()
+	if err := pr.WritePrometheus(io.Discard, L("world", "w1")); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		pc.Inc()
+		pr.WritePrometheus(io.Discard, L("world", "w1"))
+	}); n != 0 {
+		t.Fatalf("steady-state WritePrometheus allocs/op = %v, want 0", n)
 	}
 }

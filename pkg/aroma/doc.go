@@ -162,7 +162,11 @@
 // virtual period (100 ms by default), producing deterministic sim-time
 // series; Telemetry().Snapshot exports final values plus series as
 // JSON, and WritePrometheus renders the Prometheus text format that
-// aromad serves at GET /metrics.
+// aromad serves at GET /metrics. For a built scenario,
+// scenario.Built.EnableTelemetry is the one way to turn it on: it also
+// reserves every series for the samples left before the horizon, so
+// sampling allocates once per series (the daemon, scenario.Build with
+// Metrics, and sweep forks all use it).
 //
 // Instruments live on two strictly separated planes. Sim-plane
 // instruments (aroma_kernel_*, aroma_radio_*, aroma_mac_*, aroma_net_*,

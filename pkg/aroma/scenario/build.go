@@ -7,6 +7,7 @@ import (
 
 	"aroma/internal/fault"
 	"aroma/internal/sim"
+	"aroma/internal/telemetry"
 	"aroma/pkg/aroma"
 )
 
@@ -137,9 +138,23 @@ func Build(name string, cfg Config) (b *Built, err error) {
 	// Observability, applied after the recipe is stamped: telemetry
 	// does not change digests, so it is not part of the provenance.
 	if cfg.Metrics {
-		b.World.EnableTelemetry(0)
+		b.EnableTelemetry()
 	}
 	return b, nil
+}
+
+// EnableTelemetry enables the world's telemetry at the default period
+// (World.EnableTelemetry(0)) and reserves every sampled series for the
+// samples the sampler takes between now and Horizon, so sampling the
+// run never regrows a series. A world restored or forked mid-run
+// reserves only what is left. Running past Horizon stays correct: the
+// series then grow as unreserved ones do. It returns the registry.
+func (b *Built) EnableTelemetry() *telemetry.Registry {
+	reg := b.World.EnableTelemetry(0)
+	if left := b.Horizon - b.World.Now(); left > 0 {
+		reg.Reserve(int(left / aroma.DefaultTelemetryPeriod))
+	}
+	return reg
 }
 
 // Buildable reports whether the named scenario is world-registered.

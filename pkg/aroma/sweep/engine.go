@@ -238,14 +238,13 @@ func (s *Sweep) runForked(cfg scenario.Config) (*scenario.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Metrics {
-		b.World.EnableTelemetry(0)
-	}
-	horizon := b.Horizon
 	if cfg.Horizon != 0 {
-		horizon = cfg.Horizon
+		b.Horizon = cfg.Horizon
 	}
-	b.World.RunUntil(horizon)
+	if cfg.Metrics {
+		b.EnableTelemetry()
+	}
+	b.World.RunUntil(b.Horizon)
 	return b.Result(), nil
 }
 
