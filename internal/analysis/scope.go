@@ -28,10 +28,9 @@ var (
 	// measures wall time and runs a worker pool, profiling samples the
 	// host, the telemetry package's host plane accumulates wall-clock
 	// durations (its sim plane never reads a clock — samplers take
-	// their timestamps from the kernel), and CLIs/examples talk to
-	// terminals. Everything else in the module is sim code and must
-	// take time from the kernel and randomness from the seeded world
-	// RNG.
+	// their timestamps from the kernel), and CLIs talk to terminals.
+	// Everything else in the module is sim code and must take time from
+	// the kernel and randomness from the seeded world RNG.
 	RealtimeAllowed = []string{
 		"aroma/internal/daemon",
 		"aroma/internal/profiling",
@@ -39,7 +38,6 @@ var (
 		"aroma/pkg/aroma/sweep",
 		"aroma/pkg/aroma/client",
 		"aroma/cmd/...",
-		"aroma/examples/...",
 	}
 
 	// GuardedStateTypes define "sim state" for the goroutine guard: the

@@ -18,18 +18,7 @@ import (
 // comparable.
 func benchDense(b *testing.B, n int, channels []int, opts ...MediumOption) {
 	b.Helper()
-	k := sim.New(1)
-	side := 1000.0
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
-	m := NewMedium(k, e, opts...)
-	cols := 32
-	var radios []*Radio
-	for i := 0; i < n; i++ {
-		pos := geo.Pt(float64(i%cols)*(side/float64(cols)), float64(i/cols)*(side/float64(cols)))
-		r := m.NewRadio(fmt.Sprintf("r%d", i), pos, channels[i%len(channels)], 15)
-		r.OnReceive = func(Receipt) {}
-		radios = append(radios, r)
-	}
+	k, m, radios := denseWorld(n, channels, opts...)
 	const burst = 64
 	round := func(i int) {
 		for j := 0; j < burst; j++ {
@@ -60,6 +49,24 @@ func benchDense(b *testing.B, n int, channels []int, opts ...MediumOption) {
 	for i := 0; i < b.N; i++ {
 		round(i)
 	}
+}
+
+// denseWorld builds the dense benchmarks' medium: n 15 dBm radios on a
+// 32-column grid over a 1000 m floor, cycling through channels.
+func denseWorld(n int, channels []int, opts ...MediumOption) (*sim.Kernel, *Medium, []*Radio) {
+	k := sim.New(1)
+	side := 1000.0
+	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
+	m := NewMedium(k, e, opts...)
+	cols := 32
+	radios := make([]*Radio, n)
+	for i := range radios {
+		pos := geo.Pt(float64(i%cols)*(side/float64(cols)), float64(i/cols)*(side/float64(cols)))
+		r := m.NewRadio(fmt.Sprintf("r%d", i), pos, channels[i%len(channels)], 15)
+		r.OnReceive = func(Receipt) {}
+		radios[i] = r
+	}
+	return k, m, radios
 }
 
 var (
@@ -155,4 +162,79 @@ func BenchmarkMediumDenseMobile500Cell(b *testing.B) {
 
 func BenchmarkMediumDenseMobile1000Cell(b *testing.B) {
 	benchDenseMobile(b, 1000, WithRxCutoffDBm(-100))
+}
+
+// busySlot is the carrier-sense polling period of the Busy benchmark,
+// the 802.11b backoff slot.
+const busySlot = 20 * sim.Microsecond
+
+// frameStream keeps frames flying through a dense medium: every 50 µs
+// the next source (stepping by 17 through the radios, as benchDense's
+// bursts do) sends a 2000-bit frame at 1 Mb/s, so about 40 frames are in
+// the air at once. It reschedules itself through ScheduleFn, so the
+// stream allocates only the Transmission records.
+type frameStream struct {
+	m      *Medium
+	radios []*Radio
+	next   int
+	stop   bool
+	err    error
+}
+
+func sendNextFrame(a any) {
+	s := a.(*frameStream)
+	if s.stop {
+		return
+	}
+	src := s.radios[s.next*17%len(s.radios)]
+	s.next++
+	if _, err := s.m.Transmit(src, 2000, Rates[0], nil); err != nil && s.err == nil {
+		s.err = err
+	}
+	s.m.kernel.ScheduleFn(50*sim.Microsecond, "bench.tx", sendNextFrame, s)
+}
+
+// busyDense builds the Busy benchmark's world — 500 indexed radios under
+// a running frameStream — and warms it for 30 ms, until every radio has
+// sent a frame, so ledgers, hearer rows and gain caches are at steady
+// state. poll advances the clock one slot and asks every radio's
+// carrier sense, as backoff slots do; it returns how many sensed busy.
+func busyDense() (s *frameStream, poll func() int) {
+	k, m, radios := denseWorld(500, allChannels, denseIndexed...)
+	s = &frameStream{m: m, radios: radios}
+	k.ScheduleFn(0, "bench.tx", sendNextFrame, s)
+	poll = func() int {
+		k.RunFor(busySlot)
+		busy := 0
+		for _, r := range radios {
+			if m.Busy(r) {
+				busy++
+			}
+		}
+		return busy
+	}
+	for i := 0; i < 1500; i++ {
+		poll()
+	}
+	return s, poll
+}
+
+// BenchmarkMediumBusyDense500 measures carrier sense at scale: each op
+// is one 20 µs slot in which all 500 radios of the indexed dense world
+// poll Busy while a frame starts every 50 µs. Starts, ends and frames
+// crossing SensingDelay keep invalidating the carrier-sense memos of
+// the radios that hear them, so ops mix memo hits with recomputes. The
+// stream's Transmission records amortize to under one allocation per
+// op; the polling itself allocates nothing (TestMediumBusyAllocsNothing).
+func BenchmarkMediumBusyDense500(b *testing.B) {
+	s, poll := busyDense()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		poll()
+	}
+	b.StopTimer()
+	if s.err != nil {
+		b.Fatal(s.err)
+	}
 }

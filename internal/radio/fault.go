@@ -90,7 +90,8 @@ func (m *Medium) faultLossDB(src, rx *Radio) float64 {
 }
 
 // invalidateLinkGains marks every cached pairwise gain stale by bumping
-// every radio's linkGen.
+// every radio's linkGen, and with geoGen every hearer row's recorded
+// gains and every carrier-sense memo.
 // O(radios), paid only when a jam or partition window opens or closes;
 // candidate sets are untouched (they are cell-conservative supersets —
 // membership never depends on fault loss, only the exact gains do).
@@ -98,4 +99,5 @@ func (m *Medium) invalidateLinkGains() {
 	for _, r := range m.ordered {
 		r.linkGen++
 	}
+	m.geoGen++
 }

@@ -35,15 +35,24 @@ func (in *fuzzTape) channel() int { return MinChannel + int(in.next())%MaxChanne
 // about 1 m at the -60 dBm cutoff up to about 215 m at -100 dBm.
 func (in *fuzzTape) power() float64 { return -20 + float64(in.next()%31) }
 
+// window returns a fault-window length of 100 µs to 1.6 ms.
+func window(b byte) sim.Time { return sim.Time(1+b%16) * 100 * sim.Microsecond }
+
 // FuzzMediumMatchesOracle builds a medium from a byte tape — 2 to 24
 // radios at bounded positions, the cutoff disabled or at -60 to -100 dBm,
 // a 5 to 60 m grid cell — and plays an operation tape on it as kernel
 // events: moves within a cell and across cells, retunes, transmit-power
 // changes, attaches, detaches (also while the radio's frame is in
-// flight) and overlapping transmissions, at most 128 operations. The
-// indexed hearers must match the brute-force oracle after every kernel
-// step. At the end every radio is detached and the kernel run idle,
-// after which no grid cover may remain registered.
+// flight), overlapping transmissions, jam windows of -10 to +30 dB,
+// partition windows behind a fenced abscissa, and ambient-noise changes,
+// at most 128 operations. An arm operation instead makes a radio run
+// the next operation inside its next receipt callback, in the middle of
+// a delivery round. The indexed hearers and carrier sense must match
+// the brute-force oracles after every kernel step (checkHearers,
+// checkBusy), and every receipt's RSSI must equal, bit for bit, the
+// link budget computed from the environment at that instant. At the end
+// every radio is detached and the kernel run idle, after which no grid
+// cover may remain registered.
 func FuzzMediumMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzTape(data)
@@ -58,9 +67,24 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(-64, -64, 256, 256)))
 		m := NewMedium(k, e, WithRxCutoffDBm(cutoff), WithGridCellM(cell))
 		var radios []*Radio
+		// armed holds, per radio, an operation its next receipt runs.
+		armed := map[*Radio]func(){}
 		attach := func(p geo.Point, ch int, dbm float64) {
 			r := m.NewRadio(fmt.Sprintf("r%d", len(radios)), p, ch, dbm)
-			r.OnReceive = func(Receipt) {}
+			r.OnReceive = func(rc Receipt) {
+				// Shadowing is off, so this recompute touches no cache
+				// and draws nothing.
+				src := rc.Tx.Src
+				want := e.ReceivedPowerDBm(src.TxPowerDBm(), src.Pos, r.Pos) - m.faultLossDB(src, r)
+				if math.Float64bits(rc.RSSIdBm) != math.Float64bits(want) {
+					t.Fatalf("at %d: radio %d received frame %d from radio %d at %v dBm, link budget %v dBm",
+						k.Now(), r.ID, rc.Tx.Seq, src.ID, rc.RSSIdBm, want)
+				}
+				if op := armed[r]; op != nil {
+					delete(armed, r)
+					op()
+				}
+			}
 			radios = append(radios, r)
 		}
 		for i := 0; i < n; i++ {
@@ -79,8 +103,12 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 		for ops := 0; len(in) > 0 && ops < maxOps; ops++ {
 			// The radio is picked when the operation runs, so radios
 			// attached by earlier operations can be picked too.
-			op, sel := in.next()%8, int(in.next())
+			op, sel := in.next()%12, int(in.next())
 			at += sim.Time(in.next()%8) * 100 * sim.Microsecond
+			arm := -1
+			if op == 11 { // the next operation runs inside a receipt of radio sel
+				arm, op, sel = sel, in.next()%11, int(in.next())
+			}
 			var fn func(r *Radio)
 			switch op {
 			case 0: // move within the radio's current cell
@@ -98,7 +126,7 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 				fn = func(r *Radio) { r.SetChannel(ch) }
 			case 3:
 				dbm := in.power()
-				fn = func(r *Radio) { r.TxPowerDBm = dbm }
+				fn = func(r *Radio) { r.SetTxPowerDBm(dbm) }
 			case 4:
 				p, ch, dbm := in.pos(), in.channel(), in.power()
 				fn = func(*Radio) { attach(p, ch, dbm) }
@@ -113,8 +141,36 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 						m.Detach(r)
 					}
 				}
+			case 8: // jam window
+				db := float64(int(in.next()%41) - 10)
+				d := window(in.next())
+				fn = func(*Radio) {
+					m.AddJamDB(db)
+					k.Schedule(d, "fuzz.jamEnd", func() { m.AddJamDB(-db) })
+				}
+			case 9: // partition window; the fence moves only between windows
+				x := float64(int(in.next()) - 64)
+				d := window(in.next())
+				fn = func(*Radio) {
+					if !m.Partitioned() {
+						m.SetPartitionFence(x)
+					}
+					m.AddPartition(1)
+					k.Schedule(d, "fuzz.partitionEnd", func() { m.AddPartition(-1) })
+				}
+			case 10: // ambient noise, from none to far above thermal
+				dbm := -1000.0
+				if b := in.next(); b%4 != 0 {
+					dbm = -130 + float64(b%80)
+				}
+				fn = func(*Radio) { e.AmbientNoiseDBm = dbm }
 			}
-			k.Schedule(at, "fuzz.op", func() { fn(radios[sel%len(radios)]) })
+			run := func() { fn(radios[sel%len(radios)]) }
+			if arm < 0 {
+				k.Schedule(at, "fuzz.op", run)
+			} else {
+				k.Schedule(at, "fuzz.arm", func() { armed[radios[arm%len(radios)]] = run })
+			}
 		}
 		runChecked(t, k, m, 0)
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"aroma/internal/env"
 	"aroma/internal/geo"
 	"aroma/internal/sim"
 )
@@ -105,7 +104,7 @@ func TestLedgerRecycledAcrossTransmissions(t *testing.T) {
 }
 
 // TestGainCacheInvalidatesOnMoveAndPower: cached link gains must follow
-// SetPos on either endpoint and direct TxPowerDBm changes.
+// SetPos on either endpoint and SetTxPowerDBm on the sender.
 func TestGainCacheInvalidatesOnMoveAndPower(t *testing.T) {
 	_, m := newMedium(1)
 	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
@@ -124,7 +123,7 @@ func TestGainCacheInvalidatesOnMoveAndPower(t *testing.T) {
 	if farther >= far {
 		t.Fatalf("RSSI did not drop after sender moved away: far=%v farther=%v", far, farther)
 	}
-	a.TxPowerDBm += 10
+	a.SetTxPowerDBm(a.TxPowerDBm() + 10)
 	boosted := m.MeasureRSSI(a, b)
 	if math.Abs(boosted-(farther+10)) > 1e-9 {
 		t.Fatalf("+10 dB transmit power moved RSSI from %v to %v, want exactly +10", farther, boosted)
@@ -140,19 +139,7 @@ func TestGainCacheInvalidatesOnMoveAndPower(t *testing.T) {
 // absorb incidental growth, while the pre-pooling code (~1850) fails it
 // by an order of magnitude.
 func TestMediumDenseAllocsBudget(t *testing.T) {
-	k := sim.New(1)
-	side := 1000.0
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
-	m := NewMedium(k, e, WithRxCutoffDBm(-100), WithGridCellM(50))
-	cols := 32
-	var radios []*Radio
-	channels := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	for i := 0; i < 500; i++ {
-		pos := geo.Pt(float64(i%cols)*(side/float64(cols)), float64(i/cols)*(side/float64(cols)))
-		r := m.NewRadio("r", pos, channels[i%len(channels)], 15)
-		r.OnReceive = func(Receipt) {}
-		radios = append(radios, r)
-	}
+	k, m, radios := denseWorld(500, allChannels, denseIndexed...)
 	iter := 0
 	burst := func() {
 		for j := 0; j < 64; j++ {
@@ -177,5 +164,26 @@ func TestMediumDenseAllocsBudget(t *testing.T) {
 	t.Logf("dense burst: %.0f allocs/run (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("dense burst allocated %.0f/run, budget %d — the PHY hot path has regressed", allocs, budget)
+	}
+}
+
+// TestMediumBusyAllocsNothing pins BenchmarkMediumBusyDense500's
+// polling at zero allocations. With the frame stream stopped, 150 slots
+// (3 ms) of polling carry every in-flight frame past SensingDelay and
+// its end, so the sweeps exercise memo hits, memo invalidation by
+// finish, and recomputes.
+func TestMediumBusyAllocsNothing(t *testing.T) {
+	s, poll := busyDense()
+	s.stop = true
+	busy := 0
+	allocs := testing.AllocsPerRun(150, func() { busy += poll() })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	if busy == 0 || s.m.ActiveTransmissions() != 0 {
+		t.Fatalf("%d busy polls, %d frames left in the air: the sweep no longer exercises carrier sense", busy, s.m.ActiveTransmissions())
+	}
+	if allocs != 0 {
+		t.Fatalf("carrier-sense polling allocated %v times per slot, want 0", allocs)
 	}
 }

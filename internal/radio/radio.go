@@ -50,24 +50,47 @@
 // the exact range check at use time, so the physics is identical to a
 // rebuild per move while mobility stays cheap.
 //
+// Each in-flight transmission keeps a hearer row: its candidate set cut
+// to a nonzero channel overlap and its exact hearing range, in ID order,
+// with each hearer's overlap and, once looked up, its link gain. The
+// row is rebuilt only when the medium's geometry generation (geoGen)
+// moved — any position, channel or transmit-power change, attach,
+// detach, or jam or partition window bumps it — so interference
+// recording, delivery and carrier-sense invalidation walk one filtered
+// row per frame instead of re-filtering the candidates at every use.
+//
+// Carrier sense is memoized per radio: Busy reuses the last sensed
+// energy until geoGen moves, the ambient noise changes, a frame the
+// radio hears starts or ends (Transmit and finish clear the memos of
+// the frame's row), or the next frame it hears crosses SensingDelay.
+// Transmit power is therefore read-only state: TxPowerDBm reads it and
+// SetTxPowerDBm changes it, bumping the generations. A sender whose
+// power changes in flight no longer has a row covering the frame's
+// range, so its frame's end bumps geoGen instead of relying on the row.
+//
 // The tests hold the index to that: a brute-force oracle (ref_test.go)
 // scans every attached radio in ID order and keeps those on an
 // overlapping channel inside the exact hearing range; after every
 // kernel step of the cross-checks and the fuzz target, each radio's
-// cached candidates, cut to that same range, must equal it.
+// cached candidates, cut to that same range, must equal it, and each
+// radio's carrier-sense memo must equal a recompute bit for bit.
 //
 // # Allocation discipline
 //
 // The delivery hot path is allocation-free in steady state: interference
 // ledgers are pooled epoch-stamped slices recycled across transmissions,
-// pairwise link gains are cached in linear milliwatts (revalidated by
-// per-radio position generations, so unmoved pairs recompute no
-// transcendentals), the end-of-transmission event rides the kernel's
-// pooled ScheduleFn path, and completed transmissions leave the active
-// set by Seq binary search. Every cache memoizes exactly the value the
-// uncached code would compute, in the same accumulation order, keeping
-// run digests bit-identical to the unoptimized medium (see README
-// "Performance" for the contract).
+// and each carries its frame's hearer row, whose capacity only grows (to
+// the attached radio count) across tenancies; pairwise link gains are
+// cached in linear milliwatts (revalidated by per-radio generations
+// that move with position and transmit power, 32 bytes per directed
+// pair, so unmoved pairs recompute no transcendentals); the
+// end-of-transmission event rides the kernel's pooled ScheduleFn path;
+// and completed transmissions leave the active set by Seq binary search.
+// Every cache memoizes exactly the value the uncached code would
+// compute, in the same accumulation order, and counts the gain-cache
+// hits the uncached code would count, keeping run digests and telemetry
+// bit-identical to the unoptimized medium (see README "Performance" for
+// the contract).
 package radio
 
 import (
@@ -162,8 +185,8 @@ type Transmission struct {
 	range2 float64
 	// led accumulates, per prospective receiver radio ID, the worst-case
 	// interference power observed while this transmission was in the
-	// air. Ledgers are pooled on the medium and returned when the
-	// transmission finishes.
+	// air, and holds the transmission's hearer row. Ledgers are pooled
+	// on the medium and returned when the transmission finishes.
 	led *ledger
 }
 
@@ -178,10 +201,31 @@ type ledgerCell struct {
 
 // ledger is a dense radio-ID-indexed interference accumulator, pooled
 // per Medium so the PHY hot path performs no per-transmission map or
-// slice allocation in steady state.
+// slice allocation in steady state. It also carries the transmission's
+// hearer row (see hearersOf), whose capacity only grows across
+// tenancies.
 type ledger struct {
 	epoch uint64
 	cells []ledgerCell
+
+	// row is the transmission's exact hearers, valid while rowGen equals
+	// the medium's geoGen (0 never does). power is the sender's transmit
+	// power when the frame went on the air.
+	row    []hearer
+	rowGen uint64
+	power  float64
+}
+
+// hearer is one exact hearer of an in-flight transmission: a radio on a
+// spectrally overlapping channel inside the frame's hearing range, with
+// its channel overlap. mw and rssi are the link gain, filled by the
+// first linkGain lookup that needs them (filled). 40 bytes.
+type hearer struct {
+	rx       *Radio
+	ov       float64
+	mw, rssi float64
+	id       int32 // rx.ID, kept beside the gains for the hot loops
+	filled   bool
 }
 
 // add accumulates mw of interference at receiver id.
@@ -225,10 +269,14 @@ type Receipt struct {
 
 // Radio is one transceiver attached to a Medium.
 type Radio struct {
-	ID         int
-	Name       string
-	Channel    int
-	TxPowerDBm float64
+	ID      int
+	Name    string
+	Channel int
+
+	// txPowerDBm is the transmit power. It is read through TxPowerDBm
+	// and changed only through SetTxPowerDBm, which keeps the medium's
+	// generations in step.
+	txPowerDBm float64
 
 	// Pos is the radio's current position. Treat it as read-only: moving
 	// a radio must go through SetPos so the medium's spatial index stays
@@ -245,6 +293,20 @@ type Radio struct {
 	// which sends every decision to the dBm predicate; csHi is never 0
 	// once filled, so 0 marks an empty cache.
 	csKey, csLo, csHi float64
+
+	// The carrier-sense memo (energyAtMW), kept beside the threshold
+	// band Busy reads next: csSum is the last sensed energy and
+	// csLookups the linkGain lookups that sum made. It is valid while
+	// csGen equals the medium's geoGen, the ambient noise still equals
+	// csAmbient, and the clock is before csUntil, the instant the next
+	// frame this radio hears becomes detectable. Transmit and finish
+	// zero csGen for every radio in a frame's hearer row; geoGen starts
+	// at 1, so zero never matches.
+	csGen     uint64
+	csSum     float64
+	csLookups uint64
+	csUntil   sim.Time
+	csAmbient float64
 
 	// OnReceive, if non-nil, is invoked for every transmission that ends
 	// while this radio is attached and not the sender, whether or not it
@@ -268,18 +330,18 @@ type Radio struct {
 	candChanSum uint64
 	candCover   *geo.Cover
 
-	// linkGen versions this radio's position for the pairwise gain
-	// cache: every actual position change bumps it, so cached link
-	// gains involving this radio (as transmitter or receiver) are
-	// revalidated with two integer compares. Starts at 1 so the
-	// zero-valued cache entry is never considered fresh.
+	// linkGen versions this radio's position and transmit power for the
+	// pairwise gain cache: every actual change of either bumps it, so
+	// cached link gains involving this radio (as transmitter or
+	// receiver) are revalidated with two integer compares. Starts at 1
+	// so the zero-valued cache entry is never considered fresh.
 	linkGen uint64
 
 	// gainTo caches, per receiver radio ID, the received power of this
 	// radio's signal in both dBm and linear milliwatts, so the
 	// per-pair delivery, interference, and energy loops do zero
 	// math.Pow/math.Log10 for unmoved pairs. Entries are revalidated
-	// against both ends' linkGen and this radio's TxPowerDBm.
+	// against both ends' linkGen.
 	gainTo []pairGain
 
 	// down is the fault-window depth (fault.go): while positive the
@@ -289,15 +351,33 @@ type Radio struct {
 }
 
 // pairGain is one directed cached link budget: the received power at
-// one receiver for this transmitter's current position, power, and the
-// receiver's current position. Fading (wall loss, frozen shadow draws)
-// is position-determined, so the pair of linkGens plus the transmit
-// power fully key the value.
+// one receiver for this transmitter's current position and power and
+// the receiver's current position. Fading (wall loss, frozen shadow
+// draws) is position-determined, and SetTxPowerDBm bumps linkGen, so the
+// pair of linkGens fully keys the value.
 type pairGain struct {
 	srcGen, rxGen uint64
-	srcPower      float64
 	mw            float64 // received power, linear milliwatts
 	rssi          float64 // received power, dBm
+}
+
+// TxPowerDBm returns the radio's transmit power.
+func (r *Radio) TxPowerDBm() float64 { return r.txPowerDBm }
+
+// SetTxPowerDBm changes the radio's transmit power. A change bumps the
+// radio's linkGen and the medium's geoGen, so cached link gains, hearer
+// rows and carrier-sense memos that depended on the old power are
+// rebuilt; setting the current power again invalidates nothing.
+func (r *Radio) SetTxPowerDBm(dbm float64) {
+	old := r.txPowerDBm
+	r.txPowerDBm = dbm
+	if dbm == old {
+		return
+	}
+	r.linkGen++
+	if m := r.medium; m != nil {
+		m.geoGen++
+	}
 }
 
 // SetPos moves the radio, keeping the medium's spatial index in sync.
@@ -315,7 +395,12 @@ func (r *Radio) SetPos(p geo.Point) {
 	}
 	r.Pos = p
 	r.linkGen++ // all cached link gains to and from this radio are stale
-	if m := r.medium; m != nil && m.cutoffEnabled() && m.attached(r) {
+	m := r.medium
+	if m == nil {
+		return
+	}
+	m.geoGen++
+	if m.cutoffEnabled() && m.attached(r) {
 		m.grid.Move(r.ID, p)
 	}
 }
@@ -329,16 +414,22 @@ func (r *Radio) SetChannel(ch int) {
 	if ch == r.Channel {
 		return
 	}
-	if m := r.medium; m != nil && m.attached(r) {
-		m.channelRemove(r)
-		old := r.Channel
+	m := r.medium
+	if m == nil {
 		r.Channel = ch
-		m.channelInsert(r)
-		m.chanGen[old]++
-		m.chanGen[ch]++
 		return
 	}
+	m.geoGen++
+	if !m.attached(r) {
+		r.Channel = ch
+		return
+	}
+	m.channelRemove(r)
+	old := r.Channel
 	r.Channel = ch
+	m.channelInsert(r)
+	m.chanGen[old]++
+	m.chanGen[ch]++
 }
 
 func clampChannel(ch int) int {
@@ -402,9 +493,14 @@ type Medium struct {
 	ledgerFree  []*ledger
 	ledgerEpoch uint64
 
-	// rxScratch is the reusable in-range receiver buffer for finish;
-	// deliveries never nest, so one buffer serves every transmission.
-	rxScratch []*Radio
+	// geoGen versions everything a hearer row or a carrier-sense memo
+	// depends on besides the set of frames in the air: every actual
+	// SetPos or SetChannel of any radio, attached or not, every
+	// SetTxPowerDBm change, every attach and detach, and every jam or
+	// partition window toggle bump it. Every linkGen bump comes with a
+	// geoGen bump, so a link gain recorded under the current geoGen is
+	// still the one linkGain would return. Starts at 1.
+	geoGen uint64
 
 	// noiseMW/noiseDBm memoize the environment noise floor keyed by the
 	// ambient component, so per-delivery and per-carrier-sense noise
@@ -463,6 +559,7 @@ func NewMedium(k *sim.Kernel, e *env.Environment, opts ...MediumOption) *Medium 
 		env:       e,
 		cutoffDBm: math.Inf(-1),
 		gridCell:  geo.DefaultGridCell,
+		geoGen:    1,
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -494,7 +591,7 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 		Name:           name,
 		Pos:            pos,
 		Channel:        clampChannel(channel),
-		TxPowerDBm:     txPowerDBm,
+		txPowerDBm:     txPowerDBm,
 		CSThresholdDBm: -82,
 		medium:         m,
 		linkGen:        1,
@@ -507,6 +604,7 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 	m.channelInsert(r)
 	m.grid.Insert(r.ID, pos) // bumps the destination cell's generation
 	m.chanGen[r.Channel]++
+	m.geoGen++
 	return r
 }
 
@@ -543,6 +641,7 @@ func (m *Medium) Detach(r *Radio) {
 	m.grid.Release(r.candCover)
 	r.cand, r.candCover = nil, nil
 	m.chanGen[r.Channel]++
+	m.geoGen++
 }
 
 // Radios returns the number of attached radios.
@@ -555,7 +654,7 @@ func (m *Medium) hearingRange(r *Radio) float64 {
 	if !m.cutoffEnabled() {
 		return math.Inf(1)
 	}
-	return m.env.MaxRangeForCutoff(r.TxPowerDBm, m.cutoffDBm)
+	return m.env.MaxRangeForCutoff(r.txPowerDBm, m.cutoffDBm)
 }
 
 // overlapWindow returns the inclusive channel range spectrally coupled
@@ -594,11 +693,11 @@ func (m *Medium) chanGenSum(lo, hi int) uint64 {
 // iterating across a topology change mid-delivery, because rebuilds
 // allocate a fresh slice.
 func (m *Medium) candidatesFor(src *Radio) []*Radio {
-	if src.cand != nil && src.candPower == src.TxPowerDBm && m.candValid(src) {
+	if src.cand != nil && src.candPower == src.txPowerDBm && m.candValid(src) {
 		return src.cand
 	}
 	out := m.buildCandidates(src)
-	src.cand, src.candPower = out, src.TxPowerDBm
+	src.cand, src.candPower = out, src.txPowerDBm
 	return out
 }
 
@@ -718,15 +817,15 @@ func (s byIDOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 // src, in linear milliwatts and dBm, through the per-pair cache. The
 // value is exactly DBmToMilliwatts(env.ReceivedPowerDBm(...)) — the
 // cache only removes the math.Pow/math.Log10 recomputation for pairs
-// whose endpoints have not moved (linkGen) and whose transmit power is
-// unchanged, so every downstream sum is bit-identical to the uncached
+// whose endpoints have not moved and whose transmit power is unchanged
+// (linkGen), so every downstream sum is bit-identical to the uncached
 // path. Environment propagation parameters (exponent, walls, shadow
 // sigma) are build-time constants of a run; deterministic shadow draws
 // happen on first computation exactly as they would uncached.
 //
 // Memory: each transmitting radio's row is sized to the full radio
-// count on first use, so the cache is O(radios²) worst case — 40 bytes
-// per directed pair, ~40 MB at 1000 radios (see README "Performance").
+// count on first use, so the cache is O(radios²) worst case — 32 bytes
+// per directed pair, ~32 MB at 1000 radios (see README "Performance").
 // The spatial cutoff keeps the *computed* pair set local, but the row
 // itself is dense for O(1) indexing.
 func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
@@ -736,12 +835,12 @@ func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
 		src.gainTo = grown
 	}
 	g := &src.gainTo[rx.ID]
-	if g.srcGen == src.linkGen && g.rxGen == rx.linkGen && g.srcPower == src.TxPowerDBm {
+	if g.srcGen == src.linkGen && g.rxGen == rx.linkGen {
 		m.GainHits++
 		return g.mw, g.rssi
 	}
 	m.GainMisses++
-	rssi = m.env.ReceivedPowerDBm(src.TxPowerDBm, src.Pos, rx.Pos)
+	rssi = m.env.ReceivedPowerDBm(src.txPowerDBm, src.Pos, rx.Pos)
 	// Open fault windows (jam, partition) add loss here, in the one gain
 	// path every consumer shares; window toggles bump every linkGen, so
 	// a cached value never outlives the window that shaped it.
@@ -749,7 +848,7 @@ func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
 		rssi -= m.faultLossDB(src, rx)
 	}
 	mw = env.DBmToMilliwatts(rssi)
-	*g = pairGain{srcGen: src.linkGen, rxGen: rx.linkGen, srcPower: src.TxPowerDBm, mw: mw, rssi: rssi}
+	*g = pairGain{srcGen: src.linkGen, rxGen: rx.linkGen, mw: mw, rssi: rssi}
 	return mw, rssi
 }
 
@@ -777,7 +876,65 @@ func (m *Medium) acquireLedger() *ledger {
 		l = &ledger{}
 	}
 	l.epoch = m.ledgerEpoch
+	l.rowGen = 0
 	return l
+}
+
+// hearersOf returns tx's hearer row: candidatesFor(tx.Src) cut to a
+// nonzero channel overlap and tx's exact hearing range, in ascending ID
+// order. It is rebuilt only when geoGen moved since the last build, so
+// the interference walks of every later Transmit, the carrier-sense
+// invalidation and the delivery share one filtered set instead of each
+// re-filtering the candidates. A row that must grow is sized to the
+// attached radio count, which bounds every candidate set, so a ledger
+// regrows its row only when the world grows: steady state allocates
+// nothing.
+func (m *Medium) hearersOf(tx *Transmission) []hearer {
+	l := tx.led
+	if l.rowGen == m.geoGen {
+		return l.row
+	}
+	src := tx.Src
+	cand := m.candidatesFor(src)
+	if cap(l.row) < len(cand) {
+		l.row = make([]hearer, 0, len(m.ordered))
+	}
+	row := l.row[:0]
+	for _, rx := range cand {
+		ov := ChannelOverlap(src.Channel, rx.Channel)
+		if ov == 0 {
+			continue
+		}
+		if distSq(src.Pos, rx.Pos) > tx.range2 {
+			continue // below the receive cutoff by construction
+		}
+		row = append(row, hearer{rx: rx, id: int32(rx.ID), ov: ov})
+	}
+	l.row, l.rowGen = row, m.geoGen
+	return row
+}
+
+// rowGain is linkGain(src, h.rx) for an entry of a hearer row that is
+// valid under the current geoGen. The first lookup goes through
+// linkGain, so cache misses (and any shadow-fading draws) happen exactly
+// where they would without rows; later lookups return the recorded gain
+// and count the hit linkGain would have counted.
+func (m *Medium) rowGain(src *Radio, h *hearer) (mw, rssi float64) {
+	if h.filled {
+		m.GainHits++
+		return h.mw, h.rssi
+	}
+	h.mw, h.rssi = m.linkGain(src, h.rx)
+	h.filled = true
+	return h.mw, h.rssi
+}
+
+// forgetSensing drops the carrier-sense memo of every radio in row: a
+// frame they hear has started or ended.
+func forgetSensing(row []hearer) {
+	for i := range row {
+		row[i].rx.csGen = 0
+	}
 }
 
 // energyAtMW returns the total in-band energy a radio currently senses
@@ -786,15 +943,37 @@ func (m *Medium) acquireLedger() *ledger {
 // floor. Transmissions are summed in ascending sequence order with
 // cached per-pair gains, so the floating-point result is bit-identical
 // across runs and to the uncached computation.
+//
+// The sum is memoized per attached radio (Radio.csGen). Nothing it
+// reads can change while the memo holds: positions, channels, powers,
+// attachment and fault windows bump geoGen; a frame the radio hears
+// starting or ending clears the memo through the frame's hearer row;
+// the ambient noise is compared; and the memo expires when the next
+// heard frame crosses SensingDelay. A hit counts the gain-cache hits
+// its lookups would have counted, so the counters match a recompute.
 func (m *Medium) energyAtMW(r *Radio) float64 {
-	total, _ := m.noiseFloor()
 	now := m.kernel.Now()
+	if r.csGen == m.geoGen && now < r.csUntil && r.csAmbient == m.env.AmbientNoiseDBm {
+		m.GainHits += r.csLookups
+		return r.csSum
+	}
+	total, lookups, until := m.senseEnergyMW(r, now)
+	if m.attached(r) {
+		r.csGen, r.csSum, r.csLookups, r.csUntil = m.geoGen, total, lookups, until
+		r.csAmbient = m.env.AmbientNoiseDBm
+	}
+	return total
+}
+
+// senseEnergyMW computes energyAtMW's sum at now without the memo. It
+// also returns the number of linkGain lookups made and the earliest
+// instant a frame r hears becomes detectable (or the end of time).
+func (m *Medium) senseEnergyMW(r *Radio, now sim.Time) (total float64, lookups uint64, until sim.Time) {
+	total, _ = m.noiseFloor()
+	until = math.MaxInt64
 	for _, tx := range m.active {
 		if tx.Src.ID == r.ID {
 			continue
-		}
-		if now-tx.Start < SensingDelay {
-			continue // within the vulnerable window: not yet detectable
 		}
 		ov := ChannelOverlap(tx.Src.Channel, r.Channel)
 		if ov == 0 {
@@ -803,10 +982,15 @@ func (m *Medium) energyAtMW(r *Radio) float64 {
 		if distSq(tx.Src.Pos, r.Pos) > tx.range2 {
 			continue // below the receive cutoff by construction
 		}
+		if at := tx.Start + SensingDelay; now < at {
+			until = min(until, at)
+			continue // within the vulnerable window: not yet detectable
+		}
 		mw, _ := m.linkGain(tx.Src, r)
+		lookups++
 		total += mw * ov
 	}
-	return total
+	return total, lookups, until
 }
 
 // csBand is the relative half-width of the milliwatt band around the
@@ -894,12 +1078,13 @@ func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmis
 		range2:  squared(m.hearingRange(r)),
 		led:     m.acquireLedger(),
 	}
+	tx.led.power = r.txPowerDBm
 	// Record mutual interference with all currently active transmissions,
 	// oldest first.
-	hearers := m.candidatesFor(r)
+	forgetSensing(m.hearersOf(tx))
 	for _, other := range m.active {
-		m.recordInterference(tx, other, m.candidatesFor(other.Src))
-		m.recordInterference(other, tx, hearers)
+		m.recordInterference(tx, other)
+		m.recordInterference(other, tx)
 	}
 	m.active = append(m.active, tx) // Seq is monotonic: stays sorted
 	m.Sent++
@@ -916,24 +1101,17 @@ func finishTransmission(a any) {
 }
 
 // recordInterference adds other's power into victim's per-receiver
-// interference ledger. hearers is the candidate set for other.Src (the
-// radios that could hear the interfering emission), in ascending ID
-// order; receivers beyond other's exact hearing range are skipped here,
-// since the candidate set is only cell-conservative.
-func (m *Medium) recordInterference(victim, other *Transmission, hearers []*Radio) {
-	for _, rx := range hearers {
-		if rx.ID == victim.Src.ID {
+// interference ledger, walking other's hearer row (the radios that hear
+// the interfering emission) in ascending ID order.
+func (m *Medium) recordInterference(victim, other *Transmission) {
+	row := m.hearersOf(other)
+	for i := range row {
+		h := &row[i]
+		if h.rx == victim.Src {
 			continue
 		}
-		ov := ChannelOverlap(other.Src.Channel, rx.Channel)
-		if ov == 0 {
-			continue
-		}
-		if distSq(other.Src.Pos, rx.Pos) > other.range2 {
-			continue // below the receive cutoff by construction
-		}
-		mw, _ := m.linkGain(other.Src, rx)
-		victim.led.add(rx.ID, mw*ov)
+		mw, _ := m.rowGain(other.Src, h)
+		victim.led.add(int(h.id), mw*h.ov)
 	}
 }
 
@@ -948,35 +1126,39 @@ func (m *Medium) finish(tx *Transmission) {
 		m.active = append(m.active[:i], m.active[i+1:]...)
 	}
 	noiseMW, _ := m.noiseFloor()
-	// The candidate snapshot is immutable: OnReceive callbacks may
-	// transmit or attach/detach radios without disturbing this delivery
-	// round (detached receivers are re-checked below). The exact range
-	// decision is likewise frozen here, before any callback runs: a
-	// callback that moves a radio must not change this round's delivery
-	// membership, or the cell-conservative superset and a rebuilt exact
-	// circle would disagree. The frozen in-range set lives in a scratch
-	// buffer reused across deliveries (finish never nests: it only runs
-	// as a kernel event, and callbacks can only schedule, not deliver).
-	receivers := m.candidatesFor(tx.Src)
-	if !math.IsInf(tx.range2, 1) {
-		inRange := m.rxScratch[:0]
-		for _, rx := range receivers {
-			if distSq(tx.Src.Pos, rx.Pos) <= tx.range2 {
-				inRange = append(inRange, rx)
-			}
-		}
-		m.rxScratch = inRange[:0]
-		receivers = inRange
+	// A sender whose power changed in flight has a candidate set that no
+	// longer covers the frame's hearing range, so the row cannot name
+	// every radio whose memo holds this frame: drop them all instead.
+	if tx.Src.txPowerDBm != tx.led.power {
+		m.geoGen++
 	}
-	for _, rx := range receivers {
+	// The hearer row is this delivery round's receiver set, frozen
+	// before any callback runs: OnReceive callbacks may transmit, move,
+	// retune or attach/detach radios without changing who is delivered
+	// to (detached receivers are re-checked below). The row lives in
+	// tx's ledger, which nothing reuses until this round ends. Its
+	// recorded overlaps and gains hold only while geoGen does; after a
+	// callback changed the geometry, the rest of the round recomputes
+	// them as the medium now stands.
+	receivers := m.hearersOf(tx)
+	forgetSensing(receivers)
+	gen := m.geoGen
+	for i := range receivers {
+		h := &receivers[i]
+		rx := h.rx
 		if rx.OnReceive == nil || rx.down > 0 || !m.attached(rx) {
 			continue
 		}
-		ov := ChannelOverlap(tx.Src.Channel, rx.Channel)
-		if ov == 0 {
-			continue
+		var ov, mw, rssi float64
+		if m.geoGen == gen {
+			ov = h.ov
+			mw, rssi = m.rowGain(tx.Src, h)
+		} else {
+			if ov = ChannelOverlap(tx.Src.Channel, rx.Channel); ov == 0 {
+				continue
+			}
+			mw, rssi = m.linkGain(tx.Src, rx)
 		}
-		mw, rssi := m.linkGain(tx.Src, rx)
 		sigMW := mw * ov
 		intMW := tx.led.at(rx.ID)
 		sinr := 10 * math.Log10(sigMW/(noiseMW+intMW))
@@ -1011,5 +1193,5 @@ func (m *Medium) ActiveTransmissions() int { return len(m.active) }
 // shadowing corrupt the estimate, reproducing experiment C8.
 func (m *Medium) EstimateDistance(src, dst *Radio) float64 {
 	rssi := m.MeasureRSSI(src, dst)
-	return m.env.EstimateDistanceFromRSSI(src.TxPowerDBm, rssi)
+	return m.env.EstimateDistanceFromRSSI(src.txPowerDBm, rssi)
 }

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"aroma/internal/env"
@@ -65,14 +66,36 @@ func refBusy(e, thresholdDBm float64) bool {
 	return env.MilliwattsToDBm(e) > thresholdDBm
 }
 
-// checkBusy compares Busy with refBusy for every attached radio at the
-// current instant.
+// checkBusy holds carrier sense to its references for every attached
+// radio at the current instant. The energy energyAtMW returns (usually
+// the radio's memo) must equal, bit for bit, a recompute that bypasses
+// the memo, and the recompute must miss no link gain: a miss would mean
+// the memo outlived a gain it summed. For an attached radio the memo
+// must also record the recompute's lookup count and detection deadline,
+// so a memo hit counts exactly the gain-cache hits a recompute would.
+// The recompute's counts are put back, so checking does not inflate the
+// counters. Busy must then match refBusy on the recomputed energy.
 func checkBusy(m *Medium) error {
+	now := m.kernel.Now()
 	for _, r := range m.byID {
 		if r == nil {
 			continue
 		}
-		e := m.energyAtMW(r)
+		memo := m.energyAtMW(r)
+		hits, misses := m.GainHits, m.GainMisses
+		e, lookups, until := m.senseEnergyMW(r, now)
+		missed := m.GainMisses - misses
+		m.GainHits, m.GainMisses = hits, misses
+		if math.Float64bits(e) != math.Float64bits(memo) {
+			return fmt.Errorf("radio %d: carrier-sense memo %g mW, recompute %g mW", r.ID, memo, e)
+		}
+		if missed != 0 {
+			return fmt.Errorf("radio %d: recomputing sensed energy missed %d link gains the memo used", r.ID, missed)
+		}
+		if r.csLookups != lookups || r.csUntil != until {
+			return fmt.Errorf("radio %d: memo holds %d lookups until %d, recompute %d until %d",
+				r.ID, r.csLookups, r.csUntil, lookups, until)
+		}
 		if got, want := m.Busy(r), refBusy(e, r.CSThresholdDBm); got != want {
 			return fmt.Errorf("radio %d: Busy %v, dBm predicate %v (energy %g mW, threshold %g dBm)",
 				r.ID, got, want, e, r.CSThresholdDBm)

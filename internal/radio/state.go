@@ -65,7 +65,7 @@ func (m *Medium) ExportState() State {
 	for _, r := range m.ordered {
 		st.Radios = append(st.Radios, RadioState{
 			ID: r.ID, Name: r.Name, Channel: r.Channel,
-			TxPowerDBm: r.TxPowerDBm, CSThresholdDBm: r.CSThresholdDBm, Pos: r.Pos,
+			TxPowerDBm: r.txPowerDBm, CSThresholdDBm: r.CSThresholdDBm, Pos: r.Pos,
 			Down: r.down,
 		})
 	}

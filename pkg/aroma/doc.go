@@ -26,7 +26,8 @@
 //
 // Scenario authors who want a named, reusable workload should register
 // it with the sibling package pkg/aroma/scenario; the stock scenarios
-// ported from examples/ live in pkg/aroma/scenarios.
+// live in pkg/aroma/scenarios and run from the command line with
+// "go run ./cmd/aromasim -scenario NAME" (-list names them all).
 //
 // # Determinism guarantees
 //

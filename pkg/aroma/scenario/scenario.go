@@ -4,9 +4,8 @@
 // facade, drives it, narrates to cfg.Out, and returns a Result (sim
 // time, event count, and the LPC report when the scenario analyzes one).
 // Registering it by name makes it runnable from anywhere — cmd/aromasim
-// runs any registered scenario by flag, batch-runs them all for
-// comparison tables, and each examples/ binary is a two-line call into
-// this registry. The stock scenarios live in pkg/aroma/scenarios;
+// runs any registered scenario by flag and batch-runs them all for
+// comparison tables. The stock scenarios live in pkg/aroma/scenarios;
 // importing that package (usually blank) populates the registry.
 package scenario
 
@@ -281,8 +280,8 @@ func Run(name string, cfg Config) (*Result, error) {
 // unregistered scenario funcs (the sweep engine's Design.Func): a nil
 // cfg.Out is defaulted to io.Discard — never to os.Stdout — so a
 // headless run writes nowhere and concurrent runs with distinct writers
-// never share a stream; a panic inside the scenario (the examples'
-// must-style assertions) is recovered and returned as an error, so
+// never share a stream; a panic inside the scenario (the stock
+// scenarios' must-style assertions) is recovered and returned as an error, so
 // batch runs survive one bad scenario; errors are wrapped with the
 // scenario name; and a nil or unnamed result is filled in.
 func Exec(name string, fn Func, cfg Config) (res *Result, err error) {
