@@ -176,3 +176,58 @@ func TestConcurrentMetricsScrapes(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMetricsWorldLabelRoundTrips creates a world whose ID holds a
+// double quote and a backslash and checks that the world label of its
+// /metrics lines reads back, under the Prometheus text-format escapes,
+// as that ID.
+func TestMetricsWorldLabelRoundTrips(t *testing.T) {
+	c := newDaemon(t)
+	ctx := context.Background()
+	const id = `q"uo\te`
+	if _, err := c.CreateWorld(ctx, client.CreateWorldRequest{ID: id, Scenario: "lab"}); err != nil {
+		t.Fatal(err)
+	}
+	text, err := c.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = `aroma_kernel_steps_total{world="`
+	var line string
+	for _, l := range strings.Split(text, "\n") {
+		if strings.HasPrefix(l, prefix) {
+			line = l
+			break
+		}
+	}
+	if line == "" {
+		t.Fatalf("/metrics has no %s line", prefix)
+	}
+	// Read the quoted value back: \\, \" and \n are the only escapes.
+	var got strings.Builder
+	rest := line[len(prefix):]
+	for i := 0; ; i++ {
+		if i >= len(rest) {
+			t.Fatalf("unterminated label value in %q", line)
+		}
+		ch := rest[i]
+		if ch == '"' {
+			break
+		}
+		if ch == '\\' && i+1 < len(rest) {
+			i++
+			switch rest[i] {
+			case '\\', '"':
+				ch = rest[i]
+			case 'n':
+				ch = '\n'
+			default:
+				t.Fatalf("unknown escape \\%c in %q", rest[i], line)
+			}
+		}
+		got.WriteByte(ch)
+	}
+	if got.String() != id {
+		t.Fatalf("world label reads back as %q, want %q (line %q)", got.String(), id, line)
+	}
+}

@@ -1,48 +1,43 @@
 package geo
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Grid is a uniform spatial hash over points, used by the radio medium to
 // find the entities near a transmitter without scanning the whole world.
+// Entries are identified by integer IDs. Grid is purely computational.
 //
-// Entries are identified by integer IDs. All iteration is deterministic:
-// VisitCover walks cells in row-major order and the IDs within a cell in
-// ascending order, so two identical runs observe entries identically.
-// Grid is purely computational and safe to rebuild at any time.
+// # Covers and block registration
 //
-// # Cell generations
+// A caller that caches the result of a spatial query registers a Cover
+// over the cells the query could touch (CoverFor), tests candidate
+// positions against it (InCover), and gates reuse of the cached result
+// on CoverValid. A cover is marked dirty exactly when an entry enters,
+// leaves, or moves across a cell boundary such that exactly one side of
+// the move lies in the cover's cell box; a move inside one cell, or
+// between two cells of the same box, leaves it clean. CoverValid is then
+// an O(1) flag check.
 //
-// Every cell carries a generation counter that is bumped whenever the
-// cell's membership changes: an entry is inserted into it, removed from
-// it, or moves across its boundary. A move that stays inside one cell
-// bumps nothing. Callers that cache the result of a spatial query can
-// register a Cover over the cells the query touched (CoverFor) and gate
-// reuse on CoverValid, which observes those cells' generation bumps as
-// an O(1) dirty flag — the basis of the radio medium's cell-granular
-// candidate-cache invalidation.
+// Covers register on 4×4-cell blocks, not on every cell: the grid keeps,
+// per block, the covers whose cell box overlaps the block. A membership
+// change in cell k walks the covers of k's block and dirties those whose
+// box holds k, so a cover registers once per block it overlaps instead
+// of once per cell: about a sixteenth as many registrations for a
+// large box.
 type Grid struct {
-	cell  float64
-	cells map[cellKey][]int
-	pos   map[int]Point
+	cell float64
+	pos  map[int]Point
 
-	// gen holds the per-cell membership generation; absent cells are at
-	// generation 0. genTotal sums every bump.
-	gen      map[cellKey]uint64
-	genTotal uint64
-
-	// watchers lists, per cell, the live Covers that include the cell.
-	// A membership change delivers the generation bump to them as a
-	// dirty flag, so CoverValid is O(1) instead of a walk over the
-	// cover's cells.
-	watchers map[cellKey][]watcherRef
+	// blocks lists, per 4×4-cell block (see blockShift), the live
+	// covers whose cell box overlaps the block.
+	blocks map[cellKey][]watcherRef
 }
 
-// watcherRef is one cover's registration in a cell's watcher list. slot
-// indexes the cover's own slots entry for this cell, so a swap-remove in
-// the list can fix the moved registration's back-reference in O(1).
+// blockShift sets the block edge: blocks are 1<<blockShift cells wide.
+const blockShift = 2
+
+// watcherRef is one cover's registration in a block's watcher list. slot
+// indexes the cover's own slots entry for this block, so a swap-remove
+// in the list can fix the moved registration's back-reference in O(1).
 type watcherRef struct {
 	cover *Cover
 	slot  int
@@ -50,6 +45,12 @@ type watcherRef struct {
 
 type cellKey struct {
 	X, Y int
+}
+
+// blockOf returns the block holding cell k; the arithmetic shift floors
+// negative coordinates too.
+func blockOf(k cellKey) cellKey {
+	return cellKey{X: k.X >> blockShift, Y: k.Y >> blockShift}
 }
 
 // DefaultGridCell is the cell size (metres) used when none is configured.
@@ -64,11 +65,9 @@ func NewGrid(cellSize float64) *Grid {
 		cellSize = DefaultGridCell
 	}
 	return &Grid{
-		cell:     cellSize,
-		cells:    make(map[cellKey][]int),
-		pos:      make(map[int]Point),
-		gen:      make(map[cellKey]uint64),
-		watchers: make(map[cellKey][]watcherRef),
+		cell:   cellSize,
+		pos:    make(map[int]Point),
+		blocks: make(map[cellKey][]watcherRef),
 	}
 }
 
@@ -89,71 +88,37 @@ func (g *Grid) Insert(id int, p Point) {
 		return
 	}
 	g.pos[id] = p
-	g.insertCell(g.keyFor(p), id)
+	g.touch(g.keyFor(p))
 }
 
-func (g *Grid) insertCell(k cellKey, id int) {
-	g.cellListInsert(k, id)
-	g.bumpCell(k)
-}
-
-func (g *Grid) removeCell(k cellKey, id int) {
-	g.cellListRemove(k, id)
-	g.bumpCell(k)
-}
-
-func (g *Grid) cellListInsert(k cellKey, id int) {
-	ids := g.cells[k]
-	i := sort.SearchInts(ids, id)
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	g.cells[k] = ids
-}
-
-func (g *Grid) cellListRemove(k cellKey, id int) {
-	ids := g.cells[k]
-	i := sort.SearchInts(ids, id)
-	if i >= len(ids) || ids[i] != id {
-		return
-	}
-	ids = append(ids[:i], ids[i+1:]...)
-	if len(ids) == 0 {
-		delete(g.cells, k)
-	} else {
-		g.cells[k] = ids
-	}
-}
-
-// bumpCell records a membership change in cell k: the cell's generation
-// advances and every cover watching the cell is marked dirty.
-func (g *Grid) bumpCell(k cellKey) {
-	g.gen[k]++
-	g.genTotal++
-	for _, ref := range g.watchers[k] {
-		ref.cover.dirty = true
-	}
-}
-
-// moveBump delivers a cross-cell move to watchers. Both cells'
-// generations advance, but a cover containing both cells keeps its
-// cached union — the entry never left the cover's box — so only covers
-// seeing exactly one side are marked dirty. Push invalidation is
-// deliberately finer than raw generation comparison here: an observer
-// of both generations would self-invalidate on a move that cannot have
-// changed its query result.
-func (g *Grid) moveBump(from, to cellKey) {
-	g.gen[from]++
-	g.gen[to]++
-	g.genTotal += 2
-	for _, ref := range g.watchers[from] {
-		if !ref.cover.containsCell(to) {
+// touch records a membership change in cell k: every cover whose box
+// holds k is marked dirty.
+func (g *Grid) touch(k cellKey) {
+	for _, ref := range g.blocks[blockOf(k)] {
+		if ref.cover.containsCell(k) {
 			ref.cover.dirty = true
 		}
 	}
-	for _, ref := range g.watchers[to] {
-		if !ref.cover.containsCell(from) {
-			ref.cover.dirty = true
+}
+
+// moveTouch records a move from cell from to cell to. A cover whose box
+// holds both cells keeps its cached result — the entry never left the
+// box — so only covers holding exactly one side are marked dirty. Such
+// a cover is registered on that side's block, so walking both blocks
+// finds every one.
+func (g *Grid) moveTouch(from, to cellKey) {
+	bf, bt := blockOf(from), blockOf(to)
+	for _, ref := range g.blocks[bf] {
+		if c := ref.cover; c.containsCell(from) != c.containsCell(to) {
+			c.dirty = true
+		}
+	}
+	if bt == bf {
+		return
+	}
+	for _, ref := range g.blocks[bt] {
+		if c := ref.cover; c.containsCell(from) != c.containsCell(to) {
+			c.dirty = true
 		}
 	}
 }
@@ -167,8 +132,7 @@ func (c *Cover) containsCell(k cellKey) bool {
 // is an explicit insert — the contract mobility code relies on, so a
 // mover attached before its entity reaches the index still lands it in
 // the right cell. A move within one cell updates only the stored
-// position: cell membership, and therefore every cell generation, is
-// untouched.
+// position and dirties no cover.
 func (g *Grid) Move(id int, p Point) {
 	old, ok := g.pos[id]
 	if !ok {
@@ -177,12 +141,9 @@ func (g *Grid) Move(id int, p Point) {
 	}
 	from, to := g.keyFor(old), g.keyFor(p)
 	g.pos[id] = p
-	if from == to {
-		return
+	if from != to {
+		g.moveTouch(from, to)
 	}
-	g.cellListRemove(from, id)
-	g.cellListInsert(to, id)
-	g.moveBump(from, to)
 }
 
 // Remove deletes an entry; removing an unknown ID is a no-op.
@@ -192,76 +153,32 @@ func (g *Grid) Remove(id int) {
 		return
 	}
 	delete(g.pos, id)
-	g.removeCell(g.keyFor(p), id)
+	g.touch(g.keyFor(p))
 }
 
-// visitBox invokes visit for every entry in the inclusive cell box
-// [lo, hi], in deterministic order: cells row-major by grid coordinate,
-// IDs ascending within a cell. The cost is min(box cells, occupied
-// cells): when the box spans far more cells than are occupied, the
-// occupied cells are enumerated directly instead of walking empty ones.
-func (g *Grid) visitBox(lo, hi cellKey, visit func(id int, p Point)) {
-	boxW, boxH := hi.X-lo.X+1, hi.Y-lo.Y+1
-	if boxW > len(g.cells) || boxH > len(g.cells) || boxW*boxH > len(g.cells) {
-		// Sparse occupancy: enumerate the occupied cells inside the box
-		// in the same row-major order the dense walk would use.
-		keys := make([]cellKey, 0, len(g.cells))
-		for k := range g.cells {
-			if k.X >= lo.X && k.X <= hi.X && k.Y >= lo.Y && k.Y <= hi.Y {
-				keys = append(keys, k)
-			}
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Y != keys[j].Y {
-				return keys[i].Y < keys[j].Y
-			}
-			return keys[i].X < keys[j].X
-		})
-		for _, k := range keys {
-			for _, id := range g.cells[k] {
-				visit(id, g.pos[id])
-			}
-		}
-		return
-	}
-	for cy := lo.Y; cy <= hi.Y; cy++ {
-		for cx := lo.X; cx <= hi.X; cx++ {
-			for _, id := range g.cells[cellKey{X: cx, Y: cy}] {
-				visit(id, g.pos[id])
-			}
-		}
-	}
-}
-
-// Cover is a live registration over the block of cells a circular query
-// covers. Build one with CoverFor next to the query, cache the query
-// result, and gate reuse on CoverValid: the cache stays valid exactly
-// as long as no entry has entered, left, or crossed into any covered
-// cell. Invalidation is push-based — a membership change in a covered
-// cell marks the cover dirty via the cell's watcher list — which is the
-// O(1)-per-check equivalent of re-comparing the per-cell generations
-// the cover observed at build time. Release a cover that will not be
-// revalidated again so its registrations are dropped.
+// Cover is a live registration over the box of cells a circular query
+// covers. Build one with CoverFor next to the query, select the query's
+// entries with InCover, cache the result, and gate reuse on CoverValid:
+// the cache stays valid exactly as long as no entry has entered, left,
+// or crossed into any covered cell. Invalidation is push-based — a
+// membership change marks the covers of its block whose box holds the
+// changed cell — so CoverValid is O(1). Release a cover that will not
+// be revalidated again so its block registrations are dropped.
 type Cover struct {
 	anchor   cellKey // cell of the center the cover was built for
 	lo, hi   cellKey // inclusive cell box, one-cell margin included
 	radius   float64
 	dirty    bool
 	released bool
-	// slots mirrors the cover's registration in each covered cell's
+	// slots mirrors the cover's registration in each overlapped block's
 	// watcher list; slot indices are kept current under swap-removal.
 	slots []coverSlot
 }
 
-// coverSlot records where in cell key's watcher list this cover sits.
+// coverSlot records where in block key's watcher list this cover sits.
 type coverSlot struct {
 	key   cellKey
 	index int
-}
-
-// Cells returns the number of cells the cover spans.
-func (c *Cover) Cells() int {
-	return (c.hi.X - c.lo.X + 1) * (c.hi.Y - c.lo.Y + 1)
 }
 
 // CoverFor registers a cover over the cells a circle of the given
@@ -283,17 +200,23 @@ func (g *Grid) CoverFor(center Point, radius float64) *Cover {
 		hi:     cellKey{X: hi.X + 1, Y: hi.Y + 1},
 		radius: radius,
 	}
-	c.slots = make([]coverSlot, 0, c.Cells())
-	for cy := c.lo.Y; cy <= c.hi.Y; cy++ {
-		for cx := c.lo.X; cx <= c.hi.X; cx++ {
-			k := cellKey{X: cx, Y: cy}
-			list := g.watchers[k]
+	blo, bhi := blockOf(c.lo), blockOf(c.hi)
+	c.slots = make([]coverSlot, 0, (bhi.X-blo.X+1)*(bhi.Y-blo.Y+1))
+	for by := blo.Y; by <= bhi.Y; by++ {
+		for bx := blo.X; bx <= bhi.X; bx++ {
+			k := cellKey{X: bx, Y: by}
+			list := g.blocks[k]
 			c.slots = append(c.slots, coverSlot{key: k, index: len(list)})
-			g.watchers[k] = append(list, watcherRef{cover: c, slot: len(c.slots) - 1})
+			g.blocks[k] = append(list, watcherRef{cover: c, slot: len(c.slots) - 1})
 		}
 	}
 	return c
 }
+
+// InCover reports whether p lies in one of the cover's cells: the
+// cell-conservative superset of the covered circle that a cached query
+// result holds.
+func (g *Grid) InCover(c *Cover, p Point) bool { return c.containsCell(g.keyFor(p)) }
 
 // CoverValid reports whether the cover still describes the grid: the
 // query origin is still in the cell the cover was anchored to and no
@@ -314,9 +237,9 @@ func (g *Grid) Anchored(c *Cover, center Point, radius float64) bool {
 }
 
 // Refresh clears a cover's dirty mark; call it exactly when re-running
-// the covered query (VisitCover), whose fresh result the existing
-// registration then guards again. Refreshing a released cover is a
-// no-op — it stays invalid.
+// the covered query, whose fresh result the existing registration then
+// guards again. Refreshing a released cover is a no-op — it stays
+// invalid.
 func (g *Grid) Refresh(c *Cover) {
 	if c != nil && !c.released {
 		c.dirty = false
@@ -324,16 +247,16 @@ func (g *Grid) Refresh(c *Cover) {
 }
 
 // Watchers returns the total number of live cover registrations across
-// all cells — an introspection hook for registration-leak tests.
+// all blocks — an introspection hook for registration-leak tests.
 func (g *Grid) Watchers() int {
 	n := 0
-	for _, list := range g.watchers {
+	for _, list := range g.blocks {
 		n += len(list)
 	}
 	return n
 }
 
-// Release drops the cover's watcher registrations; the cover is
+// Release drops the cover's block registrations; the cover is
 // permanently invalid afterwards. Callers replacing a cached cover must
 // release the old one, or the stale registrations keep receiving dirty
 // marks forever. Releasing nil or an already-released cover is a no-op.
@@ -343,25 +266,17 @@ func (g *Grid) Release(c *Cover) {
 	}
 	c.released = true
 	for _, s := range c.slots {
-		list := g.watchers[s.key]
+		list := g.blocks[s.key]
 		last := len(list) - 1
 		moved := list[last]
 		list[s.index] = moved
 		moved.cover.slots[moved.slot].index = s.index
 		list = list[:last]
 		if len(list) == 0 {
-			delete(g.watchers, s.key)
+			delete(g.blocks, s.key)
 		} else {
-			g.watchers[s.key] = list
+			g.blocks[s.key] = list
 		}
 	}
 	c.slots = nil
-}
-
-// VisitCover invokes visit for every entry in the cover's cells — no
-// radius filter; callers needing the exact circle check distances
-// themselves. Order is deterministic: cells row-major, IDs ascending
-// within a cell. The walk costs min(box cells, occupied cells).
-func (g *Grid) VisitCover(c *Cover, visit func(id int, p Point)) {
-	g.visitBox(c.lo, c.hi, visit)
 }

@@ -8,18 +8,19 @@ import (
 )
 
 // collectCircle runs a circular query the way the radio medium does:
-// register a cover, walk its cells, keep the entries within r of c
-// (boundary inclusive), release the cover.
+// register a cover, keep the entries in its cells that lie within r of
+// c (boundary inclusive), release the cover. The result is ID-ascending.
 func collectCircle(g *Grid, c Point, r float64) []int {
 	cover := g.CoverFor(c, r)
 	defer g.Release(cover)
 	var out []int
-	g.VisitCover(cover, func(id int, p Point) {
+	for id, p := range g.pos {
 		dx, dy := p.X-c.X, p.Y-c.Y
-		if dx*dx+dy*dy <= r*r {
+		if g.InCover(cover, p) && dx*dx+dy*dy <= r*r {
 			out = append(out, id)
 		}
-	})
+	}
+	sort.Ints(out)
 	return out
 }
 
@@ -138,37 +139,6 @@ func TestGridMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestVisitCoverSparseBoxKeepsRowMajorOrder(t *testing.T) {
-	// A cover spanning far more cells than are occupied takes the
-	// sparse path, which must visit in the dense walk's order: cells
-	// row-major, IDs ascending within a cell.
-	g := NewGrid(10)
-	for id := 1; id <= 20; id++ {
-		g.Insert(id, Pt(float64(21-id)*10, float64(id%3)*10))
-	}
-	g.Insert(21, Pt(11, 21)) // shares a cell with id 20
-	cover := g.CoverFor(Pt(100, 10), 300)
-	defer g.Release(cover)
-	if cover.Cells() <= len(g.cells) {
-		t.Fatalf("cover spans %d cells for %d occupied: not the sparse path", cover.Cells(), len(g.cells))
-	}
-	var got []Point
-	var ids []int
-	g.VisitCover(cover, func(id int, p Point) {
-		got = append(got, p)
-		ids = append(ids, id)
-	})
-	if len(got) != 21 {
-		t.Fatalf("sparse cover visit found %d entries, want 21", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		a, b := g.keyFor(got[i-1]), g.keyFor(got[i])
-		if a.Y > b.Y || (a.Y == b.Y && a.X > b.X) || (a == b && ids[i-1] > ids[i]) {
-			t.Fatalf("visit %d out of row-major order: %v then %v (ids %d, %d)", i, got[i-1], got[i], ids[i-1], ids[i])
-		}
-	}
-}
-
 func TestGridMoveUnknownIDInserts(t *testing.T) {
 	// Move on an ID the grid has never seen is an explicit insert.
 	g := NewGrid(10)
@@ -179,9 +149,11 @@ func TestGridMoveUnknownIDInserts(t *testing.T) {
 	if got := collectCircle(g, Pt(42, 42), 1); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("Move-inserted entry not found: %v", got)
 	}
-	// And it bumps the destination cell's generation like any insert.
-	if g.gen[g.keyFor(Pt(42, 42))] != 1 {
-		t.Fatalf("Move-insert did not bump the destination cell generation: %v", g.gen)
+	// And it dirties a cover over the destination cell like any insert.
+	c := g.CoverFor(Pt(42, 42), 0)
+	g.Move(8, Pt(43, 43))
+	if g.CoverValid(c, Pt(42, 42)) {
+		t.Fatal("Move-insert did not dirty a cover over the destination cell")
 	}
 }
 
@@ -205,26 +177,31 @@ func TestGridKeyForNegativeAndCellEdge(t *testing.T) {
 	}
 }
 
+// TestGridCellGenerations: a membership change dirties exactly the
+// covers whose cell box holds the changed cell. a spans cells [-1..1]
+// and b cells [2..4] on x (both [-1..1] on y); the entry stays in
+// cells 0..2, one 4×4 block that both covers overlap.
 func TestGridCellGenerations(t *testing.T) {
 	g := NewGrid(10)
-	k00 := g.keyFor(Pt(5, 5))
-	k10 := g.keyFor(Pt(15, 5))
+	a, b := g.CoverFor(Pt(5, 5), 0), g.CoverFor(Pt(35, 5), 0)
+	check := func(step string, wantA, wantB bool) {
+		t.Helper()
+		if gotA, gotB := !g.CoverValid(a, Pt(5, 5)), !g.CoverValid(b, Pt(35, 5)); gotA != wantA || gotB != wantB {
+			t.Fatalf("%s: dirty = %v,%v, want %v,%v", step, gotA, gotB, wantA, wantB)
+		}
+		g.Refresh(a)
+		g.Refresh(b)
+	}
 	g.Insert(1, Pt(5, 5))
-	if g.gen[k00] != 1 {
-		t.Fatalf("insert gen = %d, want 1", g.gen[k00])
-	}
-	g.Move(1, Pt(7, 7)) // within-cell move: free
-	if g.gen[k00] != 1 || g.genTotal != 1 {
-		t.Fatalf("within-cell move bumped a generation: gen=%d total=%d", g.gen[k00], g.genTotal)
-	}
-	g.Move(1, Pt(15, 5)) // cell crossing: both sides bump
-	if g.gen[k00] != 2 || g.gen[k10] != 1 {
-		t.Fatalf("crossing gens = %d,%d, want 2,1", g.gen[k00], g.gen[k10])
-	}
+	check("insert in a's cell", true, false)
+	g.Move(1, Pt(7, 7))
+	check("within-cell move", false, false)
+	g.Move(1, Pt(15, 5))
+	check("crossing inside a's box", false, false)
+	g.Move(1, Pt(25, 5))
+	check("crossing from a's box into b's", true, true)
 	g.Remove(1)
-	if g.gen[k10] != 2 {
-		t.Fatalf("remove gen = %d, want 2", g.gen[k10])
-	}
+	check("remove from b's box", false, true)
 }
 
 func TestCoverDirtyTracking(t *testing.T) {
@@ -340,7 +317,7 @@ func TestCoverForRejectsUnboundedRadius(t *testing.T) {
 	}
 }
 
-func TestVisitCoverIsSupersetOfCircle(t *testing.T) {
+func TestCoverIsSupersetOfCircle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := NewGrid(20)
 	pos := make(map[int]Point)
@@ -364,10 +341,12 @@ func TestVisitCoverIsSupersetOfCircle(t *testing.T) {
 		radius := rng.Float64() * 120
 		cover := g.CoverFor(center, radius)
 		inCover := make(map[int]bool)
-		g.VisitCover(cover, func(id int, _ Point) { inCover[id] = true })
+		for id, p := range pos {
+			inCover[id] = g.InCover(cover, p)
+		}
 		for _, id := range circle(center, radius) {
 			if !inCover[id] {
-				t.Fatalf("trial %d: circle entry %d missing from cover visit", trial, id)
+				t.Fatalf("trial %d: circle entry %d outside the cover", trial, id)
 			}
 		}
 		// The superset property must hold for any center within the
@@ -381,5 +360,128 @@ func TestVisitCoverIsSupersetOfCircle(t *testing.T) {
 			}
 		}
 		g.Release(cover)
+	}
+}
+
+// TestCoverBlockRegistrationProperty plays random inserts, moves and
+// removes, with covers built, refreshed and released in between, over
+// negative and positive coordinates on a 7 m grid, so cover boxes rarely
+// line up with the 4-cell blocks. The test keeps its own per-cell dirty
+// predicate for every live cover: an insert or remove dirties it when
+// the changed cell lies in the cover's box, and a cross-cell move when
+// exactly one of the two cells does. After every operation each cover's
+// CoverValid must equal that predicate; once every cover is released no
+// registration may remain.
+func TestCoverBlockRegistrationProperty(t *testing.T) {
+	const cell = 7.0
+	rng := rand.New(rand.NewSource(5))
+	g := NewGrid(cell)
+	cellOf := func(p Point) [2]int {
+		return [2]int{int(math.Floor(p.X / cell)), int(math.Floor(p.Y / cell))}
+	}
+	type tracked struct {
+		c      *Cover
+		center Point
+		x0, x1 int // the box the test computes itself, margin included
+		y0, y1 int
+		dirty  bool
+	}
+	in := func(tc *tracked, k [2]int) bool {
+		return k[0] >= tc.x0 && k[0] <= tc.x1 && k[1] >= tc.y0 && k[1] <= tc.y1
+	}
+	randPt := func() Point { return Pt(rng.Float64()*240-120, rng.Float64()*240-120) }
+	var covers []*tracked
+	pos := map[int]Point{}
+	for op := 0; op < 4000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 2 || len(covers) == 0: // new cover
+			center, radius := randPt(), rng.Float64()*40
+			lo, hi := cellOf(Pt(center.X-radius, center.Y-radius)), cellOf(Pt(center.X+radius, center.Y+radius))
+			covers = append(covers, &tracked{c: g.CoverFor(center, radius), center: center,
+				x0: lo[0] - 1, x1: hi[0] + 1, y0: lo[1] - 1, y1: hi[1] + 1})
+		case r == 2: // release one
+			i := rng.Intn(len(covers))
+			g.Release(covers[i].c)
+			covers = append(covers[:i], covers[i+1:]...)
+		case r == 3: // refresh one
+			tc := covers[rng.Intn(len(covers))]
+			g.Refresh(tc.c)
+			tc.dirty = false
+		default: // membership change
+			id := 1 + rng.Intn(60)
+			old, had := pos[id]
+			switch {
+			case !had:
+				p := randPt()
+				g.Insert(id, p)
+				pos[id] = p
+				for _, tc := range covers {
+					tc.dirty = tc.dirty || in(tc, cellOf(p))
+				}
+			case rng.Intn(4) == 0:
+				g.Remove(id)
+				delete(pos, id)
+				for _, tc := range covers {
+					tc.dirty = tc.dirty || in(tc, cellOf(old))
+				}
+			default:
+				// Half the moves are short, so many stay in their cell
+				// or cross into a neighbour.
+				p := randPt()
+				if rng.Intn(2) == 0 {
+					p = Pt(old.X+rng.Float64()*16-8, old.Y+rng.Float64()*16-8)
+				}
+				g.Move(id, p)
+				pos[id] = p
+				from, to := cellOf(old), cellOf(p)
+				for _, tc := range covers {
+					tc.dirty = tc.dirty || (from != to && in(tc, from) != in(tc, to))
+				}
+			}
+		}
+		for i, tc := range covers {
+			if got := g.CoverValid(tc.c, tc.center); got != !tc.dirty {
+				t.Fatalf("op %d: cover %d (cells x %d..%d, y %d..%d) valid = %v, per-cell predicate says dirty = %v",
+					op, i, tc.x0, tc.x1, tc.y0, tc.y1, got, tc.dirty)
+			}
+		}
+	}
+	for _, tc := range covers {
+		g.Release(tc.c)
+	}
+	if w := g.Watchers(); w != 0 {
+		t.Fatalf("%d block registrations left after every cover was released", w)
+	}
+}
+
+// BenchmarkGridCoverDense churns covers the way a dense radio world
+// builds them: 300 entries on a 12×12-cell occupied grid (50 m cells,
+// the densitysweep layout), and per op every one of 300 covers of
+// 200 m radius is released and registered again, followed by one
+// cross-cell move that walks a block's watchers.
+func BenchmarkGridCoverDense(b *testing.B) {
+	const n, side = 300, 600.0
+	rng := rand.New(rand.NewSource(3))
+	g := NewGrid(50)
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Pt(rng.Float64()*side, rng.Float64()*side)
+		g.Insert(i, pts[i])
+	}
+	covers := make([]*Cover, n)
+	churn := func(op int) {
+		for i, p := range pts {
+			g.Release(covers[i])
+			covers[i] = g.CoverFor(p, 200)
+		}
+		i := op % n
+		g.Move(i, Pt(math.Mod(pts[i].X+60, side), pts[i].Y))
+		g.Move(i, pts[i])
+	}
+	churn(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		churn(op)
 	}
 }

@@ -33,14 +33,11 @@ func benchDense(b *testing.B, n int, channels []int, opts ...MediumOption) {
 		}
 		k.Run()
 	}
-	// Warm the candidate caches, event/ledger pools, and gain caches so
-	// the measurement (and especially allocs/op) reflects steady state
-	// rather than front-loaded growth — the regression gate compares
-	// allocs/op across runs with different iteration counts.
-	for _, r := range radios {
-		m.candidatesFor(r)
-		r.gainTo = make([]pairGain, m.nextID+1)
-	}
+	// Warm the candidate caches, sender rows, event/ledger pools, and
+	// gain caches so the measurement (and especially allocs/op) reflects
+	// steady state rather than front-loaded growth — the regression gate
+	// compares allocs/op across runs with different iteration counts.
+	warmSenders(b, k, m, radios)
 	for i := 0; i < 3; i++ {
 		round(i)
 	}
@@ -48,6 +45,23 @@ func benchDense(b *testing.B, n int, channels []int, opts ...MediumOption) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round(i)
+	}
+}
+
+// warmSenders presizes every radio's gain row and sends one frame from
+// every radio, one at a time, so each sender's candidate set and hearer
+// row exist before a benchmark measures: a row is built the first time
+// its radio sends.
+func warmSenders(b *testing.B, k *sim.Kernel, m *Medium, radios []*Radio) {
+	b.Helper()
+	for _, r := range radios {
+		r.gainTo = make([]pairGain, m.nextID+1)
+	}
+	for _, r := range radios {
+		if _, err := m.Transmit(r, 2000, Rates[0], nil); err != nil {
+			b.Fatal(err)
+		}
+		k.Run()
 	}
 }
 
@@ -142,10 +156,7 @@ func benchDenseMobile(b *testing.B, n int, opts ...MediumOption) {
 	}
 	// Steady-state warmup, as in benchDense; under mobility the caches
 	// keep churning, but pool and cache growth is front-loaded.
-	for _, r := range radios {
-		m.candidatesFor(r)
-		r.gainTo = make([]pairGain, m.nextID+1)
-	}
+	warmSenders(b, k, m, radios)
 	for i := 0; i < 3; i++ {
 		round(i)
 	}

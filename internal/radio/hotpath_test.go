@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"aroma/internal/env"
 	"aroma/internal/geo"
 	"aroma/internal/sim"
 )
@@ -33,7 +34,7 @@ func TestOutOfOrderCompletionOverlapping(t *testing.T) {
 		dst := m.NewRadio("dst", geo.Pt(p.x+3, 0), p.ch, 15)
 		dst.OnReceive = func(r Receipt) {
 			if !r.OK {
-				t.Errorf("pair %d frame lost: SINR=%v", i, r.SINRdB)
+				t.Errorf("pair %d frame lost: SINR=%v", i, r.SINRdB())
 			}
 			order = append(order, i)
 		}
@@ -75,7 +76,7 @@ func TestLedgerRecycledAcrossTransmissions(t *testing.T) {
 	var sinrs []float64
 	b.OnReceive = func(r Receipt) {
 		if r.Tx.Src == a {
-			sinrs = append(sinrs, r.SINRdB)
+			sinrs = append(sinrs, r.SINRdB())
 		}
 	}
 	// Round 1: a's frame suffers co-channel interference from jam.
@@ -185,5 +186,109 @@ func TestMediumBusyAllocsNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("carrier-sense polling allocated %v times per slot, want 0", allocs)
+	}
+}
+
+// TestSenderRowBuiltOnce: in a static 300-radio world, once every radio
+// has sent a frame, every sender's hearer row stays the one it built —
+// same array, same geometry generation — through further overlapping
+// traffic, and that traffic allocates nothing beyond each frame's
+// Transmission record.
+func TestSenderRowBuiltOnce(t *testing.T) {
+	k, m, radios := denseWorld(300, allChannels, denseIndexed...)
+	// One closure for every frame, so sending allocates only what the
+	// medium does.
+	tx := func(a any) {
+		if _, err := m.Transmit(a.(*Radio), 2000, Rates[0], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send := func(src *Radio, at sim.Time) { k.ScheduleFn(at, "test.tx", tx, src) }
+	for _, r := range radios {
+		send(r, 0)
+		k.Run()
+	}
+	type built struct {
+		first *hearer
+		n     int
+		gen   uint64
+	}
+	rows := make([]built, len(radios))
+	for i, r := range radios {
+		if len(r.row) == 0 || r.rowGen != m.geoGen {
+			t.Fatalf("radio %d has no current row after sending (%d hearers, gen %d of %d)", r.ID, len(r.row), r.rowGen, m.geoGen)
+		}
+		if cap(r.row) != len(r.row) {
+			t.Fatalf("radio %d row holds %d hearers in an array of %d", r.ID, len(r.row), cap(r.row))
+		}
+		rows[i] = built{&r.row[0], len(r.row), r.rowGen}
+	}
+	const frames = 64
+	iter := 0
+	burst := func() {
+		for j := 0; j < frames; j++ {
+			send(radios[(iter*frames+j*17)%len(radios)], sim.Time(j)*50*sim.Microsecond)
+		}
+		k.Run()
+		iter++
+	}
+	burst() // warm the ledger and event pools for 64 overlapping frames
+	allocs := testing.AllocsPerRun(5, burst)
+	if allocs > frames {
+		t.Fatalf("a burst of %d frames allocated %v times, want at most one Transmission per frame", frames, allocs)
+	}
+	for i, r := range radios {
+		if got := (built{&r.row[0], len(r.row), r.rowGen}); got != rows[i] {
+			t.Fatalf("radio %d rebuilt its row: %+v, built %+v", r.ID, got, rows[i])
+		}
+	}
+}
+
+// TestSenderRowPinnedDuringDelivery: while finish delivers a frame from
+// its sender's row, a receipt callback changes the geometry and then
+// starts a frame that rebuilds the same sender's row (its second frame
+// is still in the air). The delivery must still reach its frozen
+// receiver set — every original hearer exactly once — so the rebuild
+// has to leave the pinned array alone.
+func TestSenderRowPinnedDuringDelivery(t *testing.T) {
+	k := sim.New(1)
+	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 400, 400)))
+	m := NewMedium(k, e, WithRxCutoffDBm(-80), WithGridCellM(20))
+	src := m.NewRadio("src", geo.Pt(50, 50), 6, 15)
+	var rx []*Radio
+	got := map[*Radio]int{}
+	for i := 0; i < 4; i++ {
+		r := m.NewRadio("rx", geo.Pt(55+float64(i), 50), 6, 15)
+		rx = append(rx, r)
+	}
+	other := m.NewRadio("other", geo.Pt(300, 300), 1, 15)
+	var short *Transmission
+	for _, r := range rx {
+		r := r
+		r.OnReceive = func(rc Receipt) {
+			if rc.Tx != short {
+				return
+			}
+			got[r]++
+			if r == rx[0] {
+				rx[1].SetPos(geo.Pt(390, 390)) // out of src's range: geoGen moves
+				if _, err := m.Transmit(other, 800, Rates[0], nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if _, err := m.Transmit(src, 8000, Rates[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if short, err = m.Transmit(src, 800, Rates[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	for i, r := range rx {
+		if got[r] != 1 {
+			t.Fatalf("receiver %d got %d receipts of the short frame, want 1 (receipts %v)", i, got[r], got)
+		}
 	}
 }

@@ -39,25 +39,41 @@
 //
 // Candidate sets are cached per radio with cell-granular invalidation,
 // so mobile worlds do not pay a global cache wipe per move: a cache
-// records the grid cells its hearing-range circle covers (a geo.Cover)
-// and revalidates against their per-cell generations. Only a move that
-// crosses a cell boundary — or an attach, detach, or retune within the
-// cache's coverage — forces a rebuild; a move inside one cell is free.
-// Retunes invalidate only caches whose 5-channel overlap window touches
-// the old or new channel (per-channel generation counters), not the
-// whole world. The cached set is a cell-conservative superset of the
-// hearing circle; delivery, interference, and energy accounting apply
-// the exact range check at use time, so the physics is identical to a
-// rebuild per move while mobility stays cheap.
+// registers a geo.Cover over the grid cells its hearing-range circle
+// covers, and the grid marks the cover dirty when an entry enters or
+// leaves one of those cells. Only a move that crosses a cell boundary —
+// or an attach, detach, or retune within the cache's coverage — forces
+// a rebuild; a move inside one cell is free. Retunes invalidate only
+// caches whose 5-channel overlap window touches the old or new channel
+// (per-channel generation counters), not the whole world. A rebuild is
+// one ID-ordered pass over the radios of the channel window, kept when
+// they lie in the cover's cells. The cached set is a cell-conservative
+// superset of the hearing circle; delivery, interference, and energy
+// accounting apply the exact range check at use time, so the physics is
+// identical to a rebuild per move while mobility stays cheap.
 //
-// Each in-flight transmission keeps a hearer row: its candidate set cut
-// to a nonzero channel overlap and its exact hearing range, in ID order,
-// with each hearer's overlap and, once looked up, its link gain. The
-// row is rebuilt only when the medium's geometry generation (geoGen)
-// moved — any position, channel or transmit-power change, attach,
-// detach, or jam or partition window bumps it — so interference
-// recording, delivery and carrier-sense invalidation walk one filtered
-// row per frame instead of re-filtering the candidates at every use.
+// # Sender rows
+//
+// Every radio that sends keeps one hearer row: its candidate set cut to
+// a nonzero channel overlap and its exact hearing range, in ID order,
+// with each hearer's overlap and, once looked up, its link gain. The row
+// is built once per geometry: it stays valid while the medium's geometry
+// generation (geoGen) holds — any position, channel or transmit-power
+// change, attach, detach, or jam or partition window bumps it — and
+// while the frame's hearing range equals the one the row was cut to.
+// Interference recording, delivery and carrier-sense invalidation of
+// all the sender's frames walk that row; a static world builds each
+// sender's row once. A row is sized exactly to its hearers, about 40
+// bytes per hearer per sender. While finish delivers one of the
+// sender's frames from the row, the row is pinned: a rebuild that
+// callbacks trigger meanwhile takes a fresh array, so the delivery's
+// receiver set stays frozen. Detach drops the row.
+//
+// Delivery decides decoding without a logarithm: it compares the linear
+// SINR against a narrow band around the rate's linear threshold and
+// takes 10·Log10 only inside the band, so the outcome is exactly the
+// dB comparison (see decodes). Receipt.SINRdB computes the dB value
+// when asked.
 //
 // Carrier sense is memoized per radio: Busy reuses the last sensed
 // energy until geoGen moves, the ambient noise changes, a frame the
@@ -78,9 +94,8 @@
 // # Allocation discipline
 //
 // The delivery hot path is allocation-free in steady state: interference
-// ledgers are pooled epoch-stamped slices recycled across transmissions,
-// and each carries its frame's hearer row, whose capacity only grows (to
-// the attached radio count) across tenancies; pairwise link gains are
+// ledgers are pooled epoch-stamped slices recycled across transmissions;
+// sender rows are rebuilt in place unless pinned; pairwise link gains are
 // cached in linear milliwatts (revalidated by per-radio generations
 // that move with position and transmit power, 32 bytes per directed
 // pair, so unmoved pairs recompute no transcendentals); the
@@ -185,8 +200,8 @@ type Transmission struct {
 	range2 float64
 	// led accumulates, per prospective receiver radio ID, the worst-case
 	// interference power observed while this transmission was in the
-	// air, and holds the transmission's hearer row. Ledgers are pooled
-	// on the medium and returned when the transmission finishes.
+	// air. Ledgers are pooled on the medium and returned when the
+	// transmission finishes.
 	led *ledger
 }
 
@@ -201,22 +216,15 @@ type ledgerCell struct {
 
 // ledger is a dense radio-ID-indexed interference accumulator, pooled
 // per Medium so the PHY hot path performs no per-transmission map or
-// slice allocation in steady state. It also carries the transmission's
-// hearer row (see hearersOf), whose capacity only grows across
-// tenancies.
+// slice allocation in steady state. power is the sender's transmit
+// power when the frame went on the air.
 type ledger struct {
 	epoch uint64
 	cells []ledgerCell
-
-	// row is the transmission's exact hearers, valid while rowGen equals
-	// the medium's geoGen (0 never does). power is the sender's transmit
-	// power when the frame went on the air.
-	row    []hearer
-	rowGen uint64
-	power  float64
+	power float64
 }
 
-// hearer is one exact hearer of an in-flight transmission: a radio on a
+// hearer is one exact hearer of a sender's frames: a radio on a
 // spectrally overlapping channel inside the frame's hearing range, with
 // its channel overlap. mw and rssi are the link gain, filled by the
 // first linkGain lookup that needs them (filled). 40 bytes.
@@ -263,9 +271,16 @@ func (t *Transmission) Airtime() sim.Time { return t.End - t.Start }
 type Receipt struct {
 	Tx      *Transmission
 	RSSIdBm float64
-	SINRdB  float64
 	OK      bool // decoded successfully
+
+	// sinr is the signal-to-interference-plus-noise ratio, linear.
+	sinr float64
 }
+
+// SINRdB returns the receipt's signal-to-interference-plus-noise ratio
+// in dB, computed from the linear ratio delivery decided on each time
+// it is called.
+func (r Receipt) SINRdB() float64 { return 10 * math.Log10(r.sinr) }
 
 // Radio is one transceiver attached to a Medium.
 type Radio struct {
@@ -317,9 +332,8 @@ type Radio struct {
 	medium *Medium
 
 	// cand caches the radios that could hear this one (candidatesFor).
-	// The cached slice is immutable: rebuilds allocate a fresh slice, so
-	// in-flight iterations over an old snapshot stay safe. Validity
-	// (candValid) compares the channel-window generation sum
+	// The cached slice is immutable: rebuilds allocate a fresh slice.
+	// Validity (candValid) compares the channel-window generation sum
 	// (candChanSum, for candChannel's overlap window) and — with the
 	// spatial cutoff — checks candCover, whose dirty flag the grid sets
 	// when a covered cell's membership changes. candPower guards the
@@ -348,6 +362,16 @@ type Radio struct {
 	// radio can neither transmit nor receive. A depth, not a bool, so
 	// overlapping fault windows nest correctly.
 	down int
+
+	// row is this radio's sender row (hearersOf): valid while rowGen
+	// equals the medium's geoGen (0 never does) and rowRange2 equals the
+	// frame's squared hearing range. rowPins counts the finish calls
+	// delivering from the row; while it is positive a rebuild takes a
+	// fresh array instead of overwriting the frozen receiver set.
+	row       []hearer
+	rowGen    uint64
+	rowRange2 float64
+	rowPins   int
 }
 
 // pairGain is one directed cached link budget: the received power at
@@ -387,8 +411,8 @@ func (r *Radio) SetTxPowerDBm(dbm float64) {
 // Without a receive cutoff the candidate sets are position-independent,
 // so moves neither touch the grid nor invalidate caches. With the
 // cutoff, only a move that crosses a grid-cell boundary invalidates
-// caches — and only those whose coverage includes the source or
-// destination cell (geo.Grid's per-cell generations).
+// caches — and only those whose coverage includes exactly one of the
+// source and destination cells (geo.Grid's cover invalidation).
 func (r *Radio) SetPos(p geo.Point) {
 	if p == r.Pos {
 		return
@@ -550,6 +574,15 @@ type Medium struct {
 	// GainHits/GainMisses count pairwise link-gain cache lookups.
 	GainHits   uint64
 	GainMisses uint64
+
+	// decKey, decLo and decHi cache finish's decode band (decodeBand)
+	// for the threshold decKey dB; decHi is never 0 once filled, so 0
+	// marks an empty cache.
+	decKey, decLo, decHi float64
+
+	// candBuf is buildCandidates' scratch: a rebuild collects into it
+	// and copies the result into an exactly sized slice.
+	candBuf []*Radio
 }
 
 // NewMedium creates an empty medium over the given environment.
@@ -602,7 +635,7 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 	m.byID[r.ID] = r
 	m.ordered = append(m.ordered, r) // IDs are monotonic: stays sorted
 	m.channelInsert(r)
-	m.grid.Insert(r.ID, pos) // bumps the destination cell's generation
+	m.grid.Insert(r.ID, pos) // dirties the covers holding its cell
 	m.chanGen[r.Channel]++
 	m.geoGen++
 	return r
@@ -637,9 +670,10 @@ func (m *Medium) Detach(r *Radio) {
 		m.ordered = append(m.ordered[:i], m.ordered[i+1:]...)
 	}
 	m.channelRemove(r)
-	m.grid.Remove(r.ID) // bumps the vacated cell's generation
+	m.grid.Remove(r.ID) // dirties the covers holding the vacated cell
 	m.grid.Release(r.candCover)
 	r.cand, r.candCover = nil, nil
+	r.row, r.rowGen = nil, 0
 	m.chanGen[r.Channel]++
 	m.geoGen++
 }
@@ -689,9 +723,8 @@ func (m *Medium) chanGenSum(lo, hi int) uint64 {
 //
 // The result is cached on src and revalidated per call (candValid);
 // rebuilds happen only when a relevant slice of the topology changed.
-// Callers must treat the returned slice as immutable; it is safe to keep
-// iterating across a topology change mid-delivery, because rebuilds
-// allocate a fresh slice.
+// Callers must treat the returned slice as immutable; rebuilds allocate
+// a fresh one, sized exactly to the set.
 func (m *Medium) candidatesFor(src *Radio) []*Radio {
 	if src.cand != nil && src.candPower == src.txPowerDBm && m.candValid(src) {
 		return src.cand
@@ -717,83 +750,74 @@ func (m *Medium) candValid(src *Radio) bool {
 	return m.grid.CoverValid(src.candCover, src.Pos)
 }
 
+// buildCandidates collects src's candidate set in one ID-ordered pass
+// over the radios of src's channel-overlap window, kept when they lie in
+// the cells of src's cover (with the cutoff). The pass walks the global
+// ID order when the window holds most of the band, and merges the
+// ID-sorted per-channel slices otherwise.
 func (m *Medium) buildCandidates(src *Radio) []*Radio {
-	dst := make([]*Radio, 0, 16)
-	src.candChannel = src.Channel
 	lo, hi := overlapWindow(src.Channel)
-	src.candChanSum = m.chanGenSum(lo, hi)
+	src.candChannel, src.candChanSum = src.Channel, m.chanGenSum(lo, hi)
+	var cover *geo.Cover
 	if m.cutoffEnabled() {
 		rangeM := m.hearingRange(src)
-		collect := func(id int, _ geo.Point) {
-			r := m.byID[id]
-			if r == src || r.Channel < lo || r.Channel > hi {
-				return
-			}
-			dst = append(dst, r)
-		}
-		cover := src.candCover
+		cover = src.candCover
 		if m.grid.Anchored(cover, src.Pos, rangeM) {
-			// Same cell box: reuse the registration, just re-walk.
+			// Same cell box: reuse the registration.
 			m.grid.Refresh(cover)
 		} else {
 			m.grid.Release(cover)
 			cover = m.grid.CoverFor(src.Pos, rangeM)
-			src.candCover = cover
 		}
-		m.grid.VisitCover(cover, collect)
-		if !m.attached(src) {
-			// A detached radio can rebuild once more while its last
-			// transmission is in flight; don't leave a registered
-			// cover behind that nothing would ever release.
-			m.grid.Release(cover)
-			src.candCover = nil
-		}
-		// The grid visits cell-major; restore the global ID order.
-		sort.Sort(byIDOrder(dst))
-		return dst
+		src.candCover = cover
 	}
-	total := 0
+	var heads [2*maxOverlapDistance - 1][]*Radio
+	n, total := 0, 0
 	for ch := lo; ch <= hi; ch++ {
 		total += len(m.byChannel[ch])
 	}
 	if total*3 >= len(m.ordered)*2 {
-		// The overlap window holds most of the band: a filtered scan of
-		// the global ID order beats a multi-way merge.
-		for _, r := range m.ordered {
-			if r != src && r.Channel >= lo && r.Channel <= hi {
-				dst = append(dst, r)
+		heads[0], n = m.ordered, 1
+	} else {
+		for ch := lo; ch <= hi; ch++ {
+			if s := m.byChannel[ch]; len(s) > 0 {
+				heads[n] = s
+				n++
 			}
 		}
-		return dst
 	}
-	// Sparse window: merge the (already ID-sorted) per-channel slices,
-	// skipping src.
-	var heads [2*maxOverlapDistance - 1][]*Radio
-	n := 0
-	for ch := lo; ch <= hi; ch++ {
-		if s := m.byChannel[ch]; len(s) > 0 {
-			heads[n] = s
-			n++
-		}
-	}
+	buf := m.candBuf[:0]
 	for {
 		best := -1
 		for i := 0; i < n; i++ {
-			if len(heads[i]) == 0 {
-				continue
-			}
-			if best < 0 || heads[i][0].ID < heads[best][0].ID {
+			if len(heads[i]) > 0 && (best < 0 || heads[i][0].ID < heads[best][0].ID) {
 				best = i
 			}
 		}
 		if best < 0 {
-			return dst
+			break
 		}
-		if r := heads[best][0]; r != src {
-			dst = append(dst, r)
-		}
+		r := heads[best][0]
 		heads[best] = heads[best][1:]
+		if r == src || r.Channel < lo || r.Channel > hi {
+			continue
+		}
+		if cover != nil && !m.grid.InCover(cover, r.Pos) {
+			continue
+		}
+		buf = append(buf, r)
 	}
+	m.candBuf = buf
+	if cover != nil && !m.attached(src) {
+		// A detached radio can rebuild once more while its last
+		// transmission is in flight; don't leave a registered cover
+		// behind that nothing would ever release.
+		m.grid.Release(cover)
+		src.candCover = nil
+	}
+	dst := make([]*Radio, len(buf)) // non-nil even when empty: a valid cache
+	copy(dst, buf)
+	return dst
 }
 
 // distSq returns the squared Euclidean distance between two points; the
@@ -805,13 +829,6 @@ func distSq(a, b geo.Point) float64 {
 
 // squared returns v*v, preserving +Inf (the disabled-cutoff range).
 func squared(v float64) float64 { return v * v }
-
-// byIDOrder sorts radios by ascending ID.
-type byIDOrder []*Radio
-
-func (s byIDOrder) Len() int           { return len(s) }
-func (s byIDOrder) Less(i, j int) bool { return s[i].ID < s[j].ID }
-func (s byIDOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // linkGain returns the received power at rx for a transmission from
 // src, in linear milliwatts and dBm, through the per-pair cache. The
@@ -876,41 +893,43 @@ func (m *Medium) acquireLedger() *ledger {
 		l = &ledger{}
 	}
 	l.epoch = m.ledgerEpoch
-	l.rowGen = 0
 	return l
 }
 
-// hearersOf returns tx's hearer row: candidatesFor(tx.Src) cut to a
-// nonzero channel overlap and tx's exact hearing range, in ascending ID
-// order. It is rebuilt only when geoGen moved since the last build, so
-// the interference walks of every later Transmit, the carrier-sense
-// invalidation and the delivery share one filtered set instead of each
-// re-filtering the candidates. A row that must grow is sized to the
-// attached radio count, which bounds every candidate set, so a ledger
-// regrows its row only when the world grows: steady state allocates
-// nothing.
+// hearersOf returns the hearer row of tx's sender: candidatesFor(tx.Src)
+// cut to a nonzero channel overlap and tx's exact hearing range, in
+// ascending ID order. The row lives on the sender and is rebuilt only
+// when geoGen moved or tx's hearing range differs from the row's, so the
+// interference walks of every later Transmit, the carrier-sense
+// invalidation and the delivery of all the sender's frames share one
+// filtered set. A rebuild sizes the row exactly to its hearers and
+// overwrites the old array when it fits, unless finish is delivering
+// from it (rowPins).
 func (m *Medium) hearersOf(tx *Transmission) []hearer {
-	l := tx.led
-	if l.rowGen == m.geoGen {
-		return l.row
-	}
 	src := tx.Src
-	cand := m.candidatesFor(src)
-	if cap(l.row) < len(cand) {
-		l.row = make([]hearer, 0, len(m.ordered))
+	if src.rowGen == m.geoGen && src.rowRange2 == tx.range2 {
+		return src.row
 	}
-	row := l.row[:0]
+	cand := m.candidatesFor(src)
+	n := 0
+	for _, rx := range cand {
+		if ChannelOverlap(src.Channel, rx.Channel) != 0 && distSq(src.Pos, rx.Pos) <= tx.range2 {
+			n++
+		}
+	}
+	row := src.row
+	if src.rowPins > 0 || cap(row) < n {
+		row = make([]hearer, n)
+	}
+	row = row[:0]
 	for _, rx := range cand {
 		ov := ChannelOverlap(src.Channel, rx.Channel)
-		if ov == 0 {
-			continue
-		}
-		if distSq(src.Pos, rx.Pos) > tx.range2 {
-			continue // below the receive cutoff by construction
+		if ov == 0 || distSq(src.Pos, rx.Pos) > tx.range2 {
+			continue // no spectral overlap, or below the receive cutoff
 		}
 		row = append(row, hearer{rx: rx, id: int32(rx.ID), ov: ov})
 	}
-	l.row, l.rowGen = row, m.geoGen
+	src.row, src.rowGen, src.rowRange2 = row, m.geoGen, tx.range2
 	return row
 }
 
@@ -993,9 +1012,20 @@ func (m *Medium) senseEnergyMW(r *Radio, now sim.Time) (total float64, lookups u
 	return total, lookups, until
 }
 
-// csBand is the relative half-width of the milliwatt band around the
-// carrier-sense threshold inside which Busy decides in dBm.
-const csBand = 1e-9
+// thresholdBand is the relative half-width of the linear band around a
+// dB threshold inside which Busy and decodes decide in dB.
+const thresholdBand = 1e-9
+
+// linearBand returns the band t·(1±thresholdBand) around
+// t = 10^(db/10), or (0, +Inf) when t is not a finite normal float (db
+// ±Inf, NaN, or far below -3000), which sends every decision to the dB
+// predicate.
+func linearBand(db float64) (lo, hi float64) {
+	if t := env.DBmToMilliwatts(db); t >= 0x1p-1022 && t <= math.MaxFloat64 {
+		return t * (1 - thresholdBand), t * (1 + thresholdBand)
+	}
+	return 0, math.Inf(1)
+}
 
 // Busy reports whether the radio's carrier sense sees the medium busy:
 // whether the sensed energy e, in dBm, exceeds CSThresholdDBm. The MAC
@@ -1018,10 +1048,8 @@ func (m *Medium) Busy(r *Radio) bool { return r.senses(m.energyAtMW(r)) }
 // radio's carrier-sense threshold (see Busy).
 func (r *Radio) senses(e float64) bool {
 	if r.csHi == 0 || r.csKey != r.CSThresholdDBm {
-		r.csKey, r.csLo, r.csHi = r.CSThresholdDBm, 0, math.Inf(1)
-		if t := env.DBmToMilliwatts(r.CSThresholdDBm); t >= 0x1p-1022 && t <= math.MaxFloat64 {
-			r.csLo, r.csHi = t*(1-csBand), t*(1+csBand)
-		}
+		r.csKey = r.CSThresholdDBm
+		r.csLo, r.csHi = linearBand(r.CSThresholdDBm)
 	}
 	switch {
 	case e > r.csHi:
@@ -1030,6 +1058,35 @@ func (r *Radio) senses(e float64) bool {
 		return false
 	}
 	return env.MilliwattsToDBm(e) > r.CSThresholdDBm
+}
+
+// decodeBand returns linearBand(minSINRdB), cached on the medium for the
+// last threshold asked.
+func (m *Medium) decodeBand(minSINRdB float64) (lo, hi float64) {
+	if m.decHi == 0 || m.decKey != minSINRdB {
+		m.decKey = minSINRdB
+		m.decLo, m.decHi = linearBand(minSINRdB)
+	}
+	return m.decLo, m.decHi
+}
+
+// decodes reports whether a frame received at the linear SINR ratio
+// decodes at the threshold minSINRdB, given (lo, hi) =
+// linearBand(minSINRdB). The answer is exactly 10·Log10(ratio) >=
+// minSINRdB, by the argument Busy makes for carrier sense: the relative
+// error of the linear threshold and the absolute error of 10·Log10 are
+// both orders of magnitude inside the band, so a ratio above it decodes
+// in dB too and a positive ratio below it fails in dB too. Inside the
+// band, for ratios that are 0 or NaN, and for unusable thresholds,
+// decodes evaluates the dB predicate itself.
+func decodes(ratio, minSINRdB, lo, hi float64) bool {
+	switch {
+	case ratio > hi:
+		return true
+	case ratio > 0 && ratio < lo:
+		return false
+	}
+	return 10*math.Log10(ratio) >= minSINRdB
 }
 
 // SNRAtDBm returns the signal-to-noise ratio (no interference) a receiver
@@ -1126,23 +1183,28 @@ func (m *Medium) finish(tx *Transmission) {
 		m.active = append(m.active[:i], m.active[i+1:]...)
 	}
 	noiseMW, _ := m.noiseFloor()
+	src := tx.Src
 	// A sender whose power changed in flight has a candidate set that no
 	// longer covers the frame's hearing range, so the row cannot name
 	// every radio whose memo holds this frame: drop them all instead.
-	if tx.Src.txPowerDBm != tx.led.power {
+	if src.txPowerDBm != tx.led.power {
 		m.geoGen++
 	}
-	// The hearer row is this delivery round's receiver set, frozen
-	// before any callback runs: OnReceive callbacks may transmit, move,
-	// retune or attach/detach radios without changing who is delivered
-	// to (detached receivers are re-checked below). The row lives in
-	// tx's ledger, which nothing reuses until this round ends. Its
-	// recorded overlaps and gains hold only while geoGen does; after a
-	// callback changed the geometry, the rest of the round recomputes
-	// them as the medium now stands.
+	// The sender's hearer row is this delivery round's receiver set,
+	// frozen before any callback runs: OnReceive callbacks may transmit,
+	// move, retune or attach/detach radios without changing who is
+	// delivered to (detached receivers are re-checked below). The pin
+	// makes a rebuild during the round take a fresh array, so nothing
+	// overwrites the row until the round ends. Its recorded overlaps and
+	// gains hold only while geoGen does; after a callback changed the
+	// geometry, the rest of the round recomputes them as the medium now
+	// stands. The decode band is fetched once per round.
 	receivers := m.hearersOf(tx)
 	forgetSensing(receivers)
+	src.rowPins++
 	gen := m.geoGen
+	minSINR := tx.Rate.MinSINRdB
+	lo, hi := m.decodeBand(minSINR)
 	for i := range receivers {
 		h := &receivers[i]
 		rx := h.rx
@@ -1152,17 +1214,17 @@ func (m *Medium) finish(tx *Transmission) {
 		var ov, mw, rssi float64
 		if m.geoGen == gen {
 			ov = h.ov
-			mw, rssi = m.rowGain(tx.Src, h)
+			mw, rssi = m.rowGain(src, h)
 		} else {
-			if ov = ChannelOverlap(tx.Src.Channel, rx.Channel); ov == 0 {
+			if ov = ChannelOverlap(src.Channel, rx.Channel); ov == 0 {
 				continue
 			}
-			mw, rssi = m.linkGain(tx.Src, rx)
+			mw, rssi = m.linkGain(src, rx)
 		}
 		sigMW := mw * ov
 		intMW := tx.led.at(rx.ID)
-		sinr := 10 * math.Log10(sigMW/(noiseMW+intMW))
-		ok := sinr >= tx.Rate.MinSINRdB
+		sinr := sigMW / (noiseMW + intMW)
+		ok := decodes(sinr, minSINR, lo, hi)
 		// Delivered/Lost are canonical frame accounting; an outcome
 		// with nonzero interference is also a capture win or a
 		// collision (observability only).
@@ -1177,8 +1239,9 @@ func (m *Medium) finish(tx *Transmission) {
 				m.Collisions++
 			}
 		}
-		rx.OnReceive(Receipt{Tx: tx, RSSIdBm: rssi, SINRdB: sinr, OK: ok})
+		rx.OnReceive(Receipt{Tx: tx, RSSIdBm: rssi, OK: ok, sinr: sinr})
 	}
+	src.rowPins--
 	// The ledger is no longer needed: recordInterference only targets
 	// active transmissions, and delivery above has consumed every cell.
 	m.ledgerFree = append(m.ledgerFree, tx.led)

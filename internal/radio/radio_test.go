@@ -77,7 +77,7 @@ func TestTransmitDelivers(t *testing.T) {
 	}
 	r := got[0]
 	if !r.OK {
-		t.Fatalf("close-range frame not decoded: SINR=%v", r.SINRdB)
+		t.Fatalf("close-range frame not decoded: SINR=%v", r.SINRdB())
 	}
 	if r.Tx != tx || r.Tx.Payload() != "hello" {
 		t.Fatal("wrong transmission or payload")
@@ -133,7 +133,7 @@ func TestFarReceiverFailsToDecode(t *testing.T) {
 		t.Fatal("no receipt")
 	}
 	if r.OK {
-		t.Fatalf("distant 11 Mbps frame decoded: SINR=%v", r.SINRdB)
+		t.Fatalf("distant 11 Mbps frame decoded: SINR=%v", r.SINRdB())
 	}
 	if m.Lost != 1 {
 		t.Fatalf("lost = %d", m.Lost)
@@ -200,7 +200,7 @@ func TestAdjacentChannelPartialInterference(t *testing.T) {
 		var sinr float64
 		b.OnReceive = func(r Receipt) {
 			if r.Tx.Src.ID == a.ID {
-				sinr = r.SINRdB
+				sinr = r.SINRdB()
 			}
 		}
 		if _, err := m.Transmit(i, 80000, Rates[0], nil); err != nil {
@@ -404,7 +404,7 @@ func TestIndexedMatchesFullScanPhysics(t *testing.T) {
 			ch := 1 + (i*3)%11
 			r := m.NewRadio("r", geo.Pt(float64(i%8)*35, float64(i/8)*35), ch, 15)
 			r.OnReceive = func(rc Receipt) {
-				out = append(out, outcome{r.ID, rc.SINRdB, rc.OK})
+				out = append(out, outcome{r.ID, rc.SINRdB(), rc.OK})
 				heard[rc.Tx.Seq] = append(heard[rc.Tx.Seq], r.ID)
 			}
 			radios = append(radios, r)
@@ -656,7 +656,7 @@ func TestMobileInvalidationModesAgree(t *testing.T) {
 			r.OnReceive = func(rc Receipt) {
 				log = append(log, fmt.Sprintf("%d rx%d tx%d ok=%v rssi=%x sinr=%x",
 					k.Now(), id, rc.Tx.Seq, rc.OK,
-					math.Float64bits(rc.RSSIdBm), math.Float64bits(rc.SINRdB)))
+					math.Float64bits(rc.RSSIdBm), math.Float64bits(rc.SINRdB())))
 			}
 			radios = append(radios, r)
 		}
@@ -803,7 +803,7 @@ func TestBusyMatchesDBmPredicate(t *testing.T) {
 		for k := 1; k <= 8; k++ {
 			energies = append(energies, mw*(1+float64(k)*0x1p-52), mw*(1-float64(k)*0x1p-52))
 		}
-		for _, edge := range []float64{r.csLo, r.csHi, mw * (1 - csBand), mw * (1 + csBand)} {
+		for _, edge := range []float64{r.csLo, r.csHi, mw * (1 - thresholdBand), mw * (1 + thresholdBand)} {
 			energies = append(energies, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
 		}
 		for _, e := range energies {
@@ -817,5 +817,48 @@ func TestBusyMatchesDBmPredicate(t *testing.T) {
 	r.senses(0)
 	if mw := env.DBmToMilliwatts(-82); !(0 < r.csLo && r.csLo < mw && mw < r.csHi && !math.IsInf(r.csHi, 1)) {
 		t.Fatalf("band for -82 dBm is (%v, %v), want a finite band around %v", r.csLo, r.csHi, mw)
+	}
+}
+
+// TestDecodeMatchesDBmPredicate holds the linear decode decision to the
+// dB comparison it replaces, 10·Log10(r) >= MinSINRdB, for every rate's
+// threshold and for ±Inf, NaN and -4000 dB (whose linear value
+// underflows to zero). Ratios are the linear threshold t, t·(1±1e-9),
+// the band edges, the floats next to each of those, and 0, a denormal,
+// +Inf and NaN.
+func TestDecodeMatchesDBmPredicate(t *testing.T) {
+	thresholds := []float64{math.Inf(1), math.Inf(-1), math.NaN(), -4000}
+	for _, r := range Rates {
+		thresholds = append(thresholds, r.MinSINRdB)
+	}
+	m := &Medium{}
+	near := 0 // ratios at t itself or one float away that decode differently from a plain r >= t
+	for _, th := range thresholds {
+		lo, hi := m.decodeBand(th)
+		lin := env.DBmToMilliwatts(th)
+		ratios := []float64{0, 0x1p-1070, math.Inf(1), math.NaN()}
+		for _, x := range []float64{lin, lin * (1 - thresholdBand), lin * (1 + thresholdBand), lo, hi} {
+			ratios = append(ratios, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+		}
+		for _, r := range ratios {
+			want := 10*math.Log10(r) >= th
+			if got := decodes(r, th, lo, hi); got != want {
+				t.Fatalf("threshold %v dB, ratio %v: decodes %v, dB predicate %v", th, r, got, want)
+			}
+			if d := math.Abs(r - lin); d <= 2*math.Abs(math.Nextafter(lin, math.Inf(1))-lin) && want != (r >= lin) {
+				near++
+			}
+		}
+	}
+	// Without the band, some ratio next to a threshold would take the
+	// wrong side: the comparison in dB is not the comparison in linear.
+	if near == 0 {
+		t.Fatal("no ratio near a threshold separates the dB predicate from r >= t; the test no longer exercises the band")
+	}
+	// The fast band is in use for every rate.
+	for _, r := range Rates {
+		if lo, hi := m.decodeBand(r.MinSINRdB); !(0 < lo && lo < hi && !math.IsInf(hi, 1)) {
+			t.Fatalf("band for %v dB is (%v, %v), want a finite band", r.MinSINRdB, lo, hi)
+		}
 	}
 }

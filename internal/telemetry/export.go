@@ -130,7 +130,8 @@ func escapeLabel(v string) string {
 }
 
 // renderLabels renders the merged, key-sorted label set as {k="v",...},
-// or "" when there are no labels. Values are escaped and then quoted.
+// or "" when there are no labels. Values are escaped once and put in
+// double quotes.
 func renderLabels(labels []Label, common []Label, extra ...Label) string {
 	merged := make([]Label, 0, len(labels)+len(common)+len(extra))
 	merged = append(merged, common...)
@@ -147,7 +148,9 @@ func renderLabels(labels []Label, common []Label, extra ...Label) string {
 		}
 		b = append(b, l.Key...)
 		b = append(b, '=')
-		b = strconv.AppendQuote(b, escapeLabel(l.Value))
+		b = append(b, '"')
+		b = append(b, escapeLabel(l.Value)...)
+		b = append(b, '"')
 	}
 	return string(append(b, '}'))
 }

@@ -52,6 +52,10 @@ type refPromLine struct {
 	value  string
 }
 
+// refLabelEscaper escapes a label value per the Prometheus text format:
+// backslash, double quote and newline, nothing else.
+var refLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func refRenderLabels(labels []Label, common []Label, extra ...Label) string {
 	merged := make([]Label, 0, len(labels)+len(common)+len(extra))
 	merged = append(merged, common...)
@@ -67,7 +71,7 @@ func refRenderLabels(labels []Label, common []Label, extra ...Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `%s=%q`, l.Key, escapeLabel(l.Value))
+		fmt.Fprintf(&b, `%s="%s"`, l.Key, refLabelEscaper.Replace(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -2,12 +2,12 @@
 # bench.sh — record the repo's performance trajectory.
 #
 # Runs the hot-path benchmarks (kernel event queue, dense/mobile radio
-# medium and carrier sense, world-level dense PHY fan-out, RFB tile
-# streaming) at a statistically useful count, plus every root
-# figure/claim benchmark once, and folds the output into a JSON record
-# via cmd/benchgate. The checked-in BENCH_PR8.json was produced by this
-# script; CI re-runs the gated subset and compares against it (see
-# .github/workflows/ci.yml "Benchmark regression gate").
+# medium and carrier sense, grid cover churn, world-level dense PHY
+# fan-out, RFB tile streaming) at a statistically useful count, plus
+# every root figure/claim benchmark once, and folds the output into a
+# JSON record via cmd/benchgate. The checked-in BENCH_PR8.json was
+# produced by this script; CI re-runs the gated subset and compares
+# against it (see .github/workflows/ci.yml "Benchmark regression gate").
 #
 # Usage:
 #   scripts/bench.sh [out.json]
@@ -34,6 +34,10 @@ echo "== radio medium, dense + mobile + carrier sense (count=$count, benchtime=$
 go test -run '^$' -bench 'BenchmarkMedium(Busy)?Dense' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/radio/ | tee -a "$tmp"
 
+echo "== grid cover churn, dense (count=$count, benchtime=$benchtime)"
+go test -run '^$' -bench 'BenchmarkGridCoverDense' -benchmem \
+    -count "$count" -benchtime "$benchtime" ./internal/geo/ | tee -a "$tmp"
+
 echo "== checkpoint snapshot/restore, dense-500 (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench 'BenchmarkCheckpoint' -benchmem \
     -count "$count" -benchtime "$benchtime" ./pkg/aroma/checkpoint/ | tee -a "$tmp"
@@ -56,4 +60,4 @@ if [[ "${SKIP_ROOT:-0}" != 1 ]]; then
 fi
 
 go run ./cmd/benchgate -emit "$out" -in "$tmp" \
-    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkMediumBusyDense*, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*, internal/rfb (all)"
+    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkMediumBusyDense*, BenchmarkGridCoverDense, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*, internal/rfb (all)"
