@@ -42,7 +42,9 @@ func BenchmarkEncodeFullFrameRaw(b *testing.B)      { benchServe(b, true, EncRaw
 func BenchmarkEncodeFullFrameRLEFlat(b *testing.B)  { benchServe(b, false, EncRLE) }
 func BenchmarkEncodeFullFrameRLENoisy(b *testing.B) { benchServe(b, true, EncRLE) }
 
-func BenchmarkUpdateUnmarshalApply(b *testing.B) {
+// benchApply times parsing a full noisy frame, sent raw as RLE cannot
+// shrink it, and applying it with apply.
+func benchApply(b *testing.B, apply func(*Framebuffer, *Update) error) {
 	src := benchFB(b, true)
 	src.MarkAllDirty()
 	wire, _ := appendUpdate(nil, src, 1, EncRLE)
@@ -55,33 +57,52 @@ func BenchmarkUpdateUnmarshalApply(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := Apply(dst, v); err != nil {
+		if err := apply(dst, v); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFramebufferFill alternates two colours over a 200×150
-// rectangle that straddles tile edges, so every row changes.
-func BenchmarkFramebufferFill(b *testing.B) {
+func BenchmarkUpdateUnmarshalApply(b *testing.B) { benchApply(b, Apply) }
+
+// BenchmarkUpdateUnmarshalApplyRef is the per-pixel reference twin of
+// BenchmarkUpdateUnmarshalApply; CI gates the ratio of the two.
+func BenchmarkUpdateUnmarshalApplyRef(b *testing.B) { benchApply(b, refApply) }
+
+// benchFill alternates two colours over a 200×150 rectangle that
+// straddles tile edges, so every row changes.
+func benchFill(b *testing.B, fill func(f *Framebuffer, x, y, w, h int, v uint8)) {
 	fb := benchFB(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.Fill(37, 21, 200, 150, uint8(i&1))
+		fill(fb, 37, 21, 200, 150, uint8(i&1))
 	}
 }
 
-func BenchmarkAnimatorStep(b *testing.B) {
+func BenchmarkFramebufferFill(b *testing.B) { benchFill(b, (*Framebuffer).Fill) }
+
+// BenchmarkFramebufferFillRef is the per-pixel reference twin of
+// BenchmarkFramebufferFill; CI gates the ratio of the two.
+func BenchmarkFramebufferFillRef(b *testing.B) { benchFill(b, refFill) }
+
+// benchStep times animation frames of a 5% square, textured or solid.
+func benchStep(b *testing.B, textured bool) {
 	fb := benchFB(b, false)
 	a, err := NewAnimator(fb, 0.05)
 	if err != nil {
 		b.Fatal(err)
 	}
-	a.Textured = true
+	a.Textured = textured
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Step()
 	}
 }
+
+func BenchmarkAnimatorStep(b *testing.B) { benchStep(b, true) }
+
+// BenchmarkAnimatorStepSolid draws the solid square the lab and
+// smartprojector scenarios animate.
+func BenchmarkAnimatorStepSolid(b *testing.B) { benchStep(b, false) }

@@ -90,7 +90,9 @@ func refDirtyTiles(f *Framebuffer) []Rect {
 func refEncodeTileRaw(f *Framebuffer, r Rect) []byte {
 	out := make([]byte, 0, r.W*r.H)
 	for y := r.Y; y < r.Y+r.H; y++ {
-		out = append(out, f.pix[y*f.W+r.X:y*f.W+r.X+r.W]...)
+		for x := r.X; x < r.X+r.W; x++ {
+			out = append(out, f.Pixel(x, y))
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package rfb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -180,7 +181,7 @@ type Animator struct {
 	x, y   int
 	dx, dy int
 	color  uint8
-	row    []uint8 // scratch row for textured draws
+	cols   []uint8 // scratch: the textured draw's column pattern
 	Steps  uint64
 
 	// Textured draws a per-pixel pattern instead of a solid square,
@@ -192,7 +193,7 @@ type Animator struct {
 // NewAnimator creates an animator whose moving square covers roughly
 // intensity (0..1] of the framebuffer area.
 func NewAnimator(fb *Framebuffer, intensity float64) (*Animator, error) {
-	if intensity <= 0 || intensity > 1 {
+	if !(intensity > 0 && intensity <= 1) { // false for NaN too
 		return nil, fmt.Errorf("rfb: intensity %v out of (0,1]", intensity)
 	}
 	area := float64(fb.W*fb.H) * intensity
@@ -244,16 +245,41 @@ func (a *Animator) Step() {
 }
 
 // drawTextured paints the square at its current position with the
-// textured pattern, building each row in the animator's scratch row.
+// textured pattern color ^ uint8((x+i)·7 + yy·13), tile by tile. The
+// column part is computed once into the animator's scratch; each row of
+// a tile's part adds the row part to it eight pixels at a time.
 func (a *Animator) drawTextured() {
-	if len(a.row) < a.side {
-		a.row = make([]uint8, a.side)
+	if len(a.cols) < a.side {
+		a.cols = make([]uint8, a.side)
 	}
-	row := a.row[:a.side]
-	for yy := a.y; yy < a.y+a.side; yy++ {
-		for i := range row {
-			row[i] = a.color ^ uint8((a.x+i)*7+yy*13)
+	cols := a.cols[:a.side]
+	for i := range cols {
+		cols[i] = uint8((a.x + i) * 7)
+	}
+	c8 := uint64(a.color) * lanes
+	var blk [TileSize * TileSize]uint8
+	a.fb.eachTile(a.x, a.y, a.x+a.side, a.y+a.side, func(x0, y0, x1, y1 int) {
+		w := x1 - x0
+		c := cols[x0-a.x:][:w]
+		for y := y0; y < y1; y++ {
+			row := blk[(y-y0)*w:][:w]
+			d := uint8(y * 13)
+			d8 := uint64(d) * lanes
+			i := 0
+			for ; i+8 <= w; i += 8 {
+				binary.LittleEndian.PutUint64(row[i:], addLanes(binary.LittleEndian.Uint64(c[i:]), d8)^c8)
+			}
+			for ; i < w; i++ {
+				row[i] = a.color ^ (c[i] + d)
+			}
 		}
-		a.fb.writeRow(a.x, yy, row)
-	}
+		a.fb.putTile(x0, y0, x1, y1, blk[:], w)
+	})
+}
+
+// addLanes adds a and b as eight independent bytes, each modulo 256:
+// the low seven bits of every lane add without reaching the next lane,
+// and the high bits are added carry-less.
+func addLanes(a, b uint64) uint64 {
+	return ((a &^ highs) + (b &^ highs)) ^ ((a ^ b) & highs)
 }

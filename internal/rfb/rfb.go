@@ -12,6 +12,19 @@
 // paper's physical-layer finding is that wireless bandwidth "prevents us
 // from displaying rapid animation", and the tile/encoding choices are the
 // ablation arms.
+//
+// # Layout
+//
+// A framebuffer stores its pixels tile-major, in the 16×16 tiles the
+// protocol ships. Pixels are ordered by 16-row band, then by tile within
+// the band, and each tile is its own row-major w×h block whose stride is
+// that tile's width: tile (tx, ty) starts at byte ty·16·W + tx·16·hb,
+// where hb is the band's height. Edge tiles are narrower or shorter, not
+// padded, so the store is exactly W·H bytes and every tile, edge tiles
+// included, is one contiguous slice: a raw tile is encoded by one append
+// and decoded by one copy. Every write goes through put, which compares
+// old and new pixels only while the tile is clean, so a tile is dirty
+// exactly when one of its pixels changed since the last update.
 package rfb
 
 import (
@@ -20,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // TileSize is the side length of the square dirty-tracking tiles.
@@ -29,10 +43,16 @@ const TileSize = 16
 // tile rectangles travel as uint16 fields.
 const maxDim = math.MaxUint16
 
+// Byte-lane masks for eight pixels held in one uint64.
+const (
+	lanes uint64 = 0x0101010101010101
+	highs uint64 = 0x8080808080808080
+)
+
 // Framebuffer is a W×H 8-bit pixel surface with per-tile dirty tracking.
 type Framebuffer struct {
 	W, H           int
-	pix            []uint8
+	pix            []uint8 // tile-major; see the package doc
 	tilesX, tilesY int
 	dirty          []bool
 }
@@ -57,12 +77,28 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 	}, nil
 }
 
+// block returns the pixels of the tile whose top-left pixel is (x, y),
+// both multiples of TileSize inside the framebuffer, and the tile's
+// width, which is the block's stride.
+func (f *Framebuffer) block(x, y int) ([]uint8, int) {
+	tw, hb := min(TileSize, f.W-x), min(TileSize, f.H-y)
+	off := y*f.W + x*hb
+	return f.pix[off : off+tw*hb], tw
+}
+
+// index returns the offset of in-bounds pixel (x, y) in pix.
+func (f *Framebuffer) index(x, y int) int {
+	bx, by := x&^(TileSize-1), y&^(TileSize-1)
+	tw, hb := min(TileSize, f.W-bx), min(TileSize, f.H-by)
+	return by*f.W + bx*hb + (y-by)*tw + x - bx
+}
+
 // Pixel returns the pixel at (x, y); out-of-bounds reads return 0.
 func (f *Framebuffer) Pixel(x, y int) uint8 {
 	if x < 0 || y < 0 || x >= f.W || y >= f.H {
 		return 0
 	}
-	return f.pix[y*f.W+x]
+	return f.pix[f.index(x, y)]
 }
 
 // Set writes one pixel and marks its tile dirty. Out-of-bounds writes are
@@ -71,7 +107,7 @@ func (f *Framebuffer) Set(x, y int, v uint8) {
 	if x < 0 || y < 0 || x >= f.W || y >= f.H {
 		return
 	}
-	i := y*f.W + x
+	i := f.index(x, y)
 	if f.pix[i] == v {
 		return // no visual change, no dirt
 	}
@@ -79,60 +115,97 @@ func (f *Framebuffer) Set(x, y int, v uint8) {
 	f.dirty[(y/TileSize)*f.tilesX+(x/TileSize)] = true
 }
 
+// put copies src into seg, part of tile t's block. While the tile is
+// clean it compares first and marks the tile dirty only if a pixel
+// differs; a dirty tile is copied without comparing.
+func (f *Framebuffer) put(t int, seg, src []uint8) {
+	if !f.dirty[t] {
+		if bytes.Equal(seg, src) {
+			return
+		}
+		f.dirty[t] = true
+	}
+	copy(seg, src)
+}
+
+// eachTile calls fn with the part [x0, x1) × [y0, y1) of the rectangle,
+// clipped to the framebuffer, that lies in each tile it covers, band by
+// band.
+func (f *Framebuffer) eachTile(x0, y0, x1, y1 int, fn func(x0, y0, x1, y1 int)) {
+	x0, x1 = max(x0, 0), min(x1, f.W)
+	y0, y1 = max(y0, 0), min(y1, f.H)
+	if x0 >= x1 || y0 >= y1 {
+		return
+	}
+	for by := y0 &^ (TileSize - 1); by < y1; by += TileSize {
+		for bx := x0 &^ (TileSize - 1); bx < x1; bx += TileSize {
+			fn(max(x0, bx), max(y0, by), min(x1, bx+TileSize), min(y1, by+TileSize))
+		}
+	}
+}
+
+// putTile writes src into [x0, x1) × [y0, y1), which lies within one
+// tile, row k from src[k·stride:]. Whole tile rows from a source of the
+// same stride are one contiguous range and take a single put.
+func (f *Framebuffer) putTile(x0, y0, x1, y1 int, src []uint8, stride int) {
+	bx, by := x0&^(TileSize-1), y0&^(TileSize-1)
+	blk, tw := f.block(bx, by)
+	t := (by/TileSize)*f.tilesX + bx/TileSize
+	w := x1 - x0
+	if w == tw && stride == w {
+		f.put(t, blk[(y0-by)*w:(y1-by)*w], src[:(y1-y0)*w])
+		return
+	}
+	for y := y0; y < y1; y++ {
+		k := (y - y0) * stride
+		f.put(t, blk[(y-by)*tw+x0-bx:][:w], src[k:k+w])
+	}
+}
+
 // Fill sets every pixel in the rectangle [x, x+w) × [y, y+h); the part
 // outside the framebuffer is ignored. A tile is marked dirty only if one
 // of its pixels changed.
 func (f *Framebuffer) Fill(x, y, w, h int, v uint8) {
-	x0, x1 := max(x, 0), min(x+w, f.W)
-	y0, y1 := max(y, 0), min(y+h, f.H)
-	if x0 >= x1 || y0 >= y1 {
-		return
+	var pat [TileSize * TileSize]uint8
+	fillBytes(pat[:], v)
+	f.eachTile(x, y, x+w, y+h, func(x0, y0, x1, y1 int) {
+		f.putTile(x0, y0, x1, y1, pat[:], x1-x0)
+	})
+}
+
+// fillBytes sets every byte of b to v, eight at a time.
+func fillBytes(b []uint8, v uint8) {
+	v8 := uint64(v) * lanes
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], v8)
 	}
-	for yy := y0; yy < y1; yy++ {
-		row := f.pix[yy*f.W : (yy+1)*f.W]
-		dirty := f.dirty[(yy/TileSize)*f.tilesX:]
-		for sx := x0; sx < x1; {
-			ex := min(sx-sx%TileSize+TileSize, x1)
-			if fillSegment(row[sx:ex], v) {
-				dirty[sx/TileSize] = true
-			}
-			sx = ex
-		}
+	for ; i < len(b); i++ {
+		b[i] = v
 	}
 }
 
-// fillSegment sets every byte of seg to v and reports whether any
-// byte changed.
-func fillSegment(seg []uint8, v uint8) bool {
-	for i, p := range seg {
-		if p != v {
-			for j := i; j < len(seg); j++ {
-				seg[j] = v
-			}
-			return true
-		}
-	}
-	return false
+// writeBlock copies src, a row-major w×h block, to the rectangle with
+// top-left pixel (x, y); the part outside the framebuffer is ignored.
+func (f *Framebuffer) writeBlock(x, y, w, h int, src []uint8) {
+	f.eachTile(x, y, x+w, y+h, func(x0, y0, x1, y1 int) {
+		f.putTile(x0, y0, x1, y1, src[(y0-y)*w+x0-x:], w)
+	})
 }
 
-// writeRow copies src into row y starting at column x, one tile-wide
-// segment at a time; the part outside the framebuffer is ignored. A
-// tile is marked dirty only if one of its pixels changed.
-func (f *Framebuffer) writeRow(x, y int, src []uint8) {
-	if y < 0 || y >= f.H {
-		return
-	}
-	x0, x1 := max(x, 0), min(x+len(src), f.W)
-	row := f.pix[y*f.W : (y+1)*f.W]
-	dirty := f.dirty[(y/TileSize)*f.tilesX:]
-	for sx := x0; sx < x1; {
-		ex := min(sx-sx%TileSize+TileSize, x1)
-		seg, in := row[sx:ex], src[sx-x:ex-x]
-		if !bytes.Equal(seg, in) {
-			copy(seg, in)
-			dirty[sx/TileSize] = true
-		}
-		sx = ex
+// writeRect writes s, a row-major prefix of the pixels of r, into the
+// framebuffer: its whole rows as one block, then the partial row. A
+// rectangle without height takes nothing; one without width takes all
+// of s on its first row, where the RLE decoder's runs never wrap.
+func (f *Framebuffer) writeRect(r Rect, s []uint8) {
+	switch {
+	case r.H <= 0:
+	case r.W <= 0:
+		f.writeBlock(r.X, r.Y, len(s), 1, s)
+	default:
+		rows := len(s) / r.W
+		f.writeBlock(r.X, r.Y, r.W, rows, s)
+		f.writeBlock(r.X, r.Y+rows, len(s)-rows*r.W, 1, s[rows*r.W:])
 	}
 }
 
@@ -157,15 +230,7 @@ func (f *Framebuffer) DirtyCount() int {
 
 // Equal reports whether two framebuffers have identical pixel content.
 func (f *Framebuffer) Equal(g *Framebuffer) bool {
-	if f.W != g.W || f.H != g.H {
-		return false
-	}
-	for i := range f.pix {
-		if f.pix[i] != g.pix[i] {
-			return false
-		}
-	}
-	return true
+	return f.W == g.W && f.H == g.H && bytes.Equal(f.pix, g.pix)
 }
 
 // Rect is a pixel-space rectangle.
@@ -205,42 +270,44 @@ func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 		if len(data) != r.W*r.H {
 			return fmt.Errorf("rfb: raw tile size %d != %d", len(data), r.W*r.H)
 		}
-		for y := r.Y; y < r.Y+r.H; y++ {
-			f.writeRow(r.X, y, data[:r.W])
-			data = data[r.W:]
-		}
+		f.writeRect(r, data)
 		return nil
 	case EncRLE:
 		if len(data)%2 != 0 {
 			return errors.New("rfb: odd RLE payload")
 		}
-		x, y := r.X, r.Y
+		// The runs are expanded into s and written once. s holds at most
+		// what the rectangle takes before it overflows: nothing without
+		// height, W·H pixels with a width, and without one every run (they
+		// all land on the first row). The payload bounds s either way.
+		room := 255 * len(data) / 2
+		if r.H <= 0 {
+			room = 0
+		} else if r.W > 0 {
+			room = min(room, r.W*r.H)
+		}
+		var buf [TileSize * TileSize]uint8
+		s := buf[:0]
+		if room > len(buf) {
+			s = make([]uint8, 0, room)
+		}
 		total := 0
 		for i := 0; i < len(data); i += 2 {
 			n, v := int(data[i]), data[i+1]
 			if n == 0 {
+				f.writeRect(r, s)
 				return errors.New("rfb: zero-length RLE run")
 			}
 			total += n
-			for n > 0 {
-				if y >= r.Y+r.H {
-					return errors.New("rfb: RLE overflow")
-				}
-				// A run continues across row ends; a rectangle with no
-				// width never wraps, so its runs stay on the first row.
-				span := n
-				if r.W > 0 {
-					span = min(n, r.X+r.W-x)
-				}
-				f.Fill(x, y, span, 1, v)
-				x += span
-				n -= span
-				if x == r.X+r.W {
-					x = r.X
-					y++
-				}
+			k := min(n, room-len(s))
+			s = s[:len(s)+k]
+			fillBytes(s[len(s)-k:], v)
+			if k < n {
+				f.writeRect(r, s)
+				return errors.New("rfb: RLE overflow")
 			}
 		}
+		f.writeRect(r, s)
 		if total != r.W*r.H {
 			return fmt.Errorf("rfb: RLE covers %d pixels, want %d", total, r.W*r.H)
 		}
@@ -275,9 +342,9 @@ const (
 // appendUpdate appends the wire form of an update carrying every dirty
 // tile of f, in row-major tile order, and clears the dirty flags. It
 // returns the extended buffer and the number of tiles written. With
-// EncRLE each tile is run-length encoded straight into dst and rewritten
-// raw in place once the RLE body would reach the raw size, as real RFB
-// encoders do.
+// EncRLE a tile is run-length encoded unless its RLE body would be no
+// smaller than raw, as real RFB encoders do; raw bodies are the tile's
+// stored block.
 func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]byte, int) {
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, serial)
@@ -290,25 +357,22 @@ func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]by
 		f.dirty[i] = false
 		tiles++
 		x, y := (i%f.tilesX)*TileSize, (i/f.tilesX)*TileSize
-		w, h := min(TileSize, f.W-x), min(TileSize, f.H-y)
+		blk, w := f.block(x, y)
 		hdr := len(dst)
 		dst = binary.BigEndian.AppendUint16(dst, uint16(x))
 		dst = binary.BigEndian.AppendUint16(dst, uint16(y))
 		dst = binary.BigEndian.AppendUint16(dst, uint16(w))
-		dst = binary.BigEndian.AppendUint16(dst, uint16(h))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(blk)/w))
 		dst = append(dst, byte(EncRaw), 0, 0, 0, 0)
 		body := len(dst)
 		ok := false
 		if enc == EncRLE {
-			dst, ok = appendRLE(dst, f, x, y, w, h)
+			dst, ok = appendRLE(dst, blk)
 		}
 		if ok {
 			dst[hdr+8] = byte(EncRLE)
 		} else {
-			dst = dst[:body]
-			for yy := y; yy < y+h; yy++ {
-				dst = append(dst, f.pix[yy*f.W+x:yy*f.W+x+w]...)
-			}
+			dst = append(dst, blk...)
 		}
 		binary.BigEndian.PutUint32(dst[hdr+9:], uint32(len(dst)-body))
 	}
@@ -316,27 +380,59 @@ func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]by
 	return dst, tiles
 }
 
-// appendRLE appends the (count, value) runs of the w×h tile at (x, y),
-// read row-major with runs continuing across row ends. It gives up and
-// reports false as soon as the body reaches w*h bytes, where raw is no
-// larger.
-func appendRLE(dst []byte, f *Framebuffer, x, y, w, h int) ([]byte, bool) {
-	limit := len(dst) + w*h
-	v, n := f.pix[y*f.W+x], 0
-	for yy := y; yy < y+h; yy++ {
-		for _, p := range f.pix[yy*f.W+x : yy*f.W+x+w] {
-			if p != v || n == 255 {
-				dst = append(dst, byte(n), v)
-				if len(dst) >= limit {
-					return dst, false
-				}
-				v, n = p, 0
-			}
-			n++
+// appendRLE appends the (count, value) runs of a tile's block, read
+// row-major with runs continuing across row ends, or appends nothing and
+// reports false when the RLE body would not be smaller than the block.
+//
+// A block with c value changes has c+1 maximal runs, and at most 256
+// pixels: a run longer than 255 fills the whole block, whose body (two
+// runs) is then 4 bytes. So the body is 2·(c+1) bytes whenever that
+// could reach the block's size, and the test below is exact.
+func appendRLE(dst []byte, blk []uint8) ([]byte, bool) {
+	var marks [TileSize * TileSize / 8]uint64
+	if 2*(valueChanges(blk, marks[:])+1) >= len(blk) {
+		return dst, false
+	}
+	start := 0 // first pixel of the current run
+	for j, m := range marks[:(len(blk)+6)/8] {
+		for ; m != 0; m &= m - 1 {
+			i := 8*j + bits.TrailingZeros64(m)/8 + 1 // first pixel of the next run
+			dst = append(dst, byte(i-start), blk[start])
+			start = i
 		}
 	}
-	dst = append(dst, byte(n), v)
-	return dst, len(dst) < limit
+	for n := len(blk) - start; n > 0; n -= 255 {
+		dst = append(dst, byte(min(n, 255)), blk[start])
+	}
+	return dst, true
+}
+
+// valueChanges counts the i in [1, len(b)) with b[i] != b[i-1], eight
+// neighbour pairs per step. For each such i it sets the high bit of byte
+// lane (i-1)%8 of marks[(i-1)/8]; every other bit of the first
+// (len(b)+6)/8 words, which marks must hold, is cleared.
+func valueChanges(b []uint8, marks []uint64) int {
+	n, j := 0, 0
+	for ; len(b) >= 9; j++ {
+		x := binary.LittleEndian.Uint64(b[:8]) ^ binary.LittleEndian.Uint64(b[1:9])
+		// A lane's high bit ends up set exactly when the lane is nonzero;
+		// no carry crosses lanes.
+		m := (((x &^ highs) + ^highs) | x) & highs
+		marks[j] = m
+		n += bits.OnesCount64(m)
+		b = b[8:]
+	}
+	if len(b) > 1 {
+		var m uint64
+		for i := 1; i < len(b); i++ {
+			if b[i] != b[i-1] {
+				m |= 0x80 << (8 * (i - 1))
+				n++
+			}
+		}
+		marks[j] = m
+	}
+	return n
 }
 
 // UnmarshalUpdate parses a wire-format update.

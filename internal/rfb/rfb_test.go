@@ -3,6 +3,7 @@ package rfb
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -77,6 +78,82 @@ func TestSetAndPixel(t *testing.T) {
 	}
 	fb.Set(-5, -5, 1) // must not panic
 	fb.Set(64, 48, 1) // must not panic
+}
+
+// Every pixel of a framebuffer whose sides are not tile multiples has
+// its own byte of the W·H store, reads back what was set, and sits in
+// its tile's contiguous block at the tile-major offset.
+func TestPixelSetRoundTripTileMajor(t *testing.T) {
+	const w, h = 33, 17
+	fb := mustFB(t, w, h)
+	if len(fb.pix) != w*h {
+		t.Fatalf("len(pix) = %d, want %d", len(fb.pix), w*h)
+	}
+	seen := make([]bool, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := fb.index(x, y)
+			if seen[i] {
+				t.Fatalf("(%d, %d) shares byte %d with another pixel", x, y, i)
+			}
+			seen[i] = true
+			fb.Set(x, y, uint8(x*7+y*13+1))
+		}
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if got, want := fb.Pixel(x, y), uint8(x*7+y*13+1); got != want {
+				t.Fatalf("Pixel(%d, %d) = %d, want %d", x, y, got, want)
+			}
+		}
+	}
+	for by := 0; by < h; by += TileSize {
+		for bx := 0; bx < w; bx += TileSize {
+			blk, tw := fb.block(bx, by)
+			th := min(TileSize, h-by)
+			if tw != min(TileSize, w-bx) || len(blk) != tw*th {
+				t.Fatalf("tile (%d, %d): stride %d, %d bytes", bx, by, tw, len(blk))
+			}
+			for i, p := range blk {
+				if want := fb.Pixel(bx+i%tw, by+i/tw); p != want {
+					t.Fatalf("tile (%d, %d) byte %d = %d, want %d", bx, by, i, p, want)
+				}
+			}
+		}
+	}
+}
+
+func TestValueChangesMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 300; n++ {
+		for _, constant := range []bool{false, true} {
+			b := make([]uint8, n)
+			for i := range b {
+				if constant {
+					b[i] = 9
+				} else {
+					b[i] = uint8(rng.Intn(3)) // runs of varied length
+				}
+			}
+			marks := make([]uint64, (n+6)/8)
+			for i := range marks {
+				marks[i] = ^uint64(0) // stale bits must be cleared
+			}
+			want, wantMarks := 0, make([]uint64, len(marks))
+			for i := 1; i < n; i++ {
+				if b[i] != b[i-1] {
+					want++
+					wantMarks[(i-1)/8] |= 0x80 << (8 * ((i - 1) % 8))
+				}
+			}
+			if got := valueChanges(b, marks); got != want {
+				t.Fatalf("len %d constant %v: %d changes, want %d", n, constant, got, want)
+			}
+			if !slices.Equal(marks, wantMarks) {
+				t.Fatalf("len %d constant %v: marks %x, want %x", n, constant, marks, wantMarks)
+			}
+		}
+	}
 }
 
 func TestDirtyTracking(t *testing.T) {
@@ -321,6 +398,12 @@ func TestAnimatorIntensityValidation(t *testing.T) {
 	}
 	if _, err := NewAnimator(fb, 1.5); err == nil {
 		t.Fatal(">1 intensity accepted")
+	}
+	if _, err := NewAnimator(fb, math.NaN()); err == nil {
+		t.Fatal("NaN intensity accepted")
+	}
+	if _, err := NewAnimator(fb, math.Inf(-1)); err == nil {
+		t.Fatal("-Inf intensity accepted")
 	}
 	if _, err := NewAnimator(fb, 1); err != nil {
 		t.Fatal("full intensity rejected")

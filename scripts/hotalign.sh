@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# hotalign.sh — print where the app-stack workload's hot rfb loops sit
-# in a binary: each function's address and that address mod 64, its
-# offset inside a 64-byte cache line.
+# hotalign.sh — print where the app-stack workload's hot rfb kernels
+# sit in a binary: each function's address and that address mod 64, its
+# offset inside a 64-byte cache line. drawTextured.func1 is the
+# per-tile loop of the textured draw, a closure with a symbol of its own.
 #
 # A change that only moves code can shift these loops to another
 # offset, and app-stack's time has moved by about 10% on such a shift
@@ -19,12 +20,12 @@ set -euo pipefail
 
 bin=${1:?usage: scripts/hotalign.sh BIN}
 syms=$(go tool nm "$bin")
-for fn in fillSegment appendRLE drawTextured; do
+for fn in Fill putTile DecodeTile appendRLE valueChanges drawTextured drawTextured.func1; do
     line=$(awk -v fn="$fn" '$2 == "T" && $3 ~ ("^aroma/internal/rfb\\.(\\([^)]*\\)\\.)?" fn "$") { print $1, $3; exit }' <<<"$syms")
     if [[ -z $line ]]; then
-        printf '%-13s inlined (no symbol)\n' "$fn"
+        printf '%-18s inlined (no symbol)\n' "$fn"
         continue
     fi
     addr=${line%% *}
-    printf '%-13s 0x%s mod 64 = %2d  %s\n' "$fn" "$addr" $((16#$addr % 64)) "${line#* }"
+    printf '%-18s 0x%s mod 64 = %2d  %s\n' "$fn" "$addr" $((16#$addr % 64)) "${line#* }"
 done
