@@ -2,30 +2,30 @@ package geo
 
 import "math"
 
-// Grid is a uniform spatial hash over points, used by the radio medium to
-// find the entities near a transmitter without scanning the whole world.
-// Entries are identified by integer IDs. Grid is purely computational.
+// Grid is a uniform spatial hash used by the radio medium to cache the
+// entities near a transmitter without rescanning the whole world. It
+// stores no entries: the caller keeps the positions and reports each
+// move (Move), and the grid keeps only the cover registrations the
+// moves must dirty. Grid is purely computational.
 //
 // # Covers and block registration
 //
 // A caller that caches the result of a spatial query registers a Cover
 // over the cells the query could touch (CoverFor), tests candidate
 // positions against it (InCover), and gates reuse of the cached result
-// on CoverValid. A cover is marked dirty exactly when an entry enters,
-// leaves, or moves across a cell boundary such that exactly one side of
-// the move lies in the cover's cell box; a move inside one cell, or
-// between two cells of the same box, leaves it clean. CoverValid is then
-// an O(1) flag check.
+// on CoverValid. A cover is marked dirty exactly when a move crosses a
+// cell boundary such that exactly one side of the move lies in the
+// cover's cell box; a move inside one cell, or between two cells of the
+// same box, leaves it clean. CoverValid is then an O(1) flag check.
+// Entries that appear or vanish are the caller's to track.
 //
 // Covers register on 4×4-cell blocks, not on every cell: the grid keeps,
-// per block, the covers whose cell box overlaps the block. A membership
-// change in cell k walks the covers of k's block and dirties those whose
-// box holds k, so a cover registers once per block it overlaps instead
-// of once per cell: about a sixteenth as many registrations for a
-// large box.
+// per block, the covers whose cell box overlaps the block. A move walks
+// the covers of the blocks of its two cells, so a cover registers once
+// per block it overlaps instead of once per cell: about a sixteenth as
+// many registrations for a large box.
 type Grid struct {
 	cell float64
-	pos  map[int]Point
 
 	// blocks lists, per 4×4-cell block (see blockShift), the live
 	// covers whose cell box overlaps the block.
@@ -66,50 +66,28 @@ func NewGrid(cellSize float64) *Grid {
 	}
 	return &Grid{
 		cell:   cellSize,
-		pos:    make(map[int]Point),
 		blocks: make(map[cellKey][]watcherRef),
 	}
 }
-
-// CellSize returns the grid's cell edge length in metres.
-func (g *Grid) CellSize() float64 { return g.cell }
-
-// Len returns the number of entries in the grid.
-func (g *Grid) Len() int { return len(g.pos) }
 
 func (g *Grid) keyFor(p Point) cellKey {
 	return cellKey{X: int(math.Floor(p.X / g.cell)), Y: int(math.Floor(p.Y / g.cell))}
 }
 
-// Insert adds an entry; inserting an existing ID moves it instead.
-func (g *Grid) Insert(id int, p Point) {
-	if _, ok := g.pos[id]; ok {
-		g.Move(id, p)
+// Move records that an entry moved from one point to another. A move
+// within one cell dirties no cover. A cross-cell move dirties only the
+// covers whose box holds exactly one of the two cells: a cover holding
+// both keeps its cached result, since the entry never left the box.
+// Such a cover is registered on that side's block, so walking both
+// blocks finds every one.
+func (g *Grid) Move(from, to Point) {
+	kf, kt := g.keyFor(from), g.keyFor(to)
+	if kf == kt {
 		return
 	}
-	g.pos[id] = p
-	g.touch(g.keyFor(p))
-}
-
-// touch records a membership change in cell k: every cover whose box
-// holds k is marked dirty.
-func (g *Grid) touch(k cellKey) {
-	for _, ref := range g.blocks[blockOf(k)] {
-		if ref.cover.containsCell(k) {
-			ref.cover.dirty = true
-		}
-	}
-}
-
-// moveTouch records a move from cell from to cell to. A cover whose box
-// holds both cells keeps its cached result — the entry never left the
-// box — so only covers holding exactly one side are marked dirty. Such
-// a cover is registered on that side's block, so walking both blocks
-// finds every one.
-func (g *Grid) moveTouch(from, to cellKey) {
-	bf, bt := blockOf(from), blockOf(to)
+	bf, bt := blockOf(kf), blockOf(kt)
 	for _, ref := range g.blocks[bf] {
-		if c := ref.cover; c.containsCell(from) != c.containsCell(to) {
+		if c := ref.cover; c.containsCell(kf) != c.containsCell(kt) {
 			c.dirty = true
 		}
 	}
@@ -117,7 +95,7 @@ func (g *Grid) moveTouch(from, to cellKey) {
 		return
 	}
 	for _, ref := range g.blocks[bt] {
-		if c := ref.cover; c.containsCell(from) != c.containsCell(to) {
+		if c := ref.cover; c.containsCell(kf) != c.containsCell(kt) {
 			c.dirty = true
 		}
 	}
@@ -128,42 +106,14 @@ func (c *Cover) containsCell(k cellKey) bool {
 	return k.X >= c.lo.X && k.X <= c.hi.X && k.Y >= c.lo.Y && k.Y <= c.hi.Y
 }
 
-// Move updates an entry's position. Moving an ID the grid has never seen
-// is an explicit insert — the contract mobility code relies on, so a
-// mover attached before its entity reaches the index still lands it in
-// the right cell. A move within one cell updates only the stored
-// position and dirties no cover.
-func (g *Grid) Move(id int, p Point) {
-	old, ok := g.pos[id]
-	if !ok {
-		g.Insert(id, p)
-		return
-	}
-	from, to := g.keyFor(old), g.keyFor(p)
-	g.pos[id] = p
-	if from != to {
-		g.moveTouch(from, to)
-	}
-}
-
-// Remove deletes an entry; removing an unknown ID is a no-op.
-func (g *Grid) Remove(id int) {
-	p, ok := g.pos[id]
-	if !ok {
-		return
-	}
-	delete(g.pos, id)
-	g.touch(g.keyFor(p))
-}
-
 // Cover is a live registration over the box of cells a circular query
 // covers. Build one with CoverFor next to the query, select the query's
 // entries with InCover, cache the result, and gate reuse on CoverValid:
-// the cache stays valid exactly as long as no entry has entered, left,
-// or crossed into any covered cell. Invalidation is push-based — a
-// membership change marks the covers of its block whose box holds the
-// changed cell — so CoverValid is O(1). Release a cover that will not
-// be revalidated again so its block registrations are dropped.
+// the cache stays valid exactly as long as no entry has moved into or
+// out of the covered cells. Invalidation is push-based — a move marks
+// the covers of its blocks whose box holds exactly one of its cells —
+// so CoverValid is O(1). Release a cover that will not be revalidated
+// again so its block registrations are dropped.
 type Cover struct {
 	anchor   cellKey // cell of the center the cover was built for
 	lo, hi   cellKey // inclusive cell box, one-cell margin included
@@ -220,9 +170,9 @@ func (g *Grid) InCover(c *Cover, p Point) bool { return c.containsCell(g.keyFor(
 
 // CoverValid reports whether the cover still describes the grid: the
 // query origin is still in the cell the cover was anchored to and no
-// covered cell's membership has changed since CoverFor or the last
-// Refresh. The check is O(1); the bookkeeping rides on membership
-// changes instead.
+// move has crossed into or out of the covered cells since CoverFor or
+// the last Refresh. The check is O(1); the bookkeeping rides on moves
+// instead.
 func (g *Grid) CoverValid(c *Cover, center Point) bool {
 	return c != nil && !c.released && !c.dirty && g.keyFor(center) == c.anchor
 }

@@ -8,13 +8,14 @@ import (
 )
 
 // collectCircle runs a circular query the way the radio medium does:
-// register a cover, keep the entries in its cells that lie within r of
-// c (boundary inclusive), release the cover. The result is ID-ascending.
-func collectCircle(g *Grid, c Point, r float64) []int {
+// register a cover, keep the entries of pos in its cells that lie within
+// r of c (boundary inclusive), release the cover. The grid stores no
+// entries, so the caller's pos lists them. The result is ID-ascending.
+func collectCircle(g *Grid, pos map[int]Point, c Point, r float64) []int {
 	cover := g.CoverFor(c, r)
 	defer g.Release(cover)
 	var out []int
-	for id, p := range g.pos {
+	for id, p := range pos {
 		dx, dy := p.X-c.X, p.Y-c.Y
 		if g.InCover(cover, p) && dx*dx+dy*dy <= r*r {
 			out = append(out, id)
@@ -24,82 +25,75 @@ func collectCircle(g *Grid, c Point, r float64) []int {
 	return out
 }
 
-func TestGridInsertQuery(t *testing.T) {
+func TestGridCoverQuery(t *testing.T) {
 	g := NewGrid(10)
-	g.Insert(1, Pt(5, 5))
-	g.Insert(2, Pt(50, 50))
-	g.Insert(3, Pt(7, 5))
-	if g.Len() != 3 {
-		t.Fatalf("len = %d", g.Len())
-	}
-	got := collectCircle(g, Pt(5, 5), 5)
+	pos := map[int]Point{1: Pt(5, 5), 2: Pt(50, 50), 3: Pt(7, 5)}
+	got := collectCircle(g, pos, Pt(5, 5), 5)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("near query = %v, want [1 3]", got)
 	}
-	if got := collectCircle(g, Pt(200, 200), 10); len(got) != 0 {
+	if got := collectCircle(g, pos, Pt(200, 200), 10); len(got) != 0 {
 		t.Fatalf("empty region query = %v", got)
 	}
 }
 
 func TestGridBoundaryInclusive(t *testing.T) {
 	g := NewGrid(10)
-	g.Insert(1, Pt(10, 0))
-	if got := collectCircle(g, Pt(0, 0), 10); len(got) != 1 {
+	if got := collectCircle(g, map[int]Point{1: Pt(10, 0)}, Pt(0, 0), 10); len(got) != 1 {
 		t.Fatalf("boundary point excluded: %v", got)
 	}
 }
 
-func TestGridMoveAndRemove(t *testing.T) {
-	g := NewGrid(10)
-	g.Insert(1, Pt(5, 5))
-	g.Move(1, Pt(95, 95))
-	if got := collectCircle(g, Pt(5, 5), 8); len(got) != 0 {
-		t.Fatalf("stale entry after move: %v", got)
-	}
-	if got := collectCircle(g, Pt(95, 95), 8); len(got) != 1 {
-		t.Fatalf("moved entry not found: %v", got)
-	}
-	// Move within the same cell.
-	g.Move(1, Pt(94, 94))
-	if got := collectCircle(g, Pt(95, 95), 8); len(got) != 1 {
-		t.Fatalf("intra-cell move lost entry: %v", got)
-	}
-	g.Remove(1)
-	if g.Len() != 0 || len(collectCircle(g, Pt(94, 94), 8)) != 0 {
-		t.Fatal("entry survived Remove")
-	}
-	g.Remove(1) // no-op
-}
-
 func TestGridNegativeCoordinates(t *testing.T) {
 	g := NewGrid(10)
-	g.Insert(1, Pt(-5, -5))
-	g.Insert(2, Pt(-15, -15))
-	got := collectCircle(g, Pt(-5, -5), 6)
+	got := collectCircle(g, map[int]Point{1: Pt(-5, -5), 2: Pt(-15, -15)}, Pt(-5, -5), 6)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("negative-coordinate query = %v, want [1]", got)
 	}
 }
 
+// TestGridDeterministicVisitOrder: which covers a sequence of moves
+// dirties must not depend on the order the covers were registered and
+// released in, which is the order Move visits a block's watchers.
 func TestGridDeterministicVisitOrder(t *testing.T) {
-	build := func(seed int64) []int {
+	const n = 200
+	pos := make([]Point, n)
+	for id := range pos {
+		pos[id] = Pt(float64(id%17)*7, float64(id%13)*9)
+	}
+	build := func(seed int64) []bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := NewGrid(10)
-		ids := rng.Perm(200)
-		for _, id := range ids {
-			g.Insert(id+1, Pt(float64(id%17)*7, float64(id%13)*9))
+		covers := make([]*Cover, n)
+		for _, id := range rng.Perm(n) {
+			covers[id] = g.CoverFor(pos[id], float64(id%30))
 		}
-		return collectCircle(g, Pt(60, 60), 55)
-	}
-	a := build(1)
-	b := build(1)
-	if len(a) == 0 {
-		t.Fatal("query found nothing")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("visit order differs at %d: %v vs %v", i, a, b)
+		for _, id := range rng.Perm(n) {
+			if id%7 == 0 {
+				g.Release(covers[id])
+			}
 		}
+		for id := 0; id < n; id += 40 {
+			g.Move(pos[id], Pt(float64(id%11)*13, float64(id%7)*17))
+		}
+		valid := make([]bool, n)
+		for id, c := range covers {
+			valid[id] = g.CoverValid(c, pos[id])
+		}
+		return valid
+	}
+	a, b := build(1), build(2)
+	clean := 0
+	for id := range a {
+		if a[id] != b[id] {
+			t.Fatalf("cover %d: valid = %v after one registration order, %v after another", id, a[id], b[id])
+		}
+		if a[id] {
+			clean++
+		}
+	}
+	if clean == 0 || clean == n {
+		t.Fatalf("%d of %d covers clean, want some of each", clean, n)
 	}
 }
 
@@ -111,9 +105,10 @@ func TestGridMatchesBruteForce(t *testing.T) {
 		p  Point
 	}
 	var all []entry
+	pos := map[int]Point{}
 	for id := 1; id <= 500; id++ {
 		p := Pt(rng.Float64()*400-200, rng.Float64()*400-200)
-		g.Insert(id, p)
+		pos[id] = p
 		all = append(all, entry{id, p})
 	}
 	for trial := 0; trial < 50; trial++ {
@@ -126,8 +121,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 			}
 		}
 		sort.Ints(want)
-		got := collectCircle(g, c, r)
-		sort.Ints(got)
+		got := collectCircle(g, pos, c, r)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d entries, want %d", trial, len(got), len(want))
 		}
@@ -136,24 +130,6 @@ func TestGridMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: mismatch at %d", trial, i)
 			}
 		}
-	}
-}
-
-func TestGridMoveUnknownIDInserts(t *testing.T) {
-	// Move on an ID the grid has never seen is an explicit insert.
-	g := NewGrid(10)
-	g.Move(7, Pt(42, 42))
-	if g.Len() != 1 {
-		t.Fatalf("len after Move-insert = %d, want 1", g.Len())
-	}
-	if got := collectCircle(g, Pt(42, 42), 1); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("Move-inserted entry not found: %v", got)
-	}
-	// And it dirties a cover over the destination cell like any insert.
-	c := g.CoverFor(Pt(42, 42), 0)
-	g.Move(8, Pt(43, 43))
-	if g.CoverValid(c, Pt(42, 42)) {
-		t.Fatal("Move-insert did not dirty a cover over the destination cell")
 	}
 }
 
@@ -177,10 +153,11 @@ func TestGridKeyForNegativeAndCellEdge(t *testing.T) {
 	}
 }
 
-// TestGridCellGenerations: a membership change dirties exactly the
-// covers whose cell box holds the changed cell. a spans cells [-1..1]
-// and b cells [2..4] on x (both [-1..1] on y); the entry stays in
-// cells 0..2, one 4×4 block that both covers overlap.
+// TestGridCellGenerations: a move dirties exactly the covers whose cell
+// box holds one of its cells but not the other. a spans cells [-1..1]
+// and b cells [2..4] on x (both [-1..1] on y); the entry starts in cells
+// 0..2, one 4×4 block that both covers overlap, and leaves through b's
+// far edge.
 func TestGridCellGenerations(t *testing.T) {
 	g := NewGrid(10)
 	a, b := g.CoverFor(Pt(5, 5), 0), g.CoverFor(Pt(35, 5), 0)
@@ -192,46 +169,43 @@ func TestGridCellGenerations(t *testing.T) {
 		g.Refresh(a)
 		g.Refresh(b)
 	}
-	g.Insert(1, Pt(5, 5))
-	check("insert in a's cell", true, false)
-	g.Move(1, Pt(7, 7))
+	g.Move(Pt(5, 5), Pt(7, 7))
 	check("within-cell move", false, false)
-	g.Move(1, Pt(15, 5))
+	g.Move(Pt(7, 7), Pt(15, 5))
 	check("crossing inside a's box", false, false)
-	g.Move(1, Pt(25, 5))
+	g.Move(Pt(15, 5), Pt(25, 5))
 	check("crossing from a's box into b's", true, true)
-	g.Remove(1)
-	check("remove from b's box", false, true)
+	g.Move(Pt(25, 5), Pt(35, 5))
+	check("crossing inside b's box", false, false)
+	g.Move(Pt(35, 5), Pt(55, 5))
+	check("crossing out of b's box", false, true)
 }
 
 func TestCoverDirtyTracking(t *testing.T) {
 	g := NewGrid(10)
-	g.Insert(1, Pt(5, 5))
-	g.Insert(2, Pt(25, 5))
-	g.Insert(3, Pt(95, 95))
 	c := g.CoverFor(Pt(5, 5), 15) // box spans cells [-2..3] on each axis
 	center := Pt(5, 5)
 	if !g.CoverValid(c, center) {
 		t.Fatal("fresh cover invalid")
 	}
 	// Within-cell move inside the cover: clean.
-	g.Move(2, Pt(27, 7))
+	g.Move(Pt(25, 5), Pt(27, 7))
 	if !g.CoverValid(c, center) {
 		t.Fatal("within-cell move dirtied the cover")
 	}
 	// Cell crossing far outside the cover: clean.
-	g.Move(3, Pt(85, 85))
+	g.Move(Pt(95, 95), Pt(85, 85))
 	if !g.CoverValid(c, center) {
 		t.Fatal("far crossing dirtied the cover")
 	}
 	// Crossing between two cells both inside the cover preserves the
 	// union: clean.
-	g.Move(2, Pt(27, 17))
+	g.Move(Pt(27, 7), Pt(27, 17))
 	if !g.CoverValid(c, center) {
 		t.Fatal("union-preserving crossing dirtied the cover")
 	}
 	// Crossing out of the cover: dirty.
-	g.Move(2, Pt(45, 17))
+	g.Move(Pt(27, 17), Pt(45, 17))
 	if g.CoverValid(c, center) {
 		t.Fatal("crossing out of the cover left it clean")
 	}
@@ -240,16 +214,10 @@ func TestCoverDirtyTracking(t *testing.T) {
 	if !g.CoverValid(c, center) {
 		t.Fatal("refreshed cover still invalid")
 	}
-	// Insert into a covered cell: dirty again.
-	g.Insert(4, Pt(15, 15))
+	// Crossing into the cover: dirty again.
+	g.Move(Pt(85, 85), Pt(15, 15))
 	if g.CoverValid(c, center) {
-		t.Fatal("insert into a covered cell left the cover clean")
-	}
-	g.Refresh(c)
-	// Remove from a covered cell: dirty.
-	g.Remove(4)
-	if g.CoverValid(c, center) {
-		t.Fatal("remove from a covered cell left the cover clean")
+		t.Fatal("crossing into the cover left it clean")
 	}
 	// An anchor move alone invalidates, even while clean.
 	g.Refresh(c)
@@ -260,7 +228,6 @@ func TestCoverDirtyTracking(t *testing.T) {
 
 func TestCoverAnchoredAndRelease(t *testing.T) {
 	g := NewGrid(10)
-	g.Insert(1, Pt(5, 5))
 	c := g.CoverFor(Pt(5, 5), 15)
 	if !g.Anchored(c, Pt(7, 7), 15) {
 		t.Fatal("cover not anchored for a same-cell center")
@@ -288,14 +255,13 @@ func TestCoverWatcherSwapRemoval(t *testing.T) {
 	// must keep dirty delivery intact for the others (the swap-removal
 	// back-reference fix).
 	g := NewGrid(10)
-	g.Insert(1, Pt(5, 5))
 	covers := make([]*Cover, 5)
 	for i := range covers {
 		covers[i] = g.CoverFor(Pt(5, 5), 15)
 	}
 	g.Release(covers[1])
 	g.Release(covers[3])
-	g.Insert(2, Pt(5, 7)) // membership change in a shared cell
+	g.Move(Pt(95, 95), Pt(5, 7)) // a crossing into a shared cell
 	for _, i := range []int{0, 2, 4} {
 		if g.CoverValid(covers[i], Pt(5, 5)) {
 			t.Fatalf("cover %d missed the dirty mark after sibling releases", i)
@@ -322,9 +288,7 @@ func TestCoverIsSupersetOfCircle(t *testing.T) {
 	g := NewGrid(20)
 	pos := make(map[int]Point)
 	for id := 1; id <= 300; id++ {
-		p := Pt(rng.Float64()*400-200, rng.Float64()*400-200)
-		g.Insert(id, p)
-		pos[id] = p
+		pos[id] = Pt(rng.Float64()*400-200, rng.Float64()*400-200)
 	}
 	// circle lists, by brute force, the entries within radius of c.
 	circle := func(c Point, radius float64) []int {
@@ -363,15 +327,14 @@ func TestCoverIsSupersetOfCircle(t *testing.T) {
 	}
 }
 
-// TestCoverBlockRegistrationProperty plays random inserts, moves and
-// removes, with covers built, refreshed and released in between, over
-// negative and positive coordinates on a 7 m grid, so cover boxes rarely
-// line up with the 4-cell blocks. The test keeps its own per-cell dirty
-// predicate for every live cover: an insert or remove dirties it when
-// the changed cell lies in the cover's box, and a cross-cell move when
-// exactly one of the two cells does. After every operation each cover's
-// CoverValid must equal that predicate; once every cover is released no
-// registration may remain.
+// TestCoverBlockRegistrationProperty plays random moves of 60 points,
+// with covers built, refreshed and released in between, over negative
+// and positive coordinates on a 7 m grid, so cover boxes rarely line up
+// with the 4-cell blocks. The test keeps its own per-cell dirty
+// predicate for every live cover: a move dirties it when exactly one of
+// its two cells lies in the cover's box. After every operation each
+// cover's CoverValid must equal that predicate; once every cover is
+// released no registration may remain.
 func TestCoverBlockRegistrationProperty(t *testing.T) {
 	const cell = 7.0
 	rng := rand.New(rand.NewSource(5))
@@ -391,7 +354,10 @@ func TestCoverBlockRegistrationProperty(t *testing.T) {
 	}
 	randPt := func() Point { return Pt(rng.Float64()*240-120, rng.Float64()*240-120) }
 	var covers []*tracked
-	pos := map[int]Point{}
+	pos := make([]Point, 60)
+	for i := range pos {
+		pos[i] = randPt()
+	}
 	for op := 0; op < 4000; op++ {
 		switch r := rng.Intn(10); {
 		case r < 2 || len(covers) == 0: // new cover
@@ -407,36 +373,18 @@ func TestCoverBlockRegistrationProperty(t *testing.T) {
 			tc := covers[rng.Intn(len(covers))]
 			g.Refresh(tc.c)
 			tc.dirty = false
-		default: // membership change
-			id := 1 + rng.Intn(60)
-			old, had := pos[id]
-			switch {
-			case !had:
-				p := randPt()
-				g.Insert(id, p)
-				pos[id] = p
-				for _, tc := range covers {
-					tc.dirty = tc.dirty || in(tc, cellOf(p))
-				}
-			case rng.Intn(4) == 0:
-				g.Remove(id)
-				delete(pos, id)
-				for _, tc := range covers {
-					tc.dirty = tc.dirty || in(tc, cellOf(old))
-				}
-			default:
-				// Half the moves are short, so many stay in their cell
-				// or cross into a neighbour.
-				p := randPt()
-				if rng.Intn(2) == 0 {
-					p = Pt(old.X+rng.Float64()*16-8, old.Y+rng.Float64()*16-8)
-				}
-				g.Move(id, p)
-				pos[id] = p
-				from, to := cellOf(old), cellOf(p)
-				for _, tc := range covers {
-					tc.dirty = tc.dirty || (from != to && in(tc, from) != in(tc, to))
-				}
+		default: // a move; half are short, so many stay in their cell
+			// or cross into a neighbour
+			id := rng.Intn(len(pos))
+			old, p := pos[id], randPt()
+			if rng.Intn(2) == 0 {
+				p = Pt(old.X+rng.Float64()*16-8, old.Y+rng.Float64()*16-8)
+			}
+			g.Move(old, p)
+			pos[id] = p
+			from, to := cellOf(old), cellOf(p)
+			for _, tc := range covers {
+				tc.dirty = tc.dirty || (from != to && in(tc, from) != in(tc, to))
 			}
 		}
 		for i, tc := range covers {
@@ -455,10 +403,11 @@ func TestCoverBlockRegistrationProperty(t *testing.T) {
 }
 
 // BenchmarkGridCoverDense churns covers the way a dense radio world
-// builds them: 300 entries on a 12×12-cell occupied grid (50 m cells,
+// builds them: 300 points on a 12×12-cell occupied grid (50 m cells,
 // the densitysweep layout), and per op every one of 300 covers of
-// 200 m radius is released and registered again, followed by one
-// cross-cell move that walks a block's watchers.
+// 200 m radius, one around each point, is released and registered
+// again, followed by one cross-cell move and back that walk a block's
+// watchers.
 func BenchmarkGridCoverDense(b *testing.B) {
 	const n, side = 300, 600.0
 	rng := rand.New(rand.NewSource(3))
@@ -466,7 +415,6 @@ func BenchmarkGridCoverDense(b *testing.B) {
 	pts := make([]Point, n)
 	for i := range pts {
 		pts[i] = Pt(rng.Float64()*side, rng.Float64()*side)
-		g.Insert(i, pts[i])
 	}
 	covers := make([]*Cover, n)
 	churn := func(op int) {
@@ -475,8 +423,9 @@ func BenchmarkGridCoverDense(b *testing.B) {
 			covers[i] = g.CoverFor(p, 200)
 		}
 		i := op % n
-		g.Move(i, Pt(math.Mod(pts[i].X+60, side), pts[i].Y))
-		g.Move(i, pts[i])
+		away := Pt(math.Mod(pts[i].X+60, side), pts[i].Y)
+		g.Move(pts[i], away)
+		g.Move(away, pts[i])
 	}
 	churn(0)
 	b.ReportAllocs()

@@ -41,18 +41,17 @@ func window(b byte) sim.Time { return sim.Time(1+b%16) * 100 * sim.Microsecond }
 // FuzzMediumMatchesOracle builds a medium from a byte tape — 2 to 24
 // radios at bounded positions, the cutoff disabled or at -60 to -100 dBm,
 // a 5 to 60 m grid cell — and plays an operation tape on it as kernel
-// events: moves within a cell and across cells, retunes, transmit-power
-// changes, attaches, detaches (also while the radio's frame is in
-// flight), overlapping transmissions, jam windows of -10 to +30 dB,
-// partition windows behind a fenced abscissa, and ambient-noise changes,
-// at most 128 operations. An arm operation instead makes a radio run
-// the next operation inside its next receipt callback, in the middle of
-// a delivery round. The indexed hearers and carrier sense must match
-// the brute-force oracles after every kernel step (checkHearers,
-// checkBusy), and every receipt's RSSI must equal, bit for bit, the
-// link budget computed from the environment at that instant. At the end
-// every radio is detached and the kernel run idle, after which no grid
-// cover may remain registered.
+// events: moves within a cell and across cells, attaches, overlapping
+// transmissions, jam windows of -10 to +30 dB, partition windows behind
+// a fenced abscissa, and ambient-noise changes, at most 128 operations.
+// An arm operation instead makes a radio run the next operation inside
+// its next receipt callback, in the middle of a delivery round. The
+// indexed hearers and carrier sense must match the brute-force oracles
+// after every kernel step (checkHearers, checkBusy), and every receipt's
+// RSSI must equal, bit for bit, the link budget computed from the
+// environment at that instant. At the end the grid may hold no
+// registration beyond the covers the radios hold: releasing those must
+// leave it empty.
 func FuzzMediumMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzTape(data)
@@ -75,7 +74,7 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 				// Shadowing is off, so this recompute touches no cache
 				// and draws nothing.
 				src := rc.Tx.Src
-				want := e.ReceivedPowerDBm(src.TxPowerDBm(), src.Pos, r.Pos) - m.faultLossDB(src, r)
+				want := e.ReceivedPowerDBm(src.txPowerDBm, src.Pos, r.Pos) - m.faultLossDB(src, r)
 				if math.Float64bits(rc.RSSIdBm) != math.Float64bits(want) {
 					t.Fatalf("at %d: radio %d received frame %d from radio %d at %v dBm, link budget %v dBm",
 						k.Now(), r.ID, rc.Tx.Seq, src.ID, rc.RSSIdBm, want)
@@ -90,19 +89,15 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 		for i := 0; i < n; i++ {
 			attach(in.pos(), in.channel(), in.power())
 		}
-		transmit := func(r *Radio, bits int, rate Rate) {
-			if _, err := m.Transmit(r, bits, rate, nil); err != nil && m.attached(r) {
-				t.Fatalf("transmit from attached radio %d: %v", r.ID, err)
-			}
-		}
-
 		// The oracle is quadratic in the radio count and runs after every
 		// step, so the operation tape is capped to keep each input fast.
 		const maxOps = 128
 		var at sim.Time
 		for ops := 0; len(in) > 0 && ops < maxOps; ops++ {
 			// The radio is picked when the operation runs, so radios
-			// attached by earlier operations can be picked too.
+			// attached by earlier operations can be picked too. Moves,
+			// attaches and transmits take two codes each, so the corpus
+			// seeds keep the codes they were written with.
 			op, sel := in.next()%12, int(in.next())
 			at += sim.Time(in.next()%8) * 100 * sim.Microsecond
 			arm := -1
@@ -111,34 +106,24 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 			}
 			var fn func(r *Radio)
 			switch op {
-			case 0: // move within the radio's current cell
+			case 0, 2: // move within the radio's current cell
 				fx, fy := float64(in.next())/256, float64(in.next())/256
 				fn = func(r *Radio) {
 					ox := math.Floor(r.Pos.X/cell) * cell
 					oy := math.Floor(r.Pos.Y/cell) * cell
 					r.SetPos(geo.Pt(ox+fx*cell, oy+fy*cell))
 				}
-			case 1: // move anywhere, usually across cells
+			case 1, 3: // move anywhere, usually across cells
 				p := in.pos()
 				fn = func(r *Radio) { r.SetPos(p) }
-			case 2:
-				ch := in.channel()
-				fn = func(r *Radio) { r.SetChannel(ch) }
-			case 3:
-				dbm := in.power()
-				fn = func(r *Radio) { r.SetTxPowerDBm(dbm) }
-			case 4:
+			case 4, 5:
 				p, ch, dbm := in.pos(), in.channel(), in.power()
 				fn = func(*Radio) { attach(p, ch, dbm) }
-			case 5:
-				fn = m.Detach
-			case 6, 7: // transmit; 7 detaches with the frame in flight
+			case 6, 7:
 				bits, rate := 200+20*int(in.next()), Rates[int(in.next())%len(Rates)]
-				detach := op == 7
 				fn = func(r *Radio) {
-					transmit(r, bits, rate)
-					if detach {
-						m.Detach(r)
+					if _, err := m.Transmit(r, bits, rate, nil); err != nil {
+						t.Fatalf("transmit from radio %d: %v", r.ID, err)
 					}
 				}
 			case 8: // jam window
@@ -174,12 +159,13 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 		}
 		runChecked(t, k, m, 0)
 
+		// Every registration must belong to a cover a radio holds.
+		held := m.grid.Watchers()
 		for _, r := range radios {
-			m.Detach(r)
+			m.grid.Release(r.candCover)
 		}
-		runChecked(t, k, m, 0)
 		if w := m.grid.Watchers(); w != 0 {
-			t.Fatalf("%d cover registrations left after every radio detached", w)
+			t.Fatalf("%d of %d cover registrations held by no radio", w, held)
 		}
 	})
 }

@@ -21,9 +21,12 @@
 // Receipts, interference accounting, and energy sums are produced in a
 // fixed order — receivers in ascending radio-ID order, in-flight
 // transmissions in ascending sequence order — so a run is bit-identical
-// given the same kernel seed. Model code that moves a radio must call
+// given the same kernel seed. A radio's channel, transmit power and
+// attachment are fixed when NewRadio creates it, as on the testbed's
+// fixed WLAN cards: Channel is read-only, like Pos, and radios join a
+// medium but never leave it. Model code that moves a radio must call
 // Radio.SetPos (not write Pos directly) so the spatial index stays
-// consistent; likewise SetChannel for channel hops.
+// consistent.
 //
 // # Scaling
 //
@@ -40,17 +43,16 @@
 // Candidate sets are cached per radio with cell-granular invalidation,
 // so mobile worlds do not pay a global cache wipe per move: a cache
 // registers a geo.Cover over the grid cells its hearing-range circle
-// covers, and the grid marks the cover dirty when an entry enters or
-// leaves one of those cells. Only a move that crosses a cell boundary —
-// or an attach, detach, or retune within the cache's coverage — forces
-// a rebuild; a move inside one cell is free. Retunes invalidate only
-// caches whose 5-channel overlap window touches the old or new channel
-// (per-channel generation counters), not the whole world. A rebuild is
-// one ID-ordered pass over the radios of the channel window, kept when
-// they lie in the cover's cells. The cached set is a cell-conservative
-// superset of the hearing circle; delivery, interference, and energy
-// accounting apply the exact range check at use time, so the physics is
-// identical to a rebuild per move while mobility stays cheap.
+// covers, and the grid marks the cover dirty when a move crosses a cell
+// boundary with exactly one side in those cells; a move inside one cell
+// is free. Since radios only join, attach invalidation is the radio
+// count: a cache stays valid while the medium holds as many radios as
+// when it was built. A rebuild is one ID-ordered pass over the radios of
+// the channel window, kept when they lie in the cover's cells. The
+// cached set is a cell-conservative superset of the hearing circle;
+// delivery, interference, and energy accounting apply the exact range
+// check at use time, so the physics is identical to a rebuild per move
+// while mobility stays cheap.
 //
 // # Sender rows
 //
@@ -58,16 +60,14 @@
 // a nonzero channel overlap and its exact hearing range, in ID order,
 // with each hearer's overlap and, once looked up, its link gain. The row
 // is built once per geometry: it stays valid while the medium's geometry
-// generation (geoGen) holds — any position, channel or transmit-power
-// change, attach, detach, or jam or partition window bumps it — and
-// while the frame's hearing range equals the one the row was cut to.
-// Interference recording, delivery and carrier-sense invalidation of
-// all the sender's frames walk that row; a static world builds each
-// sender's row once. A row is sized exactly to its hearers, about 40
-// bytes per hearer per sender. While finish delivers one of the
-// sender's frames from the row, the row is pinned: a rebuild that
-// callbacks trigger meanwhile takes a fresh array, so the delivery's
-// receiver set stays frozen. Detach drops the row.
+// generation (geoGen) holds. Only SetPos, NewRadio, and jam or partition
+// window toggles bump geoGen. Interference recording, delivery and
+// carrier-sense invalidation of all the sender's frames walk that row; a
+// static world builds each sender's row once. A row is sized exactly to
+// its hearers, about 40 bytes per hearer per sender. While finish
+// delivers one of the sender's frames from the row, the row is pinned: a
+// rebuild that callbacks trigger meanwhile takes a fresh array, so the
+// delivery's receiver set stays frozen.
 //
 // Delivery decides decoding without a logarithm: it compares the linear
 // SINR against a narrow band around the rate's linear threshold and
@@ -79,13 +79,9 @@
 // energy until geoGen moves, the ambient noise changes, a frame the
 // radio hears starts or ends (Transmit and finish clear the memos of
 // the frame's row), or the next frame it hears crosses SensingDelay.
-// Transmit power is therefore read-only state: TxPowerDBm reads it and
-// SetTxPowerDBm changes it, bumping the generations. A sender whose
-// power changes in flight no longer has a row covering the frame's
-// range, so its frame's end bumps geoGen instead of relying on the row.
 //
 // The tests hold the index to that: a brute-force oracle (ref_test.go)
-// scans every attached radio in ID order and keeps those on an
+// scans every radio in ID order and keeps those on an
 // overlapping channel inside the exact hearing range; after every
 // kernel step of the cross-checks and the fuzz target, each radio's
 // cached candidates, cut to that same range, must equal it, and each
@@ -97,7 +93,7 @@
 // ledgers are pooled epoch-stamped slices recycled across transmissions;
 // sender rows are rebuilt in place unless pinned; pairwise link gains are
 // cached in linear milliwatts (revalidated by per-radio generations
-// that move with position and transmit power, 32 bytes per directed
+// that move with position and fault windows, 32 bytes per directed
 // pair, so unmoved pairs recompute no transcendentals); the
 // end-of-transmission event rides the kernel's pooled ScheduleFn path;
 // and completed transmissions leave the active set by Seq binary search.
@@ -110,7 +106,6 @@ package radio
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -193,11 +188,6 @@ type Transmission struct {
 	Start   sim.Time
 	End     sim.Time
 	payload any
-	// range2 is the squared conservative hearing range for this
-	// transmission when the medium has a receive cutoff; +Inf otherwise.
-	// Squared so the hot-path checks compare against squared distances
-	// without a square root.
-	range2 float64
 	// led accumulates, per prospective receiver radio ID, the worst-case
 	// interference power observed while this transmission was in the
 	// air. Ledgers are pooled on the medium and returned when the
@@ -216,12 +206,10 @@ type ledgerCell struct {
 
 // ledger is a dense radio-ID-indexed interference accumulator, pooled
 // per Medium so the PHY hot path performs no per-transmission map or
-// slice allocation in steady state. power is the sender's transmit
-// power when the frame went on the air.
+// slice allocation in steady state.
 type ledger struct {
 	epoch uint64
 	cells []ledgerCell
-	power float64
 }
 
 // hearer is one exact hearer of a sender's frames: a radio on a
@@ -284,14 +272,21 @@ func (r Receipt) SINRdB() float64 { return 10 * math.Log10(r.sinr) }
 
 // Radio is one transceiver attached to a Medium.
 type Radio struct {
-	ID      int
-	Name    string
+	ID   int
+	Name string
+
+	// Channel is the radio's channel, fixed at NewRadio. Treat it as
+	// read-only, like Pos: the medium's channel partition holds it.
 	Channel int
 
-	// txPowerDBm is the transmit power. It is read through TxPowerDBm
-	// and changed only through SetTxPowerDBm, which keeps the medium's
-	// generations in step.
+	// txPowerDBm is the transmit power, fixed at NewRadio.
 	txPowerDBm float64
+
+	// rangeM is the conservative hearing range of the radio's frames
+	// (hearingRange), +Inf without a receive cutoff, and range2 its
+	// square, so the hot-path checks compare against squared distances
+	// without a square root. Both are fixed at NewRadio.
+	rangeM, range2 float64
 
 	// Pos is the radio's current position. Treat it as read-only: moving
 	// a radio must go through SetPos so the medium's spatial index stays
@@ -323,30 +318,26 @@ type Radio struct {
 	csUntil   sim.Time
 	csAmbient float64
 
-	// OnReceive, if non-nil, is invoked for every transmission that ends
-	// while this radio is attached and not the sender, whether or not it
-	// decoded (Receipt.OK tells which). Sender excluded. Receipts for one
-	// transmission fire in ascending radio-ID order.
+	// OnReceive, if non-nil, is invoked for every other radio's
+	// transmission that ends with this radio in the sender's hearing
+	// range, whether or not it decoded (Receipt.OK tells which). Receipts
+	// for one transmission fire in ascending radio-ID order.
 	OnReceive func(Receipt)
 
 	medium *Medium
 
 	// cand caches the radios that could hear this one (candidatesFor).
 	// The cached slice is immutable: rebuilds allocate a fresh slice.
-	// Validity (candValid) compares the channel-window generation sum
-	// (candChanSum, for candChannel's overlap window) and — with the
-	// spatial cutoff — checks candCover, whose dirty flag the grid sets
-	// when a covered cell's membership changes. candPower guards the
-	// hearing range.
-	cand        []*Radio
-	candPower   float64
-	candChannel int
-	candChanSum uint64
-	candCover   *geo.Cover
+	// It is valid while the medium holds candRadios radios and — with
+	// the spatial cutoff — candCover is valid: the grid dirties it when
+	// a move crosses into or out of its cells.
+	cand       []*Radio
+	candRadios int
+	candCover  *geo.Cover
 
-	// linkGen versions this radio's position and transmit power for the
-	// pairwise gain cache: every actual change of either bumps it, so
-	// cached link gains involving this radio (as transmitter or
+	// linkGen versions this radio's position for the pairwise gain
+	// cache: every actual move and every fault-window toggle bumps it,
+	// so cached link gains involving this radio (as transmitter or
 	// receiver) are revalidated with two integer compares. Starts at 1
 	// so the zero-valued cache entry is never considered fresh.
 	linkGen uint64
@@ -364,96 +355,47 @@ type Radio struct {
 	down int
 
 	// row is this radio's sender row (hearersOf): valid while rowGen
-	// equals the medium's geoGen (0 never does) and rowRange2 equals the
-	// frame's squared hearing range. rowPins counts the finish calls
-	// delivering from the row; while it is positive a rebuild takes a
-	// fresh array instead of overwriting the frozen receiver set.
-	row       []hearer
-	rowGen    uint64
-	rowRange2 float64
-	rowPins   int
+	// equals the medium's geoGen (0 never does). rowPins counts the
+	// finish calls delivering from the row; while it is positive a
+	// rebuild takes a fresh array instead of overwriting the frozen
+	// receiver set.
+	row     []hearer
+	rowGen  uint64
+	rowPins int
 }
 
 // pairGain is one directed cached link budget: the received power at
-// one receiver for this transmitter's current position and power and
-// the receiver's current position. Fading (wall loss, frozen shadow
-// draws) is position-determined, and SetTxPowerDBm bumps linkGen, so the
-// pair of linkGens fully keys the value.
+// one receiver for this transmitter's current position and the
+// receiver's current position. Fading (wall loss, frozen shadow draws)
+// is position-determined and transmit power is fixed, so the pair of
+// linkGens fully keys the value.
 type pairGain struct {
 	srcGen, rxGen uint64
 	mw            float64 // received power, linear milliwatts
 	rssi          float64 // received power, dBm
 }
 
-// TxPowerDBm returns the radio's transmit power.
-func (r *Radio) TxPowerDBm() float64 { return r.txPowerDBm }
-
-// SetTxPowerDBm changes the radio's transmit power. A change bumps the
-// radio's linkGen and the medium's geoGen, so cached link gains, hearer
-// rows and carrier-sense memos that depended on the old power are
-// rebuilt; setting the current power again invalidates nothing.
-func (r *Radio) SetTxPowerDBm(dbm float64) {
-	old := r.txPowerDBm
-	r.txPowerDBm = dbm
-	if dbm == old {
-		return
-	}
-	r.linkGen++
-	if m := r.medium; m != nil {
-		m.geoGen++
-	}
-}
-
 // SetPos moves the radio, keeping the medium's spatial index in sync.
 // A call with the radio's current position is a no-op: it neither
 // touches the grid nor bumps any generation, so movers may re-apply a
-// sampled position freely. Detached radios just update their position.
-// Without a receive cutoff the candidate sets are position-independent,
-// so moves neither touch the grid nor invalidate caches. With the
-// cutoff, only a move that crosses a grid-cell boundary invalidates
-// caches — and only those whose coverage includes exactly one of the
-// source and destination cells (geo.Grid's cover invalidation).
+// sampled position freely. Without a receive cutoff the candidate sets
+// are position-independent, so moves neither touch the grid nor
+// invalidate caches. With the cutoff, only a move that crosses a
+// grid-cell boundary invalidates caches — and only those whose coverage
+// includes exactly one of the source and destination cells (geo.Grid's
+// cover invalidation).
 func (r *Radio) SetPos(p geo.Point) {
 	if p == r.Pos {
 		return
 	}
+	from := r.Pos
 	r.Pos = p
 	r.linkGen++ // all cached link gains to and from this radio are stale
 	m := r.medium
-	if m == nil {
-		return
-	}
 	m.geoGen++
-	if m.cutoffEnabled() && m.attached(r) {
-		m.grid.Move(r.ID, p)
+	if m.cutoffEnabled() {
+		m.grid.Move(from, p)
 	}
-}
-
-// SetChannel retunes the radio, clamping to the legal range and keeping
-// the medium's channel partition in sync. A retune invalidates only the
-// candidate caches whose 5-channel overlap window touches the old or new
-// channel; radios spectrally out of reach keep their caches.
-func (r *Radio) SetChannel(ch int) {
-	ch = clampChannel(ch)
-	if ch == r.Channel {
-		return
-	}
-	m := r.medium
-	if m == nil {
-		r.Channel = ch
-		return
-	}
-	m.geoGen++
-	if !m.attached(r) {
-		r.Channel = ch
-		return
-	}
-	m.channelRemove(r)
-	old := r.Channel
-	r.Channel = ch
-	m.channelInsert(r)
-	m.chanGen[old]++
-	m.chanGen[ch]++
 }
 
 func clampChannel(ch int) int {
@@ -499,14 +441,9 @@ type Medium struct {
 	kernel *sim.Kernel
 	env    *env.Environment
 
-	// byID is a dense ID-indexed attachment table (IDs are assigned
-	// densely from 1 and never reused): byID[r.ID] == r iff r is
-	// attached. It replaces the former map so attachment checks on the
-	// hot path are a bounds check plus one compare, with no hashing.
-	byID      []*Radio
-	ordered   []*Radio                 // all attached radios, ID-ascending
+	ordered   []*Radio                 // all radios, ID-ascending
 	byChannel [MaxChannel + 1][]*Radio // per-channel partition, ID-ascending
-	grid      *geo.Grid                // spatial index over radio positions
+	grid      *geo.Grid                // cover registrations over radio cells
 
 	// active holds in-flight transmissions in ascending Seq order, so
 	// energy and interference sums always accumulate identically.
@@ -519,11 +456,10 @@ type Medium struct {
 
 	// geoGen versions everything a hearer row or a carrier-sense memo
 	// depends on besides the set of frames in the air: every actual
-	// SetPos or SetChannel of any radio, attached or not, every
-	// SetTxPowerDBm change, every attach and detach, and every jam or
-	// partition window toggle bump it. Every linkGen bump comes with a
-	// geoGen bump, so a link gain recorded under the current geoGen is
-	// still the one linkGain would return. Starts at 1.
+	// SetPos, every NewRadio, and every jam or partition window toggle
+	// bump it. Every linkGen bump comes with a geoGen bump, so a link
+	// gain recorded under the current geoGen is still the one linkGain
+	// would return. Starts at 1.
 	geoGen uint64
 
 	// noiseMW/noiseDBm memoize the environment noise floor keyed by the
@@ -539,13 +475,6 @@ type Medium struct {
 
 	cutoffDBm float64 // receive cutoff; -Inf disables the spatial skip
 	gridCell  float64
-
-	// chanGen counts, per channel, the attaches, detaches, and retunes
-	// touching that channel. A candidate cache built for channel c is
-	// invalidated by a change to the generation sum over c's 5-channel
-	// overlap window — and only by that, so a retune on the far side of
-	// the band leaves it untouched.
-	chanGen [MaxChannel + 1]uint64
 
 	// Fault-plane state (fault.go): jamDB is the open jam windows' total
 	// extra path loss; partitions is the open partition-window depth with
@@ -611,12 +540,10 @@ func (m *Medium) cutoffEnabled() bool {
 	return !math.IsInf(m.cutoffDBm, -1)
 }
 
-func (m *Medium) attached(r *Radio) bool {
-	return r.ID < len(m.byID) && m.byID[r.ID] == r
-}
-
 // NewRadio creates, attaches and returns a radio. Channel is clamped to
-// the legal range.
+// the legal range. The radio's channel, transmit power and attachment
+// are fixed for its life. It joins every candidate set through the
+// radio count (candidatesFor), not through the grid.
 func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm float64) *Radio {
 	m.nextID++
 	r := &Radio{
@@ -629,53 +556,13 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 		medium:         m,
 		linkGen:        1,
 	}
-	for len(m.byID) <= r.ID {
-		m.byID = append(m.byID, nil)
-	}
-	m.byID[r.ID] = r
-	m.ordered = append(m.ordered, r) // IDs are monotonic: stays sorted
-	m.channelInsert(r)
-	m.grid.Insert(r.ID, pos) // dirties the covers holding its cell
-	m.chanGen[r.Channel]++
+	r.rangeM = m.hearingRange(r)
+	r.range2 = squared(r.rangeM)
+	// IDs are monotonic, so appending keeps both indexes ID-ascending.
+	m.ordered = append(m.ordered, r)
+	m.byChannel[r.Channel] = append(m.byChannel[r.Channel], r)
 	m.geoGen++
 	return r
-}
-
-func (m *Medium) channelInsert(r *Radio) {
-	ids := m.byChannel[r.Channel]
-	i := sort.Search(len(ids), func(i int) bool { return ids[i].ID >= r.ID })
-	ids = append(ids, nil)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = r
-	m.byChannel[r.Channel] = ids
-}
-
-func (m *Medium) channelRemove(r *Radio) {
-	ids := m.byChannel[r.Channel]
-	i := sort.Search(len(ids), func(i int) bool { return ids[i].ID >= r.ID })
-	if i < len(ids) && ids[i] == r {
-		m.byChannel[r.Channel] = append(ids[:i], ids[i+1:]...)
-	}
-}
-
-// Detach removes a radio from the medium; in-flight transmissions to it
-// are not delivered.
-func (m *Medium) Detach(r *Radio) {
-	if !m.attached(r) {
-		return
-	}
-	m.byID[r.ID] = nil
-	i := sort.Search(len(m.ordered), func(i int) bool { return m.ordered[i].ID >= r.ID })
-	if i < len(m.ordered) && m.ordered[i] == r {
-		m.ordered = append(m.ordered[:i], m.ordered[i+1:]...)
-	}
-	m.channelRemove(r)
-	m.grid.Remove(r.ID) // dirties the covers holding the vacated cell
-	m.grid.Release(r.candCover)
-	r.cand, r.candCover = nil, nil
-	r.row, r.rowGen = nil, 0
-	m.chanGen[r.Channel]++
-	m.geoGen++
 }
 
 // Radios returns the number of attached radios.
@@ -683,7 +570,7 @@ func (m *Medium) Radios() int { return len(m.ordered) }
 
 // hearingRange returns the conservative maximum distance at which a
 // transmission from r can still reach the receive cutoff, or +Inf when
-// the cutoff is disabled.
+// the cutoff is disabled. NewRadio stores it on the radio (rangeM).
 func (m *Medium) hearingRange(r *Radio) float64 {
 	if !m.cutoffEnabled() {
 		return math.Inf(1)
@@ -704,16 +591,6 @@ func overlapWindow(ch int) (lo, hi int) {
 	return lo, hi
 }
 
-// chanGenSum sums the per-channel generations over [lo, hi]. Generations
-// only grow, so the sum changes iff any channel in the window changed.
-func (m *Medium) chanGenSum(lo, hi int) uint64 {
-	var s uint64
-	for ch := lo; ch <= hi; ch++ {
-		s += m.chanGen[ch]
-	}
-	return s
-}
-
 // candidatesFor returns every attached radio that could receive energy
 // from src — spectrally overlapping channel and, when the cutoff is
 // enabled, within the grid cells covering src's hearing-range circle —
@@ -721,33 +598,17 @@ func (m *Medium) chanGenSum(lo, hi int) uint64 {
 // set is a cell-conservative superset of the hearing circle: use sites
 // apply the exact per-transmission range check themselves.
 //
-// The result is cached on src and revalidated per call (candValid);
-// rebuilds happen only when a relevant slice of the topology changed.
-// Callers must treat the returned slice as immutable; rebuilds allocate
-// a fresh one, sized exactly to the set.
+// The result is cached on src and revalidated per call: it holds while
+// no radio has joined since it was built and, with the cutoff, while its
+// cover is valid. Callers must treat the returned slice as immutable;
+// rebuilds allocate a fresh one, sized exactly to the set.
 func (m *Medium) candidatesFor(src *Radio) []*Radio {
-	if src.cand != nil && src.candPower == src.txPowerDBm && m.candValid(src) {
+	if src.cand != nil && src.candRadios == len(m.ordered) &&
+		(!m.cutoffEnabled() || m.grid.CoverValid(src.candCover, src.Pos)) {
 		return src.cand
 	}
-	out := m.buildCandidates(src)
-	src.cand, src.candPower = out, src.txPowerDBm
-	return out
-}
-
-// candValid reports whether src's cached candidate set still describes
-// the medium.
-func (m *Medium) candValid(src *Radio) bool {
-	if src.Channel != src.candChannel {
-		return false
-	}
-	lo, hi := overlapWindow(src.Channel)
-	if src.candChanSum != m.chanGenSum(lo, hi) {
-		return false
-	}
-	if !m.cutoffEnabled() {
-		return true
-	}
-	return m.grid.CoverValid(src.candCover, src.Pos)
+	src.cand, src.candRadios = m.buildCandidates(src), len(m.ordered)
+	return src.cand
 }
 
 // buildCandidates collects src's candidate set in one ID-ordered pass
@@ -757,17 +618,15 @@ func (m *Medium) candValid(src *Radio) bool {
 // ID-sorted per-channel slices otherwise.
 func (m *Medium) buildCandidates(src *Radio) []*Radio {
 	lo, hi := overlapWindow(src.Channel)
-	src.candChannel, src.candChanSum = src.Channel, m.chanGenSum(lo, hi)
 	var cover *geo.Cover
 	if m.cutoffEnabled() {
-		rangeM := m.hearingRange(src)
 		cover = src.candCover
-		if m.grid.Anchored(cover, src.Pos, rangeM) {
+		if m.grid.Anchored(cover, src.Pos, src.rangeM) {
 			// Same cell box: reuse the registration.
 			m.grid.Refresh(cover)
 		} else {
 			m.grid.Release(cover)
-			cover = m.grid.CoverFor(src.Pos, rangeM)
+			cover = m.grid.CoverFor(src.Pos, src.rangeM)
 		}
 		src.candCover = cover
 	}
@@ -808,13 +667,6 @@ func (m *Medium) buildCandidates(src *Radio) []*Radio {
 		buf = append(buf, r)
 	}
 	m.candBuf = buf
-	if cover != nil && !m.attached(src) {
-		// A detached radio can rebuild once more while its last
-		// transmission is in flight; don't leave a registered cover
-		// behind that nothing would ever release.
-		m.grid.Release(cover)
-		src.candCover = nil
-	}
 	dst := make([]*Radio, len(buf)) // non-nil even when empty: a valid cache
 	copy(dst, buf)
 	return dst
@@ -834,9 +686,8 @@ func squared(v float64) float64 { return v * v }
 // src, in linear milliwatts and dBm, through the per-pair cache. The
 // value is exactly DBmToMilliwatts(env.ReceivedPowerDBm(...)) — the
 // cache only removes the math.Pow/math.Log10 recomputation for pairs
-// whose endpoints have not moved and whose transmit power is unchanged
-// (linkGen), so every downstream sum is bit-identical to the uncached
-// path. Environment propagation parameters (exponent, walls, shadow
+// whose endpoints have not moved (linkGen), so every downstream sum is
+// bit-identical to the uncached path. Environment propagation parameters (exponent, walls, shadow
 // sigma) are build-time constants of a run; deterministic shadow draws
 // happen on first computation exactly as they would uncached.
 //
@@ -896,24 +747,22 @@ func (m *Medium) acquireLedger() *ledger {
 	return l
 }
 
-// hearersOf returns the hearer row of tx's sender: candidatesFor(tx.Src)
-// cut to a nonzero channel overlap and tx's exact hearing range, in
-// ascending ID order. The row lives on the sender and is rebuilt only
-// when geoGen moved or tx's hearing range differs from the row's, so the
-// interference walks of every later Transmit, the carrier-sense
-// invalidation and the delivery of all the sender's frames share one
-// filtered set. A rebuild sizes the row exactly to its hearers and
-// overwrites the old array when it fits, unless finish is delivering
+// hearersOf returns src's hearer row: candidatesFor(src) cut to a
+// nonzero channel overlap and src's exact hearing range, in ascending ID
+// order. The row lives on the sender and is rebuilt only when geoGen
+// moved, so the interference walks of every later Transmit, the
+// carrier-sense invalidation and the delivery of all the sender's frames
+// share one filtered set. A rebuild sizes the row exactly to its hearers
+// and overwrites the old array when it fits, unless finish is delivering
 // from it (rowPins).
-func (m *Medium) hearersOf(tx *Transmission) []hearer {
-	src := tx.Src
-	if src.rowGen == m.geoGen && src.rowRange2 == tx.range2 {
+func (m *Medium) hearersOf(src *Radio) []hearer {
+	if src.rowGen == m.geoGen {
 		return src.row
 	}
 	cand := m.candidatesFor(src)
 	n := 0
 	for _, rx := range cand {
-		if ChannelOverlap(src.Channel, rx.Channel) != 0 && distSq(src.Pos, rx.Pos) <= tx.range2 {
+		if ChannelOverlap(src.Channel, rx.Channel) != 0 && distSq(src.Pos, rx.Pos) <= src.range2 {
 			n++
 		}
 	}
@@ -924,12 +773,12 @@ func (m *Medium) hearersOf(tx *Transmission) []hearer {
 	row = row[:0]
 	for _, rx := range cand {
 		ov := ChannelOverlap(src.Channel, rx.Channel)
-		if ov == 0 || distSq(src.Pos, rx.Pos) > tx.range2 {
+		if ov == 0 || distSq(src.Pos, rx.Pos) > src.range2 {
 			continue // no spectral overlap, or below the receive cutoff
 		}
 		row = append(row, hearer{rx: rx, id: int32(rx.ID), ov: ov})
 	}
-	src.row, src.rowGen, src.rowRange2 = row, m.geoGen, tx.range2
+	src.row, src.rowGen = row, m.geoGen
 	return row
 }
 
@@ -963,12 +812,11 @@ func forgetSensing(row []hearer) {
 // cached per-pair gains, so the floating-point result is bit-identical
 // across runs and to the uncached computation.
 //
-// The sum is memoized per attached radio (Radio.csGen). Nothing it
-// reads can change while the memo holds: positions, channels, powers,
-// attachment and fault windows bump geoGen; a frame the radio hears
-// starting or ending clears the memo through the frame's hearer row;
-// the ambient noise is compared; and the memo expires when the next
-// heard frame crosses SensingDelay. A hit counts the gain-cache hits
+// The sum is memoized per radio (Radio.csGen). Nothing it reads can
+// change while the memo holds: moves, attaches and fault windows bump
+// geoGen; a frame the radio hears starting or ending clears the memo
+// through the frame's hearer row; the ambient noise is compared; and
+// the memo expires when the next heard frame crosses SensingDelay. A hit counts the gain-cache hits
 // its lookups would have counted, so the counters match a recompute.
 func (m *Medium) energyAtMW(r *Radio) float64 {
 	now := m.kernel.Now()
@@ -977,10 +825,8 @@ func (m *Medium) energyAtMW(r *Radio) float64 {
 		return r.csSum
 	}
 	total, lookups, until := m.senseEnergyMW(r, now)
-	if m.attached(r) {
-		r.csGen, r.csSum, r.csLookups, r.csUntil = m.geoGen, total, lookups, until
-		r.csAmbient = m.env.AmbientNoiseDBm
-	}
+	r.csGen, r.csSum, r.csLookups, r.csUntil = m.geoGen, total, lookups, until
+	r.csAmbient = m.env.AmbientNoiseDBm
 	return total
 }
 
@@ -998,7 +844,7 @@ func (m *Medium) senseEnergyMW(r *Radio, now sim.Time) (total float64, lookups u
 		if ov == 0 {
 			continue
 		}
-		if distSq(tx.Src.Pos, r.Pos) > tx.range2 {
+		if distSq(tx.Src.Pos, r.Pos) > tx.Src.range2 {
 			continue // below the receive cutoff by construction
 		}
 		if at := tx.Start + SensingDelay; now < at {
@@ -1108,15 +954,12 @@ func (m *Medium) MeasureRSSI(src, dst *Radio) float64 {
 var ErrZeroBits = errors.New("radio: transmission must carry at least one bit")
 
 // Transmit puts a frame on the air from r. The frame occupies the medium
-// for bits/rate seconds; when it ends, every other attached radio's
-// OnReceive fires with a Receipt, in ascending radio-ID order. The
-// payload is carried opaquely.
+// for bits/rate seconds; when it ends, the OnReceive of every other
+// radio in r's hearing range fires with a Receipt, in ascending radio-ID
+// order. The payload is carried opaquely.
 func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmission, error) {
 	if bits <= 0 {
 		return nil, ErrZeroBits
-	}
-	if !m.attached(r) {
-		return nil, fmt.Errorf("radio: %s not attached", r.Name)
 	}
 	if r.down > 0 {
 		return nil, ErrRadioDown
@@ -1132,13 +975,11 @@ func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmis
 		Start:   now,
 		End:     now + sim.Time(airSeconds*float64(sim.Second)),
 		payload: payload,
-		range2:  squared(m.hearingRange(r)),
 		led:     m.acquireLedger(),
 	}
-	tx.led.power = r.txPowerDBm
 	// Record mutual interference with all currently active transmissions,
 	// oldest first.
-	forgetSensing(m.hearersOf(tx))
+	forgetSensing(m.hearersOf(r))
 	for _, other := range m.active {
 		m.recordInterference(tx, other)
 		m.recordInterference(other, tx)
@@ -1150,8 +991,7 @@ func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmis
 }
 
 // finishTransmission is the ScheduleFn trampoline for the
-// end-of-transmission event; the medium is recovered from the sender,
-// whose binding outlives detachment.
+// end-of-transmission event; the medium is recovered from the sender.
 func finishTransmission(a any) {
 	tx := a.(*Transmission)
 	tx.Src.medium.finish(tx)
@@ -1161,7 +1001,7 @@ func finishTransmission(a any) {
 // interference ledger, walking other's hearer row (the radios that hear
 // the interfering emission) in ascending ID order.
 func (m *Medium) recordInterference(victim, other *Transmission) {
-	row := m.hearersOf(other)
+	row := m.hearersOf(other.Src)
 	for i := range row {
 		h := &row[i]
 		if h.rx == victim.Src {
@@ -1184,22 +1024,16 @@ func (m *Medium) finish(tx *Transmission) {
 	}
 	noiseMW, _ := m.noiseFloor()
 	src := tx.Src
-	// A sender whose power changed in flight has a candidate set that no
-	// longer covers the frame's hearing range, so the row cannot name
-	// every radio whose memo holds this frame: drop them all instead.
-	if src.txPowerDBm != tx.led.power {
-		m.geoGen++
-	}
 	// The sender's hearer row is this delivery round's receiver set,
 	// frozen before any callback runs: OnReceive callbacks may transmit,
-	// move, retune or attach/detach radios without changing who is
-	// delivered to (detached receivers are re-checked below). The pin
-	// makes a rebuild during the round take a fresh array, so nothing
-	// overwrites the row until the round ends. Its recorded overlaps and
-	// gains hold only while geoGen does; after a callback changed the
-	// geometry, the rest of the round recomputes them as the medium now
-	// stands. The decode band is fetched once per round.
-	receivers := m.hearersOf(tx)
+	// move or attach radios without changing who is delivered to. The
+	// pin makes a rebuild during the round take a fresh array, so nothing
+	// overwrites the row until the round ends. Its recorded gains hold
+	// only while geoGen does; after a callback changed the geometry, the
+	// rest of the round recomputes them as the medium now stands (the
+	// overlaps hold for life: channels are fixed). The decode band is
+	// fetched once per round.
+	receivers := m.hearersOf(src)
 	forgetSensing(receivers)
 	src.rowPins++
 	gen := m.geoGen
@@ -1208,20 +1042,16 @@ func (m *Medium) finish(tx *Transmission) {
 	for i := range receivers {
 		h := &receivers[i]
 		rx := h.rx
-		if rx.OnReceive == nil || rx.down > 0 || !m.attached(rx) {
+		if rx.OnReceive == nil || rx.down > 0 {
 			continue
 		}
-		var ov, mw, rssi float64
+		var mw, rssi float64
 		if m.geoGen == gen {
-			ov = h.ov
 			mw, rssi = m.rowGain(src, h)
 		} else {
-			if ov = ChannelOverlap(src.Channel, rx.Channel); ov == 0 {
-				continue
-			}
 			mw, rssi = m.linkGain(src, rx)
 		}
-		sigMW := mw * ov
+		sigMW := mw * h.ov
 		intMW := tx.led.at(rx.ID)
 		sinr := sigMW / (noiseMW + intMW)
 		ok := decodes(sinr, minSINR, lo, hi)

@@ -254,15 +254,6 @@ func TestZeroBitsRejected(t *testing.T) {
 	}
 }
 
-func TestDetachedRadioRejected(t *testing.T) {
-	_, m := newMedium(1)
-	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
-	m.Detach(a)
-	if _, err := m.Transmit(a, 100, Rates[0], nil); err == nil {
-		t.Fatal("detached radio transmitted")
-	}
-}
-
 func TestRangingAccuracy(t *testing.T) {
 	_, m := newMedium(1)
 	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
@@ -355,33 +346,6 @@ func TestSetPosKeepsSpatialIndexCurrent(t *testing.T) {
 	}
 }
 
-func TestSetChannelKeepsPartitionCurrent(t *testing.T) {
-	k, m := newMedium(1)
-	a := m.NewRadio("a", geo.Pt(0, 0), 1, 15)
-	b := m.NewRadio("b", geo.Pt(5, 0), 11, 15)
-	got := 0
-	b.OnReceive = func(Receipt) { got++ }
-	if _, err := m.Transmit(a, 800, Rates[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if got != 0 {
-		t.Fatal("orthogonal-channel radio heard the frame")
-	}
-	b.SetChannel(1)
-	if _, err := m.Transmit(a, 800, Rates[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if got != 1 {
-		t.Fatalf("retuned radio receipts = %d, want 1", got)
-	}
-	b.SetChannel(99)
-	if b.Channel != MaxChannel {
-		t.Fatalf("SetChannel did not clamp: %d", b.Channel)
-	}
-}
-
 func TestIndexedMatchesFullScanPhysics(t *testing.T) {
 	// With the cutoff disabled, the channel-partitioned medium must hear
 	// exactly what a scan of every attached radio does: the candidate
@@ -448,28 +412,6 @@ func TestIndexedMatchesFullScanPhysics(t *testing.T) {
 		if checked[i] != plain[i] {
 			t.Fatalf("receipt %d differs: checked %+v vs unchecked %+v", i, checked[i], plain[i])
 		}
-	}
-}
-
-func TestDetachRemovesFromAllIndexes(t *testing.T) {
-	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
-	m := NewMedium(k, e, WithRxCutoffDBm(-95))
-	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
-	b := m.NewRadio("b", geo.Pt(5, 0), 6, 15)
-	got := 0
-	b.OnReceive = func(Receipt) { got++ }
-	m.Detach(b)
-	m.Detach(b) // double-detach is a no-op
-	if m.Radios() != 1 {
-		t.Fatalf("radios = %d, want 1", m.Radios())
-	}
-	if _, err := m.Transmit(a, 800, Rates[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if got != 0 {
-		t.Fatal("detached radio received a frame")
 	}
 }
 
@@ -605,40 +547,9 @@ func TestDeliveryAppliesExactRangeAtUseTime(t *testing.T) {
 	}
 }
 
-func TestSetChannelInvalidatesOnlyOverlapWindow(t *testing.T) {
-	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
-	m := NewMedium(k, e) // channel-partition mode, no cutoff
-	src := m.NewRadio("src", geo.Pt(0, 0), 1, 15)
-	m.NewRadio("w", geo.Pt(5, 0), 3, 15)
-	x := m.NewRadio("x", geo.Pt(10, 0), 11, 15)
-	c1 := m.candidatesFor(src)
-	// 11 -> 10: both sides spectrally out of reach of channel 1's
-	// window [1,5]; src's cache survives.
-	x.SetChannel(10)
-	if !sameBacking(c1, m.candidatesFor(src)) {
-		t.Fatal("retune outside the overlap window wiped src's cache")
-	}
-	// 10 -> 5 enters the window: src's cache rebuilds and now lists x.
-	x.SetChannel(5)
-	c2 := m.candidatesFor(src)
-	if sameBacking(c1, c2) {
-		t.Fatal("retune into the overlap window did not invalidate src's cache")
-	}
-	found := false
-	for _, r := range c2 {
-		if r == x {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("rebuilt candidate set missing the retuned radio")
-	}
-}
-
 // TestMobileInvalidationModesAgree drives a mobile workload — moves
-// within and across cells, retunes, a mid-run attach and detach,
-// overlapping transmissions — and requires the cell-granular caches to
+// within and across cells, a mid-run attach, overlapping transmissions —
+// and requires the cell-granular caches to
 // match the brute-force oracle after every kernel step, with a receipt
 // stream bit-identical to an unchecked run.
 func TestMobileInvalidationModesAgree(t *testing.T) {
@@ -671,11 +582,6 @@ func TestMobileInvalidationModesAgree(t *testing.T) {
 			})
 			defer stop()
 		}
-		// Retunes hop a few radios across the band.
-		k.Ticker(700*sim.Microsecond, "retune", func() {
-			r := radios[int(k.Now()/sim.Microsecond)%len(radios)]
-			r.SetChannel(1 + (r.Channel+3)%11)
-		})
 		// Overlapping traffic.
 		for i := range radios {
 			src := radios[i]
@@ -685,7 +591,7 @@ func TestMobileInvalidationModesAgree(t *testing.T) {
 				}
 			})
 		}
-		// Mid-run topology churn.
+		// A mid-run attach.
 		k.Schedule(2*sim.Millisecond, "attach", func() {
 			r := m.NewRadio("late", geo.Pt(200, 200), 6, 15)
 			r.OnReceive = func(rc Receipt) {
@@ -695,7 +601,6 @@ func TestMobileInvalidationModesAgree(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		k.Schedule(3*sim.Millisecond, "detach", func() { m.Detach(radios[5]) })
 		if checked {
 			runChecked(t, k, m, 8*sim.Millisecond)
 		} else {
@@ -717,38 +622,71 @@ func TestMobileInvalidationModesAgree(t *testing.T) {
 	}
 }
 
-func TestDetachInFlightLeaksNoCoverRegistrations(t *testing.T) {
-	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
-	m := NewMedium(k, e, WithRxCutoffDBm(-95))
-	a := m.NewRadio("a", geo.Pt(10, 10), 6, 15)
-	b := m.NewRadio("b", geo.Pt(20, 10), 6, 15)
-	b.OnReceive = func(Receipt) {}
-	m.candidatesFor(a)
-	m.candidatesFor(b)
-	baseline := m.grid.Watchers()
-	// Detach a while its frame is still in the air: the finish-time
-	// rebuild must not leave a registered cover behind.
-	if _, err := m.Transmit(a, 2000, Rates[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	m.Detach(a)
-	k.Run()
-	if got := m.grid.Watchers(); got >= baseline {
-		t.Fatalf("watcher registrations after detach-in-flight = %d, want < baseline %d (a's cover released)", got, baseline)
-	}
-	// Repeat churn must not grow the registration count.
-	stable := m.grid.Watchers()
-	for i := 0; i < 5; i++ {
-		r := m.NewRadio(fmt.Sprintf("churn%d", i), geo.Pt(15, 15), 6, 15)
-		if _, err := m.Transmit(r, 2000, Rates[0], nil); err != nil {
-			t.Fatal(err)
-		}
-		m.Detach(r)
-		k.Run()
-		if got := m.grid.Watchers(); got != stable {
-			t.Fatalf("churn round %d: watchers = %d, want %d", i, got, stable)
-		}
+// TestMidRunAttachJoinsHearerRows: radios join a running medium after
+// every sender has built its hearer row — one from a plain event, one
+// from inside a receipt callback in the middle of a delivery round — and
+// must hear every frame that starts after they join, with the cutoff
+// off and on. The hearer oracles hold after every kernel step.
+func TestMidRunAttachJoinsHearerRows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []MediumOption
+	}{
+		{"no-cutoff", nil},
+		{"cutoff", []MediumOption{WithRxCutoffDBm(-95), WithGridCellM(20)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New(1)
+			e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+			m := NewMedium(k, e, tc.opts...)
+			var senders []*Radio
+			for i := 0; i < 4; i++ {
+				r := m.NewRadio(fmt.Sprintf("s%d", i), geo.Pt(20+10*float64(i), 20), 6, 15)
+				r.OnReceive = func(Receipt) {}
+				senders = append(senders, r)
+			}
+			heard := map[string][]uint64{}
+			join := func(name string, p geo.Point) {
+				r := m.NewRadio(name, p, 6, 15)
+				r.OnReceive = func(rc Receipt) {
+					if !rc.OK {
+						t.Errorf("%s lost frame %d", name, rc.Tx.Seq)
+					}
+					heard[name] = append(heard[name], rc.Tx.Seq)
+				}
+			}
+			// Three rounds, one frame per sender 2 ms apart, so frames
+			// never overlap: frames 1-4 build every sender's row, 5-8
+			// and 9-12 follow the joins.
+			for round := 0; round < 3; round++ {
+				for i, s := range senders {
+					at := sim.Time(round*10+2*i) * sim.Millisecond
+					k.Schedule(at, "tx", func() {
+						if _, err := m.Transmit(s, 800, Rates[0], nil); err != nil {
+							t.Error(err)
+						}
+					})
+				}
+			}
+			k.Schedule(8*sim.Millisecond, "attach", func() { join("plain", geo.Pt(25, 30)) })
+			// s1 receiving frame 5 (s0's second) attaches a radio in the
+			// middle of that frame's delivery round.
+			senders[1].OnReceive = func(rc Receipt) {
+				if rc.Tx.Seq == 5 {
+					join("callback", geo.Pt(35, 30))
+				}
+			}
+			runChecked(t, k, m, 0)
+			want := map[string]string{
+				"plain":    "[5 6 7 8 9 10 11 12]",
+				"callback": "[6 7 8 9 10 11 12]",
+			}
+			for name, w := range want {
+				if got := fmt.Sprint(heard[name]); got != w {
+					t.Errorf("%s heard frames %s, want %s", name, got, w)
+				}
+			}
+		})
 	}
 }
 

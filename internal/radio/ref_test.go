@@ -17,8 +17,8 @@ import (
 func refHearers(m *Medium, src *Radio) []*Radio {
 	range2 := squared(m.hearingRange(src))
 	var out []*Radio
-	for _, r := range m.byID {
-		if r == nil || r == src || ChannelOverlap(src.Channel, r.Channel) == 0 {
+	for _, r := range m.ordered {
+		if r == src || ChannelOverlap(src.Channel, r.Channel) == 0 {
 			continue
 		}
 		if distSq(src.Pos, r.Pos) <= range2 {
@@ -34,10 +34,7 @@ func refHearers(m *Medium, src *Radio) []*Radio {
 // rest of its code, so this equality is what keeps the index
 // physics-identical to a scan of the whole medium.
 func checkHearers(m *Medium) error {
-	for _, src := range m.byID {
-		if src == nil {
-			continue
-		}
+	for _, src := range m.ordered {
 		range2 := squared(m.hearingRange(src))
 		var got []*Radio
 		for _, r := range m.candidatesFor(src) {
@@ -77,10 +74,7 @@ func refBusy(e, thresholdDBm float64) bool {
 // counters. Busy must then match refBusy on the recomputed energy.
 func checkBusy(m *Medium) error {
 	now := m.kernel.Now()
-	for _, r := range m.byID {
-		if r == nil {
-			continue
-		}
+	for _, r := range m.ordered {
 		memo := m.energyAtMW(r)
 		hits, misses := m.GainHits, m.GainMisses
 		e, lookups, until := m.senseEnergyMW(r, now)

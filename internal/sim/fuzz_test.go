@@ -60,7 +60,6 @@ type oracleSide interface {
 	pending() int
 	scheduleFn(d Time, label string, fn func(any), arg any)
 	schedule(d Time, label string, fn func())
-	scheduleAt(at Time, label string, fn func()) error
 	cancel(i int) bool
 	handles() int
 	ticker(period Time, label string, fn func()) (stop func())
@@ -85,13 +84,6 @@ func (s *kernelSide) scheduleFn(d Time, label string, fn func(any), arg any) {
 func (s *kernelSide) schedule(d Time, label string, fn func()) {
 	s.hs = append(s.hs, s.k.Schedule(d, label, fn))
 }
-func (s *kernelSide) scheduleAt(at Time, label string, fn func()) error {
-	e, err := s.k.ScheduleAt(at, label, fn)
-	if err == nil {
-		s.hs = append(s.hs, e)
-	}
-	return err
-}
 func (s *kernelSide) cancel(i int) bool { return s.k.Cancel(s.hs[i]) }
 func (s *kernelSide) ticker(p Time, label string, fn func()) func() {
 	return s.k.Ticker(p, label, fn)
@@ -115,13 +107,6 @@ func (s *heapSide) scheduleFn(d Time, label string, fn func(any), arg any) {
 }
 func (s *heapSide) schedule(d Time, label string, fn func()) {
 	s.hs = append(s.hs, s.k.Schedule(d, label, fn))
-}
-func (s *heapSide) scheduleAt(at Time, label string, fn func()) error {
-	e, err := s.k.ScheduleAt(at, label, fn)
-	if err == nil {
-		s.hs = append(s.hs, e)
-	}
-	return err
 }
 func (s *heapSide) cancel(i int) bool { return s.k.Cancel(s.hs[i]) }
 func (s *heapSide) ticker(p Time, label string, fn func()) func() {
@@ -211,7 +196,7 @@ func playKernelOracle(t testing.TB, data []byte) fifoStats {
 			label := fmt.Sprintf("fn%d", op)
 			a.scheduleChain(d, label, left)
 			b.scheduleChain(d, label, left)
-		case 1: // a closure event
+		case 1, 2: // a closure event; two codes, so the corpus seeds keep theirs
 			d := in.delay()
 			label := fmt.Sprintf("cl%d", op)
 			for _, p := range []*player{a, b} {
@@ -219,20 +204,6 @@ func playKernelOracle(t testing.TB, data []byte) fifoStats {
 				p.side.schedule(d, label, func() { p.log = append(p.log, firing{p.side.now(), seq, label}) })
 				seq = p.side.seq()
 			}
-		case 2: // ScheduleAt, in the past one time in four
-			sel := in.next()
-			at := a.side.now() + in.delay()
-			if sel%4 == 0 {
-				at = a.side.now() - 1 - Time(sel)
-			}
-			label := fmt.Sprintf("at%d", op)
-			errs := make([]bool, 2)
-			for i, p := range []*player{a, b} {
-				var seq uint64
-				errs[i] = p.side.scheduleAt(at, label, func() { p.log = append(p.log, firing{p.side.now(), seq, label}) }) != nil
-				seq = p.side.seq()
-			}
-			ra, rb = errs[0], errs[1]
 		case 3: // Cancel any handle, live or stale
 			sel := int(in.next())<<8 | int(in.next())
 			if n := a.side.handles(); n > 0 {
@@ -314,8 +285,8 @@ func playKernelOracle(t testing.TB, data []byte) fifoStats {
 	return stats
 }
 
-// FuzzKernelMatchesHeapOracle plays random interleavings of ScheduleFn,
-// Schedule and ScheduleAt (delays from a recurring set or random),
+// FuzzKernelMatchesHeapOracle plays random interleavings of ScheduleFn
+// and Schedule (delays from a recurring set or random),
 // Cancel (stale handles included), Ticker start and stop, Step, RunUntil
 // and AddSampler on Kernel and on the heap-only reference kernel. The
 // fired (at, seq, label) sequence, every operation's result, Pending and

@@ -154,15 +154,6 @@ func (k *heapKernel) ScheduleFn(d Time, label string, fn func(any), arg any) hea
 	return heapEvent{slot: slot, gen: r.gen}
 }
 
-func (k *heapKernel) ScheduleAt(at Time, label string, fn func()) (heapEvent, error) {
-	if at < k.now {
-		return heapEvent{}, ErrPastEvent
-	}
-	slot := k.alloc(at, label)
-	k.pool[slot].fn = fn
-	return heapEvent{slot: slot, gen: k.pool[slot].gen}, nil
-}
-
 func (k *heapKernel) Cancel(e heapEvent) bool {
 	r := &k.pool[e.slot]
 	if r.gen != e.gen || r.state != recPending {

@@ -34,8 +34,6 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 )
@@ -116,15 +114,6 @@ func (e Event) At() Time {
 	return e.k.pool[e.slot].at
 }
 
-// Label returns the diagnostic label given at scheduling time, or ""
-// for a handle that is no longer pending.
-func (e Event) Label() string {
-	if !e.Pending() {
-		return ""
-	}
-	return e.k.pool[e.slot].label
-}
-
 // Kernel is a deterministic discrete-event simulator.
 //
 // Kernel is not safe for concurrent use: the simulation model is
@@ -188,10 +177,6 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // cancelled events not yet lazily removed from the queue).
 func (k *Kernel) Pending() int { return k.live }
 
-// ErrPastEvent is returned by ScheduleAt when the requested time is before
-// the current virtual time.
-var ErrPastEvent = errors.New("sim: event scheduled in the past")
-
 // alloc takes a slot from the free list (or grows the pool), stamps it
 // with the next sequence number, and queues it to fire at at >= Now.
 func (k *Kernel) alloc(at Time, label string) int32 {
@@ -249,16 +234,6 @@ func (k *Kernel) ScheduleFn(d Time, label string, fn func(any), arg any) Event {
 	r := &k.pool[slot]
 	r.fnArg, r.arg = fn, arg
 	return Event{k: k, slot: slot, gen: r.gen}
-}
-
-// ScheduleAt queues fn to run at absolute virtual time at.
-func (k *Kernel) ScheduleAt(at Time, label string, fn func()) (Event, error) {
-	if at < k.now {
-		return Event{}, fmt.Errorf("%w: at=%v now=%v (%s)", ErrPastEvent, at, k.now, label)
-	}
-	slot := k.alloc(at, label)
-	k.pool[slot].fn = fn
-	return Event{k: k, slot: slot, gen: k.pool[slot].gen}, nil
 }
 
 // Cancel deschedules a pending event. Cancelling the zero Event, an

@@ -53,15 +53,6 @@ func TestNegativeDelayClampedToNow(t *testing.T) {
 	}
 }
 
-func TestScheduleAtPastRejected(t *testing.T) {
-	k := New(1)
-	k.Schedule(Second, "tick", func() {})
-	k.Run()
-	if _, err := k.ScheduleAt(0, "past", func() {}); err == nil {
-		t.Fatal("ScheduleAt in the past succeeded")
-	}
-}
-
 func TestCancel(t *testing.T) {
 	k := New(1)
 	fired := false

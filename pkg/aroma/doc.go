@@ -80,9 +80,10 @@
 // cell-boundary crossing invalidates only the caches covering the
 // source or destination cell (delivery applies the exact range check at
 // use time, so results are identical to rebuilding on every move).
-// Channel retunes invalidate only caches whose 5-channel spectral
-// overlap window touches the old or new channel. The tests hold the
-// caches to a brute-force oracle that scans every attached radio, and
+// A radio's channel, transmit power and attachment are fixed when it is
+// created, so the only other invalidation is a radio joining (a device
+// powering on), which the caches detect by the radio count. The tests
+// hold the caches to a brute-force oracle that scans every radio, and
 // match the indexed mobiledense digest against the exact medium's
 // (WithRadioCutoff(math.Inf(-1)), the cutoff disabled).
 //
