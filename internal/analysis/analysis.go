@@ -99,6 +99,7 @@ var KnownDirectives = map[string]string{
 	"goroutine": "goroutineguard: this goroutine is an audited, serialized owner of sim state",
 	"noexport":  "stateexport: this state field is deliberately absent from ExportState",
 	"eagerok":   "eagerfmt: eager formatting here is deliberate and off the hot path",
+	"kept":      "unreferenced-export guard: this exported internal API stays with no non-test caller",
 }
 
 // parseDirectives extracts every //aroma: directive in f.

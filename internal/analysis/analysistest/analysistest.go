@@ -45,6 +45,8 @@ import (
 // calling test's directory), applies the analyzer, and reports any
 // mismatch between diagnostics and // want expectations as test
 // errors. It returns the diagnostics per package for extra assertions.
+//
+//aroma:kept test harness shared by every analyzer package's tests, which cannot import a _test.go file
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) map[string][]analysis.Diagnostic {
 	t.Helper()
 	out := make(map[string][]analysis.Diagnostic, len(pkgs))
@@ -58,6 +60,8 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) map[string][]analys
 // the raw diagnostics without // want checking — for analyzers (like
 // the directive auditor) whose findings sit on comment lines that
 // cannot also carry a want expectation.
+//
+//aroma:kept test harness shared by every analyzer package's tests, which cannot import a _test.go file
 func Diagnostics(t *testing.T, a *analysis.Analyzer, pkg string) []analysis.Diagnostic {
 	t.Helper()
 	return runOne(t, a, pkg, false)

@@ -10,8 +10,8 @@ import (
 
 func TestDirectiveHygiene(t *testing.T) {
 	diags := analysistest.Diagnostics(t, directive.Analyzer, "dirpkg")
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
 	}
 	if msg := diags[0].Message; !strings.Contains(msg, "unknown directive //aroma:odrered") {
 		t.Errorf("first diagnostic should reject the typo'd name, got: %s", msg)
@@ -21,5 +21,8 @@ func TestDirectiveHygiene(t *testing.T) {
 	}
 	if msg := diags[1].Message; !strings.Contains(msg, "//aroma:ordered needs a reason") {
 		t.Errorf("second diagnostic should demand a reason, got: %s", msg)
+	}
+	if msg := diags[2].Message; !strings.Contains(msg, "//aroma:kept needs a reason") {
+		t.Errorf("third diagnostic should demand a reason for kept, got: %s", msg)
 	}
 }

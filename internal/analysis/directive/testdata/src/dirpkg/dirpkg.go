@@ -39,3 +39,8 @@ func fine(m map[int]string) []int {
 	sort.Ints(out)
 	return out
 }
+
+// An unreferenced-export survivor must say why it stays; a bare
+// directive keeps nothing and must be rejected.
+//aroma:kept
+func Survivor() {}

@@ -261,28 +261,25 @@ type Config struct {
 	// contribution. Disabling it yields the OSI-style device-only view
 	// (the ablation arm).
 	UserColumn bool
-	// ConsistencyThreshold is the minimum mental-model consistency score
-	// before the abstract layer flags a violation (default 0.75).
-	ConsistencyThreshold float64
-	// HarmonyThreshold is the minimum goal harmony before the
-	// intentional layer flags a violation (default 0.5).
-	HarmonyThreshold float64
 }
+
+const (
+	// consistencyThreshold is the minimum mental-model consistency
+	// score before the abstract layer flags a violation.
+	consistencyThreshold = 0.75
+	// harmonyThreshold is the minimum goal harmony before the
+	// intentional layer flags a violation.
+	harmonyThreshold = 0.5
+)
 
 // DefaultConfig enables the full model.
 func DefaultConfig() Config {
-	return Config{UserColumn: true, ConsistencyThreshold: 0.75, HarmonyThreshold: 0.5}
+	return Config{UserColumn: true}
 }
 
 // Analyze runs every layer's relation checks over the system and returns
 // the classified findings.
 func Analyze(s *System, cfg Config) *Report {
-	if cfg.ConsistencyThreshold == 0 {
-		cfg.ConsistencyThreshold = 0.75
-	}
-	if cfg.HarmonyThreshold == 0 {
-		cfg.HarmonyThreshold = 0.5
-	}
 	r := &Report{SystemName: s.Name, UserColumn: cfg.UserColumn}
 	checkEnvironment(s, cfg, r)
 	checkPhysical(s, cfg, r)
@@ -459,9 +456,9 @@ func checkAbstract(s *System, cfg Config, r *Report) {
 				continue
 			}
 			score := ue.U.Mental.ConsistencyWith(d.AppState)
-			if score < cfg.ConsistencyThreshold {
+			if score < consistencyThreshold {
 				inc := ue.U.Mental.Inconsistencies(d.AppState)
-				detail := fmt.Sprintf("mental model consistency %.2f below %.2f", score, cfg.ConsistencyThreshold)
+				detail := fmt.Sprintf("mental model consistency %.2f below %.2f", score, consistencyThreshold)
 				if len(inc) > 0 {
 					detail += " — " + inc[0]
 					if len(inc) > 1 {
@@ -492,10 +489,10 @@ func checkIntentional(s *System, cfg Config, r *Report) {
 				continue
 			}
 			h := d.Purpose.HarmonyWith(ue.U.Goals)
-			if h < cfg.HarmonyThreshold {
+			if h < harmonyThreshold {
 				add(r, Intentional, trace.Violation, ue.U.Name+"->"+d.Name,
 					"design purpose not in harmony with user goals: score %.2f < %.2f (%s)",
-					h, cfg.HarmonyThreshold, d.Purpose.Description)
+					h, harmonyThreshold, d.Purpose.Description)
 			} else {
 				add(r, Intentional, trace.Info, ue.U.Name+"->"+d.Name,
 					"goals in harmony with design purpose: score %.2f", h)

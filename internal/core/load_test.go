@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestLoadSystemFullDocument(t *testing.T) {
 	if pad.Spec.Exec != device.SingleThreaded {
 		t.Fatal("pda preset lost")
 	}
-	if !pad.Spec.UI.SpeaksLanguage("fr") {
+	if !slices.Contains(pad.Spec.UI.Languages, "fr") {
 		t.Fatal("language override lost")
 	}
 	if pad.AppState["exhibit"] != "dinosaurs" {

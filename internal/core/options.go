@@ -13,28 +13,11 @@ func WithoutUserColumn() AnalysisOption {
 	return func(c *Config) { c.UserColumn = false }
 }
 
-// WithConsistencyThreshold sets the minimum mental-model consistency
-// score before the abstract layer flags a violation.
-func WithConsistencyThreshold(t float64) AnalysisOption {
-	return func(c *Config) { c.ConsistencyThreshold = t }
-}
-
-// WithHarmonyThreshold sets the minimum goal harmony before the
-// intentional layer flags a violation.
-func WithHarmonyThreshold(t float64) AnalysisOption {
-	return func(c *Config) { c.HarmonyThreshold = t }
-}
-
-// NewConfig builds a Config starting from DefaultConfig.
-func NewConfig(opts ...AnalysisOption) Config {
+// AnalyzeWith runs Analyze with DefaultConfig adjusted by opts.
+func AnalyzeWith(s *System, opts ...AnalysisOption) *Report {
 	cfg := DefaultConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return cfg
-}
-
-// AnalyzeWith runs Analyze with a Config assembled from options.
-func AnalyzeWith(s *System, opts ...AnalysisOption) *Report {
-	return Analyze(s, NewConfig(opts...))
+	return Analyze(s, cfg)
 }

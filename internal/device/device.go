@@ -16,8 +16,6 @@ package device
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"aroma/internal/sim"
 )
@@ -46,16 +44,6 @@ type UISpec struct {
 func (u UISpec) HasInput(method string) bool {
 	for _, m := range u.InputMethods {
 		if m == method {
-			return true
-		}
-	}
-	return false
-}
-
-// SpeaksLanguage reports whether the UI supports the given language.
-func (u UISpec) SpeaksLanguage(lang string) bool {
-	for _, l := range u.Languages {
-		if l == lang {
 			return true
 		}
 	}
@@ -135,7 +123,6 @@ func PDASpec() Spec {
 var (
 	ErrOutOfMemory    = errors.New("device: out of memory")
 	ErrOutOfStorage   = errors.New("device: out of storage")
-	ErrNoSuchFile     = errors.New("device: no such file")
 	ErrFileExists     = errors.New("device: file exists")
 	ErrAbortForbidden = errors.New("device: this appliance cannot abort tasks")
 	ErrNoSuchTask     = errors.New("device: no such task")
@@ -162,7 +149,12 @@ type Device struct {
 	TasksAborted uint64
 }
 
-// New boots a device with the given spec.
+// New boots a device with the given spec. No scenario runs a live
+// appliance yet; the device tests drive the resource layer's Mem, Sto
+// and Exe accounting through it, and core's load-dependent UI latency
+// check reads one through DeviceEntity.Live.
+//
+//aroma:kept resource-layer model: the live appliance of the paper's Figure 3
 func New(k *sim.Kernel, spec Spec) *Device {
 	return &Device{
 		kernel:  k,
@@ -173,13 +165,7 @@ func New(k *sim.Kernel, spec Spec) *Device {
 	}
 }
 
-// Spec returns the device's static resource description.
-func (d *Device) Spec() Spec { return d.spec }
-
 // --- Mem ---
-
-// MemUsed returns allocated volatile memory in bytes.
-func (d *Device) MemUsed() int64 { return d.memUsed }
 
 // MemFree returns unallocated volatile memory in bytes.
 func (d *Device) MemFree() int64 { return d.spec.MemBytes - d.memUsed }
@@ -207,15 +193,14 @@ func (d *Device) FreeMem(n int64) {
 
 // --- Sto ---
 
-// StoUsed returns consumed storage in bytes.
-func (d *Device) StoUsed() int64 { return d.stoUsed }
-
 // StoFree returns remaining storage in bytes.
 func (d *Device) StoFree() int64 { return d.spec.StoBytes - d.stoUsed }
 
 // StoreFile writes a named file of the given size. Paths are hierarchical
 // ("slides/intro.ppt") — the flexible organization the paper's resource
 // layer asks storage to support.
+//
+//aroma:kept resource-layer model: storage capacity accounting (Sto)
 func (d *Device) StoreFile(path string, size int64) error {
 	if path == "" || size < 0 {
 		return fmt.Errorf("device: bad file %q size %d", path, size)
@@ -230,38 +215,6 @@ func (d *Device) StoreFile(path string, size int64) error {
 	d.files[path] = size
 	d.stoUsed += size
 	return nil
-}
-
-// DeleteFile removes a file.
-func (d *Device) DeleteFile(path string) error {
-	size, ok := d.files[path]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchFile, path)
-	}
-	delete(d.files, path)
-	d.stoUsed -= size
-	return nil
-}
-
-// FileSize returns a stored file's size.
-func (d *Device) FileSize(path string) (int64, error) {
-	size, ok := d.files[path]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchFile, path)
-	}
-	return size, nil
-}
-
-// ListDir returns the files whose path begins with prefix, sorted.
-func (d *Device) ListDir(prefix string) []string {
-	var out []string
-	for p := range d.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- Exe ---
@@ -304,9 +257,6 @@ type Task struct {
 	onDone     func(*Task)
 	doneEvent  sim.Event
 }
-
-// Latency returns queue+execution time for a finished or aborted task.
-func (t *Task) Latency() sim.Time { return t.Finished - t.Submitted }
 
 // Submit queues a computation of the given megacycles; onDone fires at
 // completion or abort (check State).
@@ -360,6 +310,10 @@ func (d *Device) finish(t *Task, state TaskState) {
 }
 
 // Abort cancels a queued or running task, if the appliance permits it.
+// The paper names the missing abort as a source of needless user
+// frustration, so the execution engine models it.
+//
+//aroma:kept resource-layer model: the paper's abortable execution engine (Exe)
 func (d *Device) Abort(id int) error {
 	if !d.spec.AllowAbort {
 		return ErrAbortForbidden
@@ -381,12 +335,6 @@ func (d *Device) Abort(id int) error {
 	d.finish(t, TaskAborted)
 	return nil
 }
-
-// RunningTasks returns the number of currently executing tasks.
-func (d *Device) RunningTasks() int { return len(d.running) }
-
-// QueuedTasks returns the number of tasks waiting for the engine.
-func (d *Device) QueuedTasks() int { return len(d.queue) }
 
 // UILatency returns the appliance's current UI response latency: the base
 // latency inflated by execution-engine load (each concurrent task adds

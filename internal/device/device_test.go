@@ -9,15 +9,15 @@ import (
 
 func TestMemAccounting(t *testing.T) {
 	d := New(sim.New(1), AromaAdapterSpec())
-	total := d.Spec().MemBytes
-	if d.MemFree() != total || d.MemUsed() != 0 {
+	total := d.spec.MemBytes
+	if d.MemFree() != total || d.memUsed != 0 {
 		t.Fatal("fresh device memory wrong")
 	}
 	if err := d.AllocMem(total / 2); err != nil {
 		t.Fatal(err)
 	}
-	if d.MemUsed() != total/2 {
-		t.Fatalf("used = %d", d.MemUsed())
+	if d.memUsed != total/2 {
+		t.Fatalf("used = %d", d.memUsed)
 	}
 	if err := d.AllocMem(total); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("overcommit err = %v", err)
@@ -26,8 +26,8 @@ func TestMemAccounting(t *testing.T) {
 		t.Fatalf("failures = %d", d.MemFailures)
 	}
 	d.FreeMem(total) // over-free clamps
-	if d.MemUsed() != 0 {
-		t.Fatalf("after free used = %d", d.MemUsed())
+	if d.memUsed != 0 {
+		t.Fatalf("after free used = %d", d.memUsed)
 	}
 	if err := d.AllocMem(-1); err == nil {
 		t.Fatal("negative alloc accepted")
@@ -45,27 +45,11 @@ func TestStorageFiles(t *testing.T) {
 	if err := d.StoreFile("notes.txt", 1<<10); err != nil {
 		t.Fatal(err)
 	}
-	if d.StoUsed() != 15<<20|1<<10 && d.StoUsed() != (10<<20)+(5<<20)+(1<<10) {
-		t.Fatalf("sto used = %d", d.StoUsed())
+	if d.stoUsed != 15<<20|1<<10 && d.stoUsed != (10<<20)+(5<<20)+(1<<10) {
+		t.Fatalf("sto used = %d", d.stoUsed)
 	}
 	if err := d.StoreFile("slides/intro.ppt", 1); !errors.Is(err, ErrFileExists) {
 		t.Fatalf("dup err = %v", err)
-	}
-	if size, err := d.FileSize("notes.txt"); err != nil || size != 1<<10 {
-		t.Fatalf("size = %d err = %v", size, err)
-	}
-	ls := d.ListDir("slides/")
-	if len(ls) != 2 || ls[0] != "slides/demo.ppt" || ls[1] != "slides/intro.ppt" {
-		t.Fatalf("ListDir = %v", ls)
-	}
-	if err := d.DeleteFile("slides/demo.ppt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.FileSize("slides/demo.ppt"); !errors.Is(err, ErrNoSuchFile) {
-		t.Fatal("deleted file still present")
-	}
-	if err := d.DeleteFile("gone"); !errors.Is(err, ErrNoSuchFile) {
-		t.Fatal("deleting missing file should fail")
 	}
 }
 
@@ -94,8 +78,8 @@ func TestTaskExecutionTiming(t *testing.T) {
 	if finished == nil || finished.State != TaskDone {
 		t.Fatal("task did not finish")
 	}
-	if finished.Latency() != 500*sim.Millisecond {
-		t.Fatalf("latency = %v, want 500ms", finished.Latency())
+	if (finished.Finished - finished.Submitted) != 500*sim.Millisecond {
+		t.Fatalf("latency = %v, want 500ms", (finished.Finished - finished.Submitted))
 	}
 	if d.TasksRun != 1 {
 		t.Fatalf("TasksRun = %d", d.TasksRun)
@@ -108,8 +92,8 @@ func TestSingleThreadedSerializes(t *testing.T) {
 	var order []string
 	d.Submit("a", 20, func(t *Task) { order = append(order, t.Name) }) // 1s
 	d.Submit("b", 20, func(t *Task) { order = append(order, t.Name) }) // next 1s
-	if d.RunningTasks() != 1 || d.QueuedTasks() != 1 {
-		t.Fatalf("run=%d queue=%d", d.RunningTasks(), d.QueuedTasks())
+	if len(d.running) != 1 || len(d.queue) != 1 {
+		t.Fatalf("run=%d queue=%d", len(d.running), len(d.queue))
 	}
 	k.RunUntil(90 * sim.Second)
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
@@ -122,8 +106,8 @@ func TestMultiThreadedRunsConcurrently(t *testing.T) {
 	d := New(k, LaptopSpec())
 	d.Submit("a", 500, nil)
 	d.Submit("b", 500, nil)
-	if d.RunningTasks() != 2 || d.QueuedTasks() != 0 {
-		t.Fatalf("run=%d queue=%d", d.RunningTasks(), d.QueuedTasks())
+	if len(d.running) != 2 || len(d.queue) != 0 {
+		t.Fatalf("run=%d queue=%d", len(d.running), len(d.queue))
 	}
 	k.RunUntil(sim.Minute)
 	if d.TasksRun != 2 {
@@ -143,7 +127,7 @@ func TestAbortRunningTask(t *testing.T) {
 	if aborted == nil || aborted.State != TaskAborted {
 		t.Fatal("abort callback wrong")
 	}
-	if d.TasksAborted != 1 || d.RunningTasks() != 0 {
+	if d.TasksAborted != 1 || len(d.running) != 0 {
 		t.Fatal("abort bookkeeping wrong")
 	}
 	k.RunUntil(sim.Hour)
@@ -155,7 +139,6 @@ func TestAbortRunningTask(t *testing.T) {
 func TestAbortQueuedTaskUnblocksNothing(t *testing.T) {
 	k := sim.New(1)
 	d := New(k, LaptopSpec())
-	d.Spec()                               // touch
 	running := d.Submit("long", 5000, nil) // 10s at 500 MIPS
 	_ = running
 	queued := d.Submit("wait", 100, nil)
@@ -181,7 +164,7 @@ func TestAbortQueuedOnSingleThreaded(t *testing.T) {
 	if !secondDone {
 		t.Fatal("queued abort callback missing")
 	}
-	if d.QueuedTasks() != 0 {
+	if len(d.queue) != 0 {
 		t.Fatal("queue not cleaned")
 	}
 	k.RunUntil(sim.Minute)
@@ -222,7 +205,7 @@ func TestUILatencyGrowsWithLoad(t *testing.T) {
 	k := sim.New(1)
 	d := New(k, AromaAdapterSpec())
 	idle := d.UILatency()
-	if idle != d.Spec().UI.BaseLatency {
+	if idle != d.spec.UI.BaseLatency {
 		t.Fatalf("idle latency = %v", idle)
 	}
 	d.Submit("bg1", 1e6, nil)
@@ -236,9 +219,6 @@ func TestUISpecQueries(t *testing.T) {
 	ui := LaptopSpec().UI
 	if !ui.HasInput("keyboard") || ui.HasInput("voice") {
 		t.Fatal("input methods wrong")
-	}
-	if !ui.SpeaksLanguage("en") || ui.SpeaksLanguage("fr") {
-		t.Fatal("languages wrong")
 	}
 }
 

@@ -62,6 +62,8 @@ var ErrAborted = fmt.Errorf("device: mobile code aborted")
 //
 // Host syscalls run at submission time within the VM; their simulated
 // latency is considered part of the charged execution.
+//
+//aroma:kept resource-layer model: mobile code charged to the appliance's Mem and Exe
 func (d *Device) RunProgram(name string, prog *mobilecode.Program, entry string,
 	host mobilecode.Host, fuel int64, args []int64, done func(ProgramResult)) (*Task, error) {
 

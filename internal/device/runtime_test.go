@@ -58,8 +58,8 @@ func TestRunProgramDeliversResult(t *testing.T) {
 	if got.Result.Top() != 5050 {
 		t.Fatalf("sum(100) = %d", got.Result.Top())
 	}
-	if d.MemUsed() != 0 {
-		t.Fatalf("memory leaked: %d", d.MemUsed())
+	if d.memUsed != 0 {
+		t.Fatalf("memory leaked: %d", d.memUsed)
 	}
 	if d.TasksRun != 1 {
 		t.Fatalf("tasks run = %d", d.TasksRun)
@@ -102,7 +102,7 @@ func TestRunProgramMemoryExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want out of memory", err)
 	}
-	if d.MemUsed() != 0 {
+	if d.memUsed != 0 {
 		t.Fatal("failed load leaked memory")
 	}
 }
@@ -123,7 +123,7 @@ func TestRunProgramVMFaultStillDelivered(t *testing.T) {
 	if !errors.Is(got.Err, mobilecode.ErrDivByZero) {
 		t.Fatalf("err = %v", got.Err)
 	}
-	if d.MemUsed() != 0 {
+	if d.memUsed != 0 {
 		t.Fatal("fault leaked memory")
 	}
 }
@@ -144,7 +144,7 @@ func TestRunProgramAbort(t *testing.T) {
 	if !errors.Is(got.Err, ErrAborted) {
 		t.Fatalf("err = %v, want aborted", got.Err)
 	}
-	if d.MemUsed() != 0 {
+	if d.memUsed != 0 {
 		t.Fatal("abort leaked memory")
 	}
 }
@@ -154,10 +154,10 @@ func TestRunProgramChargesFuelProportionalTime(t *testing.T) {
 	d := New(k, LaptopSpec())
 	var short, long sim.Time
 	d.RunProgram("short", mustProg(t), "main", nil, 0, []int64{10},
-		func(r ProgramResult) { short = r.Task.Latency() })
+		func(r ProgramResult) { short = r.Task.Finished - r.Task.Submitted })
 	k.RunUntil(sim.Minute)
 	d.RunProgram("long", mustProg(t), "main", nil, 0, []int64{10000},
-		func(r ProgramResult) { long = r.Task.Latency() })
+		func(r ProgramResult) { long = r.Task.Finished - r.Task.Submitted })
 	k.RunUntil(2 * sim.Minute)
 	if long < 100*short {
 		t.Fatalf("1000x the loop iterations should cost >>100x the time: %v vs %v", short, long)

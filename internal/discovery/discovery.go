@@ -161,29 +161,8 @@ type subscription struct {
 	lease  *lease.Lease
 }
 
-// LookupOption configures a Lookup at construction time.
-type LookupOption func(*Lookup)
-
-// WithAnnouncePeriod sets how often the lookup multicasts its presence.
-func WithAnnouncePeriod(t sim.Time) LookupOption {
-	return func(l *Lookup) {
-		if t > 0 {
-			l.AnnouncePeriod = t
-		}
-	}
-}
-
-// WithMaxLease caps the lease duration the lookup grants registrants.
-func WithMaxLease(t sim.Time) LookupOption {
-	return func(l *Lookup) {
-		if t > 0 {
-			l.leases.MaxDuration = t
-		}
-	}
-}
-
 // NewLookup creates a lookup service on the given node.
-func NewLookup(node *netsim.Node, opts ...LookupOption) *Lookup {
+func NewLookup(node *netsim.Node) *Lookup {
 	tbl := lease.NewTable(node.Kernel())
 	tbl.MaxDuration = MaxLeaseDuration
 	l := &Lookup{
@@ -192,24 +171,15 @@ func NewLookup(node *netsim.Node, opts ...LookupOption) *Lookup {
 		items:  make(map[ServiceID]*registration),
 		subs:   make(map[uint64]*subscription),
 	}
-	for _, opt := range opts {
-		opt(l)
-	}
 	node.HandleRequest(netsim.PortDiscovery, l.serve)
 	return l
 }
-
-// Node returns the node the lookup runs on.
-func (l *Lookup) Node() *netsim.Node { return l.node }
 
 // Addr returns the lookup's network address.
 func (l *Lookup) Addr() netsim.Addr { return l.node.Addr() }
 
 // Count returns the number of live registrations.
 func (l *Lookup) Count() int { return len(l.items) }
-
-// Subscribers returns the number of live event subscriptions.
-func (l *Lookup) Subscribers() int { return len(l.subs) }
 
 // Leases returns the lookup's lease table, for observability (grant,
 // renewal, and expiry counters live on the table).
@@ -471,13 +441,6 @@ func NewAgent(node *netsim.Node) *Agent {
 	return a
 }
 
-// Node returns the node the agent is bound to.
-func (a *Agent) Node() *netsim.Node { return a.node }
-
-// LookupAddr returns the discovered lookup address and whether one has
-// been heard yet.
-func (a *Agent) LookupAddr() (netsim.Addr, bool) { return a.lookup, a.found }
-
 // Forget models a reboot wiping the agent's discovery memory: the
 // learned lookup address is dropped, so calls fail ErrNoLookup until
 // the next announcement is heard and OnLookupFound fires again. The
@@ -580,6 +543,8 @@ func (r *Registration) Renew(done func(error)) {
 }
 
 // Cancel removes the registration.
+//
+//aroma:kept discovery model: Jini's explicit deregistration, served by the lookup's cancel op
 func (r *Registration) Cancel(done func(error)) {
 	r.StopAutoRenew()
 	r.agent.call(request{Op: "cancel", ID: r.ID}, func(_ response, err error) {
@@ -638,6 +603,8 @@ func (a *Agent) Subscribe(tmpl Template, leaseDur sim.Time, done func(subID uint
 }
 
 // Unsubscribe cancels a subscription.
+//
+//aroma:kept discovery model: Jini's event unsubscription, served by the lookup's unsubscribe op
 func (a *Agent) Unsubscribe(subID uint64, done func(error)) {
 	a.call(request{Op: "unsubscribe", SubID: subID}, func(_ response, err error) {
 		if done != nil {

@@ -68,7 +68,7 @@ func TestAnnouncementDiscovery(t *testing.T) {
 	if foundAt > 100*sim.Millisecond {
 		t.Fatalf("cold-start discovery took %v", foundAt)
 	}
-	addr, ok := agents[1].LookupAddr()
+	addr, ok := agents[1].lookup, agents[1].found
 	if !ok || addr != lk.Addr() {
 		t.Fatal("second agent did not discover")
 	}
@@ -110,7 +110,7 @@ func TestRegisterAndLookup(t *testing.T) {
 	if len(items) != 1 || items[0].Name != "proj" {
 		t.Fatalf("items = %v", items)
 	}
-	if items[0].Provider != agents[0].Node().Addr() {
+	if items[0].Provider != agents[0].node.Addr() {
 		t.Fatal("provider not defaulted to registrant")
 	}
 	if items[0].Port != 42 {
@@ -197,7 +197,7 @@ func TestSubscribeReceivesEvents(t *testing.T) {
 		subscribed = err == nil && id != 0
 	})
 	k.RunUntil(2 * sim.Second)
-	if !subscribed || lk.Subscribers() != 1 {
+	if !subscribed || len(lk.subs) != 1 {
 		t.Fatal("subscription failed")
 	}
 
@@ -238,7 +238,7 @@ func TestUnsubscribeStopsEvents(t *testing.T) {
 	if events != 0 {
 		t.Fatalf("received %d events after unsubscribe", events)
 	}
-	if lk.Subscribers() != 0 {
+	if len(lk.subs) != 0 {
 		t.Fatal("subscription not removed")
 	}
 }
@@ -367,8 +367,8 @@ func TestNotifyDeliversInSubscriptionIDOrder(t *testing.T) {
 		})
 		k.RunFor(300 * sim.Millisecond)
 	}
-	if lk.Subscribers() != 3 {
-		t.Fatalf("subscribers = %d", lk.Subscribers())
+	if len(lk.subs) != 3 {
+		t.Fatalf("subscribers = %d", len(lk.subs))
 	}
 	var order []uint64
 	for _, a := range agents[1:] {

@@ -80,9 +80,6 @@ func AnnouncePeer(node *netsim.Node, item Item, period, ttl sim.Time) *PeerServi
 	return ps
 }
 
-// Item returns the announced item.
-func (ps *PeerService) Item() Item { return ps.item }
-
 // Stop halts announcements silently — a crash. Cache entries elsewhere
 // survive until their TTL runs out.
 func (ps *PeerService) Stop() {
@@ -95,6 +92,8 @@ func (ps *PeerService) Stop() {
 
 // Bye sends a byebye message and stops: the graceful shutdown that lets
 // caches drop the entry immediately.
+//
+//aroma:kept discovery model: the peer protocol's byebye, which PeerCache handles
 func (ps *PeerService) Bye() {
 	if ps.stopped {
 		return
@@ -116,7 +115,6 @@ type peerEntry struct {
 type PeerCache struct {
 	node    *netsim.Node
 	entries map[netsim.Addr]map[string]*peerEntry // provider -> name -> entry
-	stop    func()
 
 	// OnAppear fires when a previously unknown service is cached.
 	OnAppear func(Item)
@@ -134,16 +132,8 @@ func NewPeerCache(node *netsim.Node) *PeerCache {
 	pc := &PeerCache{node: node, entries: make(map[netsim.Addr]map[string]*peerEntry)}
 	node.Join(GroupDiscovery)
 	node.Handle(PortPeer, pc.onAnnounce)
-	pc.stop = node.Kernel().Ticker(sim.Second, "peer.sweep", pc.sweep)
+	node.Kernel().Ticker(sim.Second, "peer.sweep", pc.sweep)
 	return pc
-}
-
-// Close stops the cache's sweep ticker.
-func (pc *PeerCache) Close() {
-	if pc.stop != nil {
-		pc.stop()
-		pc.stop = nil
-	}
 }
 
 func (pc *PeerCache) onAnnounce(src netsim.Addr, data []byte) {
@@ -231,6 +221,8 @@ func sortedNames(byName map[string]*peerEntry) []string {
 // overheard and not yet expired. The order is part of the determinism
 // contract: a client that takes the first match must resolve the same
 // service on every run.
+//
+//aroma:kept discovery model: querying the peer directory, the serverless alternative to the lookup service
 func (pc *PeerCache) Lookup(tmpl Template) []Item {
 	var out []Item
 	for _, provider := range pc.sortedProviders() {

@@ -109,27 +109,12 @@ func TestPeerProviderDefaulted(t *testing.T) {
 	k, nodes := peerRig(5, 2)
 	cache := NewPeerCache(nodes[1])
 	ps := AnnouncePeer(nodes[0], Item{Name: "x", Type: "t"}, sim.Second, 0)
-	if ps.Item().Provider != nodes[0].Addr() {
+	if ps.item.Provider != nodes[0].Addr() {
 		t.Fatal("provider not defaulted")
 	}
 	k.RunUntil(sim.Second)
 	if got := cache.Lookup(Template{}); len(got) != 1 || got[0].Provider != nodes[0].Addr() {
 		t.Fatalf("cached provider wrong: %v", got)
-	}
-}
-
-func TestPeerCacheClose(t *testing.T) {
-	k, nodes := peerRig(6, 2)
-	cache := NewPeerCache(nodes[1])
-	ps := AnnouncePeer(nodes[0], Item{Name: "x", Type: "t"}, sim.Second, 3*sim.Second)
-	k.RunUntil(2 * sim.Second)
-	ps.Stop()
-	cache.Close()
-	cache.Close() // idempotent
-	// Without the sweep the stale entry lingers; Count still reports it.
-	k.RunUntil(sim.Minute)
-	if cache.Count() != 1 {
-		t.Fatalf("closed cache swept anyway: %d", cache.Count())
 	}
 }
 

@@ -36,9 +36,6 @@ const (
 	// ThermalNoiseDBm is the thermal noise floor for a 22 MHz 802.11
 	// channel at room temperature (-174 dBm/Hz + 10*log10(22e6)).
 	ThermalNoiseDBm = -100.0
-
-	// SpeedOfLight in metres per second, used for propagation delay.
-	SpeedOfLight = 299792458.0
 )
 
 // DBmToMilliwatts converts a dBm power level to milliwatts.
@@ -100,12 +97,6 @@ func New(k *sim.Kernel, plan *geo.FloorPlan) *Environment {
 	}
 }
 
-// Kernel returns the owning simulation kernel.
-func (e *Environment) Kernel() *sim.Kernel { return e.kernel }
-
-// Plan returns the floor plan.
-func (e *Environment) Plan() *geo.FloorPlan { return e.plan }
-
 // PathLossDB returns the total radio path loss in dB between two points:
 // log-distance loss + wall attenuation + frozen shadow fading.
 // Distances below 1 m are clamped to the reference distance.
@@ -156,12 +147,6 @@ func (e *Environment) NoiseFloorDBm() float64 {
 	thermal := DBmToMilliwatts(ThermalNoiseDBm)
 	ambient := DBmToMilliwatts(e.AmbientNoiseDBm)
 	return MilliwattsToDBm(thermal + ambient)
-}
-
-// PropagationDelay returns the radio propagation delay between two points.
-func (e *Environment) PropagationDelay(a, b geo.Point) sim.Time {
-	seconds := a.Dist(b) / SpeedOfLight
-	return sim.Time(seconds * float64(sim.Second))
 }
 
 // EstimateDistanceFromRSSI inverts the log-distance model to estimate the
@@ -218,9 +203,6 @@ func (e *Environment) RemoveNoiseSource(ns *NoiseSource) {
 		}
 	}
 }
-
-// NoiseSources returns the current noise sources.
-func (e *Environment) NoiseSources() []*NoiseSource { return e.noise }
 
 // acousticAttenuation returns sound attenuation in dB from src to p:
 // 20*log10(d) spreading loss plus wall acoustic losses.

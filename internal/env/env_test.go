@@ -114,15 +114,6 @@ func TestNoiseFloor(t *testing.T) {
 	}
 }
 
-func TestPropagationDelay(t *testing.T) {
-	e := newEnv(t)
-	d := e.PropagationDelay(geo.Pt(0, 0), geo.Pt(30, 0))
-	wantNS := 30.0 / SpeedOfLight * 1e9
-	if math.Abs(float64(d)-wantNS) > 1 {
-		t.Fatalf("delay = %v ns, want %v ns", float64(d), wantNS)
-	}
-}
-
 func TestRSSIRangingPerfectWithoutWalls(t *testing.T) {
 	e := newEnv(t)
 	for _, trueD := range []float64{1, 3, 7, 15, 40} {
@@ -171,7 +162,7 @@ func TestNoiseSourceRaisesLevel(t *testing.T) {
 	if q := e.AmbientNoiseDB(p); math.Abs(q-30) > 0.01 {
 		t.Fatalf("removed source still heard: %v", q)
 	}
-	if len(e.NoiseSources()) != 0 {
+	if len(e.noise) != 0 {
 		t.Fatal("source list not empty after removal")
 	}
 }
@@ -220,7 +211,7 @@ func TestRecognitionCurveShape(t *testing.T) {
 
 func TestNilPlanDefaults(t *testing.T) {
 	e := New(sim.New(1), nil)
-	if e.Plan() == nil {
+	if e.plan == nil {
 		t.Fatal("nil plan not defaulted")
 	}
 }

@@ -18,7 +18,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -210,15 +209,6 @@ func Parse(s string) (Plan, error) {
 	return p, nil
 }
 
-// MustParse is Parse for known-good literals; it panics on error.
-func MustParse(s string) Plan {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func parseSpec(s string) (Spec, error) {
 	kind, rest, ok := strings.Cut(s, ":")
 	if !ok {
@@ -264,31 +254,4 @@ func parseDur(s string) (sim.Time, error) {
 		return 0, err
 	}
 	return sim.Time(d), nil
-}
-
-// Occurrences expands the plan into its full flat schedule, sorted by
-// fire time (ties in spec order). Diagnostic/reporting helper; the
-// injector derives the same schedule when arming.
-func (p Plan) Occurrences() []Occurrence {
-	var out []Occurrence
-	for si, s := range p.Specs {
-		for j := 0; j < s.count(); j++ {
-			out = append(out, Occurrence{
-				Spec: si,
-				Kind: s.Kind,
-				At:   s.At + sim.Time(j)*s.Every,
-				For:  s.For,
-			})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Occurrence is one expanded plan entry.
-type Occurrence struct {
-	Spec int
-	Kind Kind
-	At   sim.Time
-	For  sim.Time
 }

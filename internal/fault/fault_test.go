@@ -62,21 +62,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestOccurrences(t *testing.T) {
-	p := MustParse("crash:at=10s,for=5s,every=20s,n=2;jam:at=15s,for=10s")
-	occ := p.Occurrences()
-	if len(occ) != 3 {
-		t.Fatalf("got %d occurrences, want 3", len(occ))
-	}
-	wantAt := []sim.Time{10 * sim.Second, 15 * sim.Second, 30 * sim.Second}
-	wantKind := []Kind{Crash, Jam, Crash}
-	for i, o := range occ {
-		if o.At != wantAt[i] || o.Kind != wantKind[i] {
-			t.Errorf("occ[%d] = %v@%v, want %v@%v", i, o.Kind, o.At, wantKind[i], wantAt[i])
-		}
-	}
-}
-
 // TestInjectorDeterminism proves the whole point of the dedicated RNG
 // stream: two injectors with the same seed fire identical schedules,
 // pick identical victims, and consume identical draw counts.

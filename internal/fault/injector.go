@@ -124,11 +124,6 @@ func (in *Injector) fire(s Spec, h Hooks) {
 	}
 }
 
-// Injected returns the total occurrences fired so far.
-func (in *Injector) Injected() uint64 {
-	return in.crashes + in.radioDowns + in.jams + in.partitions + in.outages
-}
-
 // Counts returns the per-kind injection counters.
 func (in *Injector) Counts() (crashes, radioDowns, jams, partitions, outages uint64) {
 	return in.crashes, in.radioDowns, in.jams, in.partitions, in.outages

@@ -19,22 +19,10 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{x, y} }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
-
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Lerp returns the point a fraction t of the way from p to q.
 // t is clamped to [0, 1].
@@ -58,12 +46,6 @@ type Segment struct {
 
 // Seg is shorthand for Segment{a, b}.
 func Seg(a, b Point) Segment { return Segment{a, b} }
-
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
 
 // cross returns the z component of (b-a) x (c-a).
 func cross(a, b, c Point) float64 {
@@ -119,17 +101,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the rectangle height.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the rectangle area.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Center returns the rectangle center.
-func (r Rect) Center() Point { return r.Min.Lerp(r.Max, 0.5) }
-
-// Contains reports whether p lies inside or on the boundary of r.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Edges returns the four boundary segments of r.
 func (r Rect) Edges() [4]Segment {
 	a := r.Min
@@ -164,24 +135,16 @@ func (f *FloorPlan) AddWall(s Segment, lossDB, acousticLossDB float64) {
 	f.Walls = append(f.Walls, Wall{Seg: s, LossDB: lossDB, AcousticLossDB: acousticLossDB})
 }
 
-// AddRoom adds the four edges of r as walls sharing the same losses.
-// Interior doorways should be modelled by splitting wall segments manually.
+// AddRoom adds the four edges of r as walls sharing the same losses:
+// the environment layer's room, the unit the paper's office settings
+// are built from. Interior doorways should be modelled by splitting
+// wall segments manually.
+//
+//aroma:kept environment-layer model: a room is four walls with shared losses
 func (f *FloorPlan) AddRoom(r Rect, lossDB, acousticLossDB float64) {
 	for _, e := range r.Edges() {
 		f.AddWall(e, lossDB, acousticLossDB)
 	}
-}
-
-// WallsCrossed returns the number of walls the straight path a->b crosses.
-func (f *FloorPlan) WallsCrossed(a, b Point) int {
-	n := 0
-	path := Seg(a, b)
-	for _, w := range f.Walls {
-		if path.Intersects(w.Seg) {
-			n++
-		}
-	}
-	return n
 }
 
 // PathLossDB returns the total radio wall attenuation along a->b.

@@ -9,26 +9,9 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestPointArithmetic(t *testing.T) {
-	p := Pt(1, 2).Add(Pt(3, 4))
-	if p != Pt(4, 6) {
-		t.Fatalf("Add = %v", p)
-	}
-	q := Pt(4, 6).Sub(Pt(1, 2))
-	if q != Pt(3, 4) {
-		t.Fatalf("Sub = %v", q)
-	}
-	if s := Pt(1, -2).Scale(3); s != Pt(3, -6) {
-		t.Fatalf("Scale = %v", s)
-	}
-}
-
 func TestDist(t *testing.T) {
 	if d := Pt(0, 0).Dist(Pt(3, 4)); !almostEq(d, 5) {
 		t.Fatalf("Dist = %v, want 5", d)
-	}
-	if n := Pt(3, 4).Norm(); !almostEq(n, 5) {
-		t.Fatalf("Norm = %v, want 5", n)
 	}
 }
 
@@ -71,17 +54,8 @@ func TestSegmentIntersects(t *testing.T) {
 
 func TestRect(t *testing.T) {
 	r := RectAt(1, 2, 3, 4)
-	if !almostEq(r.Width(), 3) || !almostEq(r.Height(), 4) || !almostEq(r.Area(), 12) {
+	if !almostEq(r.Width(), 3) || !almostEq(r.Height(), 4) {
 		t.Fatalf("rect dims wrong: %+v", r)
-	}
-	if c := r.Center(); !almostEq(c.X, 2.5) || !almostEq(c.Y, 4) {
-		t.Fatalf("Center = %v", c)
-	}
-	if !r.Contains(Pt(1, 2)) || !r.Contains(Pt(4, 6)) || !r.Contains(Pt(2, 3)) {
-		t.Fatal("Contains false negatives")
-	}
-	if r.Contains(Pt(0, 0)) || r.Contains(Pt(5, 5)) {
-		t.Fatal("Contains false positives")
 	}
 }
 
@@ -95,7 +69,7 @@ func TestRectEdgesFormClosedLoop(t *testing.T) {
 	}
 	perim := 0.0
 	for _, s := range e {
-		perim += s.Length()
+		perim += s.A.Dist(s.B)
 	}
 	if !almostEq(perim, 10) {
 		t.Fatalf("perimeter = %v, want 10", perim)
@@ -106,11 +80,8 @@ func TestWallsCrossed(t *testing.T) {
 	f := NewFloorPlan(RectAt(0, 0, 20, 10))
 	// Vertical wall at x=10 splitting the space.
 	f.AddWall(Seg(Pt(10, 0), Pt(10, 10)), 6, 20)
-	if n := f.WallsCrossed(Pt(2, 5), Pt(18, 5)); n != 1 {
-		t.Fatalf("crossed = %d, want 1", n)
-	}
-	if n := f.WallsCrossed(Pt(2, 5), Pt(8, 5)); n != 0 {
-		t.Fatalf("crossed = %d, want 0", n)
+	if l := f.PathLossDB(Pt(2, 5), Pt(8, 5)); l != 0 {
+		t.Fatalf("loss without crossing = %v, want 0", l)
 	}
 	if l := f.PathLossDB(Pt(2, 5), Pt(18, 5)); !almostEq(l, 6) {
 		t.Fatalf("loss = %v, want 6", l)
@@ -127,9 +98,6 @@ func TestAddRoom(t *testing.T) {
 		t.Fatalf("walls = %d, want 4", len(f.Walls))
 	}
 	// From outside the room straight through: crosses 2 walls.
-	if n := f.WallsCrossed(Pt(1, 7.5), Pt(15, 7.5)); n != 2 {
-		t.Fatalf("crossed = %d, want 2", n)
-	}
 	if l := f.PathLossDB(Pt(1, 7.5), Pt(15, 7.5)); !almostEq(l, 6) {
 		t.Fatalf("loss = %v, want 6", l)
 	}

@@ -197,7 +197,11 @@ func (g *Grid) Refresh(c *Cover) {
 }
 
 // Watchers returns the total number of live cover registrations across
-// all blocks — an introspection hook for registration-leak tests.
+// all blocks — an introspection hook for registration-leak tests. The
+// radio package's oracle fuzz target calls it on the medium's grid, so
+// it cannot live in this package's test files.
+//
+//aroma:kept the radio medium's oracle fuzz target checks grid registrations with it
 func (g *Grid) Watchers() int {
 	n := 0
 	for _, list := range g.blocks {

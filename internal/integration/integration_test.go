@@ -36,6 +36,7 @@ type lab struct {
 	log    *trace.Log
 	lookup *discovery.Lookup
 	proj   *projector.SmartProjector
+	radios map[string]*radio.Radio // presenters' radios by name
 }
 
 func buildLab(seed int64, cfg projector.Config) *lab {
@@ -53,7 +54,7 @@ func buildLab(seed int64, cfg projector.Config) *lab {
 	projNode := nw.NewNode("projector", m.AddStation(med.NewRadio("projector", geo.Pt(30, 25), 6, 15)))
 	proj := projector.New(projNode, discovery.NewAgent(projNode), log, cfg)
 
-	l := &lab{k: k, e: e, med: med, m: m, nw: nw, log: log, lookup: lk, proj: proj}
+	l := &lab{k: k, e: e, med: med, m: m, nw: nw, log: log, lookup: lk, proj: proj, radios: map[string]*radio.Radio{}}
 	k.RunUntil(sim.Second)
 	proj.Register(nil)
 	k.RunUntil(2 * sim.Second)
@@ -64,7 +65,9 @@ func buildLab(seed int64, cfg projector.Config) *lab {
 // period so the agent has heard the lookup, then discovers the projector.
 func (l *lab) presenter(t *testing.T, name string, pos geo.Point) *projector.Presenter {
 	t.Helper()
-	node := l.nw.NewNode(name, l.m.AddStation(l.med.NewRadio(name, pos, 6, 15)))
+	r := l.med.NewRadio(name, pos, 6, 15)
+	l.radios[name] = r
+	node := l.nw.NewNode(name, l.m.AddStation(r))
 	pr := projector.NewPresenter(name, node, discovery.NewAgent(node))
 	l.k.RunUntil(l.k.Now() + discovery.DefaultAnnouncePeriod + sim.Second)
 	discErr := errors.New("pending")
@@ -93,7 +96,7 @@ func TestWholeLabDeterminism(t *testing.T) {
 		anim.Textured = true
 		l.k.Ticker(70*sim.Millisecond, "anim", anim.Step)
 		l.k.RunUntil(l.k.Now() + 30*sim.Second)
-		return l.proj.FramesShown, l.med.Sent, l.k.Now(), l.log.Len()
+		return l.proj.FramesShown, l.med.Sent, l.k.Now(), len(l.log.Events())
 	}
 	f1, s1, t1, l1 := run()
 	f2, s2, t2, l2 := run()
@@ -209,14 +212,8 @@ func TestRoamingPresenterSessionReclaimed(t *testing.T) {
 	anim.Textured = true
 	l.k.Ticker(100*sim.Millisecond, "anim", anim.Step)
 
-	// Alice walks out of the building mid-presentation. Her radio is
-	// found by station name.
-	var walkRadio *radio.Radio
-	for a := mac.Addr(1); a < 10; a++ {
-		if st := l.m.Station(a); st != nil && st.Radio().Name == "alice" {
-			walkRadio = st.Radio()
-		}
-	}
+	// Alice walks out of the building mid-presentation.
+	walkRadio := l.radios["alice"]
 	if walkRadio == nil {
 		t.Fatal("alice's radio not found")
 	}

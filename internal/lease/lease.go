@@ -32,17 +32,8 @@ type Lease struct {
 // ID returns the lease identifier.
 func (l *Lease) ID() ID { return l.id }
 
-// Holder returns the name the lease was granted to.
-func (l *Lease) Holder() string { return l.holder }
-
 // Expires returns the current expiry instant.
 func (l *Lease) Expires() sim.Time { return l.expires }
-
-// Renewals returns how many times the lease has been renewed.
-func (l *Lease) Renewals() int { return l.renewals }
-
-// Active reports whether the lease is still in force.
-func (l *Lease) Active() bool { return !l.dead }
 
 // String formats the lease for diagnostics.
 func (l *Lease) String() string {
@@ -156,6 +147,8 @@ func (t *Table) Release(l *Lease) error {
 
 // Break forcibly terminates a lease and fires onExpire, modelling an
 // administrative or policy revocation.
+//
+//aroma:kept lease model: grantor-side revocation, the counterpart of expiry and release
 func (t *Table) Break(l *Lease) error {
 	if l == nil || l.dead {
 		return ErrExpired
@@ -165,13 +158,12 @@ func (t *Table) Break(l *Lease) error {
 	return nil
 }
 
-// Active returns the number of live leases.
-func (t *Table) Active() int { return len(t.leases) }
-
 // AutoRenewer renews l every interval until stopped or the lease dies.
 // It returns a stop function. Interval should be comfortably below the
 // lease duration; renewal happens with the same duration the lease
 // currently has.
+//
+//aroma:kept lease model: the holder-side renewal loop over a local table
 func (t *Table) AutoRenewer(l *Lease, interval sim.Time) (stop func()) {
 	if interval <= 0 {
 		panic("lease: non-positive renew interval")

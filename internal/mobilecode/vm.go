@@ -145,12 +145,6 @@ type Host interface {
 	Syscall(name string, args []int64) ([]int64, error)
 }
 
-// HostFunc adapts a function to the Host interface.
-type HostFunc func(name string, args []int64) ([]int64, error)
-
-// Syscall implements Host.
-func (f HostFunc) Syscall(name string, args []int64) ([]int64, error) { return f(name, args) }
-
 // Errors reported by the VM.
 var (
 	ErrOutOfFuel      = errors.New("mobilecode: out of fuel")

@@ -32,13 +32,12 @@ type Port uint16
 type Group uint16
 
 // Well-known ports used by the Aroma stack; applications should use ports
-// above PortDynamic.
+// from 1024 up.
 const (
 	PortDiscovery Port = 1
 	PortRFB       Port = 2
 	PortControl   Port = 3
 	PortEvents    Port = 4
-	PortDynamic   Port = 1024
 )
 
 // DefaultMTU is the maximum payload bytes carried in one link frame.
@@ -82,12 +81,9 @@ type RequestHandler func(src Addr, data []byte) []byte
 
 // Network owns the nodes built over one MAC.
 type Network struct {
-	kernel      *sim.Kernel
-	mac         *mac.MAC
-	nodes       map[Addr]*Node
-	msgSeq      uint64
-	defaultMTU  int
-	callTimeout sim.Time
+	kernel *sim.Kernel
+	nodes  map[Addr]*Node
+	msgSeq uint64
 
 	// Stats
 	DatagramsSent  uint64
@@ -96,49 +92,13 @@ type Network struct {
 	CallsTimedOut  uint64
 }
 
-// Option configures a Network at construction time.
-type Option func(*Network)
-
-// WithMTU sets the fragmentation threshold new nodes start with
-// (individual nodes may still override their MTU field).
-func WithMTU(bytes int) Option {
-	return func(n *Network) {
-		if bytes > 0 {
-			n.defaultMTU = bytes
-		}
-	}
-}
-
-// WithCallTimeout sets the default deadline for Call when the caller
-// passes a non-positive timeout.
-func WithCallTimeout(t sim.Time) Option {
-	return func(n *Network) {
-		if t > 0 {
-			n.callTimeout = t
-		}
-	}
-}
-
 // New creates a network over the given MAC layer.
-func New(m *mac.MAC, opts ...Option) *Network {
-	n := &Network{
-		kernel:      m.Medium().Kernel(),
-		mac:         m,
-		nodes:       make(map[Addr]*Node),
-		defaultMTU:  DefaultMTU,
-		callTimeout: DefaultCallTimeout,
+func New(m *mac.MAC) *Network {
+	return &Network{
+		kernel: m.Medium().Kernel(),
+		nodes:  make(map[Addr]*Node),
 	}
-	for _, opt := range opts {
-		opt(n)
-	}
-	return n
 }
-
-// Kernel returns the owning simulation kernel.
-func (n *Network) Kernel() *sim.Kernel { return n.kernel }
-
-// MAC returns the underlying MAC layer.
-func (n *Network) MAC() *mac.MAC { return n.mac }
 
 // Node is one network endpoint.
 type Node struct {
@@ -183,7 +143,7 @@ func (n *Network) NewNode(name string, st *mac.Station) *Node {
 		groups:      make(map[Group]bool),
 		reassembly:  make(map[reasmKey]*reasmState),
 		pending:     make(map[uint64]*pendingCall),
-		MTU:         n.defaultMTU,
+		MTU:         DefaultMTU,
 	}
 	n.nodes[st.Addr()] = node
 	st.OnReceive = node.onFrame
@@ -199,9 +159,6 @@ func (nd *Node) Network() *Network { return nd.net }
 // Kernel returns the simulation kernel the node runs on.
 func (nd *Node) Kernel() *sim.Kernel { return nd.net.kernel }
 
-// Name returns the node's human-readable name.
-func (nd *Node) Name() string { return nd.name }
-
 // Station returns the underlying MAC station.
 func (nd *Node) Station() *mac.Station { return nd.station }
 
@@ -214,12 +171,6 @@ func (nd *Node) HandleRequest(p Port, h RequestHandler) { nd.reqHandlers[p] = h 
 
 // Join adds the node to a multicast group.
 func (nd *Node) Join(g Group) { nd.groups[g] = true }
-
-// Leave removes the node from a multicast group.
-func (nd *Node) Leave(g Group) { delete(nd.groups, g) }
-
-// Member reports whether the node belongs to group g.
-func (nd *Node) Member(g Group) bool { return nd.groups[g] }
 
 // ErrTimeout is reported when a Call's response does not arrive in time.
 var ErrTimeout = errors.New("netsim: call timed out")
@@ -248,11 +199,10 @@ func (nd *Node) SendMulticast(g Group, port Port, data []byte) {
 }
 
 // Call sends a request to dst:port and invokes done with the response or
-// an error. A non-positive timeout uses the network's configured default
-// (DefaultCallTimeout unless overridden with WithCallTimeout).
+// an error. A non-positive timeout uses DefaultCallTimeout.
 func (nd *Node) Call(dst Addr, port Port, req []byte, timeout sim.Time, done func(resp []byte, err error)) {
 	if timeout <= 0 {
-		timeout = nd.net.callTimeout
+		timeout = DefaultCallTimeout
 	}
 	nd.net.CallsStarted++
 	nd.net.msgSeq++
@@ -400,6 +350,3 @@ func (nd *Node) reassemble(p packet) ([]byte, bool) {
 	}
 	return full, true
 }
-
-// PendingCalls returns the number of calls awaiting responses.
-func (nd *Node) PendingCalls() int { return len(nd.pending) }

@@ -109,10 +109,6 @@ func TestMulticastMembership(t *testing.T) {
 	if !nodes[1].Member(g) || nodes[3].Member(g) {
 		t.Fatal("membership predicates wrong")
 	}
-	nodes[1].Leave(g)
-	if nodes[1].Member(g) {
-		t.Fatal("Leave did not take")
-	}
 }
 
 func TestCallResponse(t *testing.T) {
@@ -223,7 +219,7 @@ func TestNodeAccessors(t *testing.T) {
 	if nodes[0].Name() != "node" || nodes[0].Station() == nil {
 		t.Fatal("accessors wrong")
 	}
-	if nw.Kernel() == nil || nw.MAC() == nil {
+	if nodes[0].Kernel() != nw.kernel {
 		t.Fatal("network accessors wrong")
 	}
 }

@@ -50,9 +50,6 @@ const (
 	numCmds
 )
 
-// CmdNames maps command codes to names.
-var CmdNames = []string{"power-toggle", "brightness-up", "brightness-down", "input-vga", "input-svideo"}
-
 // ProxySource is the mobile-code control proxy registered with the
 // lookup service: validate(code) returns 1 when the code is a legal
 // command — clients run it locally instead of burning a wireless round
@@ -174,25 +171,11 @@ func New(node *netsim.Node, agent *discovery.Agent, log *trace.Log, cfg Config) 
 	return p
 }
 
-// Node returns the projector's network node.
-func (p *SmartProjector) Node() *netsim.Node { return p.node }
-
 // Power reports projector power state.
 func (p *SmartProjector) Power() bool { return p.power }
 
-// Brightness returns the lamp level (0–10).
-func (p *SmartProjector) Brightness() int { return p.brightness }
-
 // Projecting reports whether a stream is active.
 func (p *SmartProjector) Projecting() bool { return p.display != nil }
-
-// Screen returns the projected framebuffer (nil when not projecting).
-func (p *SmartProjector) Screen() *rfb.Framebuffer {
-	if p.display == nil {
-		return nil
-	}
-	return p.display.Framebuffer()
-}
 
 // Register announces both services to the lookup service and keeps their
 // leases renewed. done (optional) fires after both registrations settle.
@@ -238,6 +221,8 @@ func (p *SmartProjector) Register(done func(error)) {
 
 // Crash simulates the adapter failing: registrations stop renewing (the
 // lookup self-cleans), streaming stops, sessions are force-released.
+//
+//aroma:kept fault model: the Aroma Adapter's crash, whose leases then lapse
 func (p *SmartProjector) Crash() {
 	if p.regDisplay != nil {
 		p.regDisplay.StopAutoRenew()
@@ -534,6 +519,8 @@ func (pr *Presenter) ReleaseProjection(done func(error)) {
 // GrabBoth atomically acquires the projection and control sessions in
 // one round trip and starts the stream — the coordinated acquisition the
 // paper proposes for interrelated services. StartVNC must have run.
+//
+//aroma:kept paper model: coordinated acquisition of interrelated services
 func (pr *Presenter) GrabBoth(done func(error)) {
 	if pr.VNC == nil {
 		if done != nil {
@@ -550,6 +537,8 @@ func (pr *Presenter) GrabBoth(done func(error)) {
 }
 
 // ReleaseBoth frees whichever of the two sessions this presenter holds.
+//
+//aroma:kept paper model: the release half of GrabBoth's coordinated acquisition
 func (pr *Presenter) ReleaseBoth(done func(error)) {
 	pr.call(ctlRequest{Op: "release-both", User: pr.Name}, func(_ ctlResponse, err error) {
 		if done != nil {
@@ -598,6 +587,8 @@ func (pr *Presenter) Command(cmd int, done func(error)) {
 }
 
 // Status queries the projector's status.
+//
+//aroma:kept control protocol: the client side of the status op the projector serves
 func (pr *Presenter) Status(done func(projecting bool, projOwner, ctrlOwner string, err error)) {
 	pr.call(ctlRequest{Op: "status"}, func(resp ctlResponse, err error) {
 		if done != nil {

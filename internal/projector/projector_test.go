@@ -116,7 +116,7 @@ func TestEndToEndProjection(t *testing.T) {
 	if l.projector.FramesShown < 5 {
 		t.Fatalf("frames shown = %d", l.projector.FramesShown)
 	}
-	if l.projector.Screen() == nil {
+	if l.projector.display == nil {
 		t.Fatal("no screen")
 	}
 	st := l.projector.AppState()

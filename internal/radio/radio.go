@@ -38,7 +38,8 @@
 //     cutoff) are scanned;
 //   - an optional spatial grid with a received-power cutoff
 //     (WithRxCutoffDBm): radios beyond the conservative maximum range at
-//     which the cutoff could still be met are skipped entirely.
+//     which the cutoff could still be met are skipped entirely. The
+//     grid's cells are a fixed 50 m square.
 //
 // Candidate sets are cached per radio with cell-granular invalidation,
 // so mobile worlds do not pay a global cache wipe per move: a cache
@@ -261,14 +262,10 @@ type Receipt struct {
 	RSSIdBm float64
 	OK      bool // decoded successfully
 
-	// sinr is the signal-to-interference-plus-noise ratio, linear.
+	// sinr is the linear signal-to-interference-plus-noise ratio the
+	// decode decision used; the tests read it in dB (SINRdB).
 	sinr float64
 }
-
-// SINRdB returns the receipt's signal-to-interference-plus-noise ratio
-// in dB, computed from the linear ratio delivery decided on each time
-// it is called.
-func (r Receipt) SINRdB() float64 { return 10 * math.Log10(r.sinr) }
 
 // Radio is one transceiver attached to a Medium.
 type Radio struct {
@@ -425,16 +422,11 @@ func WithRxCutoffDBm(dbm float64) MediumOption {
 	return func(m *Medium) { m.cutoffDBm = dbm }
 }
 
-// WithGridCellM sets the spatial-index cell size in metres (default
-// geo.DefaultGridCell). Smaller cells tighten range queries in very dense
-// worlds at a little extra bookkeeping per move.
-func WithGridCellM(meters float64) MediumOption {
-	return func(m *Medium) {
-		if meters > 0 {
-			m.gridCell = meters
-		}
-	}
-}
+// gridCellM is the spatial index's cell size in metres. It is a pure
+// performance constant: delivery applies the exact range check at use
+// time, so the physics is the same at any cell size. 50 m suits the
+// dense arenas the cutoff is for.
+const gridCellM = 50.0
 
 // Medium is the shared 2.4 GHz band.
 type Medium struct {
@@ -474,7 +466,7 @@ type Medium struct {
 	seq    uint64
 
 	cutoffDBm float64 // receive cutoff; -Inf disables the spatial skip
-	gridCell  float64
+	gridCell  float64 // gridCellM, varied only by tests
 
 	// Fault-plane state (fault.go): jamDB is the open jam windows' total
 	// extra path loss; partitions is the open partition-window depth with
@@ -520,7 +512,7 @@ func NewMedium(k *sim.Kernel, e *env.Environment, opts ...MediumOption) *Medium 
 		kernel:    k,
 		env:       e,
 		cutoffDBm: math.Inf(-1),
-		gridCell:  geo.DefaultGridCell,
+		gridCell:  gridCellM,
 		geoGen:    1,
 	}
 	for _, opt := range opts {
@@ -532,9 +524,6 @@ func NewMedium(k *sim.Kernel, e *env.Environment, opts ...MediumOption) *Medium 
 
 // Kernel returns the owning simulation kernel.
 func (m *Medium) Kernel() *sim.Kernel { return m.kernel }
-
-// Env returns the propagation environment.
-func (m *Medium) Env() *env.Environment { return m.env }
 
 func (m *Medium) cutoffEnabled() bool {
 	return !math.IsInf(m.cutoffDBm, -1)

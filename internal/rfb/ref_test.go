@@ -1,6 +1,7 @@
 package rfb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -227,4 +228,53 @@ func refApply(f *Framebuffer, u *Update) error {
 		}
 	}
 	return nil
+}
+
+// The per-pixel accessors below are the reference side of the
+// framebuffer: production code moves whole tiles (block) and never
+// touches a single pixel.
+
+// index returns the offset of in-bounds pixel (x, y) in pix.
+func (f *Framebuffer) index(x, y int) int {
+	bx, by := x&^(TileSize-1), y&^(TileSize-1)
+	tw, hb := min(TileSize, f.W-bx), min(TileSize, f.H-by)
+	return by*f.W + bx*hb + (y-by)*tw + x - bx
+}
+
+// Pixel returns the pixel at (x, y); out-of-bounds reads return 0.
+func (f *Framebuffer) Pixel(x, y int) uint8 {
+	if x < 0 || y < 0 || x >= f.W || y >= f.H {
+		return 0
+	}
+	return f.pix[f.index(x, y)]
+}
+
+// Set writes one pixel and marks its tile dirty. Out-of-bounds writes are
+// ignored.
+func (f *Framebuffer) Set(x, y int, v uint8) {
+	if x < 0 || y < 0 || x >= f.W || y >= f.H {
+		return
+	}
+	i := f.index(x, y)
+	if f.pix[i] == v {
+		return // no visual change, no dirt
+	}
+	f.pix[i] = v
+	f.dirty[(y/TileSize)*f.tilesX+(x/TileSize)] = true
+}
+
+// DirtyCount returns the number of dirty tiles.
+func (f *Framebuffer) DirtyCount() int {
+	n := 0
+	for _, d := range f.dirty {
+		if d {
+			n++
+		}
+	}
+	return n
+}
+
+// Equal reports whether two framebuffers have identical pixel content.
+func (f *Framebuffer) Equal(g *Framebuffer) bool {
+	return f.W == g.W && f.H == g.H && bytes.Equal(f.pix, g.pix)
 }

@@ -2,7 +2,6 @@ package rfb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -89,9 +88,6 @@ func NewClient(node *netsim.Node, server netsim.Addr, w, h int) (*Client, error)
 	return &Client{node: node, server: server, fb: fb}, nil
 }
 
-// Framebuffer returns the client's local copy (what the projector shows).
-func (c *Client) Framebuffer() *Framebuffer { return c.fb }
-
 // RequestUpdate pulls one update. If full, the server resends every tile.
 // done (optional) receives the applied update or an error.
 func (c *Client) RequestUpdate(full bool, timeout sim.Time, done func(*Update, error)) {
@@ -130,9 +126,6 @@ func (c *Client) RequestUpdate(full bool, timeout sim.Time, done func(*Update, e
 		}
 	})
 }
-
-// ErrStopped reports that a streaming loop was stopped.
-var ErrStopped = errors.New("rfb: streaming stopped")
 
 // IdlePollDelay is how long Stream waits before re-polling after an
 // empty update. Real VNC servers defer the reply until the framebuffer

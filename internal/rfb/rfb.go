@@ -86,35 +86,6 @@ func (f *Framebuffer) block(x, y int) ([]uint8, int) {
 	return f.pix[off : off+tw*hb], tw
 }
 
-// index returns the offset of in-bounds pixel (x, y) in pix.
-func (f *Framebuffer) index(x, y int) int {
-	bx, by := x&^(TileSize-1), y&^(TileSize-1)
-	tw, hb := min(TileSize, f.W-bx), min(TileSize, f.H-by)
-	return by*f.W + bx*hb + (y-by)*tw + x - bx
-}
-
-// Pixel returns the pixel at (x, y); out-of-bounds reads return 0.
-func (f *Framebuffer) Pixel(x, y int) uint8 {
-	if x < 0 || y < 0 || x >= f.W || y >= f.H {
-		return 0
-	}
-	return f.pix[f.index(x, y)]
-}
-
-// Set writes one pixel and marks its tile dirty. Out-of-bounds writes are
-// ignored.
-func (f *Framebuffer) Set(x, y int, v uint8) {
-	if x < 0 || y < 0 || x >= f.W || y >= f.H {
-		return
-	}
-	i := f.index(x, y)
-	if f.pix[i] == v {
-		return // no visual change, no dirt
-	}
-	f.pix[i] = v
-	f.dirty[(y/TileSize)*f.tilesX+(x/TileSize)] = true
-}
-
 // put copies src into seg, part of tile t's block. While the tile is
 // clean it compares first and marks the tile dirty only if a pixel
 // differs; a dirty tile is copied without comparing.
@@ -215,22 +186,6 @@ func (f *Framebuffer) MarkAllDirty() {
 	for i := range f.dirty {
 		f.dirty[i] = true
 	}
-}
-
-// DirtyCount returns the number of dirty tiles.
-func (f *Framebuffer) DirtyCount() int {
-	n := 0
-	for _, d := range f.dirty {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
-// Equal reports whether two framebuffers have identical pixel content.
-func (f *Framebuffer) Equal(g *Framebuffer) bool {
-	return f.W == g.W && f.H == g.H && bytes.Equal(f.pix, g.pix)
 }
 
 // Rect is a pixel-space rectangle.

@@ -105,9 +105,6 @@ func NewManager(k *sim.Kernel, name string) *Manager {
 	return &Manager{kernel: k, name: name, Policy: IdleTimeout, IdleLimit: DefaultIdleLimit}
 }
 
-// Name returns the guarded service's name.
-func (m *Manager) Name() string { return m.name }
-
 // Held reports whether the session is currently held.
 func (m *Manager) Held() bool { return m.owner != "" }
 
@@ -120,14 +117,6 @@ func (m *Manager) HeldFor() sim.Time {
 		return 0
 	}
 	return m.kernel.Now() - m.grantedAt
-}
-
-// IdleFor returns the time since the holder's last activity.
-func (m *Manager) IdleFor() sim.Time {
-	if m.owner == "" {
-		return 0
-	}
-	return m.kernel.Now() - m.lastTouch
 }
 
 // Grab acquires the session for owner. A second user's Grab while held is
@@ -245,9 +234,6 @@ func (m *Manager) WaitFor(owner string, granted func()) {
 	}
 	m.waiters = append(m.waiters, waiter{owner: owner, granted: granted})
 }
-
-// QueueLen returns the number of queued waiters.
-func (m *Manager) QueueLen() int { return len(m.waiters) }
 
 // String summarizes the manager state.
 func (m *Manager) String() string {

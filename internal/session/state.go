@@ -19,6 +19,10 @@ type State struct {
 }
 
 // ExportState captures the manager's current state in canonical form.
+// The facade's WorldState has no session section yet, so only the
+// session tests call it.
+//
+//aroma:kept checkpoint contract: the session layer's canonical state, not yet in aroma.WorldState
 func (m *Manager) ExportState() State {
 	st := State{
 		Name:            m.name,

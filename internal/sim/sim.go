@@ -95,25 +95,6 @@ type Event struct {
 	gen  uint32
 }
 
-// Pending reports whether the event is still scheduled to fire: it was
-// scheduled, and has not yet fired or been cancelled.
-func (e Event) Pending() bool {
-	if e.k == nil {
-		return false
-	}
-	r := &e.k.pool[e.slot]
-	return r.gen == e.gen && r.state == recPending
-}
-
-// At returns the virtual time at which the event is scheduled, or zero
-// for a handle that is no longer pending.
-func (e Event) At() Time {
-	if !e.Pending() {
-		return 0
-	}
-	return e.k.pool[e.slot].at
-}
-
 // Kernel is a deterministic discrete-event simulator.
 //
 // Kernel is not safe for concurrent use: the simulation model is

@@ -38,15 +38,9 @@ func (c *countingSource) Seed(seed int64) {
 	c.src.Seed(seed)
 }
 
-// RandDraws returns the number of random values drawn from the kernel's
-// generator since creation or the last Reseed. Together with Seed it
-// pins the exact generator state without exporting the generator's
-// internal vector.
-func (k *Kernel) RandDraws() uint64 { return k.src.draws }
-
 // Reseed rewinds the kernel's random generator to a fresh stream seeded
-// with seed, leaving the clock and event queue untouched. Seed and
-// RandDraws report the new stream from here on. This is the fork
+// with seed, leaving the clock and event queue untouched. Seed reports
+// the new seed and the draw count restarts at zero. This is the fork
 // primitive: two worlds with identical state that Reseed differently
 // diverge from the fork point on, while equal reseeds keep them
 // bit-identical.

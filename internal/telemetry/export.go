@@ -31,18 +31,6 @@ type Snapshot struct {
 	Instruments []InstrumentSnapshot `json:"instruments"`
 }
 
-// Value returns the named instrument's scalar value and whether it
-// exists. Label-bearing instruments match on name alone only when the
-// name is unique; otherwise the first in sort order wins.
-func (s *Snapshot) Value(name string) (float64, bool) {
-	for i := range s.Instruments {
-		if s.Instruments[i].Name == name {
-			return s.Instruments[i].Value, true
-		}
-	}
-	return 0, false
-}
-
 // Snapshot exports every instrument. Sim-plane values must be read on
 // the kernel goroutine; see the Registry threading contract. The
 // returned series share the registry's arrays without copying, and

@@ -285,6 +285,10 @@ func (r *Registry) Counter(name string, labels ...Label) Counter {
 }
 
 // Gauge registers a sim-plane gauge and returns its update handle.
+// Production code registers gauges as GaugeFunc; the handle kind is
+// kept for the exposition oracle.
+//
+//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
 func (r *Registry) Gauge(name string, labels ...Label) Gauge {
 	slot := uint32(len(r.gauges))
 	r.gauges = append(r.gauges, 0)
@@ -294,6 +298,8 @@ func (r *Registry) Gauge(name string, labels ...Label) Gauge {
 
 // Histogram registers a sim-plane histogram with nbuckets equal-width
 // buckets over [lo, hi) and returns its update handle.
+//
+//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
 func (r *Registry) Histogram(name string, lo, hi float64, nbuckets int, labels ...Label) Histogram {
 	h := metrics.NewHistogram(lo, hi, nbuckets)
 	r.register(&instrument{name: name, labels: labels, kind: kindHistogram, hist: h, lo: lo, hi: hi})
@@ -363,23 +369,10 @@ func (c Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c Counter) Add(n uint64) {
-	if c.r != nil {
-		c.r.counters[c.slot] += n
-	}
-}
-
-// Value returns the current count (0 for the zero handle).
-func (c Counter) Value() uint64 {
-	if c.r == nil {
-		return 0
-	}
-	return c.r.counters[c.slot]
-}
-
 // Gauge is a dense-slot handle to a sim-plane gauge. The zero value is
 // inert.
+//
+//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
 type Gauge struct {
 	r    *Registry
 	slot uint32
@@ -409,6 +402,8 @@ func (g Gauge) Value() float64 {
 
 // Histogram is a handle to a sim-plane histogram. The zero value is
 // inert.
+//
+//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
 type Histogram struct {
 	h *metrics.Histogram
 }
@@ -429,13 +424,6 @@ type HostCounter struct {
 func (c *HostCounter) Inc() {
 	if c != nil {
 		c.v.Add(1)
-	}
-}
-
-// Add adds n.
-func (c *HostCounter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
 	}
 }
 

@@ -49,9 +49,6 @@ func (l Layer) String() string {
 	}
 }
 
-// Valid reports whether l is one of the five defined layers.
-func (l Layer) Valid() bool { return l >= Environment && l < numLayers }
-
 // Severity grades an event.
 type Severity int
 
@@ -175,6 +172,8 @@ func (l *Log) SetMinSeverity(sev Severity) {
 // Sprintf). Kept events defer fmt.Sprintf to the first read of
 // Event.Message, and the no-argument form skips formatting entirely.
 // Arguments must be immutable snapshots (see Event).
+//
+//aroma:kept trace layer: the general form of Issue/Info/Violation and the only way to record at Debug
 func (l *Log) Record(layer Layer, sev Severity, entity, format string, args ...any) {
 	if l == nil || sev < l.minKeep {
 		return
@@ -238,28 +237,6 @@ func (l *Log) Events() []Event {
 	return l.events
 }
 
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.events)
-}
-
-// ByLayer returns the events recorded for one layer, in order.
-func (l *Log) ByLayer(layer Layer) []Event {
-	if l == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range l.events {
-		if e.Layer == layer {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // BySeverity returns events at or above the given severity.
 func (l *Log) BySeverity(min Severity) []Event {
 	if l == nil {
@@ -272,28 +249,6 @@ func (l *Log) BySeverity(min Severity) []Event {
 		}
 	}
 	return out
-}
-
-// CountByLayer returns a per-layer count of events at or above min severity.
-func (l *Log) CountByLayer(min Severity) map[Layer]int {
-	counts := make(map[Layer]int, int(numLayers))
-	if l == nil {
-		return counts
-	}
-	for _, e := range l.events {
-		if e.Severity >= min {
-			counts[e.Layer]++
-		}
-	}
-	return counts
-}
-
-// Reset discards all recorded events.
-func (l *Log) Reset() {
-	if l == nil {
-		return
-	}
-	l.events = l.events[:0]
 }
 
 // Render formats events at or above min severity, one per line.

@@ -2,7 +2,6 @@ package user
 
 import (
 	"fmt"
-	"sort"
 
 	"aroma/internal/sim"
 )
@@ -64,20 +63,8 @@ func NewWorld() *World { return &World{state: make(map[string]string)} }
 // Set assigns a proposition.
 func (w *World) Set(prop, val string) { w.state[prop] = val }
 
-// Get returns a proposition's value ("" when unset).
-func (w *World) Get(prop string) string { return w.state[prop] }
-
 // True reports whether the proposition is "true".
 func (w *World) True(prop string) bool { return w.state[prop] == "true" }
-
-// Snapshot copies the state for mental-model consistency checks.
-func (w *World) Snapshot() map[string]string {
-	out := make(map[string]string, len(w.state))
-	for k, v := range w.state {
-		out[k] = v
-	}
-	return out
-}
 
 // AttemptResult reports one user's attempt at a procedure.
 type AttemptResult struct {
@@ -224,17 +211,4 @@ func (u *User) LearnSteps(proc Procedure, names ...string) {
 			u.Mental.Believe("plan:"+s.Name, "false")
 		}
 	}
-}
-
-// PlanBeliefs lists the steps the user currently believes necessary,
-// in procedure order.
-func (u *User) PlanBeliefs(proc Procedure) []string {
-	var out []string
-	for _, s := range proc.Steps {
-		if v, ok := u.Mental.Belief("plan:" + s.Name); ok && v == "true" {
-			out = append(out, s.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

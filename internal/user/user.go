@@ -140,12 +140,6 @@ func (m *MentalModel) Belief(prop string) (string, bool) {
 	return v, ok
 }
 
-// Forget drops a belief.
-func (m *MentalModel) Forget(prop string) { delete(m.beliefs, prop) }
-
-// Len returns the number of held beliefs.
-func (m *MentalModel) Len() int { return len(m.beliefs) }
-
 // Observe reconciles a belief with observed reality. If the user held a
 // different belief, it counts as a surprise — the consistency violation
 // of the paper's abstract layer — and the belief is corrected.
@@ -284,13 +278,6 @@ func (u *User) Frustrate(delta float64, cause string) {
 	}
 }
 
-// Calm resets frustration and un-abandons (a new session, a new day).
-func (u *User) Calm() {
-	u.frustration = 0
-	u.abandoned = false
-	u.lastDecay = u.kernel.Now()
-}
-
 // ExperienceLatency reacts to a UI response time: latency beyond the
 // patience limit frustrates proportionally to the excess.
 func (u *User) ExperienceLatency(l sim.Time, what string) {
@@ -303,15 +290,6 @@ func (u *User) ExperienceLatency(l sim.Time, what string) {
 		delta = 0.5
 	}
 	u.Frustrate(delta, fmt.Sprintf("slow response from %s (%v)", what, l))
-}
-
-// GoalImportanceTotal sums the importance of all goals.
-func (u *User) GoalImportanceTotal() float64 {
-	total := 0.0
-	for _, g := range u.Goals {
-		total += g.Importance
-	}
-	return total
 }
 
 // String summarizes the user.

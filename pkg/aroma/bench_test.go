@@ -17,7 +17,6 @@ func benchWorldDense(b *testing.B, n int) {
 	w := NewWorld(
 		WithArena(side, side),
 		WithRadioCutoff(-100),
-		WithRadioGridCell(50),
 		WithTraceMin(Issue),
 	)
 	m := w.Medium()

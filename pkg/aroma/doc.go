@@ -74,7 +74,8 @@
 // the candidate caches stay consistent; mover randomness comes from the
 // world's seeded kernel, so mobile runs remain bit-reproducible.
 //
-// The invalidation model makes mobility cheap at density. Each radio's
+// The invalidation model makes mobility cheap at density. The
+// WithRadioCutoff index is a grid of fixed 50 m cells; each radio's
 // candidate cache covers the grid cells its hearing-range circle
 // touches; a move that stays inside one cell invalidates nothing, and a
 // cell-boundary crossing invalidates only the caches covering the
@@ -156,7 +157,7 @@
 //
 // # Observability
 //
-// World.EnableTelemetry (or WithTelemetry, scenario.Config.Metrics,
+// World.EnableTelemetry (or scenario.Config.Metrics,
 // sweep.Design.Telemetry, the -metrics CLI flags) attaches a per-world
 // instrument registry (internal/telemetry) covering the whole stack:
 // kernel scheduling, radio medium, MAC, network, discovery/lease, and

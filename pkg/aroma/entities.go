@@ -36,7 +36,6 @@ type deviceOptions struct {
 	purpose        core.DesignPurpose
 	operatingRange float64
 	channel        int
-	txPowerDBm     float64
 	offline        bool
 	path           *geo.Path
 	wander         bool
@@ -70,11 +69,6 @@ func WithChannel(ch int) DeviceOption {
 	return func(o *deviceOptions) { o.channel = ch }
 }
 
-// WithTxPower overrides the world's default transmit power for this device.
-func WithTxPower(dBm float64) DeviceOption {
-	return func(o *deviceOptions) { o.txPowerDBm = dBm }
-}
-
 // Offline adds the device as a pure model entity with no radio, station,
 // or network node — for appliances analyzed but never networked.
 func Offline() DeviceOption {
@@ -87,7 +81,7 @@ func Offline() DeviceOption {
 // name — misassembly is a programming error in scenario code.
 func (w *World) AddDevice(name string, pos geo.Point, opts ...DeviceOption) *Device {
 	w.checkName("device", name)
-	o := deviceOptions{channel: w.opts.channel, txPowerDBm: w.opts.txPowerDBm}
+	o := deviceOptions{channel: w.opts.channel}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -103,7 +97,7 @@ func (w *World) AddDevice(name string, pos geo.Point, opts ...DeviceOption) *Dev
 		},
 	}
 	if !o.offline {
-		d.radio = w.medium.NewRadio(name, pos, o.channel, o.txPowerDBm)
+		d.radio = w.medium.NewRadio(name, pos, o.channel, w.opts.txPowerDBm)
 		d.station = w.mac.AddStation(d.radio)
 		d.node = w.net.NewNode(name, d.station)
 		d.entity.Radio = d.radio
@@ -283,11 +277,7 @@ func (w *World) AddLookup(name string, pos geo.Point, opts ...DeviceOption) *Loo
 	if host.node == nil {
 		panic("aroma: lookup " + name + " cannot be Offline(): it serves the network")
 	}
-	var lkOpts []discovery.LookupOption
-	if w.opts.announcePeriod > 0 {
-		lkOpts = append(lkOpts, discovery.WithAnnouncePeriod(w.opts.announcePeriod))
-	}
-	lk := &Lookup{Lookup: discovery.NewLookup(host.node, lkOpts...), Host: host}
+	lk := &Lookup{Lookup: discovery.NewLookup(host.node), Host: host}
 	lk.Start()
 	w.lookups = append(w.lookups, lk)
 	return lk

@@ -1,13 +1,9 @@
 package aroma
 
 import (
-	"aroma/internal/core"
 	"aroma/internal/fault"
 	"aroma/internal/geo"
-	"aroma/internal/mac"
-	"aroma/internal/netsim"
 	"aroma/internal/radio"
-	"aroma/internal/sim"
 	"aroma/internal/trace"
 )
 
@@ -19,18 +15,11 @@ type worldOptions struct {
 	seed           int64
 	plan           *geo.FloorPlan
 	arenaW, arenaH float64
-	macConfig      mac.Config
 	channel        int
 	txPowerDBm     float64
 	traceMin       trace.Severity
 	mediumOpts     []radio.MediumOption
-	netOpts        []netsim.Option
-	announcePeriod sim.Time
-	analysis       []core.AnalysisOption
 	faults         fault.Plan
-
-	telemetry       bool
-	telemetryPeriod sim.Time
 }
 
 func defaultWorldOptions() worldOptions {
@@ -68,11 +57,6 @@ func WithFloorPlan(plan *geo.FloorPlan) Option {
 	return func(o *worldOptions) { o.plan = plan }
 }
 
-// WithMAC sets the medium-access parameters (backoff policy, retries).
-func WithMAC(cfg mac.Config) Option {
-	return func(o *worldOptions) { o.macConfig = cfg }
-}
-
 // WithRadioDefaults sets the channel and transmit power newly added
 // devices use unless overridden per device. Defaults: channel 6, 15 dBm.
 func WithRadioDefaults(channel int, txPowerDBm float64) Option {
@@ -98,25 +82,6 @@ func WithRadioCutoff(dBm float64) Option {
 	}
 }
 
-// WithRadioGridCell sets the spatial index cell size in metres (only
-// meaningful together with WithRadioCutoff).
-func WithRadioGridCell(meters float64) Option {
-	return func(o *worldOptions) {
-		o.mediumOpts = append(o.mediumOpts, radio.WithGridCellM(meters))
-	}
-}
-
-// WithTelemetry enables the world's instrument registry and sim-time
-// sampler at construction (see World.EnableTelemetry). period <= 0
-// selects DefaultTelemetryPeriod. Telemetry is a pure observer:
-// digests and exported state are bit-identical with it on or off.
-func WithTelemetry(period sim.Time) Option {
-	return func(o *worldOptions) {
-		o.telemetry = true
-		o.telemetryPeriod = period
-	}
-}
-
 // WithFaults arms a deterministic fault plan at construction: every
 // occurrence in the plan is scheduled as a kernel event, victims are
 // picked from a dedicated seed-derived fault RNG stream, and each
@@ -131,20 +96,4 @@ func WithFaults(plan fault.Plan) Option {
 // WithTraceMin discards trace events below the given severity.
 func WithTraceMin(min trace.Severity) Option {
 	return func(o *worldOptions) { o.traceMin = min }
-}
-
-// WithNetwork forwards options to the packet network (MTU, call timeout).
-func WithNetwork(opts ...netsim.Option) Option {
-	return func(o *worldOptions) { o.netOpts = append(o.netOpts, opts...) }
-}
-
-// WithAnnouncePeriod sets how often lookup services added with AddLookup
-// announce themselves.
-func WithAnnouncePeriod(t sim.Time) Option {
-	return func(o *worldOptions) { o.announcePeriod = t }
-}
-
-// WithAnalysis appends default analysis options applied by Analyze.
-func WithAnalysis(opts ...core.AnalysisOption) Option {
-	return func(o *worldOptions) { o.analysis = append(o.analysis, opts...) }
 }

@@ -49,7 +49,7 @@ type Config struct {
 	// across the replications of a cell; scenarios must not mutate it.
 	Params map[string]string
 	// Metrics, when true, enables the world's telemetry registry and
-	// sim-time sampler (aroma.WithTelemetry semantics) for
+	// sim-time sampler (World.EnableTelemetry with the default period) for
 	// world-registered scenarios. Telemetry is pure observation, not
 	// part of the workload: digests are bit-identical
 	// with it on or off, and it is absent from the world's Provenance.

@@ -49,7 +49,6 @@ func buildDensitySweep(cfg scenario.Config) (*scenario.Built, error) {
 		// The spatial cutoff is what makes this density simulable: radios
 		// that cannot possibly hear a frame are skipped entirely.
 		aroma.WithRadioCutoff(-100),
-		aroma.WithRadioGridCell(50),
 		aroma.WithTraceMin(aroma.Issue),
 	)
 

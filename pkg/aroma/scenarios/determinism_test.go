@@ -107,15 +107,10 @@ func TestTelemetryDoesNotPerturbDigests(t *testing.T) {
 // internal/radio, after every slice of a mobile-dense run.
 func TestMobileDenseIndexedMatchesFullScan(t *testing.T) {
 	// 0 dBm transmitters at a -130 dBm cutoff hear out to 1 km —
-	// beyond the 707 m arena diagonal. The coarser grid cell keeps the
-	// arena-wide cell covers small.
-	exactIndex := []aroma.Option{
-		aroma.WithRadioCutoff(-130),
-		aroma.WithRadioGridCell(250),
-	}
+	// beyond the 707 m arena diagonal.
 	for _, seed := range []int64{7, 42} {
 		cfg := scenario.Config{Seed: seed}
-		indexed, err := mobileDense(cfg, exactIndex...)
+		indexed, err := mobileDense(cfg, aroma.WithRadioCutoff(-130))
 		if err != nil {
 			t.Fatalf("seed %d indexed: %v", seed, err)
 		}

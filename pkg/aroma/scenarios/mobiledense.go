@@ -66,7 +66,6 @@ func buildMobileDense(cfg scenario.Config, extra ...aroma.Option) (*scenario.Bui
 		// spatial index has real work to skip.
 		aroma.WithRadioDefaults(6, 0),
 		aroma.WithRadioCutoff(-100),
-		aroma.WithRadioGridCell(50),
 		aroma.WithTraceMin(aroma.Issue),
 	}
 	opts = append(opts, extra...)

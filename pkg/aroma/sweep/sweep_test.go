@@ -485,7 +485,15 @@ func TestTelemetryArtifact(t *testing.T) {
 	if line.Telemetry == nil || len(line.Telemetry.Instruments) == 0 {
 		t.Fatalf("metrics.jsonl line has no instruments: %s", lines[0])
 	}
-	if v, ok := line.Telemetry.Value("kernel.steps_total"); !ok || v <= 0 {
+	var v float64
+	ok := false
+	for _, in := range line.Telemetry.Instruments {
+		if in.Name == "kernel.steps_total" {
+			v, ok = in.Value, true
+			break
+		}
+	}
+	if !ok || v <= 0 {
 		t.Fatalf("kernel.steps_total = %v (ok=%v), want > 0", v, ok)
 	}
 

@@ -7,7 +7,7 @@ import (
 )
 
 // DefaultTelemetryPeriod is the sim-time sampling period used when
-// EnableTelemetry (or WithTelemetry) is given a non-positive period.
+// EnableTelemetry is given a non-positive period.
 const DefaultTelemetryPeriod = 100 * sim.Millisecond
 
 // EnableTelemetry attaches a per-world instrument registry and starts

@@ -68,7 +68,7 @@ func NewWorld(opts ...Option) *World {
 	}
 	e := env.New(k, plan)
 	med := radio.NewMedium(k, e, o.mediumOpts...)
-	m := mac.New(med, o.macConfig)
+	m := mac.New(med, mac.Config{})
 	log := trace.NewForKernel(k)
 	log.SetMinSeverity(o.traceMin)
 	w := &World{
@@ -78,7 +78,7 @@ func NewWorld(opts ...Option) *World {
 		env:    e,
 		medium: med,
 		mac:    m,
-		net:    netsim.New(m, o.netOpts...),
+		net:    netsim.New(m),
 		log:    log,
 		bus:    newBus(),
 		byName: make(map[string]*Device),
@@ -90,9 +90,6 @@ func NewWorld(opts ...Option) *World {
 		if err := w.ApplyFaults(o.faults); err != nil {
 			panic(err)
 		}
-	}
-	if o.telemetry {
-		w.EnableTelemetry(o.telemetryPeriod)
 	}
 	return w
 }
@@ -212,11 +209,9 @@ func (w *World) System() *core.System {
 }
 
 // Analyze runs the LPC analyzer over the world's current state and
-// returns the classified report. Options given here are applied after
-// any WithAnalysis world options.
+// returns the classified report.
 func (w *World) Analyze(opts ...core.AnalysisOption) *core.Report {
-	all := append(append([]core.AnalysisOption{}, w.opts.analysis...), opts...)
-	return core.AnalyzeWith(w.System(), all...)
+	return core.AnalyzeWith(w.System(), opts...)
 }
 
 // Digest returns a stable hash of the run so far: the seed, the kernel

@@ -77,8 +77,8 @@ func TestAddDeviceAutoWiring(t *testing.T) {
 	if d.Radio() == nil || d.Station() == nil || d.Node() == nil {
 		t.Fatal("online device not fully wired")
 	}
-	if d.Node().Name() != "projector" {
-		t.Errorf("node name = %q", d.Node().Name())
+	if d.Node().Station() != d.Station() {
+		t.Error("node not wired to the device's station")
 	}
 	if d.Radio().Pos != Pt(25, 10) {
 		t.Errorf("radio pos = %v", d.Radio().Pos)
