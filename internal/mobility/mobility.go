@@ -2,8 +2,8 @@
 // substrate behind the paper's "mobile and adaptive applications" and
 // its physical-layer observation that the presenter is "constrained by
 // requiring physical proximity to the laptop". A Mover walks an entity
-// along a geo.Path; RandomWaypoint generates the classic random-waypoint
-// wandering used by the density experiments.
+// along a geo.Path; a Wanderer drives the classic continuous
+// random-waypoint wandering of the mobile density experiments.
 //
 // Movement is sampled: every tick the mover recomputes the position and
 // hands it to an apply callback (which typically updates a radio.Radio
@@ -99,37 +99,6 @@ func (m *Mover) Progress() float64 {
 // String summarizes the mover.
 func (m *Mover) String() string {
 	return fmt.Sprintf("mover{%.0f%% of %.1fm, done=%v}", 100*m.Progress(), m.path.TotalLength(), m.done)
-}
-
-// RandomWaypoint produces a random-waypoint path inside bounds: n legs
-// between uniformly random points at the given speed. Randomness comes
-// from the kernel, preserving determinism per seed.
-//
-// A speed that is not positive and finite (zero, negative, NaN, ±Inf)
-// cannot traverse legs; rather than yield a path whose Duration is 0 or
-// whose positions are NaN, the result is a single-waypoint stationary
-// path at the first random point (the geo.Path contract guards the same
-// way, so even a hand-built bad path is safe). The random draws for the
-// remaining waypoints still happen, keeping the kernel's random stream
-// identical whether or not a scenario's speed parameter is valid.
-//
-//aroma:kept precomputed-path twin of Wanderer with its own tests; deleting it with them is a ROADMAP item
-func RandomWaypoint(k *sim.Kernel, bounds geo.Rect, n int, speedMPS float64) geo.Path {
-	if n < 1 {
-		n = 1
-	}
-	rng := k.Rand()
-	pts := make([]geo.Point, 0, n+1)
-	for i := 0; i <= n; i++ {
-		pts = append(pts, geo.Pt(
-			bounds.Min.X+rng.Float64()*bounds.Width(),
-			bounds.Min.Y+rng.Float64()*bounds.Height(),
-		))
-	}
-	if !geo.ValidSpeed(speedMPS) {
-		return geo.Path{Waypoints: pts[:1]}
-	}
-	return geo.Path{Waypoints: pts, SpeedMPS: speedMPS}
 }
 
 // Wanderer drives continuous random-waypoint motion: from its start

@@ -102,39 +102,6 @@ func TestDefaultTickUsed(t *testing.T) {
 	}
 }
 
-func TestRandomWaypointInBounds(t *testing.T) {
-	k := sim.New(9)
-	bounds := geo.RectAt(10, 20, 30, 40)
-	path := RandomWaypoint(k, bounds, 20, 1.5)
-	if len(path.Waypoints) != 21 {
-		t.Fatalf("waypoints = %d", len(path.Waypoints))
-	}
-	for i, p := range path.Waypoints {
-		if !inside(bounds, p) {
-			t.Fatalf("waypoint %d out of bounds: %v", i, p)
-		}
-	}
-	if path.SpeedMPS != 1.5 {
-		t.Fatal("speed lost")
-	}
-	// Deterministic per seed.
-	k2 := sim.New(9)
-	path2 := RandomWaypoint(k2, bounds, 20, 1.5)
-	for i := range path.Waypoints {
-		if path.Waypoints[i] != path2.Waypoints[i] {
-			t.Fatal("random waypoint not deterministic")
-		}
-	}
-}
-
-func TestRandomWaypointMinimumLegs(t *testing.T) {
-	k := sim.New(1)
-	path := RandomWaypoint(k, geo.RectAt(0, 0, 10, 10), 0, 1)
-	if len(path.Waypoints) != 2 {
-		t.Fatalf("waypoints = %d, want 2", len(path.Waypoints))
-	}
-}
-
 func TestPatrolClosesLoop(t *testing.T) {
 	wps := []geo.Point{geo.Pt(0, 0), geo.Pt(10, 0), geo.Pt(10, 10)}
 	path := Patrol(wps, 2)
@@ -154,32 +121,6 @@ func TestMoverString(t *testing.T) {
 	m := Start(k, geo.Path{Waypoints: []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0)}, SpeedMPS: 1}, 0, nil)
 	if m.String() == "" {
 		t.Fatal("empty String")
-	}
-}
-
-func TestRandomWaypointInvalidSpeedStationary(t *testing.T) {
-	bounds := geo.RectAt(0, 0, 100, 100)
-	for _, speed := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		k := sim.New(9)
-		p := RandomWaypoint(k, bounds, 5, speed)
-		if len(p.Waypoints) != 1 {
-			t.Fatalf("speed %v: waypoints = %d, want a single stationary point", speed, len(p.Waypoints))
-		}
-		if d := p.Duration(); d != 0 || math.IsNaN(d) {
-			t.Fatalf("speed %v: Duration = %v, want 0", speed, d)
-		}
-		got := p.PositionAt(1e6)
-		if math.IsNaN(got.X) || math.IsNaN(got.Y) || !inside(bounds, got) {
-			t.Fatalf("speed %v: position %v escaped or NaN", speed, got)
-		}
-	}
-	// The random draws are consumed either way, so a scenario's kernel
-	// stream does not depend on whether the speed parameter was valid.
-	a, b := sim.New(9), sim.New(9)
-	RandomWaypoint(a, bounds, 5, 2)
-	RandomWaypoint(b, bounds, 5, -1)
-	if a.Rand().Float64() != b.Rand().Float64() {
-		t.Fatal("invalid speed changed the kernel random stream")
 	}
 }
 

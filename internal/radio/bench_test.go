@@ -3,6 +3,7 @@ package radio
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"aroma/internal/env"
@@ -48,15 +49,11 @@ func benchDense(b *testing.B, n int, channels []int, opts ...MediumOption) {
 	}
 }
 
-// warmSenders presizes every radio's gain row and sends one frame from
-// every radio, one at a time, so each sender's candidate set and hearer
-// row exist before a benchmark measures: a row is built the first time
-// its radio sends.
+// warmSenders sends one frame from every radio, one at a time, so each
+// sender's candidate set and hearer row exist before a benchmark
+// measures: a row is built the first time its radio sends.
 func warmSenders(b *testing.B, k *sim.Kernel, m *Medium, radios []*Radio) {
 	b.Helper()
-	for _, r := range radios {
-		r.gainTo = make([]pairGain, m.nextID+1)
-	}
 	for _, r := range radios {
 		if _, err := m.Transmit(r, 2000, Rates[0], nil); err != nil {
 			b.Fatal(err)
@@ -91,6 +88,48 @@ var (
 	allChannels = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	orthogonal  = []int{1, 6, 11}
 )
+
+// BenchmarkMediumDenseHeap4000 measures what a dense world holds in
+// memory: 4000 15 dBm radios on a square grid over a 1 km floor, with
+// the -100 dBm cutoff and all 11 channels, each sending one frame in
+// turn. An op builds the world and plays the frames; heap-B is the live
+// heap the world adds, read after a GC. The link-gain memo grows with
+// the hearers, not with the radio count per sender, so this stays well
+// below the 512 MB a dense 32-byte entry per directed pair would take.
+func BenchmarkMediumDenseHeap4000(b *testing.B) { benchDenseHeap(b, 4000) }
+
+func benchDenseHeap(b *testing.B, n int) {
+	b.ReportAllocs()
+	var heap float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		k := sim.New(1)
+		const side = 1000.0
+		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
+		m := NewMedium(k, e, denseIndexed...)
+		cols := int(math.Ceil(math.Sqrt(float64(n))))
+		step := side / float64(cols)
+		radios := make([]*Radio, n)
+		for i := range radios {
+			pos := geo.Pt(float64(i%cols)*step, float64(i/cols)*step)
+			r := m.NewRadio(fmt.Sprintf("r%d", i), pos, allChannels[i%len(allChannels)], 15)
+			r.OnReceive = func(Receipt) {}
+			radios[i] = r
+		}
+		warmSenders(b, k, m, radios)
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		heap = float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		b.StartTimer()
+	}
+	b.ReportMetric(heap, "heap-B")
+}
 
 func BenchmarkMediumDense500Indexed(b *testing.B)  { benchDense(b, 500, allChannels, denseIndexed...) }
 func BenchmarkMediumDense500NoCutoff(b *testing.B) { benchDense(b, 500, allChannels) }

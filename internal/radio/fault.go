@@ -49,7 +49,7 @@ func (m *Medium) DownRadios() int { return m.downRadios }
 // AddJamDB adds db of extra path loss to every link (negative db closes
 // a jam window by subtracting what it added; concurrent windows stack
 // additively). The loss applies inside linkGain, so RSSI, SINR, energy
-// sums, and carrier sense all see it coherently; the cached pairwise
+// sums, and carrier sense all see it coherently; the memoized pairwise
 // gains are invalidated wholesale, exactly twice per window.
 func (m *Medium) AddJamDB(db float64) {
 	m.jamDB += db
@@ -80,7 +80,7 @@ func (m *Medium) Partitioned() bool { return m.partitions > 0 }
 
 // faultLossDB returns the extra path loss a fault window currently
 // imposes on the src→rx link. Zero when no window is open — the common
-// case, reached only on gain-cache misses.
+// case, reached only on link-gain memo misses.
 func (m *Medium) faultLossDB(src, rx *Radio) float64 {
 	loss := m.jamDB
 	if m.partitions > 0 && (src.Pos.X < m.fenceX) != (rx.Pos.X < m.fenceX) {
@@ -89,15 +89,15 @@ func (m *Medium) faultLossDB(src, rx *Radio) float64 {
 	return loss
 }
 
-// invalidateLinkGains marks every cached pairwise gain stale by bumping
-// every radio's linkGen, and with geoGen every hearer row's recorded
-// gains and every carrier-sense memo.
-// O(radios), paid only when a jam or partition window opens or closes;
-// candidate sets are untouched (they are cell-conservative supersets —
-// membership never depends on fault loss, only the exact gains do).
+// invalidateLinkGains marks every memoized link gain stale by stamping
+// the new geoGen on every radio's linkGen; the geoGen bump also drops
+// every hearer row and every carrier-sense memo. O(radios), paid only
+// when a jam or partition window opens or closes; candidate sets are
+// untouched (they are cell-conservative supersets — membership never
+// depends on fault loss, only the exact gains do).
 func (m *Medium) invalidateLinkGains() {
-	for _, r := range m.ordered {
-		r.linkGen++
-	}
 	m.geoGen++
+	for _, r := range m.ordered {
+		r.linkGen = m.geoGen
+	}
 }

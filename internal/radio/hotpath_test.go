@@ -104,25 +104,55 @@ func TestLedgerRecycledAcrossTransmissions(t *testing.T) {
 	}
 }
 
-// TestGainCacheInvalidatesOnMove: cached link gains must follow SetPos
-// on either endpoint.
+// TestGainCacheInvalidatesOnMove: memoized link gains must follow SetPos
+// on either endpoint, for a hearer in the sender's row and for a
+// receiver outside it, and a move must cost exactly one miss per pair
+// measured again: the misses the dense per-pair table would count.
 func TestGainCacheInvalidatesOnMove(t *testing.T) {
 	_, m := newMedium(1)
 	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
 	b := m.NewRadio("b", geo.Pt(10, 0), 6, 15)
-	near := m.MeasureRSSI(a, b)
-	if again := m.MeasureRSSI(a, b); again != near {
+	// Channel 11 is five channels from a's: c never hears a, so the
+	// a->c gain lives outside a's row.
+	c := m.NewRadio("c", geo.Pt(0, 10), 11, 15)
+	measure := func(dst *Radio, wantMisses uint64) float64 {
+		t.Helper()
+		before := m.GainMisses
+		rssi := m.MeasureRSSI(a, dst)
+		if missed := m.GainMisses - before; missed != wantMisses {
+			t.Fatalf("measuring %s missed %d times, want %d", dst.Name, missed, wantMisses)
+		}
+		return rssi
+	}
+	near, off := measure(b, 1), measure(c, 1)
+	if again := measure(b, 0); again != near {
 		t.Fatalf("repeated measurement differs: %v vs %v", again, near)
 	}
+	if len(a.row) != 1 || a.row[0].rx != b {
+		t.Fatalf("a's row holds %d hearers, want b alone", len(a.row))
+	}
 	b.SetPos(geo.Pt(40, 0))
-	far := m.MeasureRSSI(a, b)
+	far := measure(b, 1)
 	if far >= near {
 		t.Fatalf("RSSI did not drop after receiver moved away: near=%v far=%v", near, far)
 	}
+	measure(b, 0)
+	if got := measure(c, 0); got != off {
+		t.Fatalf("off-row gain changed when an unrelated radio moved: %v vs %v", got, off)
+	}
 	a.SetPos(geo.Pt(-30, 0))
-	if farther := m.MeasureRSSI(a, b); farther >= far {
+	if farther := measure(b, 1); farther >= far {
 		t.Fatalf("RSSI did not drop after sender moved away: far=%v farther=%v", far, farther)
 	}
+	if offFarther := measure(c, 1); offFarther >= off {
+		t.Fatalf("off-row RSSI did not drop after sender moved away: %v then %v", off, offFarther)
+	}
+	measure(b, 0)
+	measure(c, 0)
+	c.SetPos(geo.Pt(-30, 50))
+	measure(c, 1)
+	measure(c, 0)
+	measure(b, 0)
 }
 
 // TestMediumDenseAllocsBudget is the allocation regression guard for
@@ -187,7 +217,8 @@ func TestMediumBusyAllocsNothing(t *testing.T) {
 // has sent a frame, every sender's hearer row stays the one it built —
 // same array, same geometry generation — through further overlapping
 // traffic, and that traffic allocates nothing beyond each frame's
-// Transmission record.
+// Transmission record. A radio that then joins out of range makes the
+// senders rebuild their rows, which must keep every gain they hold.
 func TestSenderRowBuiltOnce(t *testing.T) {
 	k, m, radios := denseWorld(300, allChannels, denseIndexed...)
 	// One closure for every frame, so sending allocates only what the
@@ -235,6 +266,29 @@ func TestSenderRowBuiltOnce(t *testing.T) {
 		if got := (built{&r.row[0], len(r.row), r.rowGen}); got != rows[i] {
 			t.Fatalf("radio %d rebuilt its row: %+v, built %+v", r.ID, got, rows[i])
 		}
+	}
+
+	// A radio joins out of everyone's range (316 m at 15 dBm and the
+	// -100 dBm cutoff; the world ends at y = 281 m). Every row is
+	// rebuilt, and each keeps its filled gains, so the senders' frames
+	// miss none.
+	m.NewRadio("far", geo.Pt(900, 900), 6, 15)
+	misses := m.GainMisses
+	burst()
+	if missed := m.GainMisses - misses; missed != 0 {
+		t.Fatalf("rows rebuilt after an unrelated attach missed %d link gains, want 0", missed)
+	}
+	rebuilt := 0
+	for i, r := range radios {
+		if r.rowGen == m.geoGen {
+			rebuilt++
+			if len(r.row) != rows[i].n {
+				t.Fatalf("radio %d's rebuilt row holds %d hearers, built with %d", r.ID, len(r.row), rows[i].n)
+			}
+		}
+	}
+	if rebuilt == 0 {
+		t.Fatal("no row was rebuilt after the attach")
 	}
 }
 

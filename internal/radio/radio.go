@@ -62,10 +62,11 @@
 // with each hearer's overlap and, once looked up, its link gain. The row
 // is built once per geometry: it stays valid while the medium's geometry
 // generation (geoGen) holds. Only SetPos, NewRadio, and jam or partition
-// window toggles bump geoGen. Interference recording, delivery and
-// carrier-sense invalidation of all the sender's frames walk that row; a
-// static world builds each sender's row once. A row is sized exactly to
-// its hearers, about 40 bytes per hearer per sender. While finish
+// window toggles bump geoGen, and a rebuild keeps every recorded gain
+// whose two ends have not moved since. Interference recording, delivery
+// and carrier-sense invalidation of all the sender's frames walk that
+// row; a static world builds each sender's row once. A row is sized
+// exactly to its hearers, about 40 bytes per hearer per sender. While finish
 // delivers one of the sender's frames from the row, the row is pinned: a
 // rebuild that callbacks trigger meanwhile takes a fresh array, so the
 // delivery's receiver set stays frozen.
@@ -93,16 +94,14 @@
 // The delivery hot path is allocation-free in steady state: interference
 // ledgers are pooled epoch-stamped slices recycled across transmissions;
 // sender rows are rebuilt in place unless pinned; pairwise link gains are
-// cached in linear milliwatts (revalidated by per-radio generations
-// that move with position and fault windows, 32 bytes per directed
-// pair, so unmoved pairs recompute no transcendentals); the
-// end-of-transmission event rides the kernel's pooled ScheduleFn path;
-// and completed transmissions leave the active set by Seq binary search.
-// Every cache memoizes exactly the value the uncached code would
-// compute, in the same accumulation order, and counts the gain-cache
-// hits the uncached code would count, keeping run digests and telemetry
-// bit-identical to the unoptimized medium (see README "Performance" for
-// the contract).
+// memoized in linear milliwatts (see linkGain), so unmoved pairs
+// recompute no transcendentals; the end-of-transmission event rides the
+// kernel's pooled ScheduleFn path; and completed transmissions leave the
+// active set by Seq binary search. Every cache memoizes exactly the value
+// the uncached code would compute, in the same accumulation order, and
+// counts the gain-cache hits the uncached code would count, keeping run
+// digests and telemetry bit-identical to the unoptimized medium (see
+// README "Performance" for the contract).
 package radio
 
 import (
@@ -207,22 +206,33 @@ type ledgerCell struct {
 
 // ledger is a dense radio-ID-indexed interference accumulator, pooled
 // per Medium so the PHY hot path performs no per-transmission map or
-// slice allocation in steady state.
+// slice allocation in steady state. rowAt maps a hearer's radio ID to
+// its index in the sender's row (markRow); it needs no epoch, since a
+// lookup checks the entry it points at.
 type ledger struct {
 	epoch uint64
 	cells []ledgerCell
+	rowAt []int32
 }
 
 // hearer is one exact hearer of a sender's frames: a radio on a
 // spectrally overlapping channel inside the frame's hearing range, with
 // its channel overlap. mw and rssi are the link gain, filled by the
-// first linkGain lookup that needs them (filled). 40 bytes.
+// first lookup that needs them (filled) and carried into the next row
+// while neither end moves (hearersOf). 40 bytes.
 type hearer struct {
 	rx       *Radio
 	ov       float64
 	mw, rssi float64
 	id       int32 // rx.ID, kept beside the gains for the hot loops
 	filled   bool
+}
+
+// offRowGain is one memoized link gain to a receiver outside the
+// sender's row, recorded at geoGen gen.
+type offRowGain struct {
+	gen      uint64
+	mw, rssi float64
 }
 
 // add accumulates mw of interference at receiver id.
@@ -248,6 +258,28 @@ func (l *ledger) at(id int) float64 {
 		}
 	}
 	return 0
+}
+
+// markRow records each hearer's index in row, the sender's row, for
+// radio IDs up to maxID.
+func (l *ledger) markRow(row []hearer, maxID int) {
+	if len(l.rowAt) <= maxID {
+		l.rowAt = make([]int32, maxID+1) // every entry is checked on use
+	}
+	for i := range row {
+		l.rowAt[row[i].id] = int32(i)
+	}
+}
+
+// hearerIn returns the index of receiver id in row as markRow recorded
+// it, or -1 if the entry there is not id's.
+func (l *ledger) hearerIn(row []hearer, id int) int {
+	if id < len(l.rowAt) {
+		if i := int(l.rowAt[id]); i < len(row) && int(row[i].id) == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Payload returns the opaque payload attached at Transmit time.
@@ -332,19 +364,11 @@ type Radio struct {
 	candRadios int
 	candCover  *geo.Cover
 
-	// linkGen versions this radio's position for the pairwise gain
-	// cache: every actual move and every fault-window toggle bumps it,
-	// so cached link gains involving this radio (as transmitter or
-	// receiver) are revalidated with two integer compares. Starts at 1
-	// so the zero-valued cache entry is never considered fresh.
+	// linkGen is the geoGen of this radio's last move or fault-window
+	// toggle, 0 if it has had none. A link gain recorded at geoGen g is
+	// still the one linkGain would compute while both ends' linkGen are
+	// at most g.
 	linkGen uint64
-
-	// gainTo caches, per receiver radio ID, the received power of this
-	// radio's signal in both dBm and linear milliwatts, so the
-	// per-pair delivery, interference, and energy loops do zero
-	// math.Pow/math.Log10 for unmoved pairs. Entries are revalidated
-	// against both ends' linkGen.
-	gainTo []pairGain
 
 	// down is the fault-window depth (fault.go): while positive the
 	// radio can neither transmit nor receive. A depth, not a bool, so
@@ -359,17 +383,13 @@ type Radio struct {
 	row     []hearer
 	rowGen  uint64
 	rowPins int
-}
 
-// pairGain is one directed cached link budget: the received power at
-// one receiver for this transmitter's current position and the
-// receiver's current position. Fading (wall loss, frozen shadow draws)
-// is position-determined and transmit power is fixed, so the pair of
-// linkGens fully keys the value.
-type pairGain struct {
-	srcGen, rxGen uint64
-	mw            float64 // received power, linear milliwatts
-	rssi          float64 // received power, dBm
+	// offRow memoizes, by receiver ID, the link gains from this radio to
+	// receivers outside its row that SNRAtDBm and MeasureRSSI asked for.
+	// It is emptied at the first lookup after this radio moves
+	// (offRowGen, the geoGen of the last emptying, below linkGen).
+	offRow    map[int32]offRowGain
+	offRowGen uint64
 }
 
 // SetPos moves the radio, keeping the medium's spatial index in sync.
@@ -387,9 +407,9 @@ func (r *Radio) SetPos(p geo.Point) {
 	}
 	from := r.Pos
 	r.Pos = p
-	r.linkGen++ // all cached link gains to and from this radio are stale
 	m := r.medium
 	m.geoGen++
+	r.linkGen = m.geoGen // every memoized link gain to or from r is stale
 	if m.cutoffEnabled() {
 		m.grid.Move(from, p)
 	}
@@ -449,9 +469,9 @@ type Medium struct {
 	// geoGen versions everything a hearer row or a carrier-sense memo
 	// depends on besides the set of frames in the air: every actual
 	// SetPos, every NewRadio, and every jam or partition window toggle
-	// bump it. Every linkGen bump comes with a geoGen bump, so a link
-	// gain recorded under the current geoGen is still the one linkGain
-	// would return. Starts at 1.
+	// bump it. A move or toggle stamps the new geoGen on the radios'
+	// linkGen, so a link gain recorded under the current geoGen is
+	// still the one linkGain would return. Starts at 1.
 	geoGen uint64
 
 	// noiseMW/noiseDBm memoize the environment noise floor keyed by the
@@ -501,9 +521,11 @@ type Medium struct {
 	// marks an empty cache.
 	decKey, decLo, decHi float64
 
-	// candBuf is buildCandidates' scratch: a rebuild collects into it
-	// and copies the result into an exactly sized slice.
+	// candBuf is buildCandidates' scratch and rowBuf hearersOf's: a
+	// rebuild collects into it and copies the result into an exactly
+	// sized slice.
 	candBuf []*Radio
+	rowBuf  []hearer
 }
 
 // NewMedium creates an empty medium over the given environment.
@@ -543,7 +565,6 @@ func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm fl
 		txPowerDBm:     txPowerDBm,
 		CSThresholdDBm: -82,
 		medium:         m,
-		linkGen:        1,
 	}
 	r.rangeM = m.hearingRange(r)
 	r.range2 = squared(r.rangeM)
@@ -672,41 +693,55 @@ func distSq(a, b geo.Point) float64 {
 func squared(v float64) float64 { return v * v }
 
 // linkGain returns the received power at rx for a transmission from
-// src, in linear milliwatts and dBm, through the per-pair cache. The
-// value is exactly DBmToMilliwatts(env.ReceivedPowerDBm(...)) — the
-// cache only removes the math.Pow/math.Log10 recomputation for pairs
-// whose endpoints have not moved (linkGen), so every downstream sum is
-// bit-identical to the uncached path. Environment propagation parameters (exponent, walls, shadow
-// sigma) are build-time constants of a run; deterministic shadow draws
-// happen on first computation exactly as they would uncached.
+// src, in linear milliwatts and dBm, through the link-gain memo. The
+// value is exactly DBmToMilliwatts(env.ReceivedPowerDBm(...)) — the memo
+// only removes the math.Pow/math.Log10 recomputation for pairs whose
+// endpoints have not moved (linkGen), so every downstream sum is
+// bit-identical to the unmemoized path. Environment propagation
+// parameters (exponent, walls, shadow sigma) are build-time constants of
+// a run; deterministic shadow draws happen on first computation exactly
+// as they would unmemoized.
 //
-// Memory: each transmitting radio's row is sized to the full radio
-// count on first use, so the cache is O(radios²) worst case — 32 bytes
-// per directed pair, ~32 MB at 1000 radios (see README "Performance").
-// The spatial cutoff keeps the *computed* pair set local, but the row
-// itself is dense for O(1) indexing.
+// Memory: a pair is held where its membership in src's row puts it.
+// Whether rx hears src depends only on the two positions, so a pair
+// keeps its place while its gain stays fresh. A hearer's gain lives in
+// its entry of src's row (rowGain), found by binary search on the ID;
+// any other receiver's gain goes to src's offRow map, which SNRAtDBm and
+// MeasureRSSI alone fill. The memo is thus bounded by the hearer rows
+// plus the off-row pairs actually measured since the sender last moved,
+// not by the radio count (see README "Performance").
 func (m *Medium) linkGain(src, rx *Radio) (mw, rssi float64) {
-	if rx.ID >= len(src.gainTo) {
-		grown := make([]pairGain, m.nextID+1)
-		copy(grown, src.gainTo)
-		src.gainTo = grown
+	row := m.hearersOf(src)
+	if i := sort.Search(len(row), func(i int) bool { return int(row[i].id) >= rx.ID }); i < len(row) && int(row[i].id) == rx.ID {
+		return m.rowGain(src, &row[i])
 	}
-	g := &src.gainTo[rx.ID]
-	if g.srcGen == src.linkGen && g.rxGen == rx.linkGen {
+	if src.offRowGen < src.linkGen {
+		clear(src.offRow) // src moved: every entry is stale
+		src.offRowGen = m.geoGen
+	}
+	if g, ok := src.offRow[int32(rx.ID)]; ok && rx.linkGen <= g.gen {
 		m.GainHits++
 		return g.mw, g.rssi
 	}
+	mw, rssi = m.computeGain(src, rx)
+	if src.offRow == nil {
+		src.offRow = make(map[int32]offRowGain)
+	}
+	src.offRow[int32(rx.ID)] = offRowGain{gen: m.geoGen, mw: mw, rssi: rssi}
+	return mw, rssi
+}
+
+// computeGain computes the src→rx link gain and counts the memo miss.
+func (m *Medium) computeGain(src, rx *Radio) (mw, rssi float64) {
 	m.GainMisses++
 	rssi = m.env.ReceivedPowerDBm(src.txPowerDBm, src.Pos, rx.Pos)
 	// Open fault windows (jam, partition) add loss here, in the one gain
-	// path every consumer shares; window toggles bump every linkGen, so
-	// a cached value never outlives the window that shaped it.
+	// path every consumer shares; window toggles stamp every linkGen, so
+	// a memoized value never outlives the window that shaped it.
 	if m.jamDB != 0 || m.partitions > 0 {
 		rssi -= m.faultLossDB(src, rx)
 	}
-	mw = env.DBmToMilliwatts(rssi)
-	*g = pairGain{srcGen: src.linkGen, rxGen: rx.linkGen, mw: mw, rssi: rssi}
-	return mw, rssi
+	return env.DBmToMilliwatts(rssi), rssi
 }
 
 // noiseFloor memoizes the environment's RF noise floor (mW and dBm),
@@ -744,44 +779,56 @@ func (m *Medium) acquireLedger() *ledger {
 // share one filtered set. A rebuild sizes the row exactly to its hearers
 // and overwrites the old array when it fits, unless finish is delivering
 // from it (rowPins).
+//
+// Every gain in the old row was filled while that row was current, at
+// geoGen rowGen, so a rebuild carries over, by an ID-ordered merge of
+// the two rows, each filled gain whose ends have not moved since: a
+// NewRadio, a move elsewhere in the world or a rebuild after a pinned
+// delivery keeps the gains a recompute would only count as hits.
 func (m *Medium) hearersOf(src *Radio) []hearer {
 	if src.rowGen == m.geoGen {
 		return src.row
 	}
-	cand := m.candidatesFor(src)
-	n := 0
-	for _, rx := range cand {
-		if ChannelOverlap(src.Channel, rx.Channel) != 0 && distSq(src.Pos, rx.Pos) <= src.range2 {
-			n++
-		}
+	old, oldGen := src.row, src.rowGen
+	if src.linkGen > oldGen {
+		old = nil // src moved: no old gain holds
 	}
-	row := src.row
-	if src.rowPins > 0 || cap(row) < n {
-		row = make([]hearer, n)
-	}
-	row = row[:0]
-	for _, rx := range cand {
+	buf, j := m.rowBuf[:0], 0
+	for _, rx := range m.candidatesFor(src) {
 		ov := ChannelOverlap(src.Channel, rx.Channel)
 		if ov == 0 || distSq(src.Pos, rx.Pos) > src.range2 {
 			continue // no spectral overlap, or below the receive cutoff
 		}
-		row = append(row, hearer{rx: rx, id: int32(rx.ID), ov: ov})
+		h := hearer{rx: rx, id: int32(rx.ID), ov: ov}
+		for j < len(old) && old[j].id < h.id {
+			j++
+		}
+		if j < len(old) && old[j].id == h.id && old[j].filled && rx.linkGen <= oldGen {
+			h.mw, h.rssi, h.filled = old[j].mw, old[j].rssi, true
+		}
+		buf = append(buf, h)
 	}
+	m.rowBuf = buf
+	row := src.row
+	if src.rowPins > 0 || cap(row) < len(buf) {
+		row = make([]hearer, len(buf))
+	}
+	row = row[:len(buf)]
+	copy(row, buf)
 	src.row, src.rowGen = row, m.geoGen
 	return row
 }
 
 // rowGain is linkGain(src, h.rx) for an entry of a hearer row that is
-// valid under the current geoGen. The first lookup goes through
-// linkGain, so cache misses (and any shadow-fading draws) happen exactly
-// where they would without rows; later lookups return the recorded gain
-// and count the hit linkGain would have counted.
+// valid under the current geoGen. The first lookup computes the gain
+// and counts the miss; later lookups return the recorded gain and count
+// a hit.
 func (m *Medium) rowGain(src *Radio, h *hearer) (mw, rssi float64) {
 	if h.filled {
 		m.GainHits++
 		return h.mw, h.rssi
 	}
-	h.mw, h.rssi = m.linkGain(src, h.rx)
+	h.mw, h.rssi = m.computeGain(src, h.rx)
 	h.filled = true
 	return h.mw, h.rssi
 }
@@ -826,21 +873,31 @@ func (m *Medium) senseEnergyMW(r *Radio, now sim.Time) (total float64, lookups u
 	total, _ = m.noiseFloor()
 	until = math.MaxInt64
 	for _, tx := range m.active {
-		if tx.Src.ID == r.ID {
+		src := tx.Src
+		if src.ID == r.ID {
 			continue
 		}
-		ov := ChannelOverlap(tx.Src.Channel, r.Channel)
+		ov := ChannelOverlap(src.Channel, r.Channel)
 		if ov == 0 {
 			continue
 		}
-		if distSq(tx.Src.Pos, r.Pos) > tx.Src.range2 {
+		if distSq(src.Pos, r.Pos) > src.range2 {
 			continue // below the receive cutoff by construction
 		}
 		if at := tx.Start + SensingDelay; now < at {
 			until = min(until, at)
 			continue // within the vulnerable window: not yet detectable
 		}
-		mw, _ := m.linkGain(tx.Src, r)
+		// The same overlap and range test puts r in src's row. The
+		// frame's ledger recorded r's place in the row at Transmit; while
+		// the row is current and that entry is still r's, it is the gain.
+		// Otherwise linkGain rebuilds the row and searches it.
+		var mw float64
+		if i := tx.led.hearerIn(src.row, r.ID); i >= 0 && src.rowGen == m.geoGen {
+			mw, _ = m.rowGain(src, &src.row[i])
+		} else {
+			mw, _ = m.linkGain(src, r)
+		}
 		lookups++
 		total += mw * ov
 	}
@@ -966,9 +1023,13 @@ func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmis
 		payload: payload,
 		led:     m.acquireLedger(),
 	}
+	// The frame's hearers sense it from now on: drop their carrier-sense
+	// memos, and mark each one's place in the sender's row.
+	row := m.hearersOf(r)
+	forgetSensing(row)
+	tx.led.markRow(row, m.nextID)
 	// Record mutual interference with all currently active transmissions,
 	// oldest first.
-	forgetSensing(m.hearersOf(r))
 	for _, other := range m.active {
 		m.recordInterference(tx, other)
 		m.recordInterference(other, tx)

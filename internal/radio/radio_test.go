@@ -382,7 +382,7 @@ func TestIndexedMatchesFullScanPhysics(t *testing.T) {
 			})
 		}
 		if checked {
-			runChecked(t, k, m, 0)
+			runChecked(t, k, m, watchMemo(m), 0)
 		} else {
 			k.Run()
 		}
@@ -602,7 +602,7 @@ func TestMobileInvalidationModesAgree(t *testing.T) {
 			}
 		})
 		if checked {
-			runChecked(t, k, m, 8*sim.Millisecond)
+			runChecked(t, k, m, watchMemo(m), 8*sim.Millisecond)
 		} else {
 			k.RunUntil(8 * sim.Millisecond)
 		}
@@ -676,7 +676,7 @@ func TestMidRunAttachJoinsHearerRows(t *testing.T) {
 					join("callback", geo.Pt(35, 30))
 				}
 			}
-			runChecked(t, k, m, 0)
+			runChecked(t, k, m, watchMemo(m), 0)
 			want := map[string]string{
 				"plain":    "[5 6 7 8 9 10 11 12]",
 				"callback": "[6 7 8 9 10 11 12]",

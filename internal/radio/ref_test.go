@@ -1,8 +1,10 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"aroma/internal/env"
@@ -98,16 +100,123 @@ func checkBusy(m *Medium) error {
 	return nil
 }
 
+// memoKey is one directed pair whose link gain the memo holds fresh,
+// with both ends' linkGen at the reading.
+type memoKey struct {
+	src, rx       int
+	srcGen, rxGen uint64
+}
+
+// memoHeld reads, without a lookup and so without counting, every pair
+// whose link gain the memo holds fresh, sorted by sender and receiver
+// ID. A sender row's filled entries were recorded at the row's rowGen
+// and an off-row entry at its gen; either is fresh while neither end's
+// linkGen has passed that generation. The dense table the memo replaced
+// held exactly the pairs looked up since either end last moved.
+func memoHeld(m *Medium) []memoKey {
+	var held []memoKey
+	fresh := func(src, rx *Radio, gen uint64) {
+		if src.linkGen <= gen && rx.linkGen <= gen {
+			held = append(held, memoKey{src.ID, rx.ID, src.linkGen, rx.linkGen})
+		}
+	}
+	for _, src := range m.ordered {
+		for _, h := range src.row {
+			if h.filled {
+				fresh(src, h.rx, src.rowGen)
+			}
+		}
+		if len(src.offRow) == 0 {
+			continue
+		}
+		for _, rx := range m.ordered {
+			if g, ok := src.offRow[int32(rx.ID)]; ok {
+				fresh(src, rx, g.gen)
+			}
+		}
+	}
+	slices.SortFunc(held, func(a, b memoKey) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.rx, b.rx))
+	})
+	return held
+}
+
+// memoWatch holds the link-gain memo to the dense per-pair table it
+// replaced, between two readings (observe):
+//
+//   - no pair the memo held fresh at the last reading is dropped unless
+//     one end's linkGen moved;
+//   - the GainMisses delta equals the number of pairs that became newly
+//     held.
+//
+// A miss on a pair still held would hold nothing new, and a dropped
+// pair would miss where the dense table hit, so together with the
+// bit-exact gains and checkBusy's "missed nothing" the two keep hits and
+// misses equal to the dense table's, lookup for lookup. The second
+// holds only while no move or fault toggle follows a lookup between two
+// readings: a gain recorded and then staled in between would count a
+// miss and hold nothing. Kernel steps and the checks after them look up
+// after they move, except a delivery round whose receipt callback runs
+// an operation; such a callback reads the memo around the operation.
+type memoWatch struct {
+	m      *Medium
+	held   []memoKey
+	misses uint64
+}
+
+func watchMemo(m *Medium) *memoWatch {
+	return &memoWatch{m: m, held: memoHeld(m), misses: m.GainMisses}
+}
+
+// observe reads the memo and checks it against the last reading.
+func (w *memoWatch) observe() error {
+	m := w.m
+	now := memoHeld(m)
+	prev := make(map[memoKey]bool, len(w.held))
+	for _, k := range w.held {
+		prev[k] = true
+	}
+	held := make(map[[2]int]memoKey, len(now))
+	newly := uint64(0)
+	for i, k := range now {
+		if i > 0 && now[i-1].src == k.src && now[i-1].rx == k.rx {
+			return fmt.Errorf("pair %d->%d held twice", k.src, k.rx)
+		}
+		held[[2]int{k.src, k.rx}] = k
+		if !prev[k] {
+			newly++
+		}
+	}
+	for _, k := range w.held {
+		src, rx := m.ordered[k.src-1], m.ordered[k.rx-1]
+		if src.linkGen != k.srcGen || rx.linkGen != k.rxGen {
+			continue // an end moved: the dense table dropped it too
+		}
+		if held[[2]int{k.src, k.rx}] != k {
+			return fmt.Errorf("pair %d->%d dropped from the link-gain memo though neither end moved", k.src, k.rx)
+		}
+	}
+	if missed := m.GainMisses - w.misses; missed != newly {
+		return fmt.Errorf("%d link-gain misses, %d pairs newly held", missed, newly)
+	}
+	w.held, w.misses = now, m.GainMisses
+	return nil
+}
+
 // runChecked fires k's events one at a time up to horizon (0 runs until
 // the queue is idle), asserting checkHearers and checkBusy before the
-// first event and after every one.
-func runChecked(t testing.TB, k *sim.Kernel, m *Medium, horizon sim.Time) {
+// first event and after every one, and after those the link-gain memo
+// against w.
+func runChecked(t testing.TB, k *sim.Kernel, m *Medium, w *memoWatch, horizon sim.Time) {
 	t.Helper()
 	check := func() error {
 		if err := checkHearers(m); err != nil {
 			return err
 		}
-		return checkBusy(m)
+		if err := checkBusy(m); err != nil {
+			return err
+		}
+		return w.observe()
 	}
 	if err := check(); err != nil {
 		t.Fatalf("at %d: %v", k.Now(), err)
