@@ -74,8 +74,8 @@ func C1(seed int64) *Result {
 		anim.Textured = true                               // video-like content defeats RLE
 		rg.k.Ticker(33*sim.Millisecond, "anim", anim.Step) // 30 source fps
 		frames := 0
-		stop := cli.Stream(5*sim.Second, func(u *rfb.Update) {
-			if len(u.Tiles) > 0 {
+		stop := cli.Stream(5*sim.Second, func(tiles int) {
+			if tiles > 0 {
 				frames++
 			}
 		})

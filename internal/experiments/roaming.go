@@ -52,8 +52,8 @@ func C9(seed int64) *Result {
 	})
 
 	frames := 0
-	stop := cli.Stream(2*sim.Second, func(u *rfb.Update) {
-		if len(u.Tiles) > 0 {
+	stop := cli.Stream(2*sim.Second, func(tiles int) {
+		if tiles > 0 {
 			frames++
 		}
 	})

@@ -60,37 +60,6 @@ func (s *Summary) Var() float64 {
 // Stddev returns the sample standard deviation.
 func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
 
-// Merge folds another summary into s using the Chan et al. parallel
-// variant of Welford's update, so partial summaries combined in any
-// grouping agree (to float tolerance) with one summary observing every
-// value. Use it to combine statistics whose raw streams are gone —
-// per-worker partials, or the cell aggregates of two sweep reports.
-// (The sweep engine itself aggregates by observing rows in fixed task
-// order, which keeps cell statistics bit-identical across worker
-// counts; Merge's float error depends on grouping.)
-//
-//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
-
 // CI95 returns the half-width of a normal-approximation 95% confidence
 // interval for the mean.
 func (s *Summary) CI95() float64 {
@@ -364,29 +333,6 @@ func (s *Series) Render(width int) string {
 		fmt.Fprintf(&b, "%10.4g  %10.4g  %s\n", s.Xs[i], s.Ys[i], bar)
 	}
 	return b.String()
-}
-
-// Knee returns the x value at which y first drops below frac times its
-// maximum, scanning in x order; it returns the last x and false if no such
-// drop occurs. This is used to locate "the knee" in bandwidth-style curves.
-//
-//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
-func (s *Series) Knee(frac float64) (float64, bool) {
-	maxY := 0.0
-	for _, y := range s.Ys {
-		if y > maxY {
-			maxY = y
-		}
-	}
-	for i := range s.Xs {
-		if s.Ys[i] < maxY*frac {
-			return s.Xs[i], true
-		}
-	}
-	if n := len(s.Xs); n > 0 {
-		return s.Xs[n-1], false
-	}
-	return 0, false
 }
 
 // Monotone reports whether the series' y values are non-increasing

@@ -56,7 +56,10 @@ const (
 	kindMulticast
 )
 
-// packet is the wire unit carried as the MAC frame payload.
+// packet is the wire unit carried as the MAC frame payload. Every
+// fragment of a message carries the whole message in Data; FragIdx and
+// FragCnt say which MTU-sized part of it the frame's bits stand for. The
+// struct is boxed into every MAC frame, so it is kept to 64 bytes.
 type packet struct {
 	Kind    kind
 	Src     Addr
@@ -72,11 +75,16 @@ type packet struct {
 // headerBytes approximates the packet header size on the wire.
 const headerBytes = 20
 
-// Handler consumes a datagram or multicast delivery.
+// Handler consumes a datagram or multicast delivery. data is the
+// sender's own buffer, shared with every other receiver of the message:
+// a handler may keep or forward it but must not write to it.
 type Handler func(src Addr, data []byte)
 
 // RequestHandler serves a Call; its return value is sent back to the
-// caller. Returning nil sends an empty (but successful) response.
+// caller. Returning nil sends an empty (but successful) response. As for
+// Handler, data is the caller's buffer and must not be written; the
+// returned slice is delivered to the caller as it is, so the handler
+// must not write to it afterwards either.
 type RequestHandler func(src Addr, data []byte) []byte
 
 // Network owns the nodes built over one MAC.
@@ -122,12 +130,19 @@ type reasmKey struct {
 	msgID uint64
 }
 
+// reasmState counts the distinct fragments of a message that have
+// arrived; seen has one bit per fragment index.
 type reasmState struct {
-	frags [][]byte
+	seen  []uint64
 	have  int
+	total int
 }
 
+// pendingCall is a Call awaiting its response; it is also the argument
+// of its timeout event.
 type pendingCall struct {
+	node    *Node
+	id      uint64
 	done    func([]byte, error)
 	timeout sim.Event
 }
@@ -207,14 +222,8 @@ func (nd *Node) Call(dst Addr, port Port, req []byte, timeout sim.Time, done fun
 	nd.net.CallsStarted++
 	nd.net.msgSeq++
 	id := nd.net.msgSeq
-	pc := &pendingCall{done: done}
-	pc.timeout = nd.net.kernel.Schedule(timeout, "net.callTimeout", func() {
-		delete(nd.pending, id)
-		nd.net.CallsTimedOut++
-		if done != nil {
-			done(nil, ErrTimeout)
-		}
-	})
+	pc := &pendingCall{node: nd, id: id, done: done}
+	pc.timeout = nd.net.kernel.ScheduleFn(timeout, "net.callTimeout", callTimedOut, pc)
 	nd.pending[id] = pc
 	nd.sendFragmented(packet{
 		Kind: kindRequest, Src: nd.Addr(), Dst: dst, Port: port,
@@ -232,45 +241,50 @@ func (nd *Node) Call(dst Addr, port Port, req []byte, timeout sim.Time, done fun
 	})
 }
 
+// callTimedOut fails a Call whose response did not arrive in time.
+func callTimedOut(arg any) {
+	pc := arg.(*pendingCall)
+	nd := pc.node
+	delete(nd.pending, pc.id)
+	nd.net.CallsTimedOut++
+	if pc.done != nil {
+		pc.done(nil, ErrTimeout)
+	}
+}
+
 // sendFragmented splits a packet into MTU-sized fragments and queues them
-// on the MAC. onLinkResult, if non-nil, receives the first link error (or
-// nil after the last fragment succeeds).
+// on the MAC. Every fragment carries the whole message; its bits are
+// those of its own MTU-sized part. onLinkResult, if non-nil, receives the
+// first link error (or nil after the last fragment succeeds).
 func (nd *Node) sendFragmented(p packet, onLinkResult func(error)) {
 	mtu := nd.MTU
 	if mtu <= 0 {
 		mtu = DefaultMTU
 	}
-	data := p.Data
-	cnt := (len(data) + mtu - 1) / mtu
-	if cnt == 0 {
-		cnt = 1
-	}
+	n := len(p.Data)
+	p.FragCnt = max(1, (n+mtu-1)/mtu)
 	reported := false
-	remaining := cnt
-	for i := 0; i < cnt; i++ {
-		lo := i * mtu
-		hi := lo + mtu
-		if hi > len(data) {
-			hi = len(data)
+	remaining := p.FragCnt
+	for i := 0; i < p.FragCnt; i++ {
+		p.FragIdx = i
+		bits := (min(n-i*mtu, mtu) + headerBytes) * 8
+		var done func(mac.SendResult)
+		if onLinkResult != nil {
+			done = func(res mac.SendResult) {
+				remaining--
+				if reported {
+					return
+				}
+				if res.Err != nil {
+					reported = true
+					onLinkResult(res.Err)
+				} else if remaining == 0 {
+					reported = true
+					onLinkResult(nil)
+				}
+			}
 		}
-		frag := p
-		frag.FragIdx = i
-		frag.FragCnt = cnt
-		frag.Data = data[lo:hi]
-		bits := (len(frag.Data) + headerBytes) * 8
-		err := nd.station.Send(p.Dst, bits, frag, func(res mac.SendResult) {
-			remaining--
-			if onLinkResult == nil || reported {
-				return
-			}
-			if res.Err != nil {
-				reported = true
-				onLinkResult(res.Err)
-			} else if remaining == 0 {
-				reported = true
-				onLinkResult(nil)
-			}
-		})
+		err := nd.station.Send(p.Dst, bits, p, done)
 		if err != nil && onLinkResult != nil && !reported {
 			reported = true
 			onLinkResult(err)
@@ -320,8 +334,9 @@ func (nd *Node) onFrame(f mac.Frame) {
 	}
 }
 
-// reassemble accumulates fragments; it returns the full payload and true
-// once every fragment of the message has arrived.
+// reassemble counts the distinct fragments of a message; once every
+// one has arrived it returns the message, which each fragment carries
+// whole, and true. Duplicate and out-of-range fragments are ignored.
 func (nd *Node) reassemble(p packet) ([]byte, bool) {
 	if p.FragCnt <= 1 {
 		return p.Data, true
@@ -329,24 +344,21 @@ func (nd *Node) reassemble(p packet) ([]byte, bool) {
 	key := reasmKey{src: p.Src, msgID: p.MsgID}
 	st := nd.reassembly[key]
 	if st == nil {
-		st = &reasmState{frags: make([][]byte, p.FragCnt)}
+		st = &reasmState{seen: make([]uint64, (p.FragCnt+63)/64), total: p.FragCnt}
 		nd.reassembly[key] = st
 	}
-	if p.FragIdx >= 0 && p.FragIdx < len(st.frags) && st.frags[p.FragIdx] == nil {
-		st.frags[p.FragIdx] = p.Data
-		st.have++
+	if p.FragIdx < 0 || p.FragIdx >= st.total {
+		return nil, false
 	}
-	if st.have < len(st.frags) {
+	w, bit := &st.seen[p.FragIdx/64], uint64(1)<<(p.FragIdx%64)
+	if *w&bit != 0 {
+		return nil, false
+	}
+	*w |= bit
+	st.have++
+	if st.have < st.total {
 		return nil, false
 	}
 	delete(nd.reassembly, key)
-	n := 0
-	for _, f := range st.frags {
-		n += len(f)
-	}
-	full := make([]byte, 0, n)
-	for _, f := range st.frags {
-		full = append(full, f...)
-	}
-	return full, true
+	return p.Data, true
 }

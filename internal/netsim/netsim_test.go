@@ -3,7 +3,9 @@ package netsim
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"aroma/internal/env"
 	"aroma/internal/geo"
@@ -224,35 +226,144 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
-// A fragmented message is copied into its payload once: besides the
-// reassembly bookkeeping there is exactly one allocation, however many
-// fragments the message had.
-func TestReassemblyAllocatesPayloadOnce(t *testing.T) {
+// fragments returns the packets sendFragmented would queue for a
+// message of frags full MTUs: each carries the whole message.
+func fragments(payload []byte, frags int) []packet {
+	ps := make([]packet, frags)
+	for i := range ps {
+		ps[i] = packet{Kind: kindDatagram, Src: 9, MsgID: 1, FragIdx: i, FragCnt: frags, Data: payload}
+	}
+	return ps
+}
+
+// A fragmented message is delivered as the sender's own slice: the
+// receiver counts fragments and copies nothing, so besides the
+// reassembly bookkeeping there is no allocation, however many fragments
+// the message had.
+func TestReassemblyDeliversSenderSlice(t *testing.T) {
 	_, _, nodes := testNet(1, 1)
 	nd := nodes[0]
 	const frags = 10
 	payload := make([]byte, frags*DefaultMTU)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
+	ps := fragments(payload, frags)
 	reassembleAll := func() []byte {
 		var full []byte
-		for i := 0; i < frags; i++ {
-			p := packet{
-				Kind: kindDatagram, Src: 9, MsgID: 1, FragIdx: i, FragCnt: frags,
-				Data: payload[i*DefaultMTU : (i+1)*DefaultMTU],
-			}
+		for _, p := range ps {
 			if data, ok := nd.reassemble(p); ok {
 				full = data
 			}
 		}
 		return full
 	}
-	if got := reassembleAll(); !bytes.Equal(got, payload) {
-		t.Fatal("reassembled payload differs from the original")
+	if got := reassembleAll(); len(got) != len(payload) || &got[0] != &payload[0] {
+		t.Fatal("reassembly did not deliver the sender's slice")
 	}
-	const bookkeeping = 2 // the reassembly state and its fragment table
-	if allocs := testing.AllocsPerRun(20, func() { reassembleAll() }); allocs != bookkeeping+1 {
-		t.Fatalf("%d-fragment reassembly made %v allocations, want %d bookkeeping + 1 payload", frags, allocs, bookkeeping)
+	const bookkeeping = 2 // the reassembly state and its seen-set
+	if allocs := testing.AllocsPerRun(20, func() { reassembleAll() }); allocs != bookkeeping {
+		t.Fatalf("%d-fragment reassembly made %v allocations, want the %d of its bookkeeping", frags, allocs, bookkeeping)
+	}
+}
+
+// Fragments may arrive in any order and more than once: a message is
+// delivered exactly once, when the last distinct fragment arrives, and
+// out-of-range indices count for nothing.
+func TestReassemblyDuplicateAndOutOfOrderFragments(t *testing.T) {
+	_, _, nodes := testNet(1, 1)
+	nd := nodes[0]
+	const frags = 70 // the seen-set spans two words
+	payload := []byte("whole message")
+	ps := fragments(payload, frags)
+	bad := ps[0]
+	bad.FragIdx = frags
+	delivered := 0
+	feed := func(p packet) {
+		if data, ok := nd.reassemble(p); ok {
+			delivered++
+			if &data[0] != &payload[0] {
+				t.Fatal("delivered a copy of the message")
+			}
+		}
+	}
+	for i := frags - 1; i >= 1; i-- { // all but fragment 0, last first
+		feed(ps[i])
+		feed(ps[i]) // a duplicate, as a lost ACK's retransmission brings
+	}
+	feed(bad)
+	bad.FragIdx = -1
+	feed(bad)
+	if delivered != 0 {
+		t.Fatalf("delivered before every fragment arrived")
+	}
+	if got := nd.net.ExportState().Nodes[0].Reassemblies; len(got) != 1 || got[0].Have != frags-1 || got[0].Total != frags {
+		t.Fatalf("reassembly export = %+v, want have %d of %d", got, frags-1, frags)
+	}
+	feed(ps[0])
+	if delivered != 1 {
+		t.Fatalf("delivered %d times, want once", delivered)
+	}
+	if got := nd.net.ExportState().Nodes[0].Reassemblies; len(got) != 0 {
+		t.Fatalf("completed reassembly left state behind: %+v", got)
+	}
+}
+
+// A multi-fragment multicast reaches every member as the same bytes:
+// the sender's buffer, unchanged.
+func TestFragmentedMulticastSharesPayload(t *testing.T) {
+	k, _, nodes := testNet(11, 4)
+	const g Group = 3
+	big := make([]byte, 3*DefaultMTU+17)
+	for i := range big {
+		big[i] = byte(i * 13)
+	}
+	want := bytes.Clone(big)
+	got := make([][]byte, len(nodes))
+	for i := 1; i < len(nodes); i++ {
+		i := i
+		nodes[i].Join(g)
+		nodes[i].Handle(PortDiscovery, func(_ Addr, data []byte) { got[i] = data })
+	}
+	nodes[0].SendMulticast(g, PortDiscovery, big)
+	k.Run()
+	for i := 1; i < len(nodes); i++ {
+		if len(got[i]) != len(big) || &got[i][0] != &big[0] {
+			t.Fatalf("member %d did not receive the sender's buffer (len %d)", i, len(got[i]))
+		}
+	}
+	if !bytes.Equal(big, want) {
+		t.Fatal("delivery changed the message")
+	}
+}
+
+// The packet is boxed into every MAC frame's payload: at 64 bytes it
+// stays in the 64-byte size class.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(packet{}); n != 64 {
+		t.Fatalf("packet is %d bytes, want 64", n)
+	}
+}
+
+// Every fragment's frame carries the bits of its own part of the
+// message, however much of the message the packet holds.
+func TestFragmentBitsCoverTheirPart(t *testing.T) {
+	k, _, nodes := testNet(12, 2)
+	nodes[0].MTU = 10
+	st := nodes[1].Station()
+	var bits []int
+	deliver := st.OnReceive
+	st.OnReceive = func(f mac.Frame) {
+		bits = append(bits, f.Bits)
+		deliver(f)
+	}
+	var got []byte
+	nodes[1].Handle(PortDynamic, func(_ Addr, data []byte) { got = data })
+	msg := []byte("twenty-five bytes of text")
+	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, msg)
+	k.Run()
+	want := []int{(10 + headerBytes) * 8, (10 + headerBytes) * 8, (5 + headerBytes) * 8}
+	if !slices.Equal(bits, want) {
+		t.Fatalf("fragment bits = %v, want %v", bits, want)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("got %q", got)
 	}
 }

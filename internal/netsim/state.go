@@ -58,7 +58,7 @@ func (n *Network) ExportState() State {
 		//aroma:ordered export rows are sorted by (Src, MsgID) immediately after the loop
 		for key, rs := range nd.reassembly {
 			ns.Reassemblies = append(ns.Reassemblies, ReasmState{
-				Src: key.src, MsgID: key.msgID, Have: rs.have, Total: len(rs.frags),
+				Src: key.src, MsgID: key.msgID, Have: rs.have, Total: rs.total,
 			})
 		}
 		sort.Slice(ns.Reassemblies, func(i, j int) bool {

@@ -359,8 +359,8 @@ func (p *SmartProjector) startProjection(rfbAddr netsim.Addr) {
 	}
 	p.display = cli
 	owner := p.Projection.Owner()
-	p.stopStream = cli.Stream(2*sim.Second, func(u *rfb.Update) {
-		if len(u.Tiles) == 0 {
+	p.stopStream = cli.Stream(2*sim.Second, func(tiles int) {
+		if tiles == 0 {
 			return // idle poll: not presenter activity
 		}
 		p.FramesShown++

@@ -42,9 +42,9 @@ func BenchmarkEncodeFullFrameRaw(b *testing.B)      { benchServe(b, true, EncRaw
 func BenchmarkEncodeFullFrameRLEFlat(b *testing.B)  { benchServe(b, false, EncRLE) }
 func BenchmarkEncodeFullFrameRLENoisy(b *testing.B) { benchServe(b, true, EncRLE) }
 
-// benchApply times parsing a full noisy frame, sent raw as RLE cannot
-// shrink it, and applying it with apply.
-func benchApply(b *testing.B, apply func(*Framebuffer, *Update) error) {
+// benchApply times applying a full noisy frame, sent raw as RLE cannot
+// shrink it, from its wire bytes with apply.
+func benchApply(b *testing.B, apply func(*Framebuffer, []byte) error) {
 	src := benchFB(b, true)
 	src.MarkAllDirty()
 	wire, _ := appendUpdate(nil, src, 1, EncRLE)
@@ -53,21 +53,33 @@ func benchApply(b *testing.B, apply func(*Framebuffer, *Update) error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := UnmarshalUpdate(wire)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := apply(dst, v); err != nil {
+		if err := apply(dst, wire); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkUpdateUnmarshalApply(b *testing.B) { benchApply(b, Apply) }
+// BenchmarkUpdateUnmarshalApply times the client's apply straight from
+// the wire: it checks the headers, then decodes every tile in place.
+func BenchmarkUpdateUnmarshalApply(b *testing.B) {
+	benchApply(b, func(f *Framebuffer, wire []byte) error {
+		_, err := applyUpdate(f, wire)
+		return err
+	})
+}
 
-// BenchmarkUpdateUnmarshalApplyRef is the per-pixel reference twin of
-// BenchmarkUpdateUnmarshalApply; CI gates the ratio of the two.
-func BenchmarkUpdateUnmarshalApplyRef(b *testing.B) { benchApply(b, refApply) }
+// BenchmarkUpdateUnmarshalApplyRef is the reference twin of
+// BenchmarkUpdateUnmarshalApply: it parses the update into its tiles and
+// writes them one pixel at a time. CI gates the ratio of the two.
+func BenchmarkUpdateUnmarshalApplyRef(b *testing.B) {
+	benchApply(b, func(f *Framebuffer, wire []byte) error {
+		u, err := UnmarshalUpdate(wire)
+		if err != nil {
+			return err
+		}
+		return refApply(f, u)
+	})
+}
 
 // benchFill alternates two colours over a 200×150 rectangle that
 // straddles tile edges, so every row changes.

@@ -47,15 +47,27 @@ func errText(err error) string {
 }
 
 // FuzzUpdateMatchesReference drives the production framebuffer writes,
-// encoder and decoder and the reference model in ref_test.go through the
-// same program of fills, sets, textured draws, animation steps and
+// encoder and wire apply and the reference model in ref_test.go through
+// the same program of fills, sets, textured draws, animation steps and
 // updates, and requires identical wire bytes, pixels, dirty flags and
 // decode errors. Updates are applied to a client framebuffer that may be
 // a different size, after optional corruption of the wire bytes or of
 // individual tiles (payload bytes, truncation, extra runs, encoding and
-// rectangle), so partial writes before a decode error are compared too.
+// rectangle; a tile-level change is marshalled again). The wire apply
+// must match both parse-then-apply oracles: Apply, which decodes with
+// the production DecodeTile, and refApply, which writes pixel by pixel.
+// So partial writes before a decode error are compared, and an update
+// the parser rejects must leave the client untouched.
 func FuzzUpdateMatchesReference(f *testing.F) {
 	f.Add([]byte{64, 48, 0, 1, 2, 0, 0, 0, 0, 127, 127, 7, 5, 1, 10, 10, 5, 3, 5, 0})
+	// A 32×16 screen filled with one colour is two raw tiles. The update
+	// then has its tile count's low byte flipped to 3, one tile more than
+	// the body holds (a truncated tile header), or to 1, one tile short
+	// (trailing bytes), or its top byte set (an oversized count).
+	flat := []byte{31, 15, 0, 0, 0, 0, 0, 0, 0, 127, 127, 9, 5, 1}
+	f.Add(append(slices.Clip(flat), 0, 7, 1))
+	f.Add(append(slices.Clip(flat), 0, 7, 3))
+	f.Add(append(slices.Clip(flat), 0, 4, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		w, h := in.size(), in.size()
@@ -68,7 +80,7 @@ func FuzzUpdateMatchesReference(f *testing.F) {
 		textured := in.next()&1 == 1
 
 		srv, ref := mustFBQuick(w, h), mustFBQuick(w, h)
-		cli, refCli := mustFBQuick(cw, ch), mustFBQuick(cw, ch)
+		cli, oracleCli, refCli := mustFBQuick(cw, ch), mustFBQuick(cw, ch), mustFBQuick(cw, ch)
 		anim, err := NewAnimator(srv, intensity)
 		if err != nil {
 			t.Fatal(err)
@@ -99,9 +111,16 @@ func FuzzUpdateMatchesReference(f *testing.F) {
 			}
 			v, err := UnmarshalUpdate(wire)
 			if err != nil {
+				n, got := applyUpdate(cli, wire)
+				if n != 0 || errText(got) != errText(err) {
+					t.Fatalf("update %d: wire apply gave %d tiles, error %q; parse error %q", serial, n, errText(got), errText(err))
+				}
+				sameFB(t, fmt.Sprintf("client after rejected update %d", serial), cli, refCli)
 				return
 			}
+			mutated := false
 			for n := in.next() % 4; n > 0 && len(v.Tiles) > 0; n-- {
+				mutated = true
 				tu := &v.Tiles[int(in.next())%len(v.Tiles)]
 				switch in.next() % 6 {
 				case 0:
@@ -120,10 +139,26 @@ func FuzzUpdateMatchesReference(f *testing.F) {
 					tu.Rect.W, tu.Rect.H = in.coord()%24, in.coord()%24
 				}
 			}
-			got, want := Apply(cli, v), refApply(refCli, v)
-			if errText(got) != errText(want) {
-				t.Fatalf("update %d: apply error %q, reference %q", serial, errText(got), errText(want))
+			if mutated {
+				// Coordinates travel as uint16, so the oracles take the
+				// update as the wire carries it.
+				wire = refMarshal(v)
+				if v, err = UnmarshalUpdate(wire); err != nil {
+					t.Fatalf("update %d: re-marshalled tiles do not parse: %v", serial, err)
+				}
 			}
+			n, got := applyUpdate(cli, wire)
+			oracle, want := Apply(oracleCli, v), refApply(refCli, v)
+			if errText(oracle) != errText(want) {
+				t.Fatalf("update %d: oracle apply error %q, reference %q", serial, errText(oracle), errText(want))
+			}
+			if errText(got) != errText(want) {
+				t.Fatalf("update %d: wire apply error %q, reference %q", serial, errText(got), errText(want))
+			}
+			if want := len(v.Tiles); got == nil && n != want || got != nil && n != 0 {
+				t.Fatalf("update %d: wire apply reported %d tiles, error %v; update has %d", serial, n, got, want)
+			}
+			sameFB(t, fmt.Sprintf("oracle client after update %d", serial), oracleCli, refCli)
 			sameFB(t, fmt.Sprintf("client after update %d", serial), cli, refCli)
 		}
 

@@ -5,13 +5,82 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // This file is the reference model of the RFB pipeline: the per-pixel
-// framebuffer writes and the build-then-marshal encoder the production
-// code replaced with row-wise kernels and a direct-to-wire encoder.
+// framebuffer writes, the build-then-marshal encoder and the
+// parse-then-apply decoder the production code replaced with tile-wise
+// kernels, a direct-to-wire encoder and an apply straight from the wire.
 // FuzzUpdateMatchesReference holds the two to identical wire bytes,
 // pixels, dirty flags and error text.
+
+// TileUpdate is one encoded tile within an Update.
+type TileUpdate struct {
+	Rect Rect
+	Enc  Encoding
+	Data []byte
+}
+
+// Update is the parsed wire unit: the set of tiles changed since the
+// previous update.
+type Update struct {
+	Serial uint32
+	Tiles  []TileUpdate
+}
+
+// UnmarshalUpdate parses a wire-format update; its tiles' Data alias
+// data.
+func UnmarshalUpdate(data []byte) (*Update, error) {
+	if len(data) < 8 {
+		return nil, errors.New("rfb: short update header")
+	}
+	u := &Update{Serial: binary.BigEndian.Uint32(data[:4])}
+	count := binary.BigEndian.Uint32(data[4:8])
+	if count > 1<<20 {
+		return nil, fmt.Errorf("rfb: unreasonable tile count %d", count)
+	}
+	// Every tile takes at least a header, so the body bounds the presize
+	// however many tiles the header claims.
+	if n := min(int(count), (len(data)-updateHeaderLen)/tileHeaderLen); n > 0 {
+		u.Tiles = make([]TileUpdate, 0, n)
+	}
+	off := updateHeaderLen
+	for i := uint32(0); i < count; i++ {
+		if off+tileHeaderLen > len(data) {
+			return nil, errors.New("rfb: short tile header")
+		}
+		var t TileUpdate
+		t.Rect.X = int(binary.BigEndian.Uint16(data[off:]))
+		t.Rect.Y = int(binary.BigEndian.Uint16(data[off+2:]))
+		t.Rect.W = int(binary.BigEndian.Uint16(data[off+4:]))
+		t.Rect.H = int(binary.BigEndian.Uint16(data[off+6:]))
+		t.Enc = Encoding(data[off+8])
+		n := int(binary.BigEndian.Uint32(data[off+9:]))
+		off += tileHeaderLen
+		if off+n > len(data) {
+			return nil, errors.New("rfb: short tile data")
+		}
+		t.Data = data[off : off+n]
+		off += n
+		u.Tiles = append(u.Tiles, t)
+	}
+	if off != len(data) {
+		return nil, fmt.Errorf("rfb: %d trailing bytes", len(data)-off)
+	}
+	return u, nil
+}
+
+// Apply writes every tile of an update into the framebuffer with the
+// production DecodeTile.
+func Apply(f *Framebuffer, u *Update) error {
+	for _, t := range u.Tiles {
+		if err := DecodeTile(f, t.Rect, t.Enc, t.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // refFill sets every pixel in [x, x+w) × [y, y+h) one Set at a time.
 func refFill(f *Framebuffer, x, y, w, h int, v uint8) {
@@ -71,7 +140,7 @@ func refDirtyTiles(f *Framebuffer) []Rect {
 	var out []Rect
 	for ty := 0; ty < f.tilesY; ty++ {
 		for tx := 0; tx < f.tilesX; tx++ {
-			if !f.dirty[ty*f.tilesX+tx] {
+			if !f.isDirty(ty*f.tilesX + tx) {
 				continue
 			}
 			r := Rect{X: tx * TileSize, Y: ty * TileSize, W: TileSize, H: TileSize}
@@ -134,9 +203,7 @@ func refMakeUpdate(f *Framebuffer, serial uint32, enc Encoding) *Update {
 		usedEnc, data := refEncodeTile(f, r, enc)
 		u.Tiles = append(u.Tiles, TileUpdate{Rect: r, Enc: usedEnc, Data: data})
 	}
-	for i := range f.dirty {
-		f.dirty[i] = false
-	}
+	clear(f.dirty)
 	return u
 }
 
@@ -260,16 +327,18 @@ func (f *Framebuffer) Set(x, y int, v uint8) {
 		return // no visual change, no dirt
 	}
 	f.pix[i] = v
-	f.dirty[(y/TileSize)*f.tilesX+(x/TileSize)] = true
+	t := (y/TileSize)*f.tilesX + x/TileSize
+	f.dirty[t/64] |= 1 << (t % 64)
 }
+
+// isDirty reports tile t's dirty flag.
+func (f *Framebuffer) isDirty(t int) bool { return f.dirty[t/64]>>(t%64)&1 == 1 }
 
 // DirtyCount returns the number of dirty tiles.
 func (f *Framebuffer) DirtyCount() int {
 	n := 0
-	for _, d := range f.dirty {
-		if d {
-			n++
-		}
+	for _, w := range f.dirty {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

@@ -88,41 +88,35 @@ func NewClient(node *netsim.Node, server netsim.Addr, w, h int) (*Client, error)
 	return &Client{node: node, server: server, fb: fb}, nil
 }
 
-// RequestUpdate pulls one update. If full, the server resends every tile.
-// done (optional) receives the applied update or an error.
-func (c *Client) RequestUpdate(full bool, timeout sim.Time, done func(*Update, error)) {
+// requests holds the one-byte request of each opcode. Call payloads are
+// never written, by the network or by the server, so every poll shares
+// them.
+var requests = [...][]byte{reqIncremental: {reqIncremental}, reqFull: {reqFull}}
+
+// RequestUpdate pulls one update and applies it straight from the reply.
+// If full, the server resends every tile. done (optional) receives the
+// number of tiles applied, or an error. A reply that is malformed as a
+// whole changes nothing; a tile that fails to decode keeps the tiles
+// before it, as written.
+func (c *Client) RequestUpdate(full bool, timeout sim.Time, done func(tiles int, err error)) {
 	op := reqIncremental
 	if full {
 		op = reqFull
 	}
-	c.node.Call(c.server, netsim.PortRFB, []byte{op}, timeout, func(resp []byte, err error) {
+	c.node.Call(c.server, netsim.PortRFB, requests[op], timeout, func(resp []byte, err error) {
+		tiles := 0
+		if err == nil {
+			tiles, err = applyUpdate(c.fb, resp)
+		}
 		if err != nil {
 			c.Errors++
-			if done != nil {
-				done(nil, err)
-			}
-			return
+		} else {
+			c.UpdatesApplied++
+			c.TilesApplied += uint64(tiles)
+			c.BytesReceived += uint64(len(resp))
 		}
-		u, err := UnmarshalUpdate(resp)
-		if err != nil {
-			c.Errors++
-			if done != nil {
-				done(nil, err)
-			}
-			return
-		}
-		if err := Apply(c.fb, u); err != nil {
-			c.Errors++
-			if done != nil {
-				done(nil, err)
-			}
-			return
-		}
-		c.UpdatesApplied++
-		c.TilesApplied += uint64(len(u.Tiles))
-		c.BytesReceived += uint64(len(resp))
 		if done != nil {
-			done(u, nil)
+			done(tiles, err)
 		}
 	})
 }
@@ -136,8 +130,8 @@ const IdlePollDelay = 50 * sim.Millisecond
 // Stream continuously pulls updates, back-to-back while content flows
 // (the VNC flow-control model) and at IdlePollDelay intervals while the
 // screen is static. It returns a stop function. onFrame (optional)
-// observes each applied update, including empty ones.
-func (c *Client) Stream(timeout sim.Time, onFrame func(*Update)) (stop func()) {
+// observes the tile count of each applied update, including empty ones.
+func (c *Client) Stream(timeout sim.Time, onFrame func(tiles int)) (stop func()) {
 	stopped := false
 	k := c.node.Kernel()
 	var loop func()
@@ -145,14 +139,14 @@ func (c *Client) Stream(timeout sim.Time, onFrame func(*Update)) (stop func()) {
 		if stopped {
 			return
 		}
-		c.RequestUpdate(false, timeout, func(u *Update, err error) {
+		c.RequestUpdate(false, timeout, func(tiles int, err error) {
 			if stopped {
 				return
 			}
 			if err == nil && onFrame != nil {
-				onFrame(u)
+				onFrame(tiles)
 			}
-			if err == nil && len(u.Tiles) == 0 {
+			if err == nil && tiles == 0 {
 				k.Schedule(IdlePollDelay, "rfb.idlePoll", loop)
 				return
 			}

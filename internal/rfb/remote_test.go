@@ -41,7 +41,7 @@ func TestFullUpdateSyncsFramebuffers(t *testing.T) {
 	srv.Framebuffer().Fill(8, 8, 16, 16, 9)
 	var gotErr error
 	done := false
-	cli.RequestUpdate(true, 0, func(u *Update, err error) {
+	cli.RequestUpdate(true, 0, func(_ int, err error) {
 		gotErr = err
 		done = true
 	})
@@ -67,9 +67,9 @@ func TestIncrementalTracksChanges(t *testing.T) {
 	k.RunUntil(2 * sim.Second)
 	srv.Framebuffer().Set(3, 3, 77)
 	var tiles int
-	cli.RequestUpdate(false, 0, func(u *Update, err error) {
+	cli.RequestUpdate(false, 0, func(n int, err error) {
 		if err == nil {
-			tiles = len(u.Tiles)
+			tiles = n
 		}
 	})
 	k.RunUntil(4 * sim.Second)
@@ -93,7 +93,7 @@ func TestStreamDeliversAnimation(t *testing.T) {
 	// Animate at 30 steps/sec.
 	k.Ticker(33*sim.Millisecond, "anim", anim.Step)
 	frames := 0
-	stop := cli.Stream(sim.Second, func(*Update) { frames++ })
+	stop := cli.Stream(sim.Second, func(int) { frames++ })
 	k.RunUntil(5 * sim.Second)
 	stop()
 	if frames < 10 {

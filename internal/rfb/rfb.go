@@ -25,6 +25,19 @@
 // and decoded by one copy. Every write goes through put, which compares
 // old and new pixels only while the tile is clean, so a tile is dirty
 // exactly when one of its pixels changed since the last update.
+//
+// The dirty flags are a bitmap, one bit per tile in row-major tile
+// order, 64 tiles to a word. The encoder walks it with TrailingZeros64
+// and skips clean words whole, so a poll of a mostly static 1024×768
+// screen reads 48 words rather than 3072 flags. Ascending bit order is
+// row-major tile order, which is the order tiles travel on the wire.
+//
+// # Wire path
+//
+// The client applies an update straight from the reply's bytes: one pass
+// checks every header, so a malformed reply writes nothing, and a second
+// decodes each tile's body in place into the framebuffer. No parsed form
+// of the update is built.
 package rfb
 
 import (
@@ -54,7 +67,7 @@ type Framebuffer struct {
 	W, H           int
 	pix            []uint8 // tile-major; see the package doc
 	tilesX, tilesY int
-	dirty          []bool
+	dirty          []uint64 // bit t%64 of word t/64 is tile t's flag
 }
 
 // NewFramebuffer allocates a zeroed framebuffer. Dimensions must be
@@ -73,7 +86,7 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 		W: w, H: h,
 		pix:    make([]uint8, w*h),
 		tilesX: tx, tilesY: ty,
-		dirty: make([]bool, tx*ty),
+		dirty: make([]uint64, (tx*ty+63)/64),
 	}, nil
 }
 
@@ -90,11 +103,12 @@ func (f *Framebuffer) block(x, y int) ([]uint8, int) {
 // clean it compares first and marks the tile dirty only if a pixel
 // differs; a dirty tile is copied without comparing.
 func (f *Framebuffer) put(t int, seg, src []uint8) {
-	if !f.dirty[t] {
+	w, bit := &f.dirty[t/64], uint64(1)<<(t%64)
+	if *w&bit == 0 {
 		if bytes.Equal(seg, src) {
 			return
 		}
-		f.dirty[t] = true
+		*w |= bit
 	}
 	copy(seg, src)
 }
@@ -184,7 +198,10 @@ func (f *Framebuffer) writeRect(r Rect, s []uint8) {
 // frame (used at client attach).
 func (f *Framebuffer) MarkAllDirty() {
 	for i := range f.dirty {
-		f.dirty[i] = true
+		f.dirty[i] = ^uint64(0)
+	}
+	if n := f.tilesX * f.tilesY % 64; n != 0 {
+		f.dirty[len(f.dirty)-1] = 1<<n - 1
 	}
 }
 
@@ -272,20 +289,6 @@ func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 	}
 }
 
-// TileUpdate is one encoded tile within an Update.
-type TileUpdate struct {
-	Rect Rect
-	Enc  Encoding
-	Data []byte
-}
-
-// Update is the wire unit: the set of tiles changed since the previous
-// update.
-type Update struct {
-	Serial uint32
-	Tiles  []TileUpdate
-}
-
 // Wire layout: an update header (serial, tile count; uint32 each)
 // followed by each tile's header (x, y, w, h as uint16, encoding byte,
 // body length as uint32) and body.
@@ -305,31 +308,31 @@ func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]by
 	dst = binary.BigEndian.AppendUint32(dst, serial)
 	dst = binary.BigEndian.AppendUint32(dst, 0) // tile count, patched below
 	tiles := 0
-	for i, d := range f.dirty {
-		if !d {
-			continue
+	for j, m := range f.dirty {
+		f.dirty[j] = 0
+		for ; m != 0; m &= m - 1 {
+			i := 64*j + bits.TrailingZeros64(m)
+			tiles++
+			x, y := (i%f.tilesX)*TileSize, (i/f.tilesX)*TileSize
+			blk, w := f.block(x, y)
+			hdr := len(dst)
+			dst = binary.BigEndian.AppendUint16(dst, uint16(x))
+			dst = binary.BigEndian.AppendUint16(dst, uint16(y))
+			dst = binary.BigEndian.AppendUint16(dst, uint16(w))
+			dst = binary.BigEndian.AppendUint16(dst, uint16(len(blk)/w))
+			dst = append(dst, byte(EncRaw), 0, 0, 0, 0)
+			body := len(dst)
+			ok := false
+			if enc == EncRLE {
+				dst, ok = appendRLE(dst, blk)
+			}
+			if ok {
+				dst[hdr+8] = byte(EncRLE)
+			} else {
+				dst = append(dst, blk...)
+			}
+			binary.BigEndian.PutUint32(dst[hdr+9:], uint32(len(dst)-body))
 		}
-		f.dirty[i] = false
-		tiles++
-		x, y := (i%f.tilesX)*TileSize, (i/f.tilesX)*TileSize
-		blk, w := f.block(x, y)
-		hdr := len(dst)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(x))
-		dst = binary.BigEndian.AppendUint16(dst, uint16(y))
-		dst = binary.BigEndian.AppendUint16(dst, uint16(w))
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(blk)/w))
-		dst = append(dst, byte(EncRaw), 0, 0, 0, 0)
-		body := len(dst)
-		ok := false
-		if enc == EncRLE {
-			dst, ok = appendRLE(dst, blk)
-		}
-		if ok {
-			dst[hdr+8] = byte(EncRLE)
-		} else {
-			dst = append(dst, blk...)
-		}
-		binary.BigEndian.PutUint32(dst[hdr+9:], uint32(len(dst)-body))
 	}
 	binary.BigEndian.PutUint32(dst[start+4:], uint32(tiles))
 	return dst, tiles
@@ -390,53 +393,46 @@ func valueChanges(b []uint8, marks []uint64) int {
 	return n
 }
 
-// UnmarshalUpdate parses a wire-format update.
-func UnmarshalUpdate(data []byte) (*Update, error) {
-	if len(data) < 8 {
-		return nil, errors.New("rfb: short update header")
+// applyUpdate writes the tiles of a wire-format update into f and
+// returns how many it carried. A first pass checks every header, so a
+// structurally malformed update writes nothing; the second decodes each
+// tile's body in place. A decode fault leaves the tiles before it, and
+// the faulty tile's prefix, written.
+func applyUpdate(f *Framebuffer, data []byte) (int, error) {
+	if len(data) < updateHeaderLen {
+		return 0, errors.New("rfb: short update header")
 	}
-	u := &Update{Serial: binary.BigEndian.Uint32(data[:4])}
 	count := binary.BigEndian.Uint32(data[4:8])
 	if count > 1<<20 {
-		return nil, fmt.Errorf("rfb: unreasonable tile count %d", count)
-	}
-	// Every tile takes at least a header, so the body bounds the presize
-	// however many tiles the header claims.
-	if n := min(int(count), (len(data)-updateHeaderLen)/tileHeaderLen); n > 0 {
-		u.Tiles = make([]TileUpdate, 0, n)
+		return 0, fmt.Errorf("rfb: unreasonable tile count %d", count)
 	}
 	off := updateHeaderLen
 	for i := uint32(0); i < count; i++ {
 		if off+tileHeaderLen > len(data) {
-			return nil, errors.New("rfb: short tile header")
+			return 0, errors.New("rfb: short tile header")
 		}
-		var t TileUpdate
-		t.Rect.X = int(binary.BigEndian.Uint16(data[off:]))
-		t.Rect.Y = int(binary.BigEndian.Uint16(data[off+2:]))
-		t.Rect.W = int(binary.BigEndian.Uint16(data[off+4:]))
-		t.Rect.H = int(binary.BigEndian.Uint16(data[off+6:]))
-		t.Enc = Encoding(data[off+8])
-		n := int(binary.BigEndian.Uint32(data[off+9:]))
-		off += tileHeaderLen
-		if off+n > len(data) {
-			return nil, errors.New("rfb: short tile data")
+		off += tileHeaderLen + int(binary.BigEndian.Uint32(data[off+9:]))
+		if off > len(data) {
+			return 0, errors.New("rfb: short tile data")
 		}
-		t.Data = data[off : off+n]
-		off += n
-		u.Tiles = append(u.Tiles, t)
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("rfb: %d trailing bytes", len(data)-off)
+		return 0, fmt.Errorf("rfb: %d trailing bytes", len(data)-off)
 	}
-	return u, nil
-}
-
-// Apply writes every tile of an update into the framebuffer.
-func Apply(f *Framebuffer, u *Update) error {
-	for _, t := range u.Tiles {
-		if err := DecodeTile(f, t.Rect, t.Enc, t.Data); err != nil {
-			return err
+	for off = updateHeaderLen; off < len(data); {
+		r := Rect{
+			X: int(binary.BigEndian.Uint16(data[off:])),
+			Y: int(binary.BigEndian.Uint16(data[off+2:])),
+			W: int(binary.BigEndian.Uint16(data[off+4:])),
+			H: int(binary.BigEndian.Uint16(data[off+6:])),
 		}
+		enc := Encoding(data[off+8])
+		n := int(binary.BigEndian.Uint32(data[off+9:]))
+		off += tileHeaderLen
+		if err := DecodeTile(f, r, enc, data[off:off+n]); err != nil {
+			return 0, err
+		}
+		off += n
 	}
-	return nil
+	return int(count), nil
 }

@@ -205,6 +205,32 @@ func TestMarkAllDirty(t *testing.T) {
 	}
 }
 
+// MarkAllDirty sets exactly one bit per tile, whatever the tile count's
+// remainder modulo the 64-bit word, and the encoder then sends each
+// tile once, in row-major order.
+func TestMarkAllDirtyMasksTail(t *testing.T) {
+	for _, tc := range []struct{ w, h int }{{1, 1}, {16, 16}, {1008, 16}, {1024, 16}, {1040, 16}, {33, 65}, {1024, 768}} {
+		fb := mustFB(t, tc.w, tc.h)
+		fb.MarkAllDirty()
+		n := fb.tilesX * fb.tilesY
+		if got := fb.DirtyCount(); got != n {
+			t.Fatalf("%dx%d: %d dirty bits, want %d tiles", tc.w, tc.h, got, n)
+		}
+		u, _ := encodeUpdate(t, fb, 1, EncRaw)
+		if len(u.Tiles) != n {
+			t.Fatalf("%dx%d: %d tiles sent, want %d", tc.w, tc.h, len(u.Tiles), n)
+		}
+		for i, tu := range u.Tiles {
+			if want := (Rect{X: i % fb.tilesX * TileSize, Y: i / fb.tilesX * TileSize}); tu.Rect.X != want.X || tu.Rect.Y != want.Y {
+				t.Fatalf("%dx%d: tile %d at (%d, %d), want (%d, %d)", tc.w, tc.h, i, tu.Rect.X, tu.Rect.Y, want.X, want.Y)
+			}
+		}
+		if fb.DirtyCount() != 0 || slices.ContainsFunc(fb.dirty, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("%dx%d: the update left dirty bits", tc.w, tc.h)
+		}
+	}
+}
+
 func TestRawRoundTrip(t *testing.T) {
 	src := mustFB(t, 32, 32)
 	for i := 0; i < 200; i++ {
@@ -310,46 +336,118 @@ func TestUpdateMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: %+v", v)
 	}
 	dst := mustFB(t, 48, 48)
-	if err := Apply(dst, v); err != nil {
-		t.Fatal(err)
+	if n, err := applyUpdate(dst, data); err != nil || n != tiles {
+		t.Fatalf("applied %d tiles, err %v; want %d", n, err, tiles)
 	}
 	if !fb.Equal(dst) {
 		t.Fatal("apply did not reproduce source")
 	}
 }
 
+// Malformed updates fail the reference parser, and the wire apply with
+// the same error before it writes a pixel.
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalUpdate([]byte{1, 2}); err == nil {
-		t.Fatal("short header accepted")
-	}
 	fb := mustFB(t, 32, 32)
-	fb.MarkAllDirty()
+	fb.Fill(0, 0, 32, 32, 6)
 	data, _ := appendUpdate(nil, fb, 1, EncRaw)
-	if _, err := UnmarshalUpdate(data[:len(data)-3]); err == nil {
-		t.Fatal("truncated accepted")
+	withCount := func(n uint32) []byte {
+		d := bytes.Clone(data)
+		binary.BigEndian.PutUint32(d[4:], n)
+		return d
 	}
-	if _, err := UnmarshalUpdate(append(data, 1)); err == nil {
-		t.Fatal("trailing accepted")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"short header", []byte{1, 2}, "rfb: short update header"},
+		{"truncated tile data", data[:len(data)-3], "rfb: short tile data"},
+		{"truncated tile header", withCount(5), "rfb: short tile header"},
+		{"trailing bytes", append(bytes.Clone(data), 1), "rfb: 1 trailing bytes"},
+		{"count short of the tiles", withCount(3), "rfb: 269 trailing bytes"},
+		{"oversized tile count", withCount(1<<20 + 1), "rfb: unreasonable tile count 1048577"},
+	} {
+		if _, err := UnmarshalUpdate(tc.data); errText(err) != tc.want {
+			t.Errorf("%s: reference parse error %q, want %q", tc.name, errText(err), tc.want)
+		}
+		dst := mustFB(t, 32, 32)
+		if n, err := applyUpdate(dst, tc.data); n != 0 || errText(err) != tc.want {
+			t.Errorf("%s: wire apply gave %d tiles, error %q; want 0, %q", tc.name, n, errText(err), tc.want)
+		}
+		if !dst.Equal(mustFB(t, 32, 32)) || dst.DirtyCount() != 0 {
+			t.Errorf("%s: a malformed update wrote the framebuffer", tc.name)
+		}
+	}
+}
+
+// A tile that fails to decode keeps every tile before it, and its own
+// decoded prefix, exactly as the parse-then-apply reference does.
+func TestApplyUpdateKeepsPrefixOnDecodeFault(t *testing.T) {
+	src := mustFB(t, 32, 16)
+	src.Fill(0, 0, 32, 16, 4)
+	wire, _ := appendUpdate(nil, src, 1, EncRLE)
+	u, err := UnmarshalUpdate(bytes.Clone(wire))
+	if err != nil || len(u.Tiles) != 2 || u.Tiles[1].Enc != EncRLE {
+		t.Fatalf("unexpected update %+v, %v", u, err)
+	}
+	u.Tiles[1].Data = []byte{200, 9, 0, 9} // a 200-pixel run, then a zero run
+	bad := refMarshal(u)
+	got, want := mustFB(t, 32, 16), mustFB(t, 32, 16)
+	n, gotErr := applyUpdate(got, bad)
+	wantErr := Apply(want, u)
+	if n != 0 || errText(gotErr) != errText(wantErr) || wantErr == nil {
+		t.Fatalf("wire apply gave %d tiles, error %v; reference error %v", n, gotErr, wantErr)
+	}
+	sameFB(t, "client after a decode fault", got, want)
+	if got.Pixel(0, 0) != 4 || got.Pixel(16, 0) != 9 || got.Pixel(31, 15) != 0 {
+		t.Fatal("the first tile or the faulty tile's prefix was not kept")
+	}
+}
+
+// Applying a full frame from the wire allocates nothing.
+func TestApplyUpdateAllocatesNothing(t *testing.T) {
+	src := mustFB(t, 160, 120)
+	for i := 0; i < 500; i++ {
+		src.Set(i*37%160, i*11%120, uint8(i))
+	}
+	src.MarkAllDirty()
+	wire, _ := appendUpdate(nil, src, 1, EncRLE)
+	dst := mustFB(t, 160, 120)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := applyUpdate(dst, wire); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("wire apply made %v allocations", allocs)
+	}
+	if !src.Equal(dst) {
+		t.Fatal("wire apply did not reproduce the source")
 	}
 }
 
 // A header that claims far more tiles than the body can hold fails on
-// the body, without allocating for the claimed count.
+// the body, in the reference parser and in the wire apply, without
+// allocating for the claimed count.
 func TestUnmarshalHugeCountFailsFast(t *testing.T) {
 	data := make([]byte, updateHeaderLen+tileHeaderLen)
 	binary.BigEndian.PutUint32(data[4:], 1<<20)
 	if _, err := UnmarshalUpdate(data); err == nil {
 		t.Fatal("short body with a huge tile count accepted")
 	}
+	fb := mustFB(t, 16, 16)
+	if _, err := applyUpdate(fb, data); err == nil {
+		t.Fatal("wire apply accepted a short body with a huge tile count")
+	}
 	const runs = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		_, _ = UnmarshalUpdate(data) // fails as above; only the allocation matters
+		_, _ = UnmarshalUpdate(data) // both fail as above; only the allocation matters
+		_, _ = applyUpdate(fb, data)
 	}
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 1024 {
-		t.Fatalf("failed parse allocated %d bytes per call", perCall)
+		t.Fatalf("failed parse and apply allocated %d bytes per call", perCall)
 	}
 }
 
@@ -449,7 +547,8 @@ func TestPropertyEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: encode/Unmarshal round-trips updates built from random fills.
+// Property: encode and wire apply round-trip updates built from random
+// writes.
 func TestPropertyUpdateRoundTrip(t *testing.T) {
 	f := func(ops []uint16) bool {
 		fb := mustFBQuick(64, 64)
@@ -458,13 +557,9 @@ func TestPropertyUpdateRoundTrip(t *testing.T) {
 			y := int((op / 64) % 64)
 			fb.Set(x, y, uint8(op))
 		}
-		wire, _ := appendUpdate(nil, fb, 7, EncRLE)
-		v, err := UnmarshalUpdate(wire)
-		if err != nil {
-			return false
-		}
+		wire, tiles := appendUpdate(nil, fb, 7, EncRLE)
 		dst := mustFBQuick(64, 64)
-		if err := Apply(dst, v); err != nil {
+		if n, err := applyUpdate(dst, wire); err != nil || n != tiles {
 			return false
 		}
 		return fb.Equal(dst)
