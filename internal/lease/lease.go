@@ -98,9 +98,13 @@ func (t *Table) Grant(holder string, d sim.Time, onExpire func()) (*Lease, error
 	}
 	t.leases[l.id] = l
 	t.Granted++
-	l.event = t.kernel.Schedule(d, "lease.expire", func() { t.expire(l) })
+	l.event = t.kernel.ScheduleFn(d, "lease.expire", leaseExpired, l)
 	return l, nil
 }
+
+// leaseExpired is the ScheduleFn trampoline for a lease's expiry
+// timer; the table is recovered from the lease.
+func leaseExpired(a any) { l := a.(*Lease); l.table.expire(l) }
 
 func (t *Table) expire(l *Lease) {
 	if l.dead {
@@ -129,7 +133,7 @@ func (t *Table) Renew(l *Lease, d sim.Time) error {
 	l.duration = d
 	l.renewals++
 	t.Renewed++
-	l.event = t.kernel.Schedule(d, "lease.expire", func() { t.expire(l) })
+	l.event = t.kernel.ScheduleFn(d, "lease.expire", leaseExpired, l)
 	return nil
 }
 

@@ -88,6 +88,7 @@ type MAC struct {
 	nextAddr Addr
 	seq      uint64
 	ackFree  []*pendingAck // recycled SIFS-ack records
+	jobFree  []*txJob      // recycled contention jobs (see finishJob)
 
 	// MAC-wide aggregate stats, maintained alongside the per-station
 	// counters so telemetry reads one field instead of iterating the
@@ -146,7 +147,11 @@ type Station struct {
 // The job itself is the argument threaded through the kernel's pooled
 // ScheduleFn timers (csWait, DIFS, backoff slots, broadcast completion,
 // ACK timeout), so the per-slot timer churn that dominates event volume
-// allocates nothing.
+// allocates nothing. Its frame is the payload of every transmission of
+// it, by reference: the job outlives each one (broadcast completion
+// fires after the frame's txEnd at the same instant, and the ACK
+// timeout is longer than the air time). Jobs are recycled through
+// MAC.jobFree once finished.
 type txJob struct {
 	owner      *Station
 	frame      Frame
@@ -230,7 +235,14 @@ func (s *Station) Send(dst Addr, bits int, payload any, done func(SendResult)) e
 		return ErrZeroBits
 	}
 	s.mac.seq++
-	job := &txJob{
+	var job *txJob
+	if n := len(s.mac.jobFree); n > 0 {
+		job = s.mac.jobFree[n-1]
+		s.mac.jobFree = s.mac.jobFree[:n-1]
+	} else {
+		job = &txJob{}
+	}
+	*job = txJob{
 		owner: s,
 		frame: Frame{Kind: Data, Src: s.addr, Dst: dst, Seq: s.mac.seq, Bits: bits, Payload: payload},
 		cw:    CWMin,
@@ -249,7 +261,11 @@ func (s *Station) dequeue() {
 		return
 	}
 	s.current = s.queue[0]
-	s.queue = s.queue[1:]
+	if len(s.queue) == 1 {
+		s.queue = s.queue[:0] // keep the array: the next Send appends into it
+	} else {
+		s.queue = s.queue[1:]
+	}
 	s.defer_(s.current)
 }
 
@@ -288,7 +304,7 @@ func (s *Station) pickRate(dst Addr) radio.Rate {
 func (s *Station) transmit(job *txJob) {
 	rate := s.pickRate(job.frame.Dst)
 	totalBits := job.frame.Bits + HeaderBits
-	tx, err := s.mac.medium.Transmit(s.radio, totalBits, rate, job.frame)
+	tx, err := s.mac.medium.Transmit(s.radio, totalBits, rate, &job.frame)
 	if err != nil {
 		s.finishJob(job, SendResult{Frame: job.frame, OK: false, Retries: job.retries, Err: err})
 		return
@@ -327,15 +343,21 @@ func (s *Station) onAckTimeout(job *txJob) {
 	s.defer_(job)
 }
 
+// finishJob reports a job's outcome and starts the next queued one.
+// The job is then recycled: its ACK timeout is cancelled (which drops
+// the kernel's reference to it), and it has no other timer pending,
+// since every caller runs from the job's only live event or from the
+// ACK that ends its wait. No transmission of its frame is in the air.
 func (s *Station) finishJob(job *txJob, res SendResult) {
 	s.mac.kernel.Cancel(job.ackTimeout) // no-op for the zero Event
-	job.ackTimeout = sim.Event{}
 	if job.done != nil {
 		job.done(res)
 	}
 	if s.current == job {
 		s.dequeue()
 	}
+	*job = txJob{}
+	s.mac.jobFree = append(s.mac.jobFree, job)
 }
 
 // onRadioReceive handles every decodable frame that ends at this radio.
@@ -343,10 +365,13 @@ func (s *Station) onRadioReceive(rc radio.Receipt) {
 	if !rc.OK {
 		return
 	}
-	frame, ok := rc.Tx.Payload().(Frame)
+	// The payload is the sender's pooled record: copy it before the
+	// delivery ends.
+	fp, ok := rc.Tx.Payload().(*Frame)
 	if !ok {
 		return
 	}
+	frame := *fp
 	switch frame.Kind {
 	case Data:
 		if frame.Dst == Broadcast {
@@ -385,8 +410,8 @@ func (s *Station) deliverUp(frame Frame) {
 
 // pendingAck is one SIFS-deferred ACK, recycled through MAC.ackFree so
 // the per-ack timer allocates nothing. The record is released as soon
-// as it fires: Transmit boxes the frame by value into the payload, so
-// the pooled copy is free to be reused immediately.
+// as it fires; the ACK goes on the air as its own Frame, which is the
+// one allocation an ACK costs.
 type pendingAck struct {
 	s     *Station
 	frame Frame
@@ -395,7 +420,8 @@ type pendingAck struct {
 func firePendingAck(a any) {
 	pa := a.(*pendingAck)
 	s := pa.s
-	if _, err := s.mac.medium.Transmit(s.radio, AckBits, radio.Rates[0], pa.frame); err == nil {
+	ack := pa.frame
+	if _, err := s.mac.medium.Transmit(s.radio, AckBits, radio.Rates[0], &ack); err == nil {
 		s.SentAcks++
 		s.mac.SentAcks++
 	}

@@ -99,7 +99,7 @@ func TestDuplicateDetectionReAcks(t *testing.T) {
 	b.OnReceive = func(Frame) { delivered++ }
 	frame := Frame{Kind: Data, Src: a.Addr(), Dst: b.Addr(), Seq: 42, Bits: 100}
 	for i := 0; i < 2; i++ {
-		if _, err := med.Transmit(a.Radio(), 1000, radio.Rates[0], frame); err != nil {
+		if _, err := med.Transmit(a.Radio(), 1000, radio.Rates[0], &frame); err != nil {
 			t.Fatal(err)
 		}
 		k.Run()

@@ -1,13 +1,12 @@
 // Package metrics provides the statistics and text-rendering utilities the
-// experiment harness uses: streaming summaries, percentiles, histograms,
-// rate counters, and fixed-width ASCII tables and series for reproducing
-// the paper's figures as terminal output.
+// experiment harness uses: streaming summaries, histograms, and
+// fixed-width ASCII tables and series for reproducing the paper's figures
+// as terminal output.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -74,68 +73,6 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g [%.4g, %.4g] (n=%d)", s.Mean(), s.CI95(), s.Min(), s.Max(), s.n)
 }
 
-// Sample retains all observations for exact percentile queries.
-//
-//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Observe adds one observation.
-func (s *Sample) Observe(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by linear
-// interpolation between closest ranks. It returns 0 with no observations.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[len(s.xs)-1]
-	}
-	rank := p / 100 * float64(len(s.xs)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
 // Histogram counts observations into equal-width buckets over [lo, hi).
 // Observations outside the range land in the under/overflow counters.
 type Histogram struct {
@@ -183,35 +120,6 @@ func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // OutOfRange returns the underflow and overflow counts.
 func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// Counter is a monotonically increasing event counter with a convenience
-// rate helper.
-//
-//aroma:kept statistics helper with its own tests; deleting it with them is a ROADMAP item
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// RatePer returns the count divided by elapsed (e.g. events per second
-// when elapsed is in seconds). It returns 0 unless elapsed is strictly
-// positive — zero, negative, and NaN elapsed all yield 0, never Inf or
-// NaN (the negated comparison is deliberate: NaN fails every ordered
-// comparison, so `elapsed <= 0` alone would let NaN through).
-func (c *Counter) RatePer(elapsed float64) float64 {
-	if !(elapsed > 0) {
-		return 0
-	}
-	return float64(c.n) / elapsed
-}
 
 // Table renders rows with aligned fixed-width columns, suitable for the
 // experiment output that mirrors the paper's (qualitative) tables.

@@ -39,35 +39,6 @@ func TestSummaryEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestSamplePercentiles(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i))
-	}
-	if m := s.Median(); math.Abs(m-50.5) > 1e-9 {
-		t.Fatalf("median = %v", m)
-	}
-	if p := s.Percentile(0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := s.Percentile(100); p != 100 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if p := s.Percentile(99); p < 98 || p > 100 {
-		t.Fatalf("p99 = %v", p)
-	}
-	if s.Mean() != 50.5 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Percentile(50) != 0 || s.Mean() != 0 {
-		t.Fatal("empty sample not zero")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for i := 0; i < 10; i++ {
@@ -106,21 +77,6 @@ func TestHistogramPanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	NewHistogram(5, 5, 3)
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("Value = %d", c.Value())
-	}
-	if r := c.RatePer(2); r != 5 {
-		t.Fatalf("Rate = %v", r)
-	}
-	if r := c.RatePer(0); r != 0 {
-		t.Fatalf("Rate(0) = %v", r)
-	}
 }
 
 func TestTableRender(t *testing.T) {
@@ -196,31 +152,6 @@ func TestPropertySummaryAgrees(t *testing.T) {
 	}
 }
 
-// Property: percentiles are monotone in p and bounded by min/max.
-func TestPropertyPercentileMonotone(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Sample
-		for _, x := range raw {
-			s.Observe(float64(x))
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 7 {
-			v := s.Percentile(p)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return s.Percentile(0) <= s.Percentile(100)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(6))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: histogram conserves observations.
 func TestPropertyHistogramConserves(t *testing.T) {
 	f := func(raw []int16) bool {
@@ -257,28 +188,5 @@ func TestCI95Edges(t *testing.T) {
 	s.Observe(6)
 	if s.CI95() <= 0 {
 		t.Error("spread observations must widen CI95 above 0")
-	}
-}
-
-func TestRatePerDegenerateElapsed(t *testing.T) {
-	var c Counter
-	c.Add(100)
-	for _, elapsed := range []float64{0, -1, -1e-300, math.NaN(), math.Inf(-1)} {
-		if r := c.RatePer(elapsed); r != 0 {
-			t.Errorf("RatePer(%v) = %v, want 0", elapsed, r)
-		}
-	}
-	// Valid elapsed still divides, and the result is always finite and
-	// non-NaN — the contract downstream renderers (Prometheus text,
-	// JSON) rely on.
-	if r := c.RatePer(4); r != 25 {
-		t.Errorf("RatePer(4) = %v, want 25", r)
-	}
-	if r := c.RatePer(math.Inf(1)); r != 0 {
-		t.Errorf("RatePer(+Inf) = %v, want 0", r)
-	}
-	var zero Counter
-	if r := zero.RatePer(2); r != 0 {
-		t.Errorf("zero counter RatePer(2) = %v, want 0", r)
 	}
 }

@@ -310,11 +310,13 @@ func TestSenderRowPinnedDuringDelivery(t *testing.T) {
 		rx = append(rx, r)
 	}
 	other := m.NewRadio("other", geo.Pt(300, 300), 1, 15)
-	var short *Transmission
+	// The short frame is known by its Seq: its record is recycled when
+	// its delivery ends, and a later frame may reuse it.
+	var shortSeq uint64
 	for _, r := range rx {
 		r := r
 		r.OnReceive = func(rc Receipt) {
-			if rc.Tx != short {
+			if rc.Tx.Seq != shortSeq {
 				return
 			}
 			got[r]++
@@ -329,10 +331,11 @@ func TestSenderRowPinnedDuringDelivery(t *testing.T) {
 	if _, err := m.Transmit(src, 8000, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	var err error
-	if short, err = m.Transmit(src, 800, Rates[0], nil); err != nil {
+	short, err := m.Transmit(src, 800, Rates[0], nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	shortSeq = short.Seq
 	k.Run()
 	for i, r := range rx {
 		if got[r] != 1 {

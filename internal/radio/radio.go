@@ -179,7 +179,10 @@ func ChannelOverlap(a, b int) float64 {
 	return 0
 }
 
-// Transmission is one frame in flight on the medium.
+// Transmission is one frame in flight on the medium. Transmissions are
+// pooled on their Medium: a *Transmission, whether returned by Transmit
+// or carried in a Receipt, is valid only until the delivery of that
+// frame ends, and the record is then reused for a later frame.
 type Transmission struct {
 	Seq     uint64
 	Src     *Radio
@@ -289,6 +292,8 @@ func (t *Transmission) Payload() any { return t.payload }
 func (t *Transmission) Airtime() sim.Time { return t.End - t.Start }
 
 // Receipt describes the outcome of a transmission at one receiver.
+// Tx is valid only while OnReceive runs: a handler that needs the
+// frame's fields or payload later copies them.
 type Receipt struct {
 	Tx      *Transmission
 	RSSIdBm float64
@@ -462,9 +467,11 @@ type Medium struct {
 	active []*Transmission
 
 	// ledgerFree recycles interference ledgers across transmissions;
-	// ledgerEpoch stamps each tenancy (see ledger).
+	// ledgerEpoch stamps each tenancy (see ledger). txFree recycles the
+	// Transmission records themselves once their delivery has ended.
 	ledgerFree  []*ledger
 	ledgerEpoch uint64
+	txFree      []*Transmission
 
 	// geoGen versions everything a hearer row or a carrier-sense memo
 	// depends on besides the set of frames in the air: every actual
@@ -1002,7 +1009,9 @@ var ErrZeroBits = errors.New("radio: transmission must carry at least one bit")
 // Transmit puts a frame on the air from r. The frame occupies the medium
 // for bits/rate seconds; when it ends, the OnReceive of every other
 // radio in r's hearing range fires with a Receipt, in ascending radio-ID
-// order. The payload is carried opaquely.
+// order. The payload is carried opaquely; it is dropped when the
+// delivery ends. The returned Transmission is valid only until then:
+// the medium recycles it for a later frame.
 func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmission, error) {
 	if bits <= 0 {
 		return nil, ErrZeroBits
@@ -1013,7 +1022,14 @@ func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmis
 	airSeconds := float64(bits) / (rate.Mbps * 1e6)
 	now := m.kernel.Now()
 	m.seq++
-	tx := &Transmission{
+	var tx *Transmission
+	if n := len(m.txFree); n > 0 {
+		tx = m.txFree[n-1]
+		m.txFree = m.txFree[:n-1]
+	} else {
+		tx = &Transmission{}
+	}
+	*tx = Transmission{
 		Seq:     m.seq,
 		Src:     r,
 		Bits:    bits,
@@ -1124,8 +1140,11 @@ func (m *Medium) finish(tx *Transmission) {
 	src.rowPins--
 	// The ledger is no longer needed: recordInterference only targets
 	// active transmissions, and delivery above has consumed every cell.
+	// Nothing holds the record past its delivery, so it is recycled too,
+	// without pinning its payload or sender.
 	m.ledgerFree = append(m.ledgerFree, tx.led)
-	tx.led = nil
+	tx.led, tx.payload, tx.Src = nil, nil, nil
+	m.txFree = append(m.txFree, tx)
 }
 
 // ActiveTransmissions returns the number of frames currently in the air.

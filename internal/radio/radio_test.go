@@ -65,8 +65,16 @@ func TestTransmitDelivers(t *testing.T) {
 	k, m := newMedium(1)
 	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
 	b := m.NewRadio("b", geo.Pt(5, 0), 6, 15)
+	// Receipt.Tx is valid only during OnReceive, so the handler checks
+	// the transmission and its payload there and keeps the rest.
 	var got []Receipt
-	b.OnReceive = func(r Receipt) { got = append(got, r) }
+	var tx *Transmission
+	b.OnReceive = func(r Receipt) {
+		if r.Tx != tx || r.Tx.Payload() != "hello" {
+			t.Error("wrong transmission or payload")
+		}
+		got = append(got, r)
+	}
 	tx, err := m.Transmit(a, 8000, PickRate(m.SNRAtDBm(a, b)), "hello")
 	if err != nil {
 		t.Fatal(err)
@@ -75,12 +83,8 @@ func TestTransmitDelivers(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("receipts = %d, want 1", len(got))
 	}
-	r := got[0]
-	if !r.OK {
+	if r := got[0]; !r.OK {
 		t.Fatalf("close-range frame not decoded: SINR=%v", r.SINRdB())
-	}
-	if r.Tx != tx || r.Tx.Payload() != "hello" {
-		t.Fatal("wrong transmission or payload")
 	}
 	if m.Delivered != 1 || m.Lost != 0 || m.Sent != 1 {
 		t.Fatalf("stats = sent %d delivered %d lost %d", m.Sent, m.Delivered, m.Lost)

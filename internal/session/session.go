@@ -189,13 +189,18 @@ func (m *Manager) armIdleTimer() {
 	if limit <= 0 {
 		limit = DefaultIdleLimit
 	}
-	m.idleTimer = m.kernel.Schedule(limit, "session.idle", func() {
-		if m.owner == "" {
-			return
-		}
-		m.Reclamations++
-		m.end(Reclaimed)
-	})
+	m.idleTimer = m.kernel.ScheduleFn(limit, "session.idle", sessionIdle, m)
+}
+
+// sessionIdle is the ScheduleFn trampoline for the idle timer: it
+// reclaims the session from a holder that went quiet.
+func sessionIdle(a any) {
+	m := a.(*Manager)
+	if m.owner == "" {
+		return
+	}
+	m.Reclamations++
+	m.end(Reclaimed)
 }
 
 // end terminates the current session and hands it to the next waiter.
