@@ -16,64 +16,11 @@ import (
 	"os"
 
 	"aroma/internal/core"
-	"aroma/internal/device"
-	"aroma/internal/env"
-	"aroma/internal/geo"
-	"aroma/internal/radio"
+	"aroma/internal/experiments"
 	"aroma/internal/sim"
 	"aroma/internal/trace"
 	"aroma/internal/user"
 )
-
-func buildSystem(k *sim.Kernel, fac user.Faculties) *core.System {
-	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 30, 20))
-	e := env.New(k, plan)
-	med := radio.NewMedium(k, e)
-	sys := &core.System{Name: "smart-projector", Env: e, Medium: med}
-
-	sys.AddDevice(&core.DeviceEntity{
-		Name: "laptop", Pos: geo.Pt(5, 10), Spec: device.LaptopSpec(),
-		Radio:           med.NewRadio("laptop", geo.Pt(5, 10), 6, 15),
-		AppState:        map[string]string{"vnc.running": "true"},
-		OperatingRangeM: 0.8,
-		Purpose: core.DesignPurpose{
-			Description:  "presentation laptop",
-			Capabilities: map[string]float64{"present-slides": 0.9},
-			AssumedSkill: 0.3,
-		},
-	})
-	sys.AddDevice(&core.DeviceEntity{
-		Name: "projector", Pos: geo.Pt(25, 10), Spec: device.AromaAdapterSpec(),
-		Radio:    med.NewRadio("projector", geo.Pt(25, 10), 6, 15),
-		AppState: map[string]string{"projecting": "true", "projection.owner": "alice"},
-		Purpose: core.DesignPurpose{
-			Description:  "research vehicle to measure service discovery",
-			Capabilities: map[string]float64{"remote-projection": 0.8, "remote-control": 0.8, "zero-config": 0.2},
-			AssumedSkill: 0.9,
-		},
-	})
-	sys.AddDevice(&core.DeviceEntity{
-		Name: "lookup", Pos: geo.Pt(15, 18), Spec: device.AromaAdapterSpec(),
-		Radio: med.NewRadio("lookup", geo.Pt(15, 18), 6, 15),
-		Purpose: core.DesignPurpose{
-			Description:  "Jini lookup service",
-			Capabilities: map[string]float64{"service-discovery": 0.9},
-			AssumedSkill: 0.9,
-		},
-	})
-	sys.Links = []core.Link{{A: "laptop", B: "projector"}, {A: "laptop", B: "lookup"}, {A: "projector", B: "lookup"}}
-
-	alice := user.New(k, "alice", fac)
-	alice.Pos = geo.Pt(5, 10.5)
-	alice.Goals = []user.Goal{
-		{Name: "make the presentation", Needs: []string{"remote-projection"}, Importance: 3},
-		{Name: "zero setup", Needs: []string{"zero-config"}, Importance: 2},
-	}
-	alice.Mental.Believe("projecting", "true")
-	alice.Mental.Believe("projection.owner", "alice")
-	sys.AddUser(&core.UserEntity{U: alice, Operates: []string{"laptop", "projector"}})
-	return sys
-}
 
 func main() {
 	audience := flag.String("audience", "researcher", "user audience: researcher or casual")
@@ -119,7 +66,7 @@ func main() {
 	}
 
 	k := sim.New(1)
-	sys := buildSystem(k, fac)
+	sys := experiments.SmartProjectorSystem(k, fac, true)
 	cfg := core.DefaultConfig()
 	cfg.UserColumn = *userColumn
 	report := core.Analyze(sys, cfg)

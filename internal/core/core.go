@@ -130,8 +130,6 @@ type DeviceEntity struct {
 
 	// Spec is the resource layer (Mem/Sto/Exe/UI/Net classes).
 	Spec device.Spec
-	// Live, optional: a running device for load-dependent checks.
-	Live *device.Device
 	// Radio, optional: the physical network interface.
 	Radio *radio.Radio
 	// AppState is the abstract layer: the application's exported state
@@ -427,13 +425,9 @@ func checkResource(s *System, cfg Config, r *Report) {
 						"no common language: device %v, user %v", ui.Languages, ue.U.Faculties.Languages)
 				}
 			}
-			var lat = ui.BaseLatency
-			if d.Live != nil {
-				lat = d.Live.UILatency()
-			}
-			if lat > ue.U.Faculties.PatienceLimit {
+			if ui.BaseLatency > ue.U.Faculties.PatienceLimit {
 				add(r, Resource, trace.Violation, ue.U.Name+"->"+d.Name,
-					"UI latency %v exceeds user patience %v", lat, ue.U.Faculties.PatienceLimit)
+					"UI latency %v exceeds user patience %v", ui.BaseLatency, ue.U.Faculties.PatienceLimit)
 			}
 			if d.Purpose.AssumedSkill > ue.U.Faculties.TechSkill+1e-9 {
 				add(r, Resource, trace.Violation, ue.U.Name+"->"+d.Name,

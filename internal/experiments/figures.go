@@ -14,9 +14,11 @@ import (
 	"aroma/internal/user"
 )
 
-// smartProjectorSystem builds the paper's analysis scenario as an LPC
-// System: presenter + laptop + smart projector + lookup, in a lab.
-func smartProjectorSystem(k *sim.Kernel, fac user.Faculties, beliefsMatch bool) *core.System {
+// SmartProjectorSystem builds the paper's analysis scenario as an LPC
+// System: presenter + laptop + smart projector + lookup, in a lab. With
+// beliefsMatch false the projector's exported state contradicts the
+// presenter's mental model.
+func SmartProjectorSystem(k *sim.Kernel, fac user.Faculties, beliefsMatch bool) *core.System {
 	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 30, 20))
 	e := env.New(k, plan)
 	med := radio.NewMedium(k, e)
@@ -86,7 +88,7 @@ func F1(seed int64) *Result {
 	r.Tables = append(r.Tables, inv)
 
 	k := sim.New(seed)
-	sys := smartProjectorSystem(k, user.CasualFaculties(), true)
+	sys := SmartProjectorSystem(k, user.CasualFaculties(), true)
 	full := core.Analyze(sys, core.DefaultConfig())
 	ablated := core.Analyze(sys, core.Config{UserColumn: false})
 
@@ -223,8 +225,8 @@ func F4(seed int64) *Result {
 	r.AddNote("%s", core.RenderFigureForLayer(core.Abstract))
 
 	k := sim.New(seed)
-	consistent := smartProjectorSystem(k, user.ResearcherFaculties(), true)
-	diverged := smartProjectorSystem(k, user.ResearcherFaculties(), false)
+	consistent := SmartProjectorSystem(k, user.ResearcherFaculties(), true)
+	diverged := SmartProjectorSystem(k, user.ResearcherFaculties(), false)
 
 	repC := core.Analyze(consistent, core.DefaultConfig())
 	repD := core.Analyze(diverged, core.DefaultConfig())

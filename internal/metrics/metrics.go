@@ -1,7 +1,7 @@
 // Package metrics provides the statistics and text-rendering utilities the
-// experiment harness uses: streaming summaries, histograms, and
-// fixed-width ASCII tables and series for reproducing the paper's figures
-// as terminal output.
+// experiment harness uses: streaming summaries, and fixed-width ASCII
+// tables and series for reproducing the paper's figures as terminal
+// output.
 package metrics
 
 import (
@@ -72,54 +72,6 @@ func (s *Summary) CI95() float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g [%.4g, %.4g] (n=%d)", s.Mean(), s.CI95(), s.Min(), s.Max(), s.n)
 }
-
-// Histogram counts observations into equal-width buckets over [lo, hi).
-// Observations outside the range land in the under/overflow counters.
-type Histogram struct {
-	lo, hi      float64
-	buckets     []int
-	under, over int
-	n           int
-}
-
-// NewHistogram creates a histogram with nbuckets equal-width buckets
-// spanning [lo, hi). It panics if nbuckets <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets <= 0 || hi <= lo {
-		panic("metrics: invalid histogram parameters")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, nbuckets)}
-}
-
-// Observe adds one observation. NaN counts as over the range: it is
-// below no bucket bound.
-func (h *Histogram) Observe(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case !(x < h.hi):
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i >= len(h.buckets) { // float edge case at hi
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// N returns the total number of observations including out-of-range ones.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
 
 // Table renders rows with aligned fixed-width columns, suitable for the
 // experiment output that mirrors the paper's (qualitative) tables.

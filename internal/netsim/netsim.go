@@ -118,21 +118,17 @@ type Node struct {
 	reqHandlers map[Port]RequestHandler
 	groups      map[Group]bool
 
-	reassembly map[reasmKey]*reasmState
+	reassembly map[Addr]*reasmState // by source
 	pending    map[uint64]*pendingCall
 
 	// MTU is the fragmentation threshold in payload bytes.
 	MTU int
 }
 
-type reasmKey struct {
-	src   Addr
-	msgID uint64
-}
-
 // reasmState counts the distinct fragments of a message that have
 // arrived; seen has one bit per fragment index.
 type reasmState struct {
+	msgID uint64
 	seen  []uint64
 	have  int
 	total int
@@ -156,7 +152,7 @@ func (n *Network) NewNode(name string, st *mac.Station) *Node {
 		handlers:    make(map[Port]Handler),
 		reqHandlers: make(map[Port]RequestHandler),
 		groups:      make(map[Group]bool),
-		reassembly:  make(map[reasmKey]*reasmState),
+		reassembly:  make(map[Addr]*reasmState),
 		pending:     make(map[uint64]*pendingCall),
 		MTU:         DefaultMTU,
 	}
@@ -337,15 +333,20 @@ func (nd *Node) onFrame(f mac.Frame) {
 // reassemble counts the distinct fragments of a message; once every
 // one has arrived it returns the message, which each fragment carries
 // whole, and true. Duplicate and out-of-range fragments are ignored.
+//
+// A node keeps at most one partial message per source. A station sends
+// its frames from one FIFO queue, so two messages' fragments never
+// interleave at a receiver: a fragment of a new message from a source
+// means the previous one lost a fragment and can never complete, and
+// it is dropped.
 func (nd *Node) reassemble(p packet) ([]byte, bool) {
 	if p.FragCnt <= 1 {
 		return p.Data, true
 	}
-	key := reasmKey{src: p.Src, msgID: p.MsgID}
-	st := nd.reassembly[key]
-	if st == nil {
-		st = &reasmState{seen: make([]uint64, (p.FragCnt+63)/64), total: p.FragCnt}
-		nd.reassembly[key] = st
+	st := nd.reassembly[p.Src]
+	if st == nil || st.msgID != p.MsgID {
+		st = &reasmState{msgID: p.MsgID, seen: make([]uint64, (p.FragCnt+63)/64), total: p.FragCnt}
+		nd.reassembly[p.Src] = st
 	}
 	if p.FragIdx < 0 || p.FragIdx >= st.total {
 		return nil, false
@@ -359,6 +360,6 @@ func (nd *Node) reassemble(p packet) ([]byte, bool) {
 	if st.have < st.total {
 		return nil, false
 	}
-	delete(nd.reassembly, key)
+	delete(nd.reassembly, p.Src)
 	return p.Data, true
 }

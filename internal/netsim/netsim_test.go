@@ -306,6 +306,40 @@ func TestReassemblyDuplicateAndOutOfOrderFragments(t *testing.T) {
 	}
 }
 
+// A message that lost a fragment is dropped when the next message from
+// its source begins: the source's MAC queue is FIFO, so the missing
+// fragment can never arrive, and the partial state must not outlive it.
+func TestReassemblyDropsMessageWithLostFragment(t *testing.T) {
+	_, _, nodes := testNet(1, 1)
+	nd := nodes[0]
+	const frags = 4
+	lost := fragments([]byte("lost a fragment"), frags)
+	next := fragments([]byte("arrives whole"), frags)
+	for i := range next {
+		next[i].MsgID = lost[0].MsgID + 1
+	}
+	for _, p := range lost[:frags-1] {
+		if _, ok := nd.reassemble(p); ok {
+			t.Fatal("delivered a message missing a fragment")
+		}
+	}
+	delivered := 0
+	for _, p := range next {
+		if data, ok := nd.reassemble(p); ok {
+			delivered++
+			if string(data) != "arrives whole" {
+				t.Fatalf("delivered %q", data)
+			}
+		}
+	}
+	if delivered != 1 {
+		t.Fatalf("next message delivered %d times, want once", delivered)
+	}
+	if got := nd.net.ExportState().Nodes[0].Reassemblies; len(got) != 0 {
+		t.Fatalf("the incomplete message's reassembly was kept: %+v", got)
+	}
+}
+
 // A multi-fragment multicast reaches every member as the same bytes:
 // the sender's buffer, unchanged.
 func TestFragmentedMulticastSharesPayload(t *testing.T) {

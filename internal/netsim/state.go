@@ -55,19 +55,13 @@ func (n *Network) ExportState() State {
 			ns.PendingCalls = append(ns.PendingCalls, id)
 		}
 		sort.Slice(ns.PendingCalls, func(i, j int) bool { return ns.PendingCalls[i] < ns.PendingCalls[j] })
-		//aroma:ordered export rows are sorted by (Src, MsgID) immediately after the loop
-		for key, rs := range nd.reassembly {
+		//aroma:ordered export rows are sorted by Src immediately after the loop
+		for src, rs := range nd.reassembly {
 			ns.Reassemblies = append(ns.Reassemblies, ReasmState{
-				Src: key.src, MsgID: key.msgID, Have: rs.have, Total: rs.total,
+				Src: src, MsgID: rs.msgID, Have: rs.have, Total: rs.total,
 			})
 		}
-		sort.Slice(ns.Reassemblies, func(i, j int) bool {
-			a, b := &ns.Reassemblies[i], &ns.Reassemblies[j]
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			return a.MsgID < b.MsgID
-		})
+		sort.Slice(ns.Reassemblies, func(i, j int) bool { return ns.Reassemblies[i].Src < ns.Reassemblies[j].Src })
 		st.Nodes = append(st.Nodes, ns)
 	}
 	sort.Slice(st.Nodes, func(i, j int) bool { return st.Nodes[i].Addr < st.Nodes[j].Addr })

@@ -1,6 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestRecordSize pins the pooled event slot at 64 bytes: one callback
+// shape (a function and its argument) and no second callback field.
+// The event queue's compares read two slots each, so a wider record
+// costs every push and pop.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 64 {
+		t.Fatalf("record is %d bytes, want 64", got)
+	}
+}
 
 // TestCancelAfterFireOnRecycledSlot is the stale-handle core case: the
 // handle of a fired event must stay inert even after its pool slot has

@@ -7,8 +7,23 @@ import "sort"
 // (at, seq). It is kept verbatim as the oracle for Kernel's heap-plus-
 // FIFOs queue; heapKernel runs the kernel's event loop on it.
 type heapQueue struct {
-	pool []record
+	pool []heapRecord
 	heap []int32
+}
+
+// heapRecord is heapKernel's event slot. It keeps two callback fields,
+// a closure for Schedule or a function and argument for ScheduleFn
+// (exactly one set), so the oracle does not share Kernel's
+// single-shape dispatch through callClosure.
+type heapRecord struct {
+	at    Time
+	seq   uint64
+	fn    func()
+	fnArg func(any)
+	arg   any
+	label string
+	gen   uint32
+	state uint8
 }
 
 // heapLess orders slots by (at, seq); seq is unique, so the order is
@@ -116,7 +131,7 @@ func (k *heapKernel) alloc(at Time, label string) int32 {
 		slot = k.free[n-1]
 		k.free = k.free[:n-1]
 	} else {
-		k.pool = append(k.pool, record{})
+		k.pool = append(k.pool, heapRecord{})
 		slot = int32(len(k.pool) - 1)
 	}
 	k.seq++

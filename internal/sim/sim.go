@@ -25,10 +25,12 @@
 // values carrying a generation counter, so a stale handle to a recycled
 // slot is inert.
 //
-// Schedule still allocates one closure per call at the caller; hot paths
-// that fire millions of timers should use ScheduleFn, which takes a
-// plain function plus one argument and allocates nothing when the
-// argument is a pointer.
+// Every event has one shape: a plain function and its argument. Schedule
+// stores its closure as the argument of callClosure, which costs the
+// kernel nothing, but the closure itself is one allocation at the
+// caller; hot paths that fire millions of timers should use ScheduleFn
+// with a plain function and a pointer argument, which allocates
+// nothing.
 //
 // The zero value of Kernel is not usable; create one with New.
 package sim
@@ -75,8 +77,7 @@ const (
 type record struct {
 	at    Time
 	seq   uint64
-	fn    func()    // closure path (Schedule)
-	fnArg func(any) // fast path (ScheduleFn); exactly one of fn/fnArg is set
+	fn    func(any) // called with arg when the event fires
 	arg   any
 	label string
 	gen   uint32
@@ -182,7 +183,7 @@ func (k *Kernel) alloc(at Time, label string) int32 {
 // pin dead closures or arguments.
 func (k *Kernel) release(slot int32) {
 	r := &k.pool[slot]
-	r.fn, r.fnArg, r.arg, r.label = nil, nil, nil, ""
+	r.fn, r.arg, r.label = nil, nil, ""
 	r.state = recFree
 	r.gen++
 	k.free = append(k.free, slot)
@@ -195,13 +196,12 @@ func (k *Kernel) release(slot int32) {
 // The closure is one heap allocation per call; timer-dominated code
 // should prefer ScheduleFn.
 func (k *Kernel) Schedule(d Time, label string, fn func()) Event {
-	if d < 0 {
-		d = 0
-	}
-	slot := k.alloc(k.now+d, label)
-	k.pool[slot].fn = fn
-	return Event{k: k, slot: slot, gen: k.pool[slot].gen}
+	return k.ScheduleFn(d, label, callClosure, fn)
 }
+
+// callClosure is the ScheduleFn callback behind Schedule. A func value
+// stored in an any does not allocate.
+func callClosure(f any) { f.(func())() }
 
 // ScheduleFn queues fn(arg) to run after delay d. It is the
 // allocation-free fast path: fn is a plain function value (not a
@@ -213,7 +213,7 @@ func (k *Kernel) ScheduleFn(d Time, label string, fn func(any), arg any) Event {
 	}
 	slot := k.alloc(k.now+d, label)
 	r := &k.pool[slot]
-	r.fnArg, r.arg = fn, arg
+	r.fn, r.arg = fn, arg
 	return Event{k: k, slot: slot, gen: r.gen}
 }
 
@@ -233,7 +233,7 @@ func (k *Kernel) Cancel(e Event) bool {
 		return false
 	}
 	r.state = recCancelled
-	r.fn, r.fnArg, r.arg = nil, nil, nil
+	r.fn, r.arg = nil, nil
 	k.live--
 	k.cancels++
 	return true
@@ -259,15 +259,11 @@ func (k *Kernel) fire(slot int32) {
 	r := &k.pool[slot]
 	k.popNext()
 	k.now = r.at
-	fn, fnArg, arg := r.fn, r.fnArg, r.arg
+	fn, arg := r.fn, r.arg
 	k.live--
 	k.release(slot) // before the callback: it may schedule into this slot
 	k.steps++
-	if fnArg != nil {
-		fnArg(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 }
 
 // Step executes the single earliest pending event and advances the clock to

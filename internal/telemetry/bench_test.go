@@ -6,21 +6,16 @@ import (
 )
 
 // BenchmarkTelemetryHotPath pins the zero-allocation contract on the
-// sim-plane update path: a counter increment, a gauge store, and a
-// histogram observation are array writes through dense-slot handles —
-// no maps, no interface boxing, no allocation. The benchgate baseline
-// gates allocs/op at 0.
+// sim-plane update path: a counter increment is an array write through
+// a dense-slot handle — no maps, no interface boxing, no allocation.
+// The benchgate baseline gates allocs/op at 0.
 func BenchmarkTelemetryHotPath(b *testing.B) {
 	r := New()
 	c := r.Counter("bench.events_total")
-	g := r.Gauge("bench.depth")
-	h := r.Histogram("bench.lat", 0, 100, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-		g.Set(float64(i))
-		h.Observe(float64(i % 100))
 	}
 	if c.Value() != uint64(b.N) {
 		b.Fatalf("counter = %d, want %d", c.Value(), b.N)
@@ -32,14 +27,10 @@ func BenchmarkTelemetryHotPath(b *testing.B) {
 // reduce to a nil check. Also alloc-gated at 0.
 func BenchmarkTelemetryDisabledHotPath(b *testing.B) {
 	var c Counter
-	var g Gauge
-	var h Histogram
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-		g.Set(float64(i))
-		h.Observe(float64(i % 100))
 	}
 }
 
@@ -59,9 +50,9 @@ func BenchmarkTelemetrySample(b *testing.B) {
 }
 
 // BenchmarkTelemetryPrometheus measures one steady-state scrape of a
-// world-sized registry (48 labelled instruments of every kind) under a
-// world label: the cached skeleton is reused, values are formatted into
-// the reused buffer, and the scrape allocates nothing.
+// world-sized registry (44 instruments of every kind, most labelled)
+// under a world label: the cached skeleton is reused, values are
+// formatted into the reused buffer, and the scrape allocates nothing.
 // TestHotPathZeroAllocs gates it at exactly 0.
 func BenchmarkTelemetryPrometheus(b *testing.B) {
 	r, c := promRegistry()
@@ -79,21 +70,22 @@ func BenchmarkTelemetryPrometheus(b *testing.B) {
 	}
 }
 
-// sampleRegistry is 16 counters and 16 gauges, each with a label.
+// sampleRegistry is 16 counters and 16 gauge funcs, each with a label.
 func sampleRegistry() *Registry {
 	r := New()
 	for i := 0; i < 16; i++ {
 		r.Counter("bench.c_total", L("i", string(rune('a'+i))))
 	}
 	for i := 0; i < 16; i++ {
-		r.Gauge("bench.g", L("i", string(rune('a'+i))))
+		v := float64(i)
+		r.GaugeFunc("bench.g", func() float64 { return v }, L("i", string(rune('a'+i))))
 	}
 	return r
 }
 
-// promRegistry is a world-sized registry: 48 instruments across every
-// kind, most of them labelled, with non-integral values and histogram
-// buckets in play. It returns one counter for callers to move.
+// promRegistry is a world-sized registry: 44 instruments across every
+// kind, most of them labelled, with non-integral values in play. It
+// returns one counter for callers to move.
 func promRegistry() (*Registry, Counter) {
 	r := New()
 	var c Counter
@@ -102,7 +94,8 @@ func promRegistry() (*Registry, Counter) {
 		c.Add(uint64(i) * 1000)
 	}
 	for i := 0; i < 12; i++ {
-		r.Gauge("mac.queue_depth", L("queue", string(rune('a'+i)))).Set(float64(i) + 0.25)
+		v := float64(i) + 0.25
+		r.GaugeFunc("mac.queue_depth", func() float64 { return v }, L("queue", string(rune('a'+i))))
 	}
 	for i := 0; i < 8; i++ {
 		v := uint64(i) << 40
@@ -111,12 +104,6 @@ func promRegistry() (*Registry, Counter) {
 	for i := 0; i < 6; i++ {
 		v := float64(i) / 3
 		r.GaugeFunc("lease.load", func() float64 { return v }, L("pool", string(rune('a'+i))))
-	}
-	for i := 0; i < 4; i++ {
-		h := r.Histogram("radio.snr_db", 0, 40, 8, L("band", string(rune('a'+i))))
-		for x := -5.0; x < 45; x += 2.5 {
-			h.Observe(x)
-		}
 	}
 	r.HostCounter("host.sse_dropped_total").Add(7)
 	r.HostCounter("host.world_failures_total")

@@ -16,10 +16,7 @@ type InstrumentSnapshot struct {
 	Kind   string            `json:"kind"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  float64           `json:"value"`
-	// Count carries the observation count for histograms (Value is
-	// then the histogram N).
-	Count  int64   `json:"count,omitempty"`
-	Series []Point `json:"series,omitempty"`
+	Series []Point           `json:"series,omitempty"`
 }
 
 // Snapshot is a registry's full exported state. Instruments are sorted
@@ -48,9 +45,6 @@ func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 			for _, l := range in.labels {
 				is.Labels[l.Key] = l.Value
 			}
-		}
-		if in.kind == kindHistogram {
-			is.Count = int64(in.hist.N())
 		}
 		if n := len(in.series.pts); n > 0 {
 			// Zero-copy. The series appends past n, which the snapshot
@@ -120,11 +114,10 @@ func escapeLabel(v string) string {
 // renderLabels renders the merged, key-sorted label set as {k="v",...},
 // or "" when there are no labels. Values are escaped once and put in
 // double quotes.
-func renderLabels(labels []Label, common []Label, extra ...Label) string {
-	merged := make([]Label, 0, len(labels)+len(common)+len(extra))
+func renderLabels(labels []Label, common []Label) string {
+	merged := make([]Label, 0, len(labels)+len(common))
 	merged = append(merged, common...)
 	merged = append(merged, labels...)
-	merged = append(merged, extra...)
 	if len(merged) == 0 {
 		return ""
 	}
@@ -167,13 +160,10 @@ type promSkeleton struct {
 }
 
 // promSample is one exposition line. Its static text ends at text[end];
-// its value is in's scalar (a histogram's N, for the +Inf bucket and
-// _count), or for a finite histogram bucket the cumulative count up to
-// that bucket.
+// its value is in's scalar.
 type promSample struct {
-	end    int
-	in     *instrument
-	bucket int // finite histogram bucket index, else -1
+	end int
+	in  *instrument
 }
 
 // promLine is one line of the skeleton before sorting.
@@ -182,34 +172,16 @@ type promLine struct {
 	typ    string // counter | gauge
 	labels string // rendered {..} including braces, "" when no labels
 	in     *instrument
-	bucket int // finite histogram bucket index, else -1
 }
 
 func (p *promSkeleton) build(insts []*instrument, common []Label) {
-	lines := make([]promLine, 0, len(insts)+8)
+	lines := make([]promLine, 0, len(insts))
 	for _, in := range insts {
-		pn := promName(in.name)
-		switch in.kind {
-		case kindCounter, kindCounterFunc, kindHostCounter:
-			lines = append(lines, promLine{pn, "counter", renderLabels(in.labels, common), in, -1})
-		case kindGauge, kindGaugeFunc:
-			lines = append(lines, promLine{pn, "gauge", renderLabels(in.labels, common), in, -1})
-		case kindHistogram:
-			// Histogram series (_bucket/_count) share one conceptual
-			// family but render as separate metric names typed as
-			// counters: a cumulative pair is valid for any Prometheus
-			// server, while a true "histogram" TYPE would require the
-			// un-suffixed family name.
-			n := in.hist.NumBuckets()
-			width := (in.hi - in.lo) / float64(n)
-			for i := 0; i < n; i++ {
-				le := L("le", string(appendValue(nil, in.lo+float64(i+1)*width)))
-				lines = append(lines, promLine{pn + "_bucket", "counter", renderLabels(in.labels, common, le), in, i})
-			}
-			lines = append(lines,
-				promLine{pn + "_bucket", "counter", renderLabels(in.labels, common, L("le", "+Inf")), in, -1},
-				promLine{pn + "_count", "counter", renderLabels(in.labels, common), in, -1})
+		typ := "counter"
+		if in.kind == kindGaugeFunc {
+			typ = "gauge"
 		}
+		lines = append(lines, promLine{promName(in.name), typ, renderLabels(in.labels, common), in})
 	}
 	// Stable output: sort by metric name then labels, and emit one
 	// # TYPE comment per metric name group.
@@ -233,7 +205,7 @@ func (p *promSkeleton) build(insts []*instrument, common []Label) {
 		text = append(text, ln.metric...)
 		text = append(text, ln.labels...)
 		text = append(text, ' ')
-		samples = append(samples, promSample{end: len(text), in: ln.in, bucket: ln.bucket})
+		samples = append(samples, promSample{end: len(text), in: ln.in})
 	}
 	p.text, p.samples = text, samples
 	p.n = len(insts)
@@ -274,15 +246,7 @@ func (r *Registry) render(common []Label) []byte {
 	for _, sm := range p.samples {
 		b = append(b, p.text[start:sm.end]...)
 		start = sm.end
-		if sm.bucket >= 0 {
-			cum, _ := sm.in.hist.OutOfRange() // observations below lo are <= every bound
-			for i := 0; i <= sm.bucket; i++ {
-				cum += sm.in.hist.Bucket(i)
-			}
-			b = appendValue(b, float64(cum))
-		} else {
-			b = appendValue(b, r.scalar(sm.in))
-		}
+		b = appendValue(b, r.scalar(sm.in))
 		b = append(b, '\n')
 	}
 	return b

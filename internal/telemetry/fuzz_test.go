@@ -23,8 +23,6 @@ func (in *fuzzTape) next() byte {
 // Operation codes of the fuzz tape; each reads its own arguments.
 const (
 	opCounter    = iota // name, labels
-	opGauge             // name, labels
-	opHistogram         // name, labels, lo, width, buckets
 	opCounterFn         // name, labels
 	opGaugeFn           // name, labels
 	opHost              // name, labels
@@ -52,11 +50,10 @@ const (
 )
 
 // Names collide across kinds on purpose: instruments share Prometheus
-// metric groups, and histogram sub-series sort among plain metrics.
+// metric groups, and a name that is another's prefix sorts beside it.
 var (
 	counterNames = [...]string{"a.x_total", "radio.frames_total", "h.lat_bucket_total"}
 	gaugeNames   = [...]string{"a.x", "a.x_total", "h.lat_bucket", "z.depth"}
-	histNames    = [...]string{"h.lat", "a.x"}
 	labelKeys    = [...]string{"kind", "world", "le", "a"}
 	labelValues  = [...]string{"", "x", "1", `back\slash`, `q"uote`, "new\nline", "é", "2"}
 	commonSets   = [][]Label{
@@ -82,8 +79,6 @@ type refHarness struct {
 	r        *Registry
 	refs     []*refSeries // parallel to r.insts; nil for unsampled kinds
 	counters []Counter
-	gauges   []Gauge
-	hists    []Histogram
 	hosts    []*HostCounter
 	cfns     []*uint64
 	gfns     []*float64
@@ -126,18 +121,6 @@ func (h *refHarness) register(in *fuzzTape, op byte) {
 	case opCounter:
 		if name, ls, ok := pick(counterNames[:]); ok {
 			h.counters = append(h.counters, h.r.Counter(name, ls...))
-		}
-	case opGauge:
-		if name, ls, ok := pick(gaugeNames[:]); ok {
-			h.gauges = append(h.gauges, h.r.Gauge(name, ls...))
-		}
-	case opHistogram:
-		name, ls, ok := pick(histNames[:])
-		lo := float64(int(in.next())-128) / 4
-		width := float64(in.next()%40+1) / 2
-		nb := int(in.next()%6) + 1
-		if ok {
-			h.hists = append(h.hists, h.r.Histogram(name, lo, lo+width, nb, ls...))
 		}
 	case opCounterFn:
 		if name, ls, ok := pick(counterNames[:]); ok {
@@ -183,35 +166,22 @@ func (h *refHarness) update(in *fuzzTape) {
 	target := int(in.next())
 	v := fuzzValues[int(in.next())%len(fuzzValues)]
 	n := fuzzCounts[int(in.next())%len(fuzzCounts)]
-	switch target % 6 {
+	switch target % 4 {
 	case 0:
 		if len(h.counters) > 0 {
-			h.counters[target/6%len(h.counters)].Add(n)
+			h.counters[target/4%len(h.counters)].Add(n)
 		}
 	case 1:
-		if len(h.gauges) > 0 {
-			g := h.gauges[target/6%len(h.gauges)]
-			if target&1 == 0 {
-				g.Set(v)
-			} else {
-				g.Add(v)
-			}
+		if len(h.cfns) > 0 {
+			*h.cfns[target/4%len(h.cfns)] += n
 		}
 	case 2:
-		if len(h.hists) > 0 {
-			h.hists[target/6%len(h.hists)].Observe(v)
+		if len(h.gfns) > 0 {
+			*h.gfns[target/4%len(h.gfns)] = v
 		}
 	case 3:
-		if len(h.cfns) > 0 {
-			*h.cfns[target/6%len(h.cfns)] += n
-		}
-	case 4:
-		if len(h.gfns) > 0 {
-			*h.gfns[target/6%len(h.gfns)] = v
-		}
-	case 5:
 		if len(h.hosts) > 0 {
-			h.hosts[target/6%len(h.hosts)].Add(n)
+			h.hosts[target/4%len(h.hosts)].Add(n)
 		}
 	}
 }
@@ -302,15 +272,14 @@ func FuzzTelemetryMatchesReference(f *testing.F) {
 	// samples) with a snapshot shared across the first two.
 	f.Add([]byte{
 		opCounter, 0, 1, 0, 3,
-		opGauge, 1, 1, 1, 4,
+		opGaugeFn, 1, 1, 1, 4,
 		opCounterFn, 1, 0,
-		opHistogram, 0, 1, 0, 5, 120, 10, 3,
 		opReserve, 40, 40,
-		opUpdate, 0, 0, 3, opUpdate, 1, 9, 0, opUpdate, 3, 0, 6, opUpdate, 2, 3, 0,
+		opUpdate, 0, 0, 3, opUpdate, 2, 9, 0, opUpdate, 1, 0, 6,
 		opSampleMany, 40,
 		opSnapshot,
 		opSampleMany, 30,
-		opUpdate, 7, 6, 0,
+		opUpdate, 6, 6, 0,
 		opScrape, 1,
 		opSampleMany, 70,
 		opScrape, 3,
@@ -321,8 +290,8 @@ func FuzzTelemetryMatchesReference(f *testing.F) {
 		opCounter, 1, 0,
 		opSample,
 		opScrape, 1,
-		opGauge, 3, 2, 2, 5, 0, 0,
-		opUpdate, 1, 3, 0,
+		opGaugeFn, 3, 2, 2, 5, 0, 0,
+		opUpdate, 2, 3, 0,
 		opSample,
 		opScrape, 1,
 		opHost, 0, 1, 3, 6,

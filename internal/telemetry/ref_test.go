@@ -47,7 +47,7 @@ func (s *refSeries) add(t int64, v float64) {
 // for # TYPE comments.
 type refPromLine struct {
 	metric string // prometheus metric name
-	typ    string // counter | gauge | histogram
+	typ    string // counter | gauge
 	labels string // rendered {..} including braces, "" when no labels
 	value  string
 }
@@ -56,11 +56,10 @@ type refPromLine struct {
 // backslash, double quote and newline, nothing else.
 var refLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-func refRenderLabels(labels []Label, common []Label, extra ...Label) string {
-	merged := make([]Label, 0, len(labels)+len(common)+len(extra))
+func refRenderLabels(labels []Label, common []Label) string {
+	merged := make([]Label, 0, len(labels)+len(common))
 	merged = append(merged, common...)
 	merged = append(merged, labels...)
-	merged = append(merged, extra...)
 	if len(merged) == 0 {
 		return ""
 	}
@@ -94,22 +93,8 @@ func refWritePrometheus(r *Registry, w io.Writer, common ...Label) error {
 		switch in.kind {
 		case kindCounter, kindCounterFunc, kindHostCounter:
 			lines = append(lines, refPromLine{pn, "counter", refRenderLabels(in.labels, common), refFormatValue(r.scalar(in))})
-		case kindGauge, kindGaugeFunc:
+		case kindGaugeFunc:
 			lines = append(lines, refPromLine{pn, "gauge", refRenderLabels(in.labels, common), refFormatValue(r.scalar(in))})
-		case kindHistogram:
-			h := in.hist
-			n := h.NumBuckets()
-			width := (in.hi - in.lo) / float64(n)
-			under, _ := h.OutOfRange()
-			cum := under // observations below lo are <= every bound
-			for i := 0; i < n; i++ {
-				cum += h.Bucket(i)
-				le := L("le", refFormatValue(in.lo+float64(i+1)*width))
-				lines = append(lines, refPromLine{pn + "_bucket", "histogram", refRenderLabels(in.labels, common, le), refFormatValue(float64(cum))})
-			}
-			lines = append(lines,
-				refPromLine{pn + "_bucket", "histogram", refRenderLabels(in.labels, common, L("le", "+Inf")), refFormatValue(float64(h.N()))},
-				refPromLine{pn + "_count", "histogram", refRenderLabels(in.labels, common), refFormatValue(float64(h.N()))})
 		}
 	}
 	// Stable output: sort by metric name then labels, and emit one
@@ -124,7 +109,7 @@ func refWritePrometheus(r *Registry, w io.Writer, common ...Label) error {
 	prev := ""
 	for _, ln := range lines {
 		if ln.metric != prev {
-			fmt.Fprintf(&b, "# TYPE %s %s\n", ln.metric, refTypeFor(ln))
+			fmt.Fprintf(&b, "# TYPE %s %s\n", ln.metric, ln.typ)
 			prev = ln.metric
 		}
 		b.WriteString(ln.metric)
@@ -135,12 +120,4 @@ func refWritePrometheus(r *Registry, w io.Writer, common ...Label) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// refTypeFor maps histogram sub-series to scrapable primitive types.
-func refTypeFor(ln refPromLine) string {
-	if ln.typ == "histogram" {
-		return "counter"
-	}
-	return ln.typ
 }

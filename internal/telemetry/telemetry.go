@@ -7,13 +7,12 @@
 // Instruments live on exactly one of two planes, and the plane decides
 // every contract that matters:
 //
-//   - Sim-plane instruments (Counter, Gauge, Histogram, CounterFunc,
-//     GaugeFunc) describe the simulated system — frames sent, backoffs,
-//     pool occupancy. They are updated and read on the kernel goroutine
-//     only, advance only with virtual time, and are sampled into
-//     deterministic sim-time series by a kernel-driven sampler. Two runs
-//     of the same seed produce bit-identical sim-plane values and
-//     series.
+//   - Sim-plane instruments (Counter, CounterFunc, GaugeFunc) describe
+//     the simulated system — frames sent, backoffs, pool occupancy. They
+//     are updated and read on the kernel goroutine only, advance only
+//     with virtual time, and are sampled into deterministic sim-time
+//     series by a kernel-driven sampler. Two runs of the same seed
+//     produce bit-identical sim-plane values and series.
 //   - Host-plane instruments (HostCounter) describe the machine running
 //     the simulation — SSE drops, world failures. They are atomics,
 //     safe from any goroutine, and are never sampled into sim-time
@@ -26,10 +25,10 @@
 //
 // # Hot-path discipline
 //
-// Counter/Gauge/Histogram handles are dense-slot references into the
-// registry's backing arrays: an update is one bounds-checked array
-// write, no map lookups and no allocations (BenchmarkTelemetryHotPath
-// gates 0 allocs/op). The zero-value handle is inert, so model code
+// Counter handles are dense-slot references into the registry's
+// backing array: an update is one bounds-checked array write, no map
+// lookups and no allocations (BenchmarkTelemetryHotPath gates 0
+// allocs/op). The zero-value handle is inert, so model code
 // updates unconditionally and worlds without telemetry pay only a nil
 // check. Stats that substrates already keep as plain fields are read
 // lazily through CounterFunc/GaugeFunc at sample/export time instead of
@@ -62,8 +61,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"aroma/internal/metrics"
 )
 
 // maxPoints bounds every sim-time series. When a series fills, it is
@@ -85,8 +82,6 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
-	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
 	kindHostCounter
@@ -96,10 +91,8 @@ func (k kind) String() string {
 	switch k {
 	case kindCounter, kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	case kindHostCounter:
 		return "host_counter"
 	}
@@ -109,7 +102,7 @@ func (k kind) String() string {
 // sampled reports whether the kind is recorded into sim-time series.
 func (k kind) sampled() bool {
 	switch k {
-	case kindCounter, kindGauge, kindCounterFunc, kindGaugeFunc:
+	case kindCounter, kindCounterFunc, kindGaugeFunc:
 		return true
 	}
 	return false
@@ -161,31 +154,11 @@ type instrument struct {
 	name   string
 	labels []Label // sorted by key
 	kind   kind
-	slot   uint32             // counters/gauges: index into the dense arrays
-	hist   *metrics.Histogram // kindHistogram
-	lo, hi float64            // histogram bounds (for bucket export)
-	cfn    func() uint64      // kindCounterFunc
-	gfn    func() float64     // kindGaugeFunc
+	slot   uint32         // kindCounter: index into the dense array
+	cfn    func() uint64  // kindCounterFunc
+	gfn    func() float64 // kindGaugeFunc
 	hc     *HostCounter
 	series series
-}
-
-// value returns the instrument's current scalar value. Sim-plane kinds
-// must be read on the kernel goroutine; host kinds are atomic.
-func (in *instrument) value() float64 {
-	switch in.kind {
-	case kindCounter:
-		return 0 // resolved by Registry (needs the dense array)
-	case kindHistogram:
-		return float64(in.hist.N())
-	case kindCounterFunc:
-		return float64(in.cfn())
-	case kindGaugeFunc:
-		return in.gfn()
-	case kindHostCounter:
-		return float64(in.hc.Load())
-	}
-	return 0
 }
 
 // Registry is a per-world instrument registry.
@@ -200,7 +173,6 @@ func (in *instrument) value() float64 {
 // goroutines, so a mutex guards them.
 type Registry struct {
 	counters []uint64
-	gauges   []float64
 	insts    []*instrument
 	names    map[string]bool // identity keys, duplicate registration guard
 	reserve  int             // point capacity of every sampled series (Reserve)
@@ -284,28 +256,6 @@ func (r *Registry) Counter(name string, labels ...Label) Counter {
 	return Counter{r: r, slot: slot}
 }
 
-// Gauge registers a sim-plane gauge and returns its update handle.
-// Production code registers gauges as GaugeFunc; the handle kind is
-// kept for the exposition oracle.
-//
-//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
-func (r *Registry) Gauge(name string, labels ...Label) Gauge {
-	slot := uint32(len(r.gauges))
-	r.gauges = append(r.gauges, 0)
-	r.register(&instrument{name: name, labels: labels, kind: kindGauge, slot: slot})
-	return Gauge{r: r, slot: slot}
-}
-
-// Histogram registers a sim-plane histogram with nbuckets equal-width
-// buckets over [lo, hi) and returns its update handle.
-//
-//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
-func (r *Registry) Histogram(name string, lo, hi float64, nbuckets int, labels ...Label) Histogram {
-	h := metrics.NewHistogram(lo, hi, nbuckets)
-	r.register(&instrument{name: name, labels: labels, kind: kindHistogram, hist: h, lo: lo, hi: hi})
-	return Histogram{h: h}
-}
-
 // CounterFunc registers a sim-plane counter whose value is read from fn
 // at sample and export time. Use it for stats a substrate already keeps
 // as a plain field — the hot path pays nothing. fn runs on the kernel
@@ -342,16 +292,20 @@ func (r *Registry) Sample(atNanos int64) {
 	}
 }
 
-// scalar resolves an instrument's current value including the
-// dense-array kinds the instrument itself cannot reach.
+// scalar returns an instrument's current value. Sim-plane kinds must be
+// read on the kernel goroutine; host kinds are atomic.
 func (r *Registry) scalar(in *instrument) float64 {
 	switch in.kind {
 	case kindCounter:
 		return float64(r.counters[in.slot])
-	case kindGauge:
-		return r.gauges[in.slot]
+	case kindCounterFunc:
+		return float64(in.cfn())
+	case kindGaugeFunc:
+		return in.gfn()
+	case kindHostCounter:
+		return float64(in.hc.Load())
 	}
-	return in.value()
+	return 0
 }
 
 // Counter is a dense-slot handle to a sim-plane counter. The zero value
@@ -366,52 +320,6 @@ type Counter struct {
 func (c Counter) Inc() {
 	if c.r != nil {
 		c.r.counters[c.slot]++
-	}
-}
-
-// Gauge is a dense-slot handle to a sim-plane gauge. The zero value is
-// inert.
-//
-//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
-type Gauge struct {
-	r    *Registry
-	slot uint32
-}
-
-// Set replaces the gauge value.
-func (g Gauge) Set(v float64) {
-	if g.r != nil {
-		g.r.gauges[g.slot] = v
-	}
-}
-
-// Add adjusts the gauge by d (negative to decrease).
-func (g Gauge) Add(d float64) {
-	if g.r != nil {
-		g.r.gauges[g.slot] += d
-	}
-}
-
-// Value returns the current gauge value (0 for the zero handle).
-func (g Gauge) Value() float64 {
-	if g.r == nil {
-		return 0
-	}
-	return g.r.gauges[g.slot]
-}
-
-// Histogram is a handle to a sim-plane histogram. The zero value is
-// inert.
-//
-//aroma:kept instrument kind the exposition oracle fuzz target (FuzzTelemetryMatchesReference) renders
-type Histogram struct {
-	h *metrics.Histogram
-}
-
-// Observe records one observation.
-func (h Histogram) Observe(x float64) {
-	if h.h != nil {
-		h.h.Observe(x)
 	}
 }
 

@@ -8,45 +8,26 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeHistogramBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("kernel.steps_total")
-	g := r.Gauge("kernel.pending")
-	h := r.Histogram("radio.snr_db", 0, 40, 8)
-
 	c.Inc()
 	c.Add(4)
-	g.Set(3)
-	g.Add(-1)
-	h.Observe(10)
-	h.Observe(50) // overflow
-
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	if g.Value() != 2 {
-		t.Fatalf("gauge = %g, want 2", g.Value())
 	}
 	snap := r.Snapshot(0)
 	if v, ok := snap.Value("kernel.steps_total"); !ok || v != 5 {
 		t.Fatalf("snapshot counter = %g ok=%v", v, ok)
 	}
-	if v, ok := snap.Value("radio.snr_db"); !ok || v != 2 {
-		t.Fatalf("snapshot histogram N = %g ok=%v", v, ok)
-	}
 }
 
 func TestZeroValueHandlesAreInert(t *testing.T) {
 	var c Counter
-	var g Gauge
-	var h Histogram
 	c.Inc()
 	c.Add(7)
-	g.Set(1)
-	g.Add(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatalf("zero handles mutated state: %d %g", c.Value(), g.Value())
+	if c.Value() != 0 {
+		t.Fatalf("zero handle mutated state: %d", c.Value())
 	}
 	var hc *HostCounter
 	hc.Inc()
@@ -172,8 +153,9 @@ func TestSeriesDecimationIsDeterministicAndBounded(t *testing.T) {
 
 func TestSnapshotJSONAndOrdering(t *testing.T) {
 	r := New()
-	r.Gauge("b.depth", L("queue", "1"))
-	r.Gauge("b.depth", L("queue", "0"))
+	depth := func() float64 { return 0 }
+	r.GaugeFunc("b.depth", depth, L("queue", "1"))
+	r.GaugeFunc("b.depth", depth, L("queue", "0"))
 	r.Counter("a.n_total")
 	snap := r.Snapshot(42)
 	if snap.At != 42 {
@@ -198,12 +180,8 @@ func TestWritePrometheus(t *testing.T) {
 	r := New()
 	c := r.Counter("kernel.steps_total")
 	c.Add(7)
-	g := r.Gauge("radio.active")
-	g.Set(2.5)
+	r.GaugeFunc("radio.active", func() float64 { return 2.5 })
 	r.Counter("fault.injected_total", L("kind", "jam"))
-	h := r.Histogram("mac.backoff_slots", 0, 8, 4)
-	h.Observe(1)
-	h.Observe(9) // over
 	hc := r.HostCounter("host.sse_dropped_total")
 	hc.Add(3)
 
@@ -217,8 +195,6 @@ func TestWritePrometheus(t *testing.T) {
 		`aroma_kernel_steps_total{world="w1"} 7`,
 		`aroma_radio_active{world="w1"} 2.5`,
 		`aroma_fault_injected_total{kind="jam",world="w1"} 0`,
-		`aroma_mac_backoff_slots_bucket{le="+Inf",world="w1"} 2`,
-		`aroma_mac_backoff_slots_count{world="w1"} 2`,
 		`aroma_host_sse_dropped_total{world="w1"} 3`,
 	} {
 		if !strings.Contains(out, want) {
@@ -232,31 +208,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if out != b2.String() {
 		t.Fatalf("prometheus output not stable across renders")
-	}
-}
-
-func TestHistogramBucketsCumulative(t *testing.T) {
-	r := New()
-	h := r.Histogram("x.lat", 0, 4, 4)
-	for _, v := range []float64{-1, 0.5, 1.5, 1.6, 3.9, 10} {
-		h.Observe(v)
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`aroma_x_lat_bucket{le="1"} 2`,    // underflow + 0.5
-		`aroma_x_lat_bucket{le="2"} 4`,    // + 1.5, 1.6
-		`aroma_x_lat_bucket{le="3"} 4`,    //
-		`aroma_x_lat_bucket{le="4"} 5`,    // + 3.9
-		`aroma_x_lat_bucket{le="+Inf"} 6`, // + overflow
-		`aroma_x_lat_count 6`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
 	}
 }
 
@@ -304,7 +255,7 @@ func TestReserveSizesSeriesOnce(t *testing.T) {
 	r.Counter("k.a_total")
 	r.HostCounter("host.x_total")
 	r.Reserve(10)
-	r.Gauge("k.late")
+	r.GaugeFunc("k.late", func() float64 { return 0 })
 	for _, in := range r.insts {
 		want := 10
 		if !in.kind.sampled() {
@@ -378,20 +329,10 @@ func scrapeString(t *testing.T, r *Registry) string {
 func TestHotPathZeroAllocs(t *testing.T) {
 	r := New()
 	c := r.Counter("hot.events_total")
-	g := r.Gauge("hot.depth")
-	h := r.Histogram("hot.lat", 0, 100, 32)
 	var zc Counter
-	var zg Gauge
-	var zh Histogram
-	i := 0.0
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Set(i)
-		h.Observe(i)
 		zc.Inc()
-		zg.Set(i)
-		zh.Observe(i)
-		i++
 	}); n != 0 {
 		t.Fatalf("hot-path allocs/op = %v, want 0", n)
 	}
