@@ -88,7 +88,7 @@ func main() {
 // chaos smoke drives the panic-isolation and supervisor-resurrection
 // paths through it over plain HTTP.
 func registerChaosBomb() {
-	scenario.RegisterWorld("chaosbomb", "chaos drill: panics out of a kernel event at t=10s",
+	scenario.Register("chaosbomb", "chaos drill: panics out of a kernel event at t=10s",
 		func(cfg scenario.Config) (*scenario.Built, error) {
 			w := aroma.NewWorld(aroma.WithName("chaos"), aroma.WithSeed(cfg.SeedOr(1)))
 			w.AddDevice("dev", aroma.Pt(1, 1), aroma.WithSpec(aroma.AdapterSpec()))

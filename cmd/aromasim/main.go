@@ -100,12 +100,9 @@ func main() {
 }
 
 // writeMetrics writes the run's telemetry snapshot as indented JSON.
-// Func-registered scenarios have no world to instrument; asking for
-// their metrics is an error rather than a silently empty file.
+// Every scenario is a world, so a run with Config.Metrics set always
+// carries a snapshot.
 func writeMetrics(path string, res *scenario.Result) error {
-	if res.Telemetry == nil {
-		return fmt.Errorf("aromasim: scenario %s produced no telemetry (only world-registered scenarios are instrumented)", res.Name)
-	}
 	data, err := json.MarshalIndent(res.Telemetry, "", "  ")
 	if err != nil {
 		return err

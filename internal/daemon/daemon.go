@@ -389,7 +389,6 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		out = append(out, client.ScenarioInfo{
 			Name:        sc.Name,
 			Description: sc.Description,
-			Buildable:   scenario.Buildable(sc.Name),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -401,7 +400,7 @@ func (s *Server) handleCreateWorld(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Scenario == "" {
-		writeErr(w, http.StatusBadRequest, "scenario is required (buildable: %v)", scenario.BuildableNames())
+		writeErr(w, http.StatusBadRequest, "scenario is required (registered: %v)", scenario.Names())
 		return
 	}
 	// The build runs on the HTTP goroutine: the world is not hosted yet,

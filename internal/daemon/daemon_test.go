@@ -31,9 +31,12 @@ func newDaemon(t *testing.T) *client.Client {
 	return c
 }
 
+// Every listed scenario can be hosted: the daemon builds a world for
+// each one at t=0.
 func TestScenarioListing(t *testing.T) {
 	c := newDaemon(t)
-	infos, err := c.Scenarios(context.Background())
+	ctx := context.Background()
+	infos, err := c.Scenarios(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +44,13 @@ func TestScenarioListing(t *testing.T) {
 		t.Fatal("no scenarios listed")
 	}
 	for _, si := range infos {
-		if !si.Buildable {
-			t.Errorf("scenario %q not buildable — it cannot be hosted", si.Name)
+		wi, err := c.CreateWorld(ctx, client.CreateWorldRequest{Scenario: si.Name})
+		if err != nil {
+			t.Errorf("scenario %q cannot be hosted: %v", si.Name, err)
+			continue
+		}
+		if wi.Scenario != si.Name || wi.Now != 0 {
+			t.Errorf("world for %q: scenario %q at %v, want a fresh world", si.Name, wi.Scenario, wi.Now)
 		}
 	}
 }

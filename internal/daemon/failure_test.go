@@ -17,7 +17,7 @@ import (
 // event at t=10s — the daemon-side stand-in for a model bug corrupting
 // a hosted world mid-run.
 func init() {
-	scenario.RegisterWorld("panicbomb", "test scenario that panics mid-run",
+	scenario.Register("panicbomb", "test scenario that panics mid-run",
 		func(cfg scenario.Config) (*scenario.Built, error) {
 			w := aroma.NewWorld(aroma.WithName("bomb"), aroma.WithSeed(cfg.SeedOr(1)))
 			w.AddDevice("dev", aroma.Pt(1, 1), aroma.WithSpec(aroma.AdapterSpec()))

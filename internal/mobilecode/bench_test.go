@@ -7,7 +7,7 @@ func BenchmarkVMFibLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vm := NewVM(nil, 1<<20)
+	vm := NewVM(1 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -16,22 +16,6 @@ func BenchmarkVMFibLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = res.Top()
-	}
-}
-
-func BenchmarkVMSyscall(b *testing.B) {
-	p, err := Assemble("sys", "func main:\n\tpush 1\n\tpush 1\n\tsys \"noop\"\n\thalt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	host := HostFunc(func(string, []int64) ([]int64, error) { return nil, nil })
-	vm := NewVM(host, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vm.Run(p, "main"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -48,9 +48,3 @@ func Disassemble(p *Program) string {
 	}
 	return b.String()
 }
-
-// HostFunc adapts a function to the Host interface.
-type HostFunc func(name string, args []int64) ([]int64, error)
-
-// Syscall implements Host.
-func (f HostFunc) Syscall(name string, args []int64) ([]int64, error) { return f(name, args) }

@@ -6,8 +6,7 @@
 //
 // It plays the role Java bytecode and Jini downloadable proxies play in
 // the Aroma prototype: a service registers a proxy program with the
-// lookup service; clients download the proxy and run it locally, with
-// host syscalls bridging back to the client's network stack.
+// lookup service; clients download the proxy and run it locally.
 //
 // Safety properties (the reason information appliances can run code that
 // arrives over the air):
@@ -15,7 +14,8 @@
 //   - fuel-metered execution — runaway or malicious code halts with
 //     ErrOutOfFuel rather than hanging the appliance,
 //   - bounded stack and memory,
-//   - no host access except through the explicit Host syscall interface.
+//   - no host access: OpSys stays in the instruction set and the wire
+//     format, but every syscall faults with ErrNoHost.
 package mobilecode
 
 import (
@@ -56,8 +56,8 @@ const (
 	OpStore // pop into local slot Arg
 	OpCall  // call function at Arg; return address pushed on call stack
 	OpRet   // return to caller (or halt if at top frame)
-	OpSys   // syscall: Arg is the const-pool index of the name; stack top
-	//         holds argc, below it argc arguments (deepest first)
+	OpSys   // syscall: Arg is the const-pool index of the name; always
+	//         faults with ErrNoHost
 	numOps
 )
 
@@ -138,13 +138,6 @@ const (
 	DefaultFuel  = 100_000
 )
 
-// Host provides the controlled gateway from mobile code to the appliance.
-type Host interface {
-	// Syscall is invoked for OpSys with the resolved name and popped
-	// arguments; its results are pushed back (deepest first).
-	Syscall(name string, args []int64) ([]int64, error)
-}
-
 // Errors reported by the VM.
 var (
 	ErrOutOfFuel      = errors.New("mobilecode: out of fuel")
@@ -173,17 +166,15 @@ func (r Result) Top() int64 {
 
 // VM executes programs. The zero value is not usable; create with NewVM.
 type VM struct {
-	host Host
 	fuel int64
 }
 
-// NewVM creates a VM with the given host (may be nil if the program makes
-// no syscalls) and fuel budget (DefaultFuel if <= 0).
-func NewVM(host Host, fuel int64) *VM {
+// NewVM creates a VM with the given fuel budget (DefaultFuel if <= 0).
+func NewVM(fuel int64) *VM {
 	if fuel <= 0 {
 		fuel = DefaultFuel
 	}
-	return &VM{host: host, fuel: fuel}
+	return &VM{fuel: fuel}
 }
 
 // Run executes the entry point with the given arguments pre-pushed
@@ -351,33 +342,7 @@ func (v *VM) Run(p *Program, entry string, args ...int64) (Result, error) {
 			pc = callStack[len(callStack)-1]
 			callStack = callStack[:len(callStack)-1]
 		case OpSys:
-			if v.host == nil {
-				err = ErrNoHost
-				break
-			}
-			name := p.Consts[in.Arg]
-			var argc int64
-			if argc, err = pop(); err != nil {
-				break
-			}
-			if argc < 0 || argc > int64(len(stack)) {
-				err = ErrStackUnderflow
-				break
-			}
-			sysArgs := make([]int64, argc)
-			copy(sysArgs, stack[len(stack)-int(argc):])
-			stack = stack[:len(stack)-int(argc)]
-			var results []int64
-			results, err = v.host.Syscall(name, sysArgs)
-			if err != nil {
-				err = fmt.Errorf("mobilecode: syscall %q: %w", name, err)
-				break
-			}
-			for _, r := range results {
-				if err = push(r); err != nil {
-					break
-				}
-			}
+			err = ErrNoHost
 		default:
 			err = fmt.Errorf("mobilecode: unimplemented opcode %v", in.Op)
 		}

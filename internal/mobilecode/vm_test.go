@@ -2,7 +2,7 @@ package mobilecode
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -19,7 +19,7 @@ func mustAssemble(t *testing.T, src string) *Program {
 func run(t *testing.T, src, entry string, args ...int64) Result {
 	t.Helper()
 	p := mustAssemble(t, src)
-	res, err := NewVM(nil, 0).Run(p, entry, args...)
+	res, err := NewVM(0).Run(p, entry, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func dec:
 	sub
 	ret`
 	p := mustAssemble(t, src)
-	vm := NewVM(nil, 0)
+	vm := NewVM(0)
 	r1, err := vm.Run(p, "inc", 10)
 	if err != nil || r1.Top() != 11 {
 		t.Fatalf("inc: %v %d", err, r1.Top())
@@ -160,7 +160,7 @@ func dec:
 
 func TestOutOfFuel(t *testing.T) {
 	p := mustAssemble(t, "loop:\n\tjmp loop")
-	_, err := NewVM(nil, 1000).Run(p, "main")
+	_, err := NewVM(1000).Run(p, "main")
 	if !errors.Is(err, ErrOutOfFuel) {
 		t.Fatalf("err = %v", err)
 	}
@@ -168,7 +168,7 @@ func TestOutOfFuel(t *testing.T) {
 
 func TestFuelAccounting(t *testing.T) {
 	p := mustAssemble(t, "push 1\npush 2\nadd\nhalt")
-	res, err := NewVM(nil, 0).Run(p, "main")
+	res, err := NewVM(0).Run(p, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +179,18 @@ func TestFuelAccounting(t *testing.T) {
 
 func TestDivByZero(t *testing.T) {
 	p := mustAssemble(t, "push 1\npush 0\ndiv\nhalt")
-	if _, err := NewVM(nil, 0).Run(p, "main"); !errors.Is(err, ErrDivByZero) {
+	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrDivByZero) {
 		t.Fatalf("err = %v", err)
 	}
 	p = mustAssemble(t, "push 1\npush 0\nmod\nhalt")
-	if _, err := NewVM(nil, 0).Run(p, "main"); !errors.Is(err, ErrDivByZero) {
+	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrDivByZero) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestStackUnderflow(t *testing.T) {
 	p := mustAssemble(t, "add\nhalt")
-	if _, err := NewVM(nil, 0).Run(p, "main"); !errors.Is(err, ErrStackUnderflow) {
+	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrStackUnderflow) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -201,7 +201,7 @@ loop:
 	push 1
 	jmp loop`
 	p := mustAssemble(t, src)
-	if _, err := NewVM(nil, 1<<20).Run(p, "main"); !errors.Is(err, ErrStackOverflow) {
+	if _, err := NewVM(1<<20).Run(p, "main"); !errors.Is(err, ErrStackOverflow) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -211,7 +211,7 @@ func TestCallDepthLimit(t *testing.T) {
 func main:
 	call main`
 	p := mustAssemble(t, src)
-	if _, err := NewVM(nil, 1<<20).Run(p, "main"); !errors.Is(err, ErrCallDepth) {
+	if _, err := NewVM(1<<20).Run(p, "main"); !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -225,45 +225,38 @@ func main:
 	sys "math.add"
 	halt`
 	p := mustAssemble(t, src)
-	host := HostFunc(func(name string, args []int64) ([]int64, error) {
-		if name != "math.add" {
-			return nil, fmt.Errorf("unknown syscall %q", name)
-		}
-		sum := int64(0)
-		for _, a := range args {
-			sum += a
-		}
-		return []int64{sum}, nil
-	})
-	res, err := NewVM(host, 0).Run(p, "main")
-	if err != nil {
-		t.Fatal(err)
+	// The VM has no host: the syscall faults before it pops anything.
+	res, err := NewVM(0).Run(p, "main")
+	if !errors.Is(err, ErrNoHost) {
+		t.Fatalf("err = %v", err)
 	}
-	if res.Top() != 42 {
-		t.Fatalf("top = %d", res.Top())
+	if want := []int64{7, 35, 2}; !slices.Equal(res.Stack, want) {
+		t.Fatalf("stack = %v, want %v", res.Stack, want)
 	}
 }
 
 func TestSyscallWithoutHost(t *testing.T) {
 	p := mustAssemble(t, "push 0\nsys \"x\"\nhalt")
-	if _, err := NewVM(nil, 0).Run(p, "main"); !errors.Is(err, ErrNoHost) {
+	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrNoHost) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// A syscall fault ends the run: nothing after the sys executes.
 func TestSyscallError(t *testing.T) {
-	p := mustAssemble(t, "push 0\nsys \"boom\"\nhalt")
-	host := HostFunc(func(string, []int64) ([]int64, error) {
-		return nil, errors.New("kaboom")
-	})
-	if _, err := NewVM(host, 0).Run(p, "main"); err == nil {
-		t.Fatal("syscall error swallowed")
+	p := mustAssemble(t, "push 0\nsys \"boom\"\npush 9\nhalt")
+	res, err := NewVM(0).Run(p, "main")
+	if !errors.Is(err, ErrNoHost) {
+		t.Fatalf("err = %v", err)
+	}
+	if res.Top() == 9 {
+		t.Fatal("run continued past a faulted syscall")
 	}
 }
 
 func TestRunOffEndHalts(t *testing.T) {
 	p := mustAssemble(t, "push 3")
-	res, err := NewVM(nil, 0).Run(p, "main")
+	res, err := NewVM(0).Run(p, "main")
 	if err != nil || res.Top() != 3 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -274,7 +267,7 @@ func TestValidateRejectsBadJump(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("bad jump accepted")
 	}
-	if _, err := NewVM(nil, 0).Run(p, "main"); !errors.Is(err, ErrBadProgram) {
+	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrBadProgram) {
 		t.Fatalf("Run err = %v", err)
 	}
 }

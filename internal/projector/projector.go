@@ -570,7 +570,7 @@ func (pr *Presenter) ReleaseControl(done func(error)) {
 func (pr *Presenter) Command(cmd int, done func(error)) {
 	if pr.proxy != nil {
 		pr.ProxyValidations++
-		res, err := mobilecode.NewVM(nil, 0).Run(pr.proxy, "validate", int64(cmd))
+		res, err := mobilecode.NewVM(0).Run(pr.proxy, "validate", int64(cmd))
 		if err == nil && res.Top() == 0 {
 			pr.RoundTripsSaved++
 			if done != nil {

@@ -6,12 +6,12 @@
 // and seeded generator decide everything. A snapshot therefore needs
 // two things: the recipe (aroma.Provenance — scenario, config, fork
 // lineage) and a canonical export of the world's state at the snapshot
-// instant. Restore replays the recipe — rebuild, re-apply each fork at
-// its recorded instant, run to the snapshot time — and then proves the
-// replay by comparing the replayed world's exported state and digest
-// byte-for-byte against the snapshot's. A mismatch means the model has
-// lost determinism, and Restore fails loudly rather than hand back a
-// silently divergent world.
+// instant. RestoreBuilt replays the recipe — rebuild, re-apply each
+// fork at its recorded instant, run to the snapshot time — and then
+// proves the replay by comparing the replayed world's exported state and
+// digest byte-for-byte against the snapshot's. A mismatch means the
+// model has lost determinism, and RestoreBuilt fails loudly rather than
+// hand back a silently divergent world.
 //
 // Replay is what makes the closure wall tractable: pending kernel
 // events hold Go closures (beacon tickers, MAC timers, RPC
@@ -20,11 +20,11 @@
 // event's (at, seq, label), is compared to prove it — without ever
 // representing a closure on disk.
 //
-// The determinism contract for restore: for any world-registered
-// scenario, any seed, and any snapshot instant, Restore(Snapshot(w))
-// yields a world whose digest trajectory from that instant on is
-// bit-identical to the original's. The round-trip suite enforces this
-// for every registered scenario at multiple seeds.
+// The determinism contract for restore: for any registered scenario,
+// any seed, and any snapshot instant, RestoreBuilt(Snapshot(w)) yields a
+// world whose digest trajectory from that instant on is bit-identical
+// to the original's. The round-trip suite enforces this for every
+// registered scenario at multiple seeds.
 package checkpoint
 
 import (
@@ -59,7 +59,7 @@ type Image struct {
 func Snapshot(w *aroma.World) ([]byte, error) {
 	prov, ok := w.Provenance()
 	if !ok {
-		return nil, fmt.Errorf("checkpoint: world %q has no provenance (build it through scenario.Build / RegisterWorld)", w.Name())
+		return nil, fmt.Errorf("checkpoint: world %q has no provenance (build it through scenario.Build)", w.Name())
 	}
 	w.RunUntil(w.Now()) // close the instant
 	img := Image{
@@ -88,19 +88,9 @@ func Decode(data []byte) (*Image, error) {
 	return &img, nil
 }
 
-// Restore rebuilds the snapshotted world and proves the rebuild: the
-// replayed world's digest and exported state must match the snapshot
-// byte-for-byte. See RestoreBuilt for access to the scenario's horizon
-// and finish hook.
-func Restore(data []byte) (*aroma.World, error) {
-	b, err := RestoreBuilt(data)
-	if err != nil {
-		return nil, err
-	}
-	return b.World, nil
-}
-
-// RestoreBuilt is Restore returning the full scenario.Built, so callers
+// RestoreBuilt rebuilds the snapshotted world and proves the rebuild:
+// the replayed world's digest and exported state must match the
+// snapshot byte-for-byte. It returns the full scenario.Built, so callers
 // can keep driving the world to its horizon and compute its end-of-run
 // Result.
 func RestoreBuilt(data []byte) (*scenario.Built, error) {
@@ -118,20 +108,11 @@ func RestoreBuilt(data []byte) (*scenario.Built, error) {
 	return b, nil
 }
 
-// Fork restores the snapshot into a new world and restarts its random
-// stream with seed at the snapshot instant, recording the fork in the
-// world's provenance (so the fork itself is snapshottable). Forks with
-// distinct seeds diverge from here on; forks with equal seeds remain
-// bit-identical.
-func Fork(data []byte, seed int64) (*aroma.World, error) {
-	b, err := ForkBuilt(data, seed)
-	if err != nil {
-		return nil, err
-	}
-	return b.World, nil
-}
-
-// ForkBuilt is Fork returning the full scenario.Built.
+// ForkBuilt restores the snapshot into a new world and restarts its
+// random stream with seed at the snapshot instant, recording the fork in
+// the world's provenance (so the fork itself is snapshottable). Forks
+// with distinct seeds diverge from here on; forks with equal seeds
+// remain bit-identical.
 func ForkBuilt(data []byte, seed int64) (*scenario.Built, error) {
 	b, err := RestoreBuilt(data)
 	if err != nil {

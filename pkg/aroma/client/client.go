@@ -27,9 +27,6 @@ import (
 type ScenarioInfo struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`
-	// Buildable reports whether the scenario is world-registered — only
-	// buildable scenarios can be hosted, snapshotted, and forked.
-	Buildable bool `json:"buildable"`
 }
 
 // WorldInfo is the daemon's view of one hosted world.
@@ -60,7 +57,7 @@ type WorldInfo struct {
 type CreateWorldRequest struct {
 	// ID names the world; empty means the daemon assigns one.
 	ID string `json:"id,omitempty"`
-	// Scenario is a world-registered scenario name.
+	// Scenario is a registered scenario name.
 	Scenario string `json:"scenario"`
 	// Seed, Horizon, Verbose, Params form the scenario.Config.
 	Seed    int64             `json:"seed,omitempty"`
@@ -309,7 +306,7 @@ func (c *Client) Snapshots(ctx context.Context) ([]SnapshotInfo, error) {
 
 // SnapshotData downloads a stored snapshot's raw bytes — the same
 // format pkg/aroma/checkpoint reads, so an in-process
-// checkpoint.Restore of these bytes reproduces the daemon's world.
+// checkpoint.RestoreBuilt of these bytes reproduces the daemon's world.
 func (c *Client) SnapshotData(ctx context.Context, name string) ([]byte, error) {
 	var out json.RawMessage
 	err := c.do(ctx, http.MethodGet, "/v1/snapshots/"+url.PathEscape(name), nil, &out)

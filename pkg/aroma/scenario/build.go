@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"aroma/internal/fault"
 	"aroma/internal/sim"
@@ -36,30 +35,6 @@ type Built struct {
 // running it.
 type BuildFunc func(cfg Config) (*Built, error)
 
-var builders = make(map[string]BuildFunc)
-
-// RegisterWorld registers a scenario in build/finish form: build
-// assembles the world and schedules its whole workload; the returned
-// Built's Finish computes the result once the caller has driven the
-// world. RegisterWorld also derives and registers the classic Func form
-// (build, run to horizon, finish), so a world-registered scenario is
-// indistinguishable from a Func-registered one to every existing
-// caller. Only world-registered scenarios are snapshottable.
-func RegisterWorld(name, description string, build BuildFunc) {
-	if build == nil {
-		panic("scenario: nil builder for " + name)
-	}
-	Register(name, description, func(cfg Config) (*Result, error) {
-		b, err := Build(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		b.World.RunUntil(b.Horizon)
-		return b.Result(), nil
-	})
-	builders[name] = build
-}
-
 // Result produces the scenario's Result for the world's current state:
 // it runs Finish (if any) and stamps the run counters and digest. It
 // may be called at any point of the run; the digest reflects the state
@@ -80,15 +55,10 @@ func (b *Built) Result() *Result {
 
 // Build assembles the named scenario's world under the Exec contract
 // (nil Out defaults to io.Discard, panics become errors) without
-// running it. It fails for scenarios registered only in Func form —
-// those drive their worlds imperatively and cannot be rebuilt to an
-// arbitrary instant.
+// running it.
 func Build(name string, cfg Config) (b *Built, err error) {
-	build, ok := builders[name]
+	s, ok := registry[name]
 	if !ok {
-		if _, registered := registry[name]; registered {
-			return nil, fmt.Errorf("scenario: %q is not world-registered (no builder; it cannot be snapshotted)", name)
-		}
 		return nil, fmt.Errorf("scenario: unknown scenario %q (registered: %v)", name, Names())
 	}
 	if cfg.Out == nil {
@@ -99,7 +69,7 @@ func Build(name string, cfg Config) (b *Built, err error) {
 			b, err = nil, fmt.Errorf("scenario %s: build panic: %v", name, r)
 		}
 	}()
-	b, err = build(cfg)
+	b, err = s.Build(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", name, err)
 	}
@@ -155,21 +125,4 @@ func (b *Built) EnableTelemetry() *telemetry.Registry {
 		reg.Reserve(int(left / aroma.DefaultTelemetryPeriod))
 	}
 	return reg
-}
-
-// Buildable reports whether the named scenario is world-registered.
-func Buildable(name string) bool {
-	_, ok := builders[name]
-	return ok
-}
-
-// BuildableNames returns the sorted names of world-registered
-// scenarios.
-func BuildableNames() []string {
-	out := make([]string, 0, len(builders))
-	for name := range builders {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

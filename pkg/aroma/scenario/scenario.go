@@ -1,12 +1,15 @@
 // Package scenario is a registry of named, reusable Aroma workloads.
 //
-// A scenario is a function that assembles a world through the pkg/aroma
-// facade, drives it, narrates to cfg.Out, and returns a Result (sim
-// time, event count, and the LPC report when the scenario analyzes one).
-// Registering it by name makes it runnable from anywhere — cmd/aromasim
-// runs any registered scenario by flag and batch-runs them all for
-// comparison tables. The stock scenarios live in pkg/aroma/scenarios;
-// importing that package (usually blank) populates the registry.
+// A scenario is a world builder: it assembles a world through the
+// pkg/aroma facade at virtual time zero, schedules its whole workload,
+// and supplies a Finish hook that narrates to cfg.Out and fills the
+// Result (sim time, event count, and the LPC report when the scenario
+// analyzes one). Registering it by name makes it runnable from anywhere
+// — cmd/aromasim runs any registered scenario by flag and batch-runs
+// them all for comparison tables — and, because the builder rebuilds
+// the world to any instant, snapshottable (pkg/aroma/checkpoint). The
+// stock scenarios live in pkg/aroma/scenarios; importing that package
+// (usually blank) populates the registry.
 package scenario
 
 import (
@@ -49,13 +52,13 @@ type Config struct {
 	// across the replications of a cell; scenarios must not mutate it.
 	Params map[string]string
 	// Metrics, when true, enables the world's telemetry registry and
-	// sim-time sampler (World.EnableTelemetry with the default period) for
-	// world-registered scenarios. Telemetry is pure observation, not
-	// part of the workload: digests are bit-identical
-	// with it on or off, and it is absent from the world's Provenance.
+	// sim-time sampler (World.EnableTelemetry with the default period).
+	// Telemetry is pure observation, not part of the workload: digests
+	// are bit-identical with it on or off, and it is absent from the
+	// world's Provenance.
 	Metrics bool
-	// Faults, when non-empty, arms a deterministic fault plan on
-	// world-registered scenarios (internal/fault grammar, e.g.
+	// Faults, when non-empty, arms a deterministic fault plan on the
+	// scenario's world (internal/fault grammar, e.g.
 	// "crash:at=10s,for=5s;jam:at=15s,for=10s,loss=30"). Unlike
 	// Metrics, faults change what happens in the world — injections
 	// are kernel events and their trace records enter the digest — so
@@ -221,25 +224,28 @@ type Func func(cfg Config) (*Result, error)
 type Scenario struct {
 	Name        string
 	Description string
-	Run         Func
+	Build       BuildFunc
 }
 
 var registry = make(map[string]Scenario)
 
-// Register adds a scenario under a unique name. It panics on an empty
-// name, a nil func, or a duplicate — registration happens in package
-// init, where misuse is a programming error.
-func Register(name, description string, fn Func) {
+// Register adds a scenario under a unique name: build assembles its
+// world and schedules the whole workload; the returned Built's Finish
+// computes the result once the caller has driven the world. Register
+// panics on an empty name, a nil builder, or a duplicate —
+// registration happens in package init, where misuse is a programming
+// error.
+func Register(name, description string, build BuildFunc) {
 	if name == "" {
 		panic("scenario: empty name")
 	}
-	if fn == nil {
-		panic("scenario: nil func for " + name)
+	if build == nil {
+		panic("scenario: nil builder for " + name)
 	}
 	if _, dup := registry[name]; dup {
 		panic("scenario: duplicate registration of " + name)
 	}
-	registry[name] = Scenario{Name: name, Description: description, Run: fn}
+	registry[name] = Scenario{Name: name, Description: description, Build: build}
 }
 
 // Names returns the registered scenario names, sorted.
@@ -267,13 +273,20 @@ func All() []Scenario {
 	return out
 }
 
-// Run executes the named scenario under the Exec contract.
+// Run builds the named scenario, drives its world to the horizon and
+// returns its Result, all under the Exec contract.
 func Run(name string, cfg Config) (*Result, error) {
-	s, ok := Get(name)
-	if !ok {
+	if _, ok := Get(name); !ok {
 		return nil, fmt.Errorf("scenario: unknown scenario %q (registered: %v)", name, Names())
 	}
-	return Exec(name, s.Run, cfg)
+	return Exec(name, func(cfg Config) (*Result, error) {
+		b, err := Build(name, cfg)
+		if err != nil {
+			return nil, err
+		}
+		b.World.RunUntil(b.Horizon)
+		return b.Result(), nil
+	}, cfg)
 }
 
 // Exec runs fn under the registry's run contract, which also covers

@@ -12,12 +12,24 @@ import (
 // Registry state is package-global; tests use distinct names to stay
 // independent of each other and of any registered stock scenarios.
 
+// empty returns a builder for an empty world run to horizon.
+func empty(horizon sim.Time) BuildFunc {
+	return func(cfg Config) (*Built, error) {
+		return &Built{World: aroma.NewWorld(), Horizon: horizon}, nil
+	}
+}
+
 func TestRegisterAndRun(t *testing.T) {
 	var gotCfg Config
-	Register("test-basic", "a test scenario", func(cfg Config) (*Result, error) {
+	Register("test-basic", "a test scenario", func(cfg Config) (*Built, error) {
 		gotCfg = cfg
-		cfg.Println("narrative line")
-		return &Result{SimTime: 3 * sim.Second, Steps: 7}, nil
+		w := aroma.NewWorld()
+		for i := 0; i < 7; i++ {
+			w.Schedule(sim.Time(i)*sim.Millisecond, "tick", func() {})
+		}
+		return &Built{World: w, Horizon: 3 * sim.Second, Finish: func(*Result) {
+			cfg.Println("narrative line")
+		}}, nil
 	})
 
 	var out strings.Builder
@@ -45,10 +57,13 @@ func TestRegisterAndRun(t *testing.T) {
 }
 
 func TestRunHeadless(t *testing.T) {
-	Register("test-headless", "", func(cfg Config) (*Result, error) {
-		// nil Out must have been replaced; printing must not crash.
-		cfg.Printf("discarded %d\n", 1)
-		return nil, nil
+	Register("test-headless", "", func(cfg Config) (*Built, error) {
+		if cfg.Out == nil {
+			t.Error("nil Out was not replaced")
+		}
+		return &Built{World: aroma.NewWorld(), Finish: func(*Result) {
+			cfg.Printf("discarded %d\n", 1)
+		}}, nil
 	})
 	res, err := Run("test-headless", Config{})
 	if err != nil {
@@ -66,7 +81,7 @@ func TestRunUnknown(t *testing.T) {
 }
 
 func TestRunRecoversPanic(t *testing.T) {
-	Register("test-panics", "", func(cfg Config) (*Result, error) {
+	Register("test-panics", "", func(cfg Config) (*Built, error) {
 		panic("must-style assertion failed")
 	})
 	_, err := Run("test-panics", Config{})
@@ -75,9 +90,35 @@ func TestRunRecoversPanic(t *testing.T) {
 	}
 }
 
+// A world that panics out of a kernel event during the run fails only
+// its own Run, with the scenario's name; a concurrent Run of another
+// scenario still succeeds.
+func TestRunRecoversEventPanic(t *testing.T) {
+	Register("test-event-panics", "", func(cfg Config) (*Built, error) {
+		w := aroma.NewWorld()
+		w.Schedule(sim.Second, "detonate", func() { panic("event detonated") })
+		return &Built{World: w, Horizon: 2 * sim.Second}, nil
+	})
+	Register("test-event-calm", "", empty(2*sim.Second))
+
+	calm := make(chan error, 1)
+	go func() {
+		_, err := Run("test-event-calm", Config{})
+		calm <- err
+	}()
+	_, err := Run("test-event-panics", Config{})
+	if err == nil || !strings.HasPrefix(err.Error(), "scenario test-event-panics: panic: ") ||
+		!strings.Contains(err.Error(), "event detonated") {
+		t.Errorf("event panic surfaced as %v", err)
+	}
+	if err := <-calm; err != nil {
+		t.Errorf("concurrent run failed: %v", err)
+	}
+}
+
 func TestRunWrapsError(t *testing.T) {
 	sentinel := errors.New("boom")
-	Register("test-errors", "", func(cfg Config) (*Result, error) {
+	Register("test-errors", "", func(cfg Config) (*Built, error) {
 		return nil, sentinel
 	})
 	_, err := Run("test-errors", Config{})
@@ -87,18 +128,18 @@ func TestRunWrapsError(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	Register("test-dup", "", func(cfg Config) (*Result, error) { return nil, nil })
+	Register("test-dup", "", empty(0))
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate Register should panic")
 		}
 	}()
-	Register("test-dup", "", func(cfg Config) (*Result, error) { return nil, nil })
+	Register("test-dup", "", empty(0))
 }
 
 func TestNamesSorted(t *testing.T) {
-	Register("test-zz", "", func(cfg Config) (*Result, error) { return nil, nil })
-	Register("test-aa", "", func(cfg Config) (*Result, error) { return nil, nil })
+	Register("test-zz", "", empty(0))
+	Register("test-aa", "", empty(0))
 	names := Names()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
@@ -159,9 +200,9 @@ func TestParamAccessors(t *testing.T) {
 }
 
 func TestMalformedParamSurfacesAsRunError(t *testing.T) {
-	Register("test-badparam", "", func(cfg Config) (*Result, error) {
+	Register("test-badparam", "", func(cfg Config) (*Built, error) {
 		cfg.ParamIntOr("radios", 10)
-		return nil, nil
+		return &Built{World: aroma.NewWorld()}, nil
 	})
 	_, err := Run("test-badparam", Config{Params: map[string]string{"radios": "many"}})
 	if err == nil || !strings.Contains(err.Error(), "not an int") {
@@ -170,7 +211,7 @@ func TestMalformedParamSurfacesAsRunError(t *testing.T) {
 }
 
 func TestNonFiniteFloatParamFailsBuild(t *testing.T) {
-	RegisterWorld("test-floatparam", "", func(cfg Config) (*Built, error) {
+	Register("test-floatparam", "", func(cfg Config) (*Built, error) {
 		cfg.ParamFloatOr("side", 500)
 		return &Built{World: aroma.NewWorld()}, nil
 	})
@@ -201,12 +242,15 @@ func TestResultMetric(t *testing.T) {
 // produces — no interleaving, no cross-contamination, nothing written
 // to any shared stream.
 func TestConcurrentRunsDoNotInterleave(t *testing.T) {
-	chatty := func(tag string) Func {
-		return func(cfg Config) (*Result, error) {
+	chatty := func(tag string) BuildFunc {
+		return func(cfg Config) (*Built, error) {
+			w := aroma.NewWorld()
 			for i := 0; i < 500; i++ {
-				cfg.Printf("%s line %d\n", tag, i)
+				w.Schedule(sim.Time(i)*sim.Millisecond, "say", func() {
+					cfg.Printf("%s line %d\n", tag, i)
+				})
 			}
-			return nil, nil
+			return &Built{World: w, Horizon: sim.Second}, nil
 		}
 	}
 	Register("test-chatty-a", "", chatty("alpha"))

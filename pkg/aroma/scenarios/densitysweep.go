@@ -24,7 +24,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("densitysweep",
+	scenario.Register("densitysweep",
 		"hundreds of beaconing radios across the band: PHY density stress at scale",
 		buildDensitySweep)
 }

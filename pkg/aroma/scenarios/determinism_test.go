@@ -54,14 +54,14 @@ func TestEveryScenarioIsSeedReproducible(t *testing.T) {
 }
 
 // TestTelemetryDoesNotPerturbDigests is the telemetry half of the
-// determinism contract: every world-registered scenario, run with and
+// determinism contract: every registered scenario, run with and
 // without the instrument registry and its sim-time sampler, must
 // produce bit-identical digests and step counts. Telemetry is a pure
 // observer — samplers live outside the event queue and instruments
 // read counters the model already keeps — so any divergence here means
 // an instrument leaked into scheduling, RNG, or trace state.
 func TestTelemetryDoesNotPerturbDigests(t *testing.T) {
-	for _, name := range scenario.BuildableNames() {
+	for _, name := range scenario.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{7, 42} {
@@ -152,7 +152,7 @@ func TestGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are amd64 values: other architectures may fuse floating-point operations differently")
 	}
-	names := scenario.BuildableNames()
+	names := scenario.Names()
 	if len(names) != len(goldenDigests) {
 		t.Errorf("golden table covers %d scenarios, registry has %d: %v", len(goldenDigests), len(names), names)
 	}

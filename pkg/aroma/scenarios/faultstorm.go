@@ -35,7 +35,7 @@ const DefaultFaultstormPlan = "crash:at=20s,for=10s,every=25s,n=3;" +
 	"outage:at=75s,for=20s"
 
 func init() {
-	scenario.RegisterWorld("faultstorm",
+	scenario.Register("faultstorm",
 		"discovery world under the deterministic fault plane: crashes, jamming, partition, outage",
 		buildFaultstorm)
 }

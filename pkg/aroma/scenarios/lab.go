@@ -20,7 +20,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("lab",
+	scenario.Register("lab",
 		"the full lab run: announce, register, discover, stream, hijack, reclaim",
 		buildLab)
 }

@@ -24,7 +24,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("mobiledense",
+	scenario.Register("mobiledense",
 		"hundreds of random-waypoint radios: the mobile-dense PHY hot path",
 		func(cfg scenario.Config) (*scenario.Built, error) { return buildMobileDense(cfg) },
 	)

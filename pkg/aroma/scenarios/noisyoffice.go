@@ -18,7 +18,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("noisyoffice",
+	scenario.Register("noisyoffice",
 		"voice control vs rising office noise: frustration to abandonment",
 		buildNoisyOffice)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("quickstart",
+	scenario.Register("quickstart",
 		"smart kettle, two audiences: the 10-line LPC analysis demo",
 		buildQuickstart)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("smartprojector",
+	scenario.Register("smartprojector",
 		"the challenge app: discovery, sessions, streaming, hijack rejection",
 		buildSmartProjector)
 }

@@ -16,7 +16,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("smartspace",
+	scenario.Register("smartspace",
 		"a room of appliances: dynamic discovery, lease self-cleaning, band load",
 		buildSmartSpace)
 }

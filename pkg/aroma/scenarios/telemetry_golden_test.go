@@ -62,7 +62,7 @@ func TestGoldenTelemetryExports(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden exports are amd64 values: other architectures may fuse floating-point operations differently")
 	}
-	names := scenario.BuildableNames()
+	names := scenario.Names()
 	if len(names) != len(goldenExports) {
 		t.Errorf("golden table covers %d scenarios, registry has %d: %v", len(goldenExports), len(names), names)
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 func init() {
-	scenario.RegisterWorld("walkabout",
+	scenario.Register("walkabout",
 		"presenter wanders off: rate adaptation, range edge, session reclaim",
 		buildWalkabout)
 }

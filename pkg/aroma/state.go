@@ -28,8 +28,8 @@ type ForkPoint struct {
 // since. A world carrying provenance can be rebuilt from nothing —
 // which is what makes it snapshottable (see pkg/aroma/checkpoint).
 type Provenance struct {
-	// Scenario names the world-registered scenario whose builder
-	// assembled this world.
+	// Scenario names the registered scenario whose builder assembled
+	// this world.
 	Scenario string `json:"scenario"`
 	// Seed, Horizon, Verbose, and Params are the scenario.Config fields
 	// the builder ran under (zero values included — the builder's own
@@ -52,7 +52,7 @@ type Provenance struct {
 }
 
 // SetProvenance stamps the world's build recipe. scenario.Build calls
-// this for every world-registered scenario; code assembling worlds by
+// this for every scenario it builds; code assembling worlds by
 // hand may stamp its own recipe if it registers a matching builder.
 func (w *World) SetProvenance(p Provenance) { w.prov = &p }
 

@@ -251,8 +251,9 @@ func (d *Design) Cells() []Cell {
 func (d *Design) Validate() error {
 	if d.Snapshot != nil {
 		// Snapshot-forked mode: the snapshot is the workload; Scenario is
-		// only a label. The image must decode and its recipe must be
-		// rebuildable here, or every replication would fail identically.
+		// only a label. The image must decode and its recipe must name a
+		// scenario registered here, or every replication would fail
+		// identically.
 		if d.Func != nil {
 			return fmt.Errorf("sweep: Snapshot and Func are mutually exclusive")
 		}
@@ -266,8 +267,8 @@ func (d *Design) Validate() error {
 		if err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
-		if !scenario.Buildable(img.Provenance.Scenario) {
-			return fmt.Errorf("sweep: snapshot scenario %q is not world-registered here", img.Provenance.Scenario)
+		if _, ok := scenario.Get(img.Provenance.Scenario); !ok {
+			return fmt.Errorf("sweep: snapshot scenario %q is not registered here", img.Provenance.Scenario)
 		}
 	} else {
 		switch {

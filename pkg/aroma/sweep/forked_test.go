@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"aroma/pkg/aroma/checkpoint"
@@ -84,6 +85,16 @@ func TestSnapshotForkedReplications(t *testing.T) {
 // The fork source rejects designs it cannot honor.
 func TestSnapshotDesignValidation(t *testing.T) {
 	data := warmSnapshot(t)
+	// A well-formed image whose recipe names no registered scenario.
+	img, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Provenance.Scenario = "no-such-scenario"
+	orphan, err := json.Marshal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		d    Design
@@ -91,6 +102,7 @@ func TestSnapshotDesignValidation(t *testing.T) {
 		{"with axes", Design{Snapshot: data, Axes: []Axis{Ints("radios", 1, 2)}}},
 		{"with func", Design{Snapshot: data, Func: func(scenario.Config) (*scenario.Result, error) { return nil, nil }}},
 		{"garbage snapshot", Design{Snapshot: []byte("{")}},
+		{"unregistered scenario", Design{Snapshot: orphan}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.d); err == nil {
