@@ -247,26 +247,26 @@ func (l *Lookup) FaultDown(delta int) {
 func (l *Lookup) FaultedDown() bool { return l.downDepth > 0 }
 
 // serve handles one discovery request.
-func (l *Lookup) serve(src netsim.Addr, data []byte) []byte {
+func (l *Lookup) serve(src netsim.Addr, data []byte) ([]byte, func()) {
 	var req request
 	if err := json.Unmarshal(data, &req); err != nil {
-		return mustJSON(response{Err: "bad request: " + err.Error()})
+		return mustJSON(response{Err: "bad request: " + err.Error()}), nil
 	}
 	switch req.Op {
 	case "register":
-		return l.serveRegister(src, req)
+		return l.serveRegister(src, req), nil
 	case "renew":
-		return l.serveRenew(req)
+		return l.serveRenew(req), nil
 	case "cancel":
-		return l.serveCancel(req)
+		return l.serveCancel(req), nil
 	case "lookup":
-		return l.serveLookup(req)
+		return l.serveLookup(req), nil
 	case "subscribe":
-		return l.serveSubscribe(src, req)
+		return l.serveSubscribe(src, req), nil
 	case "unsubscribe":
-		return l.serveUnsubscribe(req)
+		return l.serveUnsubscribe(req), nil
 	default:
-		return mustJSON(response{Err: fmt.Sprintf("unknown op %q", req.Op)})
+		return mustJSON(response{Err: fmt.Sprintf("unknown op %q", req.Op)}), nil
 	}
 }
 

@@ -17,6 +17,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"aroma/internal/mac"
 	"aroma/internal/sim"
@@ -80,12 +81,19 @@ const headerBytes = 20
 // a handler may keep or forward it but must not write to it.
 type Handler func(src Addr, data []byte)
 
-// RequestHandler serves a Call; its return value is sent back to the
-// caller. Returning nil sends an empty (but successful) response. As for
-// Handler, data is the caller's buffer and must not be written; the
-// returned slice is delivered to the caller as it is, so the handler
-// must not write to it afterwards either.
-type RequestHandler func(src Addr, data []byte) []byte
+// RequestHandler serves a Call: resp is sent back to the caller, and a
+// nil resp sends an empty (but successful) response. As for Handler,
+// data is the caller's buffer and must not be written.
+//
+// resp travels by reference, so the handler must not write to it until
+// sent runs. A non-nil sent runs exactly once, from the link result of
+// the response's last fragment: its ACK, its drop at the retry limit,
+// or its refusal by a down radio. A station finishes its frames in FIFO
+// order, one at a time, so by then no queued or airborne frame
+// references resp, and the caller, which reads a delivery before
+// acknowledging it, is done with it; the handler may reuse resp. A
+// response still queued when the world ends never runs sent.
+type RequestHandler func(src Addr, data []byte) (resp []byte, sent func())
 
 // Network owns the nodes built over one MAC.
 type Network struct {
@@ -120,6 +128,11 @@ type Node struct {
 
 	reassembly map[Addr]*reasmState // by source
 	pending    map[uint64]*pendingCall
+	unsent     []unsentResponse // responses whose sent has not run
+
+	// linkDone is onLinkResult, bound once so that sending a message
+	// allocates no closure.
+	linkDone func(mac.SendResult)
 
 	// MTU is the fragmentation threshold in payload bytes.
 	MTU int
@@ -132,6 +145,14 @@ type reasmState struct {
 	seen  []uint64
 	have  int
 	total int
+}
+
+// unsentResponse is a response whose handler waits to hear that it has
+// left the link. Its message ID is the request's, which is unique in
+// the network.
+type unsentResponse struct {
+	msgID uint64
+	sent  func()
 }
 
 // pendingCall is a Call awaiting its response; it is also the argument
@@ -156,6 +177,7 @@ func (n *Network) NewNode(name string, st *mac.Station) *Node {
 		pending:     make(map[uint64]*pendingCall),
 		MTU:         DefaultMTU,
 	}
+	node.linkDone = node.onLinkResult
 	n.nodes[st.Addr()] = node
 	st.OnReceive = node.onFrame
 	return node
@@ -224,17 +246,43 @@ func (nd *Node) Call(dst Addr, port Port, req []byte, timeout sim.Time, done fun
 	nd.sendFragmented(packet{
 		Kind: kindRequest, Src: nd.Addr(), Dst: dst, Port: port,
 		MsgID: id, Data: req,
-	}, func(err error) {
-		// Link-layer failure: fail the call early.
-		if pcLive, ok := nd.pending[id]; ok && err != nil {
-			delete(nd.pending, id)
-			nd.net.kernel.Cancel(pcLive.timeout)
-			nd.net.CallsTimedOut++
-			if done != nil {
-				done(nil, fmt.Errorf("%w: %v", ErrLinkFailed, err))
+	}, nd.linkDone)
+}
+
+// onLinkResult receives the link result of every fragment of the
+// node's requests, and of its responses whose handler asked for sent.
+func (nd *Node) onLinkResult(res mac.SendResult) {
+	p := res.Frame.Payload.(packet)
+	switch p.Kind {
+	case kindRequest:
+		// The link layer gave up on a fragment: fail the call early.
+		// Only the first failure finds the call still pending.
+		if res.Err == nil {
+			return
+		}
+		pc, ok := nd.pending[p.MsgID]
+		if !ok {
+			return
+		}
+		delete(nd.pending, p.MsgID)
+		nd.net.kernel.Cancel(pc.timeout)
+		nd.net.CallsTimedOut++
+		if pc.done != nil {
+			pc.done(nil, fmt.Errorf("%w: %v", ErrLinkFailed, res.Err))
+		}
+	case kindResponse:
+		// The last fragment's result is the message's last.
+		if p.FragIdx < p.FragCnt-1 {
+			return
+		}
+		for i, u := range nd.unsent {
+			if u.msgID == p.MsgID {
+				nd.unsent = slices.Delete(nd.unsent, i, i+1)
+				u.sent()
+				return
 			}
 		}
-	})
+	}
 }
 
 // callTimedOut fails a Call whose response did not arrive in time.
@@ -250,41 +298,22 @@ func callTimedOut(arg any) {
 
 // sendFragmented splits a packet into MTU-sized fragments and queues them
 // on the MAC. Every fragment carries the whole message; its bits are
-// those of its own MTU-sized part. onLinkResult, if non-nil, receives the
-// first link error (or nil after the last fragment succeeds).
-func (nd *Node) sendFragmented(p packet, onLinkResult func(error)) {
+// those of its own MTU-sized part. done, if non-nil, receives every
+// fragment's link result. The station finishes its frames in FIFO
+// order, so the last fragment's result comes last.
+func (nd *Node) sendFragmented(p packet, done func(mac.SendResult)) {
 	mtu := nd.MTU
 	if mtu <= 0 {
 		mtu = DefaultMTU
 	}
 	n := len(p.Data)
 	p.FragCnt = max(1, (n+mtu-1)/mtu)
-	reported := false
-	remaining := p.FragCnt
 	for i := 0; i < p.FragCnt; i++ {
 		p.FragIdx = i
 		bits := (min(n-i*mtu, mtu) + headerBytes) * 8
-		var done func(mac.SendResult)
-		if onLinkResult != nil {
-			done = func(res mac.SendResult) {
-				remaining--
-				if reported {
-					return
-				}
-				if res.Err != nil {
-					reported = true
-					onLinkResult(res.Err)
-				} else if remaining == 0 {
-					reported = true
-					onLinkResult(nil)
-				}
-			}
-		}
-		err := nd.station.Send(p.Dst, bits, p, done)
-		if err != nil && onLinkResult != nil && !reported {
-			reported = true
-			onLinkResult(err)
-		}
+		// bits counts the header, so it is never zero, and a zero
+		// payload is the only thing Send refuses.
+		_ = nd.station.Send(p.Dst, bits, p, done)
 	}
 }
 
@@ -311,11 +340,16 @@ func (nd *Node) onFrame(f mac.Frame) {
 		if h == nil {
 			return // no service on that port: caller times out
 		}
-		resp := h(p.Src, data)
+		resp, sent := h(p.Src, data)
+		var done func(mac.SendResult)
+		if sent != nil {
+			nd.unsent = append(nd.unsent, unsentResponse{msgID: p.MsgID, sent: sent})
+			done = nd.linkDone
+		}
 		nd.sendFragmented(packet{
 			Kind: kindResponse, Src: nd.Addr(), Dst: p.Src, Port: p.Port,
 			MsgID: p.MsgID, Data: resp,
-		}, nil)
+		}, done)
 	case kindResponse:
 		pc, ok := nd.pending[p.MsgID]
 		if !ok {

@@ -115,8 +115,8 @@ func TestMulticastMembership(t *testing.T) {
 
 func TestCallResponse(t *testing.T) {
 	k, nw, nodes := testNet(5, 2)
-	nodes[1].HandleRequest(PortControl, func(src Addr, data []byte) []byte {
-		return append([]byte("echo:"), data...)
+	nodes[1].HandleRequest(PortControl, func(src Addr, data []byte) ([]byte, func()) {
+		return append([]byte("echo:"), data...), nil
 	})
 	var resp []byte
 	var callErr error
@@ -183,8 +183,8 @@ func TestCallFailsFastOnDeadLink(t *testing.T) {
 
 func TestConcurrentCallsKeptSeparate(t *testing.T) {
 	k, _, nodes := testNet(8, 3)
-	nodes[2].HandleRequest(PortControl, func(src Addr, data []byte) []byte {
-		return append([]byte{data[0]}, 'R')
+	nodes[2].HandleRequest(PortControl, func(src Addr, data []byte) ([]byte, func()) {
+		return append([]byte{data[0]}, 'R'), nil
 	})
 	got := map[byte]string{}
 	for i, n := range []*Node{nodes[0], nodes[1]} {
@@ -203,7 +203,7 @@ func TestConcurrentCallsKeptSeparate(t *testing.T) {
 
 func TestNilResponseOK(t *testing.T) {
 	k, _, nodes := testNet(9, 2)
-	nodes[1].HandleRequest(PortControl, func(Addr, []byte) []byte { return nil })
+	nodes[1].HandleRequest(PortControl, func(Addr, []byte) ([]byte, func()) { return nil, nil })
 	responded := false
 	var gotErr error
 	nodes[0].Call(nodes[1].Addr(), PortControl, []byte("x"), 0, func(r []byte, err error) {
@@ -213,6 +213,94 @@ func TestNilResponseOK(t *testing.T) {
 	k.Run()
 	if !responded || gotErr != nil {
 		t.Fatalf("responded=%v err=%v", responded, gotErr)
+	}
+}
+
+// A response's sent runs exactly once, and only after its last
+// fragment's link result: when the caller got it, when the server's
+// radio went down mid-message, and when the caller had already timed
+// out. The server sends nothing else, so an empty queue at its station
+// means the result being reported is the last fragment's.
+func TestResponseSentRunsOnceAfterLastFragment(t *testing.T) {
+	const frags = 6
+	cases := []struct {
+		name      string
+		timeout   sim.Time
+		radioDown bool
+		wantErr   error
+	}{
+		{name: "delivered"},
+		{name: "server radio down mid-message", timeout: sim.Second, radioDown: true, wantErr: ErrTimeout},
+		{name: "caller timed out", timeout: sim.Millisecond, wantErr: ErrTimeout},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New(11)
+			e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+			med := radio.NewMedium(k, e)
+			m := mac.New(med, mac.Config{})
+			nw := New(m)
+			cli := nw.NewNode("cli", m.AddStation(med.NewRadio("cli", geo.Pt(0, 0), 6, 15)))
+			srv := nw.NewNode("srv", m.AddStation(med.NewRadio("srv", geo.Pt(4, 0), 6, 15)))
+			if tc.radioDown {
+				// Take the server's radio down once the caller has
+				// received half the response.
+				got, deliver := 0, cli.Station().OnReceive
+				cli.Station().OnReceive = func(f mac.Frame) {
+					if got++; got == frags/2 {
+						med.SetDown(srv.Station().Radio(), +1)
+					}
+					deliver(f)
+				}
+			}
+			queued := func() int {
+				for _, st := range m.ExportState().Stations {
+					if st.Addr == srv.Addr() {
+						return st.Queued
+					}
+				}
+				t.Fatal("server station not exported")
+				return 0
+			}
+			resp := make([]byte, frags*DefaultMTU)
+			sentRuns, queuedAtSent := 0, -1
+			var sentAt sim.Time
+			srv.HandleRequest(PortControl, func(Addr, []byte) ([]byte, func()) {
+				return resp, func() {
+					sentRuns++
+					queuedAtSent = queued()
+					sentAt = k.Now()
+				}
+			})
+			calls := 0
+			var callErr error
+			var doneAt sim.Time
+			cli.Call(srv.Addr(), PortControl, []byte("x"), tc.timeout, func(r []byte, err error) {
+				calls++
+				callErr, doneAt = err, k.Now()
+				if err == nil && len(r) != len(resp) {
+					t.Errorf("response has %d bytes, want %d", len(r), len(resp))
+				}
+			})
+			k.Run()
+			if calls != 1 || !errors.Is(callErr, tc.wantErr) {
+				t.Fatalf("call finished %d times with %v, want once with %v", calls, callErr, tc.wantErr)
+			}
+			if sentRuns != 1 {
+				t.Fatalf("sent ran %d times, want 1", sentRuns)
+			}
+			if queuedAtSent != 0 {
+				t.Fatalf("sent ran with %d fragments still queued", queuedAtSent)
+			}
+			// With the radio down the caller never reads the response;
+			// otherwise it has read it, or given up, before sent runs.
+			if !tc.radioDown && sentAt < doneAt {
+				t.Fatalf("sent ran at %v, before the call finished at %v", sentAt, doneAt)
+			}
+			if st := srv.Station(); tc.radioDown && st.SentData >= frags {
+				t.Fatalf("server sent %d data frames with its radio down, want fewer than %d", st.SentData, frags)
+			}
+		})
 	}
 }
 

@@ -62,7 +62,7 @@ func TestPropertyCallsAlwaysResolve(t *testing.T) {
 		a := nw.NewNode("a", m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15)))
 		b := nw.NewNode("b", m.AddStation(med.NewRadio("b", geo.Pt(5, 0), 6, 15)))
 		if serve {
-			b.HandleRequest(PortControl, func(src Addr, data []byte) []byte { return data })
+			b.HandleRequest(PortControl, func(src Addr, data []byte) ([]byte, func()) { return data, nil })
 		}
 		resolved := 0
 		for i := 0; i < calls; i++ {

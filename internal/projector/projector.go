@@ -261,32 +261,32 @@ func (p *SmartProjector) AppState() map[string]string {
 	}
 }
 
-func (p *SmartProjector) serve(src netsim.Addr, data []byte) []byte {
+func (p *SmartProjector) serve(src netsim.Addr, data []byte) ([]byte, func()) {
 	var req ctlRequest
 	if err := json.Unmarshal(data, &req); err != nil {
-		return mustJSON(ctlResponse{Err: "bad request"})
+		return mustJSON(ctlResponse{Err: "bad request"}), nil
 	}
 	switch req.Op {
 	case "grab-projection":
 		if err := p.Projection.Grab(req.User); err != nil {
 			p.log.Violation(trace.Abstract, "projector",
 				"hijack attempt: %s tried to grab projection held by %s", req.User, p.Projection.Owner())
-			return mustJSON(ctlResponse{Err: err.Error()})
+			return mustJSON(ctlResponse{Err: err.Error()}), nil
 		}
 		p.startProjection(req.RFBAddr)
-		return mustJSON(ctlResponse{OK: true})
+		return mustJSON(ctlResponse{OK: true}), nil
 	case "release-projection":
 		if err := p.Projection.Release(req.User); err != nil {
-			return mustJSON(ctlResponse{Err: err.Error()})
+			return mustJSON(ctlResponse{Err: err.Error()}), nil
 		}
-		return mustJSON(ctlResponse{OK: true})
+		return mustJSON(ctlResponse{OK: true}), nil
 	case "grab-control":
 		if err := p.Control.Grab(req.User); err != nil {
 			p.log.Violation(trace.Abstract, "projector",
 				"hijack attempt: %s tried to grab control held by %s", req.User, p.Control.Owner())
-			return mustJSON(ctlResponse{Err: err.Error()})
+			return mustJSON(ctlResponse{Err: err.Error()}), nil
 		}
-		return mustJSON(ctlResponse{OK: true})
+		return mustJSON(ctlResponse{OK: true}), nil
 	case "grab-both":
 		// The paper's future-work mechanism "to manage interrelated
 		// services": both sessions are acquired atomically in canonical
@@ -295,31 +295,31 @@ func (p *SmartProjector) serve(src netsim.Addr, data []byte) []byte {
 		if err := session.GrabAll(req.User, p.Projection, p.Control); err != nil {
 			p.log.Violation(trace.Abstract, "projector",
 				"hijack attempt: %s tried grab-both while held (%v)", req.User, err)
-			return mustJSON(ctlResponse{Err: err.Error()})
+			return mustJSON(ctlResponse{Err: err.Error()}), nil
 		}
 		p.startProjection(req.RFBAddr)
-		return mustJSON(ctlResponse{OK: true})
+		return mustJSON(ctlResponse{OK: true}), nil
 	case "release-both":
 		n := session.ReleaseAll(req.User, p.Projection, p.Control)
 		if n == 0 {
-			return mustJSON(ctlResponse{Err: session.ErrNotOwner.Error()})
+			return mustJSON(ctlResponse{Err: session.ErrNotOwner.Error()}), nil
 		}
-		return mustJSON(ctlResponse{OK: true})
+		return mustJSON(ctlResponse{OK: true}), nil
 	case "release-control":
 		if err := p.Control.Release(req.User); err != nil {
-			return mustJSON(ctlResponse{Err: err.Error()})
+			return mustJSON(ctlResponse{Err: err.Error()}), nil
 		}
-		return mustJSON(ctlResponse{OK: true})
+		return mustJSON(ctlResponse{OK: true}), nil
 	case "command":
-		return p.serveCommand(req)
+		return p.serveCommand(req), nil
 	case "status":
 		return mustJSON(ctlResponse{
 			OK: true, Projecting: p.Projecting(),
 			ProjOwner: p.Projection.Owner(), CtrlOwner: p.Control.Owner(),
 			Power: p.power, Brightness: p.brightness, Frames: p.FramesShown,
-		})
+		}), nil
 	default:
-		return mustJSON(ctlResponse{Err: fmt.Sprintf("unknown op %q", req.Op)})
+		return mustJSON(ctlResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}), nil
 	}
 }
 

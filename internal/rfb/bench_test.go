@@ -25,16 +25,19 @@ func benchFB(b *testing.B, noisy bool) *Framebuffer {
 }
 
 // benchServe times the server's reply to a full-frame request: every
-// tile encoded into the scratch buffer plus the exact-size reply copy.
+// tile encoded into a reply buffer, which sent then returns to the free
+// list, as netsim does once the reply's last fragment leaves the link.
 func benchServe(b *testing.B, noisy bool, enc Encoding) {
 	s := &Server{fb: benchFB(b, noisy), enc: enc}
 	req := []byte{reqFull}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(s.serve(0, req)) == updateHeaderLen {
+		resp, sent := s.serve(0, req)
+		if len(resp) == updateHeaderLen {
 			b.Fatal("no tiles")
 		}
+		sent()
 	}
 }
 

@@ -23,10 +23,12 @@ type Server struct {
 	enc    Encoding
 	serial uint32
 
-	// scratch holds the update being encoded. It is never handed out:
-	// after a Call timeout, fragments of an earlier reply can still sit
-	// in the MAC queue, so each reply is an exact-size copy.
-	scratch []byte
+	// free holds the reply buffers no frame references any more. A
+	// reply is sent by reference, and with several clients, or after a
+	// Call timeout, it can still sit in the MAC queue while the next one
+	// is encoded; it returns here only when netsim reports that its last
+	// fragment has left the link.
+	free []*reply
 
 	// Stats
 	UpdatesServed uint64
@@ -46,22 +48,37 @@ func NewServer(node *netsim.Node, fb *Framebuffer, enc Encoding) *Server {
 // draw on).
 func (s *Server) Framebuffer() *Framebuffer { return s.fb }
 
-func (s *Server) serve(src netsim.Addr, req []byte) []byte {
+// reply is one reply buffer and the function that returns it to its
+// server's free list, built once with it.
+type reply struct {
+	buf     []byte
+	release func()
+}
+
+// serve encodes the reply to one update request into a buffer from the
+// free list, or a new one, and returns it with its release function.
+func (s *Server) serve(src netsim.Addr, req []byte) ([]byte, func()) {
 	if len(req) != 1 {
-		return make([]byte, updateHeaderLen) // an empty update, serial 0
+		return make([]byte, updateHeaderLen), nil // an empty update, serial 0
 	}
 	if req[0] == reqFull {
 		s.fb.MarkAllDirty()
 	}
 	s.serial++
+	var r *reply
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = &reply{}
+		r.release = func() { s.free = append(s.free, r) }
+	}
 	var tiles int
-	s.scratch, tiles = appendUpdate(s.scratch[:0], s.fb, s.serial, s.enc)
-	data := make([]byte, len(s.scratch))
-	copy(data, s.scratch)
+	r.buf, tiles = appendUpdate(r.buf[:0], s.fb, s.serial, s.enc)
 	s.UpdatesServed++
-	s.BytesServed += uint64(len(data))
+	s.BytesServed += uint64(len(r.buf))
 	s.TilesServed += uint64(tiles)
-	return data
+	return r.buf, r.release
 }
 
 // Client is the display side (the Aroma adapter driving the projector):
@@ -93,32 +110,23 @@ func NewClient(node *netsim.Node, server netsim.Addr, w, h int) (*Client, error)
 // them.
 var requests = [...][]byte{reqIncremental: {reqIncremental}, reqFull: {reqFull}}
 
-// RequestUpdate pulls one update and applies it straight from the reply.
-// If full, the server resends every tile. done (optional) receives the
-// number of tiles applied, or an error. A reply that is malformed as a
-// whole changes nothing; a tile that fails to decode keeps the tiles
-// before it, as written.
-func (c *Client) RequestUpdate(full bool, timeout sim.Time, done func(tiles int, err error)) {
-	op := reqIncremental
-	if full {
-		op = reqFull
+// apply applies the reply to one update request straight from its
+// bytes, or counts the request's failure, and returns the number of
+// tiles applied. A reply that is malformed as a whole changes nothing;
+// a tile that fails to decode keeps the tiles before it, as written.
+func (c *Client) apply(resp []byte, err error) (int, error) {
+	tiles := 0
+	if err == nil {
+		tiles, err = applyUpdate(c.fb, resp)
 	}
-	c.node.Call(c.server, netsim.PortRFB, requests[op], timeout, func(resp []byte, err error) {
-		tiles := 0
-		if err == nil {
-			tiles, err = applyUpdate(c.fb, resp)
-		}
-		if err != nil {
-			c.Errors++
-		} else {
-			c.UpdatesApplied++
-			c.TilesApplied += uint64(tiles)
-			c.BytesReceived += uint64(len(resp))
-		}
-		if done != nil {
-			done(tiles, err)
-		}
-	})
+	if err != nil {
+		c.Errors++
+	} else {
+		c.UpdatesApplied++
+		c.TilesApplied += uint64(tiles)
+		c.BytesReceived += uint64(len(resp))
+	}
+	return tiles, err
 }
 
 // IdlePollDelay is how long Stream waits before re-polling after an
@@ -134,25 +142,27 @@ const IdlePollDelay = 50 * sim.Millisecond
 func (c *Client) Stream(timeout sim.Time, onFrame func(tiles int)) (stop func()) {
 	stopped := false
 	k := c.node.Kernel()
+	// Both callbacks are built once per stream, not per poll.
 	var loop func()
-	loop = func() {
+	onReply := func(resp []byte, err error) {
+		tiles, err := c.apply(resp, err)
 		if stopped {
 			return
 		}
-		c.RequestUpdate(false, timeout, func(tiles int, err error) {
-			if stopped {
-				return
-			}
-			if err == nil && onFrame != nil {
-				onFrame(tiles)
-			}
-			if err == nil && tiles == 0 {
-				k.Schedule(IdlePollDelay, "rfb.idlePoll", loop)
-				return
-			}
-			// Content flowed (or the request failed): re-poll at once.
-			loop()
-		})
+		if err == nil && onFrame != nil {
+			onFrame(tiles)
+		}
+		if err == nil && tiles == 0 {
+			k.Schedule(IdlePollDelay, "rfb.idlePoll", loop)
+			return
+		}
+		// Content flowed (or the request failed): re-poll at once.
+		loop()
+	}
+	loop = func() {
+		if !stopped {
+			c.node.Call(c.server, netsim.PortRFB, requests[reqIncremental], timeout, onReply)
+		}
 	}
 	loop()
 	return func() { stopped = true }

@@ -2,6 +2,7 @@ package rfb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"aroma/internal/env"
@@ -146,19 +147,146 @@ func TestServerIgnoresMalformedRequest(t *testing.T) {
 	k.RunUntil(2 * sim.Second)
 }
 
-// A reply must survive the next one: after a Call timeout its fragments
-// can still be queued in the MAC while the server encodes again.
+// A reply is sent by reference: until its sent runs it can still sit in
+// the MAC queue, so encoding the next reply must leave it intact. Once
+// sent has run, the next reply reuses its buffer.
 func TestServeRepliesDoNotShareBuffers(t *testing.T) {
 	_, srv, _ := remoteRig(t, 6, 64, 48, EncRLE)
-	srv.Framebuffer().Fill(0, 0, 64, 48, 4)
-	first := srv.serve(0, []byte{reqFull})
+	fb := srv.Framebuffer()
+	fb.Fill(0, 0, 64, 48, 4)
+	first, firstSent := srv.serve(0, []byte{reqFull})
 	kept := bytes.Clone(first)
-	srv.Framebuffer().Fill(0, 0, 64, 48, 9)
-	second := srv.serve(0, []byte{reqFull})
+	fb.Fill(0, 0, 64, 48, 9)
+	second, secondSent := srv.serve(0, []byte{reqFull})
 	if !bytes.Equal(first, kept) {
-		t.Fatal("encoding a second reply changed the first")
+		t.Fatal("encoding a second reply changed the first before its sent ran")
 	}
-	if len(first) != cap(first) || len(second) != cap(second) {
-		t.Fatalf("replies are not exact-size: len/cap %d/%d and %d/%d", len(first), cap(first), len(second), cap(second))
+	firstSent()
+	keptSecond := bytes.Clone(second)
+	fb.Fill(0, 0, 64, 48, 5)
+	third, thirdSent := srv.serve(0, []byte{reqFull})
+	if &third[0] != &first[0] {
+		t.Fatal("the reply after sent did not reuse the released buffer")
+	}
+	if !bytes.Equal(second, keptSecond) {
+		t.Fatal("reusing a released buffer changed a reply whose sent had not run")
+	}
+	secondSent()
+	thirdSent()
+}
+
+// In steady state a reply costs no allocation: its buffer comes back
+// through sent and serves the next one.
+func TestServeAllocsNothing(t *testing.T) {
+	_, srv, _ := remoteRig(t, 7, 64, 48, EncRLE)
+	srv.Framebuffer().Fill(0, 0, 64, 48, 4)
+	req := []byte{reqFull}
+	allocs := testing.AllocsPerRun(100, func() {
+		resp, sent := srv.serve(0, req)
+		if len(resp) == updateHeaderLen {
+			t.Fatal("no tiles")
+		}
+		sent()
+	})
+	if allocs != 0 {
+		t.Fatalf("serve allocates %v times per reply in steady state, want 0", allocs)
+	}
+}
+
+// Two clients stream from one server with a Call timeout short enough
+// that replies to timed-out calls are still queued when the server
+// encodes the next one. Every reply a client receives, and every reply
+// when its sent runs, must equal its bytes at encode time.
+func TestRecycledRepliesNeverShowStaleBytes(t *testing.T) {
+	const w, h = 160, 120
+	k := sim.New(8)
+	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	med := radio.NewMedium(k, e)
+	m := mac.New(med, mac.Config{})
+	nw := netsim.New(m)
+	srvNode := nw.NewNode("laptop", m.AddStation(med.NewRadio("srv", geo.Pt(0, 0), 6, 15)))
+	fb, err := NewFramebuffer(w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(srvNode, fb, EncRaw)
+	anim, err := NewAnimator(fb, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anim.Textured = true
+	k.Ticker(20*sim.Millisecond, "anim", anim.Step)
+
+	// The wrapper records each reply by serial as it is encoded.
+	type record struct {
+		wire             []byte
+		servesBefore     int // replies encoded before this one
+		servesBeforeSent int // replies encoded, this one included, when its sent ran
+		sent, received   bool
+	}
+	recs := map[uint32]*record{}
+	buffers := map[*byte]bool{}
+	serves := 0
+	srvNode.HandleRequest(netsim.PortRFB, func(src netsim.Addr, req []byte) ([]byte, func()) {
+		resp, sent := srv.serve(src, req)
+		rec := &record{wire: bytes.Clone(resp), servesBefore: serves}
+		recs[binary.BigEndian.Uint32(resp)] = rec
+		buffers[&resp[0]] = true
+		serves++
+		return resp, func() {
+			if rec.sent {
+				t.Errorf("sent ran twice for one reply")
+			}
+			if !bytes.Equal(resp, rec.wire) {
+				t.Errorf("reply changed before its sent ran")
+			}
+			rec.sent = true
+			rec.servesBeforeSent = serves
+			sent()
+		}
+	})
+
+	const horizon = 5 * sim.Second
+	received, timeouts := 0, 0
+	for i, x := range []float64{4, -4} {
+		cli := nw.NewNode("adapter", m.AddStation(med.NewRadio("cli", geo.Pt(x, float64(i)), 6, 15)))
+		var poll func()
+		poll = func() {
+			cli.Call(srvNode.Addr(), netsim.PortRFB, requests[reqIncremental], 10*sim.Millisecond, func(resp []byte, err error) {
+				if err != nil {
+					timeouts++
+				} else if rec := recs[binary.BigEndian.Uint32(resp)]; rec == nil || !bytes.Equal(resp, rec.wire) {
+					t.Errorf("client received a reply that differs from its encoding")
+				} else {
+					rec.received = true
+					received++
+				}
+				if k.Now() < horizon {
+					poll()
+				}
+			})
+		}
+		poll()
+	}
+	k.RunUntil(horizon + sim.Second)
+
+	// A late reply: its caller timed out, so no client took it, and it
+	// was still queued when a later reply was encoded.
+	late := 0
+	for _, rec := range recs {
+		if rec.sent && !rec.received && rec.servesBeforeSent > rec.servesBefore+1 {
+			late++
+		}
+	}
+	t.Logf("%d replies in %d buffers; %d received, %d calls timed out, %d late replies queued past the next encode",
+		serves, len(buffers), received, timeouts, late)
+	if srvNode.Station().Drops != 0 {
+		t.Fatalf("server dropped %d frames: an unreceived reply need not be late", srvNode.Station().Drops)
+	}
+	if received == 0 || timeouts == 0 || late == 0 {
+		t.Fatal("the run did not exercise late replies: tune the timeout or the load")
+	}
+	if len(buffers)*2 > serves {
+		t.Fatalf("%d replies used %d buffers: they were not recycled", serves, len(buffers))
 	}
 }

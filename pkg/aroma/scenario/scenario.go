@@ -273,17 +273,15 @@ func All() []Scenario {
 	return out
 }
 
-// Run builds the named scenario, drives its world to the horizon and
-// returns its Result, all under the Exec contract.
+// Run builds the named scenario, drives its world to the horizon under
+// the Exec contract and returns its Result. Build names the scenario in
+// its own errors, so they are returned as they are.
 func Run(name string, cfg Config) (*Result, error) {
-	if _, ok := Get(name); !ok {
-		return nil, fmt.Errorf("scenario: unknown scenario %q (registered: %v)", name, Names())
+	b, err := Build(name, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return Exec(name, func(cfg Config) (*Result, error) {
-		b, err := Build(name, cfg)
-		if err != nil {
-			return nil, err
-		}
+	return Exec(name, func(Config) (*Result, error) {
 		b.World.RunUntil(b.Horizon)
 		return b.Result(), nil
 	}, cfg)

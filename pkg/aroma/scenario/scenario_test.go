@@ -127,6 +127,19 @@ func TestRunWrapsError(t *testing.T) {
 	}
 }
 
+// A build error already names the scenario; Run must not name it again.
+func TestRunNamesScenarioOnceInBuildError(t *testing.T) {
+	Register("test-badfaults", "", empty(sim.Second))
+	_, err := Run("test-badfaults", Config{Faults: "bogus:at=1s"})
+	if err == nil {
+		t.Fatal("a bad fault plan should fail the run")
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "scenario test-badfaults: fault: ") ||
+		strings.Count(msg, "test-badfaults") != 1 {
+		t.Errorf("error = %q, want it to name the scenario exactly once", msg)
+	}
+}
+
 func TestRegisterDuplicatePanics(t *testing.T) {
 	Register("test-dup", "", empty(0))
 	defer func() {
