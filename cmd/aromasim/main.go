@@ -12,10 +12,17 @@
 //
 //	aromasim [-scenario name] [-seed N] [-minutes M] [-verbose] [-metrics out.json]
 //	aromasim -list                 # list registered scenarios
-//	aromasim -all                  # batch-run every scenario, print a comparison table
+//	aromasim -all                  # run every scenario in turn, print a comparison table
+//
+// -all runs the registered scenarios one after another, in registry
+// order, each into a private buffer, so its output (the table, and with
+// -verbose each scenario's narration) is deterministic. It takes
+// -seed, -minutes, -verbose and -faults; -metrics writes one run's
+// snapshot and is rejected with -all.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -24,11 +31,11 @@ import (
 	"os/signal"
 	"syscall"
 
+	"aroma/internal/fault"
 	"aroma/internal/profiling"
 	"aroma/internal/sim"
 	"aroma/pkg/aroma/scenario"
 	_ "aroma/pkg/aroma/scenarios" // populate the registry
-	"aroma/pkg/aroma/sweep"
 )
 
 func main() {
@@ -43,6 +50,11 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on clean exit")
 	flag.Parse()
+
+	if *all && *metricsOut != "" {
+		fmt.Fprintln(os.Stderr, "aromasim: -metrics writes one run's snapshot and cannot be combined with -all")
+		os.Exit(2)
+	}
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -71,7 +83,7 @@ func main() {
 	}
 
 	if *all {
-		runAll(ctx, cfg)
+		runAll(ctx, cfg, stopProfiles)
 		return
 	}
 
@@ -110,58 +122,43 @@ func writeMetrics(path string, res *scenario.Result) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// runAll batch-runs every registered scenario concurrently through the
-// sweep engine — one grid cell per scenario, each run in an isolated
-// world with captured output — and prints one comparison row per
-// scenario in registry order. With -verbose each scenario's captured
-// narration prints as it completes (never interleaved).
-func runAll(ctx context.Context, cfg scenario.Config) {
-	design := sweep.Design{
-		Scenario: "batch",
-		Func: func(c scenario.Config) (*scenario.Result, error) {
-			return scenario.Run(c.ParamOr("scenario", ""), c)
-		},
-		Axes: []sweep.Axis{sweep.Strings("scenario", scenario.Names()...)},
-		// Seed 0 keeps each scenario's classic seed, exactly like a
-		// plain sequential -all did before the engine.
-		Seeds:   []int64{cfg.Seed},
-		Horizon: cfg.Horizon,
-		Verbose: cfg.Verbose,
-	}
-	if cfg.Faults != "" {
-		design.Faults = []string{cfg.Faults}
-	}
-	var opts []sweep.Option
-	if cfg.Verbose {
-		opts = append(opts, sweep.WithProgress(func(row sweep.Row) {
-			fmt.Printf("=== %s ===\n%s", row.Params["scenario"], row.Output)
-		}))
-	}
-	s, err := sweep.New(design, opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+// runAll runs every registered scenario in registry order, one after
+// another, each into a private buffer, and prints one comparison row
+// per scenario. With -verbose each scenario's narration prints as its
+// run ends, so the output is the same on every run. The fault plan is
+// parsed once up front, so a bad plan is one error rather than one per
+// scenario; an interrupt is honoured between scenarios.
+func runAll(ctx context.Context, cfg scenario.Config, stopProfiles func()) {
+	if _, err := fault.Parse(cfg.Faults); err != nil {
+		fmt.Fprintln(os.Stderr, "aromasim:", err)
 		os.Exit(1)
 	}
-	rep, err := s.Run(ctx)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("%-16s %10s %10s %9s %7s %11s\n",
-		"scenario", "sim-time", "events", "findings", "issues", "violations")
-	for _, row := range rep.Rows {
-		name := row.Params["scenario"]
-		if row.Err != "" {
-			fmt.Printf("%-16s ERROR: %s\n", name, row.Err)
+	var table bytes.Buffer
+	failed := 0
+	for _, name := range scenario.Names() {
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "aromasim: interrupted")
+			stopProfiles()
+			os.Exit(130)
+		}
+		var buf bytes.Buffer
+		cfg.Out = &buf
+		res, err := scenario.Run(name, cfg)
+		if cfg.Verbose {
+			fmt.Printf("=== %s ===\n%s", name, buf.Bytes())
+		}
+		if err != nil {
+			failed++
+			fmt.Fprintf(&table, "%-16s ERROR: %s\n", name, err)
 			continue
 		}
-		fmt.Printf("%-16s %10s %10d %9d %7d %11d\n",
-			name, row.SimTime, row.Steps,
-			row.Findings, row.Issues, row.Violations)
+		fmt.Fprintf(&table, "%-16s %10s %10d %9d %7d %11d\n",
+			name, res.SimTime, res.Steps, res.Findings(), res.Issues(), res.Violations())
 	}
-	if n := rep.FailedCount(); n > 0 {
-		fmt.Fprintf(os.Stderr, "%d scenario(s) failed\n", n)
+	fmt.Printf("%-16s %10s %10s %9s %7s %11s\n%s",
+		"scenario", "sim-time", "events", "findings", "issues", "violations", table.Bytes())
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "%d scenario(s) failed\n", failed)
 		os.Exit(1)
 	}
 }

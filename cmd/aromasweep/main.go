@@ -67,7 +67,6 @@ func main() {
 	out := flag.String("out", "", "directory for artifacts: runs.jsonl, cells.csv, report.txt (and metrics.jsonl with -metrics)")
 	telemetry := flag.Bool("metrics", false, "enable per-run telemetry; snapshots are written to metrics.jsonl next to runs.jsonl")
 	failFast := flag.Bool("failfast", false, "stop the sweep at the first failed run")
-	retryFailed := flag.Bool("retry-failed", false, "re-run each failed replication once with the identical config (second attempt recorded in runs.jsonl)")
 	verbose := flag.Bool("verbose", false, "print every run's captured output as it completes")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress lines")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
@@ -96,15 +95,14 @@ func main() {
 	}
 
 	design := sweep.Design{
-		Scenario:    *name,
-		Axes:        axes,
-		Reps:        *reps,
-		BaseSeed:    *seed,
-		Horizon:     sim.Time(*minutes) * sim.Minute,
-		Verbose:     *verbose,
-		Telemetry:   *telemetry,
-		Faults:      faults,
-		RetryFailed: *retryFailed,
+		Scenario:  *name,
+		Axes:      axes,
+		Reps:      *reps,
+		BaseSeed:  *seed,
+		Horizon:   sim.Time(*minutes) * sim.Minute,
+		Verbose:   *verbose,
+		Telemetry: *telemetry,
+		Faults:    faults,
 	}
 	if *seeds != "" {
 		for _, part := range strings.Split(*seeds, ",") {
@@ -149,7 +147,7 @@ func main() {
 
 	if !*quiet {
 		fmt.Printf("sweep %s: %d cells × %d seeds = %d runs on %d workers\n",
-			design.Name(), s.CellCount(), s.SeedCount(), s.Tasks(), s.Workers())
+			design.Scenario, s.CellCount(), s.SeedCount(), s.Tasks(), s.Workers())
 	}
 	rep, runErr := s.Run(ctx)
 

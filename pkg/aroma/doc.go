@@ -161,11 +161,12 @@
 // sweep.Design.Telemetry, the -metrics CLI flags) attaches a per-world
 // instrument registry (internal/telemetry) covering the whole stack:
 // kernel scheduling, radio medium, MAC, network, discovery/lease, and
-// the trace bus. A kernel sampler records every instrument at a fixed
-// virtual period (100 ms by default), producing deterministic sim-time
-// series; Telemetry().Snapshot exports final values plus series as
-// JSON, and WritePrometheus renders the Prometheus text format that
-// aromad serves at GET /metrics. For a built scenario,
+// the trace bus. A kernel sampler records every instrument every
+// DefaultTelemetryPeriod (100 ms) of virtual time, producing
+// deterministic sim-time series; Telemetry().Snapshot exports final
+// values plus series as JSON, and WritePrometheus renders the
+// Prometheus text format that aromad serves at GET /metrics. For a
+// built scenario,
 // scenario.Built.EnableTelemetry is the one way to turn it on: it also
 // reserves every series for the samples left before the horizon, so
 // sampling allocates once per series (the daemon, scenario.Build with

@@ -53,9 +53,11 @@ func (b *Built) Result() *Result {
 	return res
 }
 
-// Build assembles the named scenario's world under the Exec contract
-// (nil Out defaults to io.Discard, panics become errors) without
-// running it.
+// Build assembles the named scenario's world without running it. A nil
+// cfg.Out defaults to io.Discard, so a headless world writes nowhere
+// and concurrent worlds with distinct writers never share a stream; a
+// panic in the builder and a builder error become errors naming the
+// scenario.
 func Build(name string, cfg Config) (b *Built, err error) {
 	s, ok := registry[name]
 	if !ok {
@@ -113,14 +115,14 @@ func Build(name string, cfg Config) (b *Built, err error) {
 	return b, nil
 }
 
-// EnableTelemetry enables the world's telemetry at the default period
-// (World.EnableTelemetry(0)) and reserves every sampled series for the
-// samples the sampler takes between now and Horizon, so sampling the
-// run never regrows a series. A world restored or forked mid-run
-// reserves only what is left. Running past Horizon stays correct: the
-// series then grow as unreserved ones do. It returns the registry.
+// EnableTelemetry enables the world's telemetry (World.EnableTelemetry)
+// and reserves every sampled series for the samples the sampler takes
+// between now and Horizon, so sampling the run never regrows a series.
+// A world restored or forked mid-run reserves only what is left.
+// Running past Horizon stays correct: the series then grow as
+// unreserved ones do. It returns the registry.
 func (b *Built) EnableTelemetry() *telemetry.Registry {
-	reg := b.World.EnableTelemetry(0)
+	reg := b.World.EnableTelemetry()
 	if left := b.Horizon - b.World.Now(); left > 0 {
 		reg.Reserve(int(left / aroma.DefaultTelemetryPeriod))
 	}

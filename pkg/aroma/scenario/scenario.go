@@ -5,8 +5,8 @@
 // and supplies a Finish hook that narrates to cfg.Out and fills the
 // Result (sim time, event count, and the LPC report when the scenario
 // analyzes one). Registering it by name makes it runnable from anywhere
-// — cmd/aromasim runs any registered scenario by flag and batch-runs
-// them all for comparison tables — and, because the builder rebuilds
+// — cmd/aromasim runs any registered scenario by flag and runs them
+// all in turn for comparison tables — and, because the builder rebuilds
 // the world to any instant, snapshottable (pkg/aroma/checkpoint). The
 // stock scenarios live in pkg/aroma/scenarios; importing that package
 // (usually blank) populates the registry.
@@ -28,7 +28,7 @@ import (
 // Config parametrizes one scenario run.
 //
 // Capture safety: a Config never touches process-global state — all
-// narrative output flows through Out, and Run defaults a nil Out to
+// narrative output flows through Out, and Build defaults a nil Out to
 // io.Discard explicitly, never to os.Stdout. Two runs driven
 // concurrently with distinct writers (the sweep engine gives every run
 // a private buffer) therefore cannot interleave a single byte of each
@@ -52,7 +52,7 @@ type Config struct {
 	// across the replications of a cell; scenarios must not mutate it.
 	Params map[string]string
 	// Metrics, when true, enables the world's telemetry registry and
-	// sim-time sampler (World.EnableTelemetry with the default period).
+	// sim-time sampler (Built.EnableTelemetry).
 	// Telemetry is pure observation, not part of the workload: digests
 	// are bit-identical with it on or off, and it is absent from the
 	// world's Provenance.
@@ -167,9 +167,10 @@ type Result struct {
 	Seed    int64
 	SimTime sim.Time
 	Steps   uint64
-	// Digest is a stable hash of the run (trace record order, step count,
-	// virtual time); scenarios set it from World.Digest. Equal seeds must
-	// yield equal digests — the determinism regression suite enforces it.
+	// Digest is a stable hash of the run (trace record order, step
+	// count, virtual time); Built.Result sets it from World.Digest. Equal
+	// seeds must yield equal digests — the determinism regression suite
+	// enforces it.
 	Digest string
 	// Report is the scenario's LPC analysis, when it performs one.
 	Report *core.Report
@@ -216,9 +217,6 @@ func (r *Result) Violations() int {
 	}
 	return len(r.Report.Violations())
 }
-
-// Func runs one scenario under the given configuration.
-type Func func(cfg Config) (*Result, error)
 
 // Scenario is one registry entry.
 type Scenario struct {
@@ -273,46 +271,34 @@ func All() []Scenario {
 	return out
 }
 
-// Run builds the named scenario, drives its world to the horizon under
-// the Exec contract and returns its Result. Build names the scenario in
-// its own errors, so they are returned as they are.
+// Run builds the named scenario and drives its world to the horizon
+// (Drive). Build names the scenario in its own errors, so they are
+// returned as they are.
 func Run(name string, cfg Config) (*Result, error) {
 	b, err := Build(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return Exec(name, func(Config) (*Result, error) {
-		b.World.RunUntil(b.Horizon)
-		return b.Result(), nil
-	}, cfg)
+	return Drive(name, b)
 }
 
-// Exec runs fn under the registry's run contract, which also covers
-// unregistered scenario funcs (the sweep engine's Design.Func): a nil
-// cfg.Out is defaulted to io.Discard — never to os.Stdout — so a
-// headless run writes nowhere and concurrent runs with distinct writers
-// never share a stream; a panic inside the scenario (the stock
-// scenarios' must-style assertions) is recovered and returned as an error, so
-// batch runs survive one bad scenario; errors are wrapped with the
-// scenario name; and a nil or unnamed result is filled in.
-func Exec(name string, fn Func, cfg Config) (res *Result, err error) {
-	if cfg.Out == nil {
-		cfg.Out = io.Discard
-	}
+// Drive runs a built world to its horizon and returns its Result, named
+// name. It is the one way a scenario world is run to completion: Run
+// drives a fresh Build with it, and the sweep engine drives every
+// replication — built or forked from a snapshot — with it too. A panic
+// out of the run (the stock scenarios' must-style assertions) is
+// recovered and returned as an error naming the scenario once, so a
+// batch survives one bad world. The world's narration goes to the
+// writer it was built with; Build has already defaulted a nil Out to
+// io.Discard.
+func Drive(name string, b *Built) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("scenario %s: panic: %v", name, r)
 		}
 	}()
-	res, err = fn(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", name, err)
-	}
-	if res == nil {
-		res = &Result{}
-	}
-	if res.Name == "" {
-		res.Name = name
-	}
+	b.World.RunUntil(b.Horizon)
+	res = b.Result()
+	res.Name = name
 	return res, nil
 }

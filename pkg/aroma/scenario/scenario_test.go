@@ -116,6 +116,19 @@ func TestRunRecoversEventPanic(t *testing.T) {
 	}
 }
 
+// Drive names the result with the name it is given, not the world's
+// recipe, so a forked world can run under its campaign label.
+func TestDriveNamesResult(t *testing.T) {
+	b := &Built{World: aroma.NewWorld(aroma.WithSeed(4)), Horizon: sim.Second}
+	res, err := Drive("campaign+fork", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Name != "campaign+fork" || res.Seed != 4 || res.SimTime != sim.Second {
+		t.Errorf("result = %+v", res)
+	}
+}
+
 func TestRunWrapsError(t *testing.T) {
 	sentinel := errors.New("boom")
 	Register("test-errors", "", func(cfg Config) (*Built, error) {

@@ -67,11 +67,10 @@ func ParseAxis(s string) (Axis, error) {
 // optional field means "the obvious default" — no axes is a single
 // cell, no seeds is Reps=1 from BaseSeed=1.
 type Design struct {
-	// Scenario names a registered scenario. When Func is set it runs
-	// instead, and Scenario (if any) only labels the campaign. At least
-	// one of the two must be set.
+	// Scenario names the registered scenario every replication builds.
+	// A snapshot-forked campaign (Snapshot) builds nothing, so there it
+	// only labels the campaign and may be left empty.
 	Scenario string
-	Func     scenario.Func
 
 	// Axes span the parameter grid; the cross-product of their values
 	// is the cell set. An empty grid is one cell with no params.
@@ -116,22 +115,14 @@ type Design struct {
 	// and a plan at equal seeds is attributable to the faults alone.
 	Faults []string
 
-	// RetryFailed, when true, re-runs each failed replication once with
-	// the identical Config (same seed, same params, same plan) before
-	// recording it. Deterministic scenario failures fail twice and land
-	// as failed rows either way; the retry exists for host-level flakes
-	// (OOM kills, CI noise) and is visible in Row.Attempts, so a
-	// passed-on-retry run is auditable rather than silent.
-	RetryFailed bool
-
 	// Snapshot, when non-nil, is a pkg/aroma/checkpoint image and turns
 	// the campaign into snapshot-forked replications: instead of a cold
 	// build, every replication restores the snapshot and forks it with
 	// its seed (restore + reseed at the snapshot instant), then runs to
 	// the horizon. The replications share their entire history up to the
 	// snapshot and diverge only in post-fork randomness — warm-start
-	// variance isolation. Func must be nil and Axes empty (the world is
-	// already built; only the seed can vary); Scenario, if empty, is
+	// variance isolation. Axes must be empty (the world is already
+	// built; only the seed can vary); Scenario, if empty, is
 	// labeled from the snapshot's recipe. Horizon 0 means the snapshot's
 	// scenario horizon.
 	Snapshot []byte
@@ -162,14 +153,6 @@ func (d *Design) label(params map[string]string) string {
 		parts = append(parts, a.Name+"="+params[a.Name])
 	}
 	return strings.Join(parts, " ")
-}
-
-// Name returns the campaign's display name.
-func (d *Design) Name() string {
-	if d.Scenario != "" {
-		return d.Scenario
-	}
-	return "(func)"
 }
 
 // seeds returns the resolved per-cell seed list.
@@ -254,9 +237,6 @@ func (d *Design) Validate() error {
 		// only a label. The image must decode and its recipe must name a
 		// scenario registered here, or every replication would fail
 		// identically.
-		if d.Func != nil {
-			return fmt.Errorf("sweep: Snapshot and Func are mutually exclusive")
-		}
 		if len(d.Axes) > 0 {
 			return fmt.Errorf("sweep: a snapshot-forked campaign cannot have axes — the world is already built, only seeds vary")
 		}
@@ -270,15 +250,10 @@ func (d *Design) Validate() error {
 		if _, ok := scenario.Get(img.Provenance.Scenario); !ok {
 			return fmt.Errorf("sweep: snapshot scenario %q is not registered here", img.Provenance.Scenario)
 		}
-	} else {
-		switch {
-		case d.Scenario == "" && d.Func == nil:
-			return fmt.Errorf("sweep: design needs a Scenario name, a Func, or a Snapshot")
-		case d.Scenario != "" && d.Func == nil:
-			if _, ok := scenario.Get(d.Scenario); !ok {
-				return fmt.Errorf("sweep: unknown scenario %q (registered: %v)", d.Scenario, scenario.Names())
-			}
-		}
+	} else if d.Scenario == "" {
+		return fmt.Errorf("sweep: design needs a Scenario name or a Snapshot")
+	} else if _, ok := scenario.Get(d.Scenario); !ok {
+		return fmt.Errorf("sweep: unknown scenario %q (registered: %v)", d.Scenario, scenario.Names())
 	}
 	seen := make(map[string]bool, len(d.Axes))
 	for _, a := range d.Axes {

@@ -48,7 +48,5 @@
 //	fmt.Print(rep.Table().Render())
 //	err = rep.WriteArtifacts("out/")                  // runs.jsonl, cells.csv, report.txt
 //
-// cmd/aromasweep exposes the same engine on the command line, and
-// cmd/aromasim's -all batch mode runs every registered scenario
-// concurrently through it.
+// cmd/aromasweep exposes the same engine on the command line.
 package sweep

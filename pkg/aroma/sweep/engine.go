@@ -147,7 +147,8 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 }
 
 // runOne executes one (cell, replication) task in full isolation: its
-// own Config, its own output buffer, its own World inside the scenario.
+// own Config, its own output buffer, its own World, driven to the
+// horizon by scenario.Drive.
 func (s *Sweep) runOne(ti int) Row {
 	cell := s.cells[ti/len(s.seeds)]
 	rep := ti % len(s.seeds)
@@ -164,26 +165,20 @@ func (s *Sweep) runOne(ti int) Row {
 		Faults:  cell.Faults,
 	}
 	t0 := time.Now()
-	res, err := s.call(cfg)
-	attempts := 0
-	if err != nil && s.design.RetryFailed {
-		// One retry with the byte-identical Config: a deterministic
-		// failure fails again; a host-level flake gets a second chance.
-		// The retry is recorded (Row.Attempts), never silent.
-		attempts = 2
-		buf.Reset()
-		res, err = s.call(cfg)
+	b, err := s.build(cfg)
+	var res *scenario.Result
+	if err == nil {
+		res, err = scenario.Drive(s.design.Scenario, b)
 	}
 	row := Row{
-		Cell:     cell.Index,
-		Label:    cell.Label,
-		Params:   cell.Params,
-		Faults:   cell.Faults,
-		Rep:      rep,
-		Seed:     seed,
-		Attempts: attempts,
-		WallNS:   time.Since(t0).Nanoseconds(),
-		Done:     true,
+		Cell:   cell.Index,
+		Label:  cell.Label,
+		Params: cell.Params,
+		Faults: cell.Faults,
+		Rep:    rep,
+		Seed:   seed,
+		WallNS: time.Since(t0).Nanoseconds(),
+		Done:   true,
 	}
 	row.Output = buf.String()
 	if err != nil {
@@ -213,30 +208,19 @@ func (s *Sweep) runOne(ti int) Row {
 	return row
 }
 
-// call dispatches to the snapshot fork source, the registry, or the
-// design's direct Func; all paths share scenario.Exec's recovery and
-// defaulting contract.
-func (s *Sweep) call(cfg scenario.Config) (*scenario.Result, error) {
-	switch {
-	case s.design.Snapshot != nil:
-		return scenario.Exec(s.design.Name(), s.runForked, cfg)
-	case s.design.Func == nil:
-		return scenario.Run(s.design.Scenario, cfg)
-	default:
-		return scenario.Exec(s.design.Name(), s.design.Func, cfg)
+// build makes one replication's world: a fresh scenario.Build for a
+// registry design, or, for a snapshot design, the design's checkpoint
+// restored and reseeded with the replication's seed at the snapshot
+// instant (checkpoint.ForkBuilt — restore is verified bit-identical
+// before the fork). Forked replications therefore share their whole
+// pre-snapshot history and differ only in post-fork randomness.
+func (s *Sweep) build(cfg scenario.Config) (*scenario.Built, error) {
+	if s.design.Snapshot == nil {
+		return scenario.Build(s.design.Scenario, cfg)
 	}
-}
-
-// runForked is the snapshot-mode run: every replication restores the
-// design's checkpoint, reseeds it with the replication's seed at the
-// snapshot instant (checkpoint.ForkBuilt — restore is verified
-// bit-identical before the fork), and runs the warm world to the
-// horizon. Replications therefore share their whole pre-snapshot
-// history and differ only in post-fork randomness.
-func (s *Sweep) runForked(cfg scenario.Config) (*scenario.Result, error) {
 	b, err := checkpoint.ForkBuilt(s.design.Snapshot, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: %w", s.design.Scenario, err)
 	}
 	if cfg.Horizon != 0 {
 		b.Horizon = cfg.Horizon
@@ -244,15 +228,14 @@ func (s *Sweep) runForked(cfg scenario.Config) (*scenario.Result, error) {
 	if cfg.Metrics {
 		b.EnableTelemetry()
 	}
-	b.World.RunUntil(b.Horizon)
-	return b.Result(), nil
+	return b, nil
 }
 
 // buildReport folds completed rows, in task order, into per-cell
 // summaries.
 func (s *Sweep) buildReport(rows []Row, elapsed time.Duration) *Report {
 	rep := &Report{
-		Name:    s.design.Name(),
+		Name:    s.design.Scenario,
 		Workers: s.workers,
 		Total:   len(rows),
 		Elapsed: elapsed,

@@ -14,9 +14,9 @@ import (
 // clean arm stays the literal "none", an explicit disarm.
 func TestFaultAxisCrossesGrid(t *testing.T) {
 	d := Design{
-		Func:   fakeScenario,
-		Axes:   []Axis{Ints("n", 1, 2)},
-		Faults: []string{"none", "jam:at=5s,for=5s"},
+		Scenario: "fake",
+		Axes:     []Axis{Ints("n", 1, 2)},
+		Faults:   []string{"none", "jam:at=5s,for=5s"},
 	}
 	cells := d.Cells()
 	if len(cells) != 4 {
@@ -34,31 +34,41 @@ func TestFaultAxisCrossesGrid(t *testing.T) {
 		}
 	}
 	// Without axes, the fault arms are the whole grid.
-	solo := Design{Func: fakeScenario, Faults: []string{"none", "crash:at=1s,for=1s"}}
+	solo := Design{Scenario: "fake", Faults: []string{"none", "crash:at=1s,for=1s"}}
 	cells = solo.Cells()
 	if len(cells) != 2 || cells[0].Label != "faults=none" || cells[1].Faults != "crash:at=1s,for=1s" {
 		t.Fatalf("axis-free fault cells = %+v", cells)
 	}
 }
 
+// probeSeen counts, per fault plan, the fake-probe worlds built with it.
+var (
+	probeMu   sync.Mutex
+	probeSeen = make(map[string]int)
+)
+
+func init() {
+	scenario.Register("fake-probe", "sweep test world", func(cfg scenario.Config) (*scenario.Built, error) {
+		probeMu.Lock()
+		probeSeen[cfg.Faults]++
+		probeMu.Unlock()
+		return fakeWorld(cfg), nil
+	})
+}
+
 // Each arm reaches the run verbatim as scenario.Config.Faults and is
 // echoed on its rows; the clean arm runs with the literal "none", so a
 // scenario with a default storm sees an explicit disarm.
 func TestFaultAxisReachesConfig(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[string]int)
 	d := Design{
-		Scenario: "probe",
-		Func: func(cfg scenario.Config) (*scenario.Result, error) {
-			mu.Lock()
-			seen[cfg.Faults]++
-			mu.Unlock()
-			return &scenario.Result{Seed: cfg.Seed, Digest: "d-" + cfg.Faults}, nil
-		},
-		Faults: []string{"none", "outage:at=2s,for=3s"},
-		Reps:   3,
+		Scenario: "fake-probe",
+		Faults:   []string{"none", "outage:at=2s,for=3s"},
+		Reps:     3,
 	}
 	rep := mustRun(t, d)
+	probeMu.Lock()
+	seen := probeSeen
+	probeMu.Unlock()
 	if got := seen["none"]; got != 3 {
 		t.Errorf("clean arm ran %d times, want 3", got)
 	}
@@ -84,8 +94,8 @@ func TestFaultArmValidation(t *testing.T) {
 		d    Design
 		want string
 	}{
-		{"bad plan", Design{Func: fakeScenario, Faults: []string{"crash:for=5s"}}, "fault arm"},
-		{"colliding arms", Design{Func: fakeScenario, Faults: []string{"none", ""}}, "repeats plan"},
+		{"bad plan", Design{Scenario: "fake", Faults: []string{"crash:for=5s"}}, "fault arm"},
+		{"colliding arms", Design{Scenario: "fake", Faults: []string{"none", ""}}, "repeats plan"},
 		{"snapshot", Design{Snapshot: []byte("x"), Faults: []string{"jam:at=1s,for=1s"}}, "cannot sweep fault plans"},
 	}
 	for _, tc := range cases {
@@ -125,57 +135,5 @@ func TestFaultAxisDigests(t *testing.T) {
 		if clean == stormy {
 			t.Errorf("%s: fault arm did not change the digest (%s)", seed, clean)
 		}
-	}
-}
-
-// RetryFailed re-runs a failed task once with the identical Config and
-// records the second attempt; a deterministic failure still fails.
-func TestRetryFailedRecordsAttempts(t *testing.T) {
-	var mu sync.Mutex
-	calls := make(map[int64]int)
-	flaky := func(cfg scenario.Config) (*scenario.Result, error) {
-		mu.Lock()
-		calls[cfg.Seed]++
-		n := calls[cfg.Seed]
-		mu.Unlock()
-		if cfg.Seed == 2 && n == 1 {
-			panic("transient host flake") // recovered by scenario.Exec
-		}
-		if cfg.Seed == 3 {
-			panic("deterministic failure")
-		}
-		return &scenario.Result{Seed: cfg.Seed, Digest: "ok"}, nil
-	}
-
-	rep := mustRun(t, Design{Scenario: "flaky", Func: flaky, Seeds: []int64{1, 2, 3}, RetryFailed: true})
-	byExactSeed := func(s int64) Row {
-		for _, row := range rep.Rows {
-			if row.Seed == s {
-				return row
-			}
-		}
-		t.Fatalf("no row for seed %d", s)
-		return Row{}
-	}
-	if row := byExactSeed(1); row.Err != "" || row.Attempts != 0 {
-		t.Errorf("healthy run: err=%q attempts=%d, want clean single attempt", row.Err, row.Attempts)
-	}
-	if row := byExactSeed(2); row.Err != "" || row.Attempts != 2 {
-		t.Errorf("flaky run: err=%q attempts=%d, want recovered on attempt 2", row.Err, row.Attempts)
-	}
-	if row := byExactSeed(3); row.Err == "" || row.Attempts != 2 {
-		t.Errorf("deterministic failure: err=%q attempts=%d, want failed after 2 attempts", row.Err, row.Attempts)
-	}
-	if calls[2] != 2 || calls[3] != 2 || calls[1] != 1 {
-		t.Errorf("call counts = %v, want seed1:1 seed2:2 seed3:2", calls)
-	}
-
-	// Without RetryFailed, one attempt each and the flake stays failed.
-	mu.Lock()
-	calls = make(map[int64]int)
-	mu.Unlock()
-	rep = mustRun(t, Design{Scenario: "flaky", Func: flaky, Seeds: []int64{2}})
-	if row := rep.Rows[0]; row.Err == "" || row.Attempts != 0 {
-		t.Errorf("no-retry flake: err=%q attempts=%d, want single failed attempt", row.Err, row.Attempts)
 	}
 }

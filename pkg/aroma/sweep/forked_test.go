@@ -61,6 +61,9 @@ func TestSnapshotForkedReplications(t *testing.T) {
 		if row.Digest == "" {
 			t.Fatalf("row seed=%d has no digest", row.Seed)
 		}
+		if row.Name != "densitysweep+fork" {
+			t.Errorf("row seed=%d names scenario %q, want the campaign label", row.Seed, row.Name)
+		}
 		if prev, dup := digests[row.Digest]; dup {
 			t.Errorf("seeds %d and %d produced the same digest %s — forks did not diverge",
 				prev, row.Seed, row.Digest)
@@ -100,7 +103,6 @@ func TestSnapshotDesignValidation(t *testing.T) {
 		d    Design
 	}{
 		{"with axes", Design{Snapshot: data, Axes: []Axis{Ints("radios", 1, 2)}}},
-		{"with func", Design{Snapshot: data, Func: func(scenario.Config) (*scenario.Result, error) { return nil, nil }}},
 		{"garbage snapshot", Design{Snapshot: []byte("{")}},
 		{"unregistered scenario", Design{Snapshot: orphan}},
 	}

@@ -28,10 +28,6 @@ type Row struct {
 	Faults string `json:"faults,omitempty"`
 	Rep    int    `json:"rep"`
 	Seed   int64  `json:"seed"`
-	// Attempts is non-zero only when Design.RetryFailed re-ran this
-	// task: 2 means the first attempt failed and the recorded outcome is
-	// the retry's. Zero means the single ordinary attempt.
-	Attempts int `json:"attempts,omitempty"`
 
 	Name       string             `json:"scenario,omitempty"`
 	Digest     string             `json:"digest,omitempty"`

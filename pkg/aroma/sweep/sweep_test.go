@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,29 +15,63 @@ import (
 
 	"aroma/internal/sim"
 	"aroma/internal/telemetry"
+	"aroma/pkg/aroma"
+	"aroma/pkg/aroma/checkpoint"
 	"aroma/pkg/aroma/scenario"
 	_ "aroma/pkg/aroma/scenarios" // registry: the real-workload tests use mobiledense
 )
 
-// fakeScenario is a cheap, fully deterministic stand-in: its "digest"
-// is a pure function of (params, seed), so digest-reproducibility
-// properties can be tested without simulating radio worlds.
-func fakeScenario(cfg scenario.Config) (*scenario.Result, error) {
+// fakeWorld builds a tiny real world: n×10 no-op events on a kernel
+// seeded with the replication's seed, so its digest is a pure function
+// of (n, seed) and digest-reproducibility properties can be tested
+// without simulating radio worlds. Finish narrates one line and records
+// the metric "value".
+func fakeWorld(cfg scenario.Config) *scenario.Built {
 	n := cfg.ParamIntOr("n", 1)
-	cfg.Printf("fake run n=%d seed=%d\n", n, cfg.Seed)
-	res := &scenario.Result{
-		Seed:   cfg.Seed,
-		Steps:  uint64(n) * 10,
-		Digest: fmt.Sprintf("fake-%d-%d", n, cfg.Seed),
+	w := aroma.NewWorld(aroma.WithSeed(cfg.Seed))
+	for i := 0; i < n*10; i++ {
+		w.Schedule(sim.Time(i)*sim.Millisecond, "tick", func() {})
 	}
-	res.Metric("value", float64(n)*100+float64(cfg.Seed))
-	return res, nil
+	return &scenario.Built{World: w, Horizon: sim.Second, Finish: func(res *scenario.Result) {
+		cfg.Printf("fake run n=%d seed=%d\n", n, cfg.Seed)
+		res.Metric("value", float64(n)*100+float64(cfg.Seed))
+	}}
+}
+
+// fakeStarted counts fake-slow builds, for the cancellation test.
+var fakeStarted atomic.Int32
+
+// The fake scenarios are registered once for the whole test binary.
+func init() {
+	scenario.Register("fake", "sweep test world", func(cfg scenario.Config) (*scenario.Built, error) {
+		return fakeWorld(cfg), nil
+	})
+	// Cell n=2 detonates in a kernel event mid-run.
+	scenario.Register("fake-panic", "sweep test world", func(cfg scenario.Config) (*scenario.Built, error) {
+		b := fakeWorld(cfg)
+		if cfg.ParamIntOr("n", 0) == 2 {
+			b.World.Schedule(5*sim.Millisecond, "detonate", func() { panic("poisoned cell") })
+		}
+		return b, nil
+	})
+	// Cell n=1 fails to build.
+	scenario.Register("fake-reject", "sweep test world", func(cfg scenario.Config) (*scenario.Built, error) {
+		if cfg.ParamIntOr("n", 0) == 1 {
+			return nil, fmt.Errorf("cell rejects seed %d", cfg.Seed)
+		}
+		return fakeWorld(cfg), nil
+	})
+	// Every build takes 5 ms of wall time.
+	scenario.Register("fake-slow", "sweep test world", func(cfg scenario.Config) (*scenario.Built, error) {
+		fakeStarted.Add(1)
+		time.Sleep(5 * time.Millisecond)
+		return fakeWorld(cfg), nil
+	})
 }
 
 func fakeDesign() Design {
 	return Design{
 		Scenario: "fake",
-		Func:     fakeScenario,
 		Axes:     []Axis{Ints("n", 1, 2, 3)},
 		Reps:     8,
 		BaseSeed: 1,
@@ -58,8 +93,8 @@ func mustRun(t *testing.T, d Design, opts ...Option) *Report {
 
 func TestCellsRowMajorOrder(t *testing.T) {
 	d := Design{
-		Func: fakeScenario,
-		Axes: []Axis{Ints("a", 1, 2), Strings("b", "x", "y", "z")},
+		Scenario: "fake",
+		Axes:     []Axis{Ints("a", 1, 2), Strings("b", "x", "y", "z")},
 	}
 	cells := d.Cells()
 	if len(cells) != 6 {
@@ -77,7 +112,7 @@ func TestCellsRowMajorOrder(t *testing.T) {
 }
 
 func TestCellsEmptyGrid(t *testing.T) {
-	d := Design{Func: fakeScenario}
+	d := Design{Scenario: "fake"}
 	cells := d.Cells()
 	if len(cells) != 1 || cells[0].Label != "" || len(cells[0].Params) != 0 {
 		t.Fatalf("empty grid cells = %+v, want one empty cell", cells)
@@ -92,12 +127,12 @@ func TestValidateRejectsBadDesigns(t *testing.T) {
 	}{
 		{"no scenario", Design{}, "needs a Scenario"},
 		{"unknown scenario", Design{Scenario: "no-such"}, "unknown scenario"},
-		{"empty axis name", Design{Func: fakeScenario, Axes: []Axis{Strings("", "x")}}, "empty name"},
-		{"duplicate axis", Design{Func: fakeScenario, Axes: []Axis{Ints("a", 1), Ints("a", 2)}}, "duplicate axis"},
-		{"empty axis", Design{Func: fakeScenario, Axes: []Axis{{Name: "a"}}}, "no values"},
-		{"duplicate value", Design{Func: fakeScenario, Axes: []Axis{Ints("a", 5, 5)}}, "repeats value"},
-		{"duplicate seed", Design{Func: fakeScenario, Seeds: []int64{3, 3}}, "listed twice"},
-		{"seed range crosses 0", Design{Func: fakeScenario, BaseSeed: -2, Reps: 5}, "crosses 0"},
+		{"empty axis name", Design{Scenario: "fake", Axes: []Axis{Strings("", "x")}}, "empty name"},
+		{"duplicate axis", Design{Scenario: "fake", Axes: []Axis{Ints("a", 1), Ints("a", 2)}}, "duplicate axis"},
+		{"empty axis", Design{Scenario: "fake", Axes: []Axis{{Name: "a"}}}, "no values"},
+		{"duplicate value", Design{Scenario: "fake", Axes: []Axis{Ints("a", 5, 5)}}, "repeats value"},
+		{"duplicate seed", Design{Scenario: "fake", Seeds: []int64{3, 3}}, "listed twice"},
+		{"seed range crosses 0", Design{Scenario: "fake", BaseSeed: -2, Reps: 5}, "crosses 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,7 +157,7 @@ func TestValidateRejectsBadDesigns(t *testing.T) {
 // every replication has a distinct seed.
 func TestSeedParamPairsUnique(t *testing.T) {
 	d := Design{
-		Func:     fakeScenario,
+		Scenario: "fake",
 		Axes:     []Axis{Ints("a", 1, 2, 3), Floats("b", 0.5, 1.5)},
 		Reps:     16,
 		BaseSeed: 100,
@@ -142,8 +177,8 @@ func TestSeedParamPairsUnique(t *testing.T) {
 }
 
 // TestParallelMatchesSequential is the acceptance criterion on the fake
-// workload: same design at workers=1 and workers=8 yields byte-identical
-// digests and identical per-cell aggregates.
+// worlds: same design at workers=1 and workers=8 yields byte-identical
+// world digests and identical per-cell aggregates.
 func TestParallelMatchesSequential(t *testing.T) {
 	d := fakeDesign()
 	seq := mustRun(t, d, WithWorkers(1))
@@ -216,6 +251,69 @@ func TestRerunReproducesDigests(t *testing.T) {
 	}
 }
 
+// TestRowsMatchDirectRuns: a sweep row is exactly the run its recipe
+// names. For a registry design with a fault arm, every row's digest,
+// steps and metrics equal a direct scenario.Run at the row's seed,
+// params and plan; for a snapshot design, they equal checkpoint.ForkBuilt
+// at the row's seed driven to the horizon.
+func TestRowsMatchDirectRuns(t *testing.T) {
+	assertRowMatches := func(t *testing.T, row Row, res *scenario.Result) {
+		t.Helper()
+		want := map[string]float64{
+			"steps":      float64(res.Steps),
+			"findings":   float64(res.Findings()),
+			"issues":     float64(res.Issues()),
+			"violations": float64(res.Violations()),
+		}
+		for k, v := range res.Metrics {
+			want[k] = v
+		}
+		if row.Err != "" || row.Digest != res.Digest || row.Steps != res.Steps ||
+			!reflect.DeepEqual(row.Metrics, want) {
+			t.Errorf("row %q seed=%d: err=%q digest=%s steps=%d metrics=%v; direct run: digest=%s steps=%d metrics=%v",
+				row.Label, row.Seed, row.Err, row.Digest, row.Steps, row.Metrics, res.Digest, res.Steps, want)
+		}
+	}
+
+	t.Run("registry", func(t *testing.T) {
+		d := Design{
+			Scenario: "faultstorm",
+			Horizon:  25 * sim.Second,
+			Faults:   []string{"none", "jam:at=5s,for=10s,loss=40"},
+			Reps:     2,
+		}
+		rep := mustRun(t, d, WithWorkers(2))
+		if len(rep.Rows) != 4 {
+			t.Fatalf("rows = %d, want 4", len(rep.Rows))
+		}
+		for _, row := range rep.Rows {
+			res, err := scenario.Run("faultstorm", scenario.Config{
+				Seed: row.Seed, Horizon: d.Horizon, Params: row.Params, Faults: row.Faults,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRowMatches(t, row, res)
+		}
+	})
+
+	t.Run("snapshot", func(t *testing.T) {
+		data := warmSnapshot(t)
+		rep := mustRun(t, Design{Snapshot: data, Reps: 2, BaseSeed: 100}, WithWorkers(2))
+		if len(rep.Rows) != 2 {
+			t.Fatalf("rows = %d, want 2", len(rep.Rows))
+		}
+		for _, row := range rep.Rows {
+			b, err := checkpoint.ForkBuilt(data, row.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.World.RunUntil(b.Horizon)
+			assertRowMatches(t, row, b.Result())
+		}
+	})
+}
+
 func assertReportsEquivalent(t *testing.T, a, b *Report) {
 	t.Helper()
 	if len(a.Rows) != len(b.Rows) {
@@ -247,26 +345,21 @@ func assertReportsEquivalent(t *testing.T, a, b *Report) {
 	}
 }
 
-// TestPanicBecomesFailedRow: one poisoned cell panics on every
-// replication; the sweep (keep-going) survives, reports those rows as
+// TestPanicBecomesFailedRow: one poisoned cell panics out of a kernel
+// event on every replication; the sweep (keep-going) survives, reports those rows as
 // failed, and completes every other cell.
 func TestPanicBecomesFailedRow(t *testing.T) {
 	d := Design{
-		Func: func(cfg scenario.Config) (*scenario.Result, error) {
-			if cfg.ParamIntOr("n", 0) == 2 {
-				panic("poisoned cell")
-			}
-			return fakeScenario(cfg)
-		},
-		Axes: []Axis{Ints("n", 1, 2, 3)},
-		Reps: 4,
+		Scenario: "fake-panic",
+		Axes:     []Axis{Ints("n", 1, 2, 3)},
+		Reps:     4,
 	}
 	rep := mustRun(t, d, WithWorkers(4))
 	if got := rep.FailedCount(); got != 4 {
 		t.Fatalf("failed rows = %d, want 4", got)
 	}
 	for _, row := range rep.Failed() {
-		if row.Label != "n=2" || !strings.Contains(row.Err, "poisoned") {
+		if row.Label != "n=2" || row.Err != "scenario fake-panic: panic: poisoned cell" {
 			t.Errorf("unexpected failed row %+v", row)
 		}
 	}
@@ -279,14 +372,9 @@ func TestPanicBecomesFailedRow(t *testing.T) {
 
 func TestErrorRowKeepGoingVsFailFast(t *testing.T) {
 	d := Design{
-		Func: func(cfg scenario.Config) (*scenario.Result, error) {
-			if cfg.ParamIntOr("n", 0) == 1 {
-				return nil, fmt.Errorf("cell rejects seed %d", cfg.Seed)
-			}
-			return fakeScenario(cfg)
-		},
-		Axes: []Axis{Ints("n", 1, 2)},
-		Reps: 6,
+		Scenario: "fake-reject",
+		Axes:     []Axis{Ints("n", 1, 2)},
+		Reps:     6,
 	}
 	s, err := New(d, WithWorkers(1))
 	if err != nil {
@@ -314,15 +402,11 @@ func TestErrorRowKeepGoingVsFailFast(t *testing.T) {
 }
 
 func TestContextCancellationStopsPromptly(t *testing.T) {
-	var started atomic.Int32
+	fakeStarted.Store(0)
 	d := Design{
-		Func: func(cfg scenario.Config) (*scenario.Result, error) {
-			started.Add(1)
-			time.Sleep(5 * time.Millisecond)
-			return fakeScenario(cfg)
-		},
-		Axes: []Axis{Ints("n", 1)},
-		Reps: 200,
+		Scenario: "fake-slow",
+		Axes:     []Axis{Ints("n", 1)},
+		Reps:     200,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var completed atomic.Int32
@@ -341,7 +425,7 @@ func TestContextCancellationStopsPromptly(t *testing.T) {
 	if n := len(rep.Rows); n >= 200 || n < 3 {
 		t.Fatalf("completed rows = %d; cancellation did not stop the sweep promptly", n)
 	}
-	if s := started.Load(); s >= 200 {
+	if s := fakeStarted.Load(); s >= 200 {
 		t.Fatalf("all %d runs started despite cancellation", s)
 	}
 }
@@ -442,7 +526,7 @@ func TestParseAxis(t *testing.T) {
 }
 
 func TestExplicitSeedsAllowClassicZero(t *testing.T) {
-	d := Design{Func: fakeScenario, Seeds: []int64{0, 5}}
+	d := Design{Scenario: "fake", Seeds: []int64{0, 5}}
 	rep := mustRun(t, d, WithWorkers(1))
 	if len(rep.Rows) != 2 || rep.Rows[0].Seed != 0 || rep.Rows[1].Seed != 5 {
 		t.Fatalf("rows = %+v", rep.Rows)

@@ -6,13 +6,13 @@ import (
 	"aroma/internal/trace"
 )
 
-// DefaultTelemetryPeriod is the sim-time sampling period used when
-// EnableTelemetry is given a non-positive period.
+// DefaultTelemetryPeriod is the sim-time sampling period of the
+// telemetry sampler.
 const DefaultTelemetryPeriod = 100 * sim.Millisecond
 
 // EnableTelemetry attaches a per-world instrument registry and starts
 // the kernel-driven sampler that turns the sim-plane instruments into
-// deterministic sim-time series. period <= 0 selects
+// deterministic sim-time series, one sample every
 // DefaultTelemetryPeriod. Calling it again is a no-op that returns the
 // existing registry.
 //
@@ -20,17 +20,14 @@ const DefaultTelemetryPeriod = 100 * sim.Millisecond
 // queue and the instruments read counters the model already keeps, so
 // digests, ExportState, and provenance are bit-identical with telemetry
 // enabled or disabled.
-func (w *World) EnableTelemetry(period sim.Time) *telemetry.Registry {
+func (w *World) EnableTelemetry() *telemetry.Registry {
 	if w.tel != nil {
 		return w.tel
-	}
-	if period <= 0 {
-		period = DefaultTelemetryPeriod
 	}
 	reg := telemetry.New()
 	w.registerInstruments(reg)
 	w.tel = reg
-	w.telStop = w.kernel.AddSampler(period, func(at sim.Time) {
+	w.kernel.AddSampler(DefaultTelemetryPeriod, func(at sim.Time) {
 		reg.Sample(int64(at))
 	})
 	return reg

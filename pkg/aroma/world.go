@@ -50,9 +50,8 @@ type World struct {
 	faults *fault.Injector
 
 	// tel, when set, is the world's instrument registry (see
-	// EnableTelemetry); telStop halts its kernel sampler.
-	tel     *telemetry.Registry
-	telStop func()
+	// EnableTelemetry).
+	tel *telemetry.Registry
 }
 
 // NewWorld assembles a world from functional options.
