@@ -1,6 +1,6 @@
 // Package main's bench file regenerates every reproduced figure and
-// claim of the paper as a testing.B benchmark: one benchmark per row of
-// the experiment index in DESIGN.md. Run with
+// claim of the paper as a testing.B benchmark: one benchmark per entry
+// of the experiment index, internal/experiments.All. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -39,7 +39,7 @@ func BenchmarkFigure3Frustration(b *testing.B) { benchExperiment(b, "F3") }
 func BenchmarkFigure4Consistency(b *testing.B) { benchExperiment(b, "F4") }
 func BenchmarkFigure5Harmony(b *testing.B)     { benchExperiment(b, "F5") }
 
-// Claims C1–C8 from the Smart Projector analysis.
+// Claims C1–C10 from the Smart Projector analysis.
 
 func BenchmarkC1AnimationBandwidth(b *testing.B) { benchExperiment(b, "C1") }
 func BenchmarkC2DeviceDensity(b *testing.B)      { benchExperiment(b, "C2") }

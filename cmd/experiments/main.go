@@ -1,10 +1,10 @@
 // Command experiments runs the paper-reproduction experiment suite and
-// prints every regenerated table and figure-shaped series (the rows
-// indexed in EXPERIMENTS.md).
+// prints every regenerated table and figure-shaped series (the entries
+// of internal/experiments.All, which -list prints).
 //
 // Usage:
 //
-//	experiments [-run all|F1|...|C8] [-seed N] [-list]
+//	experiments [-run all|F1|...|F5|C1|...|C10|S1|S2] [-seed N] [-list]
 package main
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	runID := flag.String("run", "all", "experiment id to run (F1..F5, C1..C8) or 'all'")
+	runID := flag.String("run", "all", "experiment id to run (F1..F5, C1..C10, S1, S2) or 'all'")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()

@@ -41,9 +41,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		cfg := core.DefaultConfig()
-		cfg.UserColumn = *userColumn
-		fmt.Println(core.Analyze(sys, cfg).Render())
+		fmt.Println(core.Analyze(sys, *userColumn).Render())
 		return
 	}
 
@@ -67,8 +65,5 @@ func main() {
 
 	k := sim.New(1)
 	sys := experiments.SmartProjectorSystem(k, fac, true)
-	cfg := core.DefaultConfig()
-	cfg.UserColumn = *userColumn
-	report := core.Analyze(sys, cfg)
-	fmt.Println(report.Render())
+	fmt.Println(core.Analyze(sys, *userColumn).Render())
 }

@@ -22,6 +22,10 @@ import (
 // (which drives the daemon and the client), or carry an //aroma:kept
 // directive saying why it stays. Tests alone do not keep an export
 // alive; what only a test needs belongs in that package's test files.
+// In the public packages under pkg/ the same rule holds for option
+// constructors (see isOptionConstructor): an option no production
+// caller sets is a second way to configure what another entry point
+// already does, or a knob with one value.
 //
 // It is a test rather than an aromalint analyzer because go vet hands a
 // vettool one package at a time, and a reference from another package
@@ -40,19 +44,24 @@ func TestNoUnreferencedInternalExports(t *testing.T) {
 	}
 }
 
-// TestUnreferencedFixture runs the same scan over a two-package fixture
-// module (testdata/unref) and checks exactly the dead exports are
-// reported: one nothing mentions, one only a test calls and one only
-// it calls itself, but not one another package calls, one marked
+// TestUnreferencedFixture runs the same scan over a three-package
+// fixture module (testdata/unref) and checks exactly the dead exports
+// are reported: one nothing mentions, one only a test calls and one
+// only it calls itself, but not one another package calls, one marked
 // //aroma:kept, or methods reached through a used interface or a
-// standard-library one.
+// standard-library one; and in its pkg/ package the option constructor
+// nothing sets, but not the one the app sets nor an unreferenced
+// function that returns no option.
 func TestUnreferencedFixture(t *testing.T) {
 	got := unreferencedIn(t, filepath.Join("testdata", "unref"))
 	var names []string
 	for _, u := range got {
 		names = append(names, u[strings.LastIndex(u, " ")+1:])
 	}
-	want := []string{"unref/internal/lib.Recursive", "unref/internal/lib.TestOnly", "unref/internal/lib.Unused"}
+	want := []string{
+		"unref/internal/lib.Recursive", "unref/internal/lib.TestOnly", "unref/internal/lib.Unused",
+		"unref/pkg/facade.WithUnused",
+	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("reported %q, want %q", names, want)
 	}
@@ -97,20 +106,25 @@ type export struct {
 }
 
 // unreferenced reports the exported package-level identifiers and the
-// exported methods of exported types, declared in internal packages,
-// that no loaded (non-test) code references. Objects are matched by
-// package path and name, never by identity: a package imported through
-// export data gets its own copy of every object it mentions.
+// exported methods of exported types declared in internal packages,
+// and the option constructors declared in pkg/ packages, that no loaded
+// (non-test) code references. Objects are matched by package path and
+// name, never by identity: a package imported through export data gets
+// its own copy of every object it mentions.
 func unreferenced(pkgs []*load.Package) []string {
 	exports := make(map[string]*export)
 	modules := make(map[string]bool)
 	for _, p := range pkgs {
 		modules[strings.SplitN(p.ImportPath, "/", 2)[0]] = true
-		if !strings.Contains(p.ImportPath+"/", "/internal/") {
-			continue
-		}
-		for _, f := range p.Files {
-			collectExports(p, f, exports)
+		switch path := p.ImportPath + "/"; {
+		case strings.Contains(path, "/internal/"):
+			for _, f := range p.Files {
+				collectExports(p, f, exports)
+			}
+		case strings.Contains(path, "/pkg/"):
+			for _, f := range p.Files {
+				collectOptions(p, f, exports)
+			}
 		}
 	}
 
@@ -183,28 +197,59 @@ func unreferenced(pkgs []*load.Package) []string {
 	return out
 }
 
+// addExport records the exported identifier id, declared by span, as a
+// candidate and returns it; it returns nil for anything else.
+func addExport(p *load.Package, exports map[string]*export, id *ast.Ident, doc []*ast.CommentGroup, span ast.Node) *export {
+	k := objectKey(p.TypesInfo.Defs[id])
+	if k == "" || !id.IsExported() {
+		return nil
+	}
+	e := &export{
+		pos:  p.Fset.Position(id.Pos()),
+		fset: p.Fset,
+		span: [2]token.Pos{span.Pos(), span.End()},
+		kept: hasKept(doc...),
+	}
+	exports[k] = e
+	return e
+}
+
+// collectOptions records the option constructors declared in f.
+func collectOptions(p *load.Package, f *ast.File, exports map[string]*export) {
+	for _, decl := range f.Decls {
+		if d, ok := decl.(*ast.FuncDecl); ok && isOptionConstructor(p, d) {
+			addExport(p, exports, d.Name, []*ast.CommentGroup{d.Doc}, d)
+		}
+	}
+}
+
+// optionTypes are the names of the functional-option types a public
+// package configures its values with.
+var optionTypes = map[string]bool{"Option": true, "DeviceOption": true, "UserOption": true}
+
+// isOptionConstructor reports whether d is a package-level function
+// whose one result is its own package's Option, DeviceOption or
+// UserOption type.
+func isOptionConstructor(p *load.Package, d *ast.FuncDecl) bool {
+	fn, ok := p.TypesInfo.Defs[d.Name].(*types.Func)
+	if !ok || d.Recv != nil {
+		return false
+	}
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() != 1 {
+		return false
+	}
+	named, ok := res.At(0).Type().(*types.Named)
+	return ok && named.Obj().Pkg() == p.Pkg && optionTypes[named.Obj().Name()]
+}
+
 // collectExports records the candidates declared in f.
 func collectExports(p *load.Package, f *ast.File, exports map[string]*export) {
-	add := func(id *ast.Ident, doc []*ast.CommentGroup, span ast.Node) *export {
-		obj := p.TypesInfo.Defs[id]
-		k := objectKey(obj)
-		if k == "" || !id.IsExported() {
-			return nil
-		}
-		e := &export{
-			pos:  p.Fset.Position(id.Pos()),
-			fset: p.Fset,
-			span: [2]token.Pos{span.Pos(), span.End()},
-			kept: hasKept(doc...),
-		}
-		exports[k] = e
-		return e
-	}
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
-				add(d.Name, []*ast.CommentGroup{d.Doc}, d)
+				addExport(p, exports, d.Name, []*ast.CommentGroup{d.Doc}, d)
 				continue
 			}
 			fn, _ := p.TypesInfo.Defs[d.Name].(*types.Func)
@@ -215,17 +260,17 @@ func collectExports(p *load.Package, f *ast.File, exports map[string]*export) {
 			if named == nil || !named.Obj().Exported() {
 				continue // only an interface reaches an unexported type's methods
 			}
-			if e := add(d.Name, []*ast.CommentGroup{d.Doc}, d); e != nil {
+			if e := addExport(p, exports, d.Name, []*ast.CommentGroup{d.Doc}, d); e != nil {
 				e.named, e.method = named, fn
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					add(s.Name, []*ast.CommentGroup{d.Doc, s.Doc}, s)
+					addExport(p, exports, s.Name, []*ast.CommentGroup{d.Doc, s.Doc}, s)
 				case *ast.ValueSpec:
 					for _, name := range s.Names {
-						add(name, []*ast.CommentGroup{d.Doc, s.Doc}, s)
+						addExport(p, exports, name, []*ast.CommentGroup{d.Doc, s.Doc}, s)
 					}
 				}
 			}

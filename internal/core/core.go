@@ -92,8 +92,6 @@ type DesignPurpose struct {
 	// users (a research prototype assumes ~0.9; a commercial product
 	// should assume ~0.2).
 	AssumedSkill float64
-	// AssumedLanguages are the languages the design assumes.
-	AssumedLanguages []string
 }
 
 // HarmonyWith scores the purpose against a user's goals in [0,1]: the
@@ -253,14 +251,6 @@ func (r *Report) Violations() []Finding {
 	return out
 }
 
-// Config controls the analysis.
-type Config struct {
-	// UserColumn enables the user side of every layer — the paper's
-	// contribution. Disabling it yields the OSI-style device-only view
-	// (the ablation arm).
-	UserColumn bool
-}
-
 const (
 	// consistencyThreshold is the minimum mental-model consistency
 	// score before the abstract layer flags a violation.
@@ -270,20 +260,17 @@ const (
 	harmonyThreshold = 0.5
 )
 
-// DefaultConfig enables the full model.
-func DefaultConfig() Config {
-	return Config{UserColumn: true}
-}
-
 // Analyze runs every layer's relation checks over the system and returns
-// the classified findings.
-func Analyze(s *System, cfg Config) *Report {
-	r := &Report{SystemName: s.Name, UserColumn: cfg.UserColumn}
-	checkEnvironment(s, cfg, r)
-	checkPhysical(s, cfg, r)
-	checkResource(s, cfg, r)
-	checkAbstract(s, cfg, r)
-	checkIntentional(s, cfg, r)
+// the classified findings. userColumn enables the user side of every
+// layer — the paper's contribution; false yields the OSI-style
+// device-only view (the ablation arm).
+func Analyze(s *System, userColumn bool) *Report {
+	r := &Report{SystemName: s.Name, UserColumn: userColumn}
+	checkEnvironment(s, userColumn, r)
+	checkPhysical(s, userColumn, r)
+	checkResource(s, userColumn, r)
+	checkAbstract(s, userColumn, r)
+	checkIntentional(s, userColumn, r)
 	foldTrace(s, r)
 	sort.SliceStable(r.Findings, func(i, j int) bool { return r.Findings[i].Layer < r.Findings[j].Layer })
 	return r
@@ -298,7 +285,7 @@ func add(r *Report, l Layer, sev Severity, subject, format string, args ...any) 
 
 // checkEnvironment verifies link reachability through the shared medium
 // and (user column) voice operation against ambient noise.
-func checkEnvironment(s *System, cfg Config, r *Report) {
+func checkEnvironment(s *System, userColumn bool, r *Report) {
 	for _, ln := range s.Links {
 		a, b := s.Device(ln.A), s.Device(ln.B)
 		if a == nil || b == nil {
@@ -324,7 +311,7 @@ func checkEnvironment(s *System, cfg Config, r *Report) {
 				"link healthy: SNR %.1f dB, %.1f Mb/s", snr, rate.Mbps)
 		}
 	}
-	if !cfg.UserColumn || s.Env == nil {
+	if !userColumn || s.Env == nil {
 		return
 	}
 	for _, ue := range s.Users {
@@ -351,14 +338,14 @@ func checkEnvironment(s *System, cfg Config, r *Report) {
 
 // checkPhysical verifies physical compatibility between users and the
 // devices they operate.
-func checkPhysical(s *System, cfg Config, r *Report) {
+func checkPhysical(s *System, userColumn bool, r *Report) {
 	for _, d := range s.Devices {
 		if d.OperatingRangeM > 0 {
 			add(r, Physical, trace.Issue, d.Name,
 				"operation requires physical proximity within %.1f m — constrains user mobility", d.OperatingRangeM)
 		}
 	}
-	if !cfg.UserColumn {
+	if !userColumn {
 		return
 	}
 	for _, ue := range s.Users {
@@ -395,14 +382,14 @@ func checkPhysical(s *System, cfg Config, r *Report) {
 
 // checkResource verifies that device resources do not frustrate user
 // faculties.
-func checkResource(s *System, cfg Config, r *Report) {
+func checkResource(s *System, userColumn bool, r *Report) {
 	for _, d := range s.Devices {
 		if d.Spec.Exec == device.SingleThreaded && !d.Spec.AllowAbort {
 			add(r, Resource, trace.Issue, d.Name,
 				"single-threaded engine with no abort: unabortable tasks cause needless frustration")
 		}
 	}
-	if !cfg.UserColumn {
+	if !userColumn {
 		return
 	}
 	for _, ue := range s.Users {
@@ -439,8 +426,8 @@ func checkResource(s *System, cfg Config, r *Report) {
 }
 
 // checkAbstract verifies mental-model consistency with application state.
-func checkAbstract(s *System, cfg Config, r *Report) {
-	if !cfg.UserColumn {
+func checkAbstract(s *System, userColumn bool, r *Report) {
+	if !userColumn {
 		return
 	}
 	for _, ue := range s.Users {
@@ -469,8 +456,8 @@ func checkAbstract(s *System, cfg Config, r *Report) {
 }
 
 // checkIntentional verifies design-purpose/goal harmony.
-func checkIntentional(s *System, cfg Config, r *Report) {
-	if !cfg.UserColumn {
+func checkIntentional(s *System, userColumn bool, r *Report) {
+	if !userColumn {
 		return
 	}
 	for _, ue := range s.Users {

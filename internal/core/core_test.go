@@ -103,7 +103,7 @@ func TestHarmonyScoring(t *testing.T) {
 func TestAnalyzeResearcherScenario(t *testing.T) {
 	k := sim.New(1)
 	sys := projectorSystem(k, user.ResearcherFaculties())
-	r := Analyze(sys, DefaultConfig())
+	r := Analyze(sys, true)
 	if r.SystemName != "smart-projector" || !r.UserColumn {
 		t.Fatal("report metadata wrong")
 	}
@@ -144,8 +144,8 @@ func TestAnalyzeCasualUserFindsMoreViolations(t *testing.T) {
 	k := sim.New(1)
 	resSys := projectorSystem(k, user.ResearcherFaculties())
 	casSys := projectorSystem(k, user.CasualFaculties())
-	rRes := Analyze(resSys, DefaultConfig())
-	rCas := Analyze(casSys, DefaultConfig())
+	rRes := Analyze(resSys, true)
+	rCas := Analyze(casSys, true)
 	if len(rCas.Violations()) <= len(rRes.Violations()) {
 		t.Fatalf("casual violations (%d) should exceed researcher (%d)",
 			len(rCas.Violations()), len(rRes.Violations()))
@@ -176,8 +176,8 @@ func TestAnalyzeCasualUserFindsMoreViolations(t *testing.T) {
 func TestUserColumnAblationHidesIssues(t *testing.T) {
 	k := sim.New(1)
 	sys := projectorSystem(k, user.CasualFaculties())
-	full := Analyze(sys, DefaultConfig())
-	deviceOnly := Analyze(sys, Config{UserColumn: false})
+	full := Analyze(sys, true)
+	deviceOnly := Analyze(sys, false)
 	if len(deviceOnly.Findings) >= len(full.Findings) {
 		t.Fatalf("device-only (%d findings) should see less than full (%d)",
 			len(deviceOnly.Findings), len(full.Findings))
@@ -196,7 +196,7 @@ func TestMentalModelInconsistencyFlagged(t *testing.T) {
 	// The user believes they still own the session, but it was reclaimed.
 	sys.Device("projector").AppState["session.owner"] = "none"
 	sys.Device("projector").AppState["projecting"] = "false"
-	r := Analyze(sys, DefaultConfig())
+	r := Analyze(sys, true)
 	found := false
 	for _, f := range r.ByLayer(Abstract) {
 		if f.Severity >= trace.Violation && strings.Contains(f.Detail, "consistency") {
@@ -219,7 +219,7 @@ func TestInfeasibleLinkFlagged(t *testing.T) {
 	sys.AddDevice(&DeviceEntity{Name: "a", Pos: geo.Pt(0, 0), Radio: a, Spec: device.AromaAdapterSpec()})
 	sys.AddDevice(&DeviceEntity{Name: "b", Pos: geo.Pt(9000, 0), Radio: b, Spec: device.AromaAdapterSpec()})
 	sys.Links = []Link{{A: "a", B: "b"}}
-	r := Analyze(sys, DefaultConfig())
+	r := Analyze(sys, true)
 	vio := r.Violations()
 	if len(vio) == 0 || !strings.Contains(vio[0].Detail, "infeasible") {
 		t.Fatalf("infeasible link not flagged: %v", r.Findings)
@@ -231,7 +231,7 @@ func TestUnknownLinkAndDevice(t *testing.T) {
 	sys := &System{Name: "broken", Links: []Link{{A: "x", B: "y"}}}
 	alice := user.New(k, "alice", user.CasualFaculties())
 	sys.AddUser(&UserEntity{U: alice, Operates: []string{"ghost"}})
-	r := Analyze(sys, DefaultConfig())
+	r := Analyze(sys, true)
 	if len(r.Findings) < 2 {
 		t.Fatalf("expected findings for unknown entities: %v", r.Findings)
 	}
@@ -244,7 +244,7 @@ func TestNoCommonLanguageViolation(t *testing.T) {
 		Training:             map[string]float64{},
 		FrustrationTolerance: 0.9, PatienceLimit: 10 * sim.Second,
 	})
-	r := Analyze(sys, DefaultConfig())
+	r := Analyze(sys, true)
 	found := false
 	for _, f := range r.ByLayer(Resource) {
 		if strings.Contains(f.Detail, "no common language") {
@@ -262,7 +262,7 @@ func TestTraceEventsFoldedIntoReport(t *testing.T) {
 	log := trace.NewForKernel(k)
 	log.Issue(trace.Physical, "wlan", "low bandwidth prevents rapid animation")
 	sys.Log = log
-	r := Analyze(sys, DefaultConfig())
+	r := Analyze(sys, true)
 	found := false
 	for _, f := range r.ByLayer(Physical) {
 		if strings.Contains(f.Detail, "rapid animation") {
@@ -306,7 +306,7 @@ func TestRenderLayerFigures(t *testing.T) {
 func TestReportRender(t *testing.T) {
 	k := sim.New(1)
 	sys := projectorSystem(k, user.CasualFaculties())
-	r := Analyze(sys, DefaultConfig())
+	r := Analyze(sys, true)
 	out := r.Render()
 	for _, l := range trace.Layers() {
 		if !strings.Contains(out, l.String()+" layer") {
@@ -316,7 +316,7 @@ func TestReportRender(t *testing.T) {
 	if !strings.Contains(out, "Totals:") {
 		t.Fatal("render missing totals")
 	}
-	ablation := Analyze(sys, Config{UserColumn: false})
+	ablation := Analyze(sys, false)
 	if !strings.Contains(ablation.Render(), "OSI-style ablation") {
 		t.Fatal("ablation render should label itself")
 	}

@@ -94,7 +94,7 @@ func TestLoadSystemFullDocument(t *testing.T) {
 	}
 
 	// The loaded system must be analyzable end to end.
-	rep := Analyze(sys, DefaultConfig())
+	rep := Analyze(sys, true)
 	if len(rep.Findings) == 0 {
 		t.Fatal("no findings from loaded system")
 	}
@@ -160,7 +160,7 @@ func TestLoadSystemDefaults(t *testing.T) {
 	if !u.Faculties.Speaks("en") || u.Faculties.TechSkill <= 0 {
 		t.Fatal("default faculties not applied")
 	}
-	rep := Analyze(sys, DefaultConfig())
+	rep := Analyze(sys, true)
 	if rep.CountBySeverity(trace.Violation) != 0 {
 		t.Fatalf("minimal defaults should analyze clean: %v", rep.Violations())
 	}

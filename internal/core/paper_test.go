@@ -77,7 +77,7 @@ func TestPaperAnalysisFidelity(t *testing.T) {
 	log.Issue(trace.Physical, "wlan", "low bandwidth of wireless adapters prevents rapid animation")
 	log.Issue(trace.Environment, "band", "high concentration of 2.4GHz devices: interference observed")
 
-	rep := Analyze(sys, DefaultConfig())
+	rep := Analyze(sys, true)
 
 	// Each row: the paper's concern, the layer it filed it under, and a
 	// substring the analyzer's finding must contain.
@@ -118,7 +118,7 @@ func TestPaperAnalysisFidelity(t *testing.T) {
 	sysR := &System{Name: "intended-audience"}
 	sysR.AddDevice(sys.Devices[1])
 	sysR.AddUser(&UserEntity{U: researcher, Operates: []string{"projector"}})
-	repR := Analyze(sysR, DefaultConfig())
+	repR := Analyze(sysR, true)
 	for _, f := range repR.ByLayer(Intentional) {
 		if f.Severity >= trace.Violation {
 			t.Errorf("researcher should be in harmony with the prototype: %v", f)

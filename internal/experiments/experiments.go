@@ -1,7 +1,7 @@
 // Package experiments contains one driver per reproduced element of the
-// paper: the five figures (F1–F5) and the falsifiable claims from the
-// Smart Projector analysis (C1–C8), as indexed in DESIGN.md and
-// EXPERIMENTS.md.
+// paper: the five figures (F1–F5), the falsifiable claims from the
+// Smart Projector analysis (C1–C10) and two sweep campaigns (S1, S2),
+// as indexed by All.
 //
 // Each driver builds its scenario from the substrates, runs it on a
 // seeded kernel, and returns a Result holding the tables/series that

@@ -89,8 +89,8 @@ func F1(seed int64) *Result {
 
 	k := sim.New(seed)
 	sys := SmartProjectorSystem(k, user.CasualFaculties(), true)
-	full := core.Analyze(sys, core.DefaultConfig())
-	ablated := core.Analyze(sys, core.Config{UserColumn: false})
+	full := core.Analyze(sys, true)
+	ablated := core.Analyze(sys, false)
 
 	tbl := metrics.NewTable("Findings with vs without the user column",
 		"layer", "full model", "device-only (OSI-style)")
@@ -195,7 +195,7 @@ func F3(seed int64) *Result {
 			})
 			u := user.New(k, p.name, p.fac)
 			sys.AddUser(&core.UserEntity{U: u, Operates: []string{spec.Name}})
-			rep := core.Analyze(sys, core.DefaultConfig())
+			rep := core.Analyze(sys, true)
 			n := 0
 			for _, f := range rep.ByLayer(core.Resource) {
 				if f.Severity >= trace.Violation {
@@ -228,8 +228,8 @@ func F4(seed int64) *Result {
 	consistent := SmartProjectorSystem(k, user.ResearcherFaculties(), true)
 	diverged := SmartProjectorSystem(k, user.ResearcherFaculties(), false)
 
-	repC := core.Analyze(consistent, core.DefaultConfig())
-	repD := core.Analyze(diverged, core.DefaultConfig())
+	repC := core.Analyze(consistent, true)
+	repD := core.Analyze(diverged, true)
 
 	scoreOf := func(sys *core.System) float64 {
 		return sys.Users[0].U.Mental.ConsistencyWith(sys.Device("projector").AppState)

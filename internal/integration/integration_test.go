@@ -151,9 +151,7 @@ func TestThreePresenterDay(t *testing.T) {
 }
 
 func TestProjectorCrashRecoveryCycle(t *testing.T) {
-	cfg := projector.DefaultConfig()
-	cfg.LeaseDuration = 15 * sim.Second
-	l := buildLab(3, cfg)
+	l := buildLab(3, projector.DefaultConfig())
 	alice := l.presenter(t, "alice", geo.Pt(5, 25))
 	if err := alice.StartVNC(800, 600, rfb.EncRLE); err != nil {
 		t.Fatal(err)
@@ -296,7 +294,7 @@ func TestLiveSystemLPCAnalysis(t *testing.T) {
 	})
 	sys.AddUser(&core.UserEntity{U: aliceUser, Operates: []string{"projector"}})
 
-	rep := core.Analyze(sys, core.DefaultConfig())
+	rep := core.Analyze(sys, true)
 	// The hijack violation from the running system must appear in the
 	// abstract layer of the report.
 	abstract := rep.ByLayer(core.Abstract)

@@ -27,7 +27,6 @@ type Mover struct {
 	kernel  *sim.Kernel
 	path    geo.Path
 	started sim.Time
-	apply   func(geo.Point)
 	stop    func()
 	done    bool
 
@@ -44,7 +43,7 @@ func Start(k *sim.Kernel, path geo.Path, tick sim.Time, apply func(geo.Point)) *
 	if tick <= 0 {
 		tick = DefaultTick
 	}
-	m := &Mover{kernel: k, path: path, started: k.Now(), apply: apply}
+	m := &Mover{kernel: k, path: path, started: k.Now()}
 	if apply != nil {
 		apply(path.PositionAt(0))
 	}

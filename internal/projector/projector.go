@@ -95,37 +95,28 @@ type ctlResponse struct {
 	Frames     uint64 `json:"frames,omitempty"`
 }
 
+// displayW and displayH are the projected resolution.
+const displayW, displayH = 1024, 768
+
 // Config tunes the projector.
 type Config struct {
-	// DisplayW/H is the projected resolution.
-	DisplayW, DisplayH int
 	// IdleLimit for session reclamation (0 = session.DefaultIdleLimit).
 	IdleLimit sim.Time
-	// ReclaimPolicy for forgotten sessions.
-	ReclaimPolicy session.ReclaimPolicy
-	// LeaseDuration for lookup registrations (0 = discovery default).
-	LeaseDuration sim.Time
-	// Encoding for projection streaming.
-	Encoding rfb.Encoding
 }
 
 // DefaultConfig returns the prototype's configuration.
 func DefaultConfig() Config {
-	return Config{
-		DisplayW: 1024, DisplayH: 768,
-		IdleLimit:     2 * sim.Minute,
-		ReclaimPolicy: session.IdleTimeout,
-		Encoding:      rfb.EncRLE,
-	}
+	return Config{IdleLimit: 2 * sim.Minute}
 }
 
-// SmartProjector is the adapter+projector appliance.
+// SmartProjector is the adapter+projector appliance. Both sessions
+// reclaim a forgotten holder after the idle limit (session.IdleTimeout),
+// and both lookup registrations ask for no lease duration, so the lookup
+// grants discovery.DefaultLeaseDuration.
 type SmartProjector struct {
-	node   *netsim.Node
-	agent  *discovery.Agent
-	kernel *sim.Kernel
-	log    *trace.Log
-	cfg    Config
+	node  *netsim.Node
+	agent *discovery.Agent
+	log   *trace.Log
 
 	Projection *session.Manager
 	Control    *session.Manager
@@ -149,7 +140,7 @@ type SmartProjector struct {
 func New(node *netsim.Node, agent *discovery.Agent, log *trace.Log, cfg Config) *SmartProjector {
 	k := node.Kernel()
 	p := &SmartProjector{
-		node: node, agent: agent, kernel: k, log: log, cfg: cfg,
+		node: node, agent: agent, log: log,
 		Projection: session.NewManager(k, "projection"),
 		Control:    session.NewManager(k, "control"),
 		brightness: 5,
@@ -158,8 +149,6 @@ func New(node *netsim.Node, agent *discovery.Agent, log *trace.Log, cfg Config) 
 		p.Projection.IdleLimit = cfg.IdleLimit
 		p.Control.IdleLimit = cfg.IdleLimit
 	}
-	p.Projection.Policy = cfg.ReclaimPolicy
-	p.Control.Policy = cfg.ReclaimPolicy
 	p.Projection.OnEnd = func(owner string, reason session.EndReason) {
 		p.stopProjection()
 		if reason == session.Reclaimed {
@@ -204,9 +193,9 @@ func (p *SmartProjector) Register(done func(error)) {
 	}
 	p.agent.Register(discovery.Item{
 		Name: "smart-projector-display", Type: TypeDisplay,
-		Attrs: map[string]string{"room": "lab", "res": fmt.Sprintf("%dx%d", p.cfg.DisplayW, p.cfg.DisplayH)},
+		Attrs: map[string]string{"room": "lab", "res": fmt.Sprintf("%dx%d", displayW, displayH)},
 		Port:  netsim.PortControl,
-	}, p.cfg.LeaseDuration, func(r *discovery.Registration, err error) {
+	}, 0, func(r *discovery.Registration, err error) {
 		settle(r, err, &p.regDisplay)
 	})
 	p.agent.Register(discovery.Item{
@@ -214,7 +203,7 @@ func (p *SmartProjector) Register(done func(error)) {
 		Attrs: map[string]string{"room": "lab"},
 		Port:  netsim.PortControl,
 		Proxy: proxy,
-	}, p.cfg.LeaseDuration, func(r *discovery.Registration, err error) {
+	}, 0, func(r *discovery.Registration, err error) {
 		settle(r, err, &p.regControl)
 	})
 }
@@ -352,7 +341,7 @@ func (p *SmartProjector) serveCommand(req ctlRequest) []byte {
 // startProjection begins streaming from the presenter's RFB server.
 func (p *SmartProjector) startProjection(rfbAddr netsim.Addr) {
 	p.stopProjection()
-	cli, err := rfb.NewClient(p.node, rfbAddr, p.cfg.DisplayW, p.cfg.DisplayH)
+	cli, err := rfb.NewClient(p.node, rfbAddr, displayW, displayH)
 	if err != nil {
 		p.log.Issue(trace.Resource, "projector", "cannot allocate display buffer: %v", err)
 		return

@@ -313,9 +313,7 @@ func TestReleaseAndStatus(t *testing.T) {
 }
 
 func TestCrashCleansLookupViaLeases(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LeaseDuration = 20 * sim.Second
-	l := newLab(t, 10, 1, cfg)
+	l := newLab(t, 10, 1, DefaultConfig())
 	if l.lookup.Count() != 2 {
 		t.Fatalf("registrations = %d, want 2", l.lookup.Count())
 	}
@@ -329,8 +327,9 @@ func TestCrashCleansLookupViaLeases(t *testing.T) {
 func TestAdminOnlyPolicyRequiresIntervention(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IdleLimit = 10 * sim.Second
-	cfg.ReclaimPolicy = session.AdminOnly
 	l := newLab(t, 11, 1, cfg)
+	l.projector.Projection.Policy = session.AdminOnly
+	l.projector.Control.Policy = session.AdminOnly
 	l.connect(t, 0)
 	l.k.RunUntil(l.k.Now() + 10*sim.Minute)
 	if !l.projector.Projection.Held() {

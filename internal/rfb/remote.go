@@ -18,7 +18,6 @@ const (
 // Server exports a framebuffer over the network on netsim.PortRFB: the
 // projection side of the Smart Projector (the laptop's VNC server).
 type Server struct {
-	node   *netsim.Node
 	fb     *Framebuffer
 	enc    Encoding
 	serial uint32
@@ -39,7 +38,7 @@ type Server struct {
 // NewServer attaches an RFB server for fb to the node. enc is the
 // preferred tile encoding.
 func NewServer(node *netsim.Node, fb *Framebuffer, enc Encoding) *Server {
-	s := &Server{node: node, fb: fb, enc: enc}
+	s := &Server{fb: fb, enc: enc}
 	node.HandleRequest(netsim.PortRFB, s.serve)
 	return s
 }

@@ -130,9 +130,9 @@ func TestRLEBeatsRawOnFlatContent(t *testing.T) {
 }
 
 func TestServerIgnoresMalformedRequest(t *testing.T) {
-	k, srv, cli := remoteRig(t, 5, 32, 32, EncRaw)
+	k, _, cli := remoteRig(t, 5, 32, 32, EncRaw)
 	// Direct datagram-level misuse: call with wrong payload size.
-	cli.node.Call(srv.node.Addr(), netsim.PortRFB, []byte{1, 2, 3}, 0, func(resp []byte, err error) {
+	cli.node.Call(cli.server, netsim.PortRFB, []byte{1, 2, 3}, 0, func(resp []byte, err error) {
 		if err != nil {
 			t.Errorf("call: %v", err)
 			return

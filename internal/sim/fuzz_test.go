@@ -63,7 +63,7 @@ type oracleSide interface {
 	cancel(i int) bool
 	handles() int
 	ticker(period Time, label string, fn func()) (stop func())
-	addSampler(period Time, fn func(Time)) (stop func())
+	addSampler(period Time, fn func(Time))
 	step() bool
 	runUntil(deadline Time) uint64
 	state() State
@@ -88,10 +88,10 @@ func (s *kernelSide) cancel(i int) bool { return s.k.Cancel(s.hs[i]) }
 func (s *kernelSide) ticker(p Time, label string, fn func()) func() {
 	return s.k.Ticker(p, label, fn)
 }
-func (s *kernelSide) addSampler(p Time, fn func(Time)) func() { return s.k.AddSampler(p, fn) }
-func (s *kernelSide) step() bool                              { return s.k.Step() }
-func (s *kernelSide) runUntil(t Time) uint64                  { return s.k.RunUntil(t) }
-func (s *kernelSide) state() State                            { return s.k.ExportState() }
+func (s *kernelSide) addSampler(p Time, fn func(Time)) { s.k.AddSampler(p, fn) }
+func (s *kernelSide) step() bool                       { return s.k.Step() }
+func (s *kernelSide) runUntil(t Time) uint64           { return s.k.RunUntil(t) }
+func (s *kernelSide) state() State                     { return s.k.ExportState() }
 
 type heapSide struct {
 	k  *heapKernel
@@ -112,17 +112,16 @@ func (s *heapSide) cancel(i int) bool { return s.k.Cancel(s.hs[i]) }
 func (s *heapSide) ticker(p Time, label string, fn func()) func() {
 	return s.k.Ticker(p, label, fn)
 }
-func (s *heapSide) addSampler(p Time, fn func(Time)) func() { return s.k.AddSampler(p, fn) }
-func (s *heapSide) step() bool                              { return s.k.Step() }
-func (s *heapSide) runUntil(t Time) uint64                  { return s.k.RunUntil(t) }
-func (s *heapSide) state() State                            { return s.k.ExportState() }
+func (s *heapSide) addSampler(p Time, fn func(Time)) { s.k.AddSampler(p, fn) }
+func (s *heapSide) step() bool                       { return s.k.Step() }
+func (s *heapSide) runUntil(t Time) uint64           { return s.k.RunUntil(t) }
+func (s *heapSide) state() State                     { return s.k.ExportState() }
 
 // player drives one side and records what fires on it.
 type player struct {
-	side     oracleSide
-	log      []firing
-	tickers  []func()
-	samplers []func()
+	side    oracleSide
+	log     []firing
+	tickers []func()
 }
 
 // chain is a ScheduleFn payload that re-arms itself with the same
@@ -236,20 +235,17 @@ func playKernelOracle(t testing.TB, data []byte) fifoStats {
 		case 7: // RunUntil
 			deadline := a.side.now() + in.delay()
 			ra, rb = a.side.runUntil(deadline), b.side.runUntil(deadline)
-		case 8: // add a sampler, or stop one
-			sel := in.next()
-			if sel%3 == 0 && len(a.samplers) > 0 {
-				i := int(sel/3) % len(a.samplers)
-				a.samplers[i]()
-				b.samplers[i]()
-				break
-			}
+		case 8: // add a sampler
+			// The selector byte once chose between adding and stopping a
+			// sampler; it is still read so the corpus keeps its
+			// operation boundaries.
+			in.next()
 			period := Millisecond + in.delay()
 			label := fmt.Sprintf("sample%d", op)
 			for _, p := range []*player{a, b} {
-				p.samplers = append(p.samplers, p.side.addSampler(period, func(at Time) {
+				p.side.addSampler(period, func(at Time) {
 					p.log = append(p.log, firing{at, 0, label})
-				}))
+				})
 			}
 		case 9: // a burst of ScheduleFn events with one delay
 			n, d := 1+int(in.next()%64), in.delay()

@@ -198,7 +198,7 @@ func (k *heapKernel) observe(limit Time) {
 	for {
 		var due *sampler
 		for _, s := range k.samplers {
-			if !s.stopped && s.next <= limit && (due == nil || s.next < due.next) {
+			if s.next <= limit && (due == nil || s.next < due.next) {
 				due = s
 			}
 		}
@@ -283,10 +283,8 @@ func (k *heapKernel) Ticker(period Time, label string, fn func()) (stop func()) 
 	}
 }
 
-func (k *heapKernel) AddSampler(period Time, fn func(at Time)) (stop func()) {
-	s := &sampler{period: period, next: k.now + period, fn: fn}
-	k.samplers = append(k.samplers, s)
-	return func() { s.stopped = true }
+func (k *heapKernel) AddSampler(period Time, fn func(at Time)) {
+	k.samplers = append(k.samplers, &sampler{period: period, next: k.now + period, fn: fn})
 }
 
 func (k *heapKernel) ExportState() State {

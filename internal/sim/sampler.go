@@ -18,44 +18,33 @@ package sim
 
 // sampler is one periodic observer.
 type sampler struct {
-	period  Time
-	next    Time
-	fn      func(at Time)
-	stopped bool
+	period Time
+	next   Time
+	fn     func(at Time)
 }
 
 // AddSampler registers fn to be observed-called every period of virtual
-// time, first at Now()+period, and returns a stop function (idempotent,
-// callable from inside fn). period must be positive.
+// time, first at Now()+period, for the life of the kernel. period must
+// be positive.
 //
 // fn must be a pure observer: no scheduling, no cancellation, no RNG,
 // no model mutation — see the package comment above. Violating this
 // breaks the telemetry-neutrality guarantee the determinism suite pins.
-func (k *Kernel) AddSampler(period Time, fn func(at Time)) (stop func()) {
+func (k *Kernel) AddSampler(period Time, fn func(at Time)) {
 	if period <= 0 {
 		panic("sim: non-positive sampler period")
 	}
-	s := &sampler{period: period, next: k.now + period, fn: fn}
-	k.samplers = append(k.samplers, s)
+	k.samplers = append(k.samplers, &sampler{period: period, next: k.now + period, fn: fn})
 	k.recomputeSampleNext()
-	return func() {
-		if !s.stopped {
-			s.stopped = true
-			k.recomputeSampleNext()
-		}
-	}
 }
 
 // recomputeSampleNext caches the earliest pending sampler deadline;
-// zero means no sampler is live. The cache keeps the per-event hot path
-// to one comparison when no sampler is due (and zero extra work when
-// none is registered).
+// zero means no sampler is registered. The cache keeps the per-event
+// hot path to one comparison when no sampler is due (and zero extra
+// work when none is registered).
 func (k *Kernel) recomputeSampleNext() {
 	k.sampleNext = 0
 	for _, s := range k.samplers {
-		if s.stopped {
-			continue
-		}
 		if k.sampleNext == 0 || s.next < k.sampleNext {
 			k.sampleNext = s.next
 		}
@@ -70,7 +59,7 @@ func (k *Kernel) advanceSamplers(limit Time) {
 	for {
 		var due *sampler
 		for _, s := range k.samplers {
-			if s.stopped || s.next > limit {
+			if s.next > limit {
 				continue
 			}
 			if due == nil || s.next < due.next {

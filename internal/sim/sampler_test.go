@@ -66,9 +66,8 @@ func TestSamplerFiresBetweenDistantEvents(t *testing.T) {
 func TestSamplerIsInvisibleToDeterminismInputs(t *testing.T) {
 	run := func(sampled bool) (State, uint64, uint64, uint64) {
 		k := New(42)
-		stop := func() {}
 		if sampled {
-			stop = k.AddSampler(7, func(Time) {})
+			k.AddSampler(7, func(Time) {})
 		}
 		var tick func()
 		tick = func() {
@@ -81,7 +80,6 @@ func TestSamplerIsInvisibleToDeterminismInputs(t *testing.T) {
 		e := k.Schedule(50, "never", func() {})
 		k.Schedule(20, "cancel", func() { k.Cancel(e) })
 		k.RunUntil(100)
-		stop()
 		return k.ExportState(), k.Steps(), k.Seq(), k.RandDraws()
 	}
 	sOff, stepsOff, seqOff, drawsOff := run(false)
@@ -92,28 +90,6 @@ func TestSamplerIsInvisibleToDeterminismInputs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sOff, sOn) {
 		t.Fatalf("sampler perturbed ExportState:\noff: %+v\non:  %+v", sOff, sOn)
-	}
-}
-
-func TestSamplerStopIsIdempotentAndWorksFromCallback(t *testing.T) {
-	k := New(1)
-	n := 0
-	var stop func()
-	stop = k.AddSampler(10, func(Time) {
-		n++
-		if n == 2 {
-			stop()
-		}
-	})
-	k.RunUntil(100)
-	if n != 2 {
-		t.Fatalf("sampler fired %d times after self-stop, want 2", n)
-	}
-	stop()
-	stop()
-	k.RunUntil(200)
-	if n != 2 {
-		t.Fatalf("stopped sampler fired again: %d", n)
 	}
 }
 

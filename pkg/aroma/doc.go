@@ -20,9 +20,9 @@
 //	report := w.Analyze()
 //
 // The unified lifecycle (RunFor, RunUntil, Step, Stop) drives the
-// event-driven kernel; a typed event bus (Events, Subscribe) bridges the
-// runtime trace to live subscribers in record order; Analyze folds the
-// whole run into a classified core.Report.
+// event-driven kernel; Subscribe bridges the runtime trace to live
+// subscribers in record order; Analyze folds the whole run into a
+// classified core.Report.
 //
 // Scenario authors who want a named, reusable workload should register
 // it with the sibling package pkg/aroma/scenario; the stock scenarios
@@ -64,12 +64,11 @@
 //
 // # Mobile worlds
 //
-// Devices move through movers attached at construction time —
-// WithRandomWaypoint(speed) for continuous random-waypoint wandering
-// inside the floor-plan bounds, WithPath(path) to walk a geo.Path once,
-// WithMobilityTick to change the 200 ms sampling interval — or started
-// later from scenario code via Device.Wander and Device.MoveAlong.
-// Every sampled position flows through Device.SetPos, which drives
+// Devices move through movers started on them, right after AddDevice
+// or later from a scheduled event: Device.Wander(speed, tick) for
+// continuous random-waypoint wandering inside the floor-plan bounds,
+// Device.MoveAlong(path, tick) to walk a geo.Path once (a tick of 0
+// samples every 200 ms). Every sampled position flows through Device.SetPos, which drives
 // Radio.SetPos, so the model entity, the medium's spatial index, and
 // the candidate caches stay consistent; mover randomness comes from the
 // world's seeded kernel, so mobile runs remain bit-reproducible.
@@ -116,7 +115,7 @@
 //
 // # Fault injection & self-healing
 //
-// WithFaults(plan) (or World.ApplyFaults, scenario.Config.Faults,
+// World.ApplyFaults(plan) (reached also through scenario.Config.Faults,
 // sweep.Design.Faults, the -faults CLI flags, and the daemon's
 // create-world API) arms a deterministic fault plan on the world: a
 // declarative schedule of device crashes, radio outages, channel

@@ -31,16 +31,11 @@ type Device struct {
 type DeviceOption func(*deviceOptions)
 
 type deviceOptions struct {
-	spec           device.Spec
-	appState       map[string]string
-	purpose        core.DesignPurpose
-	operatingRange float64
-	channel        int
-	offline        bool
-	path           *geo.Path
-	wander         bool
-	wanderSpeed    float64
-	moveTick       sim.Time
+	spec     device.Spec
+	appState map[string]string
+	purpose  core.DesignPurpose
+	channel  int
+	offline  bool
 }
 
 // WithSpec sets the device's resource-layer spec.
@@ -56,12 +51,6 @@ func WithAppState(state map[string]string) DeviceOption {
 // WithPurpose sets the device's intentional-layer design purpose.
 func WithPurpose(p core.DesignPurpose) DeviceOption {
 	return func(o *deviceOptions) { o.purpose = p }
-}
-
-// WithOperatingRange requires users to be within m metres to operate the
-// device (the paper's physical-layer proximity constraint).
-func WithOperatingRange(m float64) DeviceOption {
-	return func(o *deviceOptions) { o.operatingRange = m }
 }
 
 // WithChannel overrides the world's default radio channel for this device.
@@ -88,12 +77,11 @@ func (w *World) AddDevice(name string, pos geo.Point, opts ...DeviceOption) *Dev
 	d := &Device{
 		world: w,
 		entity: &core.DeviceEntity{
-			Name:            name,
-			Pos:             pos,
-			Spec:            o.spec,
-			AppState:        o.appState,
-			Purpose:         o.purpose,
-			OperatingRangeM: o.operatingRange,
+			Name:     name,
+			Pos:      pos,
+			Spec:     o.spec,
+			AppState: o.appState,
+			Purpose:  o.purpose,
 		},
 	}
 	if !o.offline {
@@ -104,7 +92,6 @@ func (w *World) AddDevice(name string, pos geo.Point, opts ...DeviceOption) *Dev
 	}
 	w.devices = append(w.devices, d)
 	w.byName[name] = d
-	d.startMobility(&o)
 	return d
 }
 

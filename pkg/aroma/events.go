@@ -5,14 +5,15 @@ import (
 	"aroma/internal/trace"
 )
 
-// Bus is the world's typed event bus: it bridges the runtime trace to
-// live subscribers. Events are delivered synchronously, in record order,
-// to subscribers in subscription order — fully deterministic, like
-// everything else on the kernel.
-type Bus struct {
-	subs       []*busSub
-	Published  uint64
-	Deliveries uint64
+// bus is the world's event bus behind World.Subscribe: it bridges the
+// runtime trace to live subscribers. Events are delivered synchronously,
+// in record order, to subscribers in subscription order — fully
+// deterministic, like everything else on the kernel.
+type bus struct {
+	subs []*busSub
+	// deliveries counts subscriber callbacks run; telemetry exports it
+	// as trace.deliveries_total.
+	deliveries uint64
 
 	// sevCounters, when telemetry is enabled, holds one per-severity
 	// trace.events_total counter handle, indexed by trace.Severity.
@@ -26,13 +27,13 @@ type busSub struct {
 	fn  func(trace.Event)
 }
 
-func newBus() *Bus { return &Bus{} }
+func newBus() *bus { return &bus{} }
 
-// Subscribe registers fn for every event at or above min severity and
+// subscribe registers fn for every event at or above min severity and
 // returns a cancel function. Cancelling twice is a no-op. Subscribing
 // from inside a delivery is allowed; the new subscriber sees the next
 // event.
-func (b *Bus) Subscribe(min trace.Severity, fn func(trace.Event)) (cancel func()) {
+func (b *bus) subscribe(min trace.Severity, fn func(trace.Event)) (cancel func()) {
 	b.compact()
 	s := &busSub{min: min, fn: fn}
 	b.subs = append(b.subs, s)
@@ -42,7 +43,7 @@ func (b *Bus) Subscribe(min trace.Severity, fn func(trace.Event)) (cancel func()
 // compact drops cancelled subscribers, preserving order. It builds a
 // fresh slice rather than shifting in place: publish may be iterating a
 // snapshot of the old backing array, which must stay intact.
-func (b *Bus) compact() {
+func (b *bus) compact() {
 	live := make([]*busSub, 0, len(b.subs))
 	for _, s := range b.subs {
 		if s.fn != nil {
@@ -52,32 +53,20 @@ func (b *Bus) compact() {
 	b.subs = live
 }
 
-// Subscribers returns the number of live subscriptions.
-func (b *Bus) Subscribers() int {
-	n := 0
-	for _, s := range b.subs {
-		if s.fn != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // bindCounters attaches the per-severity telemetry counters publish
 // bumps (index = trace.Severity).
-func (b *Bus) bindCounters(c []telemetry.Counter) { b.sevCounters = c }
+func (b *bus) bindCounters(c []telemetry.Counter) { b.sevCounters = c }
 
 // publish fans one event out to the live subscribers. It iterates a
 // snapshot of the list so callbacks may subscribe or cancel reentrantly.
-func (b *Bus) publish(ev trace.Event) {
-	b.Published++
+func (b *bus) publish(ev trace.Event) {
 	if s := int(ev.Severity); s >= 0 && s < len(b.sevCounters) {
 		b.sevCounters[s].Inc()
 	}
 	snapshot := b.subs
 	for _, s := range snapshot {
 		if s.fn != nil && ev.Severity >= s.min {
-			b.Deliveries++
+			b.deliveries++
 			s.fn(ev)
 		}
 	}

@@ -8,33 +8,8 @@ import (
 // Mobile worlds: devices move through Device.SetPos, which drives
 // Radio.SetPos so the medium's spatial index and cell-granular candidate
 // caches stay consistent (see the invalidation model in the package
-// doc). The options below attach a mover at AddDevice time; the Device
-// methods start one later from scenario code.
-
-// WithPath attaches a mover that walks the device along path once,
-// starting immediately, sampling every mobility tick (WithMobilityTick
-// overrides the 200 ms default). The mover is reachable via
-// Device.Mover.
-func WithPath(path geo.Path) DeviceOption {
-	return func(o *deviceOptions) { o.path = &path }
-}
-
-// WithRandomWaypoint attaches a wanderer performing continuous
-// random-waypoint motion inside the world's floor-plan bounds at the
-// given speed: walk to a uniformly random point, pick another, forever.
-// A speed that is not positive and finite leaves the device parked (see
-// mobility.StartWander). The wanderer is reachable via Device.Wanderer.
-func WithRandomWaypoint(speedMPS float64) DeviceOption {
-	return func(o *deviceOptions) { o.wanderSpeed, o.wander = speedMPS, true }
-}
-
-// WithMobilityTick sets the position sampling interval for movers
-// attached by WithPath / WithRandomWaypoint (default
-// mobility.DefaultTick, 200 ms). Finer ticks track the path more
-// closely at more SetPos work per simulated second.
-func WithMobilityTick(tick Time) DeviceOption {
-	return func(o *deviceOptions) { o.moveTick = tick }
-}
+// doc). MoveAlong and Wander start a mover right after AddDevice or
+// later, from a scheduled event.
 
 // MoveAlong starts a mover walking the device along path, sampling every
 // tick (the default tick when tick <= 0), and returns it. The returned
@@ -45,30 +20,22 @@ func (d *Device) MoveAlong(path geo.Path, tick Time) *mobility.Mover {
 }
 
 // Wander starts continuous random-waypoint motion from the device's
-// current position inside the world's floor-plan bounds and returns the
-// wanderer, which also becomes Device.Wanderer.
+// current position inside the world's floor-plan bounds at speedMPS:
+// walk to a uniformly random point, pick another, forever, sampling
+// every tick (the default tick when tick <= 0). A speed that is not
+// positive and finite leaves the device parked (see
+// mobility.StartWander). The returned wanderer also becomes
+// Device.Wanderer.
 func (d *Device) Wander(speedMPS float64, tick Time) *mobility.Wanderer {
 	w := d.world
 	d.wanderer = mobility.StartWander(w.kernel, d.Pos(), w.plan.Bounds, speedMPS, tick, d.SetPos)
 	return d.wanderer
 }
 
-// Mover returns the device's path mover (from WithPath or MoveAlong), or
-// nil if none was attached.
+// Mover returns the device's path mover (from MoveAlong), or nil if
+// none was started.
 func (d *Device) Mover() *mobility.Mover { return d.mover }
 
-// Wanderer returns the device's random-waypoint wanderer (from
-// WithRandomWaypoint or Wander), or nil if none was attached.
+// Wanderer returns the device's random-waypoint wanderer (from Wander),
+// or nil if none was started.
 func (d *Device) Wanderer() *mobility.Wanderer { return d.wanderer }
-
-// startMobility wires the movers requested by device options; called by
-// AddDevice after the device is fully assembled. A zero o.moveTick falls
-// through to the mobility default.
-func (d *Device) startMobility(o *deviceOptions) {
-	if o.path != nil {
-		d.MoveAlong(*o.path, o.moveTick)
-	}
-	if o.wander {
-		d.Wander(o.wanderSpeed, o.moveTick)
-	}
-}

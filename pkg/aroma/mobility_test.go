@@ -6,12 +6,12 @@ import (
 	"aroma/internal/geo"
 )
 
-func TestWithRandomWaypointMovesDevice(t *testing.T) {
+func TestWanderMovesDevice(t *testing.T) {
 	w := NewWorld(WithSeed(5), WithArena(100, 100), WithRadioCutoff(-100))
-	d := w.AddDevice("rover", Pt(50, 50), WithRandomWaypoint(3))
+	d := w.AddDevice("rover", Pt(50, 50))
 	start := d.Pos()
-	if d.Wanderer() == nil {
-		t.Fatal("WithRandomWaypoint did not attach a wanderer")
+	if d.Wander(3, 0) != d.Wanderer() || d.Wanderer() == nil {
+		t.Fatal("Wander did not attach its wanderer")
 	}
 	w.RunFor(30 * Second)
 	if d.Pos() == start {
@@ -30,13 +30,12 @@ func TestWithRandomWaypointMovesDevice(t *testing.T) {
 	}
 }
 
-func TestWithPathWalksOnceAndArrives(t *testing.T) {
+func TestMoveAlongWalksOnceAndArrives(t *testing.T) {
 	w := NewWorld(WithSeed(5), WithArena(100, 100))
 	path := geo.Path{Waypoints: []Point{Pt(0, 0), Pt(30, 0)}, SpeedMPS: 3}
-	d := w.AddDevice("walker", Pt(0, 0),
-		WithPath(path), WithMobilityTick(100*Millisecond))
-	if d.Mover() == nil {
-		t.Fatal("WithPath did not attach a mover")
+	d := w.AddDevice("walker", Pt(0, 0))
+	if d.MoveAlong(path, 100*Millisecond) != d.Mover() || d.Mover() == nil {
+		t.Fatal("MoveAlong did not attach its mover")
 	}
 	w.RunFor(20 * Second)
 	if d.Mover().Progress() != 1 {
@@ -50,7 +49,8 @@ func TestWithPathWalksOnceAndArrives(t *testing.T) {
 func TestDeviceWanderIsSeedReproducible(t *testing.T) {
 	run := func() []Point {
 		w := NewWorld(WithSeed(77), WithArena(60, 60), WithRadioCutoff(-100))
-		d := w.AddDevice("rover", Pt(30, 30), WithRandomWaypoint(2))
+		d := w.AddDevice("rover", Pt(30, 30))
+		d.Wander(2, 0)
 		var track []Point
 		w.Ticker(Second, "sample", func() { track = append(track, d.Pos()) })
 		w.RunFor(15 * Second)

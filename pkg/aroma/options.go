@@ -1,7 +1,6 @@
 package aroma
 
 import (
-	"aroma/internal/fault"
 	"aroma/internal/geo"
 	"aroma/internal/radio"
 	"aroma/internal/trace"
@@ -19,7 +18,6 @@ type worldOptions struct {
 	txPowerDBm     float64
 	traceMin       trace.Severity
 	mediumOpts     []radio.MediumOption
-	faults         fault.Plan
 }
 
 func defaultWorldOptions() worldOptions {
@@ -80,17 +78,6 @@ func WithRadioCutoff(dBm float64) Option {
 	return func(o *worldOptions) {
 		o.mediumOpts = append(o.mediumOpts, radio.WithRxCutoffDBm(dBm))
 	}
-}
-
-// WithFaults arms a deterministic fault plan at construction: every
-// occurrence in the plan is scheduled as a kernel event, victims are
-// picked from a dedicated seed-derived fault RNG stream, and each
-// window emits trace records — so a faulted run is exactly as
-// reproducible as a clean one (same seed, same plan → same digest).
-// See internal/fault for the plan grammar and World.ApplyFaults for
-// arming after construction. An invalid plan panics at NewWorld.
-func WithFaults(plan fault.Plan) Option {
-	return func(o *worldOptions) { o.faults = plan }
 }
 
 // WithTraceMin discards trace events below the given severity.

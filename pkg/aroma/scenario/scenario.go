@@ -47,7 +47,7 @@ type Config struct {
 	Out io.Writer
 	// Params carries named scenario parameters — one grid cell of a
 	// sweep, or -set flags from the CLI. Scenarios read them through the
-	// typed accessors (ParamIntOr, ...) and fall back to their classic
+	// typed accessors ParamIntOr and ParamFloatOr and fall back to their classic
 	// constants when a name is absent. The map is shared read-only
 	// across the replications of a cell; scenarios must not mutate it.
 	Params map[string]string
@@ -67,20 +67,6 @@ type Config struct {
 	// → bit-identical digests; a builder that arms its own default plan
 	// may consult Faults first (see the faultstorm scenario).
 	Faults string
-}
-
-// Param returns the raw value of a named parameter and whether it is set.
-func (c Config) Param(name string) (string, bool) {
-	v, ok := c.Params[name]
-	return v, ok
-}
-
-// ParamOr returns the named parameter, or def when unset.
-func (c Config) ParamOr(name, def string) string {
-	if v, ok := c.Params[name]; ok {
-		return v
-	}
-	return def
 }
 
 // ParamIntOr returns the named parameter as an int, or def when unset.
@@ -113,20 +99,6 @@ func (c Config) ParamFloatOr(name string, def float64) float64 {
 		panic(fmt.Sprintf("scenario: param %s=%q is not a finite float", name, v))
 	}
 	return f
-}
-
-// ParamBoolOr returns the named parameter as a bool, or def when unset.
-// A set-but-malformed value panics, as with ParamIntOr.
-func (c Config) ParamBoolOr(name string, def bool) bool {
-	v, ok := c.Params[name]
-	if !ok {
-		return def
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: param %s=%q is not a bool", name, v))
-	}
-	return b
 }
 
 // Printf writes formatted narrative output; a nil Out discards it.

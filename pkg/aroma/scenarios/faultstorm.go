@@ -8,10 +8,9 @@
 // bit-reproducible: the CI chaos job runs it twice per seed and diffs
 // digests, and the determinism suite snapshots it mid-fault.
 //
-// Pass cfg.Faults (aromasim -faults) to replace the default plan; the
-// "plan" param is equivalent for sweeps ("plan" loses to cfg.Faults
-// when both are set). An empty over-ride ("none") runs the same world
-// clean, which makes fault impact directly measurable cell-to-cell.
+// Pass cfg.Faults (aromasim -faults, a sweep's fault arm) to replace
+// the default plan. The over-ride "none" runs the same world clean,
+// which makes fault impact directly measurable cell-to-cell.
 
 package scenarios
 
@@ -47,7 +46,7 @@ func buildFaultstorm(cfg scenario.Config) (*scenario.Built, error) {
 	)
 	planStr := cfg.Faults
 	if planStr == "" {
-		planStr = cfg.ParamOr("plan", DefaultFaultstormPlan)
+		planStr = DefaultFaultstormPlan
 	}
 	if planStr == "none" {
 		planStr = "" // the clean control arm
@@ -62,8 +61,10 @@ func buildFaultstorm(cfg scenario.Config) (*scenario.Built, error) {
 		aroma.WithSeed(cfg.SeedOr(13)),
 		aroma.WithArena(sideM, sideM),
 		aroma.WithTraceMin(aroma.Info),
-		aroma.WithFaults(plan),
 	)
+	if err := w.ApplyFaults(plan); err != nil {
+		return nil, err
+	}
 
 	// The lookup sits left of the arena midline, so a partition window
 	// severs it from every device on the right half.

@@ -68,7 +68,7 @@ func buildQuickstart(cfg scenario.Config) (*scenario.Built, error) {
 
 		// The same analysis without the user column — the OSI-style view the
 		// paper argues is blind to what actually dooms appliances.
-		ablated := w.Analyze(core.WithoutUserColumn())
+		ablated := core.Analyze(w.System(), false)
 		cfg.Printf("Without the user column the analyzer sees %d findings instead of %d;\n",
 			len(ablated.Findings), len(report.Findings))
 		cfg.Printf("every violation it misses involves the human: %d vs %d.\n",

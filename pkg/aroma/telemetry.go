@@ -187,7 +187,7 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 			telemetry.L("severity", sevLabel(sev)))
 	}
 	w.bus.bindCounters(sevCounters)
-	reg.CounterFunc("trace.deliveries_total", func() uint64 { return w.bus.Deliveries })
+	reg.CounterFunc("trace.deliveries_total", func() uint64 { return w.bus.deliveries })
 }
 
 // registerFaultInstruments wires the fault plane's instruments:

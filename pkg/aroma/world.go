@@ -33,7 +33,7 @@ type World struct {
 	mac    *mac.MAC
 	net    *netsim.Network
 	log    *trace.Log
-	bus    *Bus
+	bus    *bus
 
 	devices []*Device
 	byName  map[string]*Device
@@ -45,8 +45,8 @@ type World struct {
 	// the key that makes the world snapshottable.
 	prov *Provenance
 
-	// faults, when set, is the armed fault injector (see ApplyFaults /
-	// WithFaults): the fault plan's schedule and dedicated RNG stream.
+	// faults, when set, is the armed fault injector (see ApplyFaults):
+	// the fault plan's schedule and dedicated RNG stream.
 	faults *fault.Injector
 
 	// tel, when set, is the world's instrument registry (see
@@ -83,13 +83,6 @@ func NewWorld(opts ...Option) *World {
 		byName: make(map[string]*Device),
 	}
 	log.OnRecord = w.bus.publish
-	if !o.faults.Empty() {
-		// Options are construction-time misassembly checks, so an invalid
-		// plan panics like a duplicate device name would.
-		if err := w.ApplyFaults(o.faults); err != nil {
-			panic(err)
-		}
-	}
 	return w
 }
 
@@ -163,13 +156,10 @@ func (w *World) Ticker(period sim.Time, label string, fn func()) (stop func()) {
 // memory, so dropping it is enough.
 func (w *World) Close() {}
 
-// Events returns the world's typed event bus.
-func (w *World) Events() *Bus { return w.bus }
-
 // Subscribe registers fn for every trace event at or above min severity,
 // delivered synchronously in record order. It returns a cancel func.
 func (w *World) Subscribe(min trace.Severity, fn func(trace.Event)) (cancel func()) {
-	return w.bus.Subscribe(min, fn)
+	return w.bus.subscribe(min, fn)
 }
 
 // Link declares that devices a and b must communicate over the wireless
@@ -207,10 +197,11 @@ func (w *World) System() *core.System {
 	return sys
 }
 
-// Analyze runs the LPC analyzer over the world's current state and
-// returns the classified report.
-func (w *World) Analyze(opts ...core.AnalysisOption) *core.Report {
-	return core.AnalyzeWith(w.System(), opts...)
+// Analyze runs the full LPC analyzer, user column included, over the
+// world's current state and returns the classified report. For the
+// device-only ablation call core.Analyze(w.System(), false).
+func (w *World) Analyze() *core.Report {
+	return core.Analyze(w.System(), true)
 }
 
 // Digest returns a stable hash of the run so far: the seed, the kernel

@@ -22,7 +22,7 @@ func TestNewWorldDefaults(t *testing.T) {
 		t.Errorf("default arena = %.0fx%.0f, want 30x20", b.Width(), b.Height())
 	}
 	if w.Kernel() == nil || w.Env() == nil || w.Medium() == nil ||
-		w.MAC() == nil || w.Network() == nil || w.Log() == nil || w.Events() == nil {
+		w.MAC() == nil || w.Network() == nil || w.Log() == nil {
 		t.Fatal("substrates not wired")
 	}
 	if w.Now() != 0 {
@@ -72,8 +72,7 @@ func TestWorldDeterminism(t *testing.T) {
 func TestAddDeviceAutoWiring(t *testing.T) {
 	w := NewWorld()
 	d := w.AddDevice("projector", Pt(25, 10), WithSpec(AdapterSpec()),
-		WithAppState(map[string]string{"power": "off"}),
-		WithOperatingRange(2.5))
+		WithAppState(map[string]string{"power": "off"}))
 	if d.Radio() == nil || d.Station() == nil || d.Node() == nil {
 		t.Fatal("online device not fully wired")
 	}
@@ -82,9 +81,6 @@ func TestAddDeviceAutoWiring(t *testing.T) {
 	}
 	if d.Radio().Pos != Pt(25, 10) {
 		t.Errorf("radio pos = %v", d.Radio().Pos)
-	}
-	if d.Entity().OperatingRangeM != 2.5 {
-		t.Errorf("operating range = %v", d.Entity().OperatingRangeM)
 	}
 	if w.Device("projector") != d {
 		t.Error("Device lookup by name failed")
