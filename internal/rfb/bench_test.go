@@ -45,13 +45,20 @@ func BenchmarkEncodeFullFrameRaw(b *testing.B)      { benchServe(b, true, EncRaw
 func BenchmarkEncodeFullFrameRLEFlat(b *testing.B)  { benchServe(b, false, EncRLE) }
 func BenchmarkEncodeFullFrameRLENoisy(b *testing.B) { benchServe(b, true, EncRLE) }
 
+// benchRefFB is the reference twin of benchFB(b, false): a 640×480
+// reference framebuffer filled with one colour.
+func benchRefFB() *refFB {
+	f := newRefFB(640, 480)
+	refFill(f, 0, 0, f.W, f.H, 7)
+	return f
+}
+
 // benchApply times applying a full noisy frame, sent raw as RLE cannot
-// shrink it, from its wire bytes with apply.
-func benchApply(b *testing.B, apply func(*Framebuffer, []byte) error) {
+// shrink it, from its wire bytes to dst with apply.
+func benchApply[F any](b *testing.B, dst F, apply func(F, []byte) error) {
 	src := benchFB(b, true)
 	src.MarkAllDirty()
 	wire, _ := appendUpdate(nil, src, 1, EncRLE)
-	dst := benchFB(b, false)
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -65,7 +72,7 @@ func benchApply(b *testing.B, apply func(*Framebuffer, []byte) error) {
 // BenchmarkUpdateUnmarshalApply times the client's apply straight from
 // the wire: it checks the headers, then decodes every tile in place.
 func BenchmarkUpdateUnmarshalApply(b *testing.B) {
-	benchApply(b, func(f *Framebuffer, wire []byte) error {
+	benchApply(b, benchFB(b, false), func(f *Framebuffer, wire []byte) error {
 		_, err := applyUpdate(f, wire)
 		return err
 	})
@@ -73,9 +80,10 @@ func BenchmarkUpdateUnmarshalApply(b *testing.B) {
 
 // BenchmarkUpdateUnmarshalApplyRef is the reference twin of
 // BenchmarkUpdateUnmarshalApply: it parses the update into its tiles and
-// writes them one pixel at a time. CI gates the ratio of the two.
+// writes them one pixel at a time into the dense reference framebuffer.
+// CI gates the ratio of the two.
 func BenchmarkUpdateUnmarshalApplyRef(b *testing.B) {
-	benchApply(b, func(f *Framebuffer, wire []byte) error {
+	benchApply(b, benchRefFB(), func(f *refFB, wire []byte) error {
 		u, err := UnmarshalUpdate(wire)
 		if err != nil {
 			return err
@@ -84,10 +92,9 @@ func BenchmarkUpdateUnmarshalApplyRef(b *testing.B) {
 	})
 }
 
-// benchFill alternates two colours over a 200×150 rectangle that
+// benchFill alternates two colours over a 200×150 rectangle of fb that
 // straddles tile edges, so every row changes.
-func benchFill(b *testing.B, fill func(f *Framebuffer, x, y, w, h int, v uint8)) {
-	fb := benchFB(b, false)
+func benchFill[F any](b *testing.B, fb F, fill func(f F, x, y, w, h int, v uint8)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,11 +102,12 @@ func benchFill(b *testing.B, fill func(f *Framebuffer, x, y, w, h int, v uint8))
 	}
 }
 
-func BenchmarkFramebufferFill(b *testing.B) { benchFill(b, (*Framebuffer).Fill) }
+func BenchmarkFramebufferFill(b *testing.B) { benchFill(b, benchFB(b, false), (*Framebuffer).Fill) }
 
 // BenchmarkFramebufferFillRef is the per-pixel reference twin of
-// BenchmarkFramebufferFill; CI gates the ratio of the two.
-func BenchmarkFramebufferFillRef(b *testing.B) { benchFill(b, refFill) }
+// BenchmarkFramebufferFill, on the dense reference framebuffer; CI gates
+// the ratio of the two.
+func BenchmarkFramebufferFillRef(b *testing.B) { benchFill(b, benchRefFB(), refFill) }
 
 // benchStep times animation frames of a 5% square, textured or solid.
 func benchStep(b *testing.B, textured bool) {

@@ -27,15 +27,41 @@ func (in *fuzzInput) coord() int { return int(int8(in.next())) }
 // size returns a side length in [1, 80].
 func (in *fuzzInput) size() int { return 1 + int(in.next()%80) }
 
-// sameFB fails the test unless got and want hold the same pixels and
-// dirty flags.
-func sameFB(t *testing.T, what string, got, want *Framebuffer) {
+// sameFB fails the test unless got holds the pixels and dirty flags of
+// the reference want, every tile of got without storage is all zero in
+// want, and got's storage keeps its invariants (see storageFault).
+func sameFB(t *testing.T, what string, got *Framebuffer, want *refFB) {
 	t.Helper()
-	if !bytes.Equal(got.pix, want.pix) {
-		t.Fatalf("%s: pixels differ from the reference", what)
+	if got.W != want.W || got.H != want.H {
+		t.Fatalf("%s: %dx%d framebuffer, reference %dx%d", what, got.W, got.H, want.W, want.H)
 	}
-	if !slices.Equal(got.dirty, want.dirty) {
-		t.Fatalf("%s: dirty flags differ: got %v, want %v", what, got.dirty, want.dirty)
+	for i, p := range got.tiles {
+		x0, y0 := i%want.tilesX*TileSize, i/want.tilesX*TileSize
+		blk, tw := got.block(i, x0, y0)
+		for y := y0; y < min(y0+TileSize, want.H); y++ {
+			row := want.pix[y*want.W+x0:][:tw]
+			if !bytes.Equal(blk[(y-y0)*tw:][:tw], row) {
+				t.Fatalf("%s: row %d of tile %d is %v, reference %v", what, y-y0, i, blk[(y-y0)*tw:][:tw], row)
+			}
+			if p == nil && !bytes.Equal(row, zeroTile[:tw]) {
+				t.Fatalf("%s: tile %d has no storage, but row %d of it is %v in the reference", what, i, y-y0, row)
+			}
+		}
+	}
+	dirty := 0
+	for i, d := range want.dirty {
+		if got.isDirty(i) != d {
+			t.Fatalf("%s: tile %d dirty %v, reference %v", what, i, got.isDirty(i), d)
+		}
+		if d {
+			dirty++
+		}
+	}
+	if n := got.DirtyCount(); n != dirty {
+		t.Fatalf("%s: %d dirty bits for %d dirty tiles", what, n, dirty)
+	}
+	if msg := storageFault(got); msg != "" {
+		t.Fatalf("%s: %s", what, msg)
 	}
 }
 
@@ -50,14 +76,17 @@ func errText(err error) string {
 // encoder and wire apply and the reference model in ref_test.go through
 // the same program of fills, sets, textured draws, animation steps and
 // updates, and requires identical wire bytes, pixels, dirty flags and
-// decode errors. Updates are applied to a client framebuffer that may be
-// a different size, after optional corruption of the wire bytes or of
-// individual tiles (payload bytes, truncation, extra runs, encoding and
-// rectangle; a tile-level change is marshalled again). The wire apply
-// must match both parse-then-apply oracles: Apply, which decodes with
-// the production DecodeTile, and refApply, which writes pixel by pixel.
-// So partial writes before a decode error are compared, and an update
-// the parser rejects must leave the client untouched.
+// decode errors, with the reference a dense framebuffer that shares no
+// storage with the sparse one; after every operation the sparse store's
+// invariants must hold (see sameFB). Updates are applied to a client
+// framebuffer that may be a different size, after optional corruption
+// of the wire bytes or of individual tiles (payload bytes, truncation,
+// extra runs, encoding and rectangle; a tile-level change is marshalled
+// again). The wire apply must match both parse-then-apply oracles:
+// Apply, which decodes with the production DecodeTile, and refApply,
+// which writes pixel by pixel. So partial writes before a decode error
+// are compared, and an update the parser rejects must leave the client
+// untouched.
 func FuzzUpdateMatchesReference(f *testing.F) {
 	f.Add([]byte{64, 48, 0, 1, 2, 0, 0, 0, 0, 127, 127, 7, 5, 1, 10, 10, 5, 3, 5, 0})
 	// A 32×16 screen filled with one colour is two raw tiles. The update
@@ -79,15 +108,14 @@ func FuzzUpdateMatchesReference(f *testing.F) {
 		intensity := float64(1+in.next()%100) / 100
 		textured := in.next()&1 == 1
 
-		srv, ref := mustFBQuick(w, h), mustFBQuick(w, h)
-		cli, oracleCli, refCli := mustFBQuick(cw, ch), mustFBQuick(cw, ch), mustFBQuick(cw, ch)
+		srv, ref := mustFBQuick(w, h), newRefFB(w, h)
+		cli, oracleCli, refCli := mustFBQuick(cw, ch), mustFBQuick(cw, ch), newRefFB(cw, ch)
 		anim, err := NewAnimator(srv, intensity)
 		if err != nil {
 			t.Fatal(err)
 		}
 		anim.Textured = textured
 		refAnim := *anim
-		refAnim.fb = ref
 
 		var scratch []byte
 		var serial uint32
@@ -179,7 +207,7 @@ func FuzzUpdateMatchesReference(f *testing.F) {
 				refDrawTextured(ref, x, y, side, color)
 			case 3:
 				anim.Step()
-				refStep(&refAnim)
+				refStep(&refAnim, ref)
 				if anim.x != refAnim.x || anim.y != refAnim.y || anim.color != refAnim.color || anim.Steps != refAnim.Steps {
 					t.Fatalf("animator state %+v, reference %+v", anim, refAnim)
 				}

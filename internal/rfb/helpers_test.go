@@ -1,6 +1,10 @@
 package rfb
 
 import (
+	"bytes"
+	"fmt"
+	"math/bits"
+
 	"aroma/internal/netsim"
 	"aroma/internal/sim"
 )
@@ -25,4 +29,102 @@ func (c *Client) RequestUpdate(full bool, timeout sim.Time, done func(tiles int,
 			done(tiles, err)
 		}
 	})
+}
+
+// The per-pixel accessors below read and write the production store;
+// production code moves whole tiles (block, put) and never touches a
+// single pixel.
+
+// Pixel returns the pixel at (x, y); out-of-bounds reads return 0.
+func (f *Framebuffer) Pixel(x, y int) uint8 {
+	if x < 0 || y < 0 || x >= f.W || y >= f.H {
+		return 0
+	}
+	bx, by := x&^(TileSize-1), y&^(TileSize-1)
+	blk, tw := f.block((by/TileSize)*f.tilesX+bx/TileSize, bx, by)
+	return blk[(y-by)*tw+x-bx]
+}
+
+// Set writes one pixel through putTile, so its tile is marked dirty only if
+// the pixel changed. Out-of-bounds writes are ignored.
+func (f *Framebuffer) Set(x, y int, v uint8) {
+	if x < 0 || y < 0 || x >= f.W || y >= f.H {
+		return
+	}
+	src := [1]uint8{v}
+	f.putTile(x, y, x+1, y+1, src[:], 1)
+}
+
+// isDirty reports tile t's dirty flag.
+func (f *Framebuffer) isDirty(t int) bool { return f.dirty[t/64]>>(t%64)&1 == 1 }
+
+// DirtyCount returns the number of dirty tiles.
+func (f *Framebuffer) DirtyCount() int {
+	n := 0
+	for _, w := range f.dirty {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Equal reports whether two framebuffers have identical pixel content.
+func (f *Framebuffer) Equal(g *Framebuffer) bool {
+	if f.W != g.W || f.H != g.H {
+		return false
+	}
+	for t := range f.tiles {
+		x, y := t%f.tilesX*TileSize, t/f.tilesX*TileSize
+		a, _ := f.block(t, x, y)
+		b, _ := g.block(t, x, y)
+		if !bytes.Equal(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// heldTiles returns the number of tiles that hold storage.
+func (f *Framebuffer) heldTiles() int {
+	n := 0
+	for _, p := range f.tiles {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// storageFault describes the first broken invariant of f's sparse
+// storage, or returns "": the shared zero tile is all zero, a tile's
+// storage is zero past its block and held by that tile alone, and every
+// free-list entry is all zero and held by no tile.
+func storageFault(f *Framebuffer) string {
+	if zeroTile != (tileBlock{}) {
+		return "the shared zero tile was written"
+	}
+	owner := map[*tileBlock]string{&zeroTile: "the zero tile"}
+	for t, p := range f.tiles {
+		if p == nil {
+			continue
+		}
+		if o, ok := owner[p]; ok {
+			return fmt.Sprintf("tile %d holds the storage of %s", t, o)
+		}
+		owner[p] = fmt.Sprintf("tile %d", t)
+		x, y := t%f.tilesX*TileSize, t/f.tilesX*TileSize
+		blk, _ := f.block(t, x, y)
+		if !bytes.Equal(p[len(blk):], zeroTile[len(blk):]) {
+			return fmt.Sprintf("tile %d has non-zero bytes past its %d-byte block", t, len(blk))
+		}
+	}
+	for i, p := range f.free {
+		if o, ok := owner[p]; ok {
+			return fmt.Sprintf("free-list entry %d is also the storage of %s", i, o)
+		}
+		owner[p] = fmt.Sprintf("free-list entry %d", i)
+		if *p != (tileBlock{}) {
+			return fmt.Sprintf("free-list entry %d is not all zero", i)
+		}
+	}
+	return ""
 }

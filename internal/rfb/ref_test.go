@@ -1,19 +1,57 @@
 package rfb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
-// This file is the reference model of the RFB pipeline: the per-pixel
-// framebuffer writes, the build-then-marshal encoder and the
-// parse-then-apply decoder the production code replaced with tile-wise
-// kernels, a direct-to-wire encoder and an apply straight from the wire.
+// This file is the reference model of the RFB pipeline: a dense
+// row-major framebuffer written one pixel at a time, the
+// build-then-marshal encoder and the parse-then-apply decoder the
+// production code replaced with sparse tile storage, tile-wise kernels,
+// a direct-to-wire encoder and an apply straight from the wire.
 // FuzzUpdateMatchesReference holds the two to identical wire bytes,
-// pixels, dirty flags and error text.
+// pixels, dirty flags and error text. The reference shares no storage
+// with the production framebuffer.
+
+// refFB is the reference framebuffer: every pixel has its byte in one
+// row-major W×H array, and every tile its dirty flag.
+type refFB struct {
+	W, H, tilesX, tilesY int
+	pix                  []uint8
+	dirty                []bool // row-major tile order
+}
+
+func newRefFB(w, h int) *refFB {
+	tx, ty := (w+TileSize-1)/TileSize, (h+TileSize-1)/TileSize
+	return &refFB{W: w, H: h, tilesX: tx, tilesY: ty, pix: make([]uint8, w*h), dirty: make([]bool, tx*ty)}
+}
+
+// Pixel returns the pixel at (x, y); out-of-bounds reads return 0.
+func (f *refFB) Pixel(x, y int) uint8 {
+	if x < 0 || y < 0 || x >= f.W || y >= f.H {
+		return 0
+	}
+	return f.pix[y*f.W+x]
+}
+
+// Set writes one pixel and, if it changed, marks its tile dirty.
+// Out-of-bounds writes are ignored.
+func (f *refFB) Set(x, y int, v uint8) {
+	if x < 0 || y < 0 || x >= f.W || y >= f.H || f.pix[y*f.W+x] == v {
+		return
+	}
+	f.pix[y*f.W+x] = v
+	f.dirty[(y/TileSize)*f.tilesX+x/TileSize] = true
+}
+
+// MarkAllDirty flags every tile.
+func (f *refFB) MarkAllDirty() {
+	for i := range f.dirty {
+		f.dirty[i] = true
+	}
+}
 
 // TileUpdate is one encoded tile within an Update.
 type TileUpdate struct {
@@ -83,7 +121,7 @@ func Apply(f *Framebuffer, u *Update) error {
 }
 
 // refFill sets every pixel in [x, x+w) × [y, y+h) one Set at a time.
-func refFill(f *Framebuffer, x, y, w, h int, v uint8) {
+func refFill(f *refFB, x, y, w, h int, v uint8) {
 	for yy := y; yy < y+h; yy++ {
 		for xx := x; xx < x+w; xx++ {
 			f.Set(xx, yy, v)
@@ -93,7 +131,7 @@ func refFill(f *Framebuffer, x, y, w, h int, v uint8) {
 
 // refDrawTextured paints a side×side textured square at (x, y) one Set
 // at a time, as Animator.drawTextured does row-wise.
-func refDrawTextured(f *Framebuffer, x, y, side int, color uint8) {
+func refDrawTextured(f *refFB, x, y, side int, color uint8) {
 	for yy := y; yy < y+side; yy++ {
 		for xx := x; xx < x+side; xx++ {
 			f.Set(xx, yy, color^uint8(xx*7+yy*13))
@@ -101,9 +139,10 @@ func refDrawTextured(f *Framebuffer, x, y, side int, color uint8) {
 	}
 }
 
-// refStep is Animator.Step drawn with the reference writes.
-func refStep(a *Animator) {
-	refFill(a.fb, a.x, a.y, a.side, a.side, 0)
+// refStep is Animator.Step of a's state drawn on f with the reference
+// writes.
+func refStep(a *Animator, f *refFB) {
+	refFill(f, a.x, a.y, a.side, a.side, 0)
 	a.x += a.dx
 	a.y += a.dy
 	if a.x < 0 {
@@ -114,12 +153,12 @@ func refStep(a *Animator) {
 		a.y = 0
 		a.dy = -a.dy
 	}
-	if a.x+a.side > a.fb.W {
-		a.x = a.fb.W - a.side
+	if a.x+a.side > f.W {
+		a.x = f.W - a.side
 		a.dx = -a.dx
 	}
-	if a.y+a.side > a.fb.H {
-		a.y = a.fb.H - a.side
+	if a.y+a.side > f.H {
+		a.y = f.H - a.side
 		a.dy = -a.dy
 	}
 	a.color++
@@ -127,20 +166,20 @@ func refStep(a *Animator) {
 		a.color = 1
 	}
 	if a.Textured {
-		refDrawTextured(a.fb, a.x, a.y, a.side, a.color)
+		refDrawTextured(f, a.x, a.y, a.side, a.color)
 	} else {
-		refFill(a.fb, a.x, a.y, a.side, a.side, a.color)
+		refFill(f, a.x, a.y, a.side, a.side, a.color)
 	}
 	a.Steps++
 }
 
 // refDirtyTiles returns the bounding rectangles of all dirty tiles, in
 // row-major order. Tiles at the right/bottom edge are clipped.
-func refDirtyTiles(f *Framebuffer) []Rect {
+func refDirtyTiles(f *refFB) []Rect {
 	var out []Rect
 	for ty := 0; ty < f.tilesY; ty++ {
 		for tx := 0; tx < f.tilesX; tx++ {
-			if !f.isDirty(ty*f.tilesX + tx) {
+			if !f.dirty[ty*f.tilesX+tx] {
 				continue
 			}
 			r := Rect{X: tx * TileSize, Y: ty * TileSize, W: TileSize, H: TileSize}
@@ -157,7 +196,7 @@ func refDirtyTiles(f *Framebuffer) []Rect {
 }
 
 // refEncodeTileRaw extracts the rectangle's pixels row-major.
-func refEncodeTileRaw(f *Framebuffer, r Rect) []byte {
+func refEncodeTileRaw(f *refFB, r Rect) []byte {
 	out := make([]byte, 0, r.W*r.H)
 	for y := r.Y; y < r.Y+r.H; y++ {
 		for x := r.X; x < r.X+r.W; x++ {
@@ -168,7 +207,7 @@ func refEncodeTileRaw(f *Framebuffer, r Rect) []byte {
 }
 
 // refEncodeTileRLE run-length encodes the rectangle row-major.
-func refEncodeTileRLE(f *Framebuffer, r Rect) []byte {
+func refEncodeTileRLE(f *refFB, r Rect) []byte {
 	raw := refEncodeTileRaw(f, r)
 	out := make([]byte, 0, len(raw)/2)
 	i := 0
@@ -186,7 +225,7 @@ func refEncodeTileRLE(f *Framebuffer, r Rect) []byte {
 
 // refEncodeTile encodes the rectangle, falling back from RLE to raw when
 // run-length expansion would not be smaller.
-func refEncodeTile(f *Framebuffer, r Rect, enc Encoding) (Encoding, []byte) {
+func refEncodeTile(f *refFB, r Rect, enc Encoding) (Encoding, []byte) {
 	if enc == EncRLE {
 		if rle := refEncodeTileRLE(f, r); len(rle) < r.W*r.H {
 			return EncRLE, rle
@@ -197,7 +236,7 @@ func refEncodeTile(f *Framebuffer, r Rect, enc Encoding) (Encoding, []byte) {
 
 // refMakeUpdate collects the dirty tiles into an Update and clears the
 // dirty set.
-func refMakeUpdate(f *Framebuffer, serial uint32, enc Encoding) *Update {
+func refMakeUpdate(f *refFB, serial uint32, enc Encoding) *Update {
 	u := &Update{Serial: serial}
 	for _, r := range refDirtyTiles(f) {
 		usedEnc, data := refEncodeTile(f, r, enc)
@@ -240,7 +279,7 @@ func refMarshal(u *Update) []byte {
 
 // refDecodeTile writes an encoded tile into the framebuffer at r one Set
 // at a time.
-func refDecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
+func refDecodeTile(f *refFB, r Rect, enc Encoding, data []byte) error {
 	switch enc {
 	case EncRaw:
 		if len(data) != r.W*r.H {
@@ -288,62 +327,11 @@ func refDecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 }
 
 // refApply writes every tile of an update with refDecodeTile.
-func refApply(f *Framebuffer, u *Update) error {
+func refApply(f *refFB, u *Update) error {
 	for _, t := range u.Tiles {
 		if err := refDecodeTile(f, t.Rect, t.Enc, t.Data); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// The per-pixel accessors below are the reference side of the
-// framebuffer: production code moves whole tiles (block) and never
-// touches a single pixel.
-
-// index returns the offset of in-bounds pixel (x, y) in pix.
-func (f *Framebuffer) index(x, y int) int {
-	bx, by := x&^(TileSize-1), y&^(TileSize-1)
-	tw, hb := min(TileSize, f.W-bx), min(TileSize, f.H-by)
-	return by*f.W + bx*hb + (y-by)*tw + x - bx
-}
-
-// Pixel returns the pixel at (x, y); out-of-bounds reads return 0.
-func (f *Framebuffer) Pixel(x, y int) uint8 {
-	if x < 0 || y < 0 || x >= f.W || y >= f.H {
-		return 0
-	}
-	return f.pix[f.index(x, y)]
-}
-
-// Set writes one pixel and marks its tile dirty. Out-of-bounds writes are
-// ignored.
-func (f *Framebuffer) Set(x, y int, v uint8) {
-	if x < 0 || y < 0 || x >= f.W || y >= f.H {
-		return
-	}
-	i := f.index(x, y)
-	if f.pix[i] == v {
-		return // no visual change, no dirt
-	}
-	f.pix[i] = v
-	t := (y/TileSize)*f.tilesX + x/TileSize
-	f.dirty[t/64] |= 1 << (t % 64)
-}
-
-// isDirty reports tile t's dirty flag.
-func (f *Framebuffer) isDirty(t int) bool { return f.dirty[t/64]>>(t%64)&1 == 1 }
-
-// DirtyCount returns the number of dirty tiles.
-func (f *Framebuffer) DirtyCount() int {
-	n := 0
-	for _, w := range f.dirty {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Equal reports whether two framebuffers have identical pixel content.
-func (f *Framebuffer) Equal(g *Framebuffer) bool {
-	return f.W == g.W && f.H == g.H && bytes.Equal(f.pix, g.pix)
 }

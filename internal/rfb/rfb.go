@@ -15,16 +15,27 @@
 //
 // # Layout
 //
-// A framebuffer stores its pixels tile-major, in the 16×16 tiles the
-// protocol ships. Pixels are ordered by 16-row band, then by tile within
-// the band, and each tile is its own row-major w×h block whose stride is
-// that tile's width: tile (tx, ty) starts at byte ty·16·W + tx·16·hb,
-// where hb is the band's height. Edge tiles are narrower or shorter, not
-// padded, so the store is exactly W·H bytes and every tile, edge tiles
-// included, is one contiguous slice: a raw tile is encoded by one append
-// and decoded by one copy. Every write goes through put, which compares
-// old and new pixels only while the tile is clean, so a tile is dirty
-// exactly when one of its pixels changed since the last update.
+// A framebuffer stores its pixels sparsely, one pointer per 16×16 tile
+// of the protocol, in row-major tile order. A nil pointer means every
+// pixel of the tile is zero, and reads of it go to one shared, read-only
+// zero tile. A tile with storage holds its pixels as a row-major w×h
+// block whose stride is the tile's width; edge tiles are narrower or
+// shorter and use a prefix of the storage, the rest of which stays zero.
+// Every tile is one contiguous slice: a raw tile is encoded by one
+// append and decoded by one copy. Every write goes through put, which
+// compares old and new pixels only while the tile is clean, so a tile is
+// dirty exactly when one of its pixels changed since the last update.
+//
+// A tile takes storage, from the framebuffer's free list of all-zero
+// tiles or else new, on the first write that makes one of its pixels
+// non-zero; writing zeros to a nil tile changes nothing. It gives its
+// storage back only where the code already knows the tile is all zero,
+// so no write pays for a scan: the RLE encoder releases a dirty tile
+// with no value change whose first pixel is 0, and DecodeTile releases
+// a tile that an RLE body covering exactly that tile set to all zeros.
+// So the server of a screen and the client mirroring it hold storage
+// for about the tiles something is drawn on. A screen nothing draws on
+// costs its W·H/256 tile pointers: 24 KiB at 1024×768.
 //
 // The dirty flags are a bitmap, one bit per tile in row-major tile
 // order, 64 tiles to a word. The encoder walks it with TrailingZeros64
@@ -62,10 +73,19 @@ const (
 	highs uint64 = 0x8080808080808080
 )
 
+// tileBlock is the storage of one tile: its row-major block in the
+// first w·h bytes, zero beyond.
+type tileBlock [TileSize * TileSize]uint8
+
+// zeroTile holds the pixels of every tile without storage. Nothing
+// writes it.
+var zeroTile tileBlock
+
 // Framebuffer is a W×H 8-bit pixel surface with per-tile dirty tracking.
 type Framebuffer struct {
 	W, H           int
-	pix            []uint8 // tile-major; see the package doc
+	tiles          []*tileBlock // row-major; nil is all zero (see the package doc)
+	free           []*tileBlock // all-zero storage no tile holds
 	tilesX, tilesY int
 	dirty          []uint64 // bit t%64 of word t/64 is tile t's flag
 }
@@ -84,19 +104,22 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 	ty := (h + TileSize - 1) / TileSize
 	return &Framebuffer{
 		W: w, H: h,
-		pix:    make([]uint8, w*h),
+		tiles:  make([]*tileBlock, tx*ty),
 		tilesX: tx, tilesY: ty,
 		dirty: make([]uint64, (tx*ty+63)/64),
 	}, nil
 }
 
-// block returns the pixels of the tile whose top-left pixel is (x, y),
-// both multiples of TileSize inside the framebuffer, and the tile's
-// width, which is the block's stride.
-func (f *Framebuffer) block(x, y int) ([]uint8, int) {
+// block returns the pixels of tile t, whose top-left pixel is (x, y),
+// and the tile's width, which is the block's stride. A tile without
+// storage reads as the zero tile, which must not be written.
+func (f *Framebuffer) block(t, x, y int) ([]uint8, int) {
 	tw, hb := min(TileSize, f.W-x), min(TileSize, f.H-y)
-	off := y*f.W + x*hb
-	return f.pix[off : off+tw*hb], tw
+	p := f.tiles[t]
+	if p == nil {
+		p = &zeroTile
+	}
+	return p[:tw*hb], tw
 }
 
 // put copies src into seg, part of tile t's block. While the tile is
@@ -111,6 +134,28 @@ func (f *Framebuffer) put(t int, seg, src []uint8) {
 		*w |= bit
 	}
 	copy(seg, src)
+}
+
+// take gives tile t storage, all zero, from the free list or else new.
+func (f *Framebuffer) take(t int) *tileBlock {
+	var p *tileBlock
+	if n := len(f.free); n > 0 {
+		p = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		p = new(tileBlock)
+	}
+	f.tiles[t] = p
+	return p
+}
+
+// release returns the storage of tile t, which the caller knows to be
+// all zero, to the free list.
+func (f *Framebuffer) release(t int) {
+	if p := f.tiles[t]; p != nil {
+		f.free = append(f.free, p)
+		f.tiles[t] = nil
+	}
 }
 
 // eachTile calls fn with the part [x0, x1) × [y0, y1) of the rectangle,
@@ -131,20 +176,44 @@ func (f *Framebuffer) eachTile(x0, y0, x1, y1 int, fn func(x0, y0, x1, y1 int)) 
 
 // putTile writes src into [x0, x1) × [y0, y1), which lies within one
 // tile, row k from src[k·stride:]. Whole tile rows from a source of the
-// same stride are one contiguous range and take a single put.
+// same stride are one contiguous range and take a single put. A tile
+// without storage is all zero, so it changes, and takes storage, only
+// if src holds a non-zero pixel.
 func (f *Framebuffer) putTile(x0, y0, x1, y1 int, src []uint8, stride int) {
 	bx, by := x0&^(TileSize-1), y0&^(TileSize-1)
-	blk, tw := f.block(bx, by)
+	tw := min(TileSize, f.W-bx)
 	t := (by/TileSize)*f.tilesX + bx/TileSize
 	w := x1 - x0
+	p := f.tiles[t]
+	if p == nil {
+		if allZero(src, w, y1-y0, stride) {
+			return
+		}
+		p = f.take(t)
+		f.dirty[t/64] |= 1 << (t % 64)
+	}
 	if w == tw && stride == w {
-		f.put(t, blk[(y0-by)*w:(y1-by)*w], src[:(y1-y0)*w])
+		f.put(t, p[(y0-by)*w:(y1-by)*w], src[:(y1-y0)*w])
 		return
 	}
 	for y := y0; y < y1; y++ {
 		k := (y - y0) * stride
-		f.put(t, blk[(y-by)*tw+x0-bx:][:w], src[k:k+w])
+		f.put(t, p[(y-by)*tw+x0-bx:][:w], src[k:k+w])
 	}
+}
+
+// allZero reports whether rows rows of w pixels, row k at
+// src[k·stride:], are all zero. They lie within one tile.
+func allZero(src []uint8, w, rows, stride int) bool {
+	if stride == w {
+		w, rows = w*rows, 1 // one contiguous range
+	}
+	for k := 0; k < rows; k++ {
+		if !bytes.Equal(src[k*stride:][:w], zeroTile[:w]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fill sets every pixel in the rectangle [x, x+w) × [y, y+h); the part
@@ -235,7 +304,9 @@ func (e Encoding) String() string {
 
 // DecodeTile writes an encoded tile into the framebuffer at r. Pixels
 // outside the framebuffer are consumed but not written. On a malformed
-// RLE payload the runs before the fault have already been written.
+// RLE payload the runs before the fault have already been written. An
+// RLE body whose runs are all zero and cover exactly one tile releases
+// that tile's storage.
 func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 	switch enc {
 	case EncRaw:
@@ -264,8 +335,10 @@ func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 			s = make([]uint8, 0, room)
 		}
 		total := 0
+		var or uint8 // every run value ORed
 		for i := 0; i < len(data); i += 2 {
 			n, v := int(data[i]), data[i+1]
+			or |= v
 			if n == 0 {
 				f.writeRect(r, s)
 				return errors.New("rfb: zero-length RLE run")
@@ -283,10 +356,23 @@ func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
 		if total != r.W*r.H {
 			return fmt.Errorf("rfb: RLE covers %d pixels, want %d", total, r.W*r.H)
 		}
+		if t, ok := f.tileAt(r); ok && or == 0 {
+			f.release(t)
+		}
 		return nil
 	default:
 		return fmt.Errorf("rfb: unknown encoding %d", enc)
 	}
+}
+
+// tileAt returns the index of the tile whose pixels are exactly r, and
+// reports whether there is one.
+func (f *Framebuffer) tileAt(r Rect) (int, bool) {
+	if r.X < 0 || r.Y < 0 || r.X >= f.W || r.Y >= f.H || r.X%TileSize != 0 || r.Y%TileSize != 0 ||
+		r.W != min(TileSize, f.W-r.X) || r.H != min(TileSize, f.H-r.Y) {
+		return 0, false
+	}
+	return r.Y/TileSize*f.tilesX + r.X/TileSize, true
 }
 
 // Wire layout: an update header (serial, tile count; uint32 each)
@@ -302,7 +388,8 @@ const (
 // returns the extended buffer and the number of tiles written. With
 // EncRLE a tile is run-length encoded unless its RLE body would be no
 // smaller than raw, as real RFB encoders do; raw bodies are the tile's
-// stored block.
+// stored block. The RLE encoder also releases the storage of every tile
+// it finds all zero.
 func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]byte, int) {
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, serial)
@@ -314,7 +401,7 @@ func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]by
 			i := 64*j + bits.TrailingZeros64(m)
 			tiles++
 			x, y := (i%f.tilesX)*TileSize, (i/f.tilesX)*TileSize
-			blk, w := f.block(x, y)
+			blk, w := f.block(i, x, y)
 			hdr := len(dst)
 			dst = binary.BigEndian.AppendUint16(dst, uint16(x))
 			dst = binary.BigEndian.AppendUint16(dst, uint16(y))
@@ -322,9 +409,9 @@ func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]by
 			dst = binary.BigEndian.AppendUint16(dst, uint16(len(blk)/w))
 			dst = append(dst, byte(EncRaw), 0, 0, 0, 0)
 			body := len(dst)
-			ok := false
+			ok, flat := false, false
 			if enc == EncRLE {
-				dst, ok = appendRLE(dst, blk)
+				dst, ok, flat = appendRLE(dst, blk)
 			}
 			if ok {
 				dst[hdr+8] = byte(EncRLE)
@@ -332,6 +419,9 @@ func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]by
 				dst = append(dst, blk...)
 			}
 			binary.BigEndian.PutUint32(dst[hdr+9:], uint32(len(dst)-body))
+			if flat && blk[0] == 0 {
+				f.release(i)
+			}
 		}
 	}
 	binary.BigEndian.PutUint32(dst[start+4:], uint32(tiles))
@@ -341,15 +431,17 @@ func appendUpdate(dst []byte, f *Framebuffer, serial uint32, enc Encoding) ([]by
 // appendRLE appends the (count, value) runs of a tile's block, read
 // row-major with runs continuing across row ends, or appends nothing and
 // reports false when the RLE body would not be smaller than the block.
+// flat reports whether the block holds one value throughout.
 //
 // A block with c value changes has c+1 maximal runs, and at most 256
 // pixels: a run longer than 255 fills the whole block, whose body (two
 // runs) is then 4 bytes. So the body is 2·(c+1) bytes whenever that
 // could reach the block's size, and the test below is exact.
-func appendRLE(dst []byte, blk []uint8) ([]byte, bool) {
+func appendRLE(dst []byte, blk []uint8) (out []byte, ok, flat bool) {
 	var marks [TileSize * TileSize / 8]uint64
-	if 2*(valueChanges(blk, marks[:])+1) >= len(blk) {
-		return dst, false
+	c := valueChanges(blk, marks[:])
+	if 2*(c+1) >= len(blk) {
+		return dst, false, c == 0
 	}
 	start := 0 // first pixel of the current run
 	for j, m := range marks[:(len(blk)+6)/8] {
@@ -362,7 +454,7 @@ func appendRLE(dst []byte, blk []uint8) ([]byte, bool) {
 	for n := len(blk) - start; n > 0; n -= 255 {
 		dst = append(dst, byte(min(n, 255)), blk[start])
 	}
-	return dst, true
+	return dst, true, c == 0
 }
 
 // valueChanges counts the i in [1, len(b)) with b[i] != b[i-1], eight

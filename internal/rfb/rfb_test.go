@@ -80,45 +80,193 @@ func TestSetAndPixel(t *testing.T) {
 	fb.Set(64, 48, 1) // must not panic
 }
 
-// Every pixel of a framebuffer whose sides are not tile multiples has
-// its own byte of the W·H store, reads back what was set, and sits in
-// its tile's contiguous block at the tile-major offset.
+// Every pixel of a framebuffer whose sides are not tile multiples reads
+// back what was set, and sits in its tile's storage: each tile, edge
+// tiles included, is one row-major tw×th block whose stride is its
+// width, at the front of storage that no other tile shares.
 func TestPixelSetRoundTripTileMajor(t *testing.T) {
 	const w, h = 33, 17
 	fb := mustFB(t, w, h)
-	if len(fb.pix) != w*h {
-		t.Fatalf("len(pix) = %d, want %d", len(fb.pix), w*h)
+	if len(fb.tiles) != 3*2 || fb.heldTiles() != 0 {
+		t.Fatalf("%d tile slots, %d holding storage; want 6 and 0", len(fb.tiles), fb.heldTiles())
 	}
-	seen := make([]bool, w*h)
+	val := func(x, y int) uint8 { return uint8(x*7 + y*13 + 1) }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			i := fb.index(x, y)
-			if seen[i] {
-				t.Fatalf("(%d, %d) shares byte %d with another pixel", x, y, i)
-			}
-			seen[i] = true
-			fb.Set(x, y, uint8(x*7+y*13+1))
+			fb.Set(x, y, val(x, y))
 		}
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			if got, want := fb.Pixel(x, y), uint8(x*7+y*13+1); got != want {
+			if got, want := fb.Pixel(x, y), val(x, y); got != want {
 				t.Fatalf("Pixel(%d, %d) = %d, want %d", x, y, got, want)
 			}
 		}
 	}
 	for by := 0; by < h; by += TileSize {
 		for bx := 0; bx < w; bx += TileSize {
-			blk, tw := fb.block(bx, by)
+			i := by/TileSize*fb.tilesX + bx/TileSize
+			blk, tw := fb.block(i, bx, by)
 			th := min(TileSize, h-by)
 			if tw != min(TileSize, w-bx) || len(blk) != tw*th {
 				t.Fatalf("tile (%d, %d): stride %d, %d bytes", bx, by, tw, len(blk))
 			}
+			if p := fb.tiles[i]; p == nil || &blk[0] != &p[0] {
+				t.Fatalf("tile (%d, %d): the block is not the front of the tile's storage", bx, by)
+			}
 			for i, p := range blk {
-				if want := fb.Pixel(bx+i%tw, by+i/tw); p != want {
+				if want := val(bx+i%tw, by+i/tw); p != want {
 					t.Fatalf("tile (%d, %d) byte %d = %d, want %d", bx, by, i, p, want)
 				}
 			}
+		}
+	}
+	if msg := storageFault(fb); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// A new framebuffer holds one pointer per tile and no pixels: a
+// 1024×768 screen is 3072 tiles, 24 KiB of pointers, where a dense store
+// took 768 KiB.
+func TestNewFramebufferAllocatesNoPixels(t *testing.T) {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if fb := mustFB(t, 1024, 768); fb.heldTiles() != 0 {
+			t.Fatal("a new framebuffer holds tile storage")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 32<<10 {
+		t.Fatalf("NewFramebuffer(1024, 768) allocated %d bytes, want at most 32 KiB", perCall)
+	}
+}
+
+// A screen nothing draws on, served for 100 polls (a full frame, then
+// incremental ones) and mirrored by a client, takes no tile storage on
+// either side.
+func TestStaticScreenHoldsNoStorage(t *testing.T) {
+	s := &Server{fb: mustFB(t, 1024, 768), enc: EncRLE}
+	cli := mustFB(t, 1024, 768)
+	for i := 0; i < 100; i++ {
+		req := requests[reqIncremental]
+		if i == 0 {
+			req = requests[reqFull]
+		}
+		resp, sent := s.serve(0, req)
+		n, err := applyUpdate(cli, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{true: 3072, false: 0}[i == 0]; n != want {
+			t.Fatalf("poll %d carried %d tiles, want %d", i, n, want)
+		}
+		sent()
+	}
+	for _, fb := range []*Framebuffer{s.fb, cli} {
+		if fb.heldTiles() != 0 || len(fb.free) != 0 {
+			t.Fatalf("%d tiles hold storage, %d on the free list; want none", fb.heldTiles(), len(fb.free))
+		}
+	}
+}
+
+// erasedSquare draws a 50×40 square across 12 tiles of a 160×120
+// screen, then erases it, and returns the screen and the RLE updates
+// taken after each, with the tiles the square took.
+func erasedSquare(t *testing.T) (fb *Framebuffer, drawn, erased []byte, took int) {
+	t.Helper()
+	fb = mustFB(t, 160, 120)
+	fb.Fill(37, 21, 50, 40, 9)
+	if took = fb.heldTiles(); took != 4*3 {
+		t.Fatalf("the square took %d tiles, want 12", took)
+	}
+	drawn, _ = appendUpdate(nil, fb, 1, EncRLE)
+	fb.Fill(37, 21, 50, 40, 0)
+	if n := fb.heldTiles(); n != took {
+		t.Fatalf("erasing released storage before an update: %d tiles hold it, want %d", n, took)
+	}
+	erased, tiles := appendUpdate(nil, fb, 2, EncRLE)
+	if tiles != took {
+		t.Fatalf("the erase sent %d tiles, want %d", tiles, took)
+	}
+	return fb, drawn, erased, took
+}
+
+// The encoder returns every tile the square took once it sends them
+// erased, and a later drawing takes its storage from the free list.
+func TestErasedSquareReturnsItsTiles(t *testing.T) {
+	fb, _, _, took := erasedSquare(t)
+	if fb.heldTiles() != 0 || len(fb.free) != took {
+		t.Fatalf("after the erase %d tiles hold storage and %d are free; want 0 and %d", fb.heldTiles(), len(fb.free), took)
+	}
+	fb.Fill(0, 0, 20, 16, 3)
+	if fb.heldTiles() != 2 || len(fb.free) != took-2 {
+		t.Fatalf("a redraw over 2 tiles left %d holding storage and %d free; want 2 and %d", fb.heldTiles(), len(fb.free), took-2)
+	}
+	if msg := storageFault(fb); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// A client releases each tile an update sets to all zeros with one RLE
+// run covering exactly that tile.
+func TestClientReleasesZeroTiles(t *testing.T) {
+	srv, drawn, erased, took := erasedSquare(t)
+	cli := mustFB(t, 160, 120)
+	if _, err := applyUpdate(cli, drawn); err != nil || cli.heldTiles() != took {
+		t.Fatalf("the drawn square: error %v, %d tiles hold storage; want %d", err, cli.heldTiles(), took)
+	}
+	if _, err := applyUpdate(cli, erased); err != nil {
+		t.Fatal(err)
+	}
+	if cli.heldTiles() != 0 || len(cli.free) != took {
+		t.Fatalf("after the erase %d tiles hold storage and %d are free; want 0 and %d", cli.heldTiles(), len(cli.free), took)
+	}
+	if !cli.Equal(srv) || cli.DirtyCount() != took {
+		t.Fatalf("the client differs from the server or has %d dirty tiles, want %d", cli.DirtyCount(), took)
+	}
+	if msg := storageFault(cli); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// An animated square served and mirrored frame by frame holds storage
+// only for the tiles it covers, and in steady state its tiles' storage
+// cycles through the free lists of server and client without
+// allocating.
+func TestAnimationRecyclesTileStorage(t *testing.T) {
+	s := &Server{fb: mustFB(t, 160, 120), enc: EncRLE}
+	cli := mustFB(t, 160, 120)
+	a, err := NewAnimator(s.fb, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func() {
+		a.Step()
+		resp, sent := s.serve(0, requests[reqIncremental])
+		if _, err := applyUpdate(cli, resp); err != nil {
+			t.Fatal(err)
+		}
+		sent()
+	}
+	for i := 0; i < 1000; i++ {
+		frame()
+	}
+	if allocs := testing.AllocsPerRun(100, frame); allocs != 0 {
+		t.Fatalf("a frame allocates %v times in steady state, want 0", allocs)
+	}
+	if !cli.Equal(s.fb) {
+		t.Fatal("the client does not mirror the server")
+	}
+	covers := (a.side/TileSize + 2) * (a.side/TileSize + 2)
+	for _, fb := range []*Framebuffer{s.fb, cli} {
+		if n := fb.heldTiles(); n == 0 || n > covers {
+			t.Fatalf("%d tiles hold storage; the %d-pixel square covers at most %d", n, a.side, covers)
+		}
+		if msg := storageFault(fb); msg != "" {
+			t.Fatal(msg)
 		}
 	}
 }
@@ -381,7 +529,8 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 // A tile that fails to decode keeps every tile before it, and its own
-// decoded prefix, exactly as the parse-then-apply reference does.
+// decoded prefix, exactly as the per-pixel parse-then-apply reference
+// does.
 func TestApplyUpdateKeepsPrefixOnDecodeFault(t *testing.T) {
 	src := mustFB(t, 32, 16)
 	src.Fill(0, 0, 32, 16, 4)
@@ -392,9 +541,9 @@ func TestApplyUpdateKeepsPrefixOnDecodeFault(t *testing.T) {
 	}
 	u.Tiles[1].Data = []byte{200, 9, 0, 9} // a 200-pixel run, then a zero run
 	bad := refMarshal(u)
-	got, want := mustFB(t, 32, 16), mustFB(t, 32, 16)
+	got, want := mustFB(t, 32, 16), newRefFB(32, 16)
 	n, gotErr := applyUpdate(got, bad)
-	wantErr := Apply(want, u)
+	wantErr := refApply(want, u)
 	if n != 0 || errText(gotErr) != errText(wantErr) || wantErr == nil {
 		t.Fatalf("wire apply gave %d tiles, error %v; reference error %v", n, gotErr, wantErr)
 	}
