@@ -63,7 +63,6 @@ func main() {
 		}
 	}
 
-	k := sim.New(1)
-	sys := experiments.SmartProjectorSystem(k, fac, true)
+	sys := experiments.SmartProjectorSystem(1, fac, true).System()
 	fmt.Println(core.Analyze(sys, *userColumn).Render())
 }

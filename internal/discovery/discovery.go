@@ -155,7 +155,6 @@ type registration struct {
 }
 
 type subscription struct {
-	id     uint64
 	client netsim.Addr
 	tmpl   Template
 	lease  *lease.Lease
@@ -362,7 +361,7 @@ func (l *Lookup) serveSubscribe(src netsim.Addr, req request) []byte {
 	}
 	l.nextSub++
 	id := l.nextSub
-	sub := &subscription{id: id, client: src, tmpl: tmpl}
+	sub := &subscription{client: src, tmpl: tmpl}
 	lse, err := l.leases.Grant(fmt.Sprintf("sub-%d", id), d, func() {
 		delete(l.subs, id)
 	})

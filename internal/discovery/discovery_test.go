@@ -17,7 +17,7 @@ func rig(seed int64, n int) (*sim.Kernel, *Lookup, []*Agent) {
 	k := sim.New(seed)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 100)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := netsim.New(m)
 	lkNode := nw.NewNode("lookup", m.AddStation(med.NewRadio("lk", geo.Pt(50, 50), 6, 15)))
 	lk := NewLookup(lkNode)

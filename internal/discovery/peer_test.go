@@ -16,7 +16,7 @@ func peerRig(seed int64, n int) (*sim.Kernel, []*netsim.Node) {
 	k := sim.New(seed)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 50)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := netsim.New(m)
 	nodes := make([]*netsim.Node, n)
 	for i := range nodes {

@@ -5,10 +5,10 @@ import (
 
 	"aroma/internal/discovery"
 	"aroma/internal/geo"
-	"aroma/internal/mac"
 	"aroma/internal/metrics"
 	"aroma/internal/netsim"
 	"aroma/internal/sim"
+	"aroma/pkg/aroma"
 )
 
 // C10 compares the Aroma/Jini centralized lookup service against the
@@ -28,19 +28,16 @@ func C10(seed int64) *Result {
 	type outcome struct {
 		learnSeconds   float64
 		mcastPerMinute float64
-		querySeconds   float64
 	}
 
 	measureLookup := func(n int) outcome {
-		rg := newRig(seed, 120, 60, mac.BinaryExponential)
-		lkNode := rg.node("lookup", geo.Pt(60, 30), 6)
-		lk := discovery.NewLookup(lkNode)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(120, 60))
+		lk := discovery.NewLookup(w.AddDevice("lookup", geo.Pt(60, 30)).Node())
 		lk.AnnouncePeriod = period
 		lk.Start()
 		// Providers register (they must discover the lookup first).
 		for i := 0; i < n; i++ {
-			node := rg.node("prov", geo.Pt(float64(10+2*i), 20), 6)
-			ag := discovery.NewAgent(node)
+			ag := w.AddDevice(fmt.Sprintf("prov-%d", i), geo.Pt(float64(10+2*i), 20)).Agent()
 			name := fmt.Sprintf("svc-%d", i)
 			ag.OnLookupFound = func(addr netsim.Addr) {
 				ag.Register(discovery.Item{Name: name, Type: "appliance"}, sim.Minute, func(g *discovery.Registration, err error) {
@@ -50,57 +47,51 @@ func C10(seed int64) *Result {
 				})
 			}
 		}
-		rg.k.RunUntil(20 * sim.Second)
+		w.RunUntil(20 * sim.Second)
 		// A client powers on: time until it can enumerate everything.
-		joined := rg.k.Now()
-		cliNode := rg.node("client", geo.Pt(60, 40), 6)
-		cli := discovery.NewAgent(cliNode)
+		joined := w.Now()
+		cli := w.AddDevice("client", geo.Pt(60, 40)).Agent()
 		learned := sim.Time(-1)
-		var query sim.Time
 		cli.OnLookupFound = func(netsim.Addr) {
-			qStart := rg.k.Now()
 			cli.Lookup(discovery.Template{Type: "appliance"}, func(items []discovery.Item, err error) {
 				if err == nil && len(items) == n && learned < 0 {
-					learned = rg.k.Now() - joined
-					query = rg.k.Now() - qStart
+					learned = w.Now() - joined
 				}
 			})
 		}
-		rg.k.RunUntil(rg.k.Now() + observeFor)
+		w.RunFor(observeFor)
 		// Multicast overhead: the lookup announces once per period
 		// regardless of n.
 		perMin := 60.0 / period.Seconds()
 		out := outcome{learnSeconds: -1, mcastPerMinute: perMin}
 		if learned >= 0 {
 			out.learnSeconds = learned.Seconds()
-			out.querySeconds = query.Seconds()
 		}
 		return out
 	}
 
 	measurePeer := func(n int) outcome {
-		rg := newRig(seed, 120, 60, mac.BinaryExponential)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(120, 60))
 		services := make([]*discovery.PeerService, 0, n)
 		for i := 0; i < n; i++ {
-			node := rg.node("prov", geo.Pt(float64(10+2*i), 20), 6)
+			node := w.AddDevice(fmt.Sprintf("prov-%d", i), geo.Pt(float64(10+2*i), 20)).Node()
 			services = append(services, discovery.AnnouncePeer(node,
 				discovery.Item{Name: fmt.Sprintf("svc-%d", i), Type: "appliance"}, period, 0))
 		}
-		rg.k.RunUntil(20 * sim.Second)
-		joined := rg.k.Now()
-		cliNode := rg.node("client", geo.Pt(60, 40), 6)
-		cache := discovery.NewPeerCache(cliNode)
+		w.RunUntil(20 * sim.Second)
+		joined := w.Now()
+		cache := discovery.NewPeerCache(w.AddDevice("client", geo.Pt(60, 40)).Node())
 		learned := sim.Time(-1)
 		cache.OnAppear = func(discovery.Item) {
 			if learned < 0 && cache.Count() == n {
-				learned = rg.k.Now() - joined
+				learned = w.Now() - joined
 			}
 		}
 		before := uint64(0)
 		for _, s := range services {
 			before += s.AnnouncementsSent
 		}
-		rg.k.RunUntil(rg.k.Now() + observeFor)
+		w.RunFor(observeFor)
 		after := uint64(0)
 		for _, s := range services {
 			after += s.AnnouncementsSent
@@ -108,7 +99,6 @@ func C10(seed int64) *Result {
 		out := outcome{
 			learnSeconds:   -1,
 			mcastPerMinute: float64(after-before) / observeFor.Seconds() * 60,
-			querySeconds:   0, // cache queries are local
 		}
 		if learned >= 0 {
 			out.learnSeconds = learned.Seconds()

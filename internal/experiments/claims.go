@@ -12,34 +12,12 @@ import (
 	"aroma/internal/metrics"
 	"aroma/internal/netsim"
 	"aroma/internal/projector"
-	"aroma/internal/radio"
 	"aroma/internal/rfb"
 	"aroma/internal/session"
 	"aroma/internal/sim"
-	"aroma/internal/trace"
 	"aroma/internal/user"
+	"aroma/pkg/aroma"
 )
-
-// rig is the standard two-node wireless testbed used by several claims.
-type rig struct {
-	k   *sim.Kernel
-	e   *env.Environment
-	med *radio.Medium
-	m   *mac.MAC
-	nw  *netsim.Network
-}
-
-func newRig(seed int64, planW, planH float64, backoff mac.BackoffPolicy) *rig {
-	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, planW, planH)))
-	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{Backoff: backoff})
-	return &rig{k: k, e: e, med: med, m: m, nw: netsim.New(m)}
-}
-
-func (r *rig) node(name string, pos geo.Point, channel int) *netsim.Node {
-	return r.nw.NewNode(name, r.m.AddStation(r.med.NewRadio(name, pos, channel, 15)))
-}
 
 // C1 reproduces "the relatively low bandwidth of current wireless
 // networking adapters ... prevents us from displaying rapid animation":
@@ -55,9 +33,9 @@ func C1(seed int64) *Result {
 	}{{50, 11}, {140, 5.5}, {170, 2}, {200, 1}}
 
 	measure := func(dist, intensity float64, enc rfb.Encoding) float64 {
-		rg := newRig(seed, 400, 50, mac.BinaryExponential)
-		srvNode := rg.node("laptop", geo.Pt(0, 25), 6)
-		cliNode := rg.node("adapter", geo.Pt(dist, 25), 6)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(400, 50))
+		srvNode := w.AddDevice("laptop", geo.Pt(0, 25)).Node()
+		cliNode := w.AddDevice("adapter", geo.Pt(dist, 25)).Node()
 		fb, err := rfb.NewFramebuffer(640, 480)
 		if err != nil {
 			panic(err)
@@ -71,8 +49,8 @@ func C1(seed int64) *Result {
 		if err != nil {
 			panic(err)
 		}
-		anim.Textured = true                               // video-like content defeats RLE
-		rg.k.Ticker(33*sim.Millisecond, "anim", anim.Step) // 30 source fps
+		anim.Textured = true                            // video-like content defeats RLE
+		w.Ticker(33*sim.Millisecond, "anim", anim.Step) // 30 source fps
 		frames := 0
 		stop := cli.Stream(5*sim.Second, func(tiles int) {
 			if tiles > 0 {
@@ -80,7 +58,7 @@ func C1(seed int64) *Result {
 			}
 		})
 		const horizon = 5 * sim.Second
-		rg.k.RunUntil(horizon)
+		w.RunUntil(horizon)
 		stop()
 		return float64(frames) / horizon.Seconds()
 	}
@@ -118,26 +96,27 @@ func C2(seed int64) *Result {
 	r := &Result{ID: "C2", Title: "2.4 GHz device concentration"}
 
 	measure := func(pairs int, channels []int, backoff mac.BackoffPolicy) (perDevKbps float64, retriesPerFrame float64) {
-		rg := newRig(seed, 60, 40, backoff)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(60, 40))
+		w.MAC().Backoff = backoff
 		const payloadBits = 4000 * 8
 		delivered := 0
 		var stations []*mac.Station
 		for i := 0; i < pairs; i++ {
-			ch := channels[i%len(channels)]
-			tx := rg.m.AddStation(rg.med.NewRadio("tx", geo.Pt(float64(2+i*2), 10), ch, 15))
-			rxr := rg.m.AddStation(rg.med.NewRadio("rx", geo.Pt(float64(2+i*2), 30), ch, 15))
+			ch := aroma.WithChannel(channels[i%len(channels)])
+			tx := w.AddDevice(fmt.Sprintf("tx%d", i), geo.Pt(float64(2+i*2), 10), ch).Station()
+			rxr := w.AddDevice(fmt.Sprintf("rx%d", i), geo.Pt(float64(2+i*2), 30), ch).Station()
 			rxr.OnReceive = func(mac.Frame) { delivered++ }
 			stations = append(stations, tx)
 			dst := rxr.Addr()
-			rg.k.Ticker(10*sim.Millisecond, "offer", func() {
+			w.Ticker(10*sim.Millisecond, "offer", func() {
 				// Offered load 3.2 Mb/s per pair: a handful of pairs
 				// already saturates one 11 Mb/s channel.
 				_ = tx.Send(dst, payloadBits, nil, nil)
 			})
 		}
 		const horizon = 3 * sim.Second
-		rg.k.SetHorizon(horizon)
-		rg.k.RunUntil(horizon)
+		w.Kernel().SetHorizon(horizon)
+		w.RunUntil(horizon)
 		var retries, sent uint64
 		for _, s := range stations {
 			retries += s.RetriesTotal
@@ -184,23 +163,21 @@ func C3(seed int64) *Result {
 	discTbl := metrics.NewTable("Time to discover the lookup service",
 		"announce period (s)", "join offset (s)", "discovery wait (s)")
 	for _, period := range []sim.Time{1 * sim.Second, 2 * sim.Second, 5 * sim.Second, 10 * sim.Second} {
-		rg := newRig(seed, 60, 40, mac.BinaryExponential)
-		lkNode := rg.node("lookup", geo.Pt(30, 20), 6)
-		lk := discovery.NewLookup(lkNode)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(60, 40))
+		lk := discovery.NewLookup(w.AddDevice("lookup", geo.Pt(30, 20)).Node())
 		lk.AnnouncePeriod = period
 		lk.Start()
 		joinAt := period/3 + 100*sim.Millisecond
 		var foundAt sim.Time = -1
-		rg.k.Schedule(joinAt, "join", func() {
-			agNode := rg.node("latecomer", geo.Pt(10, 20), 6)
-			ag := discovery.NewAgent(agNode)
+		w.Schedule(joinAt, "join", func() {
+			ag := w.AddDevice("latecomer", geo.Pt(10, 20)).Agent()
 			ag.OnLookupFound = func(netsim.Addr) {
 				if foundAt < 0 {
-					foundAt = rg.k.Now()
+					foundAt = w.Now()
 				}
 			}
 		})
-		rg.k.RunUntil(3 * period)
+		w.RunUntil(3 * period)
 		wait := -1.0
 		if foundAt >= 0 {
 			wait = (foundAt - joinAt).Seconds()
@@ -214,27 +191,24 @@ func C3(seed int64) *Result {
 	latTbl := metrics.NewTable("Lookup query latency vs registered services",
 		"services", "query latency (ms)", "matches")
 	for _, n := range []int{1, 10, 50, 100} {
-		rg := newRig(seed, 60, 40, mac.BinaryExponential)
-		lkNode := rg.node("lookup", geo.Pt(30, 20), 6)
-		lk := discovery.NewLookup(lkNode)
-		lk.Start()
-		agNode := rg.node("client", geo.Pt(10, 20), 6)
-		ag := discovery.NewAgent(agNode)
-		rg.k.RunUntil(sim.Second)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(60, 40))
+		w.AddLookup("lookup", geo.Pt(30, 20))
+		ag := w.AddDevice("client", geo.Pt(10, 20)).Agent()
+		w.RunUntil(sim.Second)
 		for i := 0; i < n; i++ {
 			ag.Register(discovery.Item{Name: fmt.Sprintf("svc-%d", i), Type: "sensor"}, sim.Minute, nil)
 		}
-		rg.k.RunUntil(sim.Minute) // let registrations drain
-		start := rg.k.Now()
+		w.RunUntil(sim.Minute) // let registrations drain
+		start := w.Now()
 		var latency sim.Time = -1
 		matches := 0
 		ag.Lookup(discovery.Template{Type: "sensor"}, func(items []discovery.Item, err error) {
 			if err == nil {
-				latency = rg.k.Now() - start
+				latency = w.Now() - start
 				matches = len(items)
 			}
 		})
-		rg.k.RunUntil(rg.k.Now() + 30*sim.Second)
+		w.RunFor(30 * sim.Second)
 		latTbl.AddRow(n, float64(latency.Duration().Milliseconds()), matches)
 	}
 	r.Tables = append(r.Tables, latTbl)
@@ -245,33 +219,30 @@ func C3(seed int64) *Result {
 		"lease (s)", "cleaned after (s)", "no-lease ablation")
 	cleanOK := true
 	for _, leaseDur := range []sim.Time{10 * sim.Second, 30 * sim.Second, 60 * sim.Second} {
-		rg := newRig(seed, 60, 40, mac.BinaryExponential)
-		lkNode := rg.node("lookup", geo.Pt(30, 20), 6)
-		lk := discovery.NewLookup(lkNode)
-		lk.Start()
-		agNode := rg.node("provider", geo.Pt(10, 20), 6)
-		ag := discovery.NewAgent(agNode)
-		rg.k.RunUntil(sim.Second)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(60, 40))
+		lk := w.AddLookup("lookup", geo.Pt(30, 20))
+		ag := w.AddDevice("provider", geo.Pt(10, 20)).Agent()
+		w.RunUntil(sim.Second)
 		var reg *discovery.Registration
 		ag.Register(discovery.Item{Name: "p", Type: "projector"}, leaseDur, func(g *discovery.Registration, err error) { reg = g })
-		rg.k.RunUntil(2 * sim.Second)
+		w.RunUntil(2 * sim.Second)
 		if reg != nil {
 			reg.AutoRenew(leaseDur / 3)
 		}
 		// Crash at t=70s: renewals stop.
 		crashAt := 70 * sim.Second
-		rg.k.Schedule(crashAt-rg.k.Now(), "crash", func() {
+		w.Schedule(crashAt-w.Now(), "crash", func() {
 			if reg != nil {
 				reg.StopAutoRenew()
 			}
 		})
 		cleanedAt := sim.Time(-1)
-		rg.k.Ticker(sim.Second, "watch", func() {
-			if cleanedAt < 0 && rg.k.Now() > crashAt && lk.Count() == 0 {
-				cleanedAt = rg.k.Now()
+		w.Ticker(sim.Second, "watch", func() {
+			if cleanedAt < 0 && w.Now() > crashAt && lk.Count() == 0 {
+				cleanedAt = w.Now()
 			}
 		})
-		rg.k.RunUntil(crashAt + 3*leaseDur)
+		w.RunUntil(crashAt + 3*leaseDur)
 		cleaned := -1.0
 		if cleanedAt > 0 {
 			cleaned = (cleanedAt - crashAt).Seconds()
@@ -443,9 +414,7 @@ func C5(seed int64) *Result {
 // recognition is used."
 func C6(seed int64) *Result {
 	r := &Result{ID: "C6", Title: "Voice control vs background noise"}
-	k := sim.New(seed)
-	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 20, 20))
-	e := env.New(k, plan)
+	e := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(20, 20)).Env()
 	speaker := geo.Pt(10, 10)
 	mic := geo.Pt(10.5, 10) // device microphone half a metre away
 	phys := user.DefaultPhysiology()
@@ -485,24 +454,23 @@ func C7(seed int64) *Result {
 	}
 
 	measure := func(total int, invalidEvery int, useProxy bool) (netCalls uint64) {
-		rg := newRig(seed, 40, 20, mac.BinaryExponential)
-		lkNode := rg.node("lookup", geo.Pt(20, 10), 6)
-		discovery.NewLookup(lkNode).Start()
-		projNode := rg.node("projector", geo.Pt(30, 10), 6)
-		projAgent := discovery.NewAgent(projNode)
-		proj := projector.New(projNode, projAgent, trace.NewForKernel(rg.k), projector.DefaultConfig())
-		prNode := rg.node("alice", geo.Pt(5, 10), 6)
-		pr := projector.NewPresenter("alice", prNode, discovery.NewAgent(prNode))
-		rg.k.RunUntil(sim.Second)
+		w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(40, 20))
+		w.AddLookup("lookup", geo.Pt(20, 10))
+		projDev := w.AddDevice("projector", geo.Pt(30, 10))
+		proj := projector.New(projDev.Node(), projDev.Agent(), w.Log(), projector.DefaultConfig())
+		prDev := w.AddDevice("alice", geo.Pt(5, 10))
+		prNode := prDev.Node()
+		pr := projector.NewPresenter("alice", prNode, prDev.Agent())
+		w.RunUntil(sim.Second)
 		proj.Register(nil)
-		rg.k.RunUntil(3 * sim.Second)
+		w.RunUntil(3 * sim.Second)
 		pr.Discover(func(error) {})
-		rg.k.RunUntil(5 * sim.Second)
+		w.RunUntil(5 * sim.Second)
 		if !useProxy {
 			pr.DropProxy()
 		}
 		pr.GrabControl(nil)
-		rg.k.RunUntil(7 * sim.Second)
+		w.RunUntil(7 * sim.Second)
 		base := prNode.Network().CallsStarted
 		for i := 0; i < total; i++ {
 			cmd := projector.CmdBrightnessUp
@@ -510,7 +478,7 @@ func C7(seed int64) *Result {
 				cmd = 99 // invalid
 			}
 			pr.Command(cmd, nil)
-			rg.k.RunUntil(rg.k.Now() + 200*sim.Millisecond)
+			w.RunFor(200 * sim.Millisecond)
 		}
 		return prNode.Network().CallsStarted - base
 	}
@@ -550,17 +518,10 @@ func C8(seed int64) *Result {
 		row := []any{dist}
 		var err2 float64
 		for walls := 0; walls <= 2; walls++ {
-			k := sim.New(seed)
-			plan := geo.NewFloorPlan(geo.RectAt(0, 0, 100, 50))
-			for i := 0; i < walls; i++ {
-				x := dist * float64(i+1) / float64(walls+1)
-				plan.AddWall(geo.Seg(geo.Pt(x, 0), geo.Pt(x, 50)), 6, 20)
-			}
-			e := env.New(k, plan)
-			med := radio.NewMedium(k, e)
-			a := med.NewRadio("a", geo.Pt(0, 25), 6, 15)
-			b := med.NewRadio("b", geo.Pt(dist, 25), 6, 15)
-			est := med.EstimateDistance(a, b)
+			w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithFloorPlan(walledPlan(100, dist, walls)))
+			a := w.AddDevice("a", geo.Pt(0, 25)).Radio()
+			b := w.AddDevice("b", geo.Pt(dist, 25)).Radio()
+			est := w.Medium().EstimateDistance(a, b)
 			row = append(row, est)
 			errPct := 100 * math.Abs(est-dist) / dist
 			if walls == 0 && errPct > worstClean {

@@ -3,12 +3,21 @@
 // Smart Projector analysis (C1–C10) and two sweep campaigns (S1, S2),
 // as indexed by All.
 //
-// Each driver builds its scenario from the substrates, runs it on a
-// seeded kernel, and returns a Result holding the tables/series that
-// mirror what the paper reports qualitatively, plus a ShapeOK verdict
-// checking the paper's predicted shape (who wins, what collapses, where
-// the knee falls). cmd/experiments prints them; bench_test.go wraps each
-// in a testing.B benchmark.
+// Each driver builds its scenario the way every scenario, sweep and
+// daemon world is built: aroma.NewWorld seeded with the experiment's
+// seed, populated with AddDevice (Offline for analysis-only
+// appliances), AddLookup, AddUser and Link. It runs the world and
+// returns a Result holding the tables/series that mirror what the
+// paper reports qualitatively, plus a ShapeOK verdict checking the
+// paper's predicted shape (who wins, what collapses, where the knee
+// falls). cmd/experiments prints them; bench_test.go wraps each in a
+// testing.B benchmark.
+//
+// C4 and C5 are the exception: they drive a session manager and the
+// user model on a bare sim.New kernel, because a world would add a
+// medium, MAC and network they never touch (for C5's 1,200 trials,
+// more than twice the allocations). A guard test keeps hand-built
+// stacks out of every other driver.
 package experiments
 
 import (

@@ -9,33 +9,33 @@ import (
 	"testing"
 
 	"aroma/internal/core"
-	"aroma/internal/sim"
 	"aroma/internal/user"
 )
 
-// TestAllExperimentsMatchPaperShape runs every reproduction and asserts
-// its shape check — the repo-level statement that the measured curves
-// agree with the paper's qualitative claims.
+// TestAllExperimentsMatchPaperShape runs every reproduction at seeds
+// 1-5 and asserts its shape check — the repo-level statement that the
+// measured curves agree with the paper's qualitative claims.
 func TestAllExperimentsMatchPaperShape(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res := e.Run(1)
-			if res == nil {
-				t.Fatal("nil result")
-			}
-			if res.ID != e.ID {
-				t.Fatalf("result ID %q != %q", res.ID, e.ID)
-			}
-			if !res.ShapeOK {
-				t.Fatalf("shape check failed: %s\n%s", res.ShapeWhy, res.Render())
-			}
-			if len(res.Tables) == 0 {
-				t.Fatal("experiment produced no tables")
-			}
-			out := res.Render()
-			if !strings.Contains(out, "MATCHES") {
-				t.Fatal("render missing verdict")
+			for seed := int64(1); seed <= 5; seed++ {
+				res := e.Run(seed)
+				if res == nil {
+					t.Fatalf("seed %d: nil result", seed)
+				}
+				if res.ID != e.ID {
+					t.Fatalf("seed %d: result ID %q != %q", seed, res.ID, e.ID)
+				}
+				if !res.ShapeOK {
+					t.Fatalf("seed %d: shape check failed: %s\n%s", seed, res.ShapeWhy, res.Render())
+				}
+				if len(res.Tables) == 0 {
+					t.Fatalf("seed %d: experiment produced no tables", seed)
+				}
+				if !strings.Contains(res.Render(), "MATCHES") {
+					t.Fatalf("seed %d: render missing verdict", seed)
+				}
 			}
 		})
 	}
@@ -112,7 +112,7 @@ func TestExperimentsGolden(t *testing.T) {
 		for _, userColumn := range []bool{true, false} {
 			key := fmt.Sprintf("analysis/%s/user-column=%t", aud.name, userColumn)
 			t.Run(key, func(t *testing.T) {
-				sys := SmartProjectorSystem(sim.New(1), aud.fac, true)
+				sys := SmartProjectorSystem(1, aud.fac, true).System()
 				checkGolden(t, key, core.Analyze(sys, userColumn).Render())
 			})
 		}

@@ -5,73 +5,61 @@ import (
 
 	"aroma/internal/core"
 	"aroma/internal/device"
-	"aroma/internal/env"
 	"aroma/internal/geo"
 	"aroma/internal/metrics"
 	"aroma/internal/radio"
 	"aroma/internal/sim"
 	"aroma/internal/trace"
 	"aroma/internal/user"
+	"aroma/pkg/aroma"
 )
 
-// SmartProjectorSystem builds the paper's analysis scenario as an LPC
-// System: presenter + laptop + smart projector + lookup, in a lab. With
+// SmartProjectorSystem builds the paper's analysis scenario as a world:
+// presenter + laptop + smart projector + lookup, in a lab. With
 // beliefsMatch false the projector's exported state contradicts the
-// presenter's mental model.
-func SmartProjectorSystem(k *sim.Kernel, fac user.Faculties, beliefsMatch bool) *core.System {
-	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 30, 20))
-	e := env.New(k, plan)
-	med := radio.NewMedium(k, e)
-	sys := &core.System{Name: "smart-projector", Env: e, Medium: med}
-
-	laptopPos, projPos, lookupPos := geo.Pt(5, 10), geo.Pt(25, 10), geo.Pt(15, 18)
-	sys.AddDevice(&core.DeviceEntity{
-		Name: "laptop", Pos: laptopPos, Spec: device.LaptopSpec(),
-		Radio:           med.NewRadio("laptop", laptopPos, 6, 15),
-		AppState:        map[string]string{"vnc.running": "true"},
-		OperatingRangeM: 0.8,
-		Purpose: core.DesignPurpose{
+// presenter's mental model. Analyze its System().
+func SmartProjectorSystem(seed int64, fac user.Faculties, beliefsMatch bool) *aroma.World {
+	w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithName("smart-projector"))
+	w.AddDevice("laptop", geo.Pt(5, 10),
+		aroma.WithSpec(device.LaptopSpec()),
+		aroma.WithAppState(map[string]string{"vnc.running": "true"}),
+		aroma.WithPurpose(core.DesignPurpose{
 			Description:  "presentation laptop",
 			Capabilities: map[string]float64{"present-slides": 0.9},
 			AssumedSkill: 0.3,
-		},
-	})
+		})).Entity().OperatingRangeM = 0.8
 	projState := map[string]string{"projecting": "true", "projection.owner": "alice"}
 	if !beliefsMatch {
 		projState["projecting"] = "false"
 		projState["projection.owner"] = "none"
 	}
-	sys.AddDevice(&core.DeviceEntity{
-		Name: "projector", Pos: projPos, Spec: device.AromaAdapterSpec(),
-		Radio:    med.NewRadio("projector", projPos, 6, 15),
-		AppState: projState,
-		Purpose: core.DesignPurpose{
+	w.AddDevice("projector", geo.Pt(25, 10),
+		aroma.WithSpec(device.AromaAdapterSpec()),
+		aroma.WithAppState(projState),
+		aroma.WithPurpose(core.DesignPurpose{
 			Description:  "research vehicle to measure service discovery",
 			Capabilities: map[string]float64{"remote-projection": 0.8, "remote-control": 0.8, "zero-config": 0.2},
 			AssumedSkill: 0.9,
-		},
-	})
-	sys.AddDevice(&core.DeviceEntity{
-		Name: "lookup", Pos: lookupPos, Spec: device.AromaAdapterSpec(),
-		Radio: med.NewRadio("lookup", lookupPos, 6, 15),
-		Purpose: core.DesignPurpose{
+		}))
+	w.AddDevice("lookup", geo.Pt(15, 18),
+		aroma.WithSpec(device.AromaAdapterSpec()),
+		aroma.WithPurpose(core.DesignPurpose{
 			Description:  "Jini lookup service",
 			Capabilities: map[string]float64{"service-discovery": 0.9},
 			AssumedSkill: 0.9,
-		},
-	})
-	sys.Links = []core.Link{{A: "laptop", B: "projector"}, {A: "laptop", B: "lookup"}, {A: "projector", B: "lookup"}}
+		}))
+	w.Link("laptop", "projector")
+	w.Link("laptop", "lookup")
+	w.Link("projector", "lookup")
 
-	alice := user.New(k, "alice", fac)
-	alice.Pos = geo.Pt(5, 10.5)
-	alice.Goals = []user.Goal{
-		{Name: "make the presentation", Needs: []string{"remote-projection"}, Importance: 3},
-		{Name: "walk in and present with zero setup", Needs: []string{"zero-config"}, Importance: 2},
-	}
-	alice.Mental.Believe("projecting", "true")
-	alice.Mental.Believe("projection.owner", "alice")
-	sys.AddUser(&core.UserEntity{U: alice, Operates: []string{"laptop", "projector"}})
-	return sys
+	w.AddUser("alice", geo.Pt(5, 10.5),
+		aroma.WithFaculties(fac),
+		aroma.WithGoal("make the presentation", 3, "remote-projection"),
+		aroma.WithGoal("walk in and present with zero setup", 2, "zero-config"),
+		aroma.Believing("projecting", "true"),
+		aroma.Believing("projection.owner", "alice"),
+		aroma.Operating("laptop", "projector"))
+	return w
 }
 
 // F1 regenerates Figure 1 (the model diagram) from the code's own
@@ -87,8 +75,7 @@ func F1(seed int64) *Result {
 	}
 	r.Tables = append(r.Tables, inv)
 
-	k := sim.New(seed)
-	sys := SmartProjectorSystem(k, user.CasualFaculties(), true)
+	sys := SmartProjectorSystem(seed, user.CasualFaculties(), true).System()
 	full := core.Analyze(sys, true)
 	ablated := core.Analyze(sys, false)
 
@@ -124,17 +111,10 @@ func F2(seed int64) *Result {
 	for _, dist := range []float64{2, 5, 10, 20, 40, 60, 80, 100, 130, 160, 200, 260} {
 		row := []any{dist}
 		for walls := 0; walls <= 2; walls++ {
-			k := sim.New(seed)
-			plan := geo.NewFloorPlan(geo.RectAt(0, 0, 300, 50))
-			for i := 0; i < walls; i++ {
-				x := dist * float64(i+1) / float64(walls+1)
-				plan.AddWall(geo.Seg(geo.Pt(x, 0), geo.Pt(x, 50)), 6, 20)
-			}
-			e := env.New(k, plan)
-			med := radio.NewMedium(k, e)
-			a := med.NewRadio("a", geo.Pt(0, 25), 6, 15)
-			b := med.NewRadio("b", geo.Pt(dist, 25), 6, 15)
-			snr := med.SNRAtDBm(a, b)
+			w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithFloorPlan(walledPlan(300, dist, walls)))
+			a := w.AddDevice("a", geo.Pt(0, 25)).Radio()
+			b := w.AddDevice("b", geo.Pt(dist, 25)).Radio()
+			snr := w.Medium().SNRAtDBm(a, b)
 			rate := 0.0
 			if snr >= radio.Rates[0].MinSINRdB {
 				rate = radio.PickRate(snr).Mbps
@@ -158,6 +138,18 @@ func F2(seed int64) *Result {
 	r.ShapeOK = rateSeries[0].Monotone(-1, 1e-9) && rateSeries[2].Monotone(-1, 1e-9) && dominates
 	r.ShapeWhy = "physical compatibility degrades monotonically with distance and wall count"
 	return r
+}
+
+// walledPlan is a width×50 m floor crossed by walls evenly spaced
+// between x=0 and x=dist, each with 6 dB radio and 20 dB acoustic loss,
+// for the link-rate and ranging sweeps (F2, C8).
+func walledPlan(width, dist float64, walls int) *geo.FloorPlan {
+	plan := geo.NewFloorPlan(geo.RectAt(0, 0, width, 50))
+	for i := 0; i < walls; i++ {
+		x := dist * float64(i+1) / float64(walls+1)
+		plan.AddWall(geo.Seg(geo.Pt(x, 0), geo.Pt(x, 50)), 6, 20)
+	}
+	return plan
 }
 
 // F3 reproduces Figure 3: the resource layer's "must not be frustrated
@@ -187,15 +179,11 @@ func F3(seed int64) *Result {
 		counts[p.name] = make(map[string]int)
 		row := []any{p.name}
 		for _, spec := range specs {
-			k := sim.New(seed)
-			sys := &core.System{Name: "matrix"}
-			sys.AddDevice(&core.DeviceEntity{
-				Name: spec.Name, Spec: spec,
-				Purpose: core.DesignPurpose{AssumedSkill: 0.5},
-			})
-			u := user.New(k, p.name, p.fac)
-			sys.AddUser(&core.UserEntity{U: u, Operates: []string{spec.Name}})
-			rep := core.Analyze(sys, true)
+			w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithName("matrix"))
+			w.AddDevice(spec.Name, geo.Point{}, aroma.Offline(), aroma.WithSpec(spec),
+				aroma.WithPurpose(core.DesignPurpose{AssumedSkill: 0.5}))
+			w.AddUser(p.name, geo.Point{}, aroma.WithFaculties(p.fac), aroma.Operating(spec.Name))
+			rep := w.Analyze()
 			n := 0
 			for _, f := range rep.ByLayer(core.Resource) {
 				if f.Severity >= trace.Violation {
@@ -224,9 +212,8 @@ func F4(seed int64) *Result {
 	r := &Result{ID: "F4", Title: "Abstract layer: mental model consistency"}
 	r.AddNote("%s", core.RenderFigureForLayer(core.Abstract))
 
-	k := sim.New(seed)
-	consistent := SmartProjectorSystem(k, user.ResearcherFaculties(), true)
-	diverged := SmartProjectorSystem(k, user.ResearcherFaculties(), false)
+	consistent := SmartProjectorSystem(seed, user.ResearcherFaculties(), true).System()
+	diverged := SmartProjectorSystem(seed, user.ResearcherFaculties(), false).System()
 
 	repC := core.Analyze(consistent, true)
 	repD := core.Analyze(diverged, true)

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"aroma/internal/geo"
-	"aroma/internal/mac"
 	"aroma/internal/metrics"
-	"aroma/internal/mobility"
 	"aroma/internal/rfb"
 	"aroma/internal/sim"
+	"aroma/pkg/aroma"
 )
 
 // C9 reproduces the paper's mobility premise: "the mobile nature of many
@@ -24,10 +23,11 @@ import (
 func C9(seed int64) *Result {
 	r := &Result{ID: "C9", Title: "Roaming: projection vs presenter mobility"}
 
-	rg := newRig(seed, 400, 50, mac.BinaryExponential)
-	srvNode := rg.node("laptop", geo.Pt(5, 25), 6)
-	cliNode := rg.node("adapter", geo.Pt(0, 25), 6)
-	laptopRadio := srvNode.Station().Radio()
+	w := aroma.NewWorld(aroma.WithSeed(seed), aroma.WithArena(400, 50))
+	srvDev := w.AddDevice("laptop", geo.Pt(5, 25))
+	cliDev := w.AddDevice("adapter", geo.Pt(0, 25))
+	srvNode, cliNode := srvDev.Node(), cliDev.Node()
+	laptopRadio, adapterRadio := srvDev.Radio(), cliDev.Radio()
 
 	fb, err := rfb.NewFramebuffer(640, 480)
 	if err != nil {
@@ -43,13 +43,11 @@ func C9(seed int64) *Result {
 		panic(err)
 	}
 	anim.Textured = true
-	rg.k.Ticker(100*sim.Millisecond, "anim", anim.Step) // 10 source fps
+	w.Ticker(100*sim.Millisecond, "anim", anim.Step) // 10 source fps
 
 	// Walk from 5 m to 275 m over 90 s (~3 m/s, a brisk exit).
 	walk := geo.Path{Waypoints: []geo.Point{geo.Pt(5, 25), geo.Pt(275, 25)}, SpeedMPS: 3}
-	mobility.Start(rg.k, walk, 500*sim.Millisecond, func(p geo.Point) {
-		laptopRadio.SetPos(p)
-	})
+	srvDev.MoveAlong(walk, 500*sim.Millisecond)
 
 	frames := 0
 	stop := cli.Stream(2*sim.Second, func(tiles int) {
@@ -64,13 +62,13 @@ func C9(seed int64) *Result {
 		"window start (s)", "distance (m)", "SNR dB", "fps")
 	fpsSeries := &metrics.Series{Name: "projection fps while roaming", XLabel: "distance m", YLabel: "fps"}
 	prevFrames := 0
-	for w := 0; w < 9; w++ {
-		rg.k.RunUntil(sim.Time(w+1) * window)
-		dist := laptopRadio.Pos.Dist(cliNode.Station().Radio().Pos)
-		snr := rg.med.SNRAtDBm(laptopRadio, cliNode.Station().Radio())
+	for i := 0; i < 9; i++ {
+		w.RunUntil(sim.Time(i+1) * window)
+		dist := laptopRadio.Pos.Dist(adapterRadio.Pos)
+		snr := w.Medium().SNRAtDBm(laptopRadio, adapterRadio)
 		fps := float64(frames-prevFrames) / window.Seconds()
 		prevFrames = frames
-		tbl.AddRow(float64(w)*window.Seconds(), dist, snr, fps)
+		tbl.AddRow(float64(i)*window.Seconds(), dist, snr, fps)
 		fpsSeries.Add(dist, fps)
 	}
 	tbl.AddNote("same hardware, same software, zero faults — only the environment changed")

@@ -43,7 +43,7 @@ func buildLab(seed int64, cfg projector.Config) *lab {
 	k := sim.New(seed)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 300, 50)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := netsim.New(m)
 	log := trace.NewForKernel(k)
 

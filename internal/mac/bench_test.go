@@ -17,7 +17,7 @@ func BenchmarkSaturatedChannel(b *testing.B) {
 		k := sim.New(int64(i + 1))
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 		med := radio.NewMedium(k, e)
-		m := New(med, Config{})
+		m := New(med)
 		sink := m.AddStation(med.NewRadio("sink", geo.Pt(50, 50), 6, 15))
 		for s := 0; s < 8; s++ {
 			st := m.AddStation(med.NewRadio("tx", geo.Pt(float64(40+s*2), 48), 6, 15))
@@ -38,7 +38,7 @@ func BenchmarkUnicastRoundTrip(b *testing.B) {
 	k := sim.New(1)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
-	m := New(med, Config{})
+	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
 	c := m.AddStation(med.NewRadio("b", geo.Pt(5, 0), 6, 15))
 	b.ReportAllocs()

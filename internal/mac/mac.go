@@ -3,8 +3,9 @@
 // interframe spacing, slotted binary-exponential backoff, link-level ACKs
 // and retransmission for unicast frames, and unacknowledged broadcast.
 //
-// The backoff policy is pluggable (binary exponential vs fixed window) so
-// the device-density experiment (C2) can ablate the design choice.
+// The backoff policy (MAC.Backoff) is pluggable, binary exponential or
+// fixed window, so the device-density experiment (C2) can ablate the
+// design choice.
 package mac
 
 import (
@@ -74,16 +75,17 @@ const (
 	FixedWindow
 )
 
-// Config parametrizes a MAC instance.
-type Config struct {
-	Backoff BackoffPolicy
-}
-
 // MAC manages the set of stations sharing one radio medium.
 type MAC struct {
+	// Backoff is the contention-window policy every station follows
+	// after a failed attempt. The zero value is BinaryExponential, the
+	// 802.11 default; the device-density experiment (C2) sets
+	// FixedWindow as its ablation arm. Set it before the first Send.
+	// It is configuration, not state: ExportState leaves it out.
+	Backoff BackoffPolicy
+
 	kernel   *sim.Kernel
 	medium   *radio.Medium
-	cfg      Config
 	stations map[Addr]*Station
 	nextAddr Addr
 	seq      uint64
@@ -104,11 +106,10 @@ type MAC struct {
 }
 
 // New creates a MAC over the given medium.
-func New(m *radio.Medium, cfg Config) *MAC {
+func New(m *radio.Medium) *MAC {
 	return &MAC{
 		kernel:   m.Kernel(),
 		medium:   m,
-		cfg:      cfg,
 		stations: make(map[Addr]*Station),
 	}
 }
@@ -217,9 +218,6 @@ func (m *MAC) AddStation(r *radio.Radio) *Station {
 
 // Addr returns the station's link-layer address.
 func (s *Station) Addr() Addr { return s.addr }
-
-// Radio returns the station's radio.
-func (s *Station) Radio() *radio.Radio { return s.radio }
 
 // ErrTooManyRetries is reported when a unicast frame exhausts its retries.
 var ErrTooManyRetries = errors.New("mac: retry limit exceeded")
@@ -334,7 +332,7 @@ func (s *Station) onAckTimeout(job *txJob) {
 		s.finishJob(job, SendResult{Frame: job.frame, OK: false, Retries: job.retries, Err: ErrTooManyRetries})
 		return
 	}
-	if s.mac.cfg.Backoff == BinaryExponential {
+	if s.mac.Backoff == BinaryExponential {
 		job.cw = job.cw*2 + 1
 		if job.cw > CWMax {
 			job.cw = CWMax

@@ -15,7 +15,7 @@ func testbed(seed int64, n int) (*sim.Kernel, *MAC, []*Station) {
 	k := sim.New(seed)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 	med := radio.NewMedium(k, e)
-	m := New(med, Config{})
+	m := New(med)
 	stations := make([]*Station, n)
 	for i := range stations {
 		r := med.NewRadio("r", geo.Pt(float64(5*i), 0), 6, 15)
@@ -99,7 +99,7 @@ func TestUnreachablePeerDropsAfterRetries(t *testing.T) {
 	k := sim.New(3)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
 	med := radio.NewMedium(k, e)
-	m := New(med, Config{})
+	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
 	b := m.AddStation(med.NewRadio("b", geo.Pt(5000, 0), 6, 15)) // far out of range
 	var res *SendResult
@@ -181,7 +181,8 @@ func TestFixedWindowAblationDiffersFromBEB(t *testing.T) {
 		k := sim.New(7)
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 		med := radio.NewMedium(k, e)
-		m := New(med, Config{Backoff: policy})
+		m := New(med)
+		m.Backoff = policy
 		stations := make([]*Station, 13)
 		for i := range stations {
 			stations[i] = m.AddStation(med.NewRadio("r", geo.Pt(float64(3*i), 0), 6, 15))
@@ -210,8 +211,8 @@ func TestStationLookup(t *testing.T) {
 	if m.stations[sta[0].Addr()] != sta[0] {
 		t.Fatal("station not registered under its address")
 	}
-	if sta[0].Radio() == nil {
-		t.Fatal("Radio() nil")
+	if sta[0].radio == nil {
+		t.Fatal("station has no radio")
 	}
 	if sta[0].String() == "" {
 		t.Fatal("String() empty")

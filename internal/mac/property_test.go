@@ -21,7 +21,7 @@ func TestPropertyExactlyOnceDelivery(t *testing.T) {
 		k := sim.New(seed)
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 		med := radio.NewMedium(k, e)
-		m := New(med, Config{})
+		m := New(med)
 		// Distance varies the loss regime from perfect to marginal.
 		dist := 5 + float64(gap%120)
 		a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
@@ -69,7 +69,7 @@ func TestPropertyAllSendsResolve(t *testing.T) {
 		k := sim.New(seed)
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 1000, 100)))
 		med := radio.NewMedium(k, e)
-		m := New(med, Config{})
+		m := New(med)
 		a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
 		b := m.AddStation(med.NewRadio("b", geo.Pt(200, 0), 6, 15)) // marginal link
 		resolved := 0
@@ -92,14 +92,14 @@ func TestDuplicateDetectionReAcks(t *testing.T) {
 	k := sim.New(5)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
-	m := New(med, Config{})
+	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
 	b := m.AddStation(med.NewRadio("b", geo.Pt(5, 0), 6, 15))
 	delivered := 0
 	b.OnReceive = func(Frame) { delivered++ }
 	frame := Frame{Kind: Data, Src: a.Addr(), Dst: b.Addr(), Seq: 42, Bits: 100}
 	for i := 0; i < 2; i++ {
-		if _, err := med.Transmit(a.Radio(), 1000, radio.Rates[0], &frame); err != nil {
+		if _, err := med.Transmit(a.radio, 1000, radio.Rates[0], &frame); err != nil {
 			t.Fatal(err)
 		}
 		k.Run()

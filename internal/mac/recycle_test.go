@@ -25,7 +25,7 @@ func TestFramesSurviveRetransmissionAndInterleavedAcks(t *testing.T) {
 	k := sim.New(11)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
-	m := New(med, Config{})
+	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
 	b := m.AddStation(med.NewRadio("b", geo.Pt(5, 0), 6, 15))
 	jam := med.NewRadio("jam", geo.Pt(0, 1), 6, 15)
@@ -139,7 +139,7 @@ func TestRecycledJobsHaveNoPendingEvents(t *testing.T) {
 		}
 	}
 	// sta[3] loses its radio for a while: its sends fail at Transmit.
-	down := sta[3].Radio()
+	down := sta[3].radio
 	k.Schedule(2*sim.Millisecond, "test.down", func() { m.Medium().SetDown(down, 1) })
 	k.Schedule(6*sim.Millisecond, "test.up", func() { m.Medium().SetDown(down, -1) })
 

@@ -192,9 +192,6 @@ func (nd *Node) Network() *Network { return nd.net }
 // Kernel returns the simulation kernel the node runs on.
 func (nd *Node) Kernel() *sim.Kernel { return nd.net.kernel }
 
-// Station returns the underlying MAC station.
-func (nd *Node) Station() *mac.Station { return nd.station }
-
 // Handle registers a datagram/multicast handler for a port, replacing any
 // previous handler.
 func (nd *Node) Handle(p Port, h Handler) { nd.handlers[p] = h }

@@ -19,7 +19,7 @@ func testNet(seed int64, n int) (*sim.Kernel, *Network, []*Node) {
 	k := sim.New(seed)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := New(m)
 	nodes := make([]*Node, n)
 	for i := range nodes {
@@ -159,7 +159,7 @@ func TestCallFailsFastOnDeadLink(t *testing.T) {
 	k := sim.New(7)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := New(m)
 	a := nw.NewNode("a", m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15)))
 	b := nw.NewNode("b", m.AddStation(med.NewRadio("b", geo.Pt(9000, 0), 6, 15)))
@@ -238,17 +238,18 @@ func TestResponseSentRunsOnceAfterLastFragment(t *testing.T) {
 			k := sim.New(11)
 			e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 			med := radio.NewMedium(k, e)
-			m := mac.New(med, mac.Config{})
+			m := mac.New(med)
 			nw := New(m)
 			cli := nw.NewNode("cli", m.AddStation(med.NewRadio("cli", geo.Pt(0, 0), 6, 15)))
-			srv := nw.NewNode("srv", m.AddStation(med.NewRadio("srv", geo.Pt(4, 0), 6, 15)))
+			srvRadio := med.NewRadio("srv", geo.Pt(4, 0), 6, 15)
+			srv := nw.NewNode("srv", m.AddStation(srvRadio))
 			if tc.radioDown {
 				// Take the server's radio down once the caller has
 				// received half the response.
-				got, deliver := 0, cli.Station().OnReceive
-				cli.Station().OnReceive = func(f mac.Frame) {
+				got, deliver := 0, cli.station.OnReceive
+				cli.station.OnReceive = func(f mac.Frame) {
 					if got++; got == frags/2 {
-						med.SetDown(srv.Station().Radio(), +1)
+						med.SetDown(srvRadio, +1)
 					}
 					deliver(f)
 				}
@@ -297,7 +298,7 @@ func TestResponseSentRunsOnceAfterLastFragment(t *testing.T) {
 			if !tc.radioDown && sentAt < doneAt {
 				t.Fatalf("sent ran at %v, before the call finished at %v", sentAt, doneAt)
 			}
-			if st := srv.Station(); tc.radioDown && st.SentData >= frags {
+			if st := srv.station; tc.radioDown && st.SentData >= frags {
 				t.Fatalf("server sent %d data frames with its radio down, want fewer than %d", st.SentData, frags)
 			}
 		})
@@ -306,7 +307,7 @@ func TestResponseSentRunsOnceAfterLastFragment(t *testing.T) {
 
 func TestNodeAccessors(t *testing.T) {
 	_, nw, nodes := testNet(10, 1)
-	if nodes[0].Name() != "node" || nodes[0].Station() == nil {
+	if nodes[0].Name() != "node" || nodes[0].station == nil {
 		t.Fatal("accessors wrong")
 	}
 	if nodes[0].Kernel() != nw.kernel {
@@ -469,7 +470,7 @@ func TestPacketSize(t *testing.T) {
 func TestFragmentBitsCoverTheirPart(t *testing.T) {
 	k, _, nodes := testNet(12, 2)
 	nodes[0].MTU = 10
-	st := nodes[1].Station()
+	st := nodes[1].station
 	var bits []int
 	deliver := st.OnReceive
 	st.OnReceive = func(f mac.Frame) {

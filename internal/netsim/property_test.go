@@ -22,7 +22,7 @@ func TestPropertyFragmentationRoundTrip(t *testing.T) {
 		k := sim.New(seed)
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 		med := radio.NewMedium(k, e)
-		m := mac.New(med, mac.Config{})
+		m := mac.New(med)
 		nw := New(m)
 		a := nw.NewNode("a", m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15)))
 		b := nw.NewNode("b", m.AddStation(med.NewRadio("b", geo.Pt(5, 0), 6, 15)))
@@ -57,7 +57,7 @@ func TestPropertyCallsAlwaysResolve(t *testing.T) {
 		k := sim.New(seed)
 		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 		med := radio.NewMedium(k, e)
-		m := mac.New(med, mac.Config{})
+		m := mac.New(med)
 		nw := New(m)
 		a := nw.NewNode("a", m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15)))
 		b := nw.NewNode("b", m.AddStation(med.NewRadio("b", geo.Pt(5, 0), 6, 15)))

@@ -31,7 +31,7 @@ func newLab(t *testing.T, seed int64, n int, cfg Config) *lab {
 	k := sim.New(seed)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 40, 20)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := netsim.New(m)
 	log := trace.NewForKernel(k)
 
@@ -347,7 +347,7 @@ func TestDiscoverWithNoProjector(t *testing.T) {
 	k := sim.New(12)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 40, 20)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := netsim.New(m)
 	lkNode := nw.NewNode("lookup", m.AddStation(med.NewRadio("lk", geo.Pt(20, 10), 6, 15)))
 	discovery.NewLookup(lkNode).Start()

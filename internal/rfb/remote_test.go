@@ -20,7 +20,7 @@ func remoteRig(t *testing.T, seed int64, w, h int, enc Encoding) (*sim.Kernel, *
 	k := sim.New(seed)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := netsim.New(m)
 	srvNode := nw.NewNode("laptop", m.AddStation(med.NewRadio("srv", geo.Pt(0, 0), 6, 15)))
 	cliNode := nw.NewNode("adapter", m.AddStation(med.NewRadio("cli", geo.Pt(5, 0), 6, 15)))
@@ -202,9 +202,10 @@ func TestRecycledRepliesNeverShowStaleBytes(t *testing.T) {
 	k := sim.New(8)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	nw := netsim.New(m)
-	srvNode := nw.NewNode("laptop", m.AddStation(med.NewRadio("srv", geo.Pt(0, 0), 6, 15)))
+	srvStation := m.AddStation(med.NewRadio("srv", geo.Pt(0, 0), 6, 15))
+	srvNode := nw.NewNode("laptop", srvStation)
 	fb, err := NewFramebuffer(w, h)
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +281,8 @@ func TestRecycledRepliesNeverShowStaleBytes(t *testing.T) {
 	}
 	t.Logf("%d replies in %d buffers; %d received, %d calls timed out, %d late replies queued past the next encode",
 		serves, len(buffers), received, timeouts, late)
-	if srvNode.Station().Drops != 0 {
-		t.Fatalf("server dropped %d frames: an unreceived reply need not be late", srvNode.Station().Drops)
+	if srvStation.Drops != 0 {
+		t.Fatalf("server dropped %d frames: an unreceived reply need not be late", srvStation.Drops)
 	}
 	if received == 0 || timeouts == 0 || late == 0 {
 		t.Fatal("the run did not exercise late replies: tune the timeout or the load")

@@ -146,7 +146,6 @@ func (d *Device) SetState(prop, value string) {
 // User is one human participant: the five-layer user model plus the
 // entity the analyzer reads.
 type User struct {
-	world  *World
 	u      *user.User
 	entity *core.UserEntity
 }
@@ -225,7 +224,6 @@ func (w *World) AddUser(name string, pos geo.Point, opts ...UserOption) *User {
 	}
 	u.OnAbandon = o.onAbandon
 	au := &User{
-		world:  w,
 		u:      u,
 		entity: &core.UserEntity{U: u, Operates: o.operates, UsesVoice: o.voice},
 	}

@@ -109,16 +109,17 @@ func TestMobileDenseIndexedMatchesFullScan(t *testing.T) {
 	// 0 dBm transmitters at a -130 dBm cutoff hear out to 1 km —
 	// beyond the 707 m arena diagonal.
 	for _, seed := range []int64{7, 42} {
-		cfg := scenario.Config{Seed: seed}
-		indexed, err := mobileDense(cfg, aroma.WithRadioCutoff(-130))
-		if err != nil {
-			t.Fatalf("seed %d indexed: %v", seed, err)
+		run := func(arm string, cutoff aroma.Option) *scenario.Result {
+			b, err := buildMobileDense(scenario.Config{Seed: seed}, cutoff)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, arm, err)
+			}
+			b.World.RunUntil(b.Horizon)
+			return b.Result()
 		}
+		indexed := run("indexed", aroma.WithRadioCutoff(-130))
 		// -Inf is the medium's "cutoff disabled" value.
-		exact, err := mobileDense(cfg, aroma.WithRadioCutoff(math.Inf(-1)))
-		if err != nil {
-			t.Fatalf("seed %d exact: %v", seed, err)
-		}
+		exact := run("exact", aroma.WithRadioCutoff(math.Inf(-1)))
 		if indexed.Digest != exact.Digest {
 			t.Errorf("seed %d: indexed digest %s != exact digest %s",
 				seed, indexed.Digest, exact.Digest)

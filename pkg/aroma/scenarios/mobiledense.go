@@ -30,19 +30,9 @@ func init() {
 	)
 }
 
-// mobileDense builds and drives the mobile-dense world to its horizon.
+// buildMobileDense assembles the mobile-dense world without running it.
 // The extra options let the determinism suite run the identical
 // workload over other medium configurations (cutoff, grid cell).
-func mobileDense(cfg scenario.Config, extra ...aroma.Option) (*scenario.Result, error) {
-	b, err := buildMobileDense(cfg, extra...)
-	if err != nil {
-		return nil, err
-	}
-	b.World.RunUntil(b.Horizon)
-	return b.Result(), nil
-}
-
-// buildMobileDense assembles the mobile-dense world without running it.
 func buildMobileDense(cfg scenario.Config, extra ...aroma.Option) (*scenario.Built, error) {
 	// Sweepable axes (classic values when unset): radios, side (m),
 	// speed (m/s), beacon (ms).

@@ -67,7 +67,7 @@ func NewWorld(opts ...Option) *World {
 	}
 	e := env.New(k, plan)
 	med := radio.NewMedium(k, e, o.mediumOpts...)
-	m := mac.New(med, mac.Config{})
+	m := mac.New(med)
 	log := trace.NewForKernel(k)
 	log.SetMinSeverity(o.traceMin)
 	w := &World{

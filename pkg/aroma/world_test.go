@@ -76,7 +76,7 @@ func TestAddDeviceAutoWiring(t *testing.T) {
 	if d.Radio() == nil || d.Station() == nil || d.Node() == nil {
 		t.Fatal("online device not fully wired")
 	}
-	if d.Node().Station() != d.Station() {
+	if d.Node().Addr() != d.Station().Addr() {
 		t.Error("node not wired to the device's station")
 	}
 	if d.Radio().Pos != Pt(25, 10) {
