@@ -10,5 +10,5 @@ import (
 
 func main() {
 	var n lib.Namer = lib.Impl{}
-	fmt.Println(lib.Used(), n.Name(), facade.New(facade.WithSize(2)))
+	fmt.Println(lib.Used(), n.Name(), facade.New(facade.WithSize(2)).Size())
 }

@@ -17,7 +17,47 @@ func Recursive(n int) int {
 }
 
 // Used is called from another package: not reported.
-func Used() int { return 2 }
+func Used() int {
+	var s stepper = walker{}
+	c := &counter{written: 1, testRead: 2}
+	c.written = 3
+	bump(&c.addressed)
+	c.incremented++
+	return c.addressed + c.incremented + s.step()
+}
+
+// bump is called by Used: not reported.
+func bump(n *int) { *n++ }
+
+// testHelper is called only from lib_test.go: reported.
+func testHelper() int { return 4 }
+
+// counter holds one field for each field case.
+type counter struct {
+	// written is assigned, in a composite literal and by =, but never
+	// read: reported.
+	written int
+	// testRead is read only by lib_test.go: reported.
+	testRead int
+	// addressed is read through &c.addressed: not reported.
+	addressed int
+	// incremented is read by c.incremented++: not reported.
+	incremented int
+	// kept is never read but carries a justified directive: not
+	// reported.
+	//
+	//aroma:kept fixture case for a kept field
+	kept int
+}
+
+// stepper is the unexported interface Used calls through.
+type stepper interface{ step() int }
+
+// walker is used only as a stepper.
+type walker struct{}
+
+// step satisfies stepper, which Used calls: not reported.
+func (walker) step() int { return 1 }
 
 // Kept has no caller but carries a justified directive: not reported.
 //

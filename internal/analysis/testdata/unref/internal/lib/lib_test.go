@@ -7,3 +7,9 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly")
 	}
 }
+
+func TestTestHelper(t *testing.T) {
+	if testHelper() != 4 || (&counter{testRead: 5}).testRead != 5 {
+		t.Fatal("testHelper")
+	}
+}

@@ -1,5 +1,5 @@
-// Package facade is the option guard's fixture: a public package whose
-// option constructors must each have a production caller.
+// Package facade is the public-package fixture: its exports, option
+// constructors or not, must each have a production caller.
 package facade
 
 // Option configures a Thing.
@@ -17,12 +17,15 @@ func New(opts ...Option) *Thing {
 	return t
 }
 
+// Size returns the configured size.
+func (t *Thing) Size() int { return t.size }
+
 // WithSize is set by the app: not reported.
 func WithSize(n int) Option { return func(t *Thing) { t.size = n } }
 
 // WithUnused is an option nothing sets: reported.
 func WithUnused() Option { return func(*Thing) {} }
 
-// Helper has no caller but returns no option, and the guard checks only
-// options outside internal packages: not reported.
+// Helper has no caller; that it returns no option does not save it:
+// reported.
 func Helper() int { return 3 }

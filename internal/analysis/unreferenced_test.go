@@ -16,16 +16,15 @@ import (
 	"aroma/internal/analysis/load"
 )
 
-// TestNoUnreferencedInternalExports keeps dead API out of the tree: every
-// exported identifier of an internal package must be referenced from
-// non-test code somewhere in the root module or the nested bench module
-// (which drives the daemon and the client), or carry an //aroma:kept
-// directive saying why it stays. Tests alone do not keep an export
-// alive; what only a test needs belongs in that package's test files.
-// In the public packages under pkg/ the same rule holds for option
-// constructors (see isOptionConstructor): an option no production
-// caller sets is a second way to configure what another entry point
-// already does, or a knob with one value.
+// TestNoUnreferencedInternalExports keeps dead code out of internal/
+// and pkg/: every exported identifier and every function or method must
+// be referenced from non-test code somewhere in the root module or the
+// nested bench module (which drives the daemon and the client), and
+// every unexported struct field must be read there, or carry an
+// //aroma:kept directive saying why it stays. Tests alone do not keep
+// code alive; what only a test needs belongs in that package's test
+// files. A public name no production caller uses is a second way to do
+// what another entry point already does, or a knob with one value.
 //
 // It is a test rather than an aromalint analyzer because go vet hands a
 // vettool one package at a time, and a reference from another package
@@ -40,18 +39,19 @@ func TestNoUnreferencedInternalExports(t *testing.T) {
 	}
 	root := strings.TrimSpace(string(out))
 	for _, u := range unreferencedIn(t, root, filepath.Join(root, "bench")) {
-		t.Errorf("%s has no reference from non-test code: delete it, or mark it //aroma:kept <reason>", u)
+		t.Errorf("%s has no use in non-test code: delete it, or mark it //aroma:kept <reason>", u)
 	}
 }
 
 // TestUnreferencedFixture runs the same scan over a three-package
-// fixture module (testdata/unref) and checks exactly the dead exports
-// are reported: one nothing mentions, one only a test calls and one
-// only it calls itself, but not one another package calls, one marked
-// //aroma:kept, or methods reached through a used interface or a
-// standard-library one; and in its pkg/ package the option constructor
-// nothing sets, but not the one the app sets nor an unreferenced
-// function that returns no option.
+// fixture module (testdata/unref) and checks exactly the dead code is
+// reported: an export nothing mentions, one only a test calls and one
+// only it calls itself, a pkg/ function nothing calls, an unexported
+// function only a test calls, a field nothing reads and one only a test
+// reads; but not an export another package uses, an unexported function
+// or method the package calls, one marked //aroma:kept, methods reached
+// through a used interface or a standard-library one, nor fields read
+// through &x.f or x.f++ or marked //aroma:kept.
 func TestUnreferencedFixture(t *testing.T) {
 	got := unreferencedIn(t, filepath.Join("testdata", "unref"))
 	var names []string
@@ -60,7 +60,9 @@ func TestUnreferencedFixture(t *testing.T) {
 	}
 	want := []string{
 		"unref/internal/lib.Recursive", "unref/internal/lib.TestOnly", "unref/internal/lib.Unused",
-		"unref/pkg/facade.WithUnused",
+		"unref/internal/lib.counter.testRead", "unref/internal/lib.counter.written",
+		"unref/internal/lib.testHelper",
+		"unref/pkg/facade.Helper", "unref/pkg/facade.WithUnused",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("reported %q, want %q", names, want)
@@ -68,8 +70,8 @@ func TestUnreferencedFixture(t *testing.T) {
 }
 
 // unreferencedIn loads every package of the modules rooted at dirs and
-// returns the unreferenced internal exports, one "position: name" line
-// each, in name order.
+// returns the unreferenced candidates, one "position: name" line each,
+// in name order.
 func unreferencedIn(t *testing.T, dirs ...string) []string {
 	t.Helper()
 	var pkgs []*load.Package
@@ -94,9 +96,9 @@ func unreferencedIn(t *testing.T, dirs ...string) []string {
 	return unreferenced(pkgs)
 }
 
-// An export is one candidate identifier, found in the source of the
-// package that declares it.
-type export struct {
+// A candidate is one identifier the scan checks, found in the source of
+// the package that declares it.
+type candidate struct {
 	pos    token.Position
 	fset   *token.FileSet
 	span   [2]token.Pos // the declaration; references inside it do not count
@@ -105,35 +107,42 @@ type export struct {
 	kept   bool
 }
 
-// unreferenced reports the exported package-level identifiers and the
-// exported methods of exported types declared in internal packages,
-// and the option constructors declared in pkg/ packages, that no loaded
-// (non-test) code references. Objects are matched by package path and
-// name, never by identity: a package imported through export data gets
-// its own copy of every object it mentions.
+// unreferenced reports, for the packages under internal/ and pkg/, the
+// exported package-level types, constants and variables and the
+// functions and methods that no loaded (non-test) code references, and
+// the unexported struct fields that it never reads. Objects are matched
+// by package path and name, never by identity: a package imported
+// through export data gets its own copy of every object it mentions.
+// Fields need no such key, since only their own package, checked from
+// source, can name them.
 func unreferenced(pkgs []*load.Package) []string {
-	exports := make(map[string]*export)
+	cands := make(map[string]*candidate)
+	fields := make(map[*types.Var]string) // the report line for each
 	modules := make(map[string]bool)
 	for _, p := range pkgs {
 		modules[strings.SplitN(p.ImportPath, "/", 2)[0]] = true
-		switch path := p.ImportPath + "/"; {
-		case strings.Contains(path, "/internal/"):
+		if path := p.ImportPath + "/"; strings.Contains(path, "/internal/") || strings.Contains(path, "/pkg/") {
 			for _, f := range p.Files {
-				collectExports(p, f, exports)
-			}
-		case strings.Contains(path, "/pkg/"):
-			for _, f := range p.Files {
-				collectOptions(p, f, exports)
+				collectDecls(p, f, cands)
+				collectFields(p, f, fields)
 			}
 		}
 	}
 
+	read := make(map[*types.Var]bool)
 	used := make(map[string]bool)
 	var viaIface []ifaceUse
 	for _, p := range pkgs {
 		receivers := receiverIdents(p.Files)
+		writes := fieldWrites(p.Files)
 		for id, obj := range p.TypesInfo.Uses {
 			if receivers[id] {
+				continue
+			}
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if !writes[id] {
+					read[v.Origin()] = true
+				}
 				continue
 			}
 			if fn, ok := obj.(*types.Func); ok {
@@ -145,7 +154,7 @@ func unreferenced(pkgs []*load.Package) []string {
 			if k == "" {
 				continue
 			}
-			if e := exports[k]; e != nil && e.fset == p.Fset && e.span[0] <= id.Pos() && id.Pos() < e.span[1] {
+			if e := cands[k]; e != nil && e.fset == p.Fset && e.span[0] <= id.Pos() && id.Pos() < e.span[1] {
 				continue // a declaration mentioning itself
 			}
 			used[k] = true
@@ -177,12 +186,12 @@ func unreferenced(pkgs []*load.Package) []string {
 	viaIface = append(viaIface, ifaceUse{errSigs, "Error"})
 
 	var out []string
-	for k, e := range exports {
+	for k, e := range cands {
 		if e.kept || used[k] {
 			continue
 		}
 		if e.method != nil {
-			if te := exports[objectKey(e.named.Obj())]; te != nil && te.kept {
+			if te := cands[objectKey(e.named.Obj())]; te != nil && te.kept {
 				continue // a kept type keeps its methods
 			}
 			if implementsUsed(e, viaIface) {
@@ -191,91 +200,128 @@ func unreferenced(pkgs []*load.Package) []string {
 		}
 		out = append(out, fmt.Sprintf("%s: %s", e.pos, k))
 	}
+	for v, line := range fields {
+		if !read[v] {
+			out = append(out, line)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		return out[i][strings.LastIndex(out[i], " ")+1:] < out[j][strings.LastIndex(out[j], " ")+1:]
 	})
 	return out
 }
 
-// addExport records the exported identifier id, declared by span, as a
-// candidate and returns it; it returns nil for anything else.
-func addExport(p *load.Package, exports map[string]*export, id *ast.Ident, doc []*ast.CommentGroup, span ast.Node) *export {
+// addCandidate records id, declared by span, as a candidate and returns
+// it; it returns nil for an identifier that is no package-level object
+// or method.
+func addCandidate(p *load.Package, cands map[string]*candidate, id *ast.Ident, span ast.Node, docs ...*ast.CommentGroup) *candidate {
 	k := objectKey(p.TypesInfo.Defs[id])
-	if k == "" || !id.IsExported() {
+	if k == "" {
 		return nil
 	}
-	e := &export{
+	e := &candidate{
 		pos:  p.Fset.Position(id.Pos()),
 		fset: p.Fset,
 		span: [2]token.Pos{span.Pos(), span.End()},
-		kept: hasKept(doc...),
+		kept: hasKept(docs...),
 	}
-	exports[k] = e
+	cands[k] = e
 	return e
 }
 
-// collectOptions records the option constructors declared in f.
-func collectOptions(p *load.Package, f *ast.File, exports map[string]*export) {
-	for _, decl := range f.Decls {
-		if d, ok := decl.(*ast.FuncDecl); ok && isOptionConstructor(p, d) {
-			addExport(p, exports, d.Name, []*ast.CommentGroup{d.Doc}, d)
-		}
-	}
-}
-
-// optionTypes are the names of the functional-option types a public
-// package configures its values with.
-var optionTypes = map[string]bool{"Option": true, "DeviceOption": true, "UserOption": true}
-
-// isOptionConstructor reports whether d is a package-level function
-// whose one result is its own package's Option, DeviceOption or
-// UserOption type.
-func isOptionConstructor(p *load.Package, d *ast.FuncDecl) bool {
-	fn, ok := p.TypesInfo.Defs[d.Name].(*types.Func)
-	if !ok || d.Recv != nil {
-		return false
-	}
-	res := fn.Type().(*types.Signature).Results()
-	if res.Len() != 1 {
-		return false
-	}
-	named, ok := res.At(0).Type().(*types.Named)
-	return ok && named.Obj().Pkg() == p.Pkg && optionTypes[named.Obj().Name()]
-}
-
-// collectExports records the candidates declared in f.
-func collectExports(p *load.Package, f *ast.File, exports map[string]*export) {
+// collectDecls records the candidates declared in f: exported
+// package-level types, constants and variables, and every function and
+// method except init and main.
+func collectDecls(p *load.Package, f *ast.File, cands map[string]*candidate) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			if d.Recv == nil {
-				addExport(p, exports, d.Name, []*ast.CommentGroup{d.Doc}, d)
+			name := d.Name.Name
+			if name == "_" || name == "init" || (name == "main" && p.Pkg.Name() == "main") {
 				continue
 			}
-			fn, _ := p.TypesInfo.Defs[d.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			named := recvNamed(fn)
-			if named == nil || !named.Obj().Exported() {
-				continue // only an interface reaches an unexported type's methods
-			}
-			if e := addExport(p, exports, d.Name, []*ast.CommentGroup{d.Doc}, d); e != nil {
-				e.named, e.method = named, fn
+			if e := addCandidate(p, cands, d.Name, d, d.Doc); e != nil && d.Recv != nil {
+				e.method = p.TypesInfo.Defs[d.Name].(*types.Func)
+				e.named = recvNamed(e.method)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					addExport(p, exports, s.Name, []*ast.CommentGroup{d.Doc, s.Doc}, s)
+					if s.Name.IsExported() {
+						addCandidate(p, cands, s.Name, s, d.Doc, s.Doc)
+					}
 				case *ast.ValueSpec:
 					for _, name := range s.Names {
-						addExport(p, exports, name, []*ast.CommentGroup{d.Doc, s.Doc}, s)
+						if name.IsExported() {
+							addCandidate(p, cands, name, s, d.Doc, s.Doc)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// collectFields records the unexported named fields of every struct
+// type in f, package-level or local, named or anonymous, except those
+// marked //aroma:kept. Embedded fields are left out: they exist for what
+// they promote, and a promoted selector does not name them.
+func collectFields(p *load.Package, f *ast.File, fields map[*types.Var]string) {
+	owner := "struct"
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			if _, ok := n.Type.(*ast.StructType); ok {
+				owner = n.Name.Name
+			}
+		case *ast.StructType:
+			for _, fl := range n.Fields.List {
+				for _, name := range fl.Names {
+					v, _ := p.TypesInfo.Defs[name].(*types.Var)
+					if v == nil || name.IsExported() || name.Name == "_" || hasKept(fl.Doc) {
+						continue
+					}
+					fields[v] = fmt.Sprintf("%s: %s.%s.%s", p.Fset.Position(name.Pos()), p.ImportPath, owner, name.Name)
+				}
+			}
+			owner = "struct" // a struct nested in this one has no name
+		}
+		return true
+	})
+}
+
+// fieldWrites returns the identifiers that write a field without
+// reading it: the selector on the left of =, and the key of a composite
+// literal. Every other use of a field (x.f++, &x.f, x.f.g = v
+// or x.f[i] = v) reads it.
+func fieldWrites(files []*ast.File) map[*ast.Ident]bool {
+	out := make(map[*ast.Ident]bool)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.ASSIGN {
+					break
+				}
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						out[sel.Sel] = true
+					}
+				}
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							out[id] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // hasKept reports whether a doc comment carries //aroma:kept with a
@@ -376,7 +422,7 @@ type ifaceUse struct {
 // interface method: its type (or a pointer to it) has every method of
 // that interface. Signatures compare as strings, which stay equal
 // across export-data copies of the same types.
-func implementsUsed(e *export, uses []ifaceUse) bool {
+func implementsUsed(e *candidate, uses []ifaceUse) bool {
 	var mine map[string]string
 	for _, u := range uses {
 		if u.name != e.method.Name() {

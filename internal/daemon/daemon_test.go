@@ -94,7 +94,7 @@ func TestConcurrentWorldsIndependentStepping(t *testing.T) {
 	}
 
 	// Single-event stepping works and is observable.
-	b2, err := c.Step(ctx, "b", 1)
+	b2, err := c.Run(ctx, "b", client.RunRequest{Events: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestWorldPanicIsolation(t *testing.T) {
 	}
 
 	// The sibling is untouched and still advances.
-	calm, err := c.Step(ctx, "calm", 5)
+	calm, err := c.Run(ctx, "calm", client.RunRequest{Events: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

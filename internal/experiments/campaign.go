@@ -66,7 +66,7 @@ func S1(seed int64) *Result {
 		sent.Add(float64(radios), c.Stats["sent"].Mean())
 	}
 	r.Series = append(r.Series, lossShare)
-	r.AddNote("every run digest-audited: %d runs on %d workers, %d failed", len(rep.Rows), rep.Workers, rep.FailedCount())
+	r.AddNote("every run digest-audited: %d runs, %d failed", len(rep.Rows), rep.FailedCount())
 
 	r.ShapeOK = len(lossShare.Ys) == 3 &&
 		sent.Monotone(+1, 0) &&

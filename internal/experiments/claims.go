@@ -115,7 +115,6 @@ func C2(seed int64) *Result {
 			})
 		}
 		const horizon = 3 * sim.Second
-		w.Kernel().SetHorizon(horizon)
 		w.RunUntil(horizon)
 		var retries, sent uint64
 		for _, s := range stations {

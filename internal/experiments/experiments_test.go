@@ -63,7 +63,7 @@ var goldenRenders = map[string]string{
 	"C8":  "12ce2dadaea6d488",
 	"C9":  "543dcf6286d88c42",
 	"C10": "ab5210d7fa2bec24",
-	"S1":  "d04804123cd5ea27",
+	"S1":  "2dd5fd5222b0cb8c",
 	"S2":  "9f475c4a3550c36e",
 
 	"analysis/researcher/user-column=true":  "23176cb532e166e4",
@@ -73,9 +73,10 @@ var goldenRenders = map[string]string{
 }
 
 // maskHostFacts blanks the note lines that carry host facts: the sweep
-// reports' "N workers, ... runs in <wall time>" lines (S1 and S2 print
-// one each) and S1's "runs on N workers" audit line. The worker count
-// is GOMAXPROCS; everything else in a render is virtual-time output.
+// reports' "N workers, ... runs in <wall time>" lines, one each in S1
+// and S2. The worker count is GOMAXPROCS and the wall time is the
+// host's; everything else in a render, S1's audit note with its run
+// and failure counts included, is virtual-time output.
 func maskHostFacts(render string) string {
 	lines := strings.Split(render, "\n")
 	for i, l := range lines {

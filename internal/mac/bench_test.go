@@ -25,7 +25,8 @@ func BenchmarkSaturatedChannel(b *testing.B) {
 				_ = st.Send(sink.Addr(), 8000, nil, nil)
 			}
 		}
-		k.Run()
+		for k.Step() {
+		}
 		if sink.DeliveredUp == 0 {
 			b.Fatal("nothing delivered")
 		}
@@ -46,7 +47,8 @@ func BenchmarkUnicastRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		done := false
 		_ = a.Send(c.Addr(), 8000, nil, func(SendResult) { done = true })
-		k.Run()
+		for k.Step() {
+		}
 		if !done {
 			b.Fatal("send never resolved")
 		}

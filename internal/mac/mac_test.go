@@ -33,7 +33,8 @@ func TestUnicastDeliveryWithAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if len(delivered) != 1 || delivered[0].Payload != "hi" {
 		t.Fatalf("delivered = %v", delivered)
 	}
@@ -56,7 +57,8 @@ func TestBroadcastReachesAllNoAcks(t *testing.T) {
 	if err := sta[0].Send(Broadcast, 8000, "all", func(r SendResult) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	for i := 1; i < 4; i++ {
 		if counts[i] != 1 {
 			t.Fatalf("station %d received %d broadcasts", i, counts[i])
@@ -84,7 +86,8 @@ func TestQueueDrainsInOrder(t *testing.T) {
 	if sta[0].QueueLen() != 4 { // one dequeued immediately
 		t.Fatalf("queue = %d, want 4", sta[0].QueueLen())
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if len(got) != 5 {
 		t.Fatalf("delivered %d frames", len(got))
 	}
@@ -106,7 +109,8 @@ func TestUnreachablePeerDropsAfterRetries(t *testing.T) {
 	if err := a.Send(b.Addr(), 8000, "x", func(r SendResult) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if res == nil || res.OK {
 		t.Fatalf("expected drop, got %+v", res)
 	}
@@ -146,7 +150,8 @@ func TestManyContendersAllDeliver(t *testing.T) {
 			}
 		}
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if received != 24 {
 		t.Fatalf("received %d frames, want 24", received)
 	}
@@ -167,7 +172,8 @@ func TestContentionCausesRetries(t *testing.T) {
 			}
 		}
 	}
-	k.Run()
+	for k.Step() {
+	}
 	for i := 1; i < 11; i++ {
 		totalRetries += sta[i].RetriesTotal
 	}
@@ -192,7 +198,8 @@ func TestFixedWindowAblationDiffersFromBEB(t *testing.T) {
 				stations[i].Send(stations[0].Addr(), 12000, nil, nil)
 			}
 		}
-		k.Run()
+		for k.Step() {
+		}
 		var retries uint64
 		for _, s := range stations {
 			retries += s.RetriesTotal
@@ -227,7 +234,8 @@ func TestDeterministicOutcome(t *testing.T) {
 				sta[i].Send(sta[0].Addr(), 8000, nil, nil)
 			}
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return sta[0].DeliveredUp, k.Now()
 	}
 	d1, t1 := run()

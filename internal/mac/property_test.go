@@ -41,7 +41,8 @@ func TestPropertyExactlyOnceDelivery(t *testing.T) {
 				return false
 			}
 		}
-		k.Run()
+		for k.Step() {
+		}
 		// Every OK send was delivered exactly once.
 		for seq := range okSeqs {
 			if seen[seq] != 1 {
@@ -78,7 +79,8 @@ func TestPropertyAllSendsResolve(t *testing.T) {
 				return false
 			}
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return resolved == frames && a.QueueLen() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(78))}); err != nil {
@@ -102,7 +104,8 @@ func TestDuplicateDetectionReAcks(t *testing.T) {
 		if _, err := med.Transmit(a.radio, 1000, radio.Rates[0], &frame); err != nil {
 			t.Fatal(err)
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)

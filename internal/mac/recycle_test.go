@@ -69,7 +69,8 @@ func TestFramesSurviveRetransmissionAndInterleavedAcks(t *testing.T) {
 	}
 	send(a, b, 0)
 	send(b, a, 0)
-	k.Run()
+	for k.Step() {
+	}
 
 	if a.RetriesTotal == 0 {
 		t.Fatal("the jammed ACK forced no retransmission")
@@ -189,7 +190,8 @@ func TestFramePathAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		_ = a.Send(Broadcast, 8000, nil, nil)
 		_ = a.Send(b.Addr(), 8000, nil, nil)
-		k.Run()
+		for k.Step() {
+		}
 	}
 	for _, c := range []struct {
 		name string
@@ -198,7 +200,8 @@ func TestFramePathAllocs(t *testing.T) {
 	}{{"broadcast", Broadcast, 0}, {"unicast exchange", b.Addr(), 1}} {
 		got := testing.AllocsPerRun(200, func() {
 			_ = a.Send(c.dst, 8000, nil, nil)
-			k.Run()
+			for k.Step() {
+			}
 		})
 		if got > c.want {
 			t.Errorf("%s: %v allocs, want at most %v", c.name, got, c.want)

@@ -35,7 +35,8 @@ func TestDatagramDelivery(t *testing.T) {
 	var from Addr
 	nodes[1].Handle(PortDynamic, func(src Addr, data []byte) { got = data; from = src })
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, []byte("ping"))
-	k.Run()
+	for k.Step() {
+	}
 	if string(got) != "ping" || from != nodes[0].Addr() {
 		t.Fatalf("got %q from %d", got, from)
 	}
@@ -49,7 +50,8 @@ func TestPortDemux(t *testing.T) {
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, nil)
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic+1, nil)
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic+1, nil)
-	k.Run()
+	for k.Step() {
+	}
 	if a != 1 || b != 2 {
 		t.Fatalf("a=%d b=%d", a, b)
 	}
@@ -58,7 +60,8 @@ func TestPortDemux(t *testing.T) {
 func TestUnhandledPortDropped(t *testing.T) {
 	k, _, nodes := testNet(1, 2)
 	nodes[0].SendDatagram(nodes[1].Addr(), 999, []byte("x"))
-	k.Run() // must not panic
+	for k.Step() { // must not panic
+	}
 }
 
 func TestFragmentationRoundTrip(t *testing.T) {
@@ -70,7 +73,8 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	var got []byte
 	nodes[1].Handle(PortDynamic, func(_ Addr, data []byte) { got = data })
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, big)
-	k.Run()
+	for k.Step() {
+	}
 	if !bytes.Equal(got, big) {
 		t.Fatalf("fragmented payload corrupted: len=%d want %d", len(got), len(big))
 	}
@@ -83,7 +87,8 @@ func TestSmallMTUFragmentation(t *testing.T) {
 	var got []byte
 	nodes[1].Handle(PortDynamic, func(_ Addr, data []byte) { got = data })
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, payload)
-	k.Run()
+	for k.Step() {
+	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("got %q", got)
 	}
@@ -101,7 +106,8 @@ func TestMulticastMembership(t *testing.T) {
 	nodes[2].Join(g)
 	// node 3 does not join.
 	nodes[0].SendMulticast(g, PortDiscovery, []byte("announce"))
-	k.Run()
+	for k.Step() {
+	}
 	if counts[1] != 1 || counts[2] != 1 {
 		t.Fatalf("members missed multicast: %v", counts)
 	}
@@ -123,7 +129,8 @@ func TestCallResponse(t *testing.T) {
 	nodes[0].Call(nodes[1].Addr(), PortControl, []byte("hi"), 0, func(r []byte, err error) {
 		resp, callErr = r, err
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if callErr != nil {
 		t.Fatal(callErr)
 	}
@@ -144,7 +151,8 @@ func TestCallTimeoutOnUnservedPort(t *testing.T) {
 	nodes[0].Call(nodes[1].Addr(), PortControl, []byte("hi"), sim.Second, func(r []byte, err error) {
 		callErr = err
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if !errors.Is(callErr, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", callErr)
 	}
@@ -169,7 +177,8 @@ func TestCallFailsFastOnDeadLink(t *testing.T) {
 		callErr = err
 		failedAt = k.Now()
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if !errors.Is(callErr, ErrLinkFailed) {
 		t.Fatalf("err = %v, want link failure", callErr)
 	}
@@ -195,7 +204,8 @@ func TestConcurrentCallsKeptSeparate(t *testing.T) {
 			}
 		})
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if got['A'] != "AR" || got['B'] != "BR" {
 		t.Fatalf("responses mismatched: %v", got)
 	}
@@ -210,7 +220,8 @@ func TestNilResponseOK(t *testing.T) {
 		responded = true
 		gotErr = err
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if !responded || gotErr != nil {
 		t.Fatalf("responded=%v err=%v", responded, gotErr)
 	}
@@ -283,7 +294,8 @@ func TestResponseSentRunsOnceAfterLastFragment(t *testing.T) {
 					t.Errorf("response has %d bytes, want %d", len(r), len(resp))
 				}
 			})
-			k.Run()
+			for k.Step() {
+			}
 			if calls != 1 || !errors.Is(callErr, tc.wantErr) {
 				t.Fatalf("call finished %d times with %v, want once with %v", calls, callErr, tc.wantErr)
 			}
@@ -446,7 +458,8 @@ func TestFragmentedMulticastSharesPayload(t *testing.T) {
 		nodes[i].Handle(PortDiscovery, func(_ Addr, data []byte) { got[i] = data })
 	}
 	nodes[0].SendMulticast(g, PortDiscovery, big)
-	k.Run()
+	for k.Step() {
+	}
 	for i := 1; i < len(nodes); i++ {
 		if len(got[i]) != len(big) || &got[i][0] != &big[0] {
 			t.Fatalf("member %d did not receive the sender's buffer (len %d)", i, len(got[i]))
@@ -481,7 +494,8 @@ func TestFragmentBitsCoverTheirPart(t *testing.T) {
 	nodes[1].Handle(PortDynamic, func(_ Addr, data []byte) { got = data })
 	msg := []byte("twenty-five bytes of text")
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, msg)
-	k.Run()
+	for k.Step() {
+	}
 	want := []int{(10 + headerBytes) * 8, (10 + headerBytes) * 8, (5 + headerBytes) * 8}
 	if !slices.Equal(bits, want) {
 		t.Fatalf("fragment bits = %v, want %v", bits, want)

@@ -38,7 +38,8 @@ func TestPropertyFragmentationRoundTrip(t *testing.T) {
 			received = true
 		})
 		a.SendDatagram(b.Addr(), PortDynamic, payload)
-		k.Run()
+		for k.Step() {
+		}
 		if size == 0 {
 			return received // empty datagram still arrives
 		}
@@ -70,7 +71,8 @@ func TestPropertyCallsAlwaysResolve(t *testing.T) {
 				resolved++
 			})
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return resolved == calls && a.PendingCalls() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(82))}); err != nil {

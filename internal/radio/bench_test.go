@@ -32,7 +32,8 @@ func benchDense(b *testing.B, n int, channels []int, opts ...MediumOption) {
 				}
 			})
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 	// Warm the candidate caches, sender rows, event/ledger pools, and
 	// gain caches so the measurement (and especially allocs/op) reflects
@@ -58,7 +59,8 @@ func warmSenders(b *testing.B, k *sim.Kernel, m *Medium, radios []*Radio) {
 		if _, err := m.Transmit(r, 2000, Rates[0], nil); err != nil {
 			b.Fatal(err)
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 }
 
@@ -191,7 +193,8 @@ func benchDenseMobile(b *testing.B, n int, opts ...MediumOption) {
 				}
 			})
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 	// Steady-state warmup, as in benchDense; under mobility the caches
 	// keep churning, but pool and cache growth is front-loaded.

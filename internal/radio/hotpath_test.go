@@ -50,7 +50,8 @@ func TestOutOfOrderCompletionOverlapping(t *testing.T) {
 	k.Schedule(100*sim.Microsecond, "probe", func() {
 		overlapped = m.ActiveTransmissions() == 3
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if !overlapped {
 		t.Fatal("transmissions did not overlap; the test no longer exercises out-of-order removal")
 	}
@@ -86,12 +87,14 @@ func TestLedgerRecycledAcrossTransmissions(t *testing.T) {
 	if _, err := m.Transmit(jam, 8000, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	// Round 2: a alone — its (recycled) ledger must read zero.
 	if _, err := m.Transmit(a, 8000, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if len(sinrs) != 2 {
 		t.Fatalf("receipts at b = %d, want 2", len(sinrs))
 	}
@@ -175,7 +178,8 @@ func TestMediumDenseAllocsBudget(t *testing.T) {
 				}
 			})
 		}
-		k.Run()
+		for k.Step() {
+		}
 		iter++
 	}
 	for _, r := range radios {
@@ -231,7 +235,8 @@ func TestSenderRowBuiltOnce(t *testing.T) {
 	send := func(src *Radio, at sim.Time) { k.ScheduleFn(at, "test.tx", tx, src) }
 	for _, r := range radios {
 		send(r, 0)
-		k.Run()
+		for k.Step() {
+		}
 	}
 	type built struct {
 		first *hearer
@@ -254,7 +259,8 @@ func TestSenderRowBuiltOnce(t *testing.T) {
 		for j := 0; j < frames; j++ {
 			send(radios[(iter*frames+j*17)%len(radios)], sim.Time(j)*50*sim.Microsecond)
 		}
-		k.Run()
+		for k.Step() {
+		}
 		iter++
 	}
 	burst() // warm the ledger and event pools for 64 overlapping frames
@@ -336,7 +342,8 @@ func TestSenderRowPinnedDuringDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	shortSeq = short.Seq
-	k.Run()
+	for k.Step() {
+	}
 	for i, r := range rx {
 		if got[r] != 1 {
 			t.Fatalf("receiver %d got %d receipts of the short frame, want 1 (receipts %v)", i, got[r], got)

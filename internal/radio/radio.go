@@ -301,6 +301,8 @@ type Receipt struct {
 
 	// sinr is the linear signal-to-interference-plus-noise ratio the
 	// decode decision used; the tests read it in dB (SINRdB).
+	//
+	//aroma:kept the radio tests' only view of the decode decision: hotpath_test.go's ledger check and radio_test.go's bit-exact log read it
 	sinr float64
 }
 

@@ -79,7 +79,8 @@ func TestTransmitDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if len(got) != 1 {
 		t.Fatalf("receipts = %d, want 1", len(got))
 	}
@@ -102,7 +103,8 @@ func TestAirtime(t *testing.T) {
 	if at := tx.Airtime(); at != sim.Second {
 		t.Fatalf("airtime = %v, want 1s", at)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if k.Now() != sim.Second {
 		t.Fatalf("clock = %v", k.Now())
 	}
@@ -116,7 +118,8 @@ func TestSenderDoesNotReceiveOwnFrame(t *testing.T) {
 	if _, err := m.Transmit(a, 100, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if selfRx {
 		t.Fatal("sender received its own frame")
 	}
@@ -132,7 +135,8 @@ func TestFarReceiverFailsToDecode(t *testing.T) {
 	if _, err := m.Transmit(a, 8000, Rate{11, 12}, nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if r == nil {
 		t.Fatal("no receipt")
 	}
@@ -166,7 +170,8 @@ func TestCollisionCausesLoss(t *testing.T) {
 	if _, err := m.Transmit(c, 8000, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if oks != 0 || fails != 2 {
 		t.Fatalf("collision outcome: ok=%d fail=%d, want 0/2", oks, fails)
 	}
@@ -187,7 +192,8 @@ func TestOrthogonalChannelsDoNotCollide(t *testing.T) {
 	if _, err := m.Transmit(c, 8000, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !ok1 || !ok2 {
 		t.Fatalf("orthogonal channels interfered: ok1=%v ok2=%v", ok1, ok2)
 	}
@@ -213,7 +219,8 @@ func TestAdjacentChannelPartialInterference(t *testing.T) {
 		if _, err := m.Transmit(a, 8000, Rates[3], nil); err != nil {
 			t.Fatal(err)
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return sinr
 	}
 	adj := run(7)
@@ -244,7 +251,8 @@ func TestBusyCarrierSense(t *testing.T) {
 	if m.ActiveTransmissions() != 1 {
 		t.Fatalf("active = %d", m.ActiveTransmissions())
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if m.Busy(b) {
 		t.Fatal("medium busy after all transmissions ended")
 	}
@@ -290,7 +298,8 @@ func TestReceiptOrderDeterministicAndAscending(t *testing.T) {
 		if _, err := m.Transmit(a, 800, Rates[0], nil); err != nil {
 			t.Fatal(err)
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return order
 	}
 	first := run()
@@ -326,7 +335,8 @@ func TestSetPosKeepsSpatialIndexCurrent(t *testing.T) {
 	if _, err := m.Transmit(a, 800, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if got != 0 {
 		t.Fatal("out-of-range radio received a frame despite the cutoff")
 	}
@@ -335,7 +345,8 @@ func TestSetPosKeepsSpatialIndexCurrent(t *testing.T) {
 	if _, err := m.Transmit(a, 800, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if got != 1 {
 		t.Fatalf("moved radio receipts = %d, want 1", got)
 	}
@@ -344,7 +355,8 @@ func TestSetPosKeepsSpatialIndexCurrent(t *testing.T) {
 	if _, err := m.Transmit(a, 800, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if got != 1 {
 		t.Fatalf("receipts after moving away = %d, want 1", got)
 	}
@@ -388,7 +400,8 @@ func TestIndexedMatchesFullScanPhysics(t *testing.T) {
 		if checked {
 			runChecked(t, k, m, watchMemo(m), 0)
 		} else {
-			k.Run()
+			for k.Step() {
+			}
 		}
 		return out, heard, m, radios
 	}
@@ -439,7 +452,8 @@ func TestCutoffSkipsOnlyInaudibleRadios(t *testing.T) {
 				}
 			})
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return m.Delivered, m.Lost
 	}
 	d1, l1 := run()
@@ -542,7 +556,8 @@ func TestDeliveryAppliesExactRangeAtUseTime(t *testing.T) {
 	if _, err := m.Transmit(b, 800, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if nearGot != 1 {
 		t.Fatalf("in-range radio receipts = %d, want 1", nearGot)
 	}
@@ -712,7 +727,8 @@ func TestMidDeliveryMoveDoesNotChangeMembership(t *testing.T) {
 	if _, err := m.Transmit(a, 2000, Rates[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if cGot != 0 {
 		t.Fatalf("radio out of range at delivery start received %d receipts", cGot)
 	}

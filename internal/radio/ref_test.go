@@ -203,10 +203,10 @@ func (w *memoWatch) observe() error {
 	return nil
 }
 
-// runChecked fires k's events one at a time up to horizon (0 runs until
-// the queue is idle), asserting checkHearers and checkBusy before the
-// first event and after every one, and after those the link-gain memo
-// against w.
+// runChecked fires k's events one at a time until the clock reaches
+// horizon (0 runs until the queue is idle), asserting checkHearers and
+// checkBusy before the first event and after every one, and after those
+// the link-gain memo against w.
 func runChecked(t testing.TB, k *sim.Kernel, m *Medium, w *memoWatch, horizon sim.Time) {
 	t.Helper()
 	check := func() error {
@@ -221,8 +221,7 @@ func runChecked(t testing.TB, k *sim.Kernel, m *Medium, w *memoWatch, horizon si
 	if err := check(); err != nil {
 		t.Fatalf("at %d: %v", k.Now(), err)
 	}
-	k.SetHorizon(horizon)
-	for k.Step() {
+	for (horizon == 0 || k.Now() < horizon) && k.Step() {
 		if err := check(); err != nil {
 			t.Fatalf("at %d, step %d: %v", k.Now(), k.Steps(), err)
 		}

@@ -192,7 +192,8 @@ func TestWaitersFIFO(t *testing.T) {
 		})
 	}
 	m.Release("alice")
-	k.Run()
+	for k.Step() {
+	}
 	if len(order) != 2 || order[0] != "bob" || order[1] != "carol" {
 		t.Fatalf("order = %v", order)
 	}

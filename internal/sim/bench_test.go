@@ -23,7 +23,8 @@ func BenchmarkKernelSchedule(b *testing.B) {
 		for j := 0; j < 1024; j++ {
 			k.ScheduleFn(Time(j%97)*Microsecond, "bench", benchNop, arg)
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 }
 
@@ -38,7 +39,8 @@ func BenchmarkKernelScheduleClosure(b *testing.B) {
 		for j := 0; j < 1024; j++ {
 			k.Schedule(Time(j%97)*Microsecond, "bench", func() { n++ })
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 }
 
@@ -59,7 +61,8 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 		for j := 0; j < len(evs); j += 2 {
 			k.Cancel(evs[j])
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 }
 

@@ -22,7 +22,8 @@ func TestRecordSize(t *testing.T) {
 func TestCancelAfterFireOnRecycledSlot(t *testing.T) {
 	k := New(1)
 	first := k.Schedule(Millisecond, "first", func() {})
-	k.Run() // fires and releases the slot
+	for k.Step() { // fires and releases the slot
+	}
 	secondFired := false
 	second := k.Schedule(Millisecond, "second", func() { secondFired = true })
 	if second.slot != first.slot {
@@ -37,7 +38,8 @@ func TestCancelAfterFireOnRecycledSlot(t *testing.T) {
 	if k.Cancel(first) {
 		t.Fatal("Cancel through a stale handle descheduled the new tenant")
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !secondFired {
 		t.Fatal("new tenant did not fire")
 	}
@@ -55,7 +57,8 @@ func TestFireAfterCancelNoop(t *testing.T) {
 	}
 	// The slot is still parked in the heap (lazy cancellation); run so
 	// it surfaces, is skipped, and is reclaimed.
-	k.Run()
+	for k.Step() {
+	}
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -71,7 +74,8 @@ func TestFireAfterCancelNoop(t *testing.T) {
 	if k.Cancel(ev) {
 		t.Fatal("stale handle cancelled the slot's new tenant")
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !refired {
 		t.Fatal("slot's new tenant did not fire")
 	}
@@ -95,7 +99,8 @@ func TestCancelForeignKernelNoop(t *testing.T) {
 	if k2.Cancel(ev) {
 		t.Fatal("foreign handle descheduled another kernel's event")
 	}
-	k2.Run()
+	for k2.Step() {
+	}
 	if !fired {
 		t.Fatal("k2's event did not fire")
 	}
@@ -120,7 +125,8 @@ func TestSelfCancelDuringCallbackNoop(t *testing.T) {
 			t.Error("in-flight event cancelled itself")
 		}
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if !rescheduled {
 		t.Fatal("reschedule from callback was lost")
 	}
@@ -185,8 +191,12 @@ func TestLazyCancelPendingCount(t *testing.T) {
 	if k.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", k.Pending())
 	}
-	if n := k.Run(); n != 5 {
-		t.Fatalf("Run executed %d events, want 5", n)
+	n := 0
+	for k.Step() {
+		n++
+	}
+	if n != 5 {
+		t.Fatalf("drained %d events, want 5", n)
 	}
 }
 
@@ -201,7 +211,8 @@ func TestScheduleFnArgDelivery(t *testing.T) {
 	k.ScheduleFn(2*Millisecond, "fn", push, &vals[1])
 	k.Schedule(Millisecond, "closure", func() { got = append(got, vals[0]) })
 	k.ScheduleFn(3*Millisecond, "fn", push, &vals[2])
-	k.Run()
+	for k.Step() {
+	}
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("got %v, want [10 20 30]", got)
 	}
@@ -217,13 +228,15 @@ func TestScheduleFnZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		k.ScheduleFn(Time(i), "warm", nop, arg)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.ScheduleFn(Millisecond, "hot", nop, arg)
-		k.Run()
+		for k.Step() {
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ScheduleFn+Run allocated %.1f per op, want 0", allocs)
+		t.Fatalf("ScheduleFn+Step allocated %.1f per op, want 0", allocs)
 	}
 }
 
@@ -236,39 +249,15 @@ func TestCancelZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		k.ScheduleFn(Time(i), "warm", nop, arg)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ev := k.ScheduleFn(Millisecond, "hot", nop, arg)
 		k.Cancel(ev)
-		k.Run()
+		for k.Step() {
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Schedule+Cancel+Run allocated %.1f per op, want 0", allocs)
-	}
-}
-
-// TestHorizonWithRunUntil: an event beyond the horizon but within the
-// RunUntil deadline must not livelock — Step refuses it, so RunUntil
-// must stop retrying, leave it pending, and still advance the clock to
-// the deadline.
-func TestHorizonWithRunUntil(t *testing.T) {
-	k := New(1)
-	fired := 0
-	k.Schedule(2*Second, "in", func() { fired++ })
-	k.Schedule(6*Second, "beyond", func() { fired++ })
-	k.SetHorizon(5 * Second)
-	if n := k.RunUntil(10 * Second); n != 1 {
-		t.Fatalf("RunUntil executed %d events, want 1 (the within-horizon one)", n)
-	}
-	if fired != 1 || k.Pending() != 1 {
-		t.Fatalf("fired=%d pending=%d, want 1/1", fired, k.Pending())
-	}
-	if k.Now() != 10*Second {
-		t.Fatalf("Now = %v, want the 10s deadline", k.Now())
-	}
-	k.SetHorizon(0)
-	k.Run()
-	if fired != 2 {
-		t.Fatalf("event lost after horizon removal: fired=%d", fired)
+		t.Fatalf("Schedule+Cancel+Step allocated %.1f per op, want 0", allocs)
 	}
 }

@@ -130,7 +130,8 @@ func TestKernelObservabilityAccessors(t *testing.T) {
 	if k.Seq() != 2 {
 		t.Fatalf("seq = %d, want 2", k.Seq())
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if slots, free := k.PoolStats(); slots != 2 || free != 2 {
 		t.Fatalf("post-run pool stats = %d/%d, want 2/2", slots, free)
 	}
@@ -171,7 +172,8 @@ func TestPendingMatchesExportAfterCancelChurn(t *testing.T) {
 	if got, want := k.Pending(), len(k.ExportState().Pending); got != want {
 		t.Fatalf("Pending() = %d, ExportState lists %d", got, want)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if got, want := k.Pending(), len(k.ExportState().Pending); got != 0 || want != 0 {
 		t.Fatalf("drained kernel: Pending() = %d, ExportState lists %d", got, want)
 	}

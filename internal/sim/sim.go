@@ -119,10 +119,8 @@ type Kernel struct {
 	rng     *rand.Rand
 	src     *countingSource
 	seed    int64
-	stopped bool
 	steps   uint64
 	cancels uint64
-	maxTime Time // zero means no horizon
 
 	// Periodic observers outside the event queue (see sampler.go).
 	// sampleNext caches the earliest pending sampler deadline (0 =
@@ -239,14 +237,6 @@ func (k *Kernel) Cancel(e Event) bool {
 	return true
 }
 
-// Stop makes the currently running Run/RunUntil call return after the
-// in-flight event completes. Pending events remain queued.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// SetHorizon sets a hard time limit: Run stops once the next event would be
-// later than limit. A zero limit removes the horizon.
-func (k *Kernel) SetHorizon(limit Time) { k.maxTime = limit }
-
 // fire pops and executes the event peek just returned, advancing the
 // clock to its timestamp. Samplers due strictly before the event's
 // timestamp observe first, so the clock never jumps over a sample
@@ -270,21 +260,11 @@ func (k *Kernel) fire(slot int32) {
 // its timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
 	slot, ok := k.peek()
-	if !ok || (k.maxTime != 0 && k.pool[slot].at > k.maxTime) {
+	if !ok {
 		return false
 	}
 	k.fire(slot)
 	return true
-}
-
-// Run executes events until the queue drains, Stop is called, or the
-// horizon is reached. It returns the number of events executed.
-func (k *Kernel) Run() uint64 {
-	start := k.steps
-	k.stopped = false
-	for !k.stopped && k.Step() {
-	}
-	return k.steps - start
 }
 
 // RunUntil executes events with timestamps <= deadline, advancing the clock
@@ -292,19 +272,9 @@ func (k *Kernel) Run() uint64 {
 // returns the number of events executed.
 func (k *Kernel) RunUntil(deadline Time) uint64 {
 	start := k.steps
-	k.stopped = false
-	for !k.stopped {
+	for {
 		slot, ok := k.peek()
-		if !ok {
-			break
-		}
-		at := k.pool[slot].at
-		if at > deadline {
-			break
-		}
-		if k.maxTime != 0 && at > k.maxTime {
-			// Beyond the horizon: firing would violate SetHorizon, so
-			// stop here. The clock still advances to the deadline below.
+		if !ok || k.pool[slot].at > deadline {
 			break
 		}
 		k.fire(slot)

@@ -13,7 +13,8 @@ func TestScheduleOrdering(t *testing.T) {
 	k.Schedule(3*Millisecond, "c", func() { got = append(got, 3) })
 	k.Schedule(1*Millisecond, "a", func() { got = append(got, 1) })
 	k.Schedule(2*Millisecond, "b", func() { got = append(got, 2) })
-	k.Run()
+	for k.Step() {
+	}
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -32,7 +33,8 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		k.Schedule(Millisecond, "tie", func() { got = append(got, i) })
 	}
-	k.Run()
+	for k.Step() {
+	}
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("simultaneous events not FIFO: %v", got)
@@ -44,7 +46,8 @@ func TestNegativeDelayClampedToNow(t *testing.T) {
 	k := New(1)
 	fired := false
 	k.Schedule(-Second, "neg", func() { fired = true })
-	k.Run()
+	for k.Step() {
+	}
 	if !fired {
 		t.Fatal("negative-delay event did not fire")
 	}
@@ -66,7 +69,8 @@ func TestCancel(t *testing.T) {
 	if ev.Pending() {
 		t.Fatal("cancelled event still pending")
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -75,7 +79,8 @@ func TestCancel(t *testing.T) {
 func TestCancelAfterFireNoop(t *testing.T) {
 	k := New(1)
 	ev := k.Schedule(0, "x", func() {})
-	k.Run()
+	for k.Step() {
+	}
 	if k.Cancel(ev) {
 		t.Fatal("Cancel after fire returned true")
 	}
@@ -106,7 +111,8 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if k.Pending() != 6 {
 		t.Fatalf("pending = %d, want 6", k.Pending())
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if len(fired) != 10 {
 		t.Fatalf("after Run fired %d, want 10", len(fired))
 	}
@@ -123,7 +129,8 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	}
 	k.Schedule(0, "seed", rec)
-	k.Run()
+	for k.Step() {
+	}
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
 	}
@@ -132,59 +139,17 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := New(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		k.Schedule(Time(i)*Millisecond, "n", func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if k.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", k.Pending())
-	}
-}
-
-func TestHorizon(t *testing.T) {
-	k := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i)*Second, "n", func() { count++ })
-	}
-	k.SetHorizon(5 * Second)
-	k.Run()
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	k.SetHorizon(0)
-	k.Run()
-	if count != 10 {
-		t.Fatalf("count = %d after removing horizon, want 10", count)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	k := New(1)
 	ticks := 0
-	stop := k.Ticker(Second, "tick", func() {
-		ticks++
-		if ticks == 5 {
-			k.Stop()
-		}
-	})
-	k.Run()
+	stop := k.Ticker(Second, "tick", func() { ticks++ })
+	k.RunUntil(5 * Second)
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
 	}
 	stop()
-	k.Run()
+	for k.Step() {
+	}
 	if ticks != 5 {
 		t.Fatalf("ticker fired after stop: %d", ticks)
 	}
@@ -211,7 +176,8 @@ func TestDeterminismSameSeed(t *testing.T) {
 				out = append(out, k.Rand().Float64())
 			})
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return out
 	}
 	a, b := run(42), run(42)
@@ -250,7 +216,8 @@ func TestPropertyEventOrdering(t *testing.T) {
 				fired = append(fired, k.Now())
 			})
 		}
-		k.Run()
+		for k.Step() {
+		}
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -273,7 +240,8 @@ func TestPropertyClockEqualsMaxDelay(t *testing.T) {
 			}
 			k.Schedule(dt, "p", func() {})
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return k.Now() == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
@@ -288,6 +256,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			k.Schedule(Time(j%97)*Microsecond, "b", func() {})
 		}
-		k.Run()
+		for k.Step() {
+		}
 	}
 }

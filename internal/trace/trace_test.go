@@ -50,7 +50,8 @@ func TestRecordAndQuery(t *testing.T) {
 	k.Schedule(3*sim.Second, "c", func() {
 		l.Info(Environment, "room", "noise %d dB", 55)
 	})
-	k.Run()
+	for k.Step() {
+	}
 
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())

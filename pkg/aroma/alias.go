@@ -14,48 +14,79 @@ import (
 	"aroma/internal/user"
 )
 
-// Time is a point in virtual simulation time (see internal/sim).
-type Time = sim.Time
+// The facade's vocabulary types. Some have no caller inside this
+// module, which can import internal/ directly; the README's MoveAlong
+// example names Path.
+//
+//aroma:kept re-export: modules outside aroma cannot import internal/, so a facade caller names these here
+type (
+	// Time is a point in virtual simulation time (see internal/sim).
+	Time = sim.Time
 
-// Virtual-time unit aliases.
+	// Point is a 2D position in metres.
+	Point = geo.Point
+	// Path is a waypoint mobility path traversed at constant speed.
+	Path = geo.Path
+
+	// Spec describes an appliance's resources (the LPC resource layer).
+	Spec = device.Spec
+	// UISpec describes a device's user-interface resource.
+	UISpec = device.UISpec
+	// ExecModel is a device execution engine's concurrency model.
+	ExecModel = device.ExecModel
+
+	// Faculties are a user's capabilities (languages, patience, skill).
+	Faculties = user.Faculties
+	// Goal is one user goal with the capabilities it needs.
+	Goal = user.Goal
+
+	// Purpose is a device's design purpose (the LPC intentional layer).
+	Purpose = core.DesignPurpose
+	// Report is the classified output of an LPC analysis.
+	Report = core.Report
+	// Finding is one classified concern in a Report.
+	Finding = core.Finding
+
+	// Layer identifies one of the five LPC layers.
+	Layer = trace.Layer
+	// Severity grades trace events and findings.
+	Severity = trace.Severity
+	// TraceEvent is one recorded runtime trace event.
+	TraceEvent = trace.Event
+)
+
+// The facade's vocabulary constants.
+//
+//aroma:kept re-export: modules outside aroma cannot import internal/, so a facade caller names these here
 const (
+	// Virtual-time unit aliases.
 	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 	Minute      = sim.Minute
 	Hour        = sim.Hour
-)
 
-// Point is a 2D position in metres.
-type Point = geo.Point
+	// Execution models.
+	MultiThreaded  = device.MultiThreaded
+	SingleThreaded = device.SingleThreaded
+
+	// The five LPC layers, bottom-up.
+	Environment = trace.Environment
+	Physical    = trace.Physical
+	Resource    = trace.Resource
+	Abstract    = trace.Abstract
+	Intentional = trace.Intentional
+
+	// Severity levels.
+	Debug     = trace.Debug
+	Info      = trace.Info
+	Issue     = trace.Issue
+	Violation = trace.Violation
+)
 
 // Pt returns the point (x, y).
 func Pt(x, y float64) Point { return geo.Pt(x, y) }
-
-// Rect is an axis-aligned rectangle (rooms, arenas, wander bounds).
-type Rect = geo.Rect
-
-// RectAt builds a Rect from its lower-left corner, width and height.
-func RectAt(x, y, w, h float64) Rect { return geo.RectAt(x, y, w, h) }
-
-// Path is a waypoint mobility path traversed at constant speed.
-type Path = geo.Path
-
-// Spec describes an appliance's resources (the LPC resource layer).
-type Spec = device.Spec
-
-// UISpec describes a device's user-interface resource.
-type UISpec = device.UISpec
-
-// ExecModel is a device execution engine's concurrency model.
-type ExecModel = device.ExecModel
-
-// Execution models.
-const (
-	MultiThreaded  = device.MultiThreaded
-	SingleThreaded = device.SingleThreaded
-)
 
 // AdapterSpec is the paper's embedded Aroma Adapter device spec.
 func AdapterSpec() Spec { return device.AromaAdapterSpec() }
@@ -63,52 +94,8 @@ func AdapterSpec() Spec { return device.AromaAdapterSpec() }
 // LaptopSpec is a 2000-era presenter laptop spec.
 func LaptopSpec() Spec { return device.LaptopSpec() }
 
-// PDASpec is the paper's doomed constrained-PDA spec.
-func PDASpec() Spec { return device.PDASpec() }
-
-// Faculties are a user's capabilities (languages, patience, skill).
-type Faculties = user.Faculties
-
-// Goal is one user goal with the capabilities it needs.
-type Goal = user.Goal
-
 // Researcher returns the faculties of the paper's researcher audience.
 func Researcher() Faculties { return user.ResearcherFaculties() }
 
 // Casual returns the faculties of the paper's casual-user audience.
 func Casual() Faculties { return user.CasualFaculties() }
-
-// Purpose is a device's design purpose (the LPC intentional layer).
-type Purpose = core.DesignPurpose
-
-// Report is the classified output of an LPC analysis.
-type Report = core.Report
-
-// Finding is one classified concern in a Report.
-type Finding = core.Finding
-
-// Layer identifies one of the five LPC layers.
-type Layer = trace.Layer
-
-// The five LPC layers, bottom-up.
-const (
-	Environment = trace.Environment
-	Physical    = trace.Physical
-	Resource    = trace.Resource
-	Abstract    = trace.Abstract
-	Intentional = trace.Intentional
-)
-
-// Severity grades trace events and findings.
-type Severity = trace.Severity
-
-// Severity levels.
-const (
-	Debug     = trace.Debug
-	Info      = trace.Info
-	Issue     = trace.Issue
-	Violation = trace.Violation
-)
-
-// TraceEvent is one recorded runtime trace event.
-type TraceEvent = trace.Event

@@ -39,7 +39,8 @@ func benchWorldDense(b *testing.B, n int) {
 				}
 			})
 		}
-		w.Run()
+		for w.Step() {
+		}
 	}
 	// Steady-state warmup: candidate caches, gain rows, ledger and event
 	// pools all grow here, so the measured allocs/op is the per-event
@@ -57,7 +58,8 @@ func benchWorldDense(b *testing.B, n int) {
 				}
 			})
 		}
-		w.Run()
+		for w.Step() {
+		}
 		round(i)
 	}
 	b.ReportAllocs()

@@ -202,6 +202,8 @@ func (c *Client) SetRetry(n int, backoff time.Duration) {
 }
 
 // Scenarios lists the registered scenarios.
+//
+//aroma:kept daemon route: the client side of GET /v1/scenarios
 func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
 	var out []ScenarioInfo
 	return out, c.do(ctx, http.MethodGet, "/v1/scenarios", nil, &out)
@@ -214,6 +216,8 @@ func (c *Client) CreateWorld(ctx context.Context, req CreateWorldRequest) (*Worl
 }
 
 // Worlds lists the hosted worlds.
+//
+//aroma:kept daemon route: the client side of GET /v1/worlds
 func (c *Client) Worlds(ctx context.Context) ([]WorldInfo, error) {
 	var out []WorldInfo
 	return out, c.do(ctx, http.MethodGet, "/v1/worlds", nil, &out)
@@ -229,11 +233,6 @@ func (c *Client) World(ctx context.Context, id string) (*WorldInfo, error) {
 func (c *Client) Run(ctx context.Context, id string, req RunRequest) (*WorldInfo, error) {
 	var out WorldInfo
 	return &out, c.do(ctx, http.MethodPost, "/v1/worlds/"+url.PathEscape(id)+"/run", req, &out)
-}
-
-// Step executes up to n earliest pending events (n <= 0 means 1).
-func (c *Client) Step(ctx context.Context, id string, n int) (*WorldInfo, error) {
-	return c.Run(ctx, id, RunRequest{Events: n})
 }
 
 // RunFor advances the world by d.
@@ -253,6 +252,8 @@ func (c *Client) Result(ctx context.Context, id string) (*ResultInfo, error) {
 }
 
 // State returns the world's full canonical state export as raw JSON.
+//
+//aroma:kept daemon route: the client side of GET /v1/worlds/{id}/state
 func (c *Client) State(ctx context.Context, id string) (json.RawMessage, error) {
 	var out json.RawMessage
 	return out, c.do(ctx, http.MethodGet, "/v1/worlds/"+url.PathEscape(id)+"/state", nil, &out)
@@ -261,6 +262,8 @@ func (c *Client) State(ctx context.Context, id string) (json.RawMessage, error) 
 // WorldMetrics returns one world's instrument snapshot: every
 // instrument's value at the world's current instant plus the sampled
 // sim-time series.
+//
+//aroma:kept daemon route: the client side of GET /v1/worlds/{id}/metrics
 func (c *Client) WorldMetrics(ctx context.Context, id string) (*telemetry.Snapshot, error) {
 	var out telemetry.Snapshot
 	return &out, c.do(ctx, http.MethodGet, "/v1/worlds/"+url.PathEscape(id)+"/metrics", nil, &out)
@@ -299,6 +302,8 @@ func (c *Client) Snapshot(ctx context.Context, id, name string) (*SnapshotInfo, 
 }
 
 // Snapshots lists the stored snapshots.
+//
+//aroma:kept daemon route: the client side of GET /v1/snapshots
 func (c *Client) Snapshots(ctx context.Context) ([]SnapshotInfo, error) {
 	var out []SnapshotInfo
 	return out, c.do(ctx, http.MethodGet, "/v1/snapshots", nil, &out)
@@ -307,6 +312,8 @@ func (c *Client) Snapshots(ctx context.Context) ([]SnapshotInfo, error) {
 // SnapshotData downloads a stored snapshot's raw bytes — the same
 // format pkg/aroma/checkpoint reads, so an in-process
 // checkpoint.RestoreBuilt of these bytes reproduces the daemon's world.
+//
+//aroma:kept daemon route: the client side of GET /v1/snapshots/{name}
 func (c *Client) SnapshotData(ctx context.Context, name string) ([]byte, error) {
 	var out json.RawMessage
 	err := c.do(ctx, http.MethodGet, "/v1/snapshots/"+url.PathEscape(name), nil, &out)
@@ -319,6 +326,8 @@ func (c *Client) DeleteSnapshot(ctx context.Context, name string) error {
 }
 
 // Restore restores a stored snapshot into a new hosted world.
+//
+//aroma:kept daemon route: the client side of POST /v1/snapshots/{name}/restore
 func (c *Client) Restore(ctx context.Context, snapshot, id string) (*WorldInfo, error) {
 	var out WorldInfo
 	return &out, c.do(ctx, http.MethodPost, "/v1/snapshots/"+url.PathEscape(snapshot)+"/restore",
@@ -340,6 +349,8 @@ func (c *Client) Fork(ctx context.Context, snapshot, id string, seed int64) (*Wo
 // world deletion). The stream runs on a derived client with the
 // overall timeout cleared — an SSE stream is long-lived by design, so
 // only ctx bounds its lifetime.
+//
+//aroma:kept daemon route: the client side of GET /v1/worlds/{id}/events
 func (c *Client) StreamEvents(ctx context.Context, id, min string, fn func(Event)) error {
 	u := c.base + "/v1/worlds/" + url.PathEscape(id) + "/events"
 	if min != "" {

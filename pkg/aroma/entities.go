@@ -15,7 +15,7 @@ import (
 
 // Device is one appliance in the world: its LPC model entity plus (for
 // online devices) the auto-wired radio, MAC station, and network node,
-// and (for mobile devices) its mover or wanderer.
+// and (for wandering devices) its wanderer.
 type Device struct {
 	world    *World
 	entity   *core.DeviceEntity
@@ -23,7 +23,6 @@ type Device struct {
 	station  *mac.Station
 	node     *netsim.Node
 	agent    *discovery.Agent
-	mover    *mobility.Mover
 	wanderer *mobility.Wanderer
 }
 
@@ -69,7 +68,7 @@ func Offline() DeviceOption {
 // its entity to the analyzed system. It panics on a duplicate or empty
 // name — misassembly is a programming error in scenario code.
 func (w *World) AddDevice(name string, pos geo.Point, opts ...DeviceOption) *Device {
-	w.checkName("device", name)
+	w.checkName(name)
 	o := deviceOptions{channel: w.opts.channel}
 	for _, opt := range opts {
 		opt(&o)
@@ -133,14 +132,6 @@ func (d *Device) SetPos(p geo.Point) {
 	if d.radio != nil {
 		d.radio.SetPos(p)
 	}
-}
-
-// SetState updates one abstract-layer application-state proposition.
-func (d *Device) SetState(prop, value string) {
-	if d.entity.AppState == nil {
-		d.entity.AppState = make(map[string]string)
-	}
-	d.entity.AppState[prop] = value
 }
 
 // User is one human participant: the five-layer user model plus the
@@ -231,20 +222,11 @@ func (w *World) AddUser(name string, pos geo.Point, opts ...UserOption) *User {
 	return au
 }
 
-// Name returns the user's name.
-func (us *User) Name() string { return us.u.Name }
-
 // U returns the underlying five-layer user model.
 func (us *User) U() *user.User { return us.u }
 
-// Entity returns the analyzed user entity.
-func (us *User) Entity() *core.UserEntity { return us.entity }
-
 // Pos returns the user's current position.
 func (us *User) Pos() geo.Point { return us.u.Pos }
-
-// SetPos moves the user.
-func (us *User) SetPos(p geo.Point) { us.u.Pos = p }
 
 // Lookup is a running discovery lookup service plus the device hosting
 // it. The embedded *discovery.Lookup exposes Count, Subscribers, etc.

@@ -12,11 +12,9 @@ import (
 // later, from a scheduled event.
 
 // MoveAlong starts a mover walking the device along path, sampling every
-// tick (the default tick when tick <= 0), and returns it. The returned
-// mover also becomes Device.Mover.
+// tick (the default tick when tick <= 0), and returns it.
 func (d *Device) MoveAlong(path geo.Path, tick Time) *mobility.Mover {
-	d.mover = mobility.Start(d.world.kernel, path, tick, d.SetPos)
-	return d.mover
+	return mobility.Start(d.world.kernel, path, tick, d.SetPos)
 }
 
 // Wander starts continuous random-waypoint motion from the device's
@@ -31,10 +29,6 @@ func (d *Device) Wander(speedMPS float64, tick Time) *mobility.Wanderer {
 	d.wanderer = mobility.StartWander(w.kernel, d.Pos(), w.plan.Bounds, speedMPS, tick, d.SetPos)
 	return d.wanderer
 }
-
-// Mover returns the device's path mover (from MoveAlong), or nil if
-// none was started.
-func (d *Device) Mover() *mobility.Mover { return d.mover }
 
 // Wanderer returns the device's random-waypoint wanderer (from Wander),
 // or nil if none was started.

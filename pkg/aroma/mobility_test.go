@@ -21,7 +21,7 @@ func TestWanderMovesDevice(t *testing.T) {
 		t.Fatalf("positions diverged: device %v radio %v entity %v",
 			d.Pos(), d.Radio().Pos, d.Entity().Pos)
 	}
-	bounds := w.Plan().Bounds
+	bounds := w.plan.Bounds
 	if !inside(bounds, d.Pos()) {
 		t.Fatalf("device escaped the arena: %v", d.Pos())
 	}
@@ -34,11 +34,12 @@ func TestMoveAlongWalksOnceAndArrives(t *testing.T) {
 	w := NewWorld(WithSeed(5), WithArena(100, 100))
 	path := geo.Path{Waypoints: []Point{Pt(0, 0), Pt(30, 0)}, SpeedMPS: 3}
 	d := w.AddDevice("walker", Pt(0, 0))
-	if d.MoveAlong(path, 100*Millisecond) != d.Mover() || d.Mover() == nil {
-		t.Fatal("MoveAlong did not attach its mover")
+	mv := d.MoveAlong(path, 100*Millisecond)
+	if mv == nil {
+		t.Fatal("MoveAlong started no mover")
 	}
 	w.RunFor(20 * Second)
-	if d.Mover().Progress() != 1 {
+	if mv.Progress() != 1 {
 		t.Fatal("mover never arrived")
 	}
 	if d.Pos() != Pt(30, 0) {

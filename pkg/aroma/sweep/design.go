@@ -14,9 +14,8 @@ import (
 
 // Axis is one dimension of the parameter grid: a named parameter and
 // the values it sweeps over. Values are carried as strings (the
-// scenario.Config.Params representation); the typed constructors format
-// them canonically so equal numbers always collide in the duplicate
-// checks.
+// scenario.Config.Params representation); Ints formats integers
+// canonically so equal numbers always collide in the duplicate checks.
 type Axis struct {
 	Name   string
 	Values []string
@@ -29,20 +28,6 @@ func Ints(name string, vs ...int) Axis {
 		a.Values = append(a.Values, strconv.Itoa(v))
 	}
 	return a
-}
-
-// Floats builds a float-valued axis.
-func Floats(name string, vs ...float64) Axis {
-	a := Axis{Name: name}
-	for _, v := range vs {
-		a.Values = append(a.Values, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return a
-}
-
-// Strings builds a string-valued axis.
-func Strings(name string, vs ...string) Axis {
-	return Axis{Name: name, Values: vs}
 }
 
 // ParseAxis parses the CLI form "name=v1,v2,v3" into an axis.

@@ -1,5 +1,5 @@
 // Package sweep is Aroma's parallel experiment engine: it executes a
-// declarative Design — a scenario, a parameter grid of typed axes, and
+// declarative Design — a scenario, a parameter grid of named axes, and
 // a seed set — as the full cross-product of (grid cell × replication)
 // on a worker pool sized to the machine, and folds every run into one
 // Report of per-cell statistics, per-run rows, and reproducibility
@@ -20,10 +20,11 @@
 // last, or interleaved with 31 siblings. The engine leans on that
 // contract twice over:
 //
-//   - Correctness auditing. Every run's digest is recorded in its Row.
-//     Rerunning a sweep — at any worker count — must reproduce the same
-//     digest for every (cell, seed) pair; the engine's tests pin
-//     workers=1 and workers=NumCPU to byte-identical digests.
+//   - Correctness auditing. Every run's digest is recorded in its Row,
+//     beside the cell label and seed that identify the run. Rerunning a
+//     sweep — at any worker count — must reproduce the same digest for
+//     every (cell, seed) pair; the engine's tests pin workers=1 and
+//     workers=NumCPU to byte-identical digests.
 //
 //   - Honest statistics. Replications within a cell differ only by
 //     seed, so per-cell mean and CI95 over the recorded metrics are

@@ -118,7 +118,7 @@ func TestFaultAxisDigests(t *testing.T) {
 		Reps:     2,
 	}
 	a, b := mustRun(t, d), mustRun(t, d)
-	da, db := a.Digests(), b.Digests()
+	da, db := digests(a), digests(b)
 	if len(da) != 4 {
 		t.Fatalf("got %d digests, want 4", len(da))
 	}

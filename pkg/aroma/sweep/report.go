@@ -97,33 +97,6 @@ func (r *Report) FailedCount() int {
 	return n
 }
 
-// Failed returns the failed rows, in task order.
-func (r *Report) Failed() []Row {
-	var out []Row
-	for _, row := range r.Rows {
-		if row.Err != "" {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// Digests returns the reproducibility audit map: one entry per
-// successful run, keyed "label seed=N" (cell params plus seed), valued
-// by the run's World digest. Two sweeps of the same design — at any
-// worker counts — must return equal maps; a mismatch means a run's
-// outcome depended on its siblings, which the MRIP contract forbids.
-func (r *Report) Digests() map[string]string {
-	out := make(map[string]string, len(r.Rows))
-	for _, row := range r.Rows {
-		if row.Err != "" {
-			continue
-		}
-		out[fmt.Sprintf("%s seed=%d", row.Label, row.Seed)] = row.Digest
-	}
-	return out
-}
-
 // MetricNames returns the sorted union of metric names across all rows.
 func (r *Report) MetricNames() []string { return sortedMetricNames(r.Rows) }
 

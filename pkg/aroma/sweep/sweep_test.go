@@ -91,10 +91,23 @@ func mustRun(t *testing.T, d Design, opts ...Option) *Report {
 	return rep
 }
 
+// digests is the reproducibility audit map: one entry per successful
+// run, keyed "label seed=N", valued by the run's World digest. Two
+// sweeps of one design, at any worker counts, must return equal maps.
+func digests(r *Report) map[string]string {
+	out := make(map[string]string, len(r.Rows))
+	for _, row := range r.Rows {
+		if row.Err == "" {
+			out[fmt.Sprintf("%s seed=%d", row.Label, row.Seed)] = row.Digest
+		}
+	}
+	return out
+}
+
 func TestCellsRowMajorOrder(t *testing.T) {
 	d := Design{
 		Scenario: "fake",
-		Axes:     []Axis{Ints("a", 1, 2), Strings("b", "x", "y", "z")},
+		Axes:     []Axis{Ints("a", 1, 2), {Name: "b", Values: []string{"x", "y", "z"}}},
 	}
 	cells := d.Cells()
 	if len(cells) != 6 {
@@ -127,7 +140,7 @@ func TestValidateRejectsBadDesigns(t *testing.T) {
 	}{
 		{"no scenario", Design{}, "needs a Scenario"},
 		{"unknown scenario", Design{Scenario: "no-such"}, "unknown scenario"},
-		{"empty axis name", Design{Scenario: "fake", Axes: []Axis{Strings("", "x")}}, "empty name"},
+		{"empty axis name", Design{Scenario: "fake", Axes: []Axis{{Name: "", Values: []string{"x"}}}}, "empty name"},
 		{"duplicate axis", Design{Scenario: "fake", Axes: []Axis{Ints("a", 1), Ints("a", 2)}}, "duplicate axis"},
 		{"empty axis", Design{Scenario: "fake", Axes: []Axis{{Name: "a"}}}, "no values"},
 		{"duplicate value", Design{Scenario: "fake", Axes: []Axis{Ints("a", 5, 5)}}, "repeats value"},
@@ -158,7 +171,7 @@ func TestValidateRejectsBadDesigns(t *testing.T) {
 func TestSeedParamPairsUnique(t *testing.T) {
 	d := Design{
 		Scenario: "fake",
-		Axes:     []Axis{Ints("a", 1, 2, 3), Floats("b", 0.5, 1.5)},
+		Axes:     []Axis{Ints("a", 1, 2, 3), {Name: "b", Values: []string{"0.5", "1.5"}}},
 		Reps:     16,
 		BaseSeed: 100,
 	}
@@ -240,7 +253,7 @@ func TestRerunReproducesDigests(t *testing.T) {
 	d := fakeDesign()
 	first := mustRun(t, d, WithWorkers(4))
 	second := mustRun(t, d, WithWorkers(2))
-	dg1, dg2 := first.Digests(), second.Digests()
+	dg1, dg2 := digests(first), digests(second)
 	if len(dg1) != len(dg2) || len(dg1) != first.Total {
 		t.Fatalf("digest audit sizes: %d vs %d (total %d)", len(dg1), len(dg2), first.Total)
 	}
@@ -358,7 +371,10 @@ func TestPanicBecomesFailedRow(t *testing.T) {
 	if got := rep.FailedCount(); got != 4 {
 		t.Fatalf("failed rows = %d, want 4", got)
 	}
-	for _, row := range rep.Failed() {
+	for _, row := range rep.Rows {
+		if row.Err == "" {
+			continue
+		}
 		if row.Label != "n=2" || row.Err != "scenario fake-panic: panic: poisoned cell" {
 			t.Errorf("unexpected failed row %+v", row)
 		}

@@ -95,9 +95,6 @@ func (w *World) Kernel() *sim.Kernel { return w.kernel }
 // Env returns the physical environment (noise, propagation).
 func (w *World) Env() *env.Environment { return w.env }
 
-// Plan returns the floor plan.
-func (w *World) Plan() *geo.FloorPlan { return w.plan }
-
 // Medium returns the shared radio medium.
 func (w *World) Medium() *radio.Medium { return w.medium }
 
@@ -128,16 +125,9 @@ func (w *World) RunFor(d sim.Time) uint64 { return w.kernel.RunFor(d) }
 // RunUntil advances the world to the absolute virtual time t.
 func (w *World) RunUntil(t sim.Time) uint64 { return w.kernel.RunUntil(t) }
 
-// Run drains the event queue (until Stop or exhaustion).
-func (w *World) Run() uint64 { return w.kernel.Run() }
-
 // Step executes the single earliest pending event; it reports whether an
 // event was executed.
 func (w *World) Step() bool { return w.kernel.Step() }
-
-// Stop makes the in-flight RunFor/RunUntil/Run return after the current
-// event completes. Pending events remain queued.
-func (w *World) Stop() { w.kernel.Stop() }
 
 // Schedule queues fn to run after delay d. The returned handle is a
 // small value; pass it to the kernel's Cancel to deschedule.
@@ -170,12 +160,6 @@ func (w *World) Link(a, b string) {
 
 // Devices returns the world's devices in creation order.
 func (w *World) Devices() []*Device { return w.devices }
-
-// Users returns the world's users in creation order.
-func (w *World) Users() []*User { return w.users }
-
-// Device returns the named device, or nil.
-func (w *World) Device(name string) *Device { return w.byName[name] }
 
 // System assembles the current LPC system description: every device and
 // user entity, the declared links, the environment, the medium, and the
@@ -220,11 +204,11 @@ func (w *World) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func (w *World) checkName(kind, name string) {
+func (w *World) checkName(name string) {
 	if name == "" {
-		panic(fmt.Sprintf("aroma: %s name must not be empty", kind))
+		panic("aroma: device name must not be empty")
 	}
 	if _, dup := w.byName[name]; dup {
-		panic(fmt.Sprintf("aroma: duplicate %s name %q", kind, name))
+		panic(fmt.Sprintf("aroma: duplicate device name %q", name))
 	}
 }

@@ -17,7 +17,7 @@ func TestNewWorldDefaults(t *testing.T) {
 	if w.Name() != "world" {
 		t.Errorf("default name = %q, want world", w.Name())
 	}
-	b := w.Plan().Bounds
+	b := w.plan.Bounds
 	if b.Width() != 30 || b.Height() != 20 {
 		t.Errorf("default arena = %.0fx%.0f, want 30x20", b.Width(), b.Height())
 	}
@@ -38,7 +38,7 @@ func TestNewWorldOptions(t *testing.T) {
 	if w.Name() != "lab" {
 		t.Errorf("name = %q, want lab", w.Name())
 	}
-	b := w.Plan().Bounds
+	b := w.plan.Bounds
 	if b.Width() != 100 || b.Height() != 50 {
 		t.Errorf("arena = %.0fx%.0f, want 100x50", b.Width(), b.Height())
 	}
@@ -82,17 +82,13 @@ func TestAddDeviceAutoWiring(t *testing.T) {
 	if d.Radio().Pos != Pt(25, 10) {
 		t.Errorf("radio pos = %v", d.Radio().Pos)
 	}
-	if w.Device("projector") != d {
-		t.Error("Device lookup by name failed")
+	if d.Entity().AppState["power"] != "off" {
+		t.Error("WithAppState did not set app state")
 	}
 
 	d.SetPos(Pt(1, 1))
 	if d.Radio().Pos != Pt(1, 1) || d.Entity().Pos != Pt(1, 1) {
 		t.Error("SetPos did not keep radio and entity in sync")
-	}
-	d.SetState("power", "on")
-	if d.Entity().AppState["power"] != "on" {
-		t.Error("SetState did not update app state")
 	}
 }
 
@@ -139,8 +135,8 @@ func TestAddUserOptions(t *testing.T) {
 	if v, ok := u.U().Mental.Belief("projecting"); !ok || v != "true" {
 		t.Error("belief not seeded")
 	}
-	if !u.Entity().UsesVoice || len(u.Entity().Operates) != 1 {
-		t.Errorf("entity = %+v", u.Entity())
+	if !u.entity.UsesVoice || len(u.entity.Operates) != 1 {
+		t.Errorf("entity = %+v", u.entity)
 	}
 	// Default faculties are the casual audience.
 	d := w.AddUser("bob", Pt(0, 0))
