@@ -33,8 +33,13 @@ func BenchmarkSaturatedChannel(b *testing.B) {
 	}
 }
 
-// BenchmarkUnicastRoundTrip measures the cost of one clean
-// data+ACK exchange.
+// exchangesPerOp is the number of data+ACK exchanges one
+// BenchmarkUnicastRoundTrip op runs: enough that one allocation per
+// exchange lifts allocs/op above the benchmark gate's jitter floor.
+const exchangesPerOp = 64
+
+// BenchmarkUnicastRoundTrip measures the cost of clean data+ACK
+// exchanges on a warmed pair, exchangesPerOp of them per op.
 func BenchmarkUnicastRoundTrip(b *testing.B) {
 	k := sim.New(1)
 	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
@@ -42,15 +47,27 @@ func BenchmarkUnicastRoundTrip(b *testing.B) {
 	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
 	c := m.AddStation(med.NewRadio("b", geo.Pt(5, 0), 6, 15))
+	acked := 0
+	done := func(r SendResult) {
+		if r.OK {
+			acked++
+		}
+	}
+	exchange := func() {
+		for j := 0; j < exchangesPerOp; j++ {
+			_ = a.Send(c.Addr(), 8000, nil, done)
+			for k.Step() {
+			}
+		}
+	}
+	exchange() // warm the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		done := false
-		_ = a.Send(c.Addr(), 8000, nil, func(SendResult) { done = true })
-		for k.Step() {
-		}
-		if !done {
-			b.Fatal("send never resolved")
-		}
+		exchange()
+	}
+	b.StopTimer()
+	if acked != (b.N+1)*exchangesPerOp {
+		b.Fatalf("%d of %d sends acknowledged", acked, (b.N+1)*exchangesPerOp)
 	}
 }

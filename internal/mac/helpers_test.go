@@ -4,4 +4,4 @@ package mac
 // live here rather than in the package's API.
 
 // QueueLen returns the number of frames waiting (excluding in-flight).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return s.queued() }

@@ -90,6 +90,7 @@ type MAC struct {
 	nextAddr Addr
 	seq      uint64
 	ackFree  []*pendingAck // recycled SIFS-ack records
+	acksOut  []*pendingAck // fired ACKs whose delivery may not have ended
 	jobFree  []*txJob      // recycled contention jobs (see finishJob)
 
 	// MAC-wide aggregate stats, maintained alongside the per-station
@@ -123,7 +124,11 @@ type Station struct {
 	radio *radio.Radio
 	addr  Addr
 
+	// queue[head:] are the frames waiting behind current. Dequeueing
+	// advances head, so the array keeps its capacity for Send's append;
+	// it is compacted when it empties (dequeue) or fills (Send).
 	queue   []*txJob
+	head    int
 	current *txJob
 
 	// lastSeq tracks the highest data-frame sequence delivered per
@@ -246,6 +251,14 @@ func (s *Station) Send(dst Addr, bits int, payload any, done func(SendResult)) e
 		cw:    CWMin,
 		done:  done,
 	}
+	if len(s.queue) == cap(s.queue) && 2*s.head >= len(s.queue) && s.head > 0 {
+		// At least half the array is dequeued slots: reuse them
+		// rather than grow. Each copy follows as many dequeues as it
+		// moves jobs, so a dequeue costs O(1) amortized.
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
 	s.queue = append(s.queue, job)
 	if s.current == nil {
 		s.dequeue()
@@ -253,17 +266,18 @@ func (s *Station) Send(dst Addr, bits int, payload any, done func(SendResult)) e
 	return nil
 }
 
+// queued returns the number of frames waiting behind current.
+func (s *Station) queued() int { return len(s.queue) - s.head }
+
 func (s *Station) dequeue() {
-	if len(s.queue) == 0 {
+	if s.head == len(s.queue) {
 		s.current = nil
+		s.queue, s.head = s.queue[:0], 0 // keep the array: the next Send appends into it
 		return
 	}
-	s.current = s.queue[0]
-	if len(s.queue) == 1 {
-		s.queue = s.queue[:0] // keep the array: the next Send appends into it
-	} else {
-		s.queue = s.queue[1:]
-	}
+	s.current = s.queue[s.head]
+	s.queue[s.head] = nil
+	s.head++
 	s.defer_(s.current)
 }
 
@@ -407,29 +421,52 @@ func (s *Station) deliverUp(frame Frame) {
 }
 
 // pendingAck is one SIFS-deferred ACK, recycled through MAC.ackFree so
-// the per-ack timer allocates nothing. The record is released as soon
-// as it fires; the ACK goes on the air as its own Frame, which is the
-// one allocation an ACK costs.
+// an ACK allocates nothing: its record is the timer's argument, and the
+// ACK goes on the air as &frame. A fired record therefore waits on
+// MAC.acksOut until its delivery has ended. Every ACK has the same air
+// time (AckBits at Rates[0]), so ACKs leave the air in the order they
+// fired and acksOut is sorted by end.
 type pendingAck struct {
 	s     *Station
 	frame Frame
+	end   sim.Time // when the fired ACK leaves the air
 }
 
 func firePendingAck(a any) {
 	pa := a.(*pendingAck)
 	s := pa.s
-	ack := pa.frame
-	if _, err := s.mac.medium.Transmit(s.radio, AckBits, radio.Rates[0], &ack); err == nil {
-		s.SentAcks++
-		s.mac.SentAcks++
-	}
 	pa.s = nil
-	s.mac.ackFree = append(s.mac.ackFree, pa)
+	tx, err := s.mac.medium.Transmit(s.radio, AckBits, radio.Rates[0], &pa.frame)
+	if err != nil {
+		s.mac.ackFree = append(s.mac.ackFree, pa) // never on the air
+		return
+	}
+	s.SentAcks++
+	s.mac.SentAcks++
+	pa.end = tx.End
+	s.mac.acksOut = append(s.mac.acksOut, pa)
+}
+
+// reclaimAcks moves the fired ACKs whose delivery has ended to ackFree.
+// A delivery runs at its transmission's end, possibly after the event
+// calling this at the same instant, so only an end before now is past.
+func (m *MAC) reclaimAcks() {
+	now := m.kernel.Now()
+	i := 0
+	for i < len(m.acksOut) && m.acksOut[i].end < now {
+		i++
+	}
+	if i == 0 {
+		return
+	}
+	m.ackFree = append(m.ackFree, m.acksOut[:i]...)
+	m.acksOut = m.acksOut[:copy(m.acksOut, m.acksOut[i:])]
 }
 
 // sendAck transmits an immediate ACK after SIFS at the base rate,
 // bypassing contention as 802.11 does.
 func (s *Station) sendAck(data Frame) {
+	s.mac.reclaimAcks()
 	var pa *pendingAck
 	if n := len(s.mac.ackFree); n > 0 {
 		pa = s.mac.ackFree[n-1]
@@ -444,5 +481,5 @@ func (s *Station) sendAck(data Frame) {
 
 // String summarizes the station.
 func (s *Station) String() string {
-	return fmt.Sprintf("sta%d{q=%d sent=%d drops=%d}", s.addr, len(s.queue), s.SentData, s.Drops)
+	return fmt.Sprintf("sta%d{q=%d sent=%d drops=%d}", s.addr, s.queued(), s.SentData, s.Drops)
 }

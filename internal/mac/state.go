@@ -40,7 +40,7 @@ func (m *MAC) ExportState() State {
 	for _, s := range m.stations {
 		ss := StationState{
 			Addr:         s.addr,
-			Queued:       len(s.queue),
+			Queued:       s.queued(),
 			InFlight:     s.current != nil,
 			SentData:     s.SentData,
 			SentAcks:     s.SentAcks,

@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"aroma/internal/mac"
+	"aroma/internal/radio"
 	"aroma/internal/sim"
 )
 
@@ -59,8 +60,11 @@ const (
 
 // packet is the wire unit carried as the MAC frame payload. Every
 // fragment of a message carries the whole message in Data; FragIdx and
-// FragCnt say which MTU-sized part of it the frame's bits stand for. The
-// struct is boxed into every MAC frame, so it is kept to 64 bytes.
+// FragCnt say which MTU-sized part of it the frame's bits stand for.
+// Each fragment's frame carries its own *packet, taken from the sending
+// node's free list and returned when that fragment's link result comes
+// back (see sendFragmented), so a receiver copies it before anything
+// else. It is kept to 64 bytes, one size class.
 type packet struct {
 	Kind    kind
 	Src     Addr
@@ -130,9 +134,17 @@ type Node struct {
 	pending    map[uint64]*pendingCall
 	unsent     []unsentResponse // responses whose sent has not run
 
-	// linkDone is onLinkResult, bound once so that sending a message
-	// allocates no closure.
+	// Recycled records, so that a warmed message, call or reassembly
+	// allocates nothing. They are not model state: which record serves
+	// a message changes no event, draw or export.
+	packetFree []*packet
+	callFree   []*pendingCall
+	reasmFree  []*reasmState
+
+	// linkDone is onLinkResult and linkFree is releaseFrame, bound once
+	// so that sending a message allocates no closure.
 	linkDone func(mac.SendResult)
+	linkFree func(mac.SendResult)
 
 	// MTU is the fragmentation threshold in payload bytes.
 	MTU int
@@ -178,6 +190,7 @@ func (n *Network) NewNode(name string, st *mac.Station) *Node {
 		MTU:         DefaultMTU,
 	}
 	node.linkDone = node.onLinkResult
+	node.linkFree = node.releaseFrame
 	n.nodes[st.Addr()] = node
 	st.OnReceive = node.onFrame
 	return node
@@ -208,6 +221,24 @@ var ErrTimeout = errors.New("netsim: call timed out")
 // ErrLinkFailed is reported when the link layer gives up on a fragment.
 var ErrLinkFailed = errors.New("netsim: link-layer send failed")
 
+// The link failures for the causes the link layer reports, built once
+// so that a failing call allocates no error.
+var (
+	errLinkRetries = fmt.Errorf("%w: %v", ErrLinkFailed, mac.ErrTooManyRetries)
+	errLinkDown    = fmt.Errorf("%w: %v", ErrLinkFailed, radio.ErrRadioDown)
+)
+
+// linkError wraps a fragment's link-layer failure in ErrLinkFailed.
+func linkError(cause error) error {
+	switch cause {
+	case mac.ErrTooManyRetries:
+		return errLinkRetries
+	case radio.ErrRadioDown:
+		return errLinkDown
+	}
+	return fmt.Errorf("%w: %v", ErrLinkFailed, cause)
+}
+
 // SendDatagram sends an unreliable datagram (fragmenting if needed).
 func (nd *Node) SendDatagram(dst Addr, port Port, data []byte) {
 	nd.net.DatagramsSent++
@@ -237,7 +268,14 @@ func (nd *Node) Call(dst Addr, port Port, req []byte, timeout sim.Time, done fun
 	nd.net.CallsStarted++
 	nd.net.msgSeq++
 	id := nd.net.msgSeq
-	pc := &pendingCall{node: nd, id: id, done: done}
+	var pc *pendingCall
+	if n := len(nd.callFree); n > 0 {
+		pc = nd.callFree[n-1]
+		nd.callFree = nd.callFree[:n-1]
+	} else {
+		pc = &pendingCall{}
+	}
+	*pc = pendingCall{node: nd, id: id, done: done}
 	pc.timeout = nd.net.kernel.ScheduleFn(timeout, "net.callTimeout", callTimedOut, pc)
 	nd.pending[id] = pc
 	nd.sendFragmented(packet{
@@ -246,10 +284,33 @@ func (nd *Node) Call(dst Addr, port Port, req []byte, timeout sim.Time, done fun
 	}, nd.linkDone)
 }
 
+// finishCall removes a Call from pending and recycles its record,
+// returning its done. The caller runs done afterwards: done may Call
+// again and take this very record.
+func (nd *Node) finishCall(pc *pendingCall) func([]byte, error) {
+	delete(nd.pending, pc.id)
+	done := pc.done
+	*pc = pendingCall{}
+	nd.callFree = append(nd.callFree, pc)
+	return done
+}
+
+// releaseFrame recycles a fragment's packet once its link result is
+// in. The station reports a frame's result once, after the last
+// transmission of it has left the air (mac's finishJob), and every
+// receiver copied the packet on delivery, so nothing reads the record
+// again.
+func (nd *Node) releaseFrame(res mac.SendResult) {
+	fp := res.Frame.Payload.(*packet)
+	*fp = packet{}
+	nd.packetFree = append(nd.packetFree, fp)
+}
+
 // onLinkResult receives the link result of every fragment of the
 // node's requests, and of its responses whose handler asked for sent.
 func (nd *Node) onLinkResult(res mac.SendResult) {
-	p := res.Frame.Payload.(packet)
+	p := *res.Frame.Payload.(*packet)
+	nd.releaseFrame(res)
 	switch p.Kind {
 	case kindRequest:
 		// The link layer gave up on a fragment: fail the call early.
@@ -261,11 +322,10 @@ func (nd *Node) onLinkResult(res mac.SendResult) {
 		if !ok {
 			return
 		}
-		delete(nd.pending, p.MsgID)
 		nd.net.kernel.Cancel(pc.timeout)
 		nd.net.CallsTimedOut++
-		if pc.done != nil {
-			pc.done(nil, fmt.Errorf("%w: %v", ErrLinkFailed, res.Err))
+		if done := nd.finishCall(pc); done != nil {
+			done(nil, linkError(res.Err))
 		}
 	case kindResponse:
 		// The last fragment's result is the message's last.
@@ -286,19 +346,23 @@ func (nd *Node) onLinkResult(res mac.SendResult) {
 func callTimedOut(arg any) {
 	pc := arg.(*pendingCall)
 	nd := pc.node
-	delete(nd.pending, pc.id)
 	nd.net.CallsTimedOut++
-	if pc.done != nil {
-		pc.done(nil, ErrTimeout)
+	if done := nd.finishCall(pc); done != nil {
+		done(nil, ErrTimeout)
 	}
 }
 
 // sendFragmented splits a packet into MTU-sized fragments and queues them
 // on the MAC. Every fragment carries the whole message; its bits are
-// those of its own MTU-sized part. done, if non-nil, receives every
-// fragment's link result. The station finishes its frames in FIFO
+// those of its own MTU-sized part. Each fragment's frame carries a
+// recycled *packet, which its link result releases: done, if non-nil,
+// receives every fragment's link result and releases it itself, and
+// otherwise releaseFrame does. The station finishes its frames in FIFO
 // order, so the last fragment's result comes last.
 func (nd *Node) sendFragmented(p packet, done func(mac.SendResult)) {
+	if done == nil {
+		done = nd.linkFree
+	}
 	mtu := nd.MTU
 	if mtu <= 0 {
 		mtu = DefaultMTU
@@ -306,20 +370,29 @@ func (nd *Node) sendFragmented(p packet, done func(mac.SendResult)) {
 	n := len(p.Data)
 	p.FragCnt = max(1, (n+mtu-1)/mtu)
 	for i := 0; i < p.FragCnt; i++ {
-		p.FragIdx = i
+		var fp *packet
+		if k := len(nd.packetFree); k > 0 {
+			fp = nd.packetFree[k-1]
+			nd.packetFree = nd.packetFree[:k-1]
+		} else {
+			fp = new(packet)
+		}
+		*fp = p
+		fp.FragIdx = i
 		bits := (min(n-i*mtu, mtu) + headerBytes) * 8
 		// bits counts the header, so it is never zero, and a zero
 		// payload is the only thing Send refuses.
-		_ = nd.station.Send(p.Dst, bits, p, done)
+		_ = nd.station.Send(p.Dst, bits, fp, done)
 	}
 }
 
 // onFrame handles a delivered MAC frame.
 func (nd *Node) onFrame(f mac.Frame) {
-	p, ok := f.Payload.(packet)
+	fp, ok := f.Payload.(*packet)
 	if !ok {
 		return
 	}
+	p := *fp // the sender recycles the record after the delivery
 	if p.Kind == kindMulticast && !nd.groups[p.Group] {
 		return
 	}
@@ -352,11 +425,10 @@ func (nd *Node) onFrame(f mac.Frame) {
 		if !ok {
 			return // late response after timeout
 		}
-		delete(nd.pending, p.MsgID)
 		nd.net.kernel.Cancel(pc.timeout)
 		nd.net.CallsCompleted++
-		if pc.done != nil {
-			pc.done(data, nil)
+		if done := nd.finishCall(pc); done != nil {
+			done(data, nil)
 		}
 	}
 }
@@ -369,15 +441,29 @@ func (nd *Node) onFrame(f mac.Frame) {
 // its frames from one FIFO queue, so two messages' fragments never
 // interleave at a receiver: a fragment of a new message from a source
 // means the previous one lost a fragment and can never complete, and
-// it is dropped.
+// it is dropped. States are recycled through the node's free list.
 func (nd *Node) reassemble(p packet) ([]byte, bool) {
 	if p.FragCnt <= 1 {
 		return p.Data, true
 	}
 	st := nd.reassembly[p.Src]
 	if st == nil || st.msgID != p.MsgID {
-		st = &reasmState{msgID: p.MsgID, seen: make([]uint64, (p.FragCnt+63)/64), total: p.FragCnt}
-		nd.reassembly[p.Src] = st
+		if st == nil {
+			if n := len(nd.reasmFree); n > 0 {
+				st = nd.reasmFree[n-1]
+				nd.reasmFree = nd.reasmFree[:n-1]
+			} else {
+				st = &reasmState{}
+			}
+			nd.reassembly[p.Src] = st
+		}
+		words := (p.FragCnt + 63) / 64
+		if cap(st.seen) < words {
+			st.seen = make([]uint64, words)
+		}
+		st.seen = st.seen[:words]
+		clear(st.seen)
+		st.msgID, st.have, st.total = p.MsgID, 0, p.FragCnt
 	}
 	if p.FragIdx < 0 || p.FragIdx >= st.total {
 		return nil, false
@@ -392,5 +478,6 @@ func (nd *Node) reassemble(p packet) ([]byte, bool) {
 		return nil, false
 	}
 	delete(nd.reassembly, p.Src)
+	nd.reasmFree = append(nd.reasmFree, st)
 	return p.Data, true
 }

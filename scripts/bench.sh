@@ -3,7 +3,8 @@
 #
 # Runs the hot-path benchmarks (kernel event queue, dense/mobile radio
 # medium and carrier sense, grid cover churn, world-level dense PHY
-# fan-out, RFB tile streaming) at a statistically useful count, plus
+# fan-out, the MAC/netsim link path, RFB tile streaming) at a
+# statistically useful count, plus
 # every root figure/claim benchmark once, and folds the output into a
 # JSON record via cmd/benchgate. The checked-in BENCH_PR8.json was
 # produced by this script; CI re-runs the gated subset and compares
@@ -50,6 +51,12 @@ echo "== telemetry hot path (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench 'BenchmarkTelemetry' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/telemetry/ | tee -a "$tmp"
 
+echo "== link path: MAC unicast exchange, netsim call round trip (count=$count, benchtime=$benchtime)"
+go test -run '^$' -bench 'BenchmarkUnicastRoundTrip' -benchmem \
+    -count "$count" -benchtime "$benchtime" ./internal/mac/ | tee -a "$tmp"
+go test -run '^$' -bench 'BenchmarkCallRoundTrip' -benchmem \
+    -count "$count" -benchtime "$benchtime" ./internal/netsim/ | tee -a "$tmp"
+
 echo "== rfb streaming: encode, apply, fill, animate (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench '.' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/rfb/ | tee -a "$tmp"
@@ -60,4 +67,4 @@ if [[ "${SKIP_ROOT:-0}" != 1 ]]; then
 fi
 
 go run ./cmd/benchgate -emit "$out" -in "$tmp" \
-    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkMediumBusyDense*, BenchmarkGridCoverDense, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*, internal/rfb (all)"
+    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkMediumBusyDense*, BenchmarkGridCoverDense, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*, BenchmarkUnicastRoundTrip, BenchmarkCallRoundTrip, internal/rfb (all)"
