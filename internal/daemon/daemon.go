@@ -39,6 +39,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -314,7 +315,9 @@ const scrapeWait = 250 * time.Millisecond
 
 // handleMetrics serves the Prometheus text exposition: the server's
 // own host-plane instruments first, then every hosted world's registry
-// with a world="<id>" label, in world-ID order.
+// with a world="<id>" label, in world-ID order. Every part is rendered
+// into a buffer first, so the reply carries its Content-Length and a
+// client can read it into one buffer of the right size.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	hosts := make([]*host, 0, len(s.worlds))
@@ -324,14 +327,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].id < hosts[j].id })
 	bufs := s.scrapeWorlds(hosts)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
+	var server bytes.Buffer
+	s.reg.WritePrometheus(&server)
+	n := server.Len()
 	for i, h := range hosts {
 		if bufs[i] == nil {
-			fmt.Fprintf(w, "# world %s skipped: busy\n", h.id)
-			continue
+			bufs[i] = bytes.NewBufferString("# world " + h.id + " skipped: busy\n")
 		}
-		w.Write(bufs[i].Bytes())
+		n += bufs[i].Len()
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.Write(server.Bytes())
+	for _, b := range bufs {
+		w.Write(b.Bytes())
 	}
 }
 

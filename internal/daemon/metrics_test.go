@@ -2,10 +2,14 @@ package daemon_test
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"aroma/internal/daemon"
 	"aroma/internal/sim"
 	"aroma/pkg/aroma/client"
 	_ "aroma/pkg/aroma/scenarios"
@@ -229,5 +233,65 @@ func TestMetricsWorldLabelRoundTrips(t *testing.T) {
 	}
 	if got.String() != id {
 		t.Fatalf("world label reads back as %q, want %q (line %q)", got.String(), id, line)
+	}
+}
+
+// TestMetricsContentLength pins that /metrics states its length and
+// that the client reads back exactly the bytes served, whether or not
+// the reply states its length.
+func TestMetricsContentLength(t *testing.T) {
+	srv := daemon.New()
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	c := client.New(ts.URL)
+	c.SetHTTPClient(ts.Client())
+	ctx := context.Background()
+	for _, id := range []string{"a", "b"} {
+		if _, err := c.CreateWorld(ctx, client.CreateWorldRequest{ID: id, Scenario: "lab"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunFor(ctx, id, 5*sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) || resp.Header.Get("Content-Length") == "" {
+		t.Fatalf("Content-Length %d (header %q), body %d bytes",
+			resp.ContentLength, resp.Header.Get("Content-Length"), len(body))
+	}
+	if !strings.Contains(string(body), `world="b"`) {
+		t.Fatalf("/metrics has no world b:\n%s", body)
+	}
+	text, err := c.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != string(body) {
+		t.Fatalf("client text (%d bytes) differs from the served body (%d bytes)", len(text), len(body))
+	}
+
+	// A reply without a stated length (chunked) reads back whole too.
+	chunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		w.Write(body[len(body)/2:])
+	}))
+	t.Cleanup(chunked.Close)
+	cc := client.New(chunked.URL)
+	cc.SetHTTPClient(chunked.Client())
+	if text, err = cc.MetricsText(ctx); err != nil || text != string(body) {
+		t.Fatalf("chunked reply: err %v, %d bytes, want the %d served", err, len(text), len(body))
 	}
 }

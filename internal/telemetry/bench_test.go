@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"io"
+	"strconv"
 	"testing"
 )
 
@@ -46,6 +47,22 @@ func BenchmarkTelemetrySample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Sample(int64(i))
+	}
+}
+
+// BenchmarkTelemetryReserve measures the reservation a world makes
+// when telemetry is enabled: Reserve(1200), a 120 s horizon at the
+// 100 ms sampling period, on a fresh world-shaped registry. It
+// allocates one value column per sampled instrument plus one time
+// column per cohort (53 arrays); TestReserveBytesPerPoint pins that
+// count and 8 bytes per reserved point, plus size-class rounding.
+func BenchmarkTelemetryReserve(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := worldRegistry()
+		b.StartTimer()
+		r.Reserve(reservePoints)
 	}
 }
 
@@ -108,4 +125,26 @@ func promRegistry() (*Registry, Counter) {
 	r.HostCounter("host.sse_dropped_total").Add(7)
 	r.HostCounter("host.world_failures_total")
 	return r, c
+}
+
+// reservePoints is BenchmarkTelemetryReserve's reservation.
+const reservePoints = 1200
+
+// worldRegistry is shaped like a faulted world's registry: 52 sampled
+// instruments (38 counter funcs, 10 gauge funcs and 4 handle counters,
+// most labelled), all registered before the first sample, so they form
+// one cohort.
+func worldRegistry() *Registry {
+	r := New()
+	var n uint64
+	for i := 0; i < 38; i++ {
+		r.CounterFunc("world.events_total", func() uint64 { return n }, L("i", strconv.Itoa(i)))
+	}
+	for i := 0; i < 10; i++ {
+		r.GaugeFunc("world.depth", func() float64 { return float64(n) }, L("i", strconv.Itoa(i)))
+	}
+	for i := 0; i < 4; i++ {
+		r.Counter("trace.events_total", L("severity", strconv.Itoa(i)))
+	}
+	return r
 }

@@ -29,11 +29,16 @@ type Snapshot struct {
 }
 
 // Snapshot exports every instrument. Sim-plane values must be read on
-// the kernel goroutine; see the Registry threading contract. The
-// returned series share the registry's arrays without copying, and
-// later samples never change them.
+// the kernel goroutine; see the Registry threading contract. The series
+// are copied out of the registry's columns, all into one array, so
+// later samples and decimations never change them.
 func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 	s := &Snapshot{At: atNanos, Instruments: make([]InstrumentSnapshot, 0, len(r.insts))}
+	total := 0
+	for _, in := range r.insts {
+		total += len(in.vals)
+	}
+	pts := make([]Point, 0, total)
 	for _, in := range r.insts {
 		is := InstrumentSnapshot{
 			Name:  in.name,
@@ -46,13 +51,14 @@ func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 				is.Labels[l.Key] = l.Value
 			}
 		}
-		if n := len(in.series.pts); n > 0 {
-			// Zero-copy. The series appends past n, which the snapshot
-			// never reads, and once shared decimates into a fresh
-			// array; the capped slice stops the snapshot holder's own
-			// appends from writing into the live array.
-			is.Series = in.series.pts[:n:n]
-			in.series.shared = true
+		if len(in.vals) > 0 {
+			start := len(pts)
+			for i, v := range in.vals {
+				pts = append(pts, Point{T: in.co.t[i], V: v})
+			}
+			// The capped slice stops a holder's appends from writing
+			// into the next instrument's points.
+			is.Series = pts[start:len(pts):len(pts)]
 		}
 		s.Instruments = append(s.Instruments, is)
 	}

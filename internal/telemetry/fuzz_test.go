@@ -220,18 +220,21 @@ func (h *refHarness) check(t *testing.T, op int) {
 	t.Helper()
 	for i, in := range h.r.insts {
 		if h.refs[i] == nil {
-			if in.series.pts != nil {
+			if in.co != nil || in.vals != nil {
 				t.Fatalf("op %d: unsampled %s grew a series", op, in.name)
 			}
 			continue
 		}
-		got, want := in.series.pts, h.refs[i].pts
-		if !h.moved && len(got) == len(want) && len(got) > 0 {
-			got, want = got[len(got)-1:], want[len(want)-1:]
+		if len(in.vals) != len(in.co.t) {
+			t.Fatalf("op %d: %s has %d values for %d sample times", op, in.name, len(in.vals), len(in.co.t))
 		}
-		if !samePoints(got, want) {
+		want, from := h.refs[i].pts, 0
+		if !h.moved && len(in.vals) == len(want) && len(want) > 0 {
+			from = len(want) - 1
+		}
+		if !samePoints(points(in, from), want[from:]) {
 			t.Fatalf("op %d: %s series (%d points) differs from the reference (%d points)",
-				op, in.name, len(in.series.pts), len(h.refs[i].pts))
+				op, in.name, len(in.vals), len(want))
 		}
 	}
 	if !h.moved {

@@ -36,3 +36,13 @@ func (s *Snapshot) Value(name string) (float64, bool) {
 	}
 	return 0, false
 }
+
+// points zips a sampled instrument's value column with its cohort's
+// time column, from index from on.
+func points(in *instrument, from int) []Point {
+	pts := make([]Point, 0, len(in.vals)-from)
+	for i := from; i < len(in.vals); i++ {
+		pts = append(pts, Point{T: in.co.t[i], V: in.vals[i]})
+	}
+	return pts
+}

@@ -36,16 +36,20 @@
 //
 // # Memory
 //
-// A registry allocates what it keeps, once. Reserve gives every sampled
-// series a single point array sized to the samples the run will take
-// before its horizon (at most maxPoints), so sampling never regrows a
-// series and decimation compacts within the same array. A Snapshot
-// shares those arrays instead of copying them, and stays immutable once
-// taken: the next decimation of a shared series compacts into a fresh
-// array. WritePrometheus caches the static part of its output — line
-// order, # TYPE headers, names and rendered labels — per common-label
-// set, so a steady-state scrape only formats values into a reused
-// buffer.
+// A registry allocates what it keeps, once. Series are columnar: each
+// sampled instrument keeps a values-only column, and each sampling
+// cohort — the instruments registered between two Sample calls, which
+// are sampled at the same instants and decimated alike — shares one
+// sample-time column. A world has one cohort, plus one more when an
+// instrument registers after sampling began (a fault plan armed on a
+// running world). Reserve sizes every column to the samples the run
+// will take before its horizon (at most maxPoints), so sampling never
+// regrows a column and decimation compacts each in place. Snapshot
+// zips the columns into fresh points, so a snapshot is immutable by
+// construction and costs a copy of every series. WritePrometheus caches
+// the static part of its output — line order, # TYPE headers, names
+// and rendered labels — per common-label set, so a steady-state scrape
+// only formats values into a reused buffer.
 //
 // # Naming scheme
 //
@@ -115,38 +119,46 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
-// series is a bounded, deterministically decimated point list.
-type series struct {
-	pts    []Point
-	stride uint64 // record every stride-th sample; 1 at registration, doubles on decimation
-	phase  uint64 // samples seen modulo nothing; compared against stride
-	shared bool   // pts is aliased by a Snapshot: decimate into a fresh array
+// cohort is one sampling cohort: the sample-time column shared by
+// every instrument registered between two Sample calls. Its members
+// saw the same samples since registration, so one stride and phase
+// decimate them all alike.
+type cohort struct {
+	t       []int64 // sample times, parallel to every member's values
+	stride  uint64  // record every stride-th sample; 1 at registration, doubles on decimation
+	phase   uint64  // samples seen since registration; compared against stride
+	members []*instrument
 }
 
-// add records one sample. Sample calls it for every instrument on every
-// tick, so it is kept small enough for the compiler to inline.
-func (s *series) add(t int64, v float64) {
-	s.phase++
-	if s.phase%s.stride != 0 {
+// sample records one sampler tick at time t for every member. When the
+// columns are full it first keeps their odd positions: with the stride
+// doubling, the retained points are exactly the samples a fresh series
+// with the doubled stride would have kept.
+func (c *cohort) sample(r *Registry, t int64) {
+	c.phase++
+	if c.phase%c.stride != 0 {
 		return
 	}
-	if len(s.pts) >= maxPoints {
-		// Keep odd positions: with the stride doubling below, the
-		// retained points are exactly the samples a fresh series with
-		// the doubled stride would have kept. A Snapshot's array must
-		// never change under it, so a shared series compacts into a
-		// fresh one.
-		kept := s.pts[:0]
-		if s.shared {
-			kept, s.shared = make([]Point, 0, maxPoints), false
+	if len(c.t) >= maxPoints {
+		c.t = decimate(c.t)
+		for _, in := range c.members {
+			in.vals = decimate(in.vals)
 		}
-		for i := 1; i < len(s.pts); i += 2 {
-			kept = append(kept, s.pts[i])
-		}
-		s.pts = kept
-		s.stride *= 2
+		c.stride *= 2
 	}
-	s.pts = append(s.pts, Point{T: t, V: v})
+	c.t = append(c.t, t)
+	for _, in := range c.members {
+		in.vals = append(in.vals, r.scalar(in))
+	}
+}
+
+// decimate keeps a column's odd positions, in place.
+func decimate[E any](col []E) []E {
+	kept := col[:0]
+	for i := 1; i < len(col); i += 2 {
+		kept = append(kept, col[i])
+	}
+	return kept
 }
 
 // instrument is one registered metric.
@@ -158,7 +170,8 @@ type instrument struct {
 	cfn    func() uint64  // kindCounterFunc
 	gfn    func() float64 // kindGaugeFunc
 	hc     *HostCounter
-	series series
+	co     *cohort   // sampled kinds: the cohort whose times vals pairs with
+	vals   []float64 // sampled kinds: the value column, parallel to co.t
 }
 
 // Registry is a per-world instrument registry.
@@ -174,8 +187,9 @@ type instrument struct {
 type Registry struct {
 	counters []uint64
 	insts    []*instrument
+	cohorts  []*cohort       // in registration order; the last may not have sampled yet
 	names    map[string]bool // identity keys, duplicate registration guard
-	reserve  int             // point capacity of every sampled series (Reserve)
+	reserve  int             // point capacity of every column (Reserve)
 
 	promMu sync.Mutex
 	prom   promSkeleton // guarded by promMu
@@ -212,33 +226,57 @@ func (r *Registry) register(in *instrument) *instrument {
 		panic("telemetry: duplicate instrument " + id)
 	}
 	r.names[id] = true
-	in.series.stride = 1
-	if in.kind.sampled() && r.reserve > 0 {
-		in.series.pts = make([]Point, 0, r.reserve)
+	if in.kind.sampled() {
+		r.join(in)
 	}
 	r.insts = append(r.insts, in)
 	return in
 }
 
-// Reserve sizes every sampled series for n more points (capped at
-// maxPoints, the most a series ever holds), and gives instruments
-// registered later the same capacity. Called once with the number of
-// samples a run will take before its horizon, it makes sampling
-// allocation-free: a series then never regrows, and decimation compacts
-// in place. A run past the reserved count just appends, as an
-// unreserved registry does. Reserve never shrinks a series.
+// join adds a sampled instrument to the cohort that has not sampled
+// yet, starting one when every cohort already has.
+func (r *Registry) join(in *instrument) {
+	var c *cohort
+	if n := len(r.cohorts); n > 0 && r.cohorts[n-1].phase == 0 {
+		c = r.cohorts[n-1]
+	} else {
+		c = &cohort{stride: 1}
+		if r.reserve > 0 {
+			c.t = make([]int64, 0, r.reserve)
+		}
+		r.cohorts = append(r.cohorts, c)
+	}
+	if cap(c.t) > 0 {
+		in.vals = make([]float64, 0, cap(c.t))
+	}
+	in.co = c
+	c.members = append(c.members, in)
+}
+
+// Reserve sizes every column for n more points (capped at maxPoints,
+// the most a column ever holds), and gives instruments registered later
+// the same capacity. Called once with the number of samples a run will
+// take before its horizon, it makes sampling allocation-free: a column
+// then never regrows, and decimation compacts in place. A run past the
+// reserved count just appends, as an unreserved registry does. Reserve
+// never shrinks a column.
 func (r *Registry) Reserve(n int) {
 	r.reserve = min(n, maxPoints)
-	for _, in := range r.insts {
-		s := &in.series
-		c := min(len(s.pts)+n, maxPoints)
-		if !in.kind.sampled() || c <= cap(s.pts) {
+	for _, c := range r.cohorts {
+		size := min(len(c.t)+n, maxPoints)
+		if size <= cap(c.t) {
 			continue
 		}
-		pts := make([]Point, len(s.pts), c)
-		copy(pts, s.pts)
-		s.pts, s.shared = pts, false
+		c.t = grow(c.t, size)
+		for _, in := range c.members {
+			in.vals = grow(in.vals, size)
+		}
 	}
+}
+
+// grow returns col copied into a new array of capacity size.
+func grow[E any](col []E, size int) []E {
+	return append(make([]E, 0, size), col...)
 }
 
 // hasSuffix avoids importing strings into the hot-path file's mental
@@ -284,11 +322,8 @@ func (r *Registry) HostCounter(name string, labels ...Label) *HostCounter {
 // run on the kernel goroutine; the world's kernel sampler calls it on a
 // fixed virtual-time period.
 func (r *Registry) Sample(atNanos int64) {
-	for _, in := range r.insts {
-		if !in.kind.sampled() {
-			continue
-		}
-		in.series.add(atNanos, r.scalar(in))
+	for _, c := range r.cohorts {
+		c.sample(r, atNanos)
 	}
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -212,9 +213,9 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 // TestSnapshotIsImmutable pins that a snapshot's series never change
-// after it is taken, even when the live series decimates: decimation
-// of a series a snapshot shares compacts into a fresh array. Reserved
-// and unreserved registries must both hold.
+// after it is taken, even when the live columns decimate in place: a
+// snapshot copies its points out. Reserved and unreserved registries
+// must both hold.
 func TestSnapshotIsImmutable(t *testing.T) {
 	for _, reserve := range []int{0, maxPoints} {
 		r := New()
@@ -247,41 +248,113 @@ func TestSnapshotIsImmutable(t *testing.T) {
 }
 
 // TestReserveSizesSeriesOnce pins the reservation contract: every
-// sampled series, including ones registered after Reserve, gets one
-// array of min(n, maxPoints) points that sampling never replaces —
-// decimation compacts within it.
+// sampled instrument's value column and its cohort's time column,
+// including ones registered after Reserve, get one array of
+// min(n, maxPoints) points that sampling never replaces — decimation
+// compacts within it.
 func TestReserveSizesSeriesOnce(t *testing.T) {
 	r := New()
 	r.Counter("k.a_total")
 	r.HostCounter("host.x_total")
 	r.Reserve(10)
 	r.GaugeFunc("k.late", func() float64 { return 0 })
+	if len(r.cohorts) != 1 {
+		t.Fatalf("%d cohorts before the first sample, want 1", len(r.cohorts))
+	}
 	for _, in := range r.insts {
 		want := 10
 		if !in.kind.sampled() {
 			want = 0
 		}
-		if got := cap(in.series.pts); got != want {
+		if got := cap(in.vals); got != want {
 			t.Fatalf("%s: cap %d, want %d", in.name, got, want)
 		}
 	}
+	if got := cap(r.cohorts[0].t); got != 10 {
+		t.Fatalf("time column: cap %d, want 10", got)
+	}
 	r.Reserve(3 * maxPoints)
-	arrays := make([]*Point, len(r.insts))
+	arrays := make([]*float64, len(r.insts))
 	for i, in := range r.insts {
 		if in.kind.sampled() {
-			if cap(in.series.pts) != maxPoints {
-				t.Fatalf("%s: cap %d after a large reservation, want %d", in.name, cap(in.series.pts), maxPoints)
+			if cap(in.vals) != maxPoints {
+				t.Fatalf("%s: cap %d after a large reservation, want %d", in.name, cap(in.vals), maxPoints)
 			}
-			arrays[i] = &in.series.pts[:1][0]
+			arrays[i] = &in.vals[:1][0]
 		}
 	}
+	times := &r.cohorts[0].t[:1][0]
 	for i := 1; i <= 3*maxPoints; i++ {
 		r.Sample(int64(i))
 	}
 	for i, in := range r.insts {
-		if in.kind.sampled() && &in.series.pts[:1][0] != arrays[i] {
-			t.Fatalf("%s: series array replaced while sampling a reserved run", in.name)
+		if in.kind.sampled() && &in.vals[:1][0] != arrays[i] {
+			t.Fatalf("%s: value column replaced while sampling a reserved run", in.name)
 		}
+	}
+	if &r.cohorts[0].t[:1][0] != times {
+		t.Fatalf("time column replaced while sampling a reserved run")
+	}
+}
+
+// TestReserveBytesPerPoint pins the columnar layout's footprint on
+// BenchmarkTelemetryReserve's reservation: one array per sampled
+// instrument plus one per cohort, at 8 bytes per reserved point plus
+// the allocator's size-class rounding (under 1/8 at these sizes) — a
+// (time, value) point per instrument costs 16. It reads the allocator's
+// counters around one Reserve, as testing.AllocsPerRun does, where
+// testing.Benchmark would take seconds.
+func TestReserveBytesPerPoint(t *testing.T) {
+	r := worldRegistry()
+	arrays := uint64(len(r.insts) + len(r.cohorts))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.Reserve(reservePoints)
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != arrays {
+		t.Errorf("Reserve allocates %d arrays, want %d (%d value columns plus %d time columns)",
+			got, arrays, len(r.insts), len(r.cohorts))
+	}
+	if got, want := after.TotalAlloc-before.TotalAlloc, 9*reservePoints*arrays; got > want {
+		t.Errorf("Reserve(%d) into %d arrays allocates %d B (%.2f B per point), want at most %d",
+			reservePoints, arrays, got, float64(got)/float64(reservePoints*arrays), want)
+	}
+}
+
+// TestLateCohortMatchesReference registers instruments after 3,000
+// samples — a second cohort, whose phase starts at its registration —
+// and requires every series, old and late, to equal the reference
+// series point for point across the decimations that follow.
+func TestLateCohortMatchesReference(t *testing.T) {
+	h := &refHarness{r: New()}
+	h.r.Reserve(1000)
+	var early, late uint64
+	h.r.CounterFunc("early.n_total", func() uint64 { return early })
+	h.refs = append(h.refs, &refSeries{})
+	tick := func() {
+		early++
+		late += 3
+		h.sample()
+	}
+	for i := 0; i < 3000; i++ {
+		tick()
+	}
+	h.r.CounterFunc("late.n_total", func() uint64 { return late })
+	h.r.GaugeFunc("late.g", func() float64 { return float64(late) / 2 })
+	h.refs = append(h.refs, &refSeries{}, &refSeries{})
+	if len(h.r.cohorts) != 2 {
+		t.Fatalf("%d cohorts, want 2", len(h.r.cohorts))
+	}
+	for i := 0; i < 5000; i++ {
+		tick()
+	}
+	for i, in := range h.r.insts {
+		if got, want := points(in, 0), h.refs[i].pts; !samePoints(got, want) {
+			t.Fatalf("%s: %d points differ from the reference's %d", in.name, len(got), len(want))
+		}
+	}
+	if a, b := len(h.r.insts[0].vals), len(h.r.insts[1].vals); a == b {
+		t.Fatalf("early and late series both hold %d points: the late cohort decimated with the early one", a)
 	}
 }
 

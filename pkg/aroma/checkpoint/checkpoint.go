@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"aroma/internal/sim"
 	"aroma/pkg/aroma"
@@ -94,11 +95,17 @@ func Decode(data []byte) (*Image, error) {
 // can keep driving the world to its horizon and compute its end-of-run
 // Result.
 func RestoreBuilt(data []byte) (*scenario.Built, error) {
+	return restore(data, nil)
+}
+
+// restore is RestoreBuilt with the rebuilt world narrating to out (nil
+// discards the narration).
+func restore(data []byte, out io.Writer) (*scenario.Built, error) {
 	img, err := Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	b, err := replay(img.Provenance, img.Now)
+	b, err := replay(img.Provenance, img.Now, out)
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +119,15 @@ func RestoreBuilt(data []byte) (*scenario.Built, error) {
 // random stream with seed at the snapshot instant, recording the fork in
 // the world's provenance (so the fork itself is snapshottable). Forks
 // with distinct seeds diverge from here on; forks with equal seeds
-// remain bit-identical.
-func ForkBuilt(data []byte, seed int64) (*scenario.Built, error) {
-	b, err := RestoreBuilt(data)
+// remain bit-identical. The world narrates to out when one is given —
+// the replayed history first, then whatever the fork goes on to say,
+// as a run built from scratch would — and to io.Discard otherwise.
+func ForkBuilt(data []byte, seed int64, out ...io.Writer) (*scenario.Built, error) {
+	var w io.Writer
+	if len(out) > 0 {
+		w = out[0]
+	}
+	b, err := restore(data, w)
 	if err != nil {
 		return nil, err
 	}
@@ -123,14 +136,15 @@ func ForkBuilt(data []byte, seed int64) (*scenario.Built, error) {
 }
 
 // replay rebuilds a world from its recipe and drives it to the target
-// instant, re-applying the fork lineage at the recorded times. A panic
-// inside scenario events (the scripts' must-style assertions) becomes
-// an error.
-func replay(prov aroma.Provenance, until sim.Time) (b *scenario.Built, err error) {
+// instant, re-applying the fork lineage at the recorded times. The
+// world narrates to out. A panic inside scenario events (the scripts'
+// must-style assertions) becomes an error.
+func replay(prov aroma.Provenance, until sim.Time, out io.Writer) (b *scenario.Built, err error) {
 	cfg := scenario.Config{
 		Seed:    prov.Seed,
 		Horizon: prov.Horizon,
 		Verbose: prov.Verbose,
+		Out:     out,
 		Params:  prov.Params,
 		// Faults are recipe, not strategy: a faulted world replays with
 		// its plan re-armed, so mid-fault snapshots restore bit-identical.

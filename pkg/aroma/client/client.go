@@ -271,7 +271,9 @@ func (c *Client) WorldMetrics(ctx context.Context, id string) (*telemetry.Snapsh
 
 // MetricsText fetches the daemon's Prometheus text exposition —
 // server host-plane instruments plus every hosted world's registry
-// labelled world="<id>".
+// labelled world="<id>". A reply that states its length is read into
+// one buffer of that size; one that does not grows the buffer as it
+// reads.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {
@@ -285,8 +287,13 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return "", decodeError(resp)
 	}
-	data, err := io.ReadAll(resp.Body)
-	return string(data), err
+	var buf bytes.Buffer
+	if resp.ContentLength > 0 {
+		// MinRead spare bytes let ReadFrom see EOF without growing.
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(resp.Body)
+	return buf.String(), err
 }
 
 // DeleteWorld removes a hosted world.

@@ -168,7 +168,7 @@
 // built scenario,
 // scenario.Built.EnableTelemetry is the one way to turn it on: it also
 // reserves every series for the samples left before the horizon, so
-// sampling allocates once per series (the daemon, scenario.Build with
+// sampling allocates once per column (the daemon, scenario.Build with
 // Metrics, and sweep forks all use it).
 //
 // Instruments live on two strictly separated planes. Sim-plane

@@ -38,7 +38,9 @@ type BuildFunc func(cfg Config) (*Built, error)
 // Result produces the scenario's Result for the world's current state:
 // it runs Finish (if any) and stamps the run counters and digest. It
 // may be called at any point of the run; the digest reflects the state
-// at the call.
+// at the call. It leaves Telemetry unset: Drive attaches the snapshot
+// for a run driven to completion, so a caller that reads only the
+// result's numbers pays nothing for the series.
 func (b *Built) Result() *Result {
 	res := &Result{Seed: b.World.Seed()}
 	if b.Finish != nil {
@@ -47,9 +49,6 @@ func (b *Built) Result() *Result {
 	res.SimTime = b.World.Now()
 	res.Steps = b.World.Kernel().Steps()
 	res.Digest = b.World.Digest()
-	if reg := b.World.Telemetry(); reg != nil {
-		res.Telemetry = reg.Snapshot(int64(b.World.Now()))
-	}
 	return res
 }
 

@@ -152,9 +152,10 @@ type Result struct {
 	// anything a scenario narrates as a number worth comparing should
 	// also land here.
 	Metrics map[string]float64
-	// Telemetry is the world's instrument snapshot at result time, when
-	// the run had telemetry enabled (Config.Metrics): every instrument's
-	// final value plus the sampled sim-time series. Nil otherwise.
+	// Telemetry is the world's instrument snapshot at the end of the
+	// run, when the run had telemetry enabled (Config.Metrics): every
+	// instrument's final value plus the sampled sim-time series. Drive
+	// sets it; Built.Result leaves it nil.
 	Telemetry *telemetry.Snapshot
 }
 
@@ -262,7 +263,8 @@ func Run(name string, cfg Config) (*Result, error) {
 // recovered and returned as an error naming the scenario once, so a
 // batch survives one bad world. The world's narration goes to the
 // writer it was built with; Build has already defaulted a nil Out to
-// io.Discard.
+// io.Discard. A world with telemetry enabled gets its instrument
+// snapshot at the horizon as Result.Telemetry.
 func Drive(name string, b *Built) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -272,5 +274,8 @@ func Drive(name string, b *Built) (res *Result, err error) {
 	b.World.RunUntil(b.Horizon)
 	res = b.Result()
 	res.Name = name
+	if reg := b.World.Telemetry(); reg != nil {
+		res.Telemetry = reg.Snapshot(int64(b.World.Now()))
+	}
 	return res, nil
 }

@@ -76,6 +76,9 @@ type Design struct {
 	Seeds []int64
 
 	// Horizon and Verbose pass through to every run's scenario.Config.
+	// A snapshot-forked campaign narrates at the Verbose its snapshot
+	// was built with, which is part of the recipe the fork replays, so
+	// it may not set Verbose.
 	Horizon sim.Time
 	Verbose bool
 
@@ -227,6 +230,9 @@ func (d *Design) Validate() error {
 		}
 		if len(d.Faults) > 0 {
 			return fmt.Errorf("sweep: a snapshot-forked campaign cannot sweep fault plans — the restored world's plan is fixed by its provenance")
+		}
+		if d.Verbose {
+			return fmt.Errorf("sweep: a snapshot-forked campaign cannot set Verbose — the restored world narrates as its provenance says")
 		}
 		img, err := checkpoint.Decode(d.Snapshot)
 		if err != nil {

@@ -213,12 +213,13 @@ func (s *Sweep) runOne(ti int) Row {
 // restored and reseeded with the replication's seed at the snapshot
 // instant (checkpoint.ForkBuilt — restore is verified bit-identical
 // before the fork). Forked replications therefore share their whole
-// pre-snapshot history and differ only in post-fork randomness.
+// pre-snapshot history and differ only in post-fork randomness; each
+// narrates to its own cfg.Out, replayed history included.
 func (s *Sweep) build(cfg scenario.Config) (*scenario.Built, error) {
 	if s.design.Snapshot == nil {
 		return scenario.Build(s.design.Scenario, cfg)
 	}
-	b, err := checkpoint.ForkBuilt(s.design.Snapshot, cfg.Seed)
+	b, err := checkpoint.ForkBuilt(s.design.Snapshot, cfg.Seed, cfg.Out)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.design.Scenario, err)
 	}

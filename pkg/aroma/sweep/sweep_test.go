@@ -146,6 +146,7 @@ func TestValidateRejectsBadDesigns(t *testing.T) {
 		{"duplicate value", Design{Scenario: "fake", Axes: []Axis{Ints("a", 5, 5)}}, "repeats value"},
 		{"duplicate seed", Design{Scenario: "fake", Seeds: []int64{3, 3}}, "listed twice"},
 		{"seed range crosses 0", Design{Scenario: "fake", BaseSeed: -2, Reps: 5}, "crosses 0"},
+		{"verbose snapshot", Design{Snapshot: []byte("x"), Verbose: true}, "cannot set Verbose"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,12 +267,15 @@ func TestRerunReproducesDigests(t *testing.T) {
 
 // TestRowsMatchDirectRuns: a sweep row is exactly the run its recipe
 // names. For a registry design with a fault arm, every row's digest,
-// steps and metrics equal a direct scenario.Run at the row's seed,
-// params and plan; for a snapshot design, they equal checkpoint.ForkBuilt
-// at the row's seed driven to the horizon.
+// steps, metrics and narration equal a direct scenario.Run at the
+// row's seed, params and plan; for a snapshot design, they equal
+// checkpoint.ForkBuilt at the row's seed driven to the horizon.
 func TestRowsMatchDirectRuns(t *testing.T) {
-	assertRowMatches := func(t *testing.T, row Row, res *scenario.Result) {
+	assertRowMatches := func(t *testing.T, row Row, res *scenario.Result, out string) {
 		t.Helper()
+		if out == "" || row.Output != out {
+			t.Errorf("row %q seed=%d: output %q; direct run: %q", row.Label, row.Seed, row.Output, out)
+		}
 		want := map[string]float64{
 			"steps":      float64(res.Steps),
 			"findings":   float64(res.Findings()),
@@ -300,13 +304,14 @@ func TestRowsMatchDirectRuns(t *testing.T) {
 			t.Fatalf("rows = %d, want 4", len(rep.Rows))
 		}
 		for _, row := range rep.Rows {
+			var out strings.Builder
 			res, err := scenario.Run("faultstorm", scenario.Config{
-				Seed: row.Seed, Horizon: d.Horizon, Params: row.Params, Faults: row.Faults,
+				Seed: row.Seed, Horizon: d.Horizon, Params: row.Params, Faults: row.Faults, Out: &out,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertRowMatches(t, row, res)
+			assertRowMatches(t, row, res, out.String())
 		}
 	})
 
@@ -317,12 +322,13 @@ func TestRowsMatchDirectRuns(t *testing.T) {
 			t.Fatalf("rows = %d, want 2", len(rep.Rows))
 		}
 		for _, row := range rep.Rows {
-			b, err := checkpoint.ForkBuilt(data, row.Seed)
+			var out strings.Builder
+			b, err := checkpoint.ForkBuilt(data, row.Seed, &out)
 			if err != nil {
 				t.Fatal(err)
 			}
 			b.World.RunUntil(b.Horizon)
-			assertRowMatches(t, row, b.Result())
+			assertRowMatches(t, row, b.Result(), out.String())
 		}
 	})
 }
