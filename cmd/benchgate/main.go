@@ -66,7 +66,7 @@ func main() {
 	baseline := flag.String("baseline", "", "checked-in baseline record to gate against")
 	current := flag.String("current", "", "freshly emitted record to check")
 	maxNsPct := flag.Float64("max-ns-regress-pct", 15, "fail when ns/op regresses by more than this percentage")
-	maxAllocs := flag.Float64("max-allocs-regress", 8, "absolute allocs/op jitter floor: regressions at or below this many allocations never fail")
+	maxAllocs := flag.Float64("max-allocs-regress", 8, "absolute allocs/op jitter floor: regressions at or below this many allocations never fail, except from a baseline of 0")
 	maxAllocsPct := flag.Float64("max-allocs-regress-pct", 5, "fail when allocs/op regresses by more than this percentage (above the absolute floor)")
 	require := flag.String("require", "", "comma-separated benchmark names that must be present in -current")
 	var ratios ratioGates
@@ -229,7 +229,10 @@ func load(path string) (*Record, error) {
 // floor absorbs amortized pool/cache-growth jitter (a handful of
 // allocations whose attribution shifts with the iteration count), while
 // any systematic reintroduction of a per-frame or per-event allocation
-// costs at least the burst size (64/op) and always trips the gate.
+// costs at least the burst size (64/op) and always trips the gate. A
+// baseline of 0 allocs/op gets no allowance: it is an allocation-free
+// path, whose amortized growth already rounds to 0, so one new
+// allocation per op fails.
 type gateLimits struct {
 	nsPct     float64
 	allocsAbs float64
@@ -237,6 +240,9 @@ type gateLimits struct {
 }
 
 func (g gateLimits) allocsAllowed(base float64) float64 {
+	if base == 0 {
+		return 0
+	}
 	if pct := base * g.allocsPct / 100; pct > g.allocsAbs {
 		return pct
 	}

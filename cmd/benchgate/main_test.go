@@ -73,3 +73,52 @@ func TestRunGateRatios(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsAllowed pins the allocation allowance: the larger of the
+// absolute floor and the percentage, and nothing at all from a 0
+// allocs/op baseline.
+func TestAllocsAllowed(t *testing.T) {
+	limits := gateLimits{nsPct: 15, allocsAbs: 8, allocsPct: 5}
+	for _, tc := range []struct{ base, want float64 }{
+		{0, 0},
+		{1, 8},
+		{64, 8},
+		{1000, 50},
+	} {
+		if got := limits.allocsAllowed(tc.base); got != tc.want {
+			t.Errorf("allocsAllowed(%v) = %v, want %v", tc.base, got, tc.want)
+		}
+	}
+
+	// Through the gate: one new allocation per op fails a 0 baseline
+	// and passes a baseline of one.
+	dir := t.TempDir()
+	write := func(name string, allocs float64) string {
+		data, err := json.Marshal(Record{Benchmarks: []Result{{Name: "BenchmarkX", NsPerOp: 100, AllocsPerOp: allocs}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	zero, one, two := write("zero.json", 0), write("one.json", 1), write("two.json", 2)
+	for _, tc := range []struct {
+		base, cur string
+		want      bool
+	}{
+		{zero, zero, true},
+		{zero, one, false},
+		{one, two, true},
+	} {
+		ok, err := runGate(tc.base, tc.cur, limits, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.want {
+			t.Errorf("%s -> %s: gate passed=%v, want %v", filepath.Base(tc.base), filepath.Base(tc.cur), ok, tc.want)
+		}
+	}
+}

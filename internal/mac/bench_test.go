@@ -71,3 +71,33 @@ func BenchmarkUnicastRoundTrip(b *testing.B) {
 		b.Fatalf("%d of %d sends acknowledged", acked, (b.N+1)*exchangesPerOp)
 	}
 }
+
+// BenchmarkBackoffLoneStation measures one unicast frame to a peer out
+// of range, driven through RunUntil on a warmed station: no ACK comes
+// back, so the frame is sent MaxRetries+1 times with the contention
+// window doubling up to CWMax, about 2,000 backoff slots per op on an
+// idle medium. Nothing else is queued while the station counts down,
+// so the slots are skipped rather than fired one event each. It
+// allocates nothing.
+func BenchmarkBackoffLoneStation(b *testing.B) {
+	k := sim.New(1)
+	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
+	med := radio.NewMedium(k, e)
+	m := New(med)
+	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
+	far := m.AddStation(med.NewRadio("far", geo.Pt(5000, 0), 6, 15))
+	send := func() {
+		_ = a.Send(far.Addr(), 8000, nil, nil)
+		k.RunUntil(k.Now() + sim.Second)
+	}
+	send() // warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.StopTimer()
+	if a.Drops != uint64(b.N+1) {
+		b.Fatalf("%d of %d frames dropped", a.Drops, b.N+1)
+	}
+}

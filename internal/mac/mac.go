@@ -6,6 +6,17 @@
 // The backoff policy (MAC.Backoff) is pluggable, binary exponential or
 // fixed window, so the device-density experiment (C2) can ablate the
 // design choice.
+//
+// A backoff slot is one kernel event, but a slot that nothing else can
+// observe is counted down inline: right after a slot or DIFS event has
+// found the medium idle, Station.backoff hands the remaining slots to
+// radio.Medium.SkipIdle, which skips those that fall before the
+// radio's carrier-sense answer can change and before any other queued
+// event, sampler instant or RunUntil deadline (sim.Kernel.Skip). Each
+// skipped slot still counts one kernel step and one sequence number,
+// so Steps, Seq, digests and telemetry are those of a run that fires
+// every slot. Only these two callback tails skip: Send runs from
+// upper-layer code, which must never see the clock jump.
 package mac
 
 import (
@@ -291,8 +302,10 @@ func (s *Station) defer_(job *txJob) {
 }
 
 // backoff counts down job.slots idle slots, freezing when the medium
-// goes busy.
+// goes busy. Its callers have just seen the medium idle at the tail of
+// a kernel callback, which is where SkipIdle may skip slots.
 func (s *Station) backoff(job *txJob) {
+	job.slots -= s.mac.medium.SkipIdle(s.radio, SlotTime, job.slots)
 	if job.slots <= 0 {
 		s.transmit(job)
 		return

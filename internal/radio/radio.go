@@ -81,6 +81,9 @@
 // energy until geoGen moves, the ambient noise changes, a frame the
 // radio hears starts or ends (Transmit and finish clear the memos of
 // the frame's row), or the next frame it hears crosses SensingDelay.
+// Until that last instant (the radio's csUntil) nothing but another
+// event can change the answer during a run; SkipIdle relies on that to
+// let the MAC skip idle backoff slots.
 //
 // The tests hold the index to that: a brute-force oracle (ref_test.go)
 // scans every radio in ID order and keeps those on an
@@ -944,6 +947,31 @@ func linearBand(db float64) (lo, hi float64) {
 // evaluates the dBm predicate itself. The band is cached per radio and
 // rebuilt when the threshold changes.
 func (m *Medium) Busy(r *Radio) bool { return r.senses(m.energyAtMW(r)) }
+
+// SkipIdle counts down up to n idle slots of length d for r inline, as
+// the MAC's backoff would fire them one event at a time, and reports
+// how many it skipped (see sim.Kernel.Skip). Call it only right after
+// Busy(r) reported idle, from the tail of a kernel callback. Up to the
+// radio's csUntil, Busy(r) would keep answering from the carrier-sense
+// memo, so every skipped slot would have seen the medium idle; each one
+// counts the gain-memo hits that Busy would have counted.
+func (m *Medium) SkipIdle(r *Radio, d sim.Time, n int) int {
+	if m.kernel.SkipBlocked(d) {
+		return 0
+	}
+	return m.skipIdle(r, d, n)
+}
+
+// skipIdle is SkipIdle past its SkipBlocked reject. It stays a call of
+// its own so that the reject, the common case in a busy world or under
+// Step, inlines into the MAC.
+//
+//go:noinline
+func (m *Medium) skipIdle(r *Radio, d sim.Time, n int) int {
+	c := m.kernel.Skip(d, n, r.csUntil)
+	m.GainHits += uint64(c) * r.csLookups
+	return c
+}
 
 // senses reports whether sensed energy e, in milliwatts, is above the
 // radio's carrier-sense threshold (see Busy).

@@ -66,6 +66,7 @@ type oracleSide interface {
 	addSampler(period Time, fn func(Time))
 	step() bool
 	runUntil(deadline Time) uint64
+	skip(d Time, n int, before Time) int
 	state() State
 }
 
@@ -91,6 +92,7 @@ func (s *kernelSide) ticker(p Time, label string, fn func()) func() {
 func (s *kernelSide) addSampler(p Time, fn func(Time)) { s.k.AddSampler(p, fn) }
 func (s *kernelSide) step() bool                       { return s.k.Step() }
 func (s *kernelSide) runUntil(t Time) uint64           { return s.k.RunUntil(t) }
+func (s *kernelSide) skip(d Time, n int, b Time) int   { return s.k.Skip(d, n, b) }
 func (s *kernelSide) state() State                     { return s.k.ExportState() }
 
 type heapSide struct {
@@ -115,6 +117,7 @@ func (s *heapSide) ticker(p Time, label string, fn func()) func() {
 func (s *heapSide) addSampler(p Time, fn func(Time)) { s.k.AddSampler(p, fn) }
 func (s *heapSide) step() bool                       { return s.k.Step() }
 func (s *heapSide) runUntil(t Time) uint64           { return s.k.RunUntil(t) }
+func (s *heapSide) skip(d Time, n int, b Time) int   { return s.k.Skip(d, n, b) }
 func (s *heapSide) state() State                     { return s.k.ExportState() }
 
 // player drives one side and records what fires on it.
@@ -148,14 +151,49 @@ func (p *player) scheduleChain(d Time, label string, left int) {
 	c.seq = p.side.seq()
 }
 
+// skipper is a ScheduleFn payload whose callback, like a MAC backoff
+// slot, asks the kernel to skip up to n events d apart that end before
+// span from now (no bound for span 0), logs how many it skipped, and
+// then re-arms itself d later, left more times. Only a callback may
+// skip, so this is how the fuzz target calls Skip.
+type skipper struct {
+	p       *player
+	label   string
+	seq     uint64
+	d, span Time
+	n, left int
+}
+
+func skipperFire(a any) {
+	s := a.(*skipper)
+	p := s.p
+	p.log = append(p.log, firing{p.side.now(), s.seq, s.label})
+	before := maxTime
+	if s.span > 0 {
+		before = p.side.now() + s.span
+	}
+	c := p.side.skip(s.d, s.n, before)
+	p.log = append(p.log, firing{p.side.now(), uint64(c), s.label + " skipped"})
+	if s.left > 0 {
+		p.scheduleSkipper(s.d, s.span, s.n, s.label+"+", s.left-1)
+	}
+}
+
+func (p *player) scheduleSkipper(d, span Time, n int, label string, left int) {
+	s := &skipper{p: p, label: label, d: d, span: span, n: n, left: left}
+	p.side.scheduleFn(d, label, skipperFire, s)
+	s.seq = p.side.seq()
+}
+
 // fifoStats records, from Kernel's internals, which FIFO edge cases an
-// input reached.
+// input reached, and what its skippers skipped.
 type fifoStats struct {
 	maxLive     int            // most FIFOs live at once
 	reopened    [numFIFOs]bool // FIFO i seen live for two different delays
 	compactions int            // pushes that compacted a FIFO
 	seen        [numFIFOs]bool
 	seenDelay   [numFIFOs]Time
+	skips       []uint64 // what each skipper callback skipped, in order
 }
 
 func (st *fifoStats) observe(k *Kernel) {
@@ -195,7 +233,13 @@ func playKernelOracle(t testing.TB, data []byte) fifoStats {
 			label := fmt.Sprintf("fn%d", op)
 			a.scheduleChain(d, label, left)
 			b.scheduleChain(d, label, left)
-		case 1, 2: // a closure event; two codes, so the corpus seeds keep theirs
+		case 2: // a skipper chain (see skipper)
+			d, span := in.delay(), in.delay()
+			n, left := int(in.next()), int(in.next()%8)
+			label := fmt.Sprintf("skip%d", op)
+			a.scheduleSkipper(d, span, n, label, left)
+			b.scheduleSkipper(d, span, n, label, left)
+		case 1: // a closure event
 			d := in.delay()
 			label := fmt.Sprintf("cl%d", op)
 			for _, p := range []*player{a, b} {
@@ -270,6 +314,11 @@ func playKernelOracle(t testing.TB, data []byte) fifoStats {
 		if !slices.Equal(a.log, b.log) {
 			t.Fatalf("op %d (kind %d): fired\n%v\nheap oracle fired\n%v", op, kind, a.log, b.log)
 		}
+		for _, f := range a.log {
+			if strings.HasSuffix(f.label, " skipped") {
+				stats.skips = append(stats.skips, f.seq)
+			}
+		}
 		a.log, b.log = a.log[:0], b.log[:0]
 		if pa, pb := a.side.pending(), b.side.pending(); pa != pb {
 			t.Fatalf("op %d (kind %d): %d pending, heap oracle %d", op, kind, pa, pb)
@@ -283,8 +332,9 @@ func playKernelOracle(t testing.TB, data []byte) fifoStats {
 
 // FuzzKernelMatchesHeapOracle plays random interleavings of ScheduleFn
 // and Schedule (delays from a recurring set or random),
-// Cancel (stale handles included), Ticker start and stop, Step, RunUntil
-// and AddSampler on Kernel and on the heap-only reference kernel. The
+// Cancel (stale handles included), Ticker start and stop, Step, RunUntil,
+// AddSampler and Skip (from callbacks) on Kernel and on the heap-only
+// reference kernel, which skips by scheduling and firing each event. The
 // fired (at, seq, label) sequence, every operation's result, Pending and
 // ExportState must match after every operation.
 func FuzzKernelMatchesHeapOracle(f *testing.F) {
@@ -330,5 +380,17 @@ func TestKernelFuzzSeedsReachFIFOEdges(t *testing.T) {
 	}
 	if st := playKernelOracle(t, readFuzzSeed(t, "compaction")); st.compactions == 0 {
 		t.Error("compaction: no FIFO compacted")
+	}
+}
+
+// TestKernelFuzzSeedSkips pins what the hand-built skip seed of
+// FuzzKernelMatchesHeapOracle exercises, one skipper per stop rule: a
+// skipper fired by Step skips nothing; under RunUntil, skippers stop at
+// the run's deadline (4), at another queued event (1), at their count
+// (5), at their span (12) and before a sampler instant (35).
+func TestKernelFuzzSeedSkips(t *testing.T) {
+	st := playKernelOracle(t, readFuzzSeed(t, "skip"))
+	if want := []uint64{0, 4, 1, 5, 12, 35}; !slices.Equal(st.skips, want) {
+		t.Errorf("skips %v, want %v", st.skips, want)
 	}
 }

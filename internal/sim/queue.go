@@ -102,17 +102,23 @@ func (k *Kernel) peek() (int32, bool) {
 
 // popNext removes the slot the last peek returned from its heap or
 // FIFO. A FIFO that drains goes back to the free set, keeping its
-// buffer for the next delay it opens for.
+// buffer for the next delay it opens for. shadow records the delay of
+// a FIFO the pop leaves live: nothing pops until the popped event's
+// callback returns, so that FIFO's head stays within its delay of Now
+// for the whole callback (see SkipBlocked).
 func (k *Kernel) popNext() {
 	if k.next < 0 {
 		k.heapPopRoot()
+		k.shadow = maxTime
 		return
 	}
 	f := &k.fifos[k.next]
 	f.head++
+	k.shadow = f.delay
 	if f.head == len(f.slots) {
 		f.slots, f.head = f.slots[:0], 0
 		k.fifoLive &^= 1 << k.next
+		k.shadow = maxTime
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // heapQueue is the kernel's event queue as it was before the delay
 // FIFOs: every event on one 4-ary min-heap of slot indices, ordered by
@@ -113,6 +116,7 @@ type heapKernel struct {
 	seq   uint64
 	steps uint64
 	seed  int64
+	limit Time // RunUntil's deadline, -1 outside it, as in Kernel
 
 	samplers []*sampler
 }
@@ -123,7 +127,7 @@ type heapEvent struct {
 	gen  uint32
 }
 
-func newHeapKernel(seed int64) *heapKernel { return &heapKernel{seed: seed} }
+func newHeapKernel(seed int64) *heapKernel { return &heapKernel{seed: seed, limit: -1} }
 
 func (k *heapKernel) alloc(at Time, label string) int32 {
 	var slot int32
@@ -231,6 +235,7 @@ func (k *heapKernel) fire(slot int32) {
 }
 
 func (k *heapKernel) Step() bool {
+	k.limit = -1
 	slot, ok := k.peek()
 	if ok {
 		k.fire(slot)
@@ -240,6 +245,7 @@ func (k *heapKernel) Step() bool {
 
 func (k *heapKernel) RunUntil(deadline Time) uint64 {
 	start := k.steps
+	k.limit = deadline
 	for {
 		slot, ok := k.peek()
 		if !ok || k.pool[slot].at > deadline {
@@ -247,11 +253,36 @@ func (k *heapKernel) RunUntil(deadline Time) uint64 {
 		}
 		k.fire(slot)
 	}
+	k.limit = -1
 	k.observe(deadline)
 	if k.now < deadline {
 		k.now = deadline
 	}
 	return k.steps - start
+}
+
+// Skip is Kernel.Skip one event at a time: while the next event, d
+// after the last, lies before before, before every queued event
+// (cancelled ones included), before every sampler instant and at or
+// before RunUntil's deadline, it schedules that event and fires it.
+func (k *heapKernel) Skip(d Time, n int, before Time) int {
+	c := 0
+	for ; c < n && d > 0 && k.limit >= 0; c++ {
+		at := k.now + d
+		if at >= before || at > k.limit {
+			break
+		}
+		if len(k.heap) > 0 && k.pool[k.heap[0]].at <= at {
+			break
+		}
+		if slices.ContainsFunc(k.samplers, func(s *sampler) bool { return s.next <= at }) {
+			break
+		}
+		k.ScheduleFn(d, "skipped", func(any) {}, nil)
+		slot, _ := k.peek()
+		k.fire(slot)
+	}
+	return c
 }
 
 type heapTicker struct {

@@ -32,10 +32,27 @@
 // with a plain function and a pointer argument, which allocates
 // nothing.
 //
+// # Skipping
+//
+// Skip lets a callback fire a run of events spaced d apart without
+// queueing them, when nothing could tell the difference: each skipped
+// event lies before every queued event, before the next sampler
+// instant, at or before the running RunUntil deadline, and before an
+// instant the caller names up to which the events' work stays the
+// same. The clock, Steps and Seq move exactly as if each event had been
+// scheduled and fired. Skip only acts inside RunUntil, and only from
+// the tail of a callback: Step never skips, and code outside the kernel
+// never sees the clock jump. The MAC counts idle backoff slots down
+// this way. Its common reject, SkipBlocked, takes two comparisons:
+// outside RunUntil, or while the delay FIFO the firing event came from
+// is still live with a delay no longer than d.
+//
 // The zero value of Kernel is not usable; create one with New.
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -54,6 +71,9 @@ const (
 	Minute      Time = Time(time.Minute)
 	Hour        Time = Time(time.Hour)
 )
+
+// maxTime is the end of virtual time.
+const maxTime Time = math.MaxInt64
 
 // Duration converts t to a time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
@@ -114,6 +134,7 @@ type Kernel struct {
 	fifoLive  uint8 // bit i set: fifos[i] is non-empty
 	lastDelay Time  // delay of the previous push
 	next      int8  // where the last peek found its slot: a FIFO index, or -1 for the heap
+	shadow    Time  // delay of the FIFO the last pop left live, or maxTime (see SkipBlocked)
 
 	seq     uint64
 	rng     *rand.Rand
@@ -127,6 +148,10 @@ type Kernel struct {
 	// none) so the per-event cost is one comparison.
 	samplers   []*sampler
 	sampleNext Time
+
+	// limit is the deadline of the running RunUntil, or -1 outside one:
+	// Skip never moves the clock past it, and Step never skips.
+	limit Time
 }
 
 // New creates a kernel whose random generator is seeded with seed.
@@ -134,9 +159,10 @@ type Kernel struct {
 func New(seed int64) *Kernel {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	return &Kernel{
-		rng:  rand.New(src),
-		src:  src,
-		seed: seed,
+		rng:   rand.New(src),
+		src:   src,
+		seed:  seed,
+		limit: -1,
 	}
 }
 
@@ -259,6 +285,7 @@ func (k *Kernel) fire(slot int32) {
 // Step executes the single earliest pending event and advances the clock to
 // its timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
+	k.limit = -1
 	slot, ok := k.peek()
 	if !ok {
 		return false
@@ -272,6 +299,7 @@ func (k *Kernel) Step() bool {
 // returns the number of events executed.
 func (k *Kernel) RunUntil(deadline Time) uint64 {
 	start := k.steps
+	k.limit = deadline
 	for {
 		slot, ok := k.peek()
 		if !ok || k.pool[slot].at > deadline {
@@ -279,6 +307,7 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 		}
 		k.fire(slot)
 	}
+	k.limit = -1
 	// Samplers due in (last event, deadline] observe before the final
 	// clock bump so a window's samples exist even when the queue
 	// drained early.
@@ -290,6 +319,59 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 	}
 	return k.steps - start
 }
+
+// Skip fires up to n events spaced d apart without queueing them, as
+// if the running callback had scheduled the first d from now and each
+// had scheduled the next, and reports how many it fired. c skipped
+// events move the clock c·d ahead and count c steps and c sequence
+// numbers, exactly as ScheduleFn and fire would. An event is skipped
+// only if it lies strictly before before, strictly before every queued
+// event (a cancelled one not yet reclaimed included) and strictly
+// before the next sampler instant, and at or before the deadline of the
+// running RunUntil. Skip runs no callbacks: the caller does the skipped
+// events' work itself, and before is the instant up to which it knows
+// that work to be the same at each of them. d must be positive.
+//
+// Skip fires nothing outside RunUntil: under Step, code between two
+// events may change the world. Call it only at the tail of an event
+// callback, as the last thing before the callback schedules its
+// successor: code that runs after it in the callback, or upper-layer
+// code that called into the model from outside the kernel, would see
+// Now jump.
+func (k *Kernel) Skip(d Time, n int, before Time) int {
+	if d <= 0 || n <= 0 || k.SkipBlocked(d) {
+		return 0
+	}
+	last := min(before-1, k.limit) // the latest instant an event may take
+	if len(k.heap) > 0 {
+		last = min(last, k.pool[k.heap[0]].at-1)
+	}
+	for m := k.fifoLive; m != 0; m &= m - 1 {
+		f := &k.fifos[bits.TrailingZeros8(m)]
+		last = min(last, k.pool[f.slots[f.head]].at-1)
+	}
+	if k.sampleNext != 0 {
+		last = min(last, k.sampleNext-1)
+	}
+	c := int(min(Time(n), (last-k.now)/d))
+	if c <= 0 {
+		return 0
+	}
+	k.now += Time(c) * d
+	k.seq += uint64(c)
+	k.steps += uint64(c)
+	k.lastDelay = d // as the skipped pushes would have left it, for push's FIFO choice
+	return c
+}
+
+// SkipBlocked reports, with two comparisons, that Skip(d, ...) from the
+// running callback would fire nothing: the kernel is not inside
+// RunUntil, or the delay FIFO the callback's own event came from is
+// still live with a delay of at most d, so its head is due at most d
+// from now. In a contended world that FIFO holds the other stations'
+// backoff slots; callers that skip on every slot test this inline and
+// keep the call to Skip off that path.
+func (k *Kernel) SkipBlocked(d Time) bool { return d >= k.shadow || k.limit < 0 }
 
 // RunFor runs the simulation for d virtual time from the current instant.
 func (k *Kernel) RunFor(d Time) uint64 { return k.RunUntil(k.now + d) }

@@ -35,18 +35,30 @@ func BenchmarkTelemetryDisabledHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetrySample measures one sampler tick over a registry of
-// representative size (32 instruments), reserved for the run's horizon
-// (b.N samples) as Built.EnableTelemetry reserves a world: no series
-// ever regrows and decimation compacts in place, so a tick allocates
-// nothing. TestHotPathZeroAllocs gates the same loop at exactly 0.
+// BenchmarkTelemetrySample measures sampler ticks over a registry of
+// representative size (32 instruments), reserved for a world's horizon
+// as Built.EnableTelemetry reserves one: Reserve(reservePoints), then
+// reservePoints ticks per op. Each op starts from a fresh registry, so
+// the columns never fill and every tick records a point; ns/op is the
+// cost of 1,200 recording ticks, not of ticks that a doubled stride
+// skips. No series regrows, so a tick allocates nothing.
+// TestHotPathZeroAllocs gates a tick at exactly 0.
 func BenchmarkTelemetrySample(b *testing.B) {
-	r := sampleRegistry()
-	r.Reserve(b.N)
 	b.ReportAllocs()
-	b.ResetTimer()
+	var r *Registry
 	for i := 0; i < b.N; i++ {
-		r.Sample(int64(i))
+		b.StopTimer()
+		r = sampleRegistry()
+		r.Reserve(reservePoints)
+		b.StartTimer()
+		for t := int64(0); t < reservePoints; t++ {
+			r.Sample(t)
+		}
+	}
+	b.StopTimer()
+	if c := r.cohorts[0]; len(r.cohorts) != 1 || len(c.t) != reservePoints || c.stride != 1 {
+		b.Fatalf("%d cohorts, the first with %d points at stride %d; want 1 with %d at stride 1",
+			len(r.cohorts), len(c.t), c.stride, reservePoints)
 	}
 }
 

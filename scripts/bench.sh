@@ -3,10 +3,10 @@
 #
 # Runs the hot-path benchmarks (kernel event queue, dense/mobile radio
 # medium and carrier sense, grid cover churn, world-level dense PHY
-# fan-out, the MAC/netsim link path, RFB tile streaming) at a
-# statistically useful count, plus
-# every root figure/claim benchmark once, and folds the output into a
-# JSON record via cmd/benchgate. The checked-in BENCH_PR8.json was
+# fan-out, the MAC/netsim link path and a lone station's backoff, RFB
+# tile streaming) at a statistically useful count, plus every root
+# figure/claim benchmark once, and folds the output into a JSON record
+# via cmd/benchgate. The checked-in BENCH_PR8.json was
 # produced by this script; CI re-runs the gated subset and compares
 # against it (see .github/workflows/ci.yml "Benchmark regression gate").
 #
@@ -51,8 +51,8 @@ echo "== telemetry hot path, sampler tick, scrape, reservation (count=$count, be
 go test -run '^$' -bench 'BenchmarkTelemetry' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/telemetry/ | tee -a "$tmp"
 
-echo "== link path: MAC unicast exchange, netsim call round trip (count=$count, benchtime=$benchtime)"
-go test -run '^$' -bench 'BenchmarkUnicastRoundTrip' -benchmem \
+echo "== link path: MAC unicast exchange, lone-station backoff, netsim call round trip (count=$count, benchtime=$benchtime)"
+go test -run '^$' -bench 'BenchmarkUnicastRoundTrip|BenchmarkBackoffLoneStation' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/mac/ | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkCallRoundTrip' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/netsim/ | tee -a "$tmp"
@@ -67,4 +67,4 @@ if [[ "${SKIP_ROOT:-0}" != 1 ]]; then
 fi
 
 go run ./cmd/benchgate -emit "$out" -in "$tmp" \
-    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkMediumBusyDense*, BenchmarkGridCoverDense, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*, BenchmarkUnicastRoundTrip, BenchmarkCallRoundTrip, internal/rfb (all)"
+    -note "recorded by scripts/bench.sh; gated subset: BenchmarkKernel*, BenchmarkMediumDense*, BenchmarkMediumBusyDense*, BenchmarkGridCoverDense, BenchmarkCheckpoint*, BenchmarkWorldDense*, BenchmarkTelemetry*, BenchmarkUnicastRoundTrip, BenchmarkBackoffLoneStation, BenchmarkCallRoundTrip, internal/rfb (all)"
