@@ -41,10 +41,7 @@ func C1(seed int64) *Result {
 			panic(err)
 		}
 		rfb.NewServer(srvNode, fb, enc)
-		cli, err := rfb.NewClient(cliNode, srvNode.Addr(), 640, 480)
-		if err != nil {
-			panic(err)
-		}
+		cli := rfb.NewClient(cliNode, srvNode.Addr())
 		anim, err := rfb.NewAnimator(fb, intensity)
 		if err != nil {
 			panic(err)

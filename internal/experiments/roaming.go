@@ -34,10 +34,7 @@ func C9(seed int64) *Result {
 		panic(err)
 	}
 	rfb.NewServer(srvNode, fb, rfb.EncRLE)
-	cli, err := rfb.NewClient(cliNode, srvNode.Addr(), 640, 480)
-	if err != nil {
-		panic(err)
-	}
+	cli := rfb.NewClient(cliNode, srvNode.Addr())
 	anim, err := rfb.NewAnimator(fb, 0.05)
 	if err != nil {
 		panic(err)

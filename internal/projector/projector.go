@@ -341,11 +341,7 @@ func (p *SmartProjector) serveCommand(req ctlRequest) []byte {
 // startProjection begins streaming from the presenter's RFB server.
 func (p *SmartProjector) startProjection(rfbAddr netsim.Addr) {
 	p.stopProjection()
-	cli, err := rfb.NewClient(p.node, rfbAddr, displayW, displayH)
-	if err != nil {
-		p.log.Issue(trace.Resource, "projector", "cannot allocate display buffer: %v", err)
-		return
-	}
+	cli := rfb.NewClient(p.node, rfbAddr)
 	p.display = cli
 	owner := p.Projection.Owner()
 	p.stopStream = cli.Stream(2*sim.Second, func(tiles int) {

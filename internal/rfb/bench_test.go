@@ -24,16 +24,17 @@ func benchFB(b *testing.B, noisy bool) *Framebuffer {
 	return fb
 }
 
-// benchServe times the server's reply to a full-frame request: every
-// tile encoded into a reply buffer, which sent then returns to the free
-// list, as netsim does once the reply's last fragment leaves the link.
+// benchServe times the server's reply to a request after every tile is
+// marked dirty: every tile encoded into a reply buffer, which sent then
+// returns to the free list, as netsim does once the reply's last
+// fragment leaves the link.
 func benchServe(b *testing.B, noisy bool, enc Encoding) {
 	s := &Server{fb: benchFB(b, noisy), enc: enc}
-	req := []byte{reqFull}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, sent := s.serve(0, req)
+		s.fb.MarkAllDirty()
+		resp, sent := s.serve(0, incremental)
 		if len(resp) == updateHeaderLen {
 			b.Fatal("no tiles")
 		}
@@ -53,43 +54,20 @@ func benchRefFB() *refFB {
 	return f
 }
 
-// benchApply times applying a full noisy frame, sent raw as RLE cannot
-// shrink it, from its wire bytes to dst with apply.
-func benchApply[F any](b *testing.B, dst F, apply func(F, []byte) error) {
+// BenchmarkUpdateCheck times the display side's framing check of a full
+// noisy frame, sent raw as RLE cannot shrink it.
+func BenchmarkUpdateCheck(b *testing.B) {
 	src := benchFB(b, true)
 	src.MarkAllDirty()
-	wire, _ := appendUpdate(nil, src, 1, EncRLE)
+	wire, tiles := appendUpdate(nil, src, 1, EncRLE)
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := apply(dst, wire); err != nil {
-			b.Fatal(err)
+		if n, err := checkUpdate(wire); err != nil || n != tiles {
+			b.Fatalf("counted %d tiles, error %v; want %d", n, err, tiles)
 		}
 	}
-}
-
-// BenchmarkUpdateUnmarshalApply times the client's apply straight from
-// the wire: it checks the headers, then decodes every tile in place.
-func BenchmarkUpdateUnmarshalApply(b *testing.B) {
-	benchApply(b, benchFB(b, false), func(f *Framebuffer, wire []byte) error {
-		_, err := applyUpdate(f, wire)
-		return err
-	})
-}
-
-// BenchmarkUpdateUnmarshalApplyRef is the reference twin of
-// BenchmarkUpdateUnmarshalApply: it parses the update into its tiles and
-// writes them one pixel at a time into the dense reference framebuffer.
-// CI gates the ratio of the two.
-func BenchmarkUpdateUnmarshalApplyRef(b *testing.B) {
-	benchApply(b, benchRefFB(), func(f *refFB, wire []byte) error {
-		u, err := UnmarshalUpdate(wire)
-		if err != nil {
-			return err
-		}
-		return refApply(f, u)
-	})
 }
 
 // benchFill alternates two colours over a 200×150 rectangle of fb that

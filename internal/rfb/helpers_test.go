@@ -12,23 +12,30 @@ import (
 // Test-only helpers: nothing outside the tests calls these, so they
 // live here rather than in the package's API.
 
-// Framebuffer returns the client's local copy (what the projector shows).
-func (c *Client) Framebuffer() *Framebuffer { return c.fb }
-
 // RequestUpdate pulls one update, as one poll of Stream does, and
-// applies it. If full, the server resends every tile. done (optional)
-// receives the number of tiles applied, or an error.
-func (c *Client) RequestUpdate(full bool, timeout sim.Time, done func(tiles int, err error)) {
-	op := reqIncremental
-	if full {
-		op = reqFull
-	}
-	c.node.Call(c.server, netsim.PortRFB, requests[op], timeout, func(resp []byte, err error) {
+// counts it. A reply that passes the framing check is then decoded into
+// mirror (optional) by the reference decoder. done (optional) receives
+// the number of tiles counted, or the first error.
+func (c *Client) RequestUpdate(timeout sim.Time, mirror *refFB, done func(tiles int, err error)) {
+	c.node.Call(c.server, netsim.PortRFB, incremental, timeout, func(resp []byte, err error) {
 		tiles, err := c.apply(resp, err)
+		if err == nil && mirror != nil {
+			err = refApplyWire(mirror, resp)
+		}
 		if done != nil {
 			done(tiles, err)
 		}
 	})
+}
+
+// MarkAllDirty flags every tile, so the next update is a full frame.
+func (f *Framebuffer) MarkAllDirty() {
+	for i := range f.dirty {
+		f.dirty[i] = ^uint64(0)
+	}
+	if n := len(f.tiles) % 64; n != 0 {
+		f.dirty[len(f.dirty)-1] = 1<<n - 1
+	}
 }
 
 // The per-pixel accessors below read and write the production store;
@@ -67,17 +74,17 @@ func (f *Framebuffer) DirtyCount() int {
 	return n
 }
 
-// Equal reports whether two framebuffers have identical pixel content.
-func (f *Framebuffer) Equal(g *Framebuffer) bool {
-	if f.W != g.W || f.H != g.H {
+// samePixels reports whether f and the reference framebuffer r have the
+// same size and pixels; dirty flags are not compared.
+func samePixels(f *Framebuffer, r *refFB) bool {
+	if f.W != r.W || f.H != r.H {
 		return false
 	}
-	for t := range f.tiles {
-		x, y := t%f.tilesX*TileSize, t/f.tilesX*TileSize
-		a, _ := f.block(t, x, y)
-		b, _ := g.block(t, x, y)
-		if !bytes.Equal(a, b) {
-			return false
+	for y := 0; y < f.H; y++ {
+		for x := 0; x < f.W; x++ {
+			if f.Pixel(x, y) != r.Pixel(x, y) {
+				return false
+			}
 		}
 	}
 	return true

@@ -7,13 +7,15 @@ import (
 )
 
 // This file is the reference model of the RFB pipeline: a dense
-// row-major framebuffer written one pixel at a time, the
-// build-then-marshal encoder and the parse-then-apply decoder the
-// production code replaced with sparse tile storage, tile-wise kernels,
-// a direct-to-wire encoder and an apply straight from the wire.
-// FuzzUpdateMatchesReference holds the two to identical wire bytes,
-// pixels, dirty flags and error text. The reference shares no storage
-// with the production framebuffer.
+// row-major framebuffer written one pixel at a time, and the
+// build-then-marshal encoder the production code replaced with sparse
+// tile storage, tile-wise kernels and a direct-to-wire encoder. It also
+// holds the package's only decoder, parse-then-apply pixel by pixel:
+// the production display side checks an update's framing and paints
+// nothing, so the tests turn the encoder's bytes back into pixels here.
+// FuzzUpdateMatchesReference holds production and reference to
+// identical wire bytes, pixels, dirty flags and framing errors. The
+// reference shares no storage with the production framebuffer.
 
 // refFB is the reference framebuffer: every pixel has its byte in one
 // row-major W×H array, and every tile its dirty flag.
@@ -51,6 +53,11 @@ func (f *refFB) MarkAllDirty() {
 	for i := range f.dirty {
 		f.dirty[i] = true
 	}
+}
+
+// Rect is the pixel-space rectangle of a parsed tile.
+type Rect struct {
+	X, Y, W, H int
 }
 
 // TileUpdate is one encoded tile within an Update.
@@ -107,17 +114,6 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 		return nil, fmt.Errorf("rfb: %d trailing bytes", len(data)-off)
 	}
 	return u, nil
-}
-
-// Apply writes every tile of an update into the framebuffer with the
-// production DecodeTile.
-func Apply(f *Framebuffer, u *Update) error {
-	for _, t := range u.Tiles {
-		if err := DecodeTile(f, t.Rect, t.Enc, t.Data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // refFill sets every pixel in [x, x+w) × [y, y+h) one Set at a time.
@@ -334,4 +330,13 @@ func refApply(f *refFB, u *Update) error {
 		}
 	}
 	return nil
+}
+
+// refApplyWire parses a wire-format update and writes it with refApply.
+func refApplyWire(f *refFB, wire []byte) error {
+	u, err := UnmarshalUpdate(wire)
+	if err != nil {
+		return err
+	}
+	return refApply(f, u)
 }

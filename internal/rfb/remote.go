@@ -9,11 +9,12 @@ import (
 	"aroma/internal/sim"
 )
 
-// Request opcodes on the RFB port.
-const (
-	reqIncremental byte = 0
-	reqFull        byte = 1
-)
+// incremental is the request every poll sends on the RFB port: one
+// byte, opcode 0, asking for the tiles that changed since the last
+// update. The server answers any one-byte request this way. Call
+// payloads are never written, by the network or by the server, so every
+// poll shares it.
+var incremental = []byte{0}
 
 // Server exports a framebuffer over the network on netsim.PortRFB: the
 // projection side of the Smart Projector (the laptop's VNC server).
@@ -60,9 +61,6 @@ func (s *Server) serve(src netsim.Addr, req []byte) ([]byte, func()) {
 	if len(req) != 1 {
 		return make([]byte, updateHeaderLen), nil // an empty update, serial 0
 	}
-	if req[0] == reqFull {
-		s.fb.MarkAllDirty()
-	}
 	s.serial++
 	var r *reply
 	if n := len(s.free); n > 0 {
@@ -81,11 +79,11 @@ func (s *Server) serve(src netsim.Addr, req []byte) ([]byte, func()) {
 }
 
 // Client is the display side (the Aroma adapter driving the projector):
-// it pulls updates from a Server and maintains a local framebuffer copy.
+// it pulls updates from a Server and counts the updates, tiles and bytes
+// it receives. It checks each reply's framing but keeps no pixels.
 type Client struct {
 	node   *netsim.Node
 	server netsim.Addr
-	fb     *Framebuffer
 
 	// Stats
 	UpdatesApplied uint64
@@ -94,29 +92,19 @@ type Client struct {
 	Errors         uint64
 }
 
-// NewClient creates a client with a local w×h framebuffer, pulling from
-// the server at the given address.
-func NewClient(node *netsim.Node, server netsim.Addr, w, h int) (*Client, error) {
-	fb, err := NewFramebuffer(w, h)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{node: node, server: server, fb: fb}, nil
+// NewClient creates a client pulling from the server at the given
+// address.
+func NewClient(node *netsim.Node, server netsim.Addr) *Client {
+	return &Client{node: node, server: server}
 }
 
-// requests holds the one-byte request of each opcode. Call payloads are
-// never written, by the network or by the server, so every poll shares
-// them.
-var requests = [...][]byte{reqIncremental: {reqIncremental}, reqFull: {reqFull}}
-
-// apply applies the reply to one update request straight from its
-// bytes, or counts the request's failure, and returns the number of
-// tiles applied. A reply that is malformed as a whole changes nothing;
-// a tile that fails to decode keeps the tiles before it, as written.
+// apply counts the reply to one update request, or the request's
+// failure, and returns the number of tiles the reply carries. A reply
+// that fails the framing check counts as an error.
 func (c *Client) apply(resp []byte, err error) (int, error) {
 	tiles := 0
 	if err == nil {
-		tiles, err = applyUpdate(c.fb, resp)
+		tiles, err = checkUpdate(resp)
 	}
 	if err != nil {
 		c.Errors++
@@ -137,7 +125,8 @@ const IdlePollDelay = 50 * sim.Millisecond
 // Stream continuously pulls updates, back-to-back while content flows
 // (the VNC flow-control model) and at IdlePollDelay intervals while the
 // screen is static. It returns a stop function. onFrame (optional)
-// observes the tile count of each applied update, including empty ones.
+// observes the tile count of each well-formed update, including empty
+// ones.
 func (c *Client) Stream(timeout sim.Time, onFrame func(tiles int)) (stop func()) {
 	stopped := false
 	k := c.node.Kernel()
@@ -160,7 +149,7 @@ func (c *Client) Stream(timeout sim.Time, onFrame func(tiles int)) (stop func())
 	}
 	loop = func() {
 		if !stopped {
-			c.node.Call(c.server, netsim.PortRFB, requests[reqIncremental], timeout, onReply)
+			c.node.Call(c.server, netsim.PortRFB, incremental, timeout, onReply)
 		}
 	}
 	loop()

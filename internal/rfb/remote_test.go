@@ -28,21 +28,20 @@ func remoteRig(t *testing.T, seed int64, w, h int, enc Encoding) (*sim.Kernel, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(srvNode, fb, enc)
-	cli, err := NewClient(cliNode, srvNode.Addr(), w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k, srv, cli
+	return k, NewServer(srvNode, fb, enc), NewClient(cliNode, srvNode.Addr())
 }
 
+// A full frame, mirrored through the reference decoder, reproduces the
+// server's screen.
 func TestFullUpdateSyncsFramebuffers(t *testing.T) {
 	k, srv, cli := remoteRig(t, 1, 64, 48, EncRLE)
 	srv.Framebuffer().Fill(0, 0, 64, 48, 5)
 	srv.Framebuffer().Fill(8, 8, 16, 16, 9)
+	srv.Framebuffer().MarkAllDirty()
+	mirror := newRefFB(64, 48)
 	var gotErr error
 	done := false
-	cli.RequestUpdate(true, 0, func(_ int, err error) {
+	cli.RequestUpdate(0, mirror, func(_ int, err error) {
 		gotErr = err
 		done = true
 	})
@@ -50,8 +49,8 @@ func TestFullUpdateSyncsFramebuffers(t *testing.T) {
 	if !done || gotErr != nil {
 		t.Fatalf("update: done=%v err=%v", done, gotErr)
 	}
-	if !srv.Framebuffer().Equal(cli.Framebuffer()) {
-		t.Fatal("framebuffers differ after full update")
+	if !samePixels(srv.Framebuffer(), mirror) {
+		t.Fatal("the mirror differs from the server after a full update")
 	}
 	if cli.UpdatesApplied != 1 || cli.BytesReceived == 0 {
 		t.Fatalf("client stats: %d applied %d bytes", cli.UpdatesApplied, cli.BytesReceived)
@@ -64,11 +63,12 @@ func TestFullUpdateSyncsFramebuffers(t *testing.T) {
 func TestIncrementalTracksChanges(t *testing.T) {
 	k, srv, cli := remoteRig(t, 2, 64, 48, EncRaw)
 	srv.Framebuffer().Fill(0, 0, 64, 48, 1)
-	cli.RequestUpdate(true, 0, nil)
+	mirror := newRefFB(64, 48)
+	cli.RequestUpdate(0, mirror, nil)
 	k.RunUntil(2 * sim.Second)
 	srv.Framebuffer().Set(3, 3, 77)
 	var tiles int
-	cli.RequestUpdate(false, 0, func(n int, err error) {
+	cli.RequestUpdate(0, mirror, func(n int, err error) {
 		if err == nil {
 			tiles = n
 		}
@@ -77,11 +77,11 @@ func TestIncrementalTracksChanges(t *testing.T) {
 	if tiles != 1 {
 		t.Fatalf("incremental tiles = %d, want 1", tiles)
 	}
-	if cli.Framebuffer().Pixel(3, 3) != 77 {
+	if mirror.Pixel(3, 3) != 77 {
 		t.Fatal("change not applied")
 	}
-	if !srv.Framebuffer().Equal(cli.Framebuffer()) {
-		t.Fatal("framebuffers differ")
+	if !samePixels(srv.Framebuffer(), mirror) {
+		t.Fatal("the mirror differs from the server")
 	}
 }
 
@@ -114,8 +114,8 @@ func TestStreamDeliversAnimation(t *testing.T) {
 func TestRLEBeatsRawOnFlatContent(t *testing.T) {
 	run := func(enc Encoding) uint64 {
 		k, srv, cli := remoteRig(t, 4, 320, 240, enc)
-		srv.Framebuffer().Fill(0, 0, 320, 240, 3) // flat desktop
-		cli.RequestUpdate(true, 0, nil)
+		srv.Framebuffer().Fill(0, 0, 320, 240, 3) // flat desktop: every tile changes
+		cli.RequestUpdate(0, nil, nil)
 		k.RunUntil(20 * sim.Second)
 		return cli.BytesReceived
 	}
@@ -153,18 +153,18 @@ func TestServerIgnoresMalformedRequest(t *testing.T) {
 func TestServeRepliesDoNotShareBuffers(t *testing.T) {
 	_, srv, _ := remoteRig(t, 6, 64, 48, EncRLE)
 	fb := srv.Framebuffer()
-	fb.Fill(0, 0, 64, 48, 4)
-	first, firstSent := srv.serve(0, []byte{reqFull})
+	fb.Fill(0, 0, 64, 48, 4) // each fill changes every tile
+	first, firstSent := srv.serve(0, incremental)
 	kept := bytes.Clone(first)
 	fb.Fill(0, 0, 64, 48, 9)
-	second, secondSent := srv.serve(0, []byte{reqFull})
+	second, secondSent := srv.serve(0, incremental)
 	if !bytes.Equal(first, kept) {
 		t.Fatal("encoding a second reply changed the first before its sent ran")
 	}
 	firstSent()
 	keptSecond := bytes.Clone(second)
 	fb.Fill(0, 0, 64, 48, 5)
-	third, thirdSent := srv.serve(0, []byte{reqFull})
+	third, thirdSent := srv.serve(0, incremental)
 	if &third[0] != &first[0] {
 		t.Fatal("the reply after sent did not reuse the released buffer")
 	}
@@ -180,9 +180,9 @@ func TestServeRepliesDoNotShareBuffers(t *testing.T) {
 func TestServeAllocsNothing(t *testing.T) {
 	_, srv, _ := remoteRig(t, 7, 64, 48, EncRLE)
 	srv.Framebuffer().Fill(0, 0, 64, 48, 4)
-	req := []byte{reqFull}
 	allocs := testing.AllocsPerRun(100, func() {
-		resp, sent := srv.serve(0, req)
+		srv.Framebuffer().MarkAllDirty()
+		resp, sent := srv.serve(0, incremental)
 		if len(resp) == updateHeaderLen {
 			t.Fatal("no tiles")
 		}
@@ -253,7 +253,7 @@ func TestRecycledRepliesNeverShowStaleBytes(t *testing.T) {
 		cli := nw.NewNode("adapter", m.AddStation(med.NewRadio("cli", geo.Pt(x, float64(i)), 6, 15)))
 		var poll func()
 		poll = func() {
-			cli.Call(srvNode.Addr(), netsim.PortRFB, requests[reqIncremental], 10*sim.Millisecond, func(resp []byte, err error) {
+			cli.Call(srvNode.Addr(), netsim.PortRFB, incremental, 10*sim.Millisecond, func(resp []byte, err error) {
 				if err != nil {
 					timeouts++
 				} else if rec := recs[binary.BigEndian.Uint32(resp)]; rec == nil || !bytes.Equal(resp, rec.wire) {

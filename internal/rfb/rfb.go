@@ -22,20 +22,19 @@
 // block whose stride is the tile's width; edge tiles are narrower or
 // shorter and use a prefix of the storage, the rest of which stays zero.
 // Every tile is one contiguous slice: a raw tile is encoded by one
-// append and decoded by one copy. Every write goes through put, which
-// compares old and new pixels only while the tile is clean, so a tile is
-// dirty exactly when one of its pixels changed since the last update.
+// append. Every write goes through put, which compares old and new
+// pixels only while the tile is clean, so a tile is dirty exactly when
+// one of its pixels changed since the last update.
 //
 // A tile takes storage, from the framebuffer's free list of all-zero
 // tiles or else new, on the first write that makes one of its pixels
 // non-zero; writing zeros to a nil tile changes nothing. It gives its
 // storage back only where the code already knows the tile is all zero,
 // so no write pays for a scan: the RLE encoder releases a dirty tile
-// with no value change whose first pixel is 0, and DecodeTile releases
-// a tile that an RLE body covering exactly that tile set to all zeros.
-// So the server of a screen and the client mirroring it hold storage
-// for about the tiles something is drawn on. A screen nothing draws on
-// costs its W·H/256 tile pointers: 24 KiB at 1024×768.
+// with no value change whose first pixel is 0. So a served screen holds
+// storage for about the tiles something is drawn on; the display side
+// holds no framebuffer at all. A screen nothing draws on costs its
+// W·H/256 tile pointers: 24 KiB at 1024×768.
 //
 // The dirty flags are a bitmap, one bit per tile in row-major tile
 // order, 64 tiles to a word. The encoder walks it with TrailingZeros64
@@ -45,10 +44,13 @@
 //
 // # Wire path
 //
-// The client applies an update straight from the reply's bytes: one pass
-// checks every header, so a malformed reply writes nothing, and a second
-// decodes each tile's body in place into the framebuffer. No parsed form
-// of the update is built.
+// The server encodes each reply straight onto the wire from its tiles.
+// The display side counts what it receives without painting it: the
+// model reads its tiles and bytes, never its pixels. One pass over the
+// reply checks the update header, every tile header and body length,
+// and that no bytes trail; it builds nothing and writes nothing. No
+// production code decodes a tile body; the tests' reference decoder
+// does, and holds the encoder to its pixels.
 package rfb
 
 import (
@@ -83,11 +85,11 @@ var zeroTile tileBlock
 
 // Framebuffer is a W×H 8-bit pixel surface with per-tile dirty tracking.
 type Framebuffer struct {
-	W, H           int
-	tiles          []*tileBlock // row-major; nil is all zero (see the package doc)
-	free           []*tileBlock // all-zero storage no tile holds
-	tilesX, tilesY int
-	dirty          []uint64 // bit t%64 of word t/64 is tile t's flag
+	W, H   int
+	tiles  []*tileBlock // row-major; nil is all zero (see the package doc)
+	free   []*tileBlock // all-zero storage no tile holds
+	tilesX int
+	dirty  []uint64 // bit t%64 of word t/64 is tile t's flag
 }
 
 // NewFramebuffer allocates a zeroed framebuffer. Dimensions must be
@@ -105,8 +107,8 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 	return &Framebuffer{
 		W: w, H: h,
 		tiles:  make([]*tileBlock, tx*ty),
-		tilesX: tx, tilesY: ty,
-		dirty: make([]uint64, (tx*ty+63)/64),
+		tilesX: tx,
+		dirty:  make([]uint64, (tx*ty+63)/64),
 	}, nil
 }
 
@@ -239,46 +241,6 @@ func fillBytes(b []uint8, v uint8) {
 	}
 }
 
-// writeBlock copies src, a row-major w×h block, to the rectangle with
-// top-left pixel (x, y); the part outside the framebuffer is ignored.
-func (f *Framebuffer) writeBlock(x, y, w, h int, src []uint8) {
-	f.eachTile(x, y, x+w, y+h, func(x0, y0, x1, y1 int) {
-		f.putTile(x0, y0, x1, y1, src[(y0-y)*w+x0-x:], w)
-	})
-}
-
-// writeRect writes s, a row-major prefix of the pixels of r, into the
-// framebuffer: its whole rows as one block, then the partial row. A
-// rectangle without height takes nothing; one without width takes all
-// of s on its first row, where the RLE decoder's runs never wrap.
-func (f *Framebuffer) writeRect(r Rect, s []uint8) {
-	switch {
-	case r.H <= 0:
-	case r.W <= 0:
-		f.writeBlock(r.X, r.Y, len(s), 1, s)
-	default:
-		rows := len(s) / r.W
-		f.writeBlock(r.X, r.Y, r.W, rows, s)
-		f.writeBlock(r.X, r.Y+rows, len(s)-rows*r.W, 1, s[rows*r.W:])
-	}
-}
-
-// MarkAllDirty flags every tile, forcing the next update to be a full
-// frame (used at client attach).
-func (f *Framebuffer) MarkAllDirty() {
-	for i := range f.dirty {
-		f.dirty[i] = ^uint64(0)
-	}
-	if n := f.tilesX * f.tilesY % 64; n != 0 {
-		f.dirty[len(f.dirty)-1] = 1<<n - 1
-	}
-}
-
-// Rect is a pixel-space rectangle.
-type Rect struct {
-	X, Y, W, H int
-}
-
 // Encoding selects the tile wire format.
 type Encoding uint8
 
@@ -300,79 +262,6 @@ func (e Encoding) String() string {
 	default:
 		return fmt.Sprintf("Encoding(%d)", uint8(e))
 	}
-}
-
-// DecodeTile writes an encoded tile into the framebuffer at r. Pixels
-// outside the framebuffer are consumed but not written. On a malformed
-// RLE payload the runs before the fault have already been written. An
-// RLE body whose runs are all zero and cover exactly one tile releases
-// that tile's storage.
-func DecodeTile(f *Framebuffer, r Rect, enc Encoding, data []byte) error {
-	switch enc {
-	case EncRaw:
-		if len(data) != r.W*r.H {
-			return fmt.Errorf("rfb: raw tile size %d != %d", len(data), r.W*r.H)
-		}
-		f.writeRect(r, data)
-		return nil
-	case EncRLE:
-		if len(data)%2 != 0 {
-			return errors.New("rfb: odd RLE payload")
-		}
-		// The runs are expanded into s and written once. s holds at most
-		// what the rectangle takes before it overflows: nothing without
-		// height, W·H pixels with a width, and without one every run (they
-		// all land on the first row). The payload bounds s either way.
-		room := 255 * len(data) / 2
-		if r.H <= 0 {
-			room = 0
-		} else if r.W > 0 {
-			room = min(room, r.W*r.H)
-		}
-		var buf [TileSize * TileSize]uint8
-		s := buf[:0]
-		if room > len(buf) {
-			s = make([]uint8, 0, room)
-		}
-		total := 0
-		var or uint8 // every run value ORed
-		for i := 0; i < len(data); i += 2 {
-			n, v := int(data[i]), data[i+1]
-			or |= v
-			if n == 0 {
-				f.writeRect(r, s)
-				return errors.New("rfb: zero-length RLE run")
-			}
-			total += n
-			k := min(n, room-len(s))
-			s = s[:len(s)+k]
-			fillBytes(s[len(s)-k:], v)
-			if k < n {
-				f.writeRect(r, s)
-				return errors.New("rfb: RLE overflow")
-			}
-		}
-		f.writeRect(r, s)
-		if total != r.W*r.H {
-			return fmt.Errorf("rfb: RLE covers %d pixels, want %d", total, r.W*r.H)
-		}
-		if t, ok := f.tileAt(r); ok && or == 0 {
-			f.release(t)
-		}
-		return nil
-	default:
-		return fmt.Errorf("rfb: unknown encoding %d", enc)
-	}
-}
-
-// tileAt returns the index of the tile whose pixels are exactly r, and
-// reports whether there is one.
-func (f *Framebuffer) tileAt(r Rect) (int, bool) {
-	if r.X < 0 || r.Y < 0 || r.X >= f.W || r.Y >= f.H || r.X%TileSize != 0 || r.Y%TileSize != 0 ||
-		r.W != min(TileSize, f.W-r.X) || r.H != min(TileSize, f.H-r.Y) {
-		return 0, false
-	}
-	return r.Y/TileSize*f.tilesX + r.X/TileSize, true
 }
 
 // Wire layout: an update header (serial, tile count; uint32 each)
@@ -485,12 +374,11 @@ func valueChanges(b []uint8, marks []uint64) int {
 	return n
 }
 
-// applyUpdate writes the tiles of a wire-format update into f and
-// returns how many it carried. A first pass checks every header, so a
-// structurally malformed update writes nothing; the second decodes each
-// tile's body in place. A decode fault leaves the tiles before it, and
-// the faulty tile's prefix, written.
-func applyUpdate(f *Framebuffer, data []byte) (int, error) {
+// checkUpdate checks the framing of a wire-format update and returns
+// how many tiles it carries: the update header, every tile header and
+// body length, and that no bytes follow the last tile. It reads no tile
+// body.
+func checkUpdate(data []byte) (int, error) {
 	if len(data) < updateHeaderLen {
 		return 0, errors.New("rfb: short update header")
 	}
@@ -510,21 +398,6 @@ func applyUpdate(f *Framebuffer, data []byte) (int, error) {
 	}
 	if off != len(data) {
 		return 0, fmt.Errorf("rfb: %d trailing bytes", len(data)-off)
-	}
-	for off = updateHeaderLen; off < len(data); {
-		r := Rect{
-			X: int(binary.BigEndian.Uint16(data[off:])),
-			Y: int(binary.BigEndian.Uint16(data[off+2:])),
-			W: int(binary.BigEndian.Uint16(data[off+4:])),
-			H: int(binary.BigEndian.Uint16(data[off+6:])),
-		}
-		enc := Encoding(data[off+8])
-		n := int(binary.BigEndian.Uint32(data[off+9:]))
-		off += tileHeaderLen
-		if err := DecodeTile(f, r, enc, data[off:off+n]); err != nil {
-			return 0, err
-		}
-		off += n
 	}
 	return int(count), nil
 }

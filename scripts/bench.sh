@@ -57,7 +57,7 @@ go test -run '^$' -bench 'BenchmarkUnicastRoundTrip|BenchmarkBackoffLoneStation'
 go test -run '^$' -bench 'BenchmarkCallRoundTrip' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/netsim/ | tee -a "$tmp"
 
-echo "== rfb streaming: encode, apply, fill, animate (count=$count, benchtime=$benchtime)"
+echo "== rfb streaming: encode, framing check, fill, animate (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench '.' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/rfb/ | tee -a "$tmp"
 

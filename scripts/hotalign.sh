@@ -20,7 +20,7 @@ set -euo pipefail
 
 bin=${1:?usage: scripts/hotalign.sh BIN}
 syms=$(go tool nm "$bin")
-for fn in Fill putTile DecodeTile appendRLE valueChanges drawTextured drawTextured.func1; do
+for fn in Fill putTile checkUpdate appendRLE valueChanges drawTextured drawTextured.func1; do
     line=$(awk -v fn="$fn" '$2 == "T" && $3 ~ ("^aroma/internal/rfb\\.(\\([^)]*\\)\\.)?" fn "$") { print $1, $3; exit }' <<<"$syms")
     if [[ -z $line ]]; then
         printf '%-18s inlined (no symbol)\n' "$fn"
