@@ -316,8 +316,9 @@ const scrapeWait = 250 * time.Millisecond
 // handleMetrics serves the Prometheus text exposition: the server's
 // own host-plane instruments first, then every hosted world's registry
 // with a world="<id>" label, in world-ID order. Every part is rendered
-// into a buffer first, so the reply carries its Content-Length and a
-// client can read it into one buffer of the right size.
+// into a slice of its own first, so the reply carries its
+// Content-Length and a client can read it into one buffer of the right
+// size.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	hosts := make([]*host, 0, len(s.worlds))
@@ -326,47 +327,46 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].id < hosts[j].id })
-	bufs := s.scrapeWorlds(hosts)
-	var server bytes.Buffer
-	s.reg.WritePrometheus(&server)
-	n := server.Len()
+	parts := s.scrapeWorlds(hosts)
+	server := s.reg.AppendPrometheus(nil)
+	n := len(server)
 	for i, h := range hosts {
-		if bufs[i] == nil {
-			bufs[i] = bytes.NewBufferString("# world " + h.id + " skipped: busy\n")
+		if parts[i] == nil {
+			parts[i] = []byte("# world " + h.id + " skipped: busy\n")
 		}
-		n += bufs[i].Len()
+		n += len(parts[i])
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(n))
-	w.Write(server.Bytes())
-	for _, b := range bufs {
-		w.Write(b.Bytes())
+	w.Write(server)
+	for _, p := range parts {
+		w.Write(p)
 	}
 }
 
-// scrapeWorlds renders each world's registry into a private buffer,
-// concurrently across worlds. A nil buffer marks a world whose command
+// scrapeWorlds renders each world's registry into a slice of its own,
+// concurrently across worlds. A nil slice marks a world whose command
 // loop was busy past the scrape budget (or already closed).
-func (s *Server) scrapeWorlds(hosts []*host) []*bytes.Buffer {
-	bufs := make([]*bytes.Buffer, len(hosts))
+func (s *Server) scrapeWorlds(hosts []*host) [][]byte {
+	parts := make([][]byte, len(hosts))
 	var wg sync.WaitGroup
 	for i, h := range hosts {
 		wg.Add(1)
 		//aroma:goroutine the scrape touches each world only via tryDo, which serializes onto its command loop
 		go func(i int, h *host) {
 			defer wg.Done()
-			buf := &bytes.Buffer{}
+			part := []byte{}
 			if err := h.tryDo(func() {
 				if reg := h.built.World.Telemetry(); reg != nil {
-					reg.WritePrometheus(buf, telemetry.L("world", h.id))
+					part = reg.AppendPrometheus(part, telemetry.L("world", h.id))
 				}
 			}, scrapeWait); err == nil {
-				bufs[i] = buf
+				parts[i] = part
 			}
 		}(i, h)
 	}
 	wg.Wait()
-	return bufs
+	return parts
 }
 
 // handleWorldMetrics serves one world's instrument snapshot — final

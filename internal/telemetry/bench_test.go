@@ -1,39 +1,9 @@
 package telemetry
 
 import (
-	"io"
 	"strconv"
 	"testing"
 )
-
-// BenchmarkTelemetryHotPath pins the zero-allocation contract on the
-// sim-plane update path: a counter increment is an array write through
-// a dense-slot handle — no maps, no interface boxing, no allocation.
-// The benchgate baseline gates allocs/op at 0.
-func BenchmarkTelemetryHotPath(b *testing.B) {
-	r := New()
-	c := r.Counter("bench.events_total")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-	if c.Value() != uint64(b.N) {
-		b.Fatalf("counter = %d, want %d", c.Value(), b.N)
-	}
-}
-
-// BenchmarkTelemetryDisabledHotPath measures the cost model code pays
-// when telemetry is off: updates through zero-value handles, which must
-// reduce to a nil check. Also alloc-gated at 0.
-func BenchmarkTelemetryDisabledHotPath(b *testing.B) {
-	var c Counter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
 
 // BenchmarkTelemetrySample measures sampler ticks over a registry of
 // representative size (32 instruments), reserved for a world's horizon
@@ -56,17 +26,16 @@ func BenchmarkTelemetrySample(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if c := r.cohorts[0]; len(r.cohorts) != 1 || len(c.t) != reservePoints || c.stride != 1 {
-		b.Fatalf("%d cohorts, the first with %d points at stride %d; want 1 with %d at stride 1",
-			len(r.cohorts), len(c.t), c.stride, reservePoints)
+	if len(r.t) != reservePoints || r.stride != 1 {
+		b.Fatalf("%d points at stride %d; want %d at stride 1", len(r.t), r.stride, reservePoints)
 	}
 }
 
 // BenchmarkTelemetryReserve measures the reservation a world makes
 // when telemetry is enabled: Reserve(1200), a 120 s horizon at the
 // 100 ms sampling period, on a fresh world-shaped registry. It
-// allocates one value column per sampled instrument plus one time
-// column per cohort (53 arrays); TestReserveBytesPerPoint pins that
+// allocates one value column per sampled instrument plus the time
+// column (53 arrays); TestReserveBytesPerPoint pins that
 // count and 8 bytes per reserved point, plus size-class rounding.
 func BenchmarkTelemetryReserve(b *testing.B) {
 	b.ReportAllocs()
@@ -81,21 +50,17 @@ func BenchmarkTelemetryReserve(b *testing.B) {
 // BenchmarkTelemetryPrometheus measures one steady-state scrape of a
 // world-sized registry (44 instruments of every kind, most labelled)
 // under a world label: the cached skeleton is reused, values are
-// formatted into the reused buffer, and the scrape allocates nothing.
+// formatted into a reused slice, and the scrape allocates nothing.
 // TestHotPathZeroAllocs gates it at exactly 0.
 func BenchmarkTelemetryPrometheus(b *testing.B) {
 	r, c := promRegistry()
 	world := L("world", "w1")
-	if err := r.WritePrometheus(io.Discard, world); err != nil {
-		b.Fatal(err)
-	}
+	buf := r.AppendPrometheus(nil, world)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
-		if err := r.WritePrometheus(io.Discard, world); err != nil {
-			b.Fatal(err)
-		}
+		*c++
+		buf = r.AppendPrometheus(buf[:0], world)
 	}
 }
 
@@ -103,7 +68,7 @@ func BenchmarkTelemetryPrometheus(b *testing.B) {
 func sampleRegistry() *Registry {
 	r := New()
 	for i := 0; i < 16; i++ {
-		r.Counter("bench.c_total", L("i", string(rune('a'+i))))
+		counter(r, "bench.c_total", L("i", string(rune('a'+i))))
 	}
 	for i := 0; i < 16; i++ {
 		v := float64(i)
@@ -115,12 +80,12 @@ func sampleRegistry() *Registry {
 // promRegistry is a world-sized registry: 44 instruments across every
 // kind, most of them labelled, with non-integral values in play. It
 // returns one counter for callers to move.
-func promRegistry() (*Registry, Counter) {
+func promRegistry() (*Registry, *uint64) {
 	r := New()
-	var c Counter
+	var c *uint64
 	for i := 0; i < 16; i++ {
-		c = r.Counter("radio.frames_total", L("kind", string(rune('a'+i))))
-		c.Add(uint64(i) * 1000)
+		c = counter(r, "radio.frames_total", L("kind", string(rune('a'+i))))
+		*c = uint64(i) * 1000
 	}
 	for i := 0; i < 12; i++ {
 		v := float64(i) + 0.25
@@ -143,9 +108,7 @@ func promRegistry() (*Registry, Counter) {
 const reservePoints = 1200
 
 // worldRegistry is shaped like a faulted world's registry: 52 sampled
-// instruments (38 counter funcs, 10 gauge funcs and 4 handle counters,
-// most labelled), all registered before the first sample, so they form
-// one cohort.
+// instruments (42 counter funcs and 10 gauge funcs, most labelled).
 func worldRegistry() *Registry {
 	r := New()
 	var n uint64
@@ -156,7 +119,7 @@ func worldRegistry() *Registry {
 		r.GaugeFunc("world.depth", func() float64 { return float64(n) }, L("i", strconv.Itoa(i)))
 	}
 	for i := 0; i < 4; i++ {
-		r.Counter("trace.events_total", L("severity", strconv.Itoa(i)))
+		counter(r, "trace.events_total", L("severity", strconv.Itoa(i)))
 	}
 	return r
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -54,7 +53,7 @@ func (r *Registry) Snapshot(atNanos int64) *Snapshot {
 		if len(in.vals) > 0 {
 			start := len(pts)
 			for i, v := range in.vals {
-				pts = append(pts, Point{T: in.co.t[i], V: v})
+				pts = append(pts, Point{T: r.t[i], V: v})
 			}
 			// The capped slice stops a holder's appends from writing
 			// into the next instrument's points.
@@ -152,17 +151,20 @@ func appendValue(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
+// maxValueLen bounds one formatted value plus its newline: appendValue
+// writes at most 24 bytes ("-1.2345678901234567e-308", or an int64's
+// 20).
+const maxValueLen = 25
+
 // promSkeleton is the static part of a registry's exposition for one
 // common-label set: every line's text up to its value, in output order,
 // and where each value comes from. Only values change between scrapes
-// of the same instruments, so a scrape formats values into buf and
-// nothing else.
+// of the same instruments, so a scrape formats values and nothing else.
 type promSkeleton struct {
 	n       int     // instrument count the skeleton was built for
 	common  []Label // common labels it was built for
 	text    []byte  // all lines' static parts, back to back
 	samples []promSample
-	buf     []byte // the rendered exposition, reused across scrapes
 }
 
 // promSample is one exposition line. Its static text ends at text[end];
@@ -218,42 +220,29 @@ func (p *promSkeleton) build(insts []*instrument, common []Label) {
 	p.common = append(p.common[:0], common...)
 }
 
-// WritePrometheus renders every instrument in the Prometheus text
-// exposition format, with common labels (typically world="id") merged
-// into every sample. Sim-plane values must be read on the kernel
+// AppendPrometheus appends every instrument, rendered in the Prometheus
+// text exposition format, to dst and returns the extended slice. Common
+// labels (typically world="id") are merged into every sample. dst is
+// grown once, to the most the skeleton's lines can take, so a render
+// never regrows it. Sim-plane values must be read on the kernel
 // goroutine; the daemon routes scrapes through each world's command
 // loop. The skeleton is rebuilt only when instruments were registered
 // or the common labels changed since the last scrape; otherwise a
-// scrape allocates nothing and issues one Write, made without holding
-// the registry's lock.
-func (r *Registry) WritePrometheus(w io.Writer, common ...Label) error {
+// render into a slice with room allocates nothing.
+func (r *Registry) AppendPrometheus(dst []byte, common ...Label) []byte {
 	r.promMu.Lock()
-	b := r.render(common)
-	r.promMu.Unlock()
-	_, err := w.Write(b)
-	// Hand the buffer back for the next scrape; a scrape that ran in
-	// the meantime rendered into a buffer of its own.
-	r.promMu.Lock()
-	r.prom.buf = b
-	r.promMu.Unlock()
-	return err
-}
-
-// render formats the exposition into the skeleton's buffer and takes
-// the buffer out of the skeleton until WritePrometheus hands it back.
-// The caller holds promMu.
-func (r *Registry) render(common []Label) []byte {
+	defer r.promMu.Unlock()
 	p := &r.prom
 	if p.n != len(r.insts) || !slices.Equal(p.common, common) {
 		p.build(r.insts, common)
 	}
-	b, start := p.buf[:0], 0
-	p.buf = nil
+	dst = slices.Grow(dst, len(p.text)+maxValueLen*len(p.samples))
+	start := 0
 	for _, sm := range p.samples {
-		b = append(b, p.text[start:sm.end]...)
+		dst = append(dst, p.text[start:sm.end]...)
 		start = sm.end
-		b = appendValue(b, r.scalar(sm.in))
-		b = append(b, '\n')
+		dst = appendValue(dst, r.scalar(sm.in))
+		dst = append(dst, '\n')
 	}
-	return b
+	return dst
 }

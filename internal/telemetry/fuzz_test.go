@@ -22,8 +22,8 @@ func (in *fuzzTape) next() byte {
 
 // Operation codes of the fuzz tape; each reads its own arguments.
 const (
-	opCounter    = iota // name, labels
-	opCounterFn         // name, labels
+	opCounter    = iota // name, labels: a counter func the update op adds to
+	opCounterFn         // name, labels: a counter func the update op adds to
 	opGaugeFn           // name, labels
 	opHost              // name, labels
 	opSample            // one sampler tick
@@ -78,7 +78,7 @@ var (
 type refHarness struct {
 	r        *Registry
 	refs     []*refSeries // parallel to r.insts; nil for unsampled kinds
-	counters []Counter
+	counters []*uint64
 	hosts    []*HostCounter
 	cfns     []*uint64
 	gfns     []*float64
@@ -103,6 +103,10 @@ func (h *refHarness) labels(in *fuzzTape) []Label {
 	return ls
 }
 
+// registering reports whether the registry still takes registrations:
+// every instrument registers before the first sample.
+func (h *refHarness) registering() bool { return h.r.phase == 0 }
+
 // fresh reports whether name+labels is not registered yet, so the
 // harness never trips the duplicate-registration panic.
 func (h *refHarness) fresh(name string, labels []Label) bool {
@@ -115,12 +119,14 @@ func (h *refHarness) register(in *fuzzTape, op byte) {
 	pick := func(names []string) (string, []Label, bool) {
 		name := names[int(in.next())%len(names)]
 		ls := h.labels(in)
-		return name, ls, len(h.r.insts) < maxInstruments && h.fresh(name, ls)
+		return name, ls, h.registering() && len(h.r.insts) < maxInstruments && h.fresh(name, ls)
 	}
 	switch op {
 	case opCounter:
 		if name, ls, ok := pick(counterNames[:]); ok {
-			h.counters = append(h.counters, h.r.Counter(name, ls...))
+			v := new(uint64)
+			h.counters = append(h.counters, v)
+			h.r.CounterFunc(name, func() uint64 { return *v }, ls...)
 		}
 	case opCounterFn:
 		if name, ls, ok := pick(counterNames[:]); ok {
@@ -169,7 +175,7 @@ func (h *refHarness) update(in *fuzzTape) {
 	switch target % 4 {
 	case 0:
 		if len(h.counters) > 0 {
-			h.counters[target/4%len(h.counters)].Add(n)
+			*h.counters[target/4%len(h.counters)] += n
 		}
 	case 1:
 		if len(h.cfns) > 0 {
@@ -188,15 +194,13 @@ func (h *refHarness) update(in *fuzzTape) {
 
 func (h *refHarness) scrape(t *testing.T, common []Label) {
 	t.Helper()
-	var got, want bytes.Buffer
-	if err := h.r.WritePrometheus(&got, common...); err != nil {
-		t.Fatal(err)
-	}
+	var want bytes.Buffer
+	got := h.r.AppendPrometheus(nil, common...)
 	if err := refWritePrometheus(h.r, &want, common...); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("exposition with common labels %q differs from the reference:\ngot:\n%s\nwant:\n%s", common, got.Bytes(), want.Bytes())
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("exposition with common labels %q differs from the reference:\ngot:\n%s\nwant:\n%s", common, got, want.Bytes())
 	}
 }
 
@@ -220,19 +224,19 @@ func (h *refHarness) check(t *testing.T, op int) {
 	t.Helper()
 	for i, in := range h.r.insts {
 		if h.refs[i] == nil {
-			if in.co != nil || in.vals != nil {
+			if in.vals != nil {
 				t.Fatalf("op %d: unsampled %s grew a series", op, in.name)
 			}
 			continue
 		}
-		if len(in.vals) != len(in.co.t) {
-			t.Fatalf("op %d: %s has %d values for %d sample times", op, in.name, len(in.vals), len(in.co.t))
+		if len(in.vals) != len(h.r.t) {
+			t.Fatalf("op %d: %s has %d values for %d sample times", op, in.name, len(in.vals), len(h.r.t))
 		}
 		want, from := h.refs[i].pts, 0
 		if !h.moved && len(in.vals) == len(want) && len(want) > 0 {
 			from = len(want) - 1
 		}
-		if !samePoints(points(in, from), want[from:]) {
+		if !samePoints(points(h.r, in, from), want[from:]) {
 			t.Fatalf("op %d: %s series (%d points) differs from the reference (%d points)",
 				op, in.name, len(in.vals), len(want))
 		}
@@ -264,9 +268,10 @@ func samePoints(a, b []Point) bool {
 }
 
 // FuzzTelemetryMatchesReference plays random operation sequences —
-// registrations of every kind (some after sampling started), sampler
-// ticks, reservations, value updates, scrapes under changing common
-// labels, snapshots — on a Registry, and after every operation requires
+// registrations of every kind (skipped once sampling started, since the
+// registry then panics), sampler ticks, reservations, value updates,
+// scrapes under changing common labels, snapshots — on a Registry, and
+// after every operation requires
 // every series to equal the reference series' points, every kept
 // snapshot to be unchanged, and every scrape to equal the reference
 // exposition byte for byte.
@@ -287,8 +292,8 @@ func FuzzTelemetryMatchesReference(f *testing.F) {
 		opSampleMany, 70,
 		opScrape, 3,
 	})
-	// A late registration after a scrape: the cached skeleton must
-	// pick up the new instrument, then follow common-label changes.
+	// Registrations after a sample are skipped, so the gauge and
+	// host counter here never register; the scrapes stay on one.
 	f.Add([]byte{
 		opCounter, 1, 0,
 		opSample,
@@ -298,6 +303,21 @@ func FuzzTelemetryMatchesReference(f *testing.F) {
 		opSample,
 		opScrape, 1,
 		opHost, 0, 1, 3, 6,
+		opScrape, 4,
+		opScrape, 0,
+	})
+	// A registration after a scrape, before any sample: the cached
+	// skeleton must pick up the new instrument, then follow
+	// common-label changes.
+	f.Add([]byte{
+		opCounter, 1, 0,
+		opScrape, 1,
+		opGaugeFn, 3, 2, 2, 5, 0, 0,
+		opReserve, 3, 3,
+		opUpdate, 2, 3, 0,
+		opScrape, 1,
+		opHost, 0, 1, 3, 6,
+		opSample,
 		opScrape, 4,
 		opScrape, 0,
 	})

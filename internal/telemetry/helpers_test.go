@@ -4,21 +4,6 @@ package telemetry
 // live here rather than in the package's API.
 
 // Add adds n.
-func (c Counter) Add(n uint64) {
-	if c.r != nil {
-		c.r.counters[c.slot] += n
-	}
-}
-
-// Value returns the current count (0 for the zero handle).
-func (c Counter) Value() uint64 {
-	if c.r == nil {
-		return 0
-	}
-	return c.r.counters[c.slot]
-}
-
-// Add adds n.
 func (c *HostCounter) Add(n uint64) {
 	if c != nil {
 		c.v.Add(n)
@@ -37,12 +22,20 @@ func (s *Snapshot) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// points zips a sampled instrument's value column with its cohort's
+// points zips a sampled instrument's value column with the registry's
 // time column, from index from on.
-func points(in *instrument, from int) []Point {
+func points(r *Registry, in *instrument, from int) []Point {
 	pts := make([]Point, 0, len(in.vals)-from)
 	for i := from; i < len(in.vals); i++ {
-		pts = append(pts, Point{T: in.co.t[i], V: in.vals[i]})
+		pts = append(pts, Point{T: r.t[i], V: in.vals[i]})
 	}
 	return pts
+}
+
+// counter registers a counter func over a fresh variable and returns
+// the variable, for tests that move a counter by hand.
+func counter(r *Registry, name string, labels ...Label) *uint64 {
+	n := new(uint64)
+	r.CounterFunc(name, func() uint64 { return *n }, labels...)
+	return n
 }

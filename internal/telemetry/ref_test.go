@@ -91,7 +91,7 @@ func refWritePrometheus(r *Registry, w io.Writer, common ...Label) error {
 	for _, in := range r.insts {
 		pn := promName(in.name)
 		switch in.kind {
-		case kindCounter, kindCounterFunc, kindHostCounter:
+		case kindCounterFunc, kindHostCounter:
 			lines = append(lines, refPromLine{pn, "counter", refRenderLabels(in.labels, common), refFormatValue(r.scalar(in))})
 		case kindGaugeFunc:
 			lines = append(lines, refPromLine{pn, "gauge", refRenderLabels(in.labels, common), refFormatValue(r.scalar(in))})

@@ -7,12 +7,12 @@
 // Instruments live on exactly one of two planes, and the plane decides
 // every contract that matters:
 //
-//   - Sim-plane instruments (Counter, CounterFunc, GaugeFunc) describe
-//     the simulated system — frames sent, backoffs, pool occupancy. They
-//     are updated and read on the kernel goroutine only, advance only
-//     with virtual time, and are sampled into deterministic sim-time
-//     series by a kernel-driven sampler. Two runs of the same seed
-//     produce bit-identical sim-plane values and series.
+//   - Sim-plane instruments (CounterFunc, GaugeFunc) describe the
+//     simulated system — frames sent, backoffs, pool occupancy. They
+//     are read on the kernel goroutine only, advance only with virtual
+//     time, and are sampled into deterministic sim-time series by a
+//     kernel-driven sampler. Two runs of the same seed produce
+//     bit-identical sim-plane values and series.
 //   - Host-plane instruments (HostCounter) describe the machine running
 //     the simulation — SSE drops, world failures. They are atomics,
 //     safe from any goroutine, and are never sampled into sim-time
@@ -25,31 +25,27 @@
 //
 // # Hot-path discipline
 //
-// Counter handles are dense-slot references into the registry's
-// backing array: an update is one bounds-checked array write, no map
-// lookups and no allocations (BenchmarkTelemetryHotPath gates 0
-// allocs/op). The zero-value handle is inert, so model code
-// updates unconditionally and worlds without telemetry pay only a nil
-// check. Stats that substrates already keep as plain fields are read
-// lazily through CounterFunc/GaugeFunc at sample/export time instead of
-// being double-counted on the hot path.
+// The registry holds no sim-plane state of its own: every sim-plane
+// instrument reads, at sample and export time, a stat field the model
+// already keeps — the kernel's step count, the medium's frame counts,
+// the trace bus's per-severity record counts. The hot path pays
+// nothing for telemetry, a world without it pays nothing either, and a
+// value never depends on when telemetry was enabled.
 //
 // # Memory
 //
 // A registry allocates what it keeps, once. Series are columnar: each
-// sampled instrument keeps a values-only column, and each sampling
-// cohort — the instruments registered between two Sample calls, which
-// are sampled at the same instants and decimated alike — shares one
-// sample-time column. A world has one cohort, plus one more when an
-// instrument registers after sampling began (a fault plan armed on a
-// running world). Reserve sizes every column to the samples the run
-// will take before its horizon (at most maxPoints), so sampling never
-// regrows a column and decimation compacts each in place. Snapshot
-// zips the columns into fresh points, so a snapshot is immutable by
-// construction and costs a copy of every series. WritePrometheus caches
-// the static part of its output — line order, # TYPE headers, names
-// and rendered labels — per common-label set, so a steady-state scrape
-// only formats values into a reused buffer.
+// sampled instrument keeps a values-only column, and all of them share
+// one sample-time column, with one stride and one phase — every
+// instrument registers before the first Sample, so all see the same
+// samples and decimate alike. Reserve sizes every column to the samples
+// the run will take before its horizon (at most maxPoints), so sampling
+// never regrows a column and decimation compacts each in place.
+// Snapshot zips the columns into fresh points, so a snapshot is
+// immutable by construction and costs a copy of every series.
+// AppendPrometheus caches the static part of its output — line order,
+// # TYPE headers, names and rendered labels — per common-label set, so
+// a steady-state scrape only formats values into the caller's slice.
 //
 // # Naming scheme
 //
@@ -85,15 +81,14 @@ func L(k, v string) Label { return Label{Key: k, Value: v} }
 type kind uint8
 
 const (
-	kindCounter kind = iota
-	kindCounterFunc
+	kindCounterFunc kind = iota
 	kindGaugeFunc
 	kindHostCounter
 )
 
 func (k kind) String() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounterFunc:
 		return "counter"
 	case kindGaugeFunc:
 		return "gauge"
@@ -104,52 +99,13 @@ func (k kind) String() string {
 }
 
 // sampled reports whether the kind is recorded into sim-time series.
-func (k kind) sampled() bool {
-	switch k {
-	case kindCounter, kindCounterFunc, kindGaugeFunc:
-		return true
-	}
-	return false
-}
+func (k kind) sampled() bool { return k != kindHostCounter }
 
 // Point is one sampled (sim-time, value) pair. T is virtual nanoseconds
 // since the start of the simulation.
 type Point struct {
 	T int64   `json:"t"`
 	V float64 `json:"v"`
-}
-
-// cohort is one sampling cohort: the sample-time column shared by
-// every instrument registered between two Sample calls. Its members
-// saw the same samples since registration, so one stride and phase
-// decimate them all alike.
-type cohort struct {
-	t       []int64 // sample times, parallel to every member's values
-	stride  uint64  // record every stride-th sample; 1 at registration, doubles on decimation
-	phase   uint64  // samples seen since registration; compared against stride
-	members []*instrument
-}
-
-// sample records one sampler tick at time t for every member. When the
-// columns are full it first keeps their odd positions: with the stride
-// doubling, the retained points are exactly the samples a fresh series
-// with the doubled stride would have kept.
-func (c *cohort) sample(r *Registry, t int64) {
-	c.phase++
-	if c.phase%c.stride != 0 {
-		return
-	}
-	if len(c.t) >= maxPoints {
-		c.t = decimate(c.t)
-		for _, in := range c.members {
-			in.vals = decimate(in.vals)
-		}
-		c.stride *= 2
-	}
-	c.t = append(c.t, t)
-	for _, in := range c.members {
-		in.vals = append(in.vals, r.scalar(in))
-	}
 }
 
 // decimate keeps a column's odd positions, in place.
@@ -166,30 +122,34 @@ type instrument struct {
 	name   string
 	labels []Label // sorted by key
 	kind   kind
-	slot   uint32         // kindCounter: index into the dense array
 	cfn    func() uint64  // kindCounterFunc
 	gfn    func() float64 // kindGaugeFunc
 	hc     *HostCounter
-	co     *cohort   // sampled kinds: the cohort whose times vals pairs with
-	vals   []float64 // sampled kinds: the value column, parallel to co.t
+	vals   []float64 // sampled kinds: the value column, parallel to Registry.t
 }
 
 // Registry is a per-world instrument registry.
 //
 // Registration happens at world construction, on one goroutine, before
-// the world runs. Sim-plane updates, Sample, Reserve, and the exporters
-// must run on the kernel goroutine (the daemon routes scrapes through
-// each world's command loop); host-plane instruments are safe from any
-// goroutine. The threading contract above is the synchronization,
-// except for WritePrometheus's cached skeleton and buffer: a registry
-// holding only host-plane instruments may be scraped from concurrent
-// goroutines, so a mutex guards them.
+// the first Sample: every sampled instrument then sees the same
+// samples, so one time column, one stride and one phase serve them all,
+// and a registration after the first Sample panics. Sim-plane reads,
+// Sample, Reserve, and the exporters must run on the kernel goroutine
+// (the daemon routes scrapes through each world's command loop);
+// host-plane instruments are safe from any goroutine. The threading
+// contract above is the synchronization, except for AppendPrometheus's
+// cached skeleton: a registry holding only host-plane instruments may
+// be scraped from concurrent goroutines, so a mutex guards it.
 type Registry struct {
-	counters []uint64
-	insts    []*instrument
-	cohorts  []*cohort       // in registration order; the last may not have sampled yet
-	names    map[string]bool // identity keys, duplicate registration guard
-	reserve  int             // point capacity of every column (Reserve)
+	insts []*instrument
+	names map[string]bool // identity keys, duplicate registration guard
+
+	// t is the sample-time column every sampled instrument's vals pairs
+	// with. Sample records every stride-th tick; phase counts the ticks
+	// seen, so a registry whose phase is not 0 has sampled.
+	t      []int64
+	stride uint64
+	phase  uint64
 
 	promMu sync.Mutex
 	prom   promSkeleton // guarded by promMu
@@ -197,7 +157,7 @@ type Registry struct {
 
 // New creates an empty registry.
 func New() *Registry {
-	return &Registry{names: make(map[string]bool)}
+	return &Registry{names: make(map[string]bool), stride: 1}
 }
 
 // identity renders name plus sorted labels; two instruments may share a
@@ -215,42 +175,22 @@ func (r *Registry) register(in *instrument) *instrument {
 		panic("telemetry: empty instrument name")
 	}
 	sort.Slice(in.labels, func(i, j int) bool { return in.labels[i].Key < in.labels[j].Key })
-	switch in.kind {
-	case kindCounter, kindCounterFunc, kindHostCounter:
-		if !hasSuffix(in.name, "_total") {
-			panic("telemetry: counter " + in.name + " must end in _total")
-		}
+	if in.kind != kindGaugeFunc && !hasSuffix(in.name, "_total") {
+		panic("telemetry: counter " + in.name + " must end in _total")
 	}
 	id := identity(in.name, in.labels)
 	if r.names[id] {
 		panic("telemetry: duplicate instrument " + id)
 	}
+	if r.phase != 0 {
+		panic("telemetry: instrument " + id + " registered after the first sample")
+	}
 	r.names[id] = true
-	if in.kind.sampled() {
-		r.join(in)
+	if in.kind.sampled() && cap(r.t) > 0 {
+		in.vals = make([]float64, 0, cap(r.t))
 	}
 	r.insts = append(r.insts, in)
 	return in
-}
-
-// join adds a sampled instrument to the cohort that has not sampled
-// yet, starting one when every cohort already has.
-func (r *Registry) join(in *instrument) {
-	var c *cohort
-	if n := len(r.cohorts); n > 0 && r.cohorts[n-1].phase == 0 {
-		c = r.cohorts[n-1]
-	} else {
-		c = &cohort{stride: 1}
-		if r.reserve > 0 {
-			c.t = make([]int64, 0, r.reserve)
-		}
-		r.cohorts = append(r.cohorts, c)
-	}
-	if cap(c.t) > 0 {
-		in.vals = make([]float64, 0, cap(c.t))
-	}
-	in.co = c
-	c.members = append(c.members, in)
 }
 
 // Reserve sizes every column for n more points (capped at maxPoints,
@@ -261,14 +201,13 @@ func (r *Registry) join(in *instrument) {
 // reserved count just appends, as an unreserved registry does. Reserve
 // never shrinks a column.
 func (r *Registry) Reserve(n int) {
-	r.reserve = min(n, maxPoints)
-	for _, c := range r.cohorts {
-		size := min(len(c.t)+n, maxPoints)
-		if size <= cap(c.t) {
-			continue
-		}
-		c.t = grow(c.t, size)
-		for _, in := range c.members {
+	size := min(len(r.t)+n, maxPoints)
+	if size <= cap(r.t) {
+		return
+	}
+	r.t = grow(r.t, size)
+	for _, in := range r.insts {
+		if in.kind.sampled() {
 			in.vals = grow(in.vals, size)
 		}
 	}
@@ -283,15 +222,6 @@ func grow[E any](col []E, size int) []E {
 // model; it is strings.HasSuffix.
 func hasSuffix(s, suf string) bool {
 	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
-}
-
-// Counter registers a sim-plane counter and returns its update handle.
-// The name must end in "_total".
-func (r *Registry) Counter(name string, labels ...Label) Counter {
-	slot := uint32(len(r.counters))
-	r.counters = append(r.counters, 0)
-	r.register(&instrument{name: name, labels: labels, kind: kindCounter, slot: slot})
-	return Counter{r: r, slot: slot}
 }
 
 // CounterFunc registers a sim-plane counter whose value is read from fn
@@ -320,10 +250,27 @@ func (r *Registry) HostCounter(name string, labels ...Label) *HostCounter {
 // Sample records the current value of every sampled sim-plane
 // instrument into its sim-time series at virtual time atNanos. It must
 // run on the kernel goroutine; the world's kernel sampler calls it on a
-// fixed virtual-time period.
+// fixed virtual-time period. When the columns are full it first keeps
+// their odd positions: with the stride doubling, the retained points are
+// exactly the samples a fresh series with the doubled stride would have
+// kept.
 func (r *Registry) Sample(atNanos int64) {
-	for _, c := range r.cohorts {
-		c.sample(r, atNanos)
+	r.phase++
+	if r.phase%r.stride != 0 {
+		return
+	}
+	if len(r.t) >= maxPoints {
+		r.t = decimate(r.t)
+		for _, in := range r.insts {
+			in.vals = decimate(in.vals)
+		}
+		r.stride *= 2
+	}
+	r.t = append(r.t, atNanos)
+	for _, in := range r.insts {
+		if in.kind.sampled() {
+			in.vals = append(in.vals, r.scalar(in))
+		}
 	}
 }
 
@@ -331,8 +278,6 @@ func (r *Registry) Sample(atNanos int64) {
 // read on the kernel goroutine; host kinds are atomic.
 func (r *Registry) scalar(in *instrument) float64 {
 	switch in.kind {
-	case kindCounter:
-		return float64(r.counters[in.slot])
 	case kindCounterFunc:
 		return float64(in.cfn())
 	case kindGaugeFunc:
@@ -341,21 +286,6 @@ func (r *Registry) scalar(in *instrument) float64 {
 		return float64(in.hc.Load())
 	}
 	return 0
-}
-
-// Counter is a dense-slot handle to a sim-plane counter. The zero value
-// is inert: updates are no-ops, so model code can update
-// unconditionally whether or not telemetry is enabled.
-type Counter struct {
-	r    *Registry
-	slot uint32
-}
-
-// Inc adds one.
-func (c Counter) Inc() {
-	if c.r != nil {
-		c.r.counters[c.slot]++
-	}
 }
 
 // HostCounter is a host-plane atomic counter.

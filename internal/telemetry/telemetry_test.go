@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,25 +10,25 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	r := New()
-	c := r.Counter("kernel.steps_total")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
+	c := counter(r, "kernel.steps_total")
+	hc := r.HostCounter("host.drops_total")
+	*c = 5
+	hc.Add(2)
 	snap := r.Snapshot(0)
 	if v, ok := snap.Value("kernel.steps_total"); !ok || v != 5 {
 		t.Fatalf("snapshot counter = %g ok=%v", v, ok)
 	}
+	if v, ok := snap.Value("host.drops_total"); !ok || v != 2 {
+		t.Fatalf("snapshot host counter = %g ok=%v", v, ok)
+	}
+	for _, in := range snap.Instruments {
+		if want := map[string]string{"kernel.steps_total": "counter", "host.drops_total": "host_counter"}[in.Name]; in.Kind != want {
+			t.Fatalf("%s: kind %q, want %q", in.Name, in.Kind, want)
+		}
+	}
 }
 
 func TestZeroValueHandlesAreInert(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(7)
-	if c.Value() != 0 {
-		t.Fatalf("zero handle mutated state: %d", c.Value())
-	}
 	var hc *HostCounter
 	hc.Inc()
 	if hc.Load() != 0 {
@@ -40,10 +39,9 @@ func TestZeroValueHandlesAreInert(t *testing.T) {
 func TestCounterNamingEnforced(t *testing.T) {
 	r := New()
 	for _, f := range []func(){
-		func() { r.Counter("kernel.steps") },                               // counter without _total
-		func() { r.CounterFunc("radio.sent", func() uint64 { return 0 }) }, // ditto
+		func() { r.CounterFunc("radio.sent", func() uint64 { return 0 }) }, // counter without _total
 		func() { r.HostCounter("host.drops") },                             // ditto
-		func() { r.Counter("") },                                           // empty name
+		func() { counter(r, "") },                                          // empty name
 	} {
 		func() {
 			defer func() {
@@ -58,14 +56,46 @@ func TestCounterNamingEnforced(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := New()
-	r.Counter("a.b_total", L("x", "1"))
-	r.Counter("a.b_total", L("x", "2")) // different labels: fine
+	counter(r, "a.b_total", L("x", "1"))
+	counter(r, "a.b_total", L("x", "2")) // different labels: fine
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("duplicate identity accepted")
 		}
 	}()
-	r.Counter("a.b_total", L("x", "1"))
+	counter(r, "a.b_total", L("x", "1"))
+}
+
+// TestRegisterAfterSamplePanics pins the one-column contract: every
+// sampled instrument shares the registry's sample times, so a
+// registration of any kind after the first Sample panics, while one
+// after Reserve, before sampling, is fine.
+func TestRegisterAfterSamplePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		register func(r *Registry)
+	}{
+		{"counter func", func(r *Registry) { counter(r, "late.n_total") }},
+		{"gauge func", func(r *Registry) { r.GaugeFunc("late.g", func() float64 { return 0 }) }},
+		{"host counter", func(r *Registry) { r.HostCounter("late.host_total") }},
+	} {
+		name, register := tc.name, tc.register
+		r := New()
+		counter(r, "early.n_total")
+		r.Reserve(4)
+		register(r)
+		r = New()
+		counter(r, "early.n_total")
+		r.Sample(1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s registered after the first sample", name)
+				}
+			}()
+			register(r)
+		}()
+	}
 }
 
 func TestFuncInstrumentsReadLazily(t *testing.T) {
@@ -85,10 +115,10 @@ func TestFuncInstrumentsReadLazily(t *testing.T) {
 
 func TestSampleBuildsSeries(t *testing.T) {
 	r := New()
-	c := r.Counter("k.n_total")
+	c := counter(r, "k.n_total")
 	r.HostCounter("host.x_total") // host plane: never sampled
 	for i := 1; i <= 3; i++ {
-		c.Inc()
+		*c++
 		r.Sample(int64(i) * 100)
 	}
 	snap := r.Snapshot(300)
@@ -115,9 +145,9 @@ func TestSampleBuildsSeries(t *testing.T) {
 func TestSeriesDecimationIsDeterministicAndBounded(t *testing.T) {
 	run := func() []Point {
 		r := New()
-		c := r.Counter("k.n_total")
+		c := counter(r, "k.n_total")
 		for i := 1; i <= 3*maxPoints; i++ {
-			c.Inc()
+			*c++
 			r.Sample(int64(i))
 		}
 		snap := r.Snapshot(0)
@@ -157,7 +187,7 @@ func TestSnapshotJSONAndOrdering(t *testing.T) {
 	depth := func() float64 { return 0 }
 	r.GaugeFunc("b.depth", depth, L("queue", "1"))
 	r.GaugeFunc("b.depth", depth, L("queue", "0"))
-	r.Counter("a.n_total")
+	counter(r, "a.n_total")
 	snap := r.Snapshot(42)
 	if snap.At != 42 {
 		t.Fatalf("At = %d", snap.At)
@@ -177,20 +207,20 @@ func TestSnapshotJSONAndOrdering(t *testing.T) {
 	}
 }
 
-func TestWritePrometheus(t *testing.T) {
+func TestAppendPrometheus(t *testing.T) {
 	r := New()
-	c := r.Counter("kernel.steps_total")
-	c.Add(7)
+	*counter(r, "kernel.steps_total") = 7
 	r.GaugeFunc("radio.active", func() float64 { return 2.5 })
-	r.Counter("fault.injected_total", L("kind", "jam"))
+	counter(r, "fault.injected_total", L("kind", "jam"))
 	hc := r.HostCounter("host.sse_dropped_total")
 	hc.Add(3)
 
-	var b strings.Builder
-	if err := r.WritePrometheus(&b, L("world", "w1")); err != nil {
-		t.Fatalf("write: %v", err)
+	prefix := "# scraped\n"
+	out := string(r.AppendPrometheus([]byte(prefix), L("world", "w1")))
+	if !strings.HasPrefix(out, prefix) {
+		t.Fatalf("AppendPrometheus dropped the slice it appends to:\n%s", out)
 	}
-	out := b.String()
+	out = out[len(prefix):]
 	for _, want := range []string{
 		"# TYPE aroma_kernel_steps_total counter",
 		`aroma_kernel_steps_total{world="w1"} 7`,
@@ -203,11 +233,7 @@ func TestWritePrometheus(t *testing.T) {
 		}
 	}
 	// Two identical exports must render byte-identically.
-	var b2 strings.Builder
-	if err := r.WritePrometheus(&b2, L("world", "w1")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if out != b2.String() {
+	if out != string(r.AppendPrometheus(nil, L("world", "w1"))) {
 		t.Fatalf("prometheus output not stable across renders")
 	}
 }
@@ -220,9 +246,9 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	for _, reserve := range []int{0, maxPoints} {
 		r := New()
 		r.Reserve(reserve)
-		c := r.Counter("k.n_total")
+		c := counter(r, "k.n_total")
 		step := func(i int) {
-			c.Inc()
+			*c++
 			r.Sample(int64(i))
 		}
 		for i := 1; i <= maxPoints; i++ {
@@ -248,19 +274,16 @@ func TestSnapshotIsImmutable(t *testing.T) {
 }
 
 // TestReserveSizesSeriesOnce pins the reservation contract: every
-// sampled instrument's value column and its cohort's time column,
+// sampled instrument's value column and the registry's time column,
 // including ones registered after Reserve, get one array of
 // min(n, maxPoints) points that sampling never replaces — decimation
 // compacts within it.
 func TestReserveSizesSeriesOnce(t *testing.T) {
 	r := New()
-	r.Counter("k.a_total")
+	counter(r, "k.a_total")
 	r.HostCounter("host.x_total")
 	r.Reserve(10)
 	r.GaugeFunc("k.late", func() float64 { return 0 })
-	if len(r.cohorts) != 1 {
-		t.Fatalf("%d cohorts before the first sample, want 1", len(r.cohorts))
-	}
 	for _, in := range r.insts {
 		want := 10
 		if !in.kind.sampled() {
@@ -270,7 +293,7 @@ func TestReserveSizesSeriesOnce(t *testing.T) {
 			t.Fatalf("%s: cap %d, want %d", in.name, got, want)
 		}
 	}
-	if got := cap(r.cohorts[0].t); got != 10 {
+	if got := cap(r.t); got != 10 {
 		t.Fatalf("time column: cap %d, want 10", got)
 	}
 	r.Reserve(3 * maxPoints)
@@ -283,7 +306,7 @@ func TestReserveSizesSeriesOnce(t *testing.T) {
 			arrays[i] = &in.vals[:1][0]
 		}
 	}
-	times := &r.cohorts[0].t[:1][0]
+	times := &r.t[:1][0]
 	for i := 1; i <= 3*maxPoints; i++ {
 		r.Sample(int64(i))
 	}
@@ -292,28 +315,28 @@ func TestReserveSizesSeriesOnce(t *testing.T) {
 			t.Fatalf("%s: value column replaced while sampling a reserved run", in.name)
 		}
 	}
-	if &r.cohorts[0].t[:1][0] != times {
+	if &r.t[:1][0] != times {
 		t.Fatalf("time column replaced while sampling a reserved run")
 	}
 }
 
 // TestReserveBytesPerPoint pins the columnar layout's footprint on
 // BenchmarkTelemetryReserve's reservation: one array per sampled
-// instrument plus one per cohort, at 8 bytes per reserved point plus
+// instrument plus the time column, at 8 bytes per reserved point plus
 // the allocator's size-class rounding (under 1/8 at these sizes) — a
 // (time, value) point per instrument costs 16. It reads the allocator's
 // counters around one Reserve, as testing.AllocsPerRun does, where
 // testing.Benchmark would take seconds.
 func TestReserveBytesPerPoint(t *testing.T) {
 	r := worldRegistry()
-	arrays := uint64(len(r.insts) + len(r.cohorts))
+	arrays := uint64(len(r.insts) + 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r.Reserve(reservePoints)
 	runtime.ReadMemStats(&after)
 	if got := after.Mallocs - before.Mallocs; got != arrays {
-		t.Errorf("Reserve allocates %d arrays, want %d (%d value columns plus %d time columns)",
-			got, arrays, len(r.insts), len(r.cohorts))
+		t.Errorf("Reserve allocates %d arrays, want %d (%d value columns plus the time column)",
+			got, arrays, len(r.insts))
 	}
 	if got, want := after.TotalAlloc-before.TotalAlloc, 9*reservePoints*arrays; got > want {
 		t.Errorf("Reserve(%d) into %d arrays allocates %d B (%.2f B per point), want at most %d",
@@ -321,52 +344,14 @@ func TestReserveBytesPerPoint(t *testing.T) {
 	}
 }
 
-// TestLateCohortMatchesReference registers instruments after 3,000
-// samples — a second cohort, whose phase starts at its registration —
-// and requires every series, old and late, to equal the reference
-// series point for point across the decimations that follow.
-func TestLateCohortMatchesReference(t *testing.T) {
-	h := &refHarness{r: New()}
-	h.r.Reserve(1000)
-	var early, late uint64
-	h.r.CounterFunc("early.n_total", func() uint64 { return early })
-	h.refs = append(h.refs, &refSeries{})
-	tick := func() {
-		early++
-		late += 3
-		h.sample()
-	}
-	for i := 0; i < 3000; i++ {
-		tick()
-	}
-	h.r.CounterFunc("late.n_total", func() uint64 { return late })
-	h.r.GaugeFunc("late.g", func() float64 { return float64(late) / 2 })
-	h.refs = append(h.refs, &refSeries{}, &refSeries{})
-	if len(h.r.cohorts) != 2 {
-		t.Fatalf("%d cohorts, want 2", len(h.r.cohorts))
-	}
-	for i := 0; i < 5000; i++ {
-		tick()
-	}
-	for i, in := range h.r.insts {
-		if got, want := points(in, 0), h.refs[i].pts; !samePoints(got, want) {
-			t.Fatalf("%s: %d points differ from the reference's %d", in.name, len(got), len(want))
-		}
-	}
-	if a, b := len(h.r.insts[0].vals), len(h.r.insts[1].vals); a == b {
-		t.Fatalf("early and late series both hold %d points: the late cohort decimated with the early one", a)
-	}
-}
-
-// TestWritePrometheusConcurrentScrapes scrapes one host-plane registry
+// TestAppendPrometheusConcurrentScrapes scrapes one host-plane registry
 // from several goroutines while its counters move, as the daemon's
-// /metrics handlers do; under -race it proves the skeleton and buffer
-// are guarded.
-func TestWritePrometheusConcurrentScrapes(t *testing.T) {
+// /metrics handlers do; under -race it proves the skeleton is guarded.
+func TestAppendPrometheusConcurrentScrapes(t *testing.T) {
 	r := New()
 	hc := r.HostCounter("host.requests_total", L("route", "run"))
 	r.HostCounter("host.failures_total")
-	want := strings.Count(scrapeString(t, r), "\n")
+	want := strings.Count(scrapeString(r), "\n")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -374,7 +359,7 @@ func TestWritePrometheusConcurrentScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				hc.Inc()
-				if got := strings.Count(scrapeString(t, r), "\n"); got != want {
+				if got := strings.Count(scrapeString(r), "\n"); got != want {
 					t.Errorf("scrape has %d lines, want %d", got, want)
 					return
 				}
@@ -382,34 +367,18 @@ func TestWritePrometheusConcurrentScrapes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := scrapeString(t, r); !strings.Contains(got, `aroma_host_requests_total{route="run"} 800`) {
+	if got := scrapeString(r); !strings.Contains(got, `aroma_host_requests_total{route="run"} 800`) {
 		t.Fatalf("final scrape:\n%s", got)
 	}
 }
 
-func scrapeString(t *testing.T, r *Registry) string {
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Error(err)
-	}
-	return b.String()
-}
+func scrapeString(r *Registry) string { return string(r.AppendPrometheus(nil)) }
 
 // TestHotPathZeroAllocs is the hard zero-allocation gate on the
-// sim-plane update path — exact, unlike the benchgate allocs jitter
-// floor. Handle updates (live and zero-value) must be allocation-free
-// or instrumented model code would churn the GC on every event.
+// telemetry work a running world repeats — exact, unlike the benchgate
+// allocs jitter floor: a sampler tick over a reserved registry, and a
+// steady-state scrape into a reused slice.
 func TestHotPathZeroAllocs(t *testing.T) {
-	r := New()
-	c := r.Counter("hot.events_total")
-	var zc Counter
-	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		zc.Inc()
-	}); n != 0 {
-		t.Fatalf("hot-path allocs/op = %v, want 0", n)
-	}
-
 	// A sampler tick over a reserved registry, across decimations.
 	sr := sampleRegistry()
 	sr.Reserve(maxPoints)
@@ -421,15 +390,14 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		t.Fatalf("reserved Sample allocs/op = %v, want 0", n)
 	}
 
-	// A steady-state scrape: values move, the skeleton is reused.
+	// A steady-state scrape: values move, the skeleton and the slice
+	// are reused.
 	pr, pc := promRegistry()
-	if err := pr.WritePrometheus(io.Discard, L("world", "w1")); err != nil {
-		t.Fatal(err)
-	}
+	buf := pr.AppendPrometheus(nil, L("world", "w1"))
 	if n := testing.AllocsPerRun(100, func() {
-		pc.Inc()
-		pr.WritePrometheus(io.Discard, L("world", "w1"))
+		*pc++
+		buf = pr.AppendPrometheus(buf[:0], L("world", "w1"))
 	}); n != 0 {
-		t.Fatalf("steady-state WritePrometheus allocs/op = %v, want 0", n)
+		t.Fatalf("steady-state AppendPrometheus allocs/op = %v, want 0", n)
 	}
 }

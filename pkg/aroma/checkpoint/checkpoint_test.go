@@ -241,3 +241,44 @@ func TestDecode(t *testing.T) {
 		t.Errorf("digest mismatch")
 	}
 }
+
+// TestRestoredTelemetryMatchesOriginal pins that telemetry observes the
+// model, not its own history: a world restored from a half-horizon
+// snapshot and instrumented only then reports every instrument at the
+// value the instrumented original reports at that instant, for every
+// registered scenario at seed 7.
+func TestRestoredTelemetryMatchesOriginal(t *testing.T) {
+	for _, name := range scenario.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			orig, err := scenario.Build(name, scenario.Config{Seed: 7, Metrics: true})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			orig.World.RunUntil(orig.Horizon / 2)
+			data, err := checkpoint.Snapshot(orig.World)
+			if err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			restored, err := checkpoint.RestoreBuilt(data)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			got := restored.EnableTelemetry().Snapshot(int64(restored.World.Now()))
+			want := orig.World.Telemetry().Snapshot(int64(orig.World.Now()))
+			if len(got.Instruments) != len(want.Instruments) {
+				t.Fatalf("restored world has %d instruments, the original %d", len(got.Instruments), len(want.Instruments))
+			}
+			for i, w := range want.Instruments {
+				g := got.Instruments[i]
+				if g.Name != w.Name || fmt.Sprint(g.Labels) != fmt.Sprint(w.Labels) {
+					t.Fatalf("instrument %d: restored %s %v, original %s %v", i, g.Name, g.Labels, w.Name, w.Labels)
+				}
+				if g.Value != w.Value {
+					t.Errorf("%s %v: restored %g, original %g", w.Name, w.Labels, g.Value, w.Value)
+				}
+			}
+		})
+	}
+}

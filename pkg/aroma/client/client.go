@@ -271,9 +271,9 @@ func (c *Client) WorldMetrics(ctx context.Context, id string) (*telemetry.Snapsh
 
 // MetricsText fetches the daemon's Prometheus text exposition —
 // server host-plane instruments plus every hosted world's registry
-// labelled world="<id>". A reply that states its length is read into
-// one buffer of that size; one that does not grows the buffer as it
-// reads.
+// labelled world="<id>". The body is read once, into the storage of the
+// returned string: grown to the reply's stated length, or growing as
+// it reads when the reply states none.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {
@@ -287,14 +287,16 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return "", decodeError(resp)
 	}
-	var buf bytes.Buffer
+	var b strings.Builder
 	if resp.ContentLength > 0 {
-		// MinRead spare bytes let ReadFrom see EOF without growing.
-		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+		b.Grow(int(resp.ContentLength))
 	}
-	_, err = buf.ReadFrom(resp.Body)
-	return buf.String(), err
+	_, err = io.CopyBuffer(&b, resp.Body, make([]byte, metricsChunk))
+	return b.String(), err
 }
+
+// metricsChunk is the read size MetricsText copies the body through.
+const metricsChunk = 4 << 10
 
 // DeleteWorld removes a hosted world.
 func (c *Client) DeleteWorld(ctx context.Context, id string) error {

@@ -123,6 +123,8 @@
 // the internal/fault grammar
 // ("kind:at=5s,for=10s[,every=25s,n=3][,loss=40][,target=name]",
 // semicolon-separated; "none" is the empty plan, an explicit disarm).
+// A plan arms only before the world runs: on a world that has taken a
+// step or advanced its clock, ApplyFaults errors and arms nothing.
 //
 // The fault determinism contract: injections are ordinary kernel
 // events, scheduled inside the (at, seq) total order, and every random
@@ -163,7 +165,7 @@
 // the trace bus. A kernel sampler records every instrument every
 // DefaultTelemetryPeriod (100 ms) of virtual time, producing
 // deterministic sim-time series; Telemetry().Snapshot exports final
-// values plus series as JSON, and WritePrometheus renders the
+// values plus series as JSON, and AppendPrometheus renders the
 // Prometheus text format that aromad serves at GET /metrics. For a
 // built scenario,
 // scenario.Built.EnableTelemetry is the one way to turn it on: it also
@@ -173,9 +175,11 @@
 //
 // Instruments live on two strictly separated planes. Sim-plane
 // instruments (aroma_kernel_*, aroma_radio_*, aroma_mac_*, aroma_net_*,
-// aroma_discovery_*, aroma_lease_*, aroma_trace_*) are updated on the
-// kernel goroutine and read model counters the simulation already
-// keeps; names are dot-separated with counters ending _total, and
+// aroma_discovery_*, aroma_lease_*, aroma_trace_*) are read on the
+// kernel goroutine from counters the simulation already keeps, counted
+// from world creation — the trace bus counts its records per severity
+// — so a world instrumented after it ran (restored, forked,
+// resurrected) reports what its original reports; names are dot-separated with counters ending _total, and
 // dimensions (trace severity, fault kind) are labels. Host-plane
 // instruments (aroma_host_*) count host-side events — SSE drops, world
 // failures and restarts — behind atomics, and are never
@@ -184,7 +188,7 @@
 // excluded from ExportState, Digest, and checkpoint provenance, so a
 // run's digest is bit-identical with telemetry on or off (pinned by
 // the determinism suite) and the hot path stays allocation-free
-// (pinned by a gated benchmark).
+// (the bus's per-record count is pinned at 0 allocations).
 //
 // # Static analysis
 //

@@ -1,9 +1,6 @@
 package aroma
 
-import (
-	"aroma/internal/telemetry"
-	"aroma/internal/trace"
-)
+import "aroma/internal/trace"
 
 // bus is the world's event bus behind World.Subscribe: it bridges the
 // runtime trace to live subscribers. Events are delivered synchronously,
@@ -14,12 +11,10 @@ type bus struct {
 	// deliveries counts subscriber callbacks run; telemetry exports it
 	// as trace.deliveries_total.
 	deliveries uint64
-
-	// sevCounters, when telemetry is enabled, holds one per-severity
-	// trace.events_total counter handle, indexed by trace.Severity.
-	// Counter handles are dense-slot values: bumping one is an indexed
-	// add with no allocation, keeping publish hot-path safe.
-	sevCounters []telemetry.Counter
+	// records counts every published record since the world was
+	// created, indexed by trace.Severity; telemetry exports it as
+	// trace.events_total.
+	records [trace.Violation + 1]uint64
 }
 
 type busSub struct {
@@ -53,15 +48,11 @@ func (b *bus) compact() {
 	b.subs = live
 }
 
-// bindCounters attaches the per-severity telemetry counters publish
-// bumps (index = trace.Severity).
-func (b *bus) bindCounters(c []telemetry.Counter) { b.sevCounters = c }
-
 // publish fans one event out to the live subscribers. It iterates a
 // snapshot of the list so callbacks may subscribe or cancel reentrantly.
 func (b *bus) publish(ev trace.Event) {
-	if s := int(ev.Severity); s >= 0 && s < len(b.sevCounters) {
-		b.sevCounters[s].Inc()
+	if s := ev.Severity; s >= 0 && int(s) < len(b.records) {
+		b.records[s]++
 	}
 	snapshot := b.subs
 	for _, s := range snapshot {

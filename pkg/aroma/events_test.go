@@ -95,3 +95,50 @@ func TestBusMinSeverityInteraction(t *testing.T) {
 		t.Errorf("subscriber saw %d events, want 1 (log filters first)", n)
 	}
 }
+
+// TestBusPublishAllocatesNothing gates the per-record path every world
+// runs: publish counts the record's severity and fans it out without
+// allocating, with no subscriber and with one.
+func TestBusPublishAllocatesNothing(t *testing.T) {
+	b := newBus()
+	ev := trace.Event{Severity: trace.Info, Entity: "dev"}
+	if n := testing.AllocsPerRun(1000, func() { b.publish(ev) }); n != 0 {
+		t.Fatalf("publish with no subscriber: %v allocs/op, want 0", n)
+	}
+	seen := 0
+	b.subscribe(trace.Debug, func(trace.Event) { seen++ })
+	if n := testing.AllocsPerRun(1000, func() { b.publish(ev) }); n != 0 {
+		t.Fatalf("publish to one subscriber: %v allocs/op, want 0", n)
+	}
+	if seen != 1001 || b.records[trace.Info] != 2002 {
+		t.Fatalf("%d deliveries and %d info records, want 1001 and 2002", seen, b.records[trace.Info])
+	}
+}
+
+// TestTraceEventsCountFromCreation pins that trace.events_total counts
+// every kept record since the world was created, not since telemetry
+// was enabled, so a world instrumented late reports what one
+// instrumented from the start does.
+func TestTraceEventsCountFromCreation(t *testing.T) {
+	w := NewWorld()
+	record(w, 3)
+	w.Log().Issue(trace.Abstract, "dev", "issue")
+	snap := w.EnableTelemetry().Snapshot(0)
+	record(w, 2)
+	after := w.Telemetry().Snapshot(0)
+	want := map[string][2]float64{"debug": {0, 0}, "info": {3, 5}, "issue": {1, 1}, "violation": {0, 0}}
+	seen := 0
+	for i, in := range snap.Instruments {
+		if in.Name != "trace.events_total" {
+			continue
+		}
+		seen++
+		sev := in.Labels["severity"]
+		if got := [2]float64{in.Value, after.Instruments[i].Value}; got != want[sev] {
+			t.Errorf("trace.events_total{severity=%q} = %v before and after two more records, want %v", sev, got, want[sev])
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("%d trace.events_total instruments, want %d", seen, len(want))
+	}
+}

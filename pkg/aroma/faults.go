@@ -19,7 +19,10 @@ const faultSeedSalt = 0x5eedFA17
 // pending kernel event, victims are picked from the dedicated
 // seed-derived fault RNG stream, and each window opening/closing emits
 // a trace record (so faults enter the digest like any other cause).
-// Apply once, before running; an empty plan is a no-op. Window
+// Apply once, before running: on a world that has run (any step taken
+// or any virtual time elapsed) it returns an error and arms nothing, so
+// a plan always starts at t=0 and its instruments register before the
+// telemetry sampler's first sample. An empty plan is a no-op. Window
 // recoveries are themselves ordinary scheduled events, so a snapshot
 // taken mid-window carries the pending recovery like any other future.
 func (w *World) ApplyFaults(plan fault.Plan) error {
@@ -28,6 +31,9 @@ func (w *World) ApplyFaults(plan fault.Plan) error {
 	}
 	if w.faults != nil {
 		return fmt.Errorf("aroma: world %s already has a fault plan armed", w.opts.name)
+	}
+	if w.kernel.Steps() > 0 || w.kernel.Now() > 0 {
+		return fmt.Errorf("aroma: world %s has already run to %v; arm a fault plan before running", w.opts.name, w.kernel.Now())
 	}
 	if err := plan.Validate(); err != nil {
 		return err

@@ -1,7 +1,6 @@
 package scenarios
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -80,18 +79,13 @@ func TestGoldenTelemetryExports(t *testing.T) {
 				}
 				b.World.RunUntil(b.Horizon)
 				reg := b.World.Telemetry()
-				var world, bare bytes.Buffer
-				if err := reg.WritePrometheus(&world, telemetry.L("world", "w1")); err != nil {
-					t.Fatal(err)
-				}
-				if err := reg.WritePrometheus(&bare); err != nil {
-					t.Fatal(err)
-				}
+				world := reg.AppendPrometheus(nil, telemetry.L("world", "w1"))
+				bare := reg.AppendPrometheus(nil)
 				js, err := json.Marshal(reg.Snapshot(int64(b.World.Now())))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := [3]string{hash(world.Bytes()), hash(bare.Bytes()), hash(js)}
+				got := [3]string{hash(world), hash(bare), hash(js)}
 				if want := goldenExports[name][seed]; got != want {
 					t.Errorf("seed %d: golden exports %q, got %q", seed, want, got)
 				}

@@ -38,10 +38,10 @@ func (w *World) EnableTelemetry() *telemetry.Registry {
 func (w *World) Telemetry() *telemetry.Registry { return w.tel }
 
 // registerInstruments wires the full instrument inventory over the
-// world's layers. Func instruments read stat fields the layers already
-// maintain, so enabling telemetry adds no work to any hot path; the
-// only handle-updated instruments are the per-severity trace counters,
-// which the bus bumps with a dense-slot atomic add.
+// world's layers. Every instrument reads a stat field the layers
+// already maintain, counted from world creation, so enabling telemetry
+// adds no work to any hot path and a world enabled after it ran — a
+// restore, a fork — reports what the original world reports.
 func (w *World) registerInstruments(reg *telemetry.Registry) {
 	k := w.kernel
 
@@ -179,14 +179,12 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 		w.registerFaultInstruments(reg)
 	}
 
-	// Trace: per-severity event counters, bumped by the bus on every
-	// published record (handle update — dense slot, no allocation).
-	sevCounters := make([]telemetry.Counter, int(trace.Violation)+1)
+	// Trace: the bus's per-severity record counts.
 	for sev := trace.Debug; sev <= trace.Violation; sev++ {
-		sevCounters[int(sev)] = reg.Counter("trace.events_total",
+		n := &w.bus.records[sev]
+		reg.CounterFunc("trace.events_total", func() uint64 { return *n },
 			telemetry.L("severity", sevLabel(sev)))
 	}
-	w.bus.bindCounters(sevCounters)
 	reg.CounterFunc("trace.deliveries_total", func() uint64 { return w.bus.deliveries })
 }
 
@@ -194,7 +192,7 @@ func (w *World) registerInstruments(reg *telemetry.Registry) {
 // per-kind injection counters, the fault RNG draw count, and gauges for
 // the currently open failure windows. Registered only for worlds with
 // an armed plan, from whichever of EnableTelemetry/ApplyFaults runs
-// second.
+// second; both run before the world does.
 func (w *World) registerFaultInstruments(reg *telemetry.Registry) {
 	inj := w.faults
 	m := w.medium

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aroma/internal/discovery"
+	"aroma/internal/fault"
 	"aroma/internal/netsim"
 	"aroma/internal/sim"
 	"aroma/internal/trace"
@@ -209,5 +210,44 @@ func TestAnalyzeFoldsTrace(t *testing.T) {
 	report := w.Analyze()
 	if len(report.Violations()) != 1 {
 		t.Errorf("violations = %d, want 1 (trace fold)", len(report.Violations()))
+	}
+}
+
+// TestApplyFaultsAfterRunArmsNothing pins that a fault plan arms only
+// on a world that has not run: once a step was taken or virtual time
+// elapsed, ApplyFaults errors and leaves the world, its event queue and
+// its telemetry as they were.
+func TestApplyFaultsAfterRunArmsNothing(t *testing.T) {
+	plan, err := fault.Parse("jam:at=2s,for=1s,loss=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(w *World)
+	}{
+		{"a step at t=0", func(w *World) {
+			w.Schedule(0, "test.tick", func() {})
+			w.RunUntil(0)
+		}},
+		{"idle time", func(w *World) { w.RunUntil(sim.Second) }},
+	} {
+		w := NewWorld()
+		reg := w.EnableTelemetry()
+		tc.run(w)
+		pending, insts := w.kernel.Pending(), len(reg.Snapshot(0).Instruments)
+		if err := w.ApplyFaults(plan); err == nil {
+			t.Errorf("%s: ApplyFaults armed a plan on a world that has run", tc.name)
+		}
+		if w.HasFaults() || w.FaultPlan() != "" || w.kernel.Pending() != pending ||
+			len(reg.Snapshot(0).Instruments) != insts {
+			t.Errorf("%s: a refused plan changed the world: faults %v, %d pending (was %d), %d instruments (was %d)",
+				tc.name, w.HasFaults(), w.kernel.Pending(), pending, len(reg.Snapshot(0).Instruments), insts)
+		}
+	}
+	w := NewWorld()
+	w.EnableTelemetry()
+	if err := w.ApplyFaults(plan); err != nil || !w.HasFaults() {
+		t.Fatalf("a world that has not run: ApplyFaults = %v, armed %v", err, w.HasFaults())
 	}
 }

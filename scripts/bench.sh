@@ -47,7 +47,7 @@ echo "== world fan-out, dense-500/1000 (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench 'BenchmarkWorldDense' -benchmem \
     -count "$count" -benchtime "$benchtime" ./pkg/aroma/ | tee -a "$tmp"
 
-echo "== telemetry hot path, sampler tick, scrape, reservation (count=$count, benchtime=$benchtime)"
+echo "== telemetry sampler tick, scrape, reservation (count=$count, benchtime=$benchtime)"
 go test -run '^$' -bench 'BenchmarkTelemetry' -benchmem \
     -count "$count" -benchtime "$benchtime" ./internal/telemetry/ | tee -a "$tmp"
 
