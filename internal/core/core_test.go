@@ -17,7 +17,7 @@ import (
 // with a laptop, the smart projector (adapter), and a lookup service.
 func projectorSystem(k *sim.Kernel, presenterFac user.Faculties) *System {
 	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 30, 20))
-	e := env.New(k, plan)
+	e := env.New(plan)
 	med := radio.NewMedium(k, e)
 
 	laptopRadio := med.NewRadio("laptop", geo.Pt(5, 10), 6, 15)
@@ -211,7 +211,7 @@ func TestMentalModelInconsistencyFlagged(t *testing.T) {
 func TestInfeasibleLinkFlagged(t *testing.T) {
 	k := sim.New(1)
 	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100))
-	e := env.New(k, plan)
+	e := env.New(plan)
 	med := radio.NewMedium(k, e)
 	a := med.NewRadio("a", geo.Pt(0, 0), 6, 15)
 	b := med.NewRadio("b", geo.Pt(9000, 0), 6, 15)

@@ -24,7 +24,7 @@ func TestPaperAnalysisFidelity(t *testing.T) {
 	// The lab as the paper describes it, but with the conditions that
 	// trigger each of the paper's concerns dialled in:
 	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 30, 20))
-	e := env.New(k, plan)
+	e := env.New(plan)
 	med := radio.NewMedium(k, e)
 	log := trace.NewForKernel(k)
 

@@ -15,7 +15,7 @@ import (
 // rig builds a kernel, a lookup service node, and n agent nodes nearby.
 func rig(seed int64, n int) (*sim.Kernel, *Lookup, []*Agent) {
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 200, 100)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := netsim.New(m)

@@ -14,7 +14,7 @@ import (
 // peerRig builds n nodes close together for peer-discovery tests.
 func peerRig(seed int64, n int) (*sim.Kernel, []*netsim.Node) {
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 50)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 50)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := netsim.New(m)

@@ -7,14 +7,12 @@ import (
 	"testing/quick"
 
 	"aroma/internal/geo"
-	"aroma/internal/sim"
 )
 
 func newEnv(t *testing.T) *Environment {
 	t.Helper()
-	k := sim.New(1)
 	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 50, 50))
-	return New(k, plan)
+	return New(plan)
 }
 
 func TestDBmConversions(t *testing.T) {
@@ -47,7 +45,7 @@ func TestPathLossIncreasesWithDistance(t *testing.T) {
 
 func TestPathLossReferencePoint(t *testing.T) {
 	e := newEnv(t)
-	// At 1 m with no walls/shadowing, loss = reference loss.
+	// At 1 m with no walls, loss = reference loss.
 	if loss := e.PathLossDB(geo.Pt(0, 0), geo.Pt(1, 0)); math.Abs(loss-ReferenceLossDB) > 1e-9 {
 		t.Fatalf("1 m loss = %v, want %v", loss, ReferenceLossDB)
 	}
@@ -67,30 +65,13 @@ func TestSubMeterClamped(t *testing.T) {
 }
 
 func TestWallAttenuation(t *testing.T) {
-	k := sim.New(1)
 	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 50, 50))
 	plan.AddWall(geo.Seg(geo.Pt(5, 0), geo.Pt(5, 50)), 6, 20)
-	e := New(k, plan)
+	e := New(plan)
 	through := e.PathLossDB(geo.Pt(0, 25), geo.Pt(10, 25))
-	clear := ReferenceLossDB + 10*e.PathLossExponent*math.Log10(10)
+	clear := ReferenceLossDB + 10*PathLossExponent*math.Log10(10)
 	if math.Abs(through-(clear+6)) > 1e-9 {
 		t.Fatalf("wall loss = %v, want %v", through, clear+6)
-	}
-}
-
-func TestShadowingDeterministicAndSymmetric(t *testing.T) {
-	e := newEnv(t)
-	e.ShadowSigmaDB = 6
-	a, b := geo.Pt(3.2, 4.7), geo.Pt(20.1, 30.9)
-	l1 := e.PathLossDB(a, b)
-	l2 := e.PathLossDB(a, b)
-	if l1 != l2 {
-		t.Fatalf("shadowing not frozen: %v vs %v", l1, l2)
-	}
-	fwd := e.PathLossDB(a, b)
-	rev := e.PathLossDB(b, a)
-	if fwd != rev {
-		t.Fatalf("shadowing not symmetric: %v vs %v", fwd, rev)
 	}
 }
 
@@ -104,13 +85,8 @@ func TestReceivedPower(t *testing.T) {
 }
 
 func TestNoiseFloor(t *testing.T) {
-	e := newEnv(t)
-	if nf := e.NoiseFloorDBm(); math.Abs(nf-ThermalNoiseDBm) > 0.01 {
+	if nf := NoiseFloorDBm(); math.Abs(nf-ThermalNoiseDBm) > 0.01 {
 		t.Fatalf("noise floor = %v, want ~%v", nf, ThermalNoiseDBm)
-	}
-	e.AmbientNoiseDBm = ThermalNoiseDBm // equal ambient doubles power: +3 dB
-	if nf := e.NoiseFloorDBm(); math.Abs(nf-(ThermalNoiseDBm+3.01)) > 0.05 {
-		t.Fatalf("noise floor with ambient = %v, want ~%v", nf, ThermalNoiseDBm+3)
 	}
 }
 
@@ -118,7 +94,7 @@ func TestRSSIRangingPerfectWithoutWalls(t *testing.T) {
 	e := newEnv(t)
 	for _, trueD := range []float64{1, 3, 7, 15, 40} {
 		rssi := e.ReceivedPowerDBm(15, geo.Pt(0, 0), geo.Pt(trueD, 0))
-		est := e.EstimateDistanceFromRSSI(15, rssi)
+		est := EstimateDistanceFromRSSI(15, rssi)
 		if math.Abs(est-trueD) > 1e-6*trueD {
 			t.Fatalf("ranging at %v m: est %v", trueD, est)
 		}
@@ -126,13 +102,12 @@ func TestRSSIRangingPerfectWithoutWalls(t *testing.T) {
 }
 
 func TestRSSIRangingDegradesWithWalls(t *testing.T) {
-	k := sim.New(1)
 	plan := geo.NewFloorPlan(geo.RectAt(0, 0, 50, 50))
 	plan.AddWall(geo.Seg(geo.Pt(5, 0), geo.Pt(5, 50)), 6, 20)
-	e := New(k, plan)
+	e := New(plan)
 	trueD := 10.0
 	rssi := e.ReceivedPowerDBm(15, geo.Pt(0, 25), geo.Pt(10, 25))
-	est := e.EstimateDistanceFromRSSI(15, rssi)
+	est := EstimateDistanceFromRSSI(15, rssi)
 	if est <= trueD {
 		t.Fatalf("wall should inflate distance estimate: est=%v true=%v", est, trueD)
 	}
@@ -210,7 +185,7 @@ func TestRecognitionCurveShape(t *testing.T) {
 }
 
 func TestNilPlanDefaults(t *testing.T) {
-	e := New(sim.New(1), nil)
+	e := New(nil)
 	if e.plan == nil {
 		t.Fatal("nil plan not defaulted")
 	}
@@ -223,11 +198,9 @@ func TestStringSummary(t *testing.T) {
 	}
 }
 
-// Property: path loss is symmetric (without shadowing it is analytic;
-// with shadowing the frozen field enforces it).
+// Property: path loss is symmetric.
 func TestPropertyPathLossSymmetric(t *testing.T) {
 	e := newEnv(t)
-	e.ShadowSigmaDB = 4
 	f := func(ax, ay, bx, by uint8) bool {
 		a := geo.Pt(float64(ax%50), float64(ay%50))
 		b := geo.Pt(float64(bx%50), float64(by%50))
@@ -254,12 +227,11 @@ func TestPropertyRxBelowTx(t *testing.T) {
 
 // Property: MaxRangeForCutoff is conservative — any receiver inside the
 // returned range may be above the cutoff, but any receiver beyond it is
-// guaranteed below, even with shadowing enabled and no walls to help.
+// guaranteed below, with no walls to help.
 func TestMaxRangeForCutoffConservative(t *testing.T) {
 	e := newEnv(t)
-	e.ShadowSigmaDB = 4
 	const txp, cutoff = 15.0, -92.0
-	d := e.MaxRangeForCutoff(txp, cutoff)
+	d := MaxRangeForCutoff(txp, cutoff)
 	if d <= 1 {
 		t.Fatalf("range bound %v too small for %v dBm tx", d, txp)
 	}
@@ -277,8 +249,7 @@ func TestMaxRangeForCutoffConservative(t *testing.T) {
 }
 
 func TestMaxRangeForCutoffClampsToReference(t *testing.T) {
-	e := newEnv(t)
-	if d := e.MaxRangeForCutoff(-100, 0); d != 1 {
+	if d := MaxRangeForCutoff(-100, 0); d != 1 {
 		t.Fatalf("sub-reference bound = %v, want clamp to 1", d)
 	}
 }

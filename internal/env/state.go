@@ -13,9 +13,9 @@ type NoiseState struct {
 
 // State is the environment's exportable state: the propagation
 // parameters and the acoustic noise sources in placement order (the
-// order SpeechSNRDB folds them in). The frozen shadow-fading draws are
-// derived deterministically from the seed and positions, so they are
-// rebuilt, not exported.
+// order SpeechSNRDB folds them in). The propagation parameters are
+// constants, PathLossExponent and no shadow fading; the snapshot format
+// keeps their fields.
 type State struct {
 	PathLossExponent float64      `json:"path_loss_exponent"`
 	ShadowSigmaDB    float64      `json:"shadow_sigma_db"`
@@ -27,8 +27,8 @@ type State struct {
 // form.
 func (e *Environment) ExportState() State {
 	st := State{
-		PathLossExponent: e.PathLossExponent,
-		ShadowSigmaDB:    e.ShadowSigmaDB,
+		PathLossExponent: PathLossExponent,
+		ShadowSigmaDB:    0, // no shadow fading
 		NextID:           e.nextID,
 	}
 	for _, ns := range e.noise {

@@ -121,7 +121,7 @@ func C4(seed int64) { sim.New(seed) }
 
 func C9(seed int64) {
 	k := sim.New(seed)
-	e := env.New(k, nil)
+	e := env.New(nil)
 	m := mac.New(medium.NewMedium(k, e))
 	_ = netsim.New(m)
 	_ = &core.System{Name: "by hand"}

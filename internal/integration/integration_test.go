@@ -41,7 +41,7 @@ type lab struct {
 
 func buildLab(seed int64, cfg projector.Config) *lab {
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 300, 50)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 300, 50)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := netsim.New(m)

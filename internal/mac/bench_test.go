@@ -15,7 +15,7 @@ func BenchmarkSaturatedChannel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := sim.New(int64(i + 1))
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 		med := radio.NewMedium(k, e)
 		m := New(med)
 		sink := m.AddStation(med.NewRadio("sink", geo.Pt(50, 50), 6, 15))
@@ -42,7 +42,7 @@ const exchangesPerOp = 64
 // exchanges on a warmed pair, exchangesPerOp of them per op.
 func BenchmarkUnicastRoundTrip(b *testing.B) {
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
@@ -81,7 +81,7 @@ func BenchmarkUnicastRoundTrip(b *testing.B) {
 // allocates nothing.
 func BenchmarkBackoffLoneStation(b *testing.B) {
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))

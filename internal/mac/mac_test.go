@@ -13,7 +13,7 @@ import (
 // on channel 6.
 func testbed(seed int64, n int) (*sim.Kernel, *MAC, []*Station) {
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	stations := make([]*Station, n)
@@ -100,7 +100,7 @@ func TestQueueDrainsInOrder(t *testing.T) {
 
 func TestUnreachablePeerDropsAfterRetries(t *testing.T) {
 	k := sim.New(3)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
@@ -185,7 +185,7 @@ func TestContentionCausesRetries(t *testing.T) {
 func TestFixedWindowAblationDiffersFromBEB(t *testing.T) {
 	run := func(policy BackoffPolicy) uint64 {
 		k := sim.New(7)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 		med := radio.NewMedium(k, e)
 		m := New(med)
 		m.Backoff = policy

@@ -19,7 +19,7 @@ func TestPropertyExactlyOnceDelivery(t *testing.T) {
 	f := func(seed int64, nFrames uint8, gap uint8) bool {
 		frames := int(nFrames%20) + 1
 		k := sim.New(seed)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 		med := radio.NewMedium(k, e)
 		m := New(med)
 		// Distance varies the loss regime from perfect to marginal.
@@ -68,7 +68,7 @@ func TestPropertyAllSendsResolve(t *testing.T) {
 	f := func(seed int64, nFrames uint8) bool {
 		frames := int(nFrames%15) + 1
 		k := sim.New(seed)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 1000, 100)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 1000, 100)))
 		med := radio.NewMedium(k, e)
 		m := New(med)
 		a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
@@ -92,7 +92,7 @@ func TestDuplicateDetectionReAcks(t *testing.T) {
 	// Direct unit check of the dedup path: deliver the same data frame
 	// twice; the second must be ACKed but not delivered upward.
 	k := sim.New(5)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))

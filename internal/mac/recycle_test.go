@@ -23,7 +23,7 @@ import (
 // as a wrong or repeated Seq or Payload.
 func TestFramesSurviveRetransmissionAndInterleavedAcks(t *testing.T) {
 	k := sim.New(11)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	a := m.AddStation(med.NewRadio("a", geo.Pt(0, 0), 6, 15))
@@ -244,7 +244,7 @@ func TestQueueKeepsCapacity(t *testing.T) {
 // retransmission would follow.
 func TestAckRecordsOutliveTheirDelivery(t *testing.T) {
 	k := sim.New(5)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	const perPair = 300

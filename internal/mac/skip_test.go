@@ -28,7 +28,7 @@ type skipRun struct {
 func skipWorld(t *testing.T, slice sim.Time) skipRun {
 	t.Helper()
 	k := sim.New(5)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
 	med := radio.NewMedium(k, e)
 	m := New(med)
 	var sta []*Station

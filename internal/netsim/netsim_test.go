@@ -17,7 +17,7 @@ import (
 // testNet builds n nodes in a row 4 m apart on channel 6.
 func testNet(seed int64, n int) (*sim.Kernel, *Network, []*Node) {
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 500, 100)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := New(m)
@@ -165,7 +165,7 @@ func TestCallFailsFastOnDeadLink(t *testing.T) {
 	// Peer is far out of radio range: the MAC gives up and the call
 	// should fail with a link error well before the (long) timeout.
 	k := sim.New(7)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 10000, 100)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := New(m)
@@ -247,7 +247,7 @@ func TestResponseSentRunsOnceAfterLastFragment(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.New(11)
-			e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+			e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 			med := radio.NewMedium(k, e)
 			m := mac.New(med)
 			nw := New(m)

@@ -20,7 +20,7 @@ func TestPropertyFragmentationRoundTrip(t *testing.T) {
 		size := int(sizeRaw % 8000)
 		mtu := int(mtuRaw%200) + 8
 		k := sim.New(seed)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 		med := radio.NewMedium(k, e)
 		m := mac.New(med)
 		nw := New(m)
@@ -56,7 +56,7 @@ func TestPropertyCallsAlwaysResolve(t *testing.T) {
 	f := func(seed int64, nCalls uint8, serve bool) bool {
 		calls := int(nCalls%10) + 1
 		k := sim.New(seed)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 		med := radio.NewMedium(k, e)
 		m := mac.New(med)
 		nw := New(m)

@@ -100,7 +100,7 @@ type sentFrag struct {
 // a later message's MsgID, FragIdx or Kind.
 func TestFragmentHeadersNeverStale(t *testing.T) {
 	k := sim.New(21)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := New(m)

@@ -29,7 +29,7 @@ type lab struct {
 func newLab(t *testing.T, seed int64, n int, cfg Config) *lab {
 	t.Helper()
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 40, 20)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 40, 20)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := netsim.New(m)
@@ -345,7 +345,7 @@ func TestAdminOnlyPolicyRequiresIntervention(t *testing.T) {
 
 func TestDiscoverWithNoProjector(t *testing.T) {
 	k := sim.New(12)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 40, 20)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 40, 20)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := netsim.New(m)

@@ -69,7 +69,7 @@ func warmSenders(b *testing.B, k *sim.Kernel, m *Medium, radios []*Radio) {
 func denseWorld(n int, channels []int, opts ...MediumOption) (*sim.Kernel, *Medium, []*Radio) {
 	k := sim.New(1)
 	side := 1000.0
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
 	m := NewMedium(k, e, opts...)
 	cols := 32
 	radios := make([]*Radio, n)
@@ -111,7 +111,7 @@ func benchDenseHeap(b *testing.B, n int) {
 		b.StartTimer()
 		k := sim.New(1)
 		const side = 1000.0
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
 		m := NewMedium(k, e, denseIndexed...)
 		cols := int(math.Ceil(math.Sqrt(float64(n))))
 		step := side / float64(cols)
@@ -157,7 +157,7 @@ func benchDenseMobile(b *testing.B, n int, opts ...MediumOption) {
 	// Constant density: the arena grows with the fleet, so the 500- and
 	// 1000-radio runs stress invalidation at the same neighbourhood size.
 	side := 2500.0 * math.Sqrt(float64(n)/500.0)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, side, side)))
 	m := NewMedium(k, e, opts...)
 	cols := 32
 	radios := make([]*Radio, n)

@@ -56,10 +56,12 @@ func opCode(b byte, n int) int {
 // a 5 to 60 m grid cell — and plays an operation tape on it as kernel
 // events: moves within a cell and across cells, attaches, overlapping
 // transmissions, jam windows of -10 to +30 dB, partition windows behind
-// a fenced abscissa, ambient-noise changes, and RSSI or SNR measurements
-// of any pair, hearer or not, at most 128 operations. An arm operation
-// instead makes a radio run the next operation inside its next receipt
-// callback, in the middle of a delivery round. The indexed hearers and
+// a fenced abscissa, and RSSI or SNR measurements of any pair, hearer or
+// not, at most 128 operations. Code 10 schedules an event that does
+// nothing and takes one argument byte, so the corpus seeds written when
+// it changed the ambient noise level decode as they were written. An
+// arm operation instead makes a radio run the next operation inside its
+// next receipt callback, in the middle of a delivery round. The indexed hearers and
 // carrier sense must match the brute-force oracles after every kernel
 // step (checkHearers, checkBusy), and the link-gain memo must hold what
 // the dense per-pair table held (memoWatch) after every step and around
@@ -78,15 +80,14 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 		cell := 5 + float64(in.next()%56)
 
 		k := sim.New(1)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(-64, -64, 256, 256)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(-64, -64, 256, 256)))
 		m := NewMedium(k, e, WithRxCutoffDBm(cutoff), WithGridCellM(cell))
 		w := watchMemo(m)
 		var radios []*Radio
 		// armed holds, per radio, an operation its next receipt runs.
 		armed := map[*Radio]func(){}
 		// budget is the src->rx link budget computed from the
-		// environment. Shadowing is off, so it touches no cache and
-		// draws nothing.
+		// environment; it touches no cache and draws nothing.
 		budget := func(src, rx *Radio) float64 {
 			return e.ReceivedPowerDBm(src.txPowerDBm, src.Pos, rx.Pos) - m.faultLossDB(src, rx)
 		}
@@ -169,12 +170,9 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 					m.AddPartition(1)
 					k.Schedule(d, "fuzz.partitionEnd", func() { m.AddPartition(-1) })
 				}
-			case 10: // ambient noise, from none to far above thermal
-				dbm := -1000.0
-				if b := in.next(); b%4 != 0 {
-					dbm = -130 + float64(b%80)
-				}
-				fn = func(*Radio) { e.AmbientNoiseDBm = dbm }
+			case 10: // no-op; its byte keeps the corpus seeds' decoding
+				in.next()
+				fn = func(*Radio) {}
 			case opMeasure: // any pair: out of range, on disjoint channels, even itself
 				dst, snr := int(in.next()), in.next()%2 == 1
 				fn = func(r *Radio) {
@@ -182,8 +180,7 @@ func FuzzMediumMatchesOracle(f *testing.F) {
 					var got float64
 					want := budget(r, d)
 					if snr {
-						_, noise := m.noiseFloor()
-						got, want = m.SNRAtDBm(r, d), want-noise
+						got, want = m.SNRAtDBm(r, d), want-noiseDBm
 					} else {
 						got = m.MeasureRSSI(r, d)
 					}

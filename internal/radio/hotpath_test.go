@@ -306,7 +306,7 @@ func TestSenderRowBuiltOnce(t *testing.T) {
 // has to leave the pinned array alone.
 func TestSenderRowPinnedDuringDelivery(t *testing.T) {
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 400, 400)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 400, 400)))
 	m := NewMedium(k, e, WithRxCutoffDBm(-80), WithGridCellM(20))
 	src := m.NewRadio("src", geo.Pt(50, 50), 6, 15)
 	var rx []*Radio

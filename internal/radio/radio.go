@@ -78,9 +78,10 @@
 // when asked.
 //
 // Carrier sense is memoized per radio: Busy reuses the last sensed
-// energy until geoGen moves, the ambient noise changes, a frame the
-// radio hears starts or ends (Transmit and finish clear the memos of
-// the frame's row), or the next frame it hears crosses SensingDelay.
+// energy until geoGen moves, a frame the radio hears starts or ends
+// (Transmit and finish clear the memos of the frame's row), or the next
+// frame it hears crosses SensingDelay. Every radio senses against the
+// one threshold CSThresholdDBm over the one thermal noise floor.
 // Until that last instant (the radio's csUntil) nothing but another
 // event can change the answer during a run; SkipIdle relies on that to
 // let the MAC skip idle backoff slots.
@@ -131,6 +132,23 @@ const (
 // that decide to transmit within the same window collide, exactly as in
 // real 802.11 DCF.
 const SensingDelay = 15 * sim.Microsecond
+
+// CSThresholdDBm is every radio's carrier-sense energy-detect threshold:
+// the medium reports busy to a radio when the total in-band energy at
+// its position exceeds it.
+const CSThresholdDBm = -82
+
+// csLo and csHi are Busy's milliwatt band around CSThresholdDBm
+// (linearBand).
+var csLo, csHi = linearBand(CSThresholdDBm)
+
+// noiseDBm and noiseMW are the RF noise floor every receiver sums in,
+// converted once so per-delivery and per-carrier-sense sums skip the
+// dBm→mW transcendentals.
+var (
+	noiseDBm = env.NoiseFloorDBm()
+	noiseMW  = env.DBmToMilliwatts(noiseDBm)
+)
 
 // Rate is one step of the 802.11b-era rate set.
 type Rate struct {
@@ -332,30 +350,16 @@ type Radio struct {
 	// consistent.
 	Pos geo.Point
 
-	// CSThresholdDBm is the carrier-sense energy-detect threshold; the
-	// medium reports busy to this radio when total in-band energy at its
-	// position exceeds it.
-	CSThresholdDBm float64
-
-	// csLo and csHi cache Busy's milliwatt band around the carrier-sense
-	// threshold csKey. An unusable threshold gets the band (0, +Inf),
-	// which sends every decision to the dBm predicate; csHi is never 0
-	// once filled, so 0 marks an empty cache.
-	csKey, csLo, csHi float64
-
-	// The carrier-sense memo (energyAtMW), kept beside the threshold
-	// band Busy reads next: csSum is the last sensed energy and
-	// csLookups the linkGain lookups that sum made. It is valid while
-	// csGen equals the medium's geoGen, the ambient noise still equals
-	// csAmbient, and the clock is before csUntil, the instant the next
-	// frame this radio hears becomes detectable. Transmit and finish
-	// zero csGen for every radio in a frame's hearer row; geoGen starts
-	// at 1, so zero never matches.
+	// The carrier-sense memo (energyAtMW): csSum is the last sensed
+	// energy and csLookups the linkGain lookups that sum made. It is
+	// valid while csGen equals the medium's geoGen and the clock is
+	// before csUntil, the instant the next frame this radio hears
+	// becomes detectable. Transmit and finish zero csGen for every radio
+	// in a frame's hearer row; geoGen starts at 1, so zero never matches.
 	csGen     uint64
 	csSum     float64
 	csLookups uint64
 	csUntil   sim.Time
-	csAmbient float64
 
 	// OnReceive, if non-nil, is invoked for every other radio's
 	// transmission that ends with this radio in the sender's hearing
@@ -486,14 +490,6 @@ type Medium struct {
 	// still the one linkGain would return. Starts at 1.
 	geoGen uint64
 
-	// noiseMW/noiseDBm memoize the environment noise floor keyed by the
-	// ambient component, so per-delivery and per-carrier-sense noise
-	// sums skip the dBm→mW transcendentals.
-	noiseKey   float64
-	noiseMW    float64
-	noiseDBm   float64
-	noiseValid bool
-
 	nextID int
 	seq    uint64
 
@@ -570,13 +566,12 @@ func (m *Medium) cutoffEnabled() bool {
 func (m *Medium) NewRadio(name string, pos geo.Point, channel int, txPowerDBm float64) *Radio {
 	m.nextID++
 	r := &Radio{
-		ID:             m.nextID,
-		Name:           name,
-		Pos:            pos,
-		Channel:        clampChannel(channel),
-		txPowerDBm:     txPowerDBm,
-		CSThresholdDBm: -82,
-		medium:         m,
+		ID:         m.nextID,
+		Name:       name,
+		Pos:        pos,
+		Channel:    clampChannel(channel),
+		txPowerDBm: txPowerDBm,
+		medium:     m,
 	}
 	r.rangeM = m.hearingRange(r)
 	r.range2 = squared(r.rangeM)
@@ -597,7 +592,7 @@ func (m *Medium) hearingRange(r *Radio) float64 {
 	if !m.cutoffEnabled() {
 		return math.Inf(1)
 	}
-	return m.env.MaxRangeForCutoff(r.txPowerDBm, m.cutoffDBm)
+	return env.MaxRangeForCutoff(r.txPowerDBm, m.cutoffDBm)
 }
 
 // overlapWindow returns the inclusive channel range spectrally coupled
@@ -709,10 +704,10 @@ func squared(v float64) float64 { return v * v }
 // value is exactly DBmToMilliwatts(env.ReceivedPowerDBm(...)) — the memo
 // only removes the math.Pow/math.Log10 recomputation for pairs whose
 // endpoints have not moved (linkGen), so every downstream sum is
-// bit-identical to the unmemoized path. Environment propagation
-// parameters (exponent, walls, shadow sigma) are build-time constants of
-// a run; deterministic shadow draws happen on first computation exactly
-// as they would unmemoized.
+// bit-identical to the unmemoized path. A gain is a pure function of the
+// two positions, the floor plan's walls and the open fault windows, and
+// computing one draws no random numbers, so memo misses may come in any
+// order.
 //
 // Memory: a pair is held where its membership in src's row puts it.
 // Whether rx hears src depends only on the two positions, so a pair
@@ -754,18 +749,6 @@ func (m *Medium) computeGain(src, rx *Radio) (mw, rssi float64) {
 		rssi -= m.faultLossDB(src, rx)
 	}
 	return env.DBmToMilliwatts(rssi), rssi
-}
-
-// noiseFloor memoizes the environment's RF noise floor (mW and dBm),
-// keyed by the ambient component — the only input that can change.
-func (m *Medium) noiseFloor() (mw, dbm float64) {
-	if !m.noiseValid || m.noiseKey != m.env.AmbientNoiseDBm {
-		m.noiseKey = m.env.AmbientNoiseDBm
-		m.noiseDBm = m.env.NoiseFloorDBm()
-		m.noiseMW = env.DBmToMilliwatts(m.noiseDBm)
-		m.noiseValid = true
-	}
-	return m.noiseMW, m.noiseDBm
 }
 
 // acquireLedger takes a pooled interference ledger for a new
@@ -863,18 +846,17 @@ func forgetSensing(row []hearer) {
 // The sum is memoized per radio (Radio.csGen). Nothing it reads can
 // change while the memo holds: moves, attaches and fault windows bump
 // geoGen; a frame the radio hears starting or ending clears the memo
-// through the frame's hearer row; the ambient noise is compared; and
-// the memo expires when the next heard frame crosses SensingDelay. A hit counts the gain-cache hits
-// its lookups would have counted, so the counters match a recompute.
+// through the frame's hearer row; and the memo expires when the next
+// heard frame crosses SensingDelay. A hit counts the gain-cache hits its
+// lookups would have counted, so the counters match a recompute.
 func (m *Medium) energyAtMW(r *Radio) float64 {
 	now := m.kernel.Now()
-	if r.csGen == m.geoGen && now < r.csUntil && r.csAmbient == m.env.AmbientNoiseDBm {
+	if r.csGen == m.geoGen && now < r.csUntil {
 		m.GainHits += r.csLookups
 		return r.csSum
 	}
 	total, lookups, until := m.senseEnergyMW(r, now)
 	r.csGen, r.csSum, r.csLookups, r.csUntil = m.geoGen, total, lookups, until
-	r.csAmbient = m.env.AmbientNoiseDBm
 	return total
 }
 
@@ -882,7 +864,7 @@ func (m *Medium) energyAtMW(r *Radio) float64 {
 // also returns the number of linkGain lookups made and the earliest
 // instant a frame r hears becomes detectable (or the end of time).
 func (m *Medium) senseEnergyMW(r *Radio, now sim.Time) (total float64, lookups uint64, until sim.Time) {
-	total, _ = m.noiseFloor()
+	total = noiseMW
 	until = math.MaxInt64
 	for _, tx := range m.active {
 		src := tx.Src
@@ -944,9 +926,11 @@ func linearBand(db float64) (lo, hi float64) {
 // below it is idle in dBm too. Inside the band, for e <= 0 (which
 // MilliwattsToDBm maps to -1000 dBm), and for thresholds whose t is not
 // a finite normal float (±Inf, NaN, far below -3000 dBm), Busy
-// evaluates the dBm predicate itself. The band is cached per radio and
-// rebuilt when the threshold changes.
-func (m *Medium) Busy(r *Radio) bool { return r.senses(m.energyAtMW(r)) }
+// evaluates the dBm predicate itself. The band is computed once for the
+// package (csLo, csHi).
+func (m *Medium) Busy(r *Radio) bool {
+	return senses(m.energyAtMW(r), CSThresholdDBm, csLo, csHi)
+}
 
 // SkipIdle counts down up to n idle slots of length d for r inline, as
 // the MAC's backoff would fire them one event at a time, and reports
@@ -974,19 +958,16 @@ func (m *Medium) skipIdle(r *Radio, d sim.Time, n int) int {
 }
 
 // senses reports whether sensed energy e, in milliwatts, is above the
-// radio's carrier-sense threshold (see Busy).
-func (r *Radio) senses(e float64) bool {
-	if r.csHi == 0 || r.csKey != r.CSThresholdDBm {
-		r.csKey = r.CSThresholdDBm
-		r.csLo, r.csHi = linearBand(r.CSThresholdDBm)
-	}
+// carrier-sense threshold thresholdDBm, given (lo, hi) =
+// linearBand(thresholdDBm) (see Busy).
+func senses(e, thresholdDBm, lo, hi float64) bool {
 	switch {
-	case e > r.csHi:
+	case e > hi:
 		return true
-	case e > 0 && e < r.csLo:
+	case e > 0 && e < lo:
 		return false
 	}
-	return env.MilliwattsToDBm(e) > r.CSThresholdDBm
+	return env.MilliwattsToDBm(e) > thresholdDBm
 }
 
 // decodeBand returns linearBand(minSINRdB), cached on the medium for the
@@ -1022,7 +1003,6 @@ func decodes(ratio, minSINRdB, lo, hi float64) bool {
 // would see for a transmission from src, used for rate selection.
 func (m *Medium) SNRAtDBm(src, dst *Radio) float64 {
 	_, rx := m.linkGain(src, dst)
-	_, noiseDBm := m.noiseFloor()
 	return rx - noiseDBm
 }
 
@@ -1118,7 +1098,6 @@ func (m *Medium) finish(tx *Transmission) {
 	if i := sort.Search(len(m.active), func(i int) bool { return m.active[i].Seq >= tx.Seq }); i < len(m.active) && m.active[i] == tx {
 		m.active = append(m.active[:i], m.active[i+1:]...)
 	}
-	noiseMW, _ := m.noiseFloor()
 	src := tx.Src
 	// The sender's hearer row is this delivery round's receiver set,
 	// frozen before any callback runs: OnReceive callbacks may transmit,
@@ -1181,9 +1160,9 @@ func (m *Medium) finish(tx *Transmission) {
 func (m *Medium) ActiveTransmissions() int { return len(m.active) }
 
 // EstimateDistance performs RSSI ranging from src to dst: it measures the
-// received power and inverts the free-space-with-exponent model. Walls and
-// shadowing corrupt the estimate, reproducing experiment C8.
+// received power and inverts the free-space-with-exponent model. Walls
+// corrupt the estimate, reproducing experiment C8.
 func (m *Medium) EstimateDistance(src, dst *Radio) float64 {
 	rssi := m.MeasureRSSI(src, dst)
-	return m.env.EstimateDistanceFromRSSI(src.txPowerDBm, rssi)
+	return env.EstimateDistanceFromRSSI(src.txPowerDBm, rssi)
 }

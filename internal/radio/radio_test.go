@@ -13,7 +13,7 @@ import (
 
 func newMedium(seed int64) (*sim.Kernel, *Medium) {
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	return k, NewMedium(k, e)
 }
 
@@ -326,7 +326,7 @@ func TestReceiptOrderDeterministicAndAscending(t *testing.T) {
 
 func TestSetPosKeepsSpatialIndexCurrent(t *testing.T) {
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 1000, 1000)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 1000, 1000)))
 	m := NewMedium(k, e, WithRxCutoffDBm(-95), WithGridCellM(20))
 	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
 	b := m.NewRadio("b", geo.Pt(900, 900), 6, 15)
@@ -375,7 +375,7 @@ func TestIndexedMatchesFullScanPhysics(t *testing.T) {
 	}
 	run := func(checked bool) ([]outcome, map[uint64][]int, *Medium, []*Radio) {
 		k := sim.New(3)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 300, 300)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 300, 300)))
 		m := NewMedium(k, e)
 		var radios []*Radio
 		var out []outcome
@@ -436,7 +436,7 @@ func TestCutoffSkipsOnlyInaudibleRadios(t *testing.T) {
 	// A cutoff of -95 dBm must not change whether nearby frames decode.
 	run := func(opts ...MediumOption) (delivered, lost uint64) {
 		k := sim.New(5)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
 		m := NewMedium(k, e, opts...)
 		var radios []*Radio
 		for i := 0; i < 30; i++ {
@@ -471,7 +471,7 @@ func sameBacking(a, b []*Radio) bool {
 
 func TestSetPosUnchangedPositionIsFree(t *testing.T) {
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
 	m := NewMedium(k, e, WithRxCutoffDBm(-95))
 	a := m.NewRadio("a", geo.Pt(10, 10), 6, 15)
 	m.NewRadio("b", geo.Pt(20, 10), 6, 15)
@@ -484,7 +484,7 @@ func TestSetPosUnchangedPositionIsFree(t *testing.T) {
 
 func TestCellGranularInvalidation(t *testing.T) {
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
 	// 15 dBm at a -60 dBm cutoff hears out to ~14.7 m; 10 m cells keep
 	// the cover box tight around b so the cases below are unambiguous.
 	m := NewMedium(k, e, WithRxCutoffDBm(-60), WithGridCellM(10))
@@ -545,7 +545,7 @@ func TestCellGranularInvalidation(t *testing.T) {
 
 func TestDeliveryAppliesExactRangeAtUseTime(t *testing.T) {
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
 	m := NewMedium(k, e, WithRxCutoffDBm(-60), WithGridCellM(10))
 	b := m.NewRadio("b", geo.Pt(5, 5), 6, 15)
 	near := m.NewRadio("near", geo.Pt(15, 5), 6, 15) // ~10 m: audible
@@ -574,7 +574,7 @@ func TestDeliveryAppliesExactRangeAtUseTime(t *testing.T) {
 func TestMobileInvalidationModesAgree(t *testing.T) {
 	run := func(checked bool) []string {
 		k := sim.New(3)
-		e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 400, 400)))
+		e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 400, 400)))
 		m := NewMedium(k, e, WithRxCutoffDBm(-95), WithGridCellM(25))
 		var log []string
 		var radios []*Radio
@@ -656,7 +656,7 @@ func TestMidRunAttachJoinsHearerRows(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.New(1)
-			e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+			e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
 			m := NewMedium(k, e, tc.opts...)
 			var senders []*Radio
 			for i := 0; i < 4; i++ {
@@ -715,7 +715,7 @@ func TestMidDeliveryMoveDoesNotChangeMembership(t *testing.T) {
 	// this delivery round: the range decision is frozen when delivery
 	// starts.
 	k := sim.New(1)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 200, 200)))
 	m := NewMedium(k, e, WithRxCutoffDBm(-60), WithGridCellM(10))
 	// 15 dBm at -60 dBm cutoff: range ~14.7 m.
 	a := m.NewRadio("a", geo.Pt(5, 5), 6, 15)
@@ -735,15 +735,15 @@ func TestMidDeliveryMoveDoesNotChangeMembership(t *testing.T) {
 }
 
 // TestBusyMatchesDBmPredicate holds carrier sense in milliwatts to the
-// dBm predicate it replaces, on one radio whose threshold changes
-// between calls: -82 dBm, random and whole thresholds in [-200, 50]
-// dBm, ±Inf, NaN and -3300 dBm (whose milliwatt value underflows to
-// zero). Energies are 0, negative, NaN and extremes, t·(1±k·2⁻⁵²)
+// dBm predicate it replaces, at CSThresholdDBm and at any threshold
+// senses could be given with its band: random and whole thresholds in
+// [-200, 50] dBm, ±Inf, NaN and -3300 dBm (whose milliwatt value
+// underflows to zero). Energies are 0, negative, NaN and extremes, t·(1±k·2⁻⁵²)
 // around the threshold t in milliwatts, and the floats just inside and
 // just outside the band t·(1±1e-9) where Busy switches between the two
 // comparisons.
 func TestBusyMatchesDBmPredicate(t *testing.T) {
-	thresholds := []float64{-82, math.Inf(1), math.Inf(-1), math.NaN(), -3300, -82}
+	thresholds := []float64{CSThresholdDBm, math.Inf(1), math.Inf(-1), math.NaN(), -3300}
 	for d := -200; d <= 50; d++ {
 		thresholds = append(thresholds, float64(d))
 	}
@@ -751,30 +751,26 @@ func TestBusyMatchesDBmPredicate(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		thresholds = append(thresholds, -200+250*rng.Float64())
 	}
-	r := &Radio{}
 	for _, th := range thresholds {
-		r.CSThresholdDBm = th
-		r.senses(0) // fill the band cache for this threshold
+		lo, hi := linearBand(th)
 		mw := env.DBmToMilliwatts(th)
 		energies := []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1),
 			math.SmallestNonzeroFloat64, 1e-300, 1, 1e300, mw}
 		for k := 1; k <= 8; k++ {
 			energies = append(energies, mw*(1+float64(k)*0x1p-52), mw*(1-float64(k)*0x1p-52))
 		}
-		for _, edge := range []float64{r.csLo, r.csHi, mw * (1 - thresholdBand), mw * (1 + thresholdBand)} {
+		for _, edge := range []float64{lo, hi, mw * (1 - thresholdBand), mw * (1 + thresholdBand)} {
 			energies = append(energies, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
 		}
 		for _, e := range energies {
-			if got, want := r.senses(e), refBusy(e, th); got != want {
+			if got, want := senses(e, th, lo, hi), refBusy(e, th); got != want {
 				t.Fatalf("threshold %v dBm, energy %v mW: Busy %v, dBm predicate %v", th, e, got, want)
 			}
 		}
 	}
-	// The fast band is in use for the default threshold.
-	r.CSThresholdDBm = -82
-	r.senses(0)
-	if mw := env.DBmToMilliwatts(-82); !(0 < r.csLo && r.csLo < mw && mw < r.csHi && !math.IsInf(r.csHi, 1)) {
-		t.Fatalf("band for -82 dBm is (%v, %v), want a finite band around %v", r.csLo, r.csHi, mw)
+	// The fast band is in use for the carrier-sense threshold.
+	if mw := env.DBmToMilliwatts(CSThresholdDBm); !(0 < csLo && csLo < mw && mw < csHi && !math.IsInf(csHi, 1)) {
+		t.Fatalf("band for %d dBm is (%v, %v), want a finite band around %v", CSThresholdDBm, csLo, csHi, mw)
 	}
 }
 

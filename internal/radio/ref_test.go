@@ -92,9 +92,9 @@ func checkBusy(m *Medium) error {
 			return fmt.Errorf("radio %d: memo holds %d lookups until %d, recompute %d until %d",
 				r.ID, r.csLookups, r.csUntil, lookups, until)
 		}
-		if got, want := m.Busy(r), refBusy(e, r.CSThresholdDBm); got != want {
-			return fmt.Errorf("radio %d: Busy %v, dBm predicate %v (energy %g mW, threshold %g dBm)",
-				r.ID, got, want, e, r.CSThresholdDBm)
+		if got, want := m.Busy(r), refBusy(e, CSThresholdDBm); got != want {
+			return fmt.Errorf("radio %d: Busy %v, dBm predicate %v (energy %g mW, threshold %d dBm)",
+				r.ID, got, want, e, CSThresholdDBm)
 		}
 	}
 	return nil

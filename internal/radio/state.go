@@ -13,7 +13,7 @@ type RadioState struct {
 	Name           string    `json:"name"`
 	Channel        int       `json:"channel"`
 	TxPowerDBm     float64   `json:"tx_power_dbm"`
-	CSThresholdDBm float64   `json:"cs_threshold_dbm"`
+	CSThresholdDBm float64   `json:"cs_threshold_dbm"` // always the package's CSThresholdDBm
 	Pos            geo.Point `json:"pos"`
 	// Down is the fault-window depth; omitted (zero) outside faults so
 	// fault-free exports stay byte-identical to pre-fault builds.
@@ -65,7 +65,7 @@ func (m *Medium) ExportState() State {
 	for _, r := range m.ordered {
 		st.Radios = append(st.Radios, RadioState{
 			ID: r.ID, Name: r.Name, Channel: r.Channel,
-			TxPowerDBm: r.txPowerDBm, CSThresholdDBm: r.CSThresholdDBm, Pos: r.Pos,
+			TxPowerDBm: r.txPowerDBm, CSThresholdDBm: CSThresholdDBm, Pos: r.Pos,
 			Down: r.down,
 		})
 	}

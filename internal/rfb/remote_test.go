@@ -18,7 +18,7 @@ import (
 func remoteRig(t *testing.T, seed int64, w, h int, enc Encoding) (*sim.Kernel, *Server, *Client) {
 	t.Helper()
 	k := sim.New(seed)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := netsim.New(m)
@@ -200,7 +200,7 @@ func TestServeAllocsNothing(t *testing.T) {
 func TestRecycledRepliesNeverShowStaleBytes(t *testing.T) {
 	const w, h = 160, 120
 	k := sim.New(8)
-	e := env.New(k, geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
+	e := env.New(geo.NewFloorPlan(geo.RectAt(0, 0, 100, 100)))
 	med := radio.NewMedium(k, e)
 	m := mac.New(med)
 	nw := netsim.New(m)

@@ -180,10 +180,10 @@ func (r *Registry) register(in *instrument) *instrument {
 	}
 	id := identity(in.name, in.labels)
 	if r.names[id] {
-		panic("telemetry: duplicate instrument " + id)
+		panic("telemetry: duplicate instrument " + in.name + renderLabels(in.labels, nil))
 	}
 	if r.phase != 0 {
-		panic("telemetry: instrument " + id + " registered after the first sample")
+		panic("telemetry: instrument " + in.name + renderLabels(in.labels, nil) + " registered after the first sample")
 	}
 	r.names[id] = true
 	if in.kind.sampled() && cap(r.t) > 0 {

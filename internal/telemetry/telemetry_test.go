@@ -66,6 +66,27 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	counter(r, "a.b_total", L("x", "1"))
 }
 
+// TestRegisterPanicsNameTheInstrument pins the panic text: an
+// instrument is named as the exposition writes it, name{k="v"}.
+func TestRegisterPanicsNameTheInstrument(t *testing.T) {
+	wantPanic := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			if got := recover(); got != want {
+				t.Errorf("panic %q, want %q", got, want)
+			}
+		}()
+		f()
+	}
+	r := New()
+	counter(r, "fault.injected_total", L("kind", "crash"))
+	wantPanic(`telemetry: duplicate instrument fault.injected_total{kind="crash"}`,
+		func() { counter(r, "fault.injected_total", L("kind", "crash")) })
+	r.Sample(1)
+	wantPanic(`telemetry: instrument fault.injected_total{kind="jam"} registered after the first sample`,
+		func() { counter(r, "fault.injected_total", L("kind", "jam")) })
+}
+
 // TestRegisterAfterSamplePanics pins the one-column contract: every
 // sampled instrument shares the registry's sample times, so a
 // registration of any kind after the first Sample panics, while one

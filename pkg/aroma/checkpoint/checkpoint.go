@@ -42,14 +42,16 @@ import (
 const Version = 1
 
 // Image is the decoded form of a snapshot: the recipe that rebuilds the
-// world plus the canonical state export that proves the rebuild.
+// world plus the canonical state export that proves the rebuild. State
+// holds that export's bytes as World.MarshalState wrote them, so the
+// proof compares bytes without decoding them.
 type Image struct {
 	Version    int              `json:"version"`
 	Provenance aroma.Provenance `json:"provenance"`
 	Now        sim.Time         `json:"now"`
 	Steps      uint64           `json:"steps"`
 	Digest     string           `json:"digest"`
-	State      aroma.WorldState `json:"state"`
+	State      json.RawMessage  `json:"state"`
 }
 
 // Snapshot serializes the world. The world must carry provenance (every
@@ -63,13 +65,17 @@ func Snapshot(w *aroma.World) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: world %q has no provenance (build it through scenario.Build)", w.Name())
 	}
 	w.RunUntil(w.Now()) // close the instant
+	state, err := w.MarshalState()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: export state: %w", err)
+	}
 	img := Image{
 		Version:    Version,
 		Provenance: prov,
 		Now:        w.Now(),
 		Steps:      w.Kernel().Steps(),
 		Digest:     w.Digest(),
-		State:      w.ExportState(),
+		State:      state,
 	}
 	return json.Marshal(&img)
 }
@@ -186,17 +192,13 @@ func verify(img *Image, w *aroma.World) error {
 		return fmt.Errorf("checkpoint: restore diverged: digest %s, snapshot has %s — nondeterminism in %s",
 			got, img.Digest, img.Provenance.Scenario)
 	}
-	want, err := json.Marshal(&img.State)
-	if err != nil {
-		return fmt.Errorf("checkpoint: re-encode snapshot state: %w", err)
-	}
 	got, err := w.MarshalState()
 	if err != nil {
 		return fmt.Errorf("checkpoint: export replayed state: %w", err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got, img.State) {
 		return fmt.Errorf("checkpoint: restore diverged at %s: replayed state differs from snapshot (first diff at byte %d of %d/%d) — nondeterminism in %s",
-			img.Now, firstDiff(got, want), len(got), len(want), img.Provenance.Scenario)
+			img.Now, firstDiff(got, img.State), len(got), len(img.State), img.Provenance.Scenario)
 	}
 	return nil
 }

@@ -65,7 +65,7 @@ func NewWorld(opts ...Option) *World {
 	if plan == nil {
 		plan = geo.NewFloorPlan(geo.RectAt(0, 0, o.arenaW, o.arenaH))
 	}
-	e := env.New(k, plan)
+	e := env.New(plan)
 	med := radio.NewMedium(k, e, o.mediumOpts...)
 	m := mac.New(med)
 	log := trace.NewForKernel(k)
