@@ -37,9 +37,6 @@ const (
 
 	// DefaultLeaseDuration is used when a registrant passes 0.
 	DefaultLeaseDuration = 30 * sim.Second
-
-	// MaxLeaseDuration caps what the lookup grants.
-	MaxLeaseDuration = 5 * sim.Minute
 )
 
 // ServiceID identifies a registration within one lookup service.
@@ -121,7 +118,8 @@ type Event struct {
 }
 
 // Lookup is the lookup service. Attach it to a node with NewLookup, then
-// Start it to begin announcing and serving.
+// Start it to begin announcing and serving. It grants registrations and
+// subscriptions leases of at most lease.MaxDuration.
 type Lookup struct {
 	node         *netsim.Node
 	leases       *lease.Table
@@ -162,11 +160,9 @@ type subscription struct {
 
 // NewLookup creates a lookup service on the given node.
 func NewLookup(node *netsim.Node) *Lookup {
-	tbl := lease.NewTable(node.Kernel())
-	tbl.MaxDuration = MaxLeaseDuration
 	l := &Lookup{
 		node:   node,
-		leases: tbl,
+		leases: lease.NewTable(node.Kernel()),
 		items:  make(map[ServiceID]*registration),
 		subs:   make(map[uint64]*subscription),
 	}

@@ -20,11 +20,11 @@ import (
 // protocol so both can run side by side in comparisons).
 const PortPeer netsim.Port = 5
 
-// DefaultPeerPeriod is how often a peer service announces itself.
-const DefaultPeerPeriod = 5 * sim.Second
+// PeerPeriod is how often a peer service announces itself.
+const PeerPeriod = 5 * sim.Second
 
-// DefaultPeerTTL is how long a cache entry lives without re-announce.
-const DefaultPeerTTL = 3 * DefaultPeerPeriod
+// PeerTTL is how long a cache entry lives without re-announce.
+const PeerTTL = 3 * PeerPeriod
 
 type peerAnnouncement struct {
 	Item  Item  `json:"item"`
@@ -44,18 +44,17 @@ type PeerService struct {
 	AnnouncementsSent uint64
 }
 
-// AnnouncePeer starts announcing item from node every period (default
-// DefaultPeerPeriod) with the given ttl (default DefaultPeerTTL). The
-// first announcement is jittered uniformly within one period — without
-// jitter, simultaneously booted appliances announce in phase forever and
-// their unacknowledged multicasts collide every cycle (the SSDP sin).
-func AnnouncePeer(node *netsim.Node, item Item, period, ttl sim.Time) *PeerService {
-	if period <= 0 {
-		period = DefaultPeerPeriod
-	}
-	if ttl <= 0 {
-		ttl = DefaultPeerTTL
-	}
+// AnnouncePeer starts announcing item from node every PeerPeriod, each
+// announcement good for PeerTTL. The first announcement is jittered
+// uniformly within one period — without jitter, simultaneously booted
+// appliances announce in phase forever and their unacknowledged
+// multicasts collide every cycle (the SSDP sin).
+func AnnouncePeer(node *netsim.Node, item Item) *PeerService {
+	return announcePeer(node, item, PeerPeriod, PeerTTL)
+}
+
+// announcePeer is AnnouncePeer with the period and TTL given.
+func announcePeer(node *netsim.Node, item Item, period, ttl sim.Time) *PeerService {
 	if item.Provider == 0 {
 		item.Provider = node.Addr()
 	}

@@ -30,8 +30,8 @@ func TestPeerAnnounceAndCache(t *testing.T) {
 	cache := NewPeerCache(nodes[1])
 	var appeared []Item
 	cache.OnAppear = func(it Item) { appeared = append(appeared, it) }
-	AnnouncePeer(nodes[0], Item{Name: "printer-1", Type: "printer"}, sim.Second, 0)
-	k.RunUntil(1500 * sim.Millisecond) // first announce is jittered within one period
+	AnnouncePeer(nodes[0], Item{Name: "printer-1", Type: "printer"})
+	k.RunUntil(PeerPeriod + 500*sim.Millisecond) // first announce is jittered within one period
 	if cache.Count() != 1 {
 		t.Fatalf("cache count = %d", cache.Count())
 	}
@@ -46,7 +46,7 @@ func TestPeerAnnounceAndCache(t *testing.T) {
 		t.Fatalf("non-matching lookup = %v", got)
 	}
 	// Re-announcements do not re-fire OnAppear.
-	k.RunUntil(5 * sim.Second)
+	k.RunUntil(5 * PeerPeriod)
 	if len(appeared) != 1 {
 		t.Fatalf("OnAppear fired %d times", len(appeared))
 	}
@@ -57,7 +57,7 @@ func TestPeerTTLExpiry(t *testing.T) {
 	cache := NewPeerCache(nodes[1])
 	var expired []Item
 	cache.OnExpire = func(it Item) { expired = append(expired, it) }
-	ps := AnnouncePeer(nodes[0], Item{Name: "cam", Type: "camera"}, 2*sim.Second, 6*sim.Second)
+	ps := announcePeer(nodes[0], Item{Name: "cam", Type: "camera"}, 2*sim.Second, 6*sim.Second)
 	k.RunUntil(5 * sim.Second)
 	if cache.Count() != 1 {
 		t.Fatal("not cached")
@@ -76,7 +76,7 @@ func TestPeerTTLExpiry(t *testing.T) {
 func TestPeerByeRemovesImmediately(t *testing.T) {
 	k, nodes := peerRig(3, 2)
 	cache := NewPeerCache(nodes[1])
-	ps := AnnouncePeer(nodes[0], Item{Name: "tv", Type: "display"}, sim.Second, sim.Minute)
+	ps := announcePeer(nodes[0], Item{Name: "tv", Type: "display"}, sim.Second, sim.Minute)
 	k.RunUntil(2 * sim.Second)
 	if cache.Count() != 1 {
 		t.Fatal("not cached")
@@ -93,10 +93,10 @@ func TestPeerByeRemovesImmediately(t *testing.T) {
 func TestPeerMultipleServicesAndProviders(t *testing.T) {
 	k, nodes := peerRig(4, 4)
 	cache := NewPeerCache(nodes[3])
-	AnnouncePeer(nodes[0], Item{Name: "light-1", Type: "light"}, sim.Second, 0)
-	AnnouncePeer(nodes[1], Item{Name: "light-2", Type: "light"}, sim.Second, 0)
-	AnnouncePeer(nodes[2], Item{Name: "lock-1", Type: "lock"}, sim.Second, 0)
-	k.RunUntil(3 * sim.Second)
+	AnnouncePeer(nodes[0], Item{Name: "light-1", Type: "light"})
+	AnnouncePeer(nodes[1], Item{Name: "light-2", Type: "light"})
+	AnnouncePeer(nodes[2], Item{Name: "lock-1", Type: "lock"})
+	k.RunUntil(PeerPeriod + sim.Second)
 	if cache.Count() != 3 {
 		t.Fatalf("count = %d", cache.Count())
 	}
@@ -108,11 +108,11 @@ func TestPeerMultipleServicesAndProviders(t *testing.T) {
 func TestPeerProviderDefaulted(t *testing.T) {
 	k, nodes := peerRig(5, 2)
 	cache := NewPeerCache(nodes[1])
-	ps := AnnouncePeer(nodes[0], Item{Name: "x", Type: "t"}, sim.Second, 0)
+	ps := AnnouncePeer(nodes[0], Item{Name: "x", Type: "t"})
 	if ps.item.Provider != nodes[0].Addr() {
 		t.Fatal("provider not defaulted")
 	}
-	k.RunUntil(sim.Second)
+	k.RunUntil(PeerPeriod)
 	if got := cache.Lookup(Template{}); len(got) != 1 || got[0].Provider != nodes[0].Addr() {
 		t.Fatalf("cached provider wrong: %v", got)
 	}
@@ -121,8 +121,8 @@ func TestPeerProviderDefaulted(t *testing.T) {
 func TestPeerAnnouncementCounters(t *testing.T) {
 	k, nodes := peerRig(7, 2)
 	cache := NewPeerCache(nodes[1])
-	ps := AnnouncePeer(nodes[0], Item{Name: "x", Type: "t"}, sim.Second, 0)
-	k.RunUntil(5500 * sim.Millisecond)
+	ps := AnnouncePeer(nodes[0], Item{Name: "x", Type: "t"})
+	k.RunUntil(5*PeerPeriod + PeerPeriod/2)
 	if ps.AnnouncementsSent < 5 {
 		t.Fatalf("sent = %d", ps.AnnouncementsSent)
 	}

@@ -23,7 +23,8 @@ import (
 func C10(seed int64) *Result {
 	r := &Result{ID: "C10", Title: "Discovery architectures: centralized lookup vs peer announcement"}
 
-	const period = 5 * sim.Second
+	// The lookup announces as often as each peer service does: 5 s.
+	const period = discovery.PeerPeriod
 	const observeFor = time30s
 	type outcome struct {
 		learnSeconds   float64
@@ -76,7 +77,7 @@ func C10(seed int64) *Result {
 		for i := 0; i < n; i++ {
 			node := w.AddDevice(fmt.Sprintf("prov-%d", i), geo.Pt(float64(10+2*i), 20)).Node()
 			services = append(services, discovery.AnnouncePeer(node,
-				discovery.Item{Name: fmt.Sprintf("svc-%d", i), Type: "appliance"}, period, 0))
+				discovery.Item{Name: fmt.Sprintf("svc-%d", i), Type: "appliance"}))
 		}
 		w.RunUntil(20 * sim.Second)
 		joined := w.Now()

@@ -44,7 +44,7 @@ func C9(seed int64) *Result {
 
 	// Walk from 5 m to 275 m over 90 s (~3 m/s, a brisk exit).
 	walk := geo.Path{Waypoints: []geo.Point{geo.Pt(5, 25), geo.Pt(275, 25)}, SpeedMPS: 3}
-	srvDev.MoveAlong(walk, 500*sim.Millisecond)
+	srvDev.MoveAlong(walk)
 
 	frames := 0
 	stop := cli.Stream(2*sim.Second, func(tiles int) {

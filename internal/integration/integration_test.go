@@ -216,7 +216,7 @@ func TestRoamingPresenterSessionReclaimed(t *testing.T) {
 		t.Fatal("alice's radio not found")
 	}
 	walk := geo.Path{Waypoints: []geo.Point{walkRadio.Pos, geo.Pt(290, 25)}, SpeedMPS: 4}
-	mobility.Start(l.k, walk, 500*sim.Millisecond, func(p geo.Point) { walkRadio.SetPos(p) })
+	mobility.Start(l.k, walk, mobility.WalkTick, func(p geo.Point) { walkRadio.SetPos(p) })
 
 	framesBeforeWalkout := l.proj.FramesShown
 	l.k.RunUntil(l.k.Now() + 3*sim.Minute)

@@ -50,9 +50,6 @@ type Table struct {
 	leases map[ID]*Lease
 	next   ID
 
-	// MaxDuration caps granted/renewed durations; zero means uncapped.
-	MaxDuration sim.Time
-
 	// Stats
 	Granted  uint64
 	Expired  uint64
@@ -71,22 +68,17 @@ var (
 	ErrBadDuration = errors.New("lease: duration must be positive")
 )
 
-// clamp applies the table's duration cap.
-func (t *Table) clamp(d sim.Time) sim.Time {
-	if t.MaxDuration > 0 && d > t.MaxDuration {
-		return t.MaxDuration
-	}
-	return d
-}
+// MaxDuration caps every granted and renewed duration.
+const MaxDuration = 5 * sim.Minute
 
-// Grant issues a lease for the given duration. onExpire (optional) runs
-// when the lease lapses without renewal or is broken by Break — but not on
-// voluntary Release.
+// Grant issues a lease for the given duration, at most MaxDuration.
+// onExpire (optional) runs when the lease lapses without renewal or is
+// broken by Break — but not on voluntary Release.
 func (t *Table) Grant(holder string, d sim.Time, onExpire func()) (*Lease, error) {
 	if d <= 0 {
 		return nil, ErrBadDuration
 	}
-	d = t.clamp(d)
+	d = min(d, MaxDuration)
 	t.next++
 	l := &Lease{
 		id:       t.next,
@@ -118,8 +110,9 @@ func (t *Table) expire(l *Lease) {
 	}
 }
 
-// Renew extends a lease by d from now. Renewing a dead lease fails with
-// ErrExpired; the holder must re-acquire (exactly Jini's contract).
+// Renew extends a lease by d, at most MaxDuration, from now. Renewing a
+// dead lease fails with ErrExpired; the holder must re-acquire (exactly
+// Jini's contract).
 func (t *Table) Renew(l *Lease, d sim.Time) error {
 	if l == nil || l.dead {
 		return ErrExpired
@@ -127,7 +120,7 @@ func (t *Table) Renew(l *Lease, d sim.Time) error {
 	if d <= 0 {
 		return ErrBadDuration
 	}
-	d = t.clamp(d)
+	d = min(d, MaxDuration)
 	t.kernel.Cancel(l.event)
 	l.expires = t.kernel.Now() + d
 	l.duration = d

@@ -121,15 +121,14 @@ func TestBadDurations(t *testing.T) {
 func TestMaxDurationCap(t *testing.T) {
 	k := sim.New(1)
 	tb := NewTable(k)
-	tb.MaxDuration = 5 * sim.Second
 	l, _ := tb.Grant("x", sim.Hour, nil)
-	if l.Expires() != 5*sim.Second {
-		t.Fatalf("expires = %v, want cap 5s", l.Expires())
+	if l.Expires() != MaxDuration {
+		t.Fatalf("expires = %v, want the cap %v", l.Expires(), MaxDuration)
 	}
 	k.RunUntil(3 * sim.Second)
 	tb.Renew(l, sim.Hour)
-	if l.Expires() != 8*sim.Second { // now(3s) + cap(5s)
-		t.Fatalf("renewed expires = %v, want 8s", l.Expires())
+	if want := 3*sim.Second + MaxDuration; l.Expires() != want {
+		t.Fatalf("renewed expires = %v, want now + cap = %v", l.Expires(), want)
 	}
 }
 

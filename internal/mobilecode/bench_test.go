@@ -7,7 +7,7 @@ func BenchmarkVMFibLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vm := NewVM(1 << 20)
+	vm := newVM(1 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -58,8 +58,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("name = %q", q.Name)
 	}
 	// The decoded program must behave identically.
-	r1, err1 := NewVM(0).Run(p, "main", 10)
-	r2, err2 := NewVM(0).Run(q, "main", 10)
+	r1, err1 := NewVM().Run(p, "main", 10)
+	r2, err2 := NewVM().Run(q, "main", 10)
 	if err1 != nil || err2 != nil || r1.Top() != r2.Top() {
 		t.Fatalf("behaviour differs: %v/%v %d/%d", err1, err2, r1.Top(), r2.Top())
 	}
@@ -125,8 +125,8 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reassembly failed: %v\n%s", err, asm)
 	}
-	r1, _ := NewVM(0).Run(p, "main", 12)
-	r2, err := NewVM(0).Run(q, "main", 12)
+	r1, _ := NewVM().Run(p, "main", 12)
+	r2, err := NewVM().Run(q, "main", 12)
 	if err != nil || r1.Top() != r2.Top() {
 		t.Fatalf("disasm round trip changed behaviour: %v %d vs %d", err, r1.Top(), r2.Top())
 	}

@@ -14,8 +14,8 @@ func TestPropertyExecutionDeterministic(t *testing.T) {
 	f := func(nRaw uint8, fuelRaw uint16) bool {
 		n := int64(nRaw % 40)
 		fuel := int64(fuelRaw%5000) + 100
-		r1, e1 := NewVM(fuel).Run(p, "main", n)
-		r2, e2 := NewVM(fuel).Run(p, "main", n)
+		r1, e1 := newVM(fuel).Run(p, "main", n)
+		r2, e2 := newVM(fuel).Run(p, "main", n)
 		if (e1 == nil) != (e2 == nil) {
 			return false
 		}
@@ -44,19 +44,19 @@ func TestPropertyFuelMonotone(t *testing.T) {
 	p := mustAssemble(t, fibSrc)
 	f := func(nRaw uint8, extraRaw uint16) bool {
 		n := int64(nRaw % 60)
-		res, err := NewVM(0).Run(p, "main", n)
+		res, err := NewVM().Run(p, "main", n)
 		if err != nil {
 			return false
 		}
 		// Any larger budget gives the same outcome.
 		extra := int64(extraRaw)
-		res2, err2 := NewVM(res.FuelUsed+extra+1).Run(p, "main", n)
+		res2, err2 := newVM(res.FuelUsed+extra+1).Run(p, "main", n)
 		if err2 != nil || res2.Top() != res.Top() || res2.FuelUsed != res.FuelUsed {
 			return false
 		}
 		// One unit less than needed must fault with ErrOutOfFuel.
 		if res.FuelUsed > 1 {
-			res3, err3 := NewVM(res.FuelUsed-1).Run(p, "main", n)
+			res3, err3 := newVM(res.FuelUsed-1).Run(p, "main", n)
 			if !errors.Is(err3, ErrOutOfFuel) {
 				return false
 			}
@@ -102,7 +102,7 @@ func TestPropertyVMTotality(t *testing.T) {
 		if len(args) > 16 {
 			args = args[:16]
 		}
-		_, _ = NewVM(20_000).Run(p, "main", args...) // must not panic
+		_, _ = newVM(20_000).Run(p, "main", args...) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(93))}); err != nil {

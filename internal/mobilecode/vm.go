@@ -135,7 +135,7 @@ const (
 	MaxStack     = 1024
 	MaxCallDepth = 128
 	MaxLocals    = 64
-	DefaultFuel  = 100_000
+	Fuel         = 100_000 // instructions one Run may execute
 )
 
 // Errors reported by the VM.
@@ -169,13 +169,11 @@ type VM struct {
 	fuel int64
 }
 
-// NewVM creates a VM with the given fuel budget (DefaultFuel if <= 0).
-func NewVM(fuel int64) *VM {
-	if fuel <= 0 {
-		fuel = DefaultFuel
-	}
-	return &VM{fuel: fuel}
-}
+// NewVM creates a VM whose runs may spend Fuel.
+func NewVM() *VM { return newVM(Fuel) }
+
+// newVM creates a VM with the given fuel budget.
+func newVM(fuel int64) *VM { return &VM{fuel: fuel} }
 
 // Run executes the entry point with the given arguments pre-pushed
 // (deepest first) and runs until OpHalt, top-frame OpRet, or a fault.

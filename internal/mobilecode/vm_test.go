@@ -19,7 +19,7 @@ func mustAssemble(t *testing.T, src string) *Program {
 func run(t *testing.T, src, entry string, args ...int64) Result {
 	t.Helper()
 	p := mustAssemble(t, src)
-	res, err := NewVM(0).Run(p, entry, args...)
+	res, err := NewVM().Run(p, entry, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func dec:
 	sub
 	ret`
 	p := mustAssemble(t, src)
-	vm := NewVM(0)
+	vm := NewVM()
 	r1, err := vm.Run(p, "inc", 10)
 	if err != nil || r1.Top() != 11 {
 		t.Fatalf("inc: %v %d", err, r1.Top())
@@ -160,15 +160,19 @@ func dec:
 
 func TestOutOfFuel(t *testing.T) {
 	p := mustAssemble(t, "loop:\n\tjmp loop")
-	_, err := NewVM(1000).Run(p, "main")
+	_, err := newVM(1000).Run(p, "main")
 	if !errors.Is(err, ErrOutOfFuel) {
 		t.Fatalf("err = %v", err)
+	}
+	res, err := NewVM().Run(p, "main")
+	if !errors.Is(err, ErrOutOfFuel) || res.FuelUsed != Fuel {
+		t.Fatalf("NewVM: err = %v after %d fuel, want ErrOutOfFuel after %d", err, res.FuelUsed, Fuel)
 	}
 }
 
 func TestFuelAccounting(t *testing.T) {
 	p := mustAssemble(t, "push 1\npush 2\nadd\nhalt")
-	res, err := NewVM(0).Run(p, "main")
+	res, err := NewVM().Run(p, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +183,18 @@ func TestFuelAccounting(t *testing.T) {
 
 func TestDivByZero(t *testing.T) {
 	p := mustAssemble(t, "push 1\npush 0\ndiv\nhalt")
-	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrDivByZero) {
+	if _, err := NewVM().Run(p, "main"); !errors.Is(err, ErrDivByZero) {
 		t.Fatalf("err = %v", err)
 	}
 	p = mustAssemble(t, "push 1\npush 0\nmod\nhalt")
-	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrDivByZero) {
+	if _, err := NewVM().Run(p, "main"); !errors.Is(err, ErrDivByZero) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestStackUnderflow(t *testing.T) {
 	p := mustAssemble(t, "add\nhalt")
-	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrStackUnderflow) {
+	if _, err := NewVM().Run(p, "main"); !errors.Is(err, ErrStackUnderflow) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -201,7 +205,7 @@ loop:
 	push 1
 	jmp loop`
 	p := mustAssemble(t, src)
-	if _, err := NewVM(1<<20).Run(p, "main"); !errors.Is(err, ErrStackOverflow) {
+	if _, err := newVM(1<<20).Run(p, "main"); !errors.Is(err, ErrStackOverflow) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -211,7 +215,7 @@ func TestCallDepthLimit(t *testing.T) {
 func main:
 	call main`
 	p := mustAssemble(t, src)
-	if _, err := NewVM(1<<20).Run(p, "main"); !errors.Is(err, ErrCallDepth) {
+	if _, err := newVM(1<<20).Run(p, "main"); !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -226,7 +230,7 @@ func main:
 	halt`
 	p := mustAssemble(t, src)
 	// The VM has no host: the syscall faults before it pops anything.
-	res, err := NewVM(0).Run(p, "main")
+	res, err := NewVM().Run(p, "main")
 	if !errors.Is(err, ErrNoHost) {
 		t.Fatalf("err = %v", err)
 	}
@@ -237,7 +241,7 @@ func main:
 
 func TestSyscallWithoutHost(t *testing.T) {
 	p := mustAssemble(t, "push 0\nsys \"x\"\nhalt")
-	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrNoHost) {
+	if _, err := NewVM().Run(p, "main"); !errors.Is(err, ErrNoHost) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -245,7 +249,7 @@ func TestSyscallWithoutHost(t *testing.T) {
 // A syscall fault ends the run: nothing after the sys executes.
 func TestSyscallError(t *testing.T) {
 	p := mustAssemble(t, "push 0\nsys \"boom\"\npush 9\nhalt")
-	res, err := NewVM(0).Run(p, "main")
+	res, err := NewVM().Run(p, "main")
 	if !errors.Is(err, ErrNoHost) {
 		t.Fatalf("err = %v", err)
 	}
@@ -256,7 +260,7 @@ func TestSyscallError(t *testing.T) {
 
 func TestRunOffEndHalts(t *testing.T) {
 	p := mustAssemble(t, "push 3")
-	res, err := NewVM(0).Run(p, "main")
+	res, err := NewVM().Run(p, "main")
 	if err != nil || res.Top() != 3 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -267,7 +271,7 @@ func TestValidateRejectsBadJump(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("bad jump accepted")
 	}
-	if _, err := NewVM(0).Run(p, "main"); !errors.Is(err, ErrBadProgram) {
+	if _, err := NewVM().Run(p, "main"); !errors.Is(err, ErrBadProgram) {
 		t.Fatalf("Run err = %v", err)
 	}
 }

@@ -19,8 +19,13 @@ import (
 	"aroma/internal/sim"
 )
 
-// DefaultTick is the position sampling interval.
-const DefaultTick = 200 * sim.Millisecond
+// The position sampling intervals: a walk along a path samples every
+// WalkTick (see aroma's Device.MoveAlong), and each leg of a Wanderer
+// every WanderTick.
+const (
+	WalkTick   = 500 * sim.Millisecond
+	WanderTick = 200 * sim.Millisecond
+)
 
 // Mover walks an entity along a path.
 type Mover struct {
@@ -35,14 +40,11 @@ type Mover struct {
 	OnArrive func()
 }
 
-// Start begins walking the path, sampling every tick (DefaultTick when
-// tick <= 0). The apply callback receives every sampled position,
+// Start begins walking the path, sampling every tick, which must be
+// positive. The apply callback receives every sampled position,
 // starting immediately with the first waypoint. It returns the Mover,
 // which can be stopped early.
 func Start(k *sim.Kernel, path geo.Path, tick sim.Time, apply func(geo.Point)) *Mover {
-	if tick <= 0 {
-		tick = DefaultTick
-	}
 	m := &Mover{kernel: k, path: path, started: k.Now()}
 	if apply != nil {
 		apply(path.PositionAt(0))
@@ -102,8 +104,8 @@ func (m *Mover) String() string {
 
 // Wanderer drives continuous random-waypoint motion: from its start
 // position it picks a uniformly random destination inside bounds, walks
-// there at constant speed (sampling every tick), then immediately picks
-// the next destination, forever, until stopped. This is the classic
+// there at constant speed (sampling every WanderTick), then immediately
+// picks the next destination, forever, until stopped. This is the classic
 // mobile-dense workload: hundreds of Wanderers keep the radio medium's
 // spatial index under constant movement pressure. Randomness comes from
 // the kernel, so runs are deterministic per seed.
@@ -111,7 +113,6 @@ type Wanderer struct {
 	kernel *sim.Kernel
 	bounds geo.Rect
 	speed  float64
-	tick   sim.Time
 	apply  func(geo.Point)
 	cur    geo.Point
 	mover  *Mover
@@ -120,15 +121,12 @@ type Wanderer struct {
 }
 
 // StartWander begins wandering from start. The apply callback receives
-// every sampled position (starting immediately with start itself); tick
-// defaults to DefaultTick when <= 0. A speed that is not positive and
-// finite produces a Wanderer that applies start once and is immediately
-// Done — never a zero-duration leg loop.
-func StartWander(k *sim.Kernel, start geo.Point, bounds geo.Rect, speedMPS float64, tick sim.Time, apply func(geo.Point)) *Wanderer {
-	if tick <= 0 {
-		tick = DefaultTick
-	}
-	w := &Wanderer{kernel: k, bounds: bounds, speed: speedMPS, tick: tick, apply: apply, cur: start}
+// every sampled position (starting immediately with start itself). A
+// speed that is not positive and finite produces a Wanderer that
+// applies start once and is immediately Done — never a zero-duration
+// leg loop.
+func StartWander(k *sim.Kernel, start geo.Point, bounds geo.Rect, speedMPS float64, apply func(geo.Point)) *Wanderer {
+	w := &Wanderer{kernel: k, bounds: bounds, speed: speedMPS, apply: apply, cur: start}
 	if !geo.ValidSpeed(speedMPS) {
 		if apply != nil {
 			apply(start)
@@ -158,7 +156,7 @@ func (w *Wanderer) nextLeg() {
 	}
 	path := geo.Path{Waypoints: []geo.Point{w.cur, dest}, SpeedMPS: w.speed}
 	w.legs++
-	w.mover = Start(w.kernel, path, w.tick, func(p geo.Point) {
+	w.mover = Start(w.kernel, path, WanderTick, func(p geo.Point) {
 		w.cur = p
 		if w.apply != nil {
 			w.apply(p)

@@ -78,7 +78,7 @@ func TestProgress(t *testing.T) {
 
 func TestStationaryPathArrivesImmediately(t *testing.T) {
 	k := sim.New(1)
-	m := Start(k, geo.Path{Waypoints: []geo.Point{geo.Pt(3, 3)}, SpeedMPS: 1}, 0, nil)
+	m := Start(k, geo.Path{Waypoints: []geo.Point{geo.Pt(3, 3)}, SpeedMPS: 1}, sim.Second, nil)
 	arrived := false
 	m.OnArrive = func() { arrived = true }
 	k.RunUntil(sim.Second)
@@ -90,15 +90,32 @@ func TestStationaryPathArrivesImmediately(t *testing.T) {
 	}
 }
 
-func TestDefaultTickUsed(t *testing.T) {
+// A wanderer samples every WanderTick, across its legs too: each leg
+// starts on the tick that ends the last one, so sample instants are
+// WanderTick apart, or repeat when one leg hands over to the next.
+func TestWandererSamplesEveryWanderTick(t *testing.T) {
 	k := sim.New(1)
-	samples := 0
-	path := geo.Path{Waypoints: []geo.Point{geo.Pt(0, 0), geo.Pt(2, 0)}, SpeedMPS: 1}
-	Start(k, path, 0, func(geo.Point) { samples++ })
-	k.RunUntil(2 * sim.Second)
-	// 2 s at 200 ms ticks plus the initial sample: ~11.
-	if samples < 8 || samples > 14 {
-		t.Fatalf("samples = %d with default tick", samples)
+	var at []sim.Time
+	w := StartWander(k, geo.Pt(25, 25), geo.RectAt(0, 0, 50, 50), 5, func(geo.Point) {
+		at = append(at, k.Now())
+	})
+	const horizon = 10 * sim.Second
+	k.RunUntil(horizon)
+	if w.Legs() < 2 {
+		t.Fatalf("legs = %d, want a handover", w.Legs())
+	}
+	instants := 1
+	for i := 1; i < len(at); i++ {
+		switch at[i] - at[i-1] {
+		case WanderTick:
+			instants++
+		case 0:
+		default:
+			t.Fatalf("samples at %v then %v, want %v apart", at[i-1], at[i], WanderTick)
+		}
+	}
+	if want := int(horizon/WanderTick) + 1; instants != want {
+		t.Fatalf("%d sample instants in %v, want %d", instants, horizon, want)
 	}
 }
 
@@ -118,7 +135,7 @@ func TestPatrolClosesLoop(t *testing.T) {
 
 func TestMoverString(t *testing.T) {
 	k := sim.New(1)
-	m := Start(k, geo.Path{Waypoints: []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0)}, SpeedMPS: 1}, 0, nil)
+	m := Start(k, geo.Path{Waypoints: []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0)}, SpeedMPS: 1}, sim.Second, nil)
 	if m.String() == "" {
 		t.Fatal("empty String")
 	}
@@ -128,7 +145,7 @@ func TestWandererWalksInsideBounds(t *testing.T) {
 	k := sim.New(4)
 	bounds := geo.RectAt(0, 0, 50, 50)
 	var samples []geo.Point
-	w := StartWander(k, geo.Pt(25, 25), bounds, 5, 100*sim.Millisecond, func(p geo.Point) {
+	w := StartWander(k, geo.Pt(25, 25), bounds, 5, func(p geo.Point) {
 		samples = append(samples, p)
 	})
 	k.RunFor(30 * sim.Second)
@@ -159,7 +176,7 @@ func TestWandererDeterministicPerSeed(t *testing.T) {
 	run := func() []geo.Point {
 		k := sim.New(12)
 		var samples []geo.Point
-		StartWander(k, geo.Pt(10, 10), geo.RectAt(0, 0, 80, 80), 3, 0, func(p geo.Point) {
+		StartWander(k, geo.Pt(10, 10), geo.RectAt(0, 0, 80, 80), 3, func(p geo.Point) {
 			samples = append(samples, p)
 		})
 		k.RunFor(20 * sim.Second)
@@ -179,7 +196,7 @@ func TestWandererDeterministicPerSeed(t *testing.T) {
 func TestWandererInvalidSpeedParksImmediately(t *testing.T) {
 	k := sim.New(1)
 	applied := 0
-	w := StartWander(k, geo.Pt(5, 5), geo.RectAt(0, 0, 10, 10), 0, 0, func(geo.Point) { applied++ })
+	w := StartWander(k, geo.Pt(5, 5), geo.RectAt(0, 0, 10, 10), 0, func(geo.Point) { applied++ })
 	if !w.Done() || w.Legs() != 0 {
 		t.Fatalf("zero-speed wanderer should park: done=%v legs=%d", w.Done(), w.Legs())
 	}
@@ -196,14 +213,14 @@ func TestWandererDegenerateBoundsParks(t *testing.T) {
 	// Zero-area bounds pin every destination draw to one point; the
 	// wanderer must park rather than spin zero-duration legs forever.
 	k := sim.New(2)
-	w := StartWander(k, geo.Pt(3, 3), geo.Rect{Min: geo.Pt(3, 3), Max: geo.Pt(3, 3)}, 2, 0, nil)
+	w := StartWander(k, geo.Pt(3, 3), geo.Rect{Min: geo.Pt(3, 3), Max: geo.Pt(3, 3)}, 2, nil)
 	k.RunFor(10 * sim.Second) // must terminate
 	if !w.Done() {
 		t.Fatal("degenerate-bounds wanderer did not park")
 	}
 	// Start away from the pinned point: one leg walks there, then parks.
 	k2 := sim.New(2)
-	w2 := StartWander(k2, geo.Pt(0, 0), geo.Rect{Min: geo.Pt(3, 3), Max: geo.Pt(3, 3)}, 2, 0, nil)
+	w2 := StartWander(k2, geo.Pt(0, 0), geo.Rect{Min: geo.Pt(3, 3), Max: geo.Pt(3, 3)}, 2, nil)
 	k2.RunFor(10 * sim.Second)
 	if !w2.Done() || w2.Pos() != geo.Pt(3, 3) {
 		t.Fatalf("wanderer should walk to the pinned point and park: done=%v pos=%v", w2.Done(), w2.Pos())

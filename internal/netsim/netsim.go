@@ -42,8 +42,9 @@ const (
 	PortEvents    Port = 4
 )
 
-// DefaultMTU is the maximum payload bytes carried in one link frame.
-const DefaultMTU = 1500
+// MTU is the maximum payload bytes carried in one link frame: every
+// node fragments at it.
+const MTU = 1500
 
 // DefaultCallTimeout bounds a Call waiting for its response.
 const DefaultCallTimeout = 2 * sim.Second
@@ -145,9 +146,6 @@ type Node struct {
 	// so that sending a message allocates no closure.
 	linkDone func(mac.SendResult)
 	linkFree func(mac.SendResult)
-
-	// MTU is the fragmentation threshold in payload bytes.
-	MTU int
 }
 
 // reasmState counts the distinct fragments of a message that have
@@ -187,7 +185,6 @@ func (n *Network) NewNode(name string, st *mac.Station) *Node {
 		groups:      make(map[Group]bool),
 		reassembly:  make(map[Addr]*reasmState),
 		pending:     make(map[uint64]*pendingCall),
-		MTU:         DefaultMTU,
 	}
 	node.linkDone = node.onLinkResult
 	node.linkFree = node.releaseFrame
@@ -363,12 +360,8 @@ func (nd *Node) sendFragmented(p packet, done func(mac.SendResult)) {
 	if done == nil {
 		done = nd.linkFree
 	}
-	mtu := nd.MTU
-	if mtu <= 0 {
-		mtu = DefaultMTU
-	}
 	n := len(p.Data)
-	p.FragCnt = max(1, (n+mtu-1)/mtu)
+	p.FragCnt = max(1, (n+MTU-1)/MTU)
 	for i := 0; i < p.FragCnt; i++ {
 		var fp *packet
 		if k := len(nd.packetFree); k > 0 {
@@ -379,7 +372,7 @@ func (nd *Node) sendFragmented(p packet, done func(mac.SendResult)) {
 		}
 		*fp = p
 		fp.FragIdx = i
-		bits := (min(n-i*mtu, mtu) + headerBytes) * 8
+		bits := (min(n-i*MTU, MTU) + headerBytes) * 8
 		// bits counts the header, so it is never zero, and a zero
 		// payload is the only thing Send refuses.
 		_ = nd.station.Send(p.Dst, bits, fp, done)

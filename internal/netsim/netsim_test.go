@@ -80,17 +80,29 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSmallMTUFragmentation(t *testing.T) {
+// A message one byte longer than two MTUs goes out as three fragments,
+// the last of one byte, and arrives whole.
+func TestFragmentationOneByteTail(t *testing.T) {
 	k, _, nodes := testNet(3, 2)
-	nodes[0].MTU = 10
-	payload := []byte("the quick brown fox jumps over the lazy dog")
+	text := []byte("the quick brown fox jumps over the lazy dog ")
+	payload := bytes.Repeat(text, 2*MTU/len(text)+1)[:2*MTU+1]
+	frames := 0
+	st := nodes[1].station
+	deliver := st.OnReceive
+	st.OnReceive = func(f mac.Frame) {
+		frames++
+		deliver(f)
+	}
 	var got []byte
 	nodes[1].Handle(PortDynamic, func(_ Addr, data []byte) { got = data })
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, payload)
 	for k.Step() {
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatalf("got %q", got)
+		t.Fatalf("got %d bytes, want the %d sent", len(got), len(payload))
+	}
+	if frames != 3 {
+		t.Fatalf("%d fragments delivered, want 3", frames)
 	}
 }
 
@@ -274,7 +286,7 @@ func TestResponseSentRunsOnceAfterLastFragment(t *testing.T) {
 				t.Fatal("server station not exported")
 				return 0
 			}
-			resp := make([]byte, frags*DefaultMTU)
+			resp := make([]byte, frags*MTU)
 			sentRuns, queuedAtSent := 0, -1
 			var sentAt sim.Time
 			srv.HandleRequest(PortControl, func(Addr, []byte) ([]byte, func()) {
@@ -345,7 +357,7 @@ func TestReassemblyDeliversSenderSlice(t *testing.T) {
 	_, _, nodes := testNet(1, 1)
 	nd := nodes[0]
 	const frags = 10
-	payload := make([]byte, frags*DefaultMTU)
+	payload := make([]byte, frags*MTU)
 	ps := fragments(payload, frags)
 	reassembleAll := func() []byte {
 		var full []byte
@@ -445,7 +457,7 @@ func TestReassemblyDropsMessageWithLostFragment(t *testing.T) {
 func TestFragmentedMulticastSharesPayload(t *testing.T) {
 	k, _, nodes := testNet(11, 4)
 	const g Group = 3
-	big := make([]byte, 3*DefaultMTU+17)
+	big := make([]byte, 3*MTU+17)
 	for i := range big {
 		big[i] = byte(i * 13)
 	}
@@ -481,7 +493,6 @@ func TestPacketSize(t *testing.T) {
 // message, however much of the message the packet holds.
 func TestFragmentBitsCoverTheirPart(t *testing.T) {
 	k, _, nodes := testNet(12, 2)
-	nodes[0].MTU = 10
 	st := nodes[1].station
 	var bits []int
 	deliver := st.OnReceive
@@ -491,15 +502,15 @@ func TestFragmentBitsCoverTheirPart(t *testing.T) {
 	}
 	var got []byte
 	nodes[1].Handle(PortDynamic, func(_ Addr, data []byte) { got = data })
-	msg := []byte("twenty-five bytes of text")
+	msg := bytes.Repeat([]byte("x"), 2*MTU+5)
 	nodes[0].SendDatagram(nodes[1].Addr(), PortDynamic, msg)
 	for k.Step() {
 	}
-	want := []int{(10 + headerBytes) * 8, (10 + headerBytes) * 8, (5 + headerBytes) * 8}
+	want := []int{(MTU + headerBytes) * 8, (MTU + headerBytes) * 8, (5 + headerBytes) * 8}
 	if !slices.Equal(bits, want) {
 		t.Fatalf("fragment bits = %v, want %v", bits, want)
 	}
 	if !bytes.Equal(got, msg) {
-		t.Fatalf("got %q", got)
+		t.Fatalf("got %d bytes, want the %d sent", len(got), len(msg))
 	}
 }

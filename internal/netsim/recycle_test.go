@@ -30,7 +30,7 @@ type callRig struct {
 func newCallRig(seed int64) *callRig {
 	k, _, nodes := testNet(seed, 2)
 	r := &callRig{k: k, cli: nodes[0], srv: nodes[1], req: []byte("poll")}
-	resp := make([]byte, 3*DefaultMTU+100)
+	resp := make([]byte, 3*MTU+100)
 	sent := func() { r.sents++ }
 	r.srv.HandleRequest(PortControl, func(Addr, []byte) ([]byte, func()) { return resp, sent })
 	r.done = func(data []byte, err error) {
@@ -91,7 +91,7 @@ type sentFrag struct {
 
 // TestFragmentHeadersNeverStale runs many fragmented requests,
 // responses, datagrams and multicasts both ways while either radio
-// drops out for a few milliseconds mid-message, and checks every frame
+// drops out now and then mid-message, and checks every frame
 // a node receives against the fragments its sender queued, in order.
 // A station sends its frames in FIFO order and delivers each at most
 // once, so the frames from one source must be a subsequence of what it
@@ -108,19 +108,23 @@ func TestFragmentHeadersNeverStale(t *testing.T) {
 	srvRadio := med.NewRadio("srv", geo.Pt(4, 0), 6, 15)
 	cli := nw.NewNode("cli", m.AddStation(cliRadio))
 	srv := nw.NewNode("srv", m.AddStation(srvRadio))
-	cli.MTU, srv.MTU = 100, 100
+	// Sizes are in hundredths of an MTU, so a message takes one to ten
+	// fragments; times are in units of 3 ms, which keeps the link busy
+	// enough that calls both complete and time out.
+	const unit = 3 * sim.Millisecond
+	size := func(hundredths int) int { return hundredths * MTU / 100 }
 	const g Group = 5
 	cli.Join(g)
-	const horizon = 3 * sim.Second
+	const horizon = 3000 * unit
 
 	queued := map[Addr][]sentFrag{}
 	expect := func(nd *Node, kd kind, id uint64, data []byte) {
 		n := len(data)
-		cnt := max(1, (n+nd.MTU-1)/nd.MTU)
+		cnt := max(1, (n+MTU-1)/MTU)
 		for i := 0; i < cnt; i++ {
 			queued[nd.Addr()] = append(queued[nd.Addr()], sentFrag{
 				kind: kd, msgID: id, idx: i, cnt: cnt,
-				bits: (min(n-i*nd.MTU, nd.MTU) + headerBytes) * 8,
+				bits: (min(n-i*MTU, MTU) + headerBytes) * 8,
 				data: data,
 			})
 		}
@@ -156,7 +160,7 @@ func TestFragmentHeadersNeverStale(t *testing.T) {
 	sents := 0
 	srv.HandleRequest(PortControl, func(_ Addr, data []byte) ([]byte, func()) {
 		id := binary.BigEndian.Uint64(data)
-		resp := make([]byte, 150+97*int(id%9))
+		resp := make([]byte, size(150+97*int(id%9)))
 		expect(srv, kindResponse, id, resp)
 		if id%2 == 0 {
 			return resp, func() { sents++ }
@@ -186,9 +190,9 @@ func TestFragmentHeadersNeverStale(t *testing.T) {
 	}
 	poll = func() {
 		id := nw.msgSeq + 1
-		req := binary.BigEndian.AppendUint64(make([]byte, 0, 250), id)
-		req = req[:8+int(id%3)*100]
-		cli.Call(srv.Addr(), PortControl, req, 40*sim.Millisecond, done)
+		req := binary.BigEndian.AppendUint64(make([]byte, 0, 8+size(200)), id)
+		req = req[:8+size(int(id%3)*100)]
+		cli.Call(srv.Addr(), PortControl, req, 40*unit, done)
 		expect(cli, kindRequest, id, req)
 	}
 	poll()
@@ -205,13 +209,13 @@ func TestFragmentHeadersNeverStale(t *testing.T) {
 		}
 		k.Schedule(period, "test.tick", tick)
 	}
-	every(7*sim.Millisecond, func(i int) {
-		data := make([]byte, 120+53*(i%6))
+	every(7*unit, func(i int) {
+		data := make([]byte, size(120+53*(i%6)))
 		cli.SendDatagram(srv.Addr(), PortDynamic, data)
 		expect(cli, kindDatagram, nw.msgSeq, data)
 	})
-	every(11*sim.Millisecond, func(i int) {
-		data := make([]byte, 80+61*(i%5))
+	every(11*unit, func(i int) {
+		data := make([]byte, size(80+61*(i%5)))
 		if i%2 == 0 {
 			srv.SendMulticast(g, PortDiscovery, data)
 			expect(srv, kindMulticast, nw.msgSeq, data)
@@ -227,8 +231,8 @@ func TestFragmentHeadersNeverStale(t *testing.T) {
 			k.Schedule(length, "test.up", func() { med.SetDown(r, -1) })
 		})
 	}
-	outage(srvRadio, 43*sim.Millisecond, 3*sim.Millisecond)
-	outage(cliRadio, 97*sim.Millisecond, 5*sim.Millisecond)
+	outage(srvRadio, 43*unit, 3*unit)
+	outage(cliRadio, 97*unit, 5*unit)
 	for k.Step() {
 	}
 

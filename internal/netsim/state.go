@@ -44,7 +44,7 @@ func (n *Network) ExportState() State {
 	}
 	//aroma:ordered export rows are sorted by Addr immediately after the loop
 	for _, nd := range n.nodes {
-		ns := NodeState{Addr: nd.Addr(), Name: nd.name, MTU: nd.MTU}
+		ns := NodeState{Addr: nd.Addr(), Name: nd.name, MTU: MTU}
 		//aroma:ordered export rows are sorted by group immediately after the loop
 		for g := range nd.groups {
 			ns.Groups = append(ns.Groups, g)

@@ -100,13 +100,13 @@ const displayW, displayH = 1024, 768
 
 // Config tunes the projector.
 type Config struct {
-	// IdleLimit for session reclamation (0 = session.DefaultIdleLimit).
+	// IdleLimit for session reclamation; it must be positive.
 	IdleLimit sim.Time
 }
 
 // DefaultConfig returns the prototype's configuration.
 func DefaultConfig() Config {
-	return Config{IdleLimit: 2 * sim.Minute}
+	return Config{IdleLimit: session.DefaultIdleLimit}
 }
 
 // SmartProjector is the adapter+projector appliance. Both sessions
@@ -145,10 +145,8 @@ func New(node *netsim.Node, agent *discovery.Agent, log *trace.Log, cfg Config) 
 		Control:    session.NewManager(k, "control"),
 		brightness: 5,
 	}
-	if cfg.IdleLimit > 0 {
-		p.Projection.IdleLimit = cfg.IdleLimit
-		p.Control.IdleLimit = cfg.IdleLimit
-	}
+	p.Projection.IdleLimit = cfg.IdleLimit
+	p.Control.IdleLimit = cfg.IdleLimit
 	p.Projection.OnEnd = func(owner string, reason session.EndReason) {
 		p.stopProjection()
 		if reason == session.Reclaimed {
@@ -555,7 +553,7 @@ func (pr *Presenter) ReleaseControl(done func(error)) {
 func (pr *Presenter) Command(cmd int, done func(error)) {
 	if pr.proxy != nil {
 		pr.ProxyValidations++
-		res, err := mobilecode.NewVM(0).Run(pr.proxy, "validate", int64(cmd))
+		res, err := mobilecode.NewVM().Run(pr.proxy, "validate", int64(cmd))
 		if err == nil && res.Top() == 0 {
 			pr.RoundTripsSaved++
 			if done != nil {

@@ -111,6 +111,7 @@ package radio
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"aroma/internal/env"
@@ -150,19 +151,31 @@ var (
 	noiseMW  = env.DBmToMilliwatts(noiseDBm)
 )
 
-// Rate is one step of the 802.11b-era rate set.
+// Rate is one step of the 802.11b-era rate set. Only the entries of
+// Rates carry their decode band, so Transmit takes no other Rate.
 type Rate struct {
 	Mbps      float64
 	MinSINRdB float64 // decode threshold
+
+	// lo and hi are the linear SINR band around MinSINRdB (linearBand)
+	// that decodes works in, computed once for the package.
+	lo, hi float64
 }
 
 // Rates is the available rate set, ascending. The thresholds follow
 // typical 802.11b receiver sensitivity ladders.
 var Rates = []Rate{
-	{1, 4},
-	{2, 7},
-	{5.5, 9},
-	{11, 12},
+	newRate(1, 4),
+	newRate(2, 7),
+	newRate(5.5, 9),
+	newRate(11, 12),
+}
+
+// newRate returns the rate of mbps that decodes at minSINRdB, with its
+// decode band.
+func newRate(mbps, minSINRdB float64) Rate {
+	lo, hi := linearBand(minSINRdB)
+	return Rate{Mbps: mbps, MinSINRdB: minSINRdB, lo: lo, hi: hi}
 }
 
 // PickRate returns the fastest rate whose decode threshold is at or below
@@ -523,11 +536,6 @@ type Medium struct {
 	// GainHits/GainMisses count pairwise link-gain cache lookups.
 	GainHits   uint64
 	GainMisses uint64
-
-	// decKey, decLo and decHi cache finish's decode band (decodeBand)
-	// for the threshold decKey dB; decHi is never 0 once filled, so 0
-	// marks an empty cache.
-	decKey, decLo, decHi float64
 
 	// candBuf is buildCandidates' scratch and rowBuf hearersOf's: a
 	// rebuild collects into it and copies the result into an exactly
@@ -970,25 +978,15 @@ func senses(e, thresholdDBm, lo, hi float64) bool {
 	return env.MilliwattsToDBm(e) > thresholdDBm
 }
 
-// decodeBand returns linearBand(minSINRdB), cached on the medium for the
-// last threshold asked.
-func (m *Medium) decodeBand(minSINRdB float64) (lo, hi float64) {
-	if m.decHi == 0 || m.decKey != minSINRdB {
-		m.decKey = minSINRdB
-		m.decLo, m.decHi = linearBand(minSINRdB)
-	}
-	return m.decLo, m.decHi
-}
-
 // decodes reports whether a frame received at the linear SINR ratio
 // decodes at the threshold minSINRdB, given (lo, hi) =
-// linearBand(minSINRdB). The answer is exactly 10·Log10(ratio) >=
-// minSINRdB, by the argument Busy makes for carrier sense: the relative
-// error of the linear threshold and the absolute error of 10·Log10 are
-// both orders of magnitude inside the band, so a ratio above it decodes
-// in dB too and a positive ratio below it fails in dB too. Inside the
-// band, for ratios that are 0 or NaN, and for unusable thresholds,
-// decodes evaluates the dB predicate itself.
+// linearBand(minSINRdB), which each Rate carries. The answer is exactly
+// 10·Log10(ratio) >= minSINRdB, by the argument Busy makes for carrier
+// sense: the relative error of the linear threshold and the absolute
+// error of 10·Log10 are both orders of magnitude inside the band, so a
+// ratio above it decodes in dB too and a positive ratio below it fails
+// in dB too. Inside the band, for ratios that are 0 or NaN, and for
+// unusable thresholds, decodes evaluates the dB predicate itself.
 func decodes(ratio, minSINRdB, lo, hi float64) bool {
 	switch {
 	case ratio > hi:
@@ -1013,18 +1011,25 @@ func (m *Medium) MeasureRSSI(src, dst *Radio) float64 {
 	return rssi
 }
 
-// ErrZeroBits is returned by Transmit for an empty frame.
-var ErrZeroBits = errors.New("radio: transmission must carry at least one bit")
+// Errors returned by Transmit.
+var (
+	ErrZeroBits    = errors.New("radio: transmission must carry at least one bit")
+	ErrUnknownRate = errors.New("radio: rate is not an entry of Rates")
+)
 
 // Transmit puts a frame on the air from r. The frame occupies the medium
 // for bits/rate seconds; when it ends, the OnReceive of every other
 // radio in r's hearing range fires with a Receipt, in ascending radio-ID
 // order. The payload is carried opaquely; it is dropped when the
 // delivery ends. The returned Transmission is valid only until then:
-// the medium recycles it for a later frame.
+// the medium recycles it for a later frame. The rate must be an entry
+// of Rates (as PickRate returns).
 func (m *Medium) Transmit(r *Radio, bits int, rate Rate, payload any) (*Transmission, error) {
 	if bits <= 0 {
 		return nil, ErrZeroBits
+	}
+	if !slices.Contains(Rates, rate) {
+		return nil, ErrUnknownRate
 	}
 	if r.down > 0 {
 		return nil, ErrRadioDown
@@ -1106,14 +1111,13 @@ func (m *Medium) finish(tx *Transmission) {
 	// overwrites the row until the round ends. Its recorded gains hold
 	// only while geoGen does; after a callback changed the geometry, the
 	// rest of the round recomputes them as the medium now stands (the
-	// overlaps hold for life: channels are fixed). The decode band is
-	// fetched once per round.
+	// overlaps hold for life: channels are fixed). The rate carries its
+	// decode band.
 	receivers := m.hearersOf(src)
 	forgetSensing(receivers)
 	src.rowPins++
 	gen := m.geoGen
-	minSINR := tx.Rate.MinSINRdB
-	lo, hi := m.decodeBand(minSINR)
+	rate := tx.Rate
 	for i := range receivers {
 		h := &receivers[i]
 		rx := h.rx
@@ -1129,7 +1133,7 @@ func (m *Medium) finish(tx *Transmission) {
 		sigMW := mw * h.ov
 		intMW := tx.led.at(rx.ID)
 		sinr := sigMW / (noiseMW + intMW)
-		ok := decodes(sinr, minSINR, lo, hi)
+		ok := decodes(sinr, rate.MinSINRdB, rate.lo, rate.hi)
 		// Delivered/Lost are canonical frame accounting; an outcome
 		// with nonzero interference is also a capture win or a
 		// collision (observability only).

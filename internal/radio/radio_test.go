@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -96,7 +97,7 @@ func TestAirtime(t *testing.T) {
 	k, m := newMedium(1)
 	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
 	m.NewRadio("b", geo.Pt(5, 0), 6, 15)
-	tx, err := m.Transmit(a, 11_000_000, Rate{11, 12}, nil) // 1 second at 11 Mbps
+	tx, err := m.Transmit(a, 11_000_000, Rates[3], nil) // 1 second at 11 Mbps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestFarReceiverFailsToDecode(t *testing.T) {
 	var r *Receipt
 	b.OnReceive = func(rc Receipt) { r = &rc }
 	// Force the highest rate regardless of SNR: should fail at ~134 m.
-	if _, err := m.Transmit(a, 8000, Rate{11, 12}, nil); err != nil {
+	if _, err := m.Transmit(a, 8000, Rates[3], nil); err != nil {
 		t.Fatal(err)
 	}
 	for k.Step() {
@@ -785,10 +786,9 @@ func TestDecodeMatchesDBmPredicate(t *testing.T) {
 	for _, r := range Rates {
 		thresholds = append(thresholds, r.MinSINRdB)
 	}
-	m := &Medium{}
 	near := 0 // ratios at t itself or one float away that decode differently from a plain r >= t
 	for _, th := range thresholds {
-		lo, hi := m.decodeBand(th)
+		lo, hi := linearBand(th)
 		lin := env.DBmToMilliwatts(th)
 		ratios := []float64{0, 0x1p-1070, math.Inf(1), math.NaN()}
 		for _, x := range []float64{lin, lin * (1 - thresholdBand), lin * (1 + thresholdBand), lo, hi} {
@@ -809,10 +809,44 @@ func TestDecodeMatchesDBmPredicate(t *testing.T) {
 	if near == 0 {
 		t.Fatal("no ratio near a threshold separates the dB predicate from r >= t; the test no longer exercises the band")
 	}
-	// The fast band is in use for every rate.
+}
+
+// TestRateBandsMatchLinearBand checks that every entry of Rates carries
+// linearBand of its own threshold, bit for bit, and that the band is
+// finite, so decodes takes the fast path away from the threshold.
+func TestRateBandsMatchLinearBand(t *testing.T) {
 	for _, r := range Rates {
-		if lo, hi := m.decodeBand(r.MinSINRdB); !(0 < lo && lo < hi && !math.IsInf(hi, 1)) {
-			t.Fatalf("band for %v dB is (%v, %v), want a finite band", r.MinSINRdB, lo, hi)
+		lo, hi := linearBand(r.MinSINRdB)
+		if math.Float64bits(r.lo) != math.Float64bits(lo) || math.Float64bits(r.hi) != math.Float64bits(hi) {
+			t.Errorf("%v Mb/s carries band (%v, %v), linearBand(%v) is (%v, %v)", r.Mbps, r.lo, r.hi, r.MinSINRdB, lo, hi)
+		}
+		if !(0 < r.lo && r.lo < r.hi && !math.IsInf(r.hi, 1)) {
+			t.Errorf("band for %v dB is (%v, %v), want a finite band", r.MinSINRdB, r.lo, r.hi)
+		}
+	}
+}
+
+// TestTransmitRejectsUnknownRate checks that a Rate built by hand, even
+// with the numbers of an entry of Rates, or an entry with a changed
+// threshold, never goes on the air: it carries no decode band, or the
+// wrong one.
+func TestTransmitRejectsUnknownRate(t *testing.T) {
+	k, m := newMedium(1)
+	a := m.NewRadio("a", geo.Pt(0, 0), 6, 15)
+	m.NewRadio("b", geo.Pt(5, 0), 6, 15)
+	shifted := Rates[1]
+	shifted.MinSINRdB++
+	for _, r := range []Rate{{Mbps: 11, MinSINRdB: 12}, {Mbps: 3, MinSINRdB: 5}, shifted} {
+		if tx, err := m.Transmit(a, 8000, r, nil); !errors.Is(err, ErrUnknownRate) || tx != nil {
+			t.Errorf("Transmit at %+v: %v, %v, want ErrUnknownRate", r, tx, err)
+		}
+	}
+	if m.Sent != 0 || m.ActiveTransmissions() != 0 || k.Pending() != 0 {
+		t.Fatalf("a rejected frame left a trace: sent %d, active %d, events %d", m.Sent, m.ActiveTransmissions(), k.Pending())
+	}
+	for _, r := range Rates {
+		if _, err := m.Transmit(a, 8000, r, nil); err != nil {
+			t.Fatalf("Transmit at %v Mb/s: %v", r.Mbps, err)
 		}
 	}
 }

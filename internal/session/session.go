@@ -36,7 +36,7 @@ const (
 	AdminOnly
 )
 
-// DefaultIdleLimit is the idle limit used when none is configured.
+// DefaultIdleLimit is the idle limit a new Manager starts with.
 const DefaultIdleLimit = 2 * sim.Minute
 
 // Errors returned by session operations.
@@ -185,11 +185,7 @@ func (m *Manager) armIdleTimer() {
 	if m.Policy != IdleTimeout {
 		return
 	}
-	limit := m.IdleLimit
-	if limit <= 0 {
-		limit = DefaultIdleLimit
-	}
-	m.idleTimer = m.kernel.ScheduleFn(limit, "session.idle", sessionIdle, m)
+	m.idleTimer = m.kernel.ScheduleFn(m.IdleLimit, "session.idle", sessionIdle, m)
 }
 
 // sessionIdle is the ScheduleFn trampoline for the idle timer: it

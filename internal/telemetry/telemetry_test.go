@@ -347,11 +347,17 @@ func TestReserveSizesSeriesOnce(t *testing.T) {
 // the allocator's size-class rounding (under 1/8 at these sizes) — a
 // (time, value) point per instrument costs 16. It reads the allocator's
 // counters around one Reserve, as testing.AllocsPerRun does, where
-// testing.Benchmark would take seconds.
+// testing.Benchmark would take seconds. The counters are process-wide,
+// so, as AllocsPerRun does, it measures at GOMAXPROCS 1, where no other
+// goroutine runs in parallel with the Reserve; and it collects first,
+// so that no garbage collection cycle, whose start allocates too, falls
+// inside the measurement.
 func TestReserveBytesPerPoint(t *testing.T) {
 	r := worldRegistry()
 	arrays := uint64(len(r.insts) + 1)
 	var before, after runtime.MemStats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	r.Reserve(reservePoints)
 	runtime.ReadMemStats(&after)

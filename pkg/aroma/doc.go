@@ -65,13 +65,14 @@
 // # Mobile worlds
 //
 // Devices move through movers started on them, right after AddDevice
-// or later from a scheduled event: Device.Wander(speed, tick) for
-// continuous random-waypoint wandering inside the floor-plan bounds,
-// Device.MoveAlong(path, tick) to walk a geo.Path once (a tick of 0
-// samples every 200 ms). Every sampled position flows through Device.SetPos, which drives
-// Radio.SetPos, so the model entity, the medium's spatial index, and
-// the candidate caches stay consistent; mover randomness comes from the
-// world's seeded kernel, so mobile runs remain bit-reproducible.
+// or later from a scheduled event: Device.Wander(speed) for continuous
+// random-waypoint wandering inside the floor-plan bounds, sampled every
+// 200 ms, and Device.MoveAlong(path) to walk a geo.Path once, sampled
+// every 500 ms. Every sampled position flows through Device.SetPos,
+// which drives Radio.SetPos, so the model entity, the medium's spatial
+// index, and the candidate caches stay consistent; mover randomness
+// comes from the world's seeded kernel, so mobile runs remain
+// bit-reproducible.
 //
 // The invalidation model makes mobility cheap at density. The
 // WithRadioCutoff index is a grid of fixed 50 m cells; each radio's

@@ -11,22 +11,21 @@ import (
 // doc). MoveAlong and Wander start a mover right after AddDevice or
 // later, from a scheduled event.
 
-// MoveAlong starts a mover walking the device along path, sampling every
-// tick (the default tick when tick <= 0), and returns it.
-func (d *Device) MoveAlong(path geo.Path, tick Time) *mobility.Mover {
-	return mobility.Start(d.world.kernel, path, tick, d.SetPos)
+// MoveAlong starts a mover walking the device along path, sampling
+// every mobility.WalkTick (500 ms), and returns it.
+func (d *Device) MoveAlong(path geo.Path) *mobility.Mover {
+	return mobility.Start(d.world.kernel, path, mobility.WalkTick, d.SetPos)
 }
 
 // Wander starts continuous random-waypoint motion from the device's
 // current position inside the world's floor-plan bounds at speedMPS:
 // walk to a uniformly random point, pick another, forever, sampling
-// every tick (the default tick when tick <= 0). A speed that is not
-// positive and finite leaves the device parked (see
-// mobility.StartWander). The returned wanderer also becomes
-// Device.Wanderer.
-func (d *Device) Wander(speedMPS float64, tick Time) *mobility.Wanderer {
+// every mobility.WanderTick (200 ms). A speed that is not positive and
+// finite leaves the device parked (see mobility.StartWander). The
+// returned wanderer also becomes Device.Wanderer.
+func (d *Device) Wander(speedMPS float64) *mobility.Wanderer {
 	w := d.world
-	d.wanderer = mobility.StartWander(w.kernel, d.Pos(), w.plan.Bounds, speedMPS, tick, d.SetPos)
+	d.wanderer = mobility.StartWander(w.kernel, d.Pos(), w.plan.Bounds, speedMPS, d.SetPos)
 	return d.wanderer
 }
 

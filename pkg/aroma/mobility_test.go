@@ -1,16 +1,18 @@
 package aroma
 
 import (
+	"math"
 	"testing"
 
 	"aroma/internal/geo"
+	"aroma/internal/mobility"
 )
 
 func TestWanderMovesDevice(t *testing.T) {
 	w := NewWorld(WithSeed(5), WithArena(100, 100), WithRadioCutoff(-100))
 	d := w.AddDevice("rover", Pt(50, 50))
 	start := d.Pos()
-	if d.Wander(3, 0) != d.Wanderer() || d.Wanderer() == nil {
+	if d.Wander(3) != d.Wanderer() || d.Wanderer() == nil {
 		t.Fatal("Wander did not attach its wanderer")
 	}
 	w.RunFor(30 * Second)
@@ -34,9 +36,18 @@ func TestMoveAlongWalksOnceAndArrives(t *testing.T) {
 	w := NewWorld(WithSeed(5), WithArena(100, 100))
 	path := geo.Path{Waypoints: []Point{Pt(0, 0), Pt(30, 0)}, SpeedMPS: 3}
 	d := w.AddDevice("walker", Pt(0, 0))
-	mv := d.MoveAlong(path, 100*Millisecond)
+	mv := d.MoveAlong(path)
 	if mv == nil {
 		t.Fatal("MoveAlong started no mover")
+	}
+	// The first sample after the start comes one walk tick in.
+	w.RunUntil(mobility.WalkTick - 1)
+	if d.Pos() != Pt(0, 0) {
+		t.Fatalf("device at %v before the first walk tick, want (0,0)", d.Pos())
+	}
+	w.RunUntil(mobility.WalkTick)
+	if want := 3 * mobility.WalkTick.Seconds(); math.Abs(d.Pos().X-want) > 1e-9 || d.Pos().Y != 0 {
+		t.Fatalf("device at %v after one walk tick, want (%v,0)", d.Pos(), want)
 	}
 	w.RunFor(20 * Second)
 	if mv.Progress() != 1 {
@@ -51,7 +62,7 @@ func TestDeviceWanderIsSeedReproducible(t *testing.T) {
 	run := func() []Point {
 		w := NewWorld(WithSeed(77), WithArena(60, 60), WithRadioCutoff(-100))
 		d := w.AddDevice("rover", Pt(30, 30))
-		d.Wander(2, 0)
+		d.Wander(2)
 		var track []Point
 		w.Ticker(Second, "sample", func() { track = append(track, d.Pos()) })
 		w.RunFor(15 * Second)

@@ -67,7 +67,7 @@ func buildMobileDense(cfg scenario.Config, extra ...aroma.Option) (*scenario.Bui
 	for i := range nodes {
 		pos := aroma.Pt(rng.Float64()*sideM, rng.Float64()*sideM)
 		dev := w.AddDevice(fmt.Sprintf("rover-%03d", i), pos, aroma.WithChannel(1+i%11))
-		dev.Wander(speedMPS, 0)
+		dev.Wander(speedMPS)
 		nd := dev.Node()
 		nd.Join(groupRovers)
 		heard := 0

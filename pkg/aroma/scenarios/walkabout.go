@@ -61,7 +61,7 @@ func buildWalkabout(cfg scenario.Config) (*scenario.Built, error) {
 			aroma.Pt(20, 30), aroma.Pt(150, 30), aroma.Pt(330, 30), aroma.Pt(330, 10),
 		}, 3.0)
 		walk.Waypoints = walk.Waypoints[:len(walk.Waypoints)-1] // don't come back
-		aliceDev.MoveAlong(walk, 500*aroma.Millisecond)
+		aliceDev.MoveAlong(walk)
 	})
 
 	// A monitor ticker narrates the decay every 15 s. It only observes —
